@@ -70,7 +70,6 @@ from .algebra import (
     DimDerivation,
     bilinear_check,
     dimensionless_restriction,
-    module_probe_space,
     property_check,
     ring_probe_space,
 )

@@ -51,22 +51,6 @@ def ring_probe_space(ring) -> ProbeSpace:
     )
 
 
-def module_probe_space(m) -> ProbeSpace:
-    return ProbeSpace(
-        sample=m.sample,
-        sample_like=m.sample_like,
-        add=m.add,
-        eq=m.eq,
-        dim_of=lambda a: a.dim,
-        act=m.act,
-        sample_ring=m.ring.sample,
-        ring_dim_act=m.gset.act,
-        sample_dim=lambda rng: m.sample(rng).dim,
-        neg=m.neg,
-        is_zero=m.is_zero,
-    )
-
-
 def bilinear_check(
     space: ProbeSpace,
     mul: Callable,

@@ -124,16 +124,6 @@ class EndoRing(DimRing):
                 out.append(DimElement(c, phi))
         return tuple(out)
 
-    def same_map_pairs(self, elems) -> list:
-        by_phi = {}
-        for a in elems:
-            by_phi.setdefault(a.dim, []).append(a)
-        return [
-            (a, b)
-            for group in by_phi.values()
-            for a, b in itertools.product(group, repeat=2)
-        ]
-
     def show(self, a):
         phi = ",".join(f"{d}->{img}" for d, img in zip(self.points, a.dim))
         return f"({{{phi}}}; coeffs {a.value})"

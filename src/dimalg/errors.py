@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON field check
+that raises InputFormatError."""
 
 
 class DimAlgError(Exception):
@@ -51,3 +52,35 @@ class UnknownSymbolError(ExprSyntaxError):
 
 class InputFormatError(DimAlgError):
     """A registry/structure/poisson document is malformed (distinct from axiom failures)."""
+
+
+_SINGULAR = {int: "an integer", str: "a string", dict: "an object"}
+_PLURAL = {int: "integers", str: "strings", dict: "objects"}
+
+
+def _has_type(x, kind) -> bool:
+    return isinstance(x, kind) and not (kind is int and isinstance(x, bool))
+
+
+def typed_field(value, shape, what: str):
+    """Check one decoded JSON field against its expected shape.
+
+    `shape` is a type (int, str or dict), a one-entry list `[t]` (an
+    array of t, returned as a tuple) or `{str: t}` (an object with t
+    values, returned as a dict).  Booleans are not integers.  A mismatch
+    raises InputFormatError naming `what`.
+    """
+    if isinstance(shape, list):
+        ok = isinstance(value, (list, tuple)) and all(_has_type(x, shape[0]) for x in value)
+        expected, convert = f"an array of {_PLURAL[shape[0]]}", tuple
+    elif isinstance(shape, dict):
+        ok = isinstance(value, dict) and all(
+            isinstance(k, str) and _has_type(x, shape[str]) for k, x in value.items()
+        )
+        expected, convert = f"an object of {_PLURAL[shape[str]]}", dict
+    else:
+        ok = _has_type(value, shape)
+        expected, convert = _SINGULAR[shape], None
+    if not ok:
+        raise InputFormatError(f"{what} must be {expected}, got {value!r}")
+    return convert(value) if convert else value

@@ -74,10 +74,6 @@ class DimMonoid:
     def is_group(self) -> bool:
         return self.kind in (FREE_ABELIAN, CYCLIC, TRIVIAL)
 
-    @property
-    def is_commutative(self) -> bool:
-        return self.kind != MAP or len(self.base) <= 1
-
     def contains(self, x) -> bool:
         if self.kind == FREE_ABELIAN:
             return (

@@ -312,19 +312,15 @@ class ReducedPoisson:
         ring = self.ring
         basis = []
         nf = self.ideal.normal_form
+        # exact-degree, non-ideal monomials per (degree, dimension), each
+        # group in lexicographic order
+        by_degree: dict = {}
+        for dim, alphas in ring.monomial_index(self.cutoff).items():
+            for alpha in alphas:
+                if not self.ideal.contains(ring.monomial(alpha)):
+                    by_degree.setdefault(sum(alpha), {}).setdefault(dim, []).append(alpha)
         for deg in range(0, self.cutoff + 1):
-            monos = [
-                alpha
-                for alpha in itertools.product(range(deg + 1), repeat=ring.nvars)
-                if sum(alpha) == deg
-                and not self.ideal.contains(ring.monomial(alpha))
-            ]
-            if not monos:
-                continue
-            by_dim: dict = {}
-            for alpha in monos:
-                by_dim.setdefault(ring.monomial_dim(alpha), []).append(alpha)
-            for dim, alphas in sorted(by_dim.items()):
+            for dim, alphas in sorted(by_degree.get(deg, {}).items()):
                 # rows: one linear condition per (ideal generator, residual monomial)
                 conditions: dict = {}
                 for col, alpha in enumerate(alphas):

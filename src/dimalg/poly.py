@@ -24,8 +24,16 @@ def _vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _vec_scale(n, a):
-    return tuple(n * x for x in a)
+def _exponents(nvars: int, budget: int):
+    """Exponent tuples of length nvars and total degree <= budget, in
+    lexicographic order (the order itertools.product visits them in)."""
+    if nvars == 0:
+        if budget >= 0:
+            yield ()
+        return
+    for e in range(budget + 1):
+        for rest in _exponents(nvars - 1, budget - e):
+            yield (e,) + rest
 
 
 class GradedPolyRing(DimRing):
@@ -49,6 +57,9 @@ class GradedPolyRing(DimRing):
         self.monoid = DimMonoid.free_abelian(self.rank)
         self.dims = DimSet.of_monoid(self.monoid)
         self.index = {n: i for i, n in enumerate(self.gen_names)}
+        # one column of generator weights per dimension coordinate
+        self._dim_cols = tuple(zip(*self.gen_dims))
+        self._monomial_index: dict = {}   # max_degree -> {dim: exponent tuples}
         self.label = label or f"Q[{','.join(self.gen_names)}]"
 
     # -- monomials ------------------------------------------------------
@@ -57,20 +68,26 @@ class GradedPolyRing(DimRing):
         return len(self.gen_names)
 
     def monomial_dim(self, alpha) -> tuple:
-        out = (0,) * self.rank
-        for e, d in zip(alpha, self.gen_dims):
-            out = _vec_add(out, _vec_scale(e, d))
-        return out
+        return tuple(sum(e * d for e, d in zip(alpha, col)) for col in self._dim_cols)
+
+    def monomial_index(self, max_degree: int) -> dict:
+        """Every exponent tuple of total degree <= max_degree, grouped by
+        dimension, each group in lexicographic order.  Built on first use
+        and kept on the ring, one index per max_degree."""
+        index = self._monomial_index.get(max_degree)
+        if index is None:
+            groups: dict = {}
+            for alpha in _exponents(self.nvars, max_degree):
+                groups.setdefault(self.monomial_dim(alpha), []).append(alpha)
+            index = {d: tuple(alphas) for d, alphas in groups.items()}
+            self._monomial_index[max_degree] = index
+        return index
 
     def monomials_of_dim(self, dim, max_degree: int):
         """All exponent tuples of total degree <= max_degree whose
-        dimension is `dim` (brute force over the bounded exponent box)."""
-        dim = tuple(dim)
-        out = []
-        for alpha in itertools.product(range(max_degree + 1), repeat=self.nvars):
-            if sum(alpha) <= max_degree and self.monomial_dim(alpha) == dim:
-                out.append(alpha)
-        return out
+        dimension is `dim`, in lexicographic order, read from the ring's
+        monomial index.  A fresh list each call: callers may shuffle it."""
+        return list(self.monomial_index(max_degree).get(tuple(dim), ()))
 
     # -- element construction ---------------------------------------------
     def poly(self, terms: dict, dim=None) -> DimElement:
@@ -79,8 +96,9 @@ class GradedPolyRing(DimRing):
             alpha = tuple(alpha)
             if len(alpha) != self.nvars or any(e < 0 for e in alpha):
                 raise CarrierError(f"bad exponent tuple {alpha!r}")
-            c = canon.get(alpha, Fraction(0)) + Fraction(coeff)
-            canon[alpha] = c
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            canon[alpha] = canon[alpha] + coeff if alpha in canon else coeff
         canon = {a: c for a, c in canon.items() if c != 0}
         mono_dims = {self.monomial_dim(a) for a in canon}
         if len(mono_dims) > 1:

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, InputFormatError
+from .errors import DimensionMismatch, InputFormatError, typed_field
 from .exprparse import eval_tree, parse_quantity_expr
 from .group import DimElement
 from .lines import Line, PowerRing, line_unit_to_section
@@ -99,19 +99,21 @@ def registry_load(source) -> UnitRegistry:
             ) from exc
     if not isinstance(doc, dict) or "base" not in doc or "units" not in doc:
         raise InputFormatError('registry needs "base" and "units" fields')
+    base = typed_field(doc["base"], [str], "base")
     units = []
-    for entry in doc["units"]:
+    for entry in typed_field(doc["units"], [dict], "units"):
         try:
+            symbol = typed_field(entry["symbol"], str, "unit symbol")
             units.append(
                 UnitDef(
-                    symbol=str(entry["symbol"]),
-                    dims=tuple(int(x) for x in entry["dims"]),
+                    symbol=symbol,
+                    dims=typed_field(entry["dims"], [int], f"dims of unit {symbol!r}"),
                     factor=_parse_factor(entry["factor"]),
                 )
             )
         except KeyError as exc:
             raise InputFormatError(f"unit entry missing field {exc}") from exc
-    return UnitRegistry(doc["base"], units)
+    return UnitRegistry(base, units)
 
 
 # ---------------------------------------------------------------------------

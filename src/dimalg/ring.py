@@ -19,7 +19,7 @@ from .errors import CarrierError, ConstructionError, DimensionMismatch
 from .group import DimElement
 from .monoid import DimMonoid, DimSet
 from .report import CheckReport
-from .sampling import rand_fraction, rand_nonzero_fraction
+from .sampling import rand_fraction
 
 
 class DimRing(ABC):
@@ -151,9 +151,6 @@ class RationalScalars(ScalarRing):
 
     def sample(self, rng):
         return rand_fraction(rng)
-
-    def sample_nonzero(self, rng):
-        return rand_nonzero_fraction(rng)
 
     def reciprocal(self, a):
         if a == 0:

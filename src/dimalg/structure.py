@@ -18,6 +18,7 @@ from .errors import (
     CarrierError,
     DimensionMismatch,
     InputFormatError,
+    typed_field,
 )
 from .exprparse import parse_poly_expr
 from .group import DimElement
@@ -295,35 +296,41 @@ def parse_poly(ring: GradedPolyRing, src: str) -> DimElement:
 
 def load_poisson(source, validate: bool = True, rng=None):
     """Build a DimPoisson (plus its declared ideal) from a JSON document."""
-    doc = _load_json(source)
+    doc = typed_field(_load_json(source), dict, "a Poisson description")
     try:
-        gens = [(str(g["name"]), tuple(int(x) for x in g["dim"])) for g in doc["generators"]]
-    except (KeyError, TypeError) as exc:
-        raise InputFormatError(f"bad generators field: {exc}") from exc
+        gens = []
+        for g in typed_field(doc["generators"], [dict], "generators"):
+            name = typed_field(g["name"], str, "generator name")
+            gens.append((name, typed_field(g["dim"], [int], f"dim of generator {name!r}")))
+    except KeyError as exc:
+        raise InputFormatError(f"bad generators field: missing {exc}") from exc
     if not gens:
         raise InputFormatError("a Poisson description needs generators")
-    ring = GradedPolyRing([n for n, _ in gens], [d for _, d in gens])
+    try:
+        ring = GradedPolyRing([n for n, _ in gens], [d for _, d in gens])
+    except CarrierError as exc:
+        raise InputFormatError(f"bad generators field: {exc}") from exc
 
     def poly_of(text):
         try:
-            return parse_poly(ring, str(text))
+            return parse_poly(ring, text)
         except (CarrierError, DimensionMismatch) as exc:
             raise InputFormatError(f"bad polynomial {text!r}: {exc}") from exc
 
     table = {}
-    for key, text in doc.get("bracket", {}).items():
-        names = [s.strip() for s in str(key).split(",")]
+    for key, text in typed_field(doc.get("bracket", {}), {str: str}, "bracket").items():
+        names = [s.strip() for s in key.split(",")]
         if len(names) != 2 or any(n not in ring.index for n in names):
             raise InputFormatError(f"bad bracket key {key!r}: expected 'x,y'")
         table[(names[0], names[1])] = poly_of(text)
 
-    product_dim = tuple(int(x) for x in doc.get("product_dim", (0,) * ring.rank))
+    product_dim = typed_field(doc.get("product_dim", [0] * ring.rank), [int], "product_dim")
     bracket_dim = doc.get("bracket_dim")
     if bracket_dim is not None:
-        bracket_dim = tuple(int(x) for x in bracket_dim)
-    scale = poly_of(doc["scale"]) if "scale" in doc else None
+        bracket_dim = typed_field(bracket_dim, [int], "bracket_dim")
+    scale = poly_of(typed_field(doc["scale"], str, "scale")) if "scale" in doc else None
 
-    ideal = [str(x) for x in doc.get("ideal", [])]
+    ideal = list(typed_field(doc.get("ideal", []), [str], "ideal"))
     for name in ideal:
         if name not in ring.index:
             raise InputFormatError(f"ideal names unknown generator {name!r}")

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -160,3 +161,47 @@ class TestPoisson:
         bad.write_text("[]")
         r = runner.invoke(main, ["poisson", "check", str(bad)])
         assert r.exit_code == 2
+
+
+def _set(path, value):
+    """A mutation that replaces the field at `path` (keys and indices)."""
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return mutate
+
+
+MALFORMED = [
+    ("poisson", "generator dim", _set(["generators", 0, "dim"], ["x"])),
+    ("poisson", "bracket_dim", _set(["bracket_dim"], "x")),
+    ("poisson", "product_dim", _set(["product_dim"], 5)),
+    ("poisson", "bracket", _set(["bracket"], ["q,p"])),
+    ("poisson", "ideal", _set(["ideal"], "q")),
+    ("registry", "unit dims", _set(["units", 0, "dims"], ["x", 0])),
+    ("registry", "units", _set(["units"], ["m"])),
+    ("registry", "base", _set(["base"], "length")),
+]
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "kind, field, mutate", MALFORMED, ids=[f"{k}-{f}" for k, f, _ in MALFORMED]
+    )
+    def test_wrong_field_type_exits_2_with_one_line(self, runner, tmp_path, kind, field, mutate):
+        source = REPO / "poisson" / "canonical_qp.json" if kind == "poisson" else REGISTRY
+        doc = json.loads(Path(source).read_text())
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        if kind == "poisson":
+            args = ["poisson", "check", str(bad)]
+        else:
+            args = ["eval", "1 m", "--registry", str(bad)]
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, r.output
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert field.split()[-1] in lines[0]
+        assert "Traceback" not in r.output

@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction as F
+from random import Random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dimalg import DimensionMismatch, GradedPolyRing, ring_axiom_report
 from dimalg.errors import CarrierError
@@ -81,3 +84,121 @@ class TestShow:
         assert canonical_ring.show(f) in ("3*q^2*p - q", "-q + 3*q^2*p")
         assert canonical_ring.show(canonical_ring.zero((0,))) == "0"
         assert canonical_ring.show(canonical_ring.one) == "1"
+
+
+# ---------------------------------------------------------------------------
+# The monomial index against a brute-force reference
+# ---------------------------------------------------------------------------
+
+
+def _weighted_dim(gen_dims, rank, alpha):
+    return tuple(sum(e * g[k] for e, g in zip(alpha, gen_dims)) for k in range(rank))
+
+
+def _brute_monomials(gen_dims, rank, dim, max_degree):
+    """Every exponent tuple of the (max_degree+1)^n box with total degree
+    <= max_degree and the given dimension, in box order."""
+    return [
+        alpha
+        for alpha in itertools.product(range(max_degree + 1), repeat=len(gen_dims))
+        if sum(alpha) <= max_degree
+        and _weighted_dim(gen_dims, rank, alpha) == tuple(dim)
+    ]
+
+
+def _reference_sample(gen_dims, rank, rng, max_degree):
+    """The documented sampling recipe, written on top of the brute force:
+    a random slice, a shuffled pick of up to three of its monomials, and a
+    coefficient p/q with -9 <= p <= 9, 1 <= q <= 9 for each."""
+    alpha = tuple(rng.randint(0, 2) for _ in gen_dims)
+    dim = _weighted_dim(gen_dims, rank, alpha)
+    monos = _brute_monomials(gen_dims, rank, dim, max_degree)
+    if not monos:
+        return (), dim
+    rng.shuffle(monos)
+    picked = monos[: rng.randint(1, min(3, len(monos)))]
+    terms = {al: F(rng.randint(-9, 9), rng.randint(1, 9)) for al in picked}
+    return tuple(sorted((al, c) for al, c in terms.items() if c != 0)), dim
+
+
+@st.composite
+def graded_rings(draw):
+    rank = draw(st.integers(1, 2))
+    nvars = draw(st.integers(1, 4))
+    gen_dims = [
+        tuple(draw(st.integers(-2, 2)) for _ in range(rank)) for _ in range(nvars)
+    ]
+    return GradedPolyRing([f"x{i}" for i in range(nvars)], gen_dims), gen_dims, rank
+
+
+class TestMonomialIndex:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(graded_rings(), st.integers(0, 5), st.data())
+    def test_matches_brute_force_in_order(self, ring_spec, max_degree, data):
+        ring, gen_dims, rank = ring_spec
+        box = list(itertools.product(range(max_degree + 1), repeat=len(gen_dims)))
+        dims = {_weighted_dim(gen_dims, rank, a) for a in box}
+        dims.add(tuple(data.draw(st.integers(-12, 12)) for _ in range(rank)))
+        for dim in sorted(dims):
+            assert ring.monomials_of_dim(dim, max_degree) == _brute_monomials(
+                gen_dims, rank, dim, max_degree
+            )
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(graded_rings(), st.integers(0, 5))
+    def test_returned_lists_are_fresh(self, ring_spec, max_degree):
+        ring, _, rank = ring_spec
+        dim = (0,) * rank
+        first = ring.monomials_of_dim(dim, max_degree)
+        expected = list(first)
+        first.reverse()
+        first.append((99,) * ring.nvars)
+        assert ring.monomials_of_dim(dim, max_degree) == expected
+        first.clear()
+        assert ring.monomials_of_dim(dim, max_degree) == expected
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(graded_rings(), st.integers(0, 2**32 - 1), st.integers(0, 5))
+    def test_seeded_sample_matches_reference(self, ring_spec, seed, max_degree):
+        ring, gen_dims, rank = ring_spec
+        rng, ref_rng = Random(seed), Random(seed)
+        for _ in range(10):
+            got = ring.sample(rng, max_degree=max_degree)
+            assert (got.value, got.dim) == _reference_sample(
+                gen_dims, rank, ref_rng, max_degree
+            )
+        assert rng.random() == ref_rng.random()
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(graded_rings(), st.data())
+    def test_poly_still_rejects_mixed_dimensions(self, ring_spec, data):
+        ring, gen_dims, rank = ring_spec
+        box = list(itertools.product(range(3), repeat=len(gen_dims)))
+        a = data.draw(st.sampled_from(box))
+        others = [b for b in box if _weighted_dim(gen_dims, rank, b)
+                  != _weighted_dim(gen_dims, rank, a)]
+        assume(others)
+        b = data.draw(st.sampled_from(others))
+        with pytest.raises(DimensionMismatch):
+            ring.poly({a: F(1), b: F(2)})
+        with pytest.raises(DimensionMismatch):
+            ring.poly({a: 1}, dim=_weighted_dim(gen_dims, rank, b))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(graded_rings(), st.data())
+    def test_poly_still_rejects_bad_exponents(self, ring_spec, data):
+        ring, _, _ = ring_spec
+        n = ring.nvars
+        bad = data.draw(st.one_of(
+            st.lists(st.integers(0, 3), max_size=6).filter(lambda xs: len(xs) != n),
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(
+                lambda xs: any(x < 0 for x in xs)),
+        ))
+        with pytest.raises(CarrierError):
+            ring.poly({tuple(bad): F(1)})
+
+    def test_exact_and_integer_coefficients_agree(self, canonical_ring):
+        from_ints = canonical_ring.poly({(2, 1): 3, (1, 0): -1})
+        from_fractions = canonical_ring.poly({(2, 1): F(3), (1, 0): F(-1)})
+        assert from_ints == from_fractions
+        assert all(type(c) is F for _, c in from_ints.value)
