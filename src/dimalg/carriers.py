@@ -69,14 +69,29 @@ class Carrier(ABC):
 
 @dataclass(frozen=True)
 class Rationals(Carrier):
+    """The group Q, and with `mul`, `one`, `reciprocal` the scalar field Q."""
+
+    is_field = True
+
     def zero(self):
         return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
 
     def add(self, a, b):
         return a + b
 
     def neg(self, a):
         return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def reciprocal(self, a):
+        if a == 0:
+            raise ZeroDivisionError("reciprocal of zero")
+        return Fraction(1) / a
 
     def contains(self, v):
         return isinstance(v, (Fraction, int))

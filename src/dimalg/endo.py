@@ -18,6 +18,15 @@ from .monoid import DimMonoid, DimSet
 from .ring import DimRing, ProductDimRing
 
 
+def _coefficient_probes(n: int, values) -> tuple:
+    """Coefficient functions on n points drawn from `values`: the constant
+    ones, then the cyclic patterns (one per rotation of `values`)."""
+    k = len(values)
+    consts = [tuple(c for _ in range(n)) for c in values]
+    patterns = [tuple(values[(i + s) % k] for i in range(n)) for s in range(k)]
+    return consts, patterns
+
+
 class EndoRing(DimRing):
     """Dimensioned additive endomorphisms of a product ring with finite dims.
 
@@ -112,17 +121,12 @@ class EndoRing(DimRing):
         """All dimension maps crossed with constant coefficient functions
         drawn from `coeff_probes`, plus cyclically-varying coefficient
         patterns over the same value set."""
-        out = []
-        n = len(self.points)
-        consts = [tuple(c for _ in range(n)) for c in coeff_probes]
-        patterns = [
-            tuple(coeff_probes[(i + s) % len(coeff_probes)] for i in range(n))
-            for s in range(len(coeff_probes))
-        ]
-        for phi in self.map_monoid.elements():
-            for c in consts + patterns:
-                out.append(DimElement(c, phi))
-        return tuple(out)
+        consts, patterns = _coefficient_probes(len(self.points), coeff_probes)
+        return tuple(
+            DimElement(c, phi)
+            for phi in self.map_monoid.elements()
+            for c in consts + patterns
+        )
 
     def show(self, a):
         phi = ",".join(f"{d}->{img}" for d, img in zip(self.points, a.dim))
@@ -136,13 +140,8 @@ def endo_distributivity_report(endo: EndoRing, coeff_probes=(-1, 0, 1, 2)):
     from .report import CheckReport
 
     rep = CheckReport(f"distributivity in {endo.label}")
-    n = len(endo.points)
     # small integers keep the exhaustive sweep exact and fast
-    consts = [tuple(c for _ in range(n)) for c in coeff_probes]
-    patterns = [
-        tuple(coeff_probes[(i + s) % len(coeff_probes)] for i in range(n))
-        for s in range(len(coeff_probes))
-    ]
+    consts, patterns = _coefficient_probes(len(endo.points), coeff_probes)
     maps = endo.map_monoid.elements()
     ok_l = ok_r = True
     w_l = w_r = ""

@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the JSON field check
 that raises InputFormatError."""
 
+import reprlib
+
 
 class DimAlgError(Exception):
     """Base class for every error raised by dimalg."""
@@ -54,33 +56,42 @@ class InputFormatError(DimAlgError):
     """A registry/structure/poisson document is malformed (distinct from axiom failures)."""
 
 
-_SINGULAR = {int: "an integer", str: "a string", dict: "an object"}
-_PLURAL = {int: "integers", str: "strings", dict: "objects"}
+_NAMES = {
+    int: ("an integer", "integers"), str: ("a string", "strings"),
+    bool: ("a boolean", "booleans"), dict: ("an object", "objects"), list: ("an array", "arrays"),
+}
 
 
-def _has_type(x, kind) -> bool:
-    return isinstance(x, kind) and not (kind is int and isinstance(x, bool))
+def _describe(shape, plural: bool = False) -> str:
+    if isinstance(shape, (list, dict)):
+        inner = shape[0] if isinstance(shape, list) else shape[str]
+        return f"{_NAMES[type(shape)][plural]} of {_describe(inner, True)}"
+    return _NAMES[shape][plural]
+
+
+def _fit(x, shape):
+    """`x` with its arrays as tuples; ValueError when it has another shape."""
+    if isinstance(shape, list) and isinstance(x, (list, tuple)):
+        return tuple(_fit(v, shape[0]) for v in x)
+    if isinstance(shape, dict) and isinstance(x, dict) and all(isinstance(k, str) for k in x):
+        return {k: _fit(v, shape[str]) for k, v in x.items()}
+    if isinstance(shape, type) and isinstance(x, shape) and not (
+        shape is int and isinstance(x, bool)
+    ):
+        return x
+    raise ValueError(shape)
 
 
 def typed_field(value, shape, what: str):
     """Check one decoded JSON field against its expected shape.
 
-    `shape` is a type (int, str or dict), a one-entry list `[t]` (an
-    array of t, returned as a tuple) or `{str: t}` (an object with t
-    values, returned as a dict).  Booleans are not integers.  A mismatch
-    raises InputFormatError naming `what`.
+    `shape` is a type (int, str, bool or dict), a one-entry list `[s]`
+    (an array of shape s, returned as a tuple) or `{str: s}` (an object
+    with values of shape s, returned as a dict); shapes nest.  Booleans
+    are not integers.  A mismatch raises InputFormatError naming `what`.
     """
-    if isinstance(shape, list):
-        ok = isinstance(value, (list, tuple)) and all(_has_type(x, shape[0]) for x in value)
-        expected, convert = f"an array of {_PLURAL[shape[0]]}", tuple
-    elif isinstance(shape, dict):
-        ok = isinstance(value, dict) and all(
-            isinstance(k, str) and _has_type(x, shape[str]) for k, x in value.items()
-        )
-        expected, convert = f"an object of {_PLURAL[shape[str]]}", dict
-    else:
-        ok = _has_type(value, shape)
-        expected, convert = _SINGULAR[shape], None
-    if not ok:
-        raise InputFormatError(f"{what} must be {expected}, got {value!r}")
-    return convert(value) if convert else value
+    try:
+        return _fit(value, shape)
+    except ValueError:
+        got = reprlib.repr(value)
+        raise InputFormatError(f"{what} must be {_describe(shape)}, got {got}") from None

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .exprparse import parse_poly_expr
 from .group import DimElement
-from .monoid import DimSet
+from .monoid import DimMonoid, DimSet
 from .poisson import make_poisson
 from .poly import GradedPolyRing
 from .report import CheckReport
@@ -51,44 +51,35 @@ class TableDimRing(DimRing):
     """
 
     def __init__(self, doc: dict):
+        doc = typed_field(doc, dict, "a structure description")
         try:
-            mon = doc["monoid"]
-            self.dim_elems = tuple(str(x) for x in mon["elements"])
-            self.dim_identity = str(mon["identity"])
-            self.dim_op = {
-                str(a): {str(b): str(c) for b, c in row.items()}
-                for a, row in mon["op"].items()
-            }
-            self.slices = {
-                str(d): tuple(str(x) for x in xs) for d, xs in doc["slices"].items()
-            }
-            self.add_table = {
-                str(d): {
-                    str(a): {str(b): str(c) for b, c in row.items()}
-                    for a, row in tbl.items()
-                }
-                for d, tbl in doc["add"].items()
-            }
-            self.mul_table = {
-                str(a): {str(b): str(c) for b, c in row.items()}
-                for a, row in doc["mul"].items()
-            }
-            self.one_name = str(doc["one"])
-        except (KeyError, TypeError, AttributeError) as exc:
+            mon = typed_field(doc["monoid"], dict, "monoid")
+            self.dim_elems = typed_field(mon["elements"], [str], "monoid elements")
+            identity = typed_field(mon["identity"], str, "monoid identity")
+            dim_op = typed_field(mon["op"], {str: {str: str}}, "monoid op")
+            self.slices = typed_field(doc["slices"], {str: [str]}, "slices")
+            self.add_table = typed_field(doc["add"], {str: {str: {str: str}}}, "add")
+            self.mul_table = typed_field(doc["mul"], {str: {str: str}}, "mul")
+            self.one_name = typed_field(doc["one"], str, "one")
+        except KeyError as exc:
             raise InputFormatError(f"structure file missing or malformed field: {exc}") from exc
+        self.label = typed_field(doc.get("name", "structure"), str, "name")
+        self.commutative = typed_field(doc.get("commutative", True), bool, "commutative")
+        cand = doc.get("unit_candidate")
+        if cand is not None:
+            cand = typed_field(cand, {str: str}, "unit_candidate")
+        self._unit_candidate = cand
 
-        # shape validation: declared names only, tables total
-        if len(set(self.dim_elems)) != len(self.dim_elems):
-            raise InputFormatError("duplicate dimension names")
-        if self.dim_identity not in self.dim_elems:
-            raise InputFormatError(f"identity {self.dim_identity!r} is not a declared dimension")
+        # shape validation: declared names only, tables total; associativity
+        # and the identity law are left to the axiom suite
         for a in self.dim_elems:
-            row = self.dim_op.get(a)
-            if row is None or set(row) != set(self.dim_elems):
+            if set(dim_op.get(a, ())) != set(self.dim_elems):
                 raise InputFormatError(f"monoid row {a!r} is not total")
-            for c in row.values():
-                if c not in self.dim_elems:
-                    raise InputFormatError(f"monoid table references undeclared dimension {c!r}")
+        try:
+            monoid = DimMonoid.finite(self.dim_elems, identity, lambda d, e: dim_op[d][e])
+        except ValueError as exc:
+            raise InputFormatError(f"bad monoid table: {exc}") from exc
+        self.dims = DimSet.of_monoid(monoid)
         if set(self.slices) != set(self.dim_elems):
             raise InputFormatError("slices must cover exactly the declared dimensions")
         self.dim_of = {}
@@ -121,11 +112,7 @@ class TableDimRing(DimRing):
         if self.one_name not in self.dim_of:
             raise InputFormatError(f"declared unit {self.one_name!r} is not an element")
 
-        self.dims = DimSet.plain(self.dim_elems)
-        self.commutative = bool(doc.get("commutative", True))
-        self.label = str(doc.get("name", "structure"))
         self._zeros = self._find_zeros()
-        self._unit_candidate = doc.get("unit_candidate")
 
     def _find_zeros(self) -> dict:
         zeros = {}
@@ -138,9 +125,6 @@ class TableDimRing(DimRing):
         return zeros
 
     # -- DimRing protocol ---------------------------------------------------
-    def dim_combine(self, d, e):
-        return self.dim_op[d][e]
-
     def el(self, name: str) -> DimElement:
         return DimElement(name, self.dim_of[name])
 
@@ -229,7 +213,7 @@ def structure_axiom_report(ring: TableDimRing, rng=None) -> CheckReport:
     if rep.ok:
         rep = rep.merged(ring_axiom_report(ring, rng=rng))
         if ring._unit_candidate is not None:
-            cand = {str(d): str(x) for d, x in ring._unit_candidate.items()}
+            cand = ring._unit_candidate
             missing = set(ring.dim_elems) - set(cand)
             if missing:
                 raise InputFormatError(

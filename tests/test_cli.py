@@ -107,6 +107,17 @@ class TestCheck:
         assert r.exit_code == 1
         assert "FAIL" in r.output
 
+    def test_product_cell_in_another_slice_exits_1_without_traceback(self, runner, tmp_path):
+        doc = json.loads((REPO / "structures" / "product_ring_mod5_z2.json").read_text())
+        doc["mul"]["2@0"]["3@0"] = "1@1"
+        bad = tmp_path / "moved.json"
+        bad.write_text(json.dumps(doc))
+        r = runner.invoke(main, ["check", str(bad)])
+        assert r.exit_code == 1, r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert "FAIL  distributivity where defined" in r.output
+        assert "Traceback" not in r.output
+
     def test_shape_error_exits_2(self, runner):
         r = runner.invoke(main, ["check", str(DATA / "undeclared_dimension.json")])
         assert r.exit_code == 2
@@ -182,7 +193,15 @@ MALFORMED = [
     ("registry", "unit dims", _set(["units", 0, "dims"], ["x", 0])),
     ("registry", "units", _set(["units"], ["m"])),
     ("registry", "base", _set(["base"], "length")),
+    ("structure", "unit_candidate", _set(["unit_candidate"], ["a"])),
+    ("structure", "monoid elements", _set(["monoid", "elements"], "01")),
+    ("structure", "commutative", _set(["commutative"], "false")),
 ]
+SOURCES = {
+    "poisson": REPO / "poisson" / "canonical_qp.json",
+    "registry": REGISTRY,
+    "structure": REPO / "structures" / "product_ring_mod5_z2.json",
+}
 
 
 class TestMalformedDocuments:
@@ -190,15 +209,15 @@ class TestMalformedDocuments:
         "kind, field, mutate", MALFORMED, ids=[f"{k}-{f}" for k, f, _ in MALFORMED]
     )
     def test_wrong_field_type_exits_2_with_one_line(self, runner, tmp_path, kind, field, mutate):
-        source = REPO / "poisson" / "canonical_qp.json" if kind == "poisson" else REGISTRY
-        doc = json.loads(Path(source).read_text())
+        doc = json.loads(Path(SOURCES[kind]).read_text())
         mutate(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        if kind == "poisson":
-            args = ["poisson", "check", str(bad)]
-        else:
-            args = ["eval", "1 m", "--registry", str(bad)]
+        args = {
+            "poisson": ["poisson", "check", str(bad)],
+            "registry": ["eval", "1 m", "--registry", str(bad)],
+            "structure": ["check", str(bad)],
+        }[kind]
         r = runner.invoke(main, args)
         assert r.exit_code == 2, r.output
         lines = r.stderr.splitlines()

@@ -1,5 +1,8 @@
+import itertools
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dimalg import CarrierError, DimMonoid
 from dimalg.monoid import DimSet
@@ -92,3 +95,137 @@ def test_dimset_needs_exactly_one_flavor():
         DimSet()
     with pytest.raises(ValueError):
         DimSet(monoid=DimMonoid.trivial(), finite=(1, 2))
+
+
+# -- the table-backed monoids against their closed forms -------------------
+
+
+def _cyclic_ref(n):
+    return {
+        "monoid": DimMonoid.cyclic(n),
+        "elements": tuple(range(n)),
+        "identity": 0,
+        "is_group": True,
+        "combine": lambda x, y: (x + y) % n,
+        "inverse": lambda x: (-x) % n,
+        "contains": lambda x: isinstance(x, int) and 0 <= x < n,
+    }
+
+
+def _trivial_ref():
+    return {
+        "monoid": DimMonoid.trivial(),
+        "elements": ((),),
+        "identity": (),
+        "is_group": True,
+        "combine": lambda x, y: (),
+        "inverse": lambda x: (),
+        "contains": lambda x: x == (),
+    }
+
+
+def _map_ref(base):
+    index = {v: i for i, v in enumerate(base)}
+    return {
+        "monoid": DimMonoid.map_monoid(base),
+        "elements": tuple(itertools.product(base, repeat=len(base))),
+        "identity": tuple(base),
+        "is_group": False,
+        "combine": lambda f, g: tuple(f[index[v]] for v in g),
+        "inverse": None,
+        "contains": lambda x: (
+            isinstance(x, tuple) and len(x) == len(base) and all(v in base for v in x)
+        ),
+    }
+
+
+REFERENCES = (
+    [_cyclic_ref(n) for n in range(1, 7)]
+    + [_trivial_ref()]
+    + [_map_ref(tuple(range(k))) for k in (1, 2, 3)]
+    + [_map_ref(("a", "b", "c"))]
+)
+
+# members and non-members alike: out of range, wrong length, wrong type,
+# unhashable
+candidates = st.one_of(
+    st.integers(-3, 8),
+    st.booleans(),
+    st.sampled_from([1.0, 0.5, "0", None]),
+    st.lists(st.integers(0, 3), max_size=4).map(tuple),
+    st.lists(st.sampled_from("abcd"), max_size=4).map(tuple),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.just(([0],)),
+)
+
+
+class TestFiniteTablesAgainstClosedForms:
+    @settings(derandomize=True, max_examples=200)
+    @given(st.sampled_from(REFERENCES), st.data())
+    def test_combine_identity_and_inverse(self, ref, data):
+        m = ref["monoid"]
+        x = data.draw(st.sampled_from(ref["elements"]))
+        y = data.draw(st.sampled_from(ref["elements"]))
+        assert m.combine(x, y) == ref["combine"](x, y)
+        assert m.identity == ref["identity"]
+        assert m.is_group == ref["is_group"]
+        if ref["is_group"]:
+            assert m.inverse(x) == ref["inverse"](x)
+        else:
+            with pytest.raises(CarrierError):
+                m.inverse(x)
+
+    @settings(derandomize=True, max_examples=50)
+    @given(st.sampled_from(REFERENCES), st.integers(0, 2**32))
+    def test_enumeration_order_and_seeded_sample(self, ref, seed):
+        m = ref["monoid"]
+        assert m.elements() == ref["elements"]
+        mine, theirs = random.Random(seed), random.Random(seed)
+        assert [m.sample(mine) for _ in range(12)] == [
+            theirs.choice(ref["elements"]) for _ in range(12)
+        ]
+
+    @settings(derandomize=True, max_examples=300)
+    @given(st.sampled_from(REFERENCES), candidates)
+    def test_membership_and_rejection(self, ref, x):
+        m = ref["monoid"]
+        assert m.contains(x) == ref["contains"](x)
+        if not ref["contains"](x):
+            with pytest.raises(CarrierError):
+                m.combine(x, m.identity)
+            with pytest.raises(CarrierError):
+                m.combine(m.identity, x)
+
+
+class TestFiniteRepresentation:
+    def test_value_equality_and_hash(self):
+        assert DimMonoid.cyclic(3) == DimMonoid.cyclic(3)
+        assert hash(DimMonoid.cyclic(3)) == hash(DimMonoid.cyclic(3))
+        assert DimMonoid.cyclic(3) != DimMonoid.cyclic(4)
+        assert DimMonoid.cyclic(1) != DimMonoid.trivial()
+        assert DimMonoid.map_monoid((0, 1)) == DimMonoid.map_monoid((0, 1))
+        assert DimMonoid.free_abelian(2) == DimMonoid.free_abelian(2)
+        assert DimMonoid.free_abelian(0) != DimMonoid.trivial()
+
+    def test_declared_table_keeps_order_and_identity(self):
+        op = {"e": {"e": "e", "a": "a"}, "a": {"e": "a", "a": "a"}}
+        m = DimMonoid.finite(("a", "e"), "e", lambda x, y: op[x][y])
+        assert m.elements() == ("a", "e")
+        assert m.identity == "e" and not m.is_group
+        assert m.combine("a", "e") == "a"
+        assert m.kind == "table"
+        other = dict(op, a={"e": "a", "a": "e"})
+        assert m != DimMonoid.finite(("a", "e"), "e", lambda x, y: other[x][y])
+
+    def test_table_must_close(self):
+        with pytest.raises(ValueError):
+            DimMonoid.finite((0, 1), 0, lambda x, y: x + y)
+
+    def test_declared_group_needs_inverses(self):
+        with pytest.raises(ValueError):
+            DimMonoid.finite((0, 1), 1, lambda x, y: x * y, is_group=True)
+
+    def test_table_size_is_bounded(self):
+        # 3125 self-maps of five points would need 3125**2 cells
+        with pytest.raises(ValueError):
+            DimMonoid.map_monoid(range(5))

@@ -24,6 +24,10 @@ class TestProductRing:
         b = q_x_z.element(F(3), (2,))
         assert q_x_z.mul(a, b) == q_x_z.element(F(6), (3,))
 
+    def test_reciprocal_of_an_integer_value_is_exact(self, q_x_z2):
+        inv = q_x_z2.reciprocal(q_x_z2.element(2, 1))
+        assert type(inv.value) is F and inv == q_x_z2.element(F(1, 2), 1)
+
     def test_zero_is_absorbent(self, q_x_z, rng):
         for _ in range(20):
             a = q_x_z.sample(rng)

@@ -40,6 +40,26 @@ class TestNegativeControls:
         assert code == 1
         assert any("hits zero at slice '1'" in l for l in lines)
 
+    def test_declared_identity_is_checked(self):
+        # "1" generates Z/2 but is not its identity
+        doc = json.loads(GOLDEN.read_text())
+        doc["monoid"]["identity"] = "1"
+        code, lines = check_structure(doc)
+        assert code == 1
+        assert "FAIL  dimension monoid: identity: monoid identity fails at '0'" in lines
+
+    def test_product_cell_in_another_slice_is_a_failed_law(self):
+        # 2·3 = 1 lies over dimension 0; declare it over dimension 1
+        doc = json.loads(GOLDEN.read_text())
+        doc["mul"]["2@0"]["3@0"] = "1@1"
+        code, lines = check_structure(doc)
+        assert code == 1
+        assert "FAIL  projection is a monoid morphism: dim(2@0·3@0) != combined dims" in lines
+        assert (
+            "FAIL  distributivity where defined: ac, bc lie over '0' != '1' at 0@0,2@0,3@0"
+            in lines
+        )
+
 
 class TestShapeErrors:
     def test_undeclared_dimension_reference(self):
