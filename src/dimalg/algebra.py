@@ -62,40 +62,39 @@ def bilinear_check(
     equivariance of its dimension map under the monoid action."""
     rng = rng or random.Random(41)
     rep = CheckReport("bilinear multiplication")
-    ok_l = ok_r = ok_act = ok_cover = ok_equi = True
-    w_l = w_r = w_act = w_cover = w_equi = ""
-    for _ in range(probes):
+    add, eq, act, dim_of = space.add, space.eq, space.act, space.dim_of
+
+    def draw():
         a = space.sample(rng)
         b = space.sample_like(rng, a)
-        c = space.sample(rng)
-        r = space.sample_ring(rng)
-        s = space.sample_ring(rng)
+        return a, b, space.sample(rng), space.sample_ring(rng), space.sample_ring(rng)
 
-        lhs = mul(space.add(a, b), c)
-        rhs = space.add(mul(a, c), mul(b, c))
-        if not space.eq(lhs, rhs):
-            ok_l, w_l = False, f"M(a+b, c) != M(a,c)+M(b,c) at {a}, {b}, {c}"
-        lhs = mul(c, space.add(a, b))
-        rhs = space.add(mul(c, a), mul(c, b))
-        if not space.eq(lhs, rhs):
-            ok_r, w_r = False, f"M(c, a+b) != M(c,a)+M(c,b) at {c}, {a}, {b}"
-        lhs = mul(space.act(r, a), space.act(s, c))
-        rhs = space.act(r, space.act(s, mul(a, c)))
-        if not space.eq(lhs, rhs):
-            ok_act, w_act = False, f"M(r·a, s·c) != r·s·M(a,c) at {r}, {s}, {a}, {c}"
-        if space.dim_of(mul(a, c)) != dim_map(space.dim_of(a), space.dim_of(c)):
-            ok_cover, w_cover = False, f"dim of M({a}, {c}) is not mu(d, e)"
-        d, e = space.dim_of(a), space.dim_of(c)
-        g, h = r.dim, s.dim
-        lhs_d = dim_map(space.ring_dim_act(g, d), space.ring_dim_act(h, e))
-        rhs_d = space.ring_dim_act(g, space.ring_dim_act(h, dim_map(d, e)))
-        if lhs_d != rhs_d:
-            ok_equi, w_equi = False, f"mu(gd, he) != gh·mu(d, e) at {g!r}, {h!r}, {d!r}, {e!r}"
-    rep.check("additive in the left slot", ok_l, w_l)
-    rep.check("additive in the right slot", ok_r, w_r)
-    rep.check("module action moves outside", ok_act, w_act)
-    rep.check("dimension map covers the product", ok_cover, w_cover)
-    rep.check("dimension map is equivariant", ok_equi, w_equi)
+    def left(a, b, c, r, s):
+        if not eq(mul(add(a, b), c), add(mul(a, c), mul(b, c))):
+            return f"M(a+b, c) != M(a,c)+M(b,c) at {a}, {b}, {c}"
+
+    def right(a, b, c, r, s):
+        if not eq(mul(c, add(a, b)), add(mul(c, a), mul(c, b))):
+            return f"M(c, a+b) != M(c,a)+M(c,b) at {c}, {a}, {b}"
+
+    def outside(a, b, c, r, s):
+        if not eq(mul(act(r, a), act(s, c)), act(r, act(s, mul(a, c)))):
+            return f"M(r·a, s·c) != r·s·M(a,c) at {r}, {s}, {a}, {c}"
+
+    def equivariant(a, b, c, r, s):
+        d, e, g, h = dim_of(a), dim_of(c), r.dim, s.dim
+        dact = space.ring_dim_act
+        if dim_map(dact(g, d), dact(h, e)) != dact(g, dact(h, dim_map(d, e))):
+            return f"mu(gd, he) != gh·mu(d, e) at {g!r}, {h!r}, {d!r}, {e!r}"
+
+    cases = [draw() for _ in range(probes)]
+    rep.law("additive in the left slot", cases, left)
+    rep.law("additive in the right slot", cases, right)
+    rep.law("module action moves outside", cases, outside)
+    rep.law("dimension map covers the product", cases,
+            lambda a, b, c, *_: dim_of(mul(a, c)) != dim_map(dim_of(a), dim_of(c))
+            and f"dim of M({a}, {c}) is not mu(d, e)")
+    rep.law("dimension map is equivariant", cases, equivariant)
     return rep
 
 
@@ -121,43 +120,39 @@ def property_check(
     rng = rng or random.Random(43)
     rep = CheckReport(f"property: {prop}")
 
-    ok, w = True, ""
-    for _ in range(probes):
-        d = space.sample_dim(rng)
-        e = space.sample_dim(rng)
-        f = space.sample_dim(rng)
+    def draws(sample):
+        return [tuple(sample(rng) for _ in range(3)) for _ in range(probes)]
+
+    def binar(d, e, f):
         if prop in ("symmetric", "antisymmetric"):
             if dim_map(d, e) != dim_map(e, d):
-                ok, w = False, f"dimension binar not commutative at {d!r}, {e!r}"
-        else:
-            if dim_map(dim_map(d, e), f) != dim_map(d, dim_map(e, f)):
-                ok, w = False, f"dimension binar not associative at {d!r}, {e!r}, {f!r}"
-    rep.check("dimension binar prerequisite", ok, w)
-    if not ok:
+                return f"dimension binar not commutative at {d!r}, {e!r}"
+        elif dim_map(dim_map(d, e), f) != dim_map(d, dim_map(e, f)):
+            return f"dimension binar not associative at {d!r}, {e!r}, {f!r}"
+
+    rep.law("dimension binar prerequisite", draws(space.sample_dim), binar)
+    if not rep.ok:
         return rep
 
-    ok, w = True, ""
-    for _ in range(probes):
-        a = space.sample(rng)
-        b = space.sample(rng)
-        c = space.sample(rng)
+    def identity(a, b, c):
         if prop == "symmetric":
             if not space.eq(mul(a, b), mul(b, a)):
-                ok, w = False, f"M(a,b) != M(b,a) at {a}, {b}"
+                return f"M(a,b) != M(b,a) at {a}, {b}"
         elif prop == "antisymmetric":
             if not space.eq(mul(a, b), space.neg(mul(b, a))):
-                ok, w = False, f"M(a,b) != -M(b,a) at {a}, {b}"
+                return f"M(a,b) != -M(b,a) at {a}, {b}"
         elif prop == "associative":
             if not space.eq(mul(mul(a, b), c), mul(a, mul(b, c))):
-                ok, w = False, f"associator nonzero at {a}, {b}, {c}"
+                return f"associator nonzero at {a}, {b}, {c}"
         else:  # jacobi
             jac = space.add(
                 mul(a, mul(b, c)),
                 space.add(mul(b, mul(c, a)), mul(c, mul(a, b))),
             )
             if not space.is_zero(jac):
-                ok, w = False, f"jacobiator nonzero at {a}, {b}, {c}"
-    rep.check(f"{prop} identity on probes", ok, w)
+                return f"jacobiator nonzero at {a}, {b}, {c}"
+
+    rep.law(f"{prop} identity on probes", draws(space.sample), identity)
     return rep
 
 
@@ -205,17 +200,16 @@ class DimDerivation:
     def leibniz_report(self, rng=None, probes: int = 25) -> CheckReport:
         rng = rng or random.Random(47)
         rep = CheckReport(f"derivation {self.label}")
-        ok, w = True, ""
-        for _ in range(probes):
-            f = self.ring.sample(rng)
-            g = self.ring.sample(rng)
-            lhs = self.apply(self.ring.mul(f, g))
-            rhs = self.ring.add(
-                self.ring.mul(self.apply(f), g), self.ring.mul(f, self.apply(g))
-            )
-            if not self.ring.eq(lhs, rhs):
-                ok, w = False, f"Leibniz fails at {self.ring.show(f)}, {self.ring.show(g)}"
-        rep.check("Leibniz rule on probes", ok, w)
+        ring = self.ring
+
+        def leibniz(f, g):
+            lhs = self.apply(ring.mul(f, g))
+            rhs = ring.add(ring.mul(self.apply(f), g), ring.mul(f, self.apply(g)))
+            if not ring.eq(lhs, rhs):
+                return f"Leibniz fails at {ring.show(f)}, {ring.show(g)}"
+
+        pairs = [(ring.sample(rng), ring.sample(rng)) for _ in range(probes)]
+        rep.law("Leibniz rule on probes", pairs, leibniz)
         return rep
 
     def commutator(self, other: "DimDerivation", rng=None) -> "DimDerivation":

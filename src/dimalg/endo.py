@@ -143,26 +143,24 @@ def endo_distributivity_report(endo: EndoRing, coeff_probes=(-1, 0, 1, 2)):
     # small integers keep the exhaustive sweep exact and fast
     consts, patterns = _coefficient_probes(len(endo.points), coeff_probes)
     maps = endo.map_monoid.elements()
-    ok_l = ok_r = True
-    w_l = w_r = ""
-    # every (phi, psi) pair, exhausted first over constant coefficient
-    # functions, then over the cyclic patterns
-    for family in (consts, patterns):
-        for phi, psi in itertools.product(maps, repeat=2):
-            for cf, ct, cp in itertools.product(family, repeat=3):
-                f = DimElement(cf, phi)
-                t = DimElement(ct, phi)
-                p = DimElement(cp, psi)
-                lhs = endo.mul(endo.add(f, t), p)
-                rhs = endo.add(endo.mul(f, p), endo.mul(t, p))
-                if lhs != rhs:
-                    ok_l, w_l = False, f"(F+T)∘P != F∘P+T∘P at {endo.show(f)}"
-                lhs = endo.mul(p, endo.add(f, t))
-                rhs = endo.add(endo.mul(p, f), endo.mul(p, t))
-                if lhs != rhs:
-                    ok_r, w_r = False, f"P∘(F+T) != P∘F+P∘T at {endo.show(p)}"
-            if not (ok_l and ok_r):
-                break
-    rep.check("left distributivity", ok_l, w_l)
-    rep.check("right distributivity", ok_r, w_r)
+
+    def cases():
+        """(F, T, P) with F, T over phi and P over psi, for every (phi, psi)
+        pair, exhausted first over constant coefficient functions, then
+        over the cyclic patterns."""
+        for family in (consts, patterns):
+            over = {phi: [DimElement(c, phi) for c in family] for phi in maps}
+            for phi, psi in itertools.product(maps, repeat=2):
+                yield from itertools.product(over[phi], over[phi], over[psi])
+
+    def left(f, t, p):
+        if endo.mul(endo.add(f, t), p) != endo.add(endo.mul(f, p), endo.mul(t, p)):
+            return f"(F+T)∘P != F∘P+T∘P at {endo.show(f)}"
+
+    def right(f, t, p):
+        if endo.mul(p, endo.add(f, t)) != endo.add(endo.mul(p, f), endo.mul(p, t)):
+            return f"P∘(F+T) != P∘F+P∘T at {endo.show(p)}"
+
+    rep.law("left distributivity", cases(), left)
+    rep.law("right distributivity", cases(), right)
     return rep

@@ -10,7 +10,8 @@ Grammar:
 Juxtaposition of a number and a symbol term denotes multiplication and
 binds tighter than '*': "36.7 cm^3/s" is (36.7 x cm^3) / s.  Numbers are
 decimal literals read as exact rationals.  Polynomial mode additionally
-allows a leading unary minus, which coefficient tables need.
+allows a leading unary minus, which coefficient tables need: "-x" is
+(-1)·x.  An exponent's magnitude is at most MAX_EXPONENT.
 """
 
 import re
@@ -18,6 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExprSyntaxError, UnknownSymbolError
+
+# Exact powers grow without bound (2^99999999 has about 3·10^7 digits), so a
+# larger literal exponent is an input error rather than a computation.
+MAX_EXPONENT = 1000
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
@@ -110,8 +115,8 @@ class Parser:
             and self.peek().kind == "op"
             and self.peek().text == "-"
         ):
-            t = self.next()
-            node = BinOp("-", Num(Fraction(0)), self.term())
+            self.next()
+            node = BinOp("*", Num(Fraction(-1)), self.term())
         else:
             node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
@@ -149,7 +154,11 @@ class Parser:
         t = self.next()
         if t.kind != "number" or "." in t.text:
             raise ExprSyntaxError("malformed exponent: expected an integer", t.pos)
-        return sign * int(t.text)
+        # compare digit counts first: int() refuses strings of 4300+ digits
+        digits = t.text.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ExprSyntaxError(f"exponent is beyond the limit {MAX_EXPONENT}", t.pos)
+        return sign * int(digits)
 
     def atom(self):
         t = self.next()

@@ -167,30 +167,22 @@ def functoriality_check(
     src = PowerRing((b.src,))
     probe_coords = [Fraction(1), Fraction(-2), Fraction(3, 7)]
     probe_coords += [rand_fraction(rng) for _ in range(coords)]
-    ok, w = True, ""
-    for n in exp_range:
-        for q in probe_coords:
-            x = src.element(q, (n,))
-            if cb(x) != c_after_b(x):
-                ok, w = False, f"(C∘B)^power != C^power∘B^power at {src.show(x)}"
-    rep.check("composition law", ok, w)
+    xs = [src.element(q, (n,)) for n in exp_range for q in probe_coords]
+    rep.law("composition law", zip(xs), lambda x: cb(x) != c_after_b(x)
+            and f"(C∘B)^power != C^power∘B^power at {src.show(x)}")
     ident = power_functor(Factor.identity(b.src))
-    ok, w = True, ""
-    for n in exp_range:
-        for q in probe_coords:
-            x = src.element(q, (n,))
-            if ident(x) != x:
-                ok, w = False, f"(id)^power moved {src.show(x)}"
-    rep.check("identity law", ok, w)
-    ok, w = True, ""
+    rep.law("identity law", zip(xs),
+            lambda x: ident(x) != x and f"(id)^power moved {src.show(x)}")
     bp = power_functor(b)
-    for n in exp_range:
-        for m in exp_range:
-            x = src.element(probe_coords[0], (n,))
-            y = src.element(probe_coords[2], (m,))
-            if bp(src.mul(x, y)) != bp.codomain.mul(bp(x), bp(y)):
-                ok, w = False, f"B^power not multiplicative at {src.show(x)},{src.show(y)}"
-    rep.check("preserves the tensor multiplication", ok, w)
+
+    def multiplicative(n, m):
+        x = src.element(probe_coords[0], (n,))
+        y = src.element(probe_coords[2], (m,))
+        if bp(src.mul(x, y)) != bp.codomain.mul(bp(x), bp(y)):
+            return f"B^power not multiplicative at {src.show(x)},{src.show(y)}"
+
+    rep.law("preserves the tensor multiplication",
+            [(n, m) for n in exp_range for m in exp_range], multiplicative)
     return rep
 
 

@@ -252,29 +252,35 @@ def module_axiom_report(m: FreeDimModule, rng=None, probes: int = 40) -> CheckRe
     """The four module axioms plus the dimension-action law, on probes."""
     rng = rng or random.Random(11)
     rep = CheckReport(f"module axioms for {m.label}")
-    r1 = r2 = r3 = r4 = r5 = True
-    w1 = w2 = w3 = w4 = w5 = ""
-    for _ in range(probes):
+    ring, show = m.ring, m.show
+
+    def draw():
         a = m.sample(rng)
         b = m.sample_like(rng, a)
-        r = m.ring.sample(rng)
-        p = m.ring.sample(rng, dim=r.dim)
-        q = m.ring.sample(rng)
+        r = ring.sample(rng)
+        return a, b, r, ring.sample(rng, dim=r.dim), ring.sample(rng)
+
+    def distributive(a, b, r, p, q):
         if not m.eq(m.act(r, m.add(a, b)), m.add(m.act(r, a), m.act(r, b))):
-            r1, w1 = False, f"r(a+b) != ra+rb at {r}, {m.show(a)}, {m.show(b)}"
-        if not m.eq(m.act(m.ring.add(r, p), a), m.add(m.act(r, a), m.act(p, a))):
-            r2, w2 = False, f"(r+p)a != ra+pa at {r}, {p}, {m.show(a)}"
-        if not m.eq(m.act(m.ring.mul(r, q), a), m.act(r, m.act(q, a))):
-            r3, w3 = False, f"(rq)a != r(qa) at {r}, {q}, {m.show(a)}"
-        if not m.eq(m.act(m.ring.one, a), a):
-            r4, w4 = False, f"1·a != a at {m.show(a)}"
-        if m.act(r, a).dim != m.gset.act(r.dim, a.dim):
-            r5, w5 = False, f"dim(r·a) != g·d at {r}, {m.show(a)}"
-    rep.check("r(a+b) = ra + rb", r1, w1)
-    rep.check("(r+p)a = ra + pa", r2, w2)
-    rep.check("(rq)a = r(qa)", r3, w3)
-    rep.check("1·a = a", r4, w4)
-    rep.check("dim of action is the monoid action", r5, w5)
+            return f"r(a+b) != ra+rb at {r}, {show(a)}, {show(b)}"
+
+    def additive(a, b, r, p, q):
+        if not m.eq(m.act(ring.add(r, p), a), m.add(m.act(r, a), m.act(p, a))):
+            return f"(r+p)a != ra+pa at {r}, {p}, {show(a)}"
+
+    def associative(a, b, r, p, q):
+        if not m.eq(m.act(ring.mul(r, q), a), m.act(r, m.act(q, a))):
+            return f"(rq)a != r(qa) at {r}, {q}, {show(a)}"
+
+    cases = [draw() for _ in range(probes)]
+    rep.law("r(a+b) = ra + rb", cases, distributive)
+    rep.law("(r+p)a = ra + pa", cases, additive)
+    rep.law("(rq)a = r(qa)", cases, associative)
+    rep.law("1·a = a", cases,
+            lambda a, *_: not m.eq(m.act(ring.one, a), a) and f"1·a != a at {show(a)}")
+    rep.law("dim of action is the monoid action", cases,
+            lambda a, b, r, *_: m.act(r, a).dim != m.gset.act(r.dim, a.dim)
+            and f"dim(r·a) != g·d at {r}, {show(a)}")
     return rep
 
 
@@ -392,57 +398,52 @@ def linear_map_check(
     ring_mor = ring_mor or RingMorphism.identity(src.ring)
     rep = CheckReport("linear map candidate")
 
-    ok, w = True, ""
-    for name, img in images.items():
-        if not dst.gset.contains(img.dim):
-            ok, w = False, f"image of {name!r} has no valid dimension"
-    rep.check("images live in the codomain", ok, w)
+    rep.law("images live in the codomain", images.items(),
+            lambda name, img: not dst.gset.contains(img.dim)
+            and f"image of {name!r} has no valid dimension")
 
-    ok, w = True, ""
     payload = src.gset.payload
     by_orbit: dict = {}
     for name, bd in src.basis:
         by_orbit.setdefault(bd[1], []).append((name, bd))
-    for orbit, members in by_orbit.items():
+
+    def equivariant(orbit, members):
         img_orbits = {images[name].dim[1] for name, _ in members}
         if len(img_orbits) > 1:
-            ok, w = (
-                False,
-                f"orbit {orbit!r} scattered across image orbits "
-                f"{sorted(map(repr, img_orbits))}",
-            )
-            continue
-        if payload.is_group:
-            ref_name, ref_dim = members[0]
-            for name, bd in members[1:]:
-                shift = payload.combine(bd[0], payload.inverse(ref_dim[0]))
-                expect = dst.gset.place(
-                    ring_mor.dim_map(shift), images[ref_name].dim
-                )
-                if images[name].dim != expect:
-                    ok, w = (
-                        False,
-                        f"image of {name!r} sits in slice {images[name].dim!r}, "
-                        f"not the equivariant slice {expect!r}",
-                    )
-    rep.check("dimension map is twisted-equivariant", ok, w)
+            return (f"orbit {orbit!r} scattered across image orbits "
+                    f"{sorted(map(repr, img_orbits))}")
+        if not payload.is_group:
+            return None
+        ref_name, ref_dim = members[0]
+        for name, bd in members[1:]:
+            shift = payload.combine(bd[0], payload.inverse(ref_dim[0]))
+            expect = dst.gset.place(ring_mor.dim_map(shift), images[ref_name].dim)
+            if images[name].dim != expect:
+                return (f"image of {name!r} sits in slice {images[name].dim!r}, "
+                        f"not the equivariant slice {expect!r}")
+
+    rep.law("dimension map is twisted-equivariant", by_orbit.items(), equivariant)
 
     if not rep.ok:
         return LinearMapCheck(False, None, rep)
 
     candidate = TwistedLinearMap(src, dst, ring_mor, images)
-    ok_lin = ok_add = True
-    w_lin = w_add = ""
-    for _ in range(probes):
+
+    def draw():
         a = src.sample(rng)
-        b = src.sample_like(rng, a)
-        r = src.ring.sample(rng)
+        return a, src.sample_like(rng, a), src.ring.sample(rng)
+
+    def linear(a, b, r):
         if not dst.eq(candidate(src.act(r, a)), dst.act(ring_mor(r), candidate(a))):
-            ok_lin, w_lin = False, f"Phi(r·a) != phi(r)·Phi(a) at {r}, {src.show(a)}"
+            return f"Phi(r·a) != phi(r)·Phi(a) at {r}, {src.show(a)}"
+
+    def additive(a, b, r):
         if not dst.eq(candidate(src.add(a, b)), dst.add(candidate(a), candidate(b))):
-            ok_add, w_add = False, f"Phi(a+b) != Phi(a)+Phi(b) at {src.show(a)}, {src.show(b)}"
-    rep.check("linearity over the ring", ok_lin, w_lin)
-    rep.check("additive within slices", ok_add, w_add)
+            return f"Phi(a+b) != Phi(a)+Phi(b) at {src.show(a)}, {src.show(b)}"
+
+    cases = [draw() for _ in range(probes)]
+    rep.law("linearity over the ring", cases, linear)
+    rep.law("additive within slices", cases, additive)
     ok = rep.ok
     return LinearMapCheck(ok, candidate if ok else None, rep)
 
@@ -543,35 +544,32 @@ def bilinear_factorization(
         tens.module, c, RingMorphism.identity(a.ring), images, "factored"
     )
     ring = a.ring
-    for _ in range(probes):
-        x = a.sample(rng)
-        y = b.sample(rng)
-        r = ring.sample(rng)
+
+    def draws():
+        # lazy: the additivity probe x2 is drawn between two of these draws
+        for _ in range(probes):
+            yield a.sample(rng), b.sample(rng), ring.sample(rng)
+
+    def factors(x, y, r):
         try:
             if not c.eq(phi(x, y), factored(tens.pure(x, y))):
-                return FactorizationResult(
-                    False, None, f"phi does not factor at {a.show(x)}, {b.show(y)}"
-                )
+                return f"phi does not factor at {a.show(x)}, {b.show(y)}"
             lhs = phi(a.act(r, x), y)
-            rhs = phi(x, b.act(r, y))
-            if not c.eq(lhs, rhs):
-                return FactorizationResult(
-                    False,
-                    None,
-                    f"balance fails: phi(r·a, b) != phi(a, r·b) at {r}, {a.show(x)}, {b.show(y)}",
-                )
+            if not c.eq(lhs, phi(x, b.act(r, y))):
+                return (f"balance fails: phi(r·a, b) != phi(a, r·b) "
+                        f"at {r}, {a.show(x)}, {b.show(y)}")
             if not c.eq(lhs, c.act(r, phi(x, y))):
-                return FactorizationResult(
-                    False, None, f"phi(r·a, b) != r·phi(a, b) at {r}, {a.show(x)}"
-                )
+                return f"phi(r·a, b) != r·phi(a, b) at {r}, {a.show(x)}"
             x2 = a.sample_like(rng, x)
             if not c.eq(phi(a.add(x, x2), y), c.add(phi(x, y), phi(x2, y))):
-                return FactorizationResult(
-                    False, None, f"left additivity fails at {a.show(x)}, {a.show(x2)}"
-                )
+                return f"left additivity fails at {a.show(x)}, {a.show(x2)}"
         except DimensionMismatch as exc:
-            return FactorizationResult(False, None, f"dimension clash: {exc}")
-    return FactorizationResult(True, factored)
+            return f"dimension clash: {exc}"
+
+    rep = CheckReport("bilinear factorization")
+    rep.law("phi is bilinear and balanced", draws(), factors)
+    (law,) = rep.results
+    return FactorizationResult(law.passed, factored if law.passed else None, law.witness)
 
 
 @dataclass(frozen=True)
@@ -604,25 +602,25 @@ def rig_distributivity_witness(
     bwd = TwistedLinearMap(right.module, left.module, ident, bwd_images, "collect")
 
     rep = CheckReport("rig distributivity bijection")
-    ok_rt = ok_act = ok_add = True
-    w_rt = w_act = w_add = ""
-    for _ in range(probes):
-        x = left.module.sample(rng)
-        r = a.ring.sample(rng)
-        if not left.module.eq(bwd(fwd(x)), x):
-            ok_rt, w_rt = False, f"round trip moved {left.module.show(x)}"
-        if not right.module.eq(
-            fwd(left.module.act(r, x)), right.module.act(r, fwd(x))
-        ):
-            ok_act, w_act = False, f"action not preserved at {r}, {left.module.show(x)}"
-        y = left.module.sample_like(rng, x)
-        if not right.module.eq(
-            fwd(left.module.add(x, y)), right.module.add(fwd(x), fwd(y))
-        ):
-            ok_add, w_add = False, f"addition not preserved at {left.module.show(x)}"
-    rep.check("mutually inverse on probes", ok_rt, w_rt)
-    rep.check("commutes with the action", ok_act, w_act)
-    rep.check("commutes with addition", ok_add, w_add)
+    lm, rm = left.module, right.module
+
+    def draw():
+        x, r = lm.sample(rng), a.ring.sample(rng)
+        return x, r, lm.sample_like(rng, x)
+
+    def equivariant(x, r, y):
+        if not rm.eq(fwd(lm.act(r, x)), rm.act(r, fwd(x))):
+            return f"action not preserved at {r}, {lm.show(x)}"
+
+    def additive(x, r, y):
+        if not rm.eq(fwd(lm.add(x, y)), rm.add(fwd(x), fwd(y))):
+            return f"addition not preserved at {lm.show(x)}"
+
+    cases = [draw() for _ in range(probes)]
+    rep.law("mutually inverse on probes", cases,
+            lambda x, *_: not lm.eq(bwd(fwd(x)), x) and f"round trip moved {lm.show(x)}")
+    rep.law("commutes with the action", cases, equivariant)
+    rep.law("commutes with addition", cases, additive)
     return DistributivityWitness(fwd, bwd, rep)
 
 

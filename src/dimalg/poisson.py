@@ -131,105 +131,74 @@ def make_poisson(
     return p
 
 
+def _jacobiator(bracket, add, f, g, h):
+    """{f,{g,h}} + {g,{h,f}} + {h,{f,g}}, which the Jacobi identity makes zero."""
+    return add(
+        bracket(f, bracket(g, h)),
+        add(bracket(g, bracket(h, f)), bracket(h, bracket(f, g))),
+    )
+
+
 def poisson_axiom_report(p: DimPoisson, rng=None, probes: int = 25) -> CheckReport:
     """The full dimensioned-Poisson axiom suite, exact and tolerance-free."""
     rng = rng or random.Random(67)
     ring = p.ring
     rep = CheckReport(f"Poisson algebra on {ring.label}")
+    show = ring.show
 
-    ok, w = True, ""
-    for i, ni in enumerate(ring.gen_names):
-        for j, nj in enumerate(ring.gen_names):
-            if i == j:
-                continue
-            t = p.table[(ni, nj)]
-            expect = tuple(
-                b + x + y
-                for b, x, y in zip(p.bracket_dim, ring.gen_dims[i], ring.gen_dims[j])
-            )
-            if t.dim != expect:
-                ok, w = False, f"dim({{{ni},{nj}}}) = {t.dim}, expected {expect}"
-    rep.check("structure constants sit at b+g_i+g_j", ok, w)
-
-    ok, w = True, ""
-    for i, ni in enumerate(ring.gen_names):
-        for nj in ring.gen_names[i:]:
-            if ni == nj:
-                continue
-            lhs = p.table[(ni, nj)]
-            rhs = ring.neg(p.table[(nj, ni)])
-            if not ring.eq(lhs, rhs):
-                ok, w = False, f"table not antisymmetric at ({ni},{nj})"
-    rep.check("table antisymmetry", ok, w)
-
-    ok, w = True, ""
-    for _ in range(probes):
-        f = ring.sample(rng)
-        g = ring.sample(rng)
-        if not ring.eq(p.bracket(f, g), ring.neg(p.bracket(g, f))):
-            ok, w = False, f"{{f,g}} != -{{g,f}} at {ring.show(f)}, {ring.show(g)}"
-    rep.check("bracket antisymmetry on probes", ok, w)
-
-    ok, w = True, ""
-    for na, nb, nc in itertools.combinations(ring.gen_names, 3):
-        a, b, c = map(ring.generator, (na, nb, nc))
-        jac = ring.add(
-            p.bracket(a, p.bracket(b, c)),
-            ring.add(p.bracket(b, p.bracket(c, a)), p.bracket(c, p.bracket(a, b))),
+    def placed(i, j):
+        ni, nj = ring.gen_names[i], ring.gen_names[j]
+        t = p.table[(ni, nj)]
+        expect = tuple(
+            b + x + y
+            for b, x, y in zip(p.bracket_dim, ring.gen_dims[i], ring.gen_dims[j])
         )
-        if not ring.is_zero(jac):
-            ok, w = False, f"Jacobi fails on generators ({na},{nb},{nc})"
-    rep.check("Jacobi on generator triples", ok, w)
+        if t.dim != expect:
+            return f"dim({{{ni},{nj}}}) = {t.dim}, expected {expect}"
 
-    ok, w = True, ""
-    for _ in range(probes):
-        f, g, h = (ring.sample(rng) for _ in range(3))
-        jac = ring.add(
-            p.bracket(f, p.bracket(g, h)),
-            ring.add(p.bracket(g, p.bracket(h, f)), p.bracket(h, p.bracket(f, g))),
-        )
-        if not ring.is_zero(jac):
-            ok, w = False, f"Jacobi fails at {ring.show(f)}, {ring.show(g)}, {ring.show(h)}"
-    rep.check("Jacobi on random probes", ok, w)
+    rep.law("structure constants sit at b+g_i+g_j",
+            itertools.permutations(range(len(ring.gen_names)), 2), placed)
+    rep.law("table antisymmetry", itertools.combinations(ring.gen_names, 2),
+            lambda ni, nj: not ring.eq(p.table[(ni, nj)], ring.neg(p.table[(nj, ni)]))
+            and f"table not antisymmetric at ({ni},{nj})")
 
-    ok, w = True, ""
-    for _ in range(probes):
-        f, g, h = (ring.sample(rng) for _ in range(3))
+    def draws(k):
+        return [tuple(ring.sample(rng) for _ in range(k)) for _ in range(probes)]
+
+    rep.law("bracket antisymmetry on probes", draws(2),
+            lambda f, g: not ring.eq(p.bracket(f, g), ring.neg(p.bracket(g, f)))
+            and f"{{f,g}} != -{{g,f}} at {show(f)}, {show(g)}")
+    rep.law("Jacobi on generator triples", itertools.combinations(ring.gen_names, 3),
+            lambda *names: not ring.is_zero(
+                _jacobiator(p.bracket, ring.add, *map(ring.generator, names))
+            ) and f"Jacobi fails on generators ({','.join(names)})")
+    rep.law("Jacobi on random probes", draws(3),
+            lambda f, g, h: not ring.is_zero(_jacobiator(p.bracket, ring.add, f, g, h))
+            and f"Jacobi fails at {show(f)}, {show(g)}, {show(h)}")
+
+    def leibniz(f, g, h):
         lhs = p.bracket(f, p.product(g, h))
-        rhs = ring.add(
-            p.product(p.bracket(f, g), h), p.product(g, p.bracket(f, h))
-        )
+        rhs = ring.add(p.product(p.bracket(f, g), h), p.product(g, p.bracket(f, h)))
         if not ring.eq(lhs, rhs):
-            ok, w = False, f"Leibniz fails at {ring.show(f)}, {ring.show(g)}, {ring.show(h)}"
-    rep.check("Leibniz between bracket and product", ok, w)
+            return f"Leibniz fails at {show(f)}, {show(g)}, {show(h)}"
 
-    ok, w = True, ""
-    for _ in range(probes):
-        f = ring.sample(rng)
-        g = ring.sample(rng)
-        br = p.bracket(f, g)
+    def graded(f, g):
         expect = tuple(b + x + y for b, x, y in zip(p.bracket_dim, f.dim, g.dim))
-        if br.dim != expect:
-            ok, w = False, f"dim({{f,g}}) != b+dim(f)+dim(g) at {ring.show(f)}, {ring.show(g)}"
-        pr = p.product(f, g)
-        expectp = tuple(q + x + y for q, x, y in zip(p.product_dim, f.dim, g.dim))
-        if pr.dim != expectp:
-            ok, w = False, f"dim(f*g) != p+dim(f)+dim(g) at {ring.show(f)}, {ring.show(g)}"
-    rep.check("dimension projections of both products", ok, w)
+        if p.bracket(f, g).dim != expect:
+            return f"dim({{f,g}}) != b+dim(f)+dim(g) at {show(f)}, {show(g)}"
+        expect = tuple(q + x + y for q, x, y in zip(p.product_dim, f.dim, g.dim))
+        if p.product(f, g).dim != expect:
+            return f"dim(f*g) != p+dim(f)+dim(g) at {show(f)}, {show(g)}"
 
-    ok, w = True, ""
-    for _ in range(probes):
-        f = ring.sample(rng)
-        g = ring.sample(rng)
+    def commutative_associative(f, g, h):
         if not ring.eq(p.product(f, g), p.product(g, f)):
-            ok, w = False, f"product not commutative at {ring.show(f)}, {ring.show(g)}"
-        h = ring.sample(rng)
-        if not ring.eq(
-            p.product(p.product(f, g), h), p.product(f, p.product(g, h))
-        ):
-            ok, w = False, f"product not associative at {ring.show(f)}"
-    rep.check("commutative associative product", ok, w)
+            return f"product not commutative at {show(f)}, {show(g)}"
+        if not ring.eq(p.product(p.product(f, g), h), p.product(f, p.product(g, h))):
+            return f"product not associative at {show(f)}"
 
+    rep.law("Leibniz between bracket and product", draws(3), leibniz)
+    rep.law("dimension projections of both products", draws(2), graded)
+    rep.law("commutative associative product", draws(3), commutative_associative)
     return rep
 
 
@@ -246,33 +215,26 @@ def coisotrope_check(p: DimPoisson, ideal_gens, rng=None, probes: int = 20) -> C
     ring = p.ring
     ideal = ring.monomial_ideal(ideal_gens)
     rep = CheckReport(f"coisotrope candidate ({', '.join(map(str, ideal_gens))})")
+    gens, show = ideal.generators, ring.show
+    fs = [ring.sample(rng) for _ in range(probes)]
+    rep.law("ideal for the product", itertools.product(fs, gens),
+            lambda f, g: not ideal.contains(p.product(f, g))
+            and f"product leaks: f*{show(g)} left the ideal")
 
-    ok, w = True, ""
-    for _ in range(probes):
-        f = ring.sample(rng)
-        for g in ideal.generators:
-            if not ideal.contains(p.product(f, g)):
-                ok, w = False, f"product leaks: f*{ring.show(g)} left the ideal"
-    rep.check("ideal for the product", ok, w)
+    def closed(g1, g2):
+        br = p.bracket(g1, g2)
+        if not ideal.contains(br):
+            return f"{{{show(g1)},{show(g2)}}} = {show(br)} is outside the ideal"
 
-    ok, w = True, ""
-    for g1, g2 in itertools.product(ideal.generators, repeat=2):
-        if not ideal.contains(p.bracket(g1, g2)):
-            ok, w = (
-                False,
-                f"{{{ring.show(g1)},{ring.show(g2)}}} = "
-                f"{ring.show(p.bracket(g1, g2))} is outside the ideal",
-            )
-    rep.check("bracket closes on generator pairs", ok, w)
+    def closed_on_probe(f, g1, g2):
+        el = ring.mul(f, g1)
+        if not ideal.contains(p.bracket(el, g2)):
+            return f"bracket leaks on ideal probe {show(el)}"
 
-    ok, w = True, ""
-    for _ in range(probes):
-        f = ring.sample(rng)
-        for g1, g2 in itertools.product(ideal.generators, repeat=2):
-            el = ring.mul(f, g1)
-            if not ideal.contains(p.bracket(el, g2)):
-                ok, w = False, f"bracket leaks on ideal probe {ring.show(el)}"
-    rep.check("bracket closes on random ideal elements", ok, w)
+    rep.law("bracket closes on generator pairs", itertools.product(gens, repeat=2), closed)
+    fs = [ring.sample(rng) for _ in range(probes)]
+    rep.law("bracket closes on random ideal elements",
+            itertools.product(fs, gens, gens), closed_on_probe)
     return rep
 
 
@@ -370,31 +332,29 @@ class ReducedPoisson:
         ring = self.ring
         rep = CheckReport(f"reduced Poisson (cutoff {self.cutoff})")
         lowdeg = [b for b in self.basis if ring.degree(b) <= self.cutoff // 3]
-        ok_a = ok_j = ok_l = True
-        w_a = w_j = w_l = ""
-        for _ in range(probes):
-            f, g, h = (rng.choice(lowdeg) for _ in range(3))
-            if not ring.eq(self.bracket(f, g), ring.neg(self.bracket(g, f))):
-                ok_a, w_a = False, f"antisymmetry fails at {ring.show(f)}, {ring.show(g)}"
-            jac = ring.add(
-                self.bracket(f, self.bracket(g, h)),
-                ring.add(
-                    self.bracket(g, self.bracket(h, f)),
-                    self.bracket(h, self.bracket(f, g)),
-                ),
-            )
-            if not ring.is_zero(jac):
-                ok_j, w_j = False, f"Jacobi fails at {ring.show(f)}, {ring.show(g)}, {ring.show(h)}"
+        cases = [tuple(rng.choice(lowdeg) for _ in range(3)) for _ in range(probes)]
+
+        def at(*xs):
+            return ", ".join(map(ring.show, xs))
+
+        def leibniz(f, g, h):
             lhs = self.bracket(f, self.product(g, h))
             rhs = ring.add(
                 self.product(self.bracket(f, g), h),
                 self.product(g, self.bracket(f, h)),
             )
             if not ring.eq(lhs, rhs):
-                ok_l, w_l = False, f"Leibniz fails at {ring.show(f)}, {ring.show(g)}, {ring.show(h)}"
-        rep.check("antisymmetry", ok_a, w_a)
-        rep.check("Jacobi", ok_j, w_j)
-        rep.check("Leibniz", ok_l, w_l)
+                return f"Leibniz fails at {at(f, g, h)}"
+
+        rep.law("antisymmetry", cases,
+                lambda f, g, _: not ring.eq(
+                    self.bracket(f, g), ring.neg(self.bracket(g, f))
+                ) and f"antisymmetry fails at {at(f, g)}")
+        rep.law("Jacobi", cases,
+                lambda f, g, h: not ring.is_zero(
+                    _jacobiator(self.bracket, ring.add, f, g, h)
+                ) and f"Jacobi fails at {at(f, g, h)}")
+        rep.law("Leibniz", cases, leibniz)
         return rep
 
 

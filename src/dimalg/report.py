@@ -25,11 +25,16 @@ class CheckReport:
     subject: str
     results: list = field(default_factory=list)
 
-    def record(self, law: str, passed: bool, witness: str = "") -> None:
-        self.results.append(LawResult(law, passed, witness))
-
     def check(self, law: str, condition: bool, witness: str = "") -> None:
-        self.record(law, bool(condition), "" if condition else witness)
+        self.results.append(LawResult(law, bool(condition), "" if condition else witness))
+
+    def law(self, name: str, cases, check) -> None:
+        """Decide law `name`: `check(*case)` returns a falsy value where the
+        law holds and the witness text where it fails.  Each case is a tuple
+        of arguments (`zip(values)` for single values); `cases` is walked
+        lazily up to the first witness, and an empty `cases` passes."""
+        witness = next(filter(None, (check(*case) for case in cases)), "")
+        self.check(name, not witness, witness)
 
     @property
     def ok(self) -> bool:
@@ -43,9 +48,4 @@ class CheckReport:
         return [f"== {self.subject}"] + [r.line() for r in self.results]
 
     def merged(self, other: "CheckReport") -> "CheckReport":
-        out = CheckReport(self.subject)
-        out.results = list(self.results) + list(other.results)
-        return out
-
-    def __str__(self) -> str:
-        return "\n".join(self.lines())
+        return CheckReport(self.subject, self.results + other.results)

@@ -87,8 +87,12 @@ class DimRing(ABC):
         if n < 0:
             return self.pow(self.reciprocal(a), -n)
         out = self.one
-        for _ in range(n):
-            out = self.mul(out, a)
+        while n:  # square-and-multiply: O(log n) products
+            if n & 1:
+                out = self.mul(out, a)
+            n >>= 1
+            if n:
+                a = self.mul(a, a)
         return out
 
     def show(self, a: DimElement) -> str:
@@ -278,22 +282,25 @@ class RingMorphism:
         addition within slices, multiplication, and the unit."""
         rep = CheckReport(f"morphism {self.label}")
         dom, cod = self.domain, self.codomain
-        sq = add = mul = True
-        w_sq = w_add = w_mul = ""
-        for _ in range(probes):
+
+        def draw():
             a = dom.sample(rng)
-            b = dom.sample(rng, dim=a.dim)
-            c = dom.sample(rng)
-            fa = self(a)
-            if fa.dim != self.dim_map(a.dim):
-                sq, w_sq = False, f"dim({self.label}({a})) != phi({a.dim})"
-            if not cod.eq(self(dom.add(a, b)), cod.add(fa, self(b))):
-                add, w_add = False, f"additivity fails at {a}, {b}"
-            if not cod.eq(self(dom.mul(a, c)), cod.mul(fa, self(c))):
-                mul, w_mul = False, f"multiplicativity fails at {a}, {c}"
-        rep.check("dimension square commutes", sq, w_sq)
-        rep.check("additive within slices", add, w_add)
-        rep.check("multiplicative", mul, w_mul)
+            return a, dom.sample(rng, dim=a.dim), dom.sample(rng)
+
+        def additive(a, b, _):
+            if not cod.eq(self(dom.add(a, b)), cod.add(self(a), self(b))):
+                return f"additivity fails at {a}, {b}"
+
+        def multiplicative(a, _, c):
+            if not cod.eq(self(dom.mul(a, c)), cod.mul(self(a), self(c))):
+                return f"multiplicativity fails at {a}, {c}"
+
+        cases = [draw() for _ in range(probes)]
+        rep.law("dimension square commutes", cases,
+                lambda a, *_: self(a).dim != self.dim_map(a.dim)
+                and f"dim({self.label}({a})) != phi({a.dim})")
+        rep.law("additive within slices", cases, additive)
+        rep.law("multiplicative", cases, multiplicative)
         rep.check(
             "preserves unit",
             cod.eq(self(dom.one), cod.one),
@@ -350,27 +357,20 @@ def unit_section_check(ring: DimRing, candidate: Callable) -> SectionCheck:
     rep = CheckReport(f"unit section on {ring.label}")
     # every dimension when finite, else all words of length <= 3
     dims = ring.dims.monoid.probe_words(3)
-    sect = ok_sect = ok_zero = True
-    w_sect = w_zero = ""
-    values = {}
-    for d in dims:
-        v = candidate(d)
-        values[d] = v
-        if v.dim != d:
-            ok_sect, w_sect = False, f"delta(u({d!r})) = {v.dim!r} != {d!r}"
-        if ring.is_zero(v):
-            ok_zero, w_zero = False, f"section hits zero at slice {d!r}"
-    rep.check("splits the projection", ok_sect, w_sect)
-    rep.check("nowhere zero", ok_zero, w_zero)
-    ok_mul, w_mul = True, ""
-    for d, e in itertools.product(dims, repeat=2):
+    values = {d: candidate(d) for d in dims}
+    rep.law("splits the projection", values.items(),
+            lambda d, v: v.dim != d and f"delta(u({d!r})) = {v.dim!r} != {d!r}")
+    rep.law("nowhere zero", values.items(),
+            lambda d, v: ring.is_zero(v) and f"section hits zero at slice {d!r}")
+
+    def multiplicative(d, e):
         de = ring.dim_combine(d, e)
         lhs = values[de] if de in values else candidate(de)
-        rhs = ring.mul(values[d], values[e])
-        if not ring.eq(lhs, rhs):
-            ok_mul, w_mul = False, f"u({d!r}∘{e!r}) != u({d!r})·u({e!r})"
-            break
-    rep.check("multiplicative on probed pairs", ok_mul, w_mul)
+        if not ring.eq(lhs, ring.mul(values[d], values[e])):
+            return f"u({d!r}∘{e!r}) != u({d!r})·u({e!r})"
+
+    rep.law("multiplicative on probed pairs",
+            itertools.product(dims, repeat=2), multiplicative)
     ok = rep.ok
     return SectionCheck(ok, UnitSection(ring, candidate) if ok else None, rep)
 
@@ -592,101 +592,84 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     rep = CheckReport(f"dimensioned ring {ring.label}")
     elems = _probe_elements(ring, rng, budget)
     dims = list(ring.probe_dims())
+    comb, show = ring.dim_combine, ring.show
 
-    ok, w = True, ""
-    for d, e, f in itertools.islice(itertools.product(dims, repeat=3), 3000):
-        if ring.dim_combine(ring.dim_combine(d, e), f) != ring.dim_combine(
-            d, ring.dim_combine(e, f)
-        ):
-            ok, w = False, f"monoid associativity fails at {d!r},{e!r},{f!r}"
-            break
-    rep.check("dimension monoid: associativity", ok, w)
+    def at(*xs):
+        return ",".join(map(show, xs))
+
+    rep.law("dimension monoid: associativity",
+            itertools.islice(itertools.product(dims, repeat=3), 3000),
+            lambda d, e, f: comb(comb(d, e), f) != comb(d, comb(e, f))
+            and f"monoid associativity fails at {d!r},{e!r},{f!r}")
 
     ident = ring.dims.monoid.identity
-    ok, w = True, ""
-    for d in dims:
-        if ring.dim_combine(ident, d) != d or ring.dim_combine(d, ident) != d:
-            ok, w = False, f"monoid identity fails at {d!r}"
-            break
-    rep.check("dimension monoid: identity", ok, w)
+    rep.law("dimension monoid: identity", zip(dims),
+            lambda d: (comb(ident, d) != d or comb(d, ident) != d)
+            and f"monoid identity fails at {d!r}")
 
-    ok, w = True, ""
-    for a, b in itertools.islice(itertools.product(elems, repeat=2), 4000):
-        p = ring.mul(a, b)
-        if p.dim != ring.dim_combine(a.dim, b.dim):
-            ok, w = False, f"dim({ring.show(a)}·{ring.show(b)}) != combined dims"
-            break
-    rep.check("projection is a monoid morphism", ok, w)
+    rep.law("projection is a monoid morphism",
+            itertools.islice(itertools.product(elems, repeat=2), 4000),
+            lambda a, b: ring.mul(a, b).dim != comb(a.dim, b.dim)
+            and f"dim({show(a)}·{show(b)}) != combined dims")
 
-    ok, w = True, ""
-    pairs = [(a, b) for a in elems for b in elems if a.dim == b.dim]
-    for (a, b), c in itertools.islice(itertools.product(pairs, elems), 6000):
+    def distributive(pair, c):
+        a, b = pair
         ab = ring.add(a, b)
         ac, bc = ring.mul(a, c), ring.mul(b, c)
         ca, cb = ring.mul(c, a), ring.mul(c, b)
         if ac.dim != bc.dim:
-            ok, w = False, f"ac, bc lie over {ac.dim!r} != {bc.dim!r}"
+            w = f"ac, bc lie over {ac.dim!r} != {bc.dim!r}"
         elif not ring.eq(ring.mul(ab, c), ring.add(ac, bc)):
-            ok, w = False, "(a+b)c != ac+bc"
+            w = "(a+b)c != ac+bc"
         elif ca.dim != cb.dim:
-            ok, w = False, f"ca, cb lie over {ca.dim!r} != {cb.dim!r}"
+            w = f"ca, cb lie over {ca.dim!r} != {cb.dim!r}"
         elif not ring.eq(ring.mul(c, ab), ring.add(ca, cb)):
-            ok, w = False, "c(a+b) != ca+cb"
-        if not ok:
-            w += f" at {ring.show(a)},{ring.show(b)},{ring.show(c)}"
-            break
-    rep.check("distributivity where defined", ok, w)
+            w = "c(a+b) != ca+cb"
+        else:
+            return None
+        return f"{w} at {at(a, b, c)}"
 
-    ok, w = True, ""
-    for d, a in itertools.islice(itertools.product(dims, elems), 4000):
+    pairs = [(a, b) for a in elems for b in elems if a.dim == b.dim]
+    rep.law("distributivity where defined",
+            itertools.islice(itertools.product(pairs, elems), 6000), distributive)
+
+    def absorbent(d, a):
         z = ring.zero(d)
-        de = ring.dim_combine(d, a.dim)
-        if not ring.eq(ring.mul(z, a), ring.zero(de)):
-            ok, w = False, f"0_{d!r}·{ring.show(a)} != 0"
-            break
-        ed = ring.dim_combine(a.dim, d)
-        if not ring.eq(ring.mul(a, z), ring.zero(ed)):
-            ok, w = False, f"{ring.show(a)}·0_{d!r} != 0"
-            break
-    rep.check("zero family is absorbent", ok, w)
+        if not ring.eq(ring.mul(z, a), ring.zero(comb(d, a.dim))):
+            return f"0_{d!r}·{show(a)} != 0"
+        if not ring.eq(ring.mul(a, z), ring.zero(comb(a.dim, d))):
+            return f"{show(a)}·0_{d!r} != 0"
 
-    ok, w = True, ""
-    for a in elems:
-        if not ring.eq(ring.mul(ring.one, a), a) or not ring.eq(ring.mul(a, ring.one), a):
-            ok, w = False, f"unit law fails at {ring.show(a)}"
-            break
-    rep.check("unitality", ok, w)
+    rep.law("zero family is absorbent",
+            itertools.islice(itertools.product(dims, elems), 4000), absorbent)
 
-    ok, w = True, ""
-    for a, b, c in itertools.islice(itertools.product(elems, repeat=3), 6000):
-        if not ring.eq(ring.mul(ring.mul(a, b), c), ring.mul(a, ring.mul(b, c))):
-            ok, w = False, f"(ab)c != a(bc) at {ring.show(a)},{ring.show(b)},{ring.show(c)}"
-            break
-    rep.check("multiplicative associativity", ok, w)
+    one = ring.one
+    rep.law("unitality", zip(elems),
+            lambda a: not (ring.eq(ring.mul(one, a), a) and ring.eq(ring.mul(a, one), a))
+            and f"unit law fails at {show(a)}")
+
+    rep.law("multiplicative associativity",
+            itertools.islice(itertools.product(elems, repeat=3), 6000),
+            lambda a, b, c: not ring.eq(
+                ring.mul(ring.mul(a, b), c), ring.mul(a, ring.mul(b, c))
+            ) and f"(ab)c != a(bc) at {at(a, b, c)}")
 
     if ring.commutative:
-        ok, w = True, ""
-        for a, b in itertools.islice(itertools.product(elems, repeat=2), 4000):
-            if not ring.eq(ring.mul(a, b), ring.mul(b, a)):
-                ok, w = False, f"ab != ba at {ring.show(a)},{ring.show(b)}"
-                break
-        rep.check("commutativity", ok, w)
+        rep.law("commutativity", itertools.islice(itertools.product(elems, repeat=2), 4000),
+                lambda a, b: not ring.eq(ring.mul(a, b), ring.mul(b, a))
+                and f"ab != ba at {at(a, b)}")
 
-    ok, w = True, ""
-    for a, b in pairs[:4000]:
+    def abelian(a, b):
         z = ring.zero(a.dim)
         if not ring.eq(ring.add(a, b), ring.add(b, a)):
-            ok, w = False, f"a+b != b+a at {ring.show(a)},{ring.show(b)}"
-            break
+            return f"a+b != b+a at {at(a, b)}"
         if not ring.eq(ring.add(ring.add(a, b), b), ring.add(a, ring.add(b, b))):
-            ok, w = False, f"(a+b)+b != a+(b+b) at {ring.show(a)},{ring.show(b)}"
-            break
+            return f"(a+b)+b != a+(b+b) at {at(a, b)}"
         if not ring.eq(ring.add(a, z), a):
-            ok, w = False, f"a+0 != a at {ring.show(a)}"
-            break
+            return f"a+0 != a at {show(a)}"
         if not ring.eq(ring.add(a, ring.neg(a)), z):
-            ok, w = False, f"a+(-a) != 0 at {ring.show(a)}"
-            break
-    rep.check("slices are abelian groups", ok, w)
+            return f"a+(-a) != 0 at {show(a)}"
+
+    rep.law("slices are abelian groups", pairs[:4000], abelian)
 
     return rep

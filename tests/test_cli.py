@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,14 @@ class TestEval:
     def test_syntax_error_exits_2(self, runner):
         r = runner.invoke(main, ["eval", "1 +", "--registry", REGISTRY])
         assert r.exit_code == 2
+
+    def test_huge_exponent_exits_2_at_once(self, runner):
+        start = time.perf_counter()
+        r = runner.invoke(main, ["eval", "2^99999999 m", "--registry", REGISTRY])
+        assert time.perf_counter() - start < 1.0
+        assert r.exit_code == 2
+        lines = r.stderr.splitlines()
+        assert lines == ["error: exponent is beyond the limit 1000 (at offset 2)"]
 
     def test_unknown_unit_exits_2(self, runner):
         r = runner.invoke(main, ["eval", "1 parsec", "--registry", REGISTRY])
@@ -144,6 +153,14 @@ class TestPoisson:
         assert r.exit_code == 0
         assert r.output.strip() == "2*q"
 
+    def test_bracket_with_a_leading_minus(self, runner):
+        qp = str(REPO / "poisson" / "canonical_qp.json")
+        pos = runner.invoke(main, ["poisson", "bracket", qp, "--", "3 q^2 p", "q"])
+        neg = runner.invoke(main, ["poisson", "bracket", qp, "--", "-3 q^2 p", "q"])
+        assert pos.exit_code == 0 and neg.exit_code == 0, neg.output
+        assert pos.output.strip() == "-3*q^2"
+        assert neg.output.strip() == "3*q^2"
+
     def test_reduce_command(self, runner):
         r = runner.invoke(main, [
             "poisson", "reduce", str(REPO / "poisson" / "canonical_qp.json"),
@@ -190,6 +207,8 @@ MALFORMED = [
     ("poisson", "product_dim", _set(["product_dim"], 5)),
     ("poisson", "bracket", _set(["bracket"], ["q,p"])),
     ("poisson", "ideal", _set(["ideal"], "q")),
+    ("poisson", "bracket polynomial", _set(["bracket", "q,p"], "1 +")),
+    ("poisson", "huge exponent", _set(["bracket", "q,p"], "q^1001 p^1001")),
     ("registry", "unit dims", _set(["units", 0, "dims"], ["x", 0])),
     ("registry", "units", _set(["units"], ["m"])),
     ("registry", "base", _set(["base"], "length")),

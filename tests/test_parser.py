@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from dimalg import ExprSyntaxError, UnknownSymbolError
 from dimalg.exprparse import (
+    MAX_EXPONENT,
     BinOp,
     Num,
     Pow,
@@ -87,8 +88,31 @@ class TestGrammar:
     def test_unary_minus_only_in_poly_mode(self):
         with pytest.raises(ExprSyntaxError):
             parse_quantity_expr("-2")
-        tree = parse_poly_expr("-2")
-        assert isinstance(tree, BinOp) and tree.op == "-"
+        assert parse_poly_expr("-2") == BinOp("*", Num(F(-1)), Num(F(2)))
+
+    def test_leading_minus_negates_the_first_term(self):
+        # "-x^2 + y" is ((-1)·x^2) + y: the minus binds to the first term only
+        tree = parse_poly_expr("-x^2 + y")
+        assert tree == BinOp("+", BinOp("*", Num(F(-1)), Pow(Sym("x", 1), 2)), Sym("y", 7))
+
+    def test_leading_minus_on_a_dimensioned_polynomial(self):
+        from dimalg import GradedPolyRing
+        from dimalg.structure import parse_poly
+
+        ring = GradedPolyRing(["q", "p"], [(1,), (-1,)])
+        neg = parse_poly(ring, "-3 q^2 p")
+        assert neg.dim == (1,)
+        assert ring.eq(neg, ring.neg(parse_poly(ring, "3 q^2 p")))
+
+    @pytest.mark.parametrize("parse", [parse_quantity_expr, parse_poly_expr])
+    def test_exponent_magnitude_is_bounded(self, parse):
+        assert parse(f"x^{MAX_EXPONENT}").exponent == MAX_EXPONENT
+        assert parse(f"x^-{MAX_EXPONENT}").exponent == -MAX_EXPONENT
+        assert parse("x^0001").exponent == 1
+        for text in (f"x^{MAX_EXPONENT + 1}", f"x^-{MAX_EXPONENT + 1}", "2^99999999",
+                     "x^" + "9" * 5000):
+            with pytest.raises(ExprSyntaxError, match="beyond the limit"):
+                parse(text)
 
 
 class TestRoundTrip:

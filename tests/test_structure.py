@@ -60,6 +60,14 @@ class TestNegativeControls:
             in lines
         )
 
+    def test_sum_leaving_its_slice_is_a_failed_law(self):
+        # 1@0 + 1@0 declared as an element over dimension 1
+        doc = json.loads(GOLDEN.read_text())
+        doc["add"]["0"]["1@0"]["1@0"] = "2@1"
+        code, lines = check_structure(doc)
+        assert code == 1
+        assert "FAIL  slices closed under addition: 1@0+1@0 leaves slice '0'" in lines
+
 
 class TestShapeErrors:
     def test_undeclared_dimension_reference(self):
