@@ -11,7 +11,8 @@ Juxtaposition of a number and a symbol term denotes multiplication and
 binds tighter than '*': "36.7 cm^3/s" is (36.7 x cm^3) / s.  Numbers are
 decimal literals read as exact rationals.  Polynomial mode additionally
 allows a leading unary minus, which coefficient tables need: "-x" is
-(-1)·x.  An exponent's magnitude is at most MAX_EXPONENT.
+(-1)·x.  An exponent's magnitude is at most MAX_EXPONENT, and a number
+has at most MAX_LITERAL_DIGITS digits.
 """
 
 import re
@@ -23,11 +24,16 @@ from .errors import ExprSyntaxError, UnknownSymbolError
 # Exact powers grow without bound (2^99999999 has about 3·10^7 digits), so a
 # larger literal exponent is an input error rather than a computation.
 MAX_EXPONENT = 1000
+# Python refuses to read an integer of more than 4300 digits from a string.
+MAX_LITERAL_DIGITS = 4300
+
+# A unit or generator name; registries refuse symbols that do not match it.
+SYMBOL = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<number>\d+(?:\.\d+)?)"
-    r"|(?P<symbol>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<symbol>{SYMBOL.pattern})"
     r"|(?P<op>[-+*/^()])"
 )
 
@@ -163,6 +169,9 @@ class Parser:
     def atom(self):
         t = self.next()
         if t.kind == "number":
+            if len(t.text) - ("." in t.text) > MAX_LITERAL_DIGITS:
+                raise ExprSyntaxError(
+                    f"number has more than {MAX_LITERAL_DIGITS} digits", t.pos)
             return Num(Fraction(t.text))
         if t.kind == "symbol":
             if self.known_symbol is not None and not self.known_symbol(t.text):

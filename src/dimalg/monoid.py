@@ -20,6 +20,7 @@ is not).  ``kind`` is only a display name, as in the label ``Qxcyclic``.
 """
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -34,6 +35,8 @@ TABLE = "table"
 
 # A Cayley table of n elements has n*n cells; this bounds its memory.
 MAX_TABLE_CELLS = 1 << 20
+
+_is_int = int.__instancecheck__  # isinstance(c, int), without a generator
 
 
 class DimMonoid:
@@ -127,7 +130,7 @@ class DimMonoid:
             return (
                 isinstance(x, tuple)
                 and len(x) == self.rank
-                and all(isinstance(c, int) for c in x)
+                and all(map(_is_int, x))
             )
         try:
             return x in self._table and isinstance(x, self._type)
@@ -141,9 +144,13 @@ class DimMonoid:
     def combine(self, x, y):
         table = self._table
         if table is None:
-            self._require(x)
-            self._require(y)
-            return tuple(a + b for a, b in zip(x, y))
+            # contains(x) and contains(y), inline: this is the hot path
+            if not (isinstance(x, tuple) and isinstance(y, tuple)
+                    and len(x) == len(y) == self.rank
+                    and all(map(_is_int, x)) and all(map(_is_int, y))):
+                self._require(x)
+                self._require(y)
+            return tuple(map(operator.add, x, y))
         try:
             if isinstance(x, self._type) and isinstance(y, self._type):
                 return table[x][y]

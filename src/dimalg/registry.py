@@ -9,11 +9,13 @@ with both exponent vectors pretty-printed in base-dimension names.
 """
 
 import json
+import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InputFormatError, typed_field
-from .exprparse import eval_tree, parse_quantity_expr
+from .exprparse import MAX_LITERAL_DIGITS, SYMBOL, eval_tree, parse_quantity_expr
 from .group import DimElement
 from .lines import Line, PowerRing, line_unit_to_section
 from .numfmt import format_rational
@@ -27,10 +29,17 @@ class UnitDef:
 
 
 def _parse_factor(text) -> Fraction:
+    """`p/q` or a decimal, exactly; no exponent notation, which would make
+    "1e9999999" a ten-million-digit integer."""
     try:
-        return Fraction(str(text))
+        s = str(text)
+        if isinstance(text, str) and "e" in s.lower():
+            raise ValueError("exponent notation is not accepted")
+        if any(len(re.findall(r"\d", n)) > MAX_LITERAL_DIGITS for n in s.split("/")):
+            raise ValueError(f"a number has more than {MAX_LITERAL_DIGITS} digits")
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputFormatError(f"bad rational factor {text!r}: {exc}") from exc
+        raise InputFormatError(f"bad rational factor {reprlib.repr(text)}: {exc}") from exc
 
 
 class UnitRegistry:
@@ -42,6 +51,11 @@ class UnitRegistry:
             raise InputFormatError("duplicate base dimension names")
         self.units: dict = {}
         for u in units:
+            if not SYMBOL.fullmatch(u.symbol):
+                raise InputFormatError(
+                    f"unit symbol {reprlib.repr(u.symbol)} is not a name expressions "
+                    f"can use ({SYMBOL.pattern})"
+                )
             if u.symbol in self.units:
                 raise InputFormatError(f"duplicate unit symbol {u.symbol!r}")
             if len(u.dims) != len(self.base):
@@ -97,6 +111,8 @@ def registry_load(source) -> UnitRegistry:
             raise InputFormatError(
                 f"registry is not valid JSON (line {exc.lineno}, column {exc.colno})"
             ) from exc
+        except ValueError as exc:  # not UTF-8, or an integer beyond Python's digit limit
+            raise InputFormatError(f"registry is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "base" not in doc or "units" not in doc:
         raise InputFormatError('registry needs "base" and "units" fields')
     base = typed_field(doc["base"], [str], "base")

@@ -363,10 +363,12 @@ def unit_section_check(ring: DimRing, candidate: Callable) -> SectionCheck:
     rep.law("nowhere zero", values.items(),
             lambda d, v: ring.is_zero(v) and f"section hits zero at slice {d!r}")
 
+    # a section is a function of its dimension: evaluate each product once
     def multiplicative(d, e):
         de = ring.dim_combine(d, e)
-        lhs = values[de] if de in values else candidate(de)
-        if not ring.eq(lhs, ring.mul(values[d], values[e])):
+        if de not in values:
+            values[de] = candidate(de)
+        if not ring.eq(values[de], ring.mul(values[d], values[e])):
             return f"u({d!r}∘{e!r}) != u({d!r})·u({e!r})"
 
     rep.law("multiplicative on probed pairs",

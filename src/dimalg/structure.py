@@ -42,6 +42,8 @@ def _load_json(source) -> dict:
         raise InputFormatError(
             f"not valid JSON (line {exc.lineno}, column {exc.colno})"
         ) from exc
+    except ValueError as exc:  # not UTF-8, or an integer beyond Python's digit limit
+        raise InputFormatError(f"not valid JSON: {exc}") from exc
 
 
 class TableDimRing(DimRing):

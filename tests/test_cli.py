@@ -62,6 +62,11 @@ class TestEval:
         lines = r.stderr.splitlines()
         assert lines == ["error: exponent is beyond the limit 1000 (at offset 2)"]
 
+    def test_huge_literal_exits_2(self, runner):
+        r = runner.invoke(main, ["eval", "9" * 5000 + " m", "--registry", REGISTRY])
+        assert r.exit_code == 2
+        assert r.stderr.splitlines() == ["error: number has more than 4300 digits (at offset 0)"]
+
     def test_unknown_unit_exits_2(self, runner):
         r = runner.invoke(main, ["eval", "1 parsec", "--registry", REGISTRY])
         assert r.exit_code == 2
@@ -209,9 +214,15 @@ MALFORMED = [
     ("poisson", "ideal", _set(["ideal"], "q")),
     ("poisson", "bracket polynomial", _set(["bracket", "q,p"], "1 +")),
     ("poisson", "huge exponent", _set(["bracket", "q,p"], "q^1001 p^1001")),
+    ("poisson", "huge literal digits", _set(["bracket", "q,p"], "9" * 5000)),
     ("registry", "unit dims", _set(["units", 0, "dims"], ["x", 0])),
     ("registry", "units", _set(["units"], ["m"])),
     ("registry", "base", _set(["base"], "length")),
+    ("registry", "symbol ''", _set(["units", 0, "symbol"], "")),
+    ("registry", "symbol 'm s'", _set(["units", 0, "symbol"], "m s")),
+    ("registry", "symbol '2x'", _set(["units", 0, "symbol"], "2x")),
+    ("registry", "symbol 'µm'", _set(["units", 0, "symbol"], "µm")),
+    ("registry", "symbol 'm\\n'", _set(["units", 0, "symbol"], "m\n")),
     ("structure", "unit_candidate", _set(["unit_candidate"], ["a"])),
     ("structure", "monoid elements", _set(["monoid", "elements"], "01")),
     ("structure", "commutative", _set(["commutative"], "false")),
@@ -243,3 +254,21 @@ class TestMalformedDocuments:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert field.split()[-1] in lines[0]
         assert "Traceback" not in r.output
+
+    @pytest.mark.parametrize("kind", sorted(SOURCES))
+    @pytest.mark.parametrize("body, reason", [
+        (b"\xff{}", "codec can't decode"),
+        (b'{"base": ' + b"9" * 5000 + b"}", "4300 digits"),
+    ], ids=["not-utf8", "huge-json-integer"])
+    def test_unreadable_json_exits_2_with_one_line(self, runner, tmp_path, kind, body, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(body)
+        args = {
+            "poisson": ["poisson", "check", str(bad)],
+            "registry": ["eval", "1 m", "--registry", str(bad)],
+            "structure": ["check", str(bad)],
+        }[kind]
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, r.output
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and reason in lines[0]

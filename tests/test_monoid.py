@@ -229,3 +229,47 @@ class TestFiniteRepresentation:
         # 3125 self-maps of five points would need 3125**2 cells
         with pytest.raises(ValueError):
             DimMonoid.map_monoid(range(5))
+
+
+def _closed_form_combine(m, x, y):
+    """Free-abelian combine as written out in full: both arguments checked
+    for membership, then added componentwise."""
+    for v in (x, y):
+        if not (isinstance(v, tuple) and len(v) == m.rank
+                and all(isinstance(c, int) for c in v)):
+            raise CarrierError(f"{v!r} is not an element of {m}")
+    return tuple(a + b for a, b in zip(x, y))
+
+
+# vectors of the right and wrong lengths, with booleans, floats and
+# unhashable entries, plus lists and values that are no vectors at all
+free_candidates = st.one_of(
+    st.lists(st.one_of(small_int, st.booleans()), min_size=0, max_size=4).map(tuple),
+    st.lists(st.sampled_from([0, 1.0, 2]), min_size=2, max_size=2).map(tuple),
+    st.lists(small_int, min_size=2, max_size=2),
+    st.sampled_from([([0], 1), ({}, 0), None, 3, True, 1.0, "ab", {"a": 1}]),
+)
+
+
+class TestFreeAbelianAgainstClosedForm:
+    @settings(derandomize=True, max_examples=400)
+    @given(st.integers(0, 3), free_candidates, free_candidates)
+    def test_combine_accepts_and_refuses_as_before(self, rank, x, y):
+        m = DimMonoid.free_abelian(rank)
+        try:
+            expected = _closed_form_combine(m, x, y)
+        except CarrierError as exc:
+            with pytest.raises(CarrierError) as got:
+                m.combine(x, y)
+            assert str(got.value) == str(exc)
+        else:
+            assert m.combine(x, y) == expected
+            assert type(m.combine(x, y)) is tuple
+
+    def test_booleans_are_integers_and_floats_are_not(self):
+        m = DimMonoid.free_abelian(2)
+        assert m.combine((True, 0), (1, True)) == (2, 1)
+        with pytest.raises(CarrierError, match=r"\(1\.0, 0\) is not an element"):
+            m.combine((1, 0), (1.0, 0))
+        with pytest.raises(CarrierError, match=r"\[1, 0\] is not an element"):
+            m.combine([1, 0], (1, 0))

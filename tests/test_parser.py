@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from dimalg import ExprSyntaxError, UnknownSymbolError
 from dimalg.exprparse import (
     MAX_EXPONENT,
+    MAX_LITERAL_DIGITS,
     BinOp,
     Num,
     Pow,
@@ -113,6 +114,16 @@ class TestGrammar:
                      "x^" + "9" * 5000):
             with pytest.raises(ExprSyntaxError, match="beyond the limit"):
                 parse(text)
+
+    @pytest.mark.parametrize("parse", [parse_quantity_expr, parse_poly_expr])
+    def test_literal_digits_are_bounded(self, parse):
+        nines = "9" * MAX_LITERAL_DIGITS
+        assert parse(nines).value == int(nines)
+        assert parse(nines[1:] + ".5").value == F(int(nines[1:] + "5"), 10)
+        for text in ("9" * (MAX_LITERAL_DIGITS + 1), nines + ".5", "9" * 5000):
+            with pytest.raises(ExprSyntaxError,
+                               match=rf"more than {MAX_LITERAL_DIGITS} digits \(at offset 4\)"):
+                parse(f"2 * {text} x")
 
 
 class TestRoundTrip:

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from dimalg import (
     DimensionMismatch,
@@ -60,6 +61,21 @@ class TestRegistryLoading:
                     {"symbol": "mm", "dims": [1], "factor": "1"},
                 ],
             })
+
+    def test_factor_forms(self):
+        def factor(text):
+            doc = {"base": ["length"], "units": [{"symbol": "m", "dims": [1], "factor": "1"},
+                                                 {"symbol": "x", "dims": [1], "factor": text}]}
+            return registry_load(doc).units["x"].factor
+
+        assert factor("3/4") == F(3, 4) and factor("-0.125") == F(-1, 8)
+        assert factor(60) == 60 and factor("9" * 4300) == int("9" * 4300)
+        for text, reason in (("1e9999999", "exponent notation"), ("2E3", "exponent notation"),
+                             ("9" * 4301, "more than 4300 digits"),
+                             ("1/" + "9" * 4301, "more than 4300 digits")):
+            with pytest.raises(InputFormatError, match=reason) as exc:
+                factor(text)
+            assert len(str(exc.value)) < 120
 
     def test_dim_names(self, si_registry):
         assert si_registry.dim_name((3, -1)) == "length^3·time^-1"
@@ -161,6 +177,75 @@ class TestUnitChoiceInvariance:
             b = convert(evaluate(text, other), target, other)
             assert display_value(a, si_registry) == display_value(b, other)
             assert format_quantity(a, si_registry) == format_quantity(b, other)
+
+
+@st.composite
+def oracle_registries(draw):
+    """A registry of rank 1-3 as (document, {symbol: (dims, factor)}): one
+    coherent unit b<i> per base dimension and 1-4 units u<j> with rational
+    factors."""
+    rank = draw(st.integers(1, 3))
+    units = {f"b{i}": (tuple(int(j == i) for j in range(rank)), F(1)) for i in range(rank)}
+    for j in range(draw(st.integers(1, 4))):
+        dims = tuple(draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)))
+        factor = F(draw(st.integers(-999, 999).filter(bool)), draw(st.integers(1, 999)))
+        units[f"u{j}"] = (dims, factor if factor != 1 else F(2))
+    doc = {
+        "base": [f"d{i}" for i in range(rank)],
+        "units": [{"symbol": s, "dims": list(d), "factor": f"{f.numerator}/{f.denominator}"}
+                  for s, (d, f) in units.items()],
+    }
+    return doc, units
+
+
+def _vec(*terms):
+    """sum of n * v over (n, v) pairs, on plain exponent tuples"""
+    return tuple(sum(n * v[i] for n, v in terms) for i in range(len(terms[0][1])))
+
+
+class TestAgainstFractionOracle:
+    """evaluate, convert and display_value against plain Fraction products
+    and exponent-vector sums, with no power ring involved."""
+
+    # no shrinking: a failure already names its expression and target, and
+    # shrinking through registry loads takes minutes
+    @settings(derandomize=True, max_examples=25, deadline=None,
+              phases=(Phase.explicit, Phase.generate))
+    @given(oracle_registries(), st.data())
+    def test_products_and_quotients_of_units(self, registry, data):
+        doc, units = registry
+        reg = registry_load(doc)
+        symbols = sorted(units)
+        exponent = st.integers(-3, 3).filter(bool)
+        for _ in range(3):
+            digits = data.draw(st.integers(1, 10**6))
+            places = data.draw(st.integers(0, 3))
+            coef = F(digits, 10**places)
+            text = str(digits)
+            if places:
+                text = f"{digits // 10**places}.{digits % 10**places:0{places}d}"
+            value, dims = coef, (0,) * len(doc["base"])
+            for _ in range(data.draw(st.integers(1, 4))):
+                op = data.draw(st.sampled_from("*/"))
+                sym, e = data.draw(st.sampled_from(symbols)), data.draw(exponent)
+                n = e if op == "*" else -e
+                text += f" {op} {sym}^{e}"
+                value *= units[sym][1] ** n
+                dims = _vec((1, dims), (n, units[sym][0]))
+            q = evaluate(text, reg)
+            assert (q.element.value, q.element.dim) == (value, dims), text
+            assert display_value(q, reg) == coef, text
+
+            # target: one unit to a power, the rest of the dimension in base units
+            sym, r = data.draw(st.sampled_from(symbols)), data.draw(exponent)
+            rest = _vec((1, dims), (-r, units[sym][0]))
+            target = f"{sym}^{r}" + "".join(f" * b{i}^{x}" for i, x in enumerate(rest) if x)
+            c = convert(q, target, reg)
+            assert c.element == q.element
+            assert display_value(c, reg) == value / units[sym][1] ** r, (text, target)
+            if any(rest):
+                with pytest.raises(DimensionMismatch):
+                    convert(q, f"{sym}^{r}", reg)
 
 
 class TestRendering:

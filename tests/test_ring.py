@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from dimalg import (
     ConstructionError,
     Ideal,
+    Line,
+    PowerRing,
     dimensionless_ring,
     multiplicative_section,
     quotient_ring,
@@ -160,6 +163,32 @@ class TestUnitSections:
 
         check = unit_section_check(q_x_z2, u)
         assert not check.ok
+
+    def test_each_dimension_is_evaluated_once(self):
+        ring = PowerRing((Line("length"), Line("time")))
+        u = multiplicative_section(ring, {0: ring.element(F(2), (1, 0)),
+                                          1: ring.element(F(3), (0, 1))})
+        calls = Counter()
+
+        def counting(d):
+            calls[d] += 1
+            return u(d)
+
+        assert unit_section_check(ring, counting).ok
+        # products of probe words of length <= 3: the radius-6 ball of Z^2
+        assert len(calls) == 2 * 6 * 6 + 2 * 6 + 1 == 85
+        assert set(calls.values()) == {1}
+
+    def test_wrong_only_outside_the_probe_set_still_fails(self, q_x_z):
+        # (5,) is no probe word (|n| <= 3), only a product of two
+        def u(d):
+            return q_x_z.element(F(7) if d == (5,) else F(1), d)
+
+        check = unit_section_check(q_x_z, u)
+        assert not check.ok
+        assert check.report.failures[0].line() == (
+            "FAIL  multiplicative on probed pairs: u((2,)∘(3,)) != u((2,))·u((3,))"
+        )
 
     def test_zero_slice_structure_has_no_section(self):
         """Finite search proves non-existence and names the bad slice."""
