@@ -6,8 +6,9 @@ finite integer formal sums -- plus pairwise products of those.  Every
 axiom over them is decidable or exactly sampleable; no floating point.
 
 Slice maps are the additive maps between carriers that dimensioned maps
-are assembled from; they compose, add pointwise, negate, and (where the
-carrier supports it) expose their kernels.
+are assembled from.  A slice map is stored as its generator images: it
+composes, adds and negates image by image, and its kernel is a nullspace
+between rational carriers or is enumerated on a finite source.
 """
 
 import itertools
@@ -50,6 +51,18 @@ class Carrier(ABC):
 
     @abstractmethod
     def int_mul(self, n: int, v): ...
+
+    @abstractmethod
+    def coords(self, v) -> tuple:
+        """The coefficients of v on `generators()`."""
+
+    def relations(self) -> tuple:
+        """Coefficient tuples that sum the generators to zero."""
+        return ()
+
+    def rational_coords(self) -> tuple:
+        """Per generator, whether its coefficient ranges over Q, not Z."""
+        return (False,) * len(self.generators())
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -108,6 +121,12 @@ class Rationals(Carrier):
     def int_mul(self, n, v):
         return n * v
 
+    def coords(self, v):
+        return (v,)
+
+    def rational_coords(self):
+        return (True,)
+
     def __str__(self):
         return "Q"
 
@@ -143,6 +162,12 @@ class Vectors(Carrier):
     def int_mul(self, n, v):
         return tuple(n * x for x in v)
 
+    def coords(self, v):
+        return v
+
+    def rational_coords(self):
+        return (True,) * self.dim
+
     def __str__(self):
         return f"Q^{self.dim}"
 
@@ -173,7 +198,13 @@ class Cyclic(Carrier):
         return (1 % self.order,)
 
     def int_mul(self, n, v):
-        return (n * v) % self.order
+        return (n * v) % self.order if v else 0  # n may be rational when v = 0
+
+    def coords(self, v):
+        return (v,)
+
+    def relations(self):
+        return ((self.order,),)
 
     def __str__(self):
         return f"Z/{self.order}"
@@ -234,6 +265,10 @@ class FormalSums(Carrier):
             return ()
         return tuple((g, n * c) for g, c in v)
 
+    def coords(self, v):
+        c = dict(v)
+        return tuple(c.get(g, 0) for g in self.gens)
+
     def __str__(self):
         return f"Z[{','.join(map(str, self.gens))}]"
 
@@ -279,6 +314,18 @@ class Pairs(Carrier):
 
     def int_mul(self, n, v):
         return (self.left.int_mul(n, v[0]), self.right.int_mul(n, v[1]))
+
+    def coords(self, v):
+        return self.left.coords(v[0]) + self.right.coords(v[1])
+
+    def relations(self):
+        nl, nr = len(self.left.generators()), len(self.right.generators())
+        return tuple(r + (0,) * nr for r in self.left.relations()) + tuple(
+            (0,) * nl + r for r in self.right.relations()
+        )
+
+    def rational_coords(self):
+        return self.left.rational_coords() + self.right.rational_coords()
 
     def __str__(self):
         return f"({self.left} x {self.right})"
@@ -337,176 +384,76 @@ def tensor_carrier(left: Carrier, right: Carrier) -> TensorSlice:
 # ---------------------------------------------------------------------------
 
 
-class SliceMap(ABC):
+@dataclass(frozen=True)
+class SliceMap:
+    """An additive map, stored as its generator images: `images[i]` is
+    the image of `src.generators()[i]`."""
+
     src: Carrier
     dst: Carrier
+    images: tuple
 
-    @abstractmethod
-    def apply(self, v): ...
+    def __post_init__(self):
+        object.__setattr__(self, "images", tuple(self.images))
+        n = len(self.src.generators())
+        if len(self.images) != n:
+            raise CarrierError(f"{self.src} has {n} generators, got {len(self.images)} images")
+        for v in self.images:
+            self.dst.require(v)
+        integral = [not r for r in self.dst.rational_coords()]
+        for rational, v in zip(self.src.rational_coords(), self.images):
+            if rational and any(c for c, i in zip(self.dst.coords(v), integral) if i):
+                raise CarrierError(f"{v!r} is not divisible in {self.dst}, so not an image of {self.src}")
+        for rel in self.src.relations():
+            if self._combine(rel) != self.dst.zero():
+                raise CarrierError(f"not additive {self.src} -> {self.dst}: relation {rel} fails")
+
+    def _combine(self, coeffs):
+        dst = self.dst
+        out = dst.zero()
+        for c, v in zip(coeffs, self.images):
+            out = dst.add(out, dst.int_mul(c, v))
+        return out
+
+    def apply(self, v):
+        self.src.require(v)
+        return self._combine(self.src.coords(v))
 
     def compose(self, other: "SliceMap") -> "SliceMap":
         """self after other."""
-        if isinstance(other, ZeroMap) or isinstance(self, ZeroMap):
-            return ZeroMap(other.src, self.dst)
-        if isinstance(self, Scale) and isinstance(other, Scale):
-            return Scale(other.src, self.dst, self.factor * other.factor)
-        if isinstance(self, Matrix) and isinstance(other, Matrix):
-            return Matrix(other.src, self.dst, linalg.matmul(self.rows, other.rows))
-        if isinstance(other, GenImages):
-            return GenImages(
-                other.src,
-                self.dst,
-                {g: self.apply(v) for g, v in other.images.items()},
-            )
-        if isinstance(self, Scale) and isinstance(other, Matrix):
-            rows = tuple(tuple(self.factor * x for x in r) for r in other.rows)
-            return Matrix(other.src, self.dst, rows)
-        if isinstance(self, Matrix) and isinstance(other, Scale):
-            rows = tuple(tuple(x * other.factor for x in r) for r in self.rows)
-            return Matrix(other.src, self.dst, rows)
-        return FnMap(other.src, self.dst, lambda v: self.apply(other.apply(v)))
+        return SliceMap(other.src, self.dst, tuple(map(self.apply, other.images)))
 
     def add(self, other: "SliceMap") -> "SliceMap":
-        if isinstance(self, ZeroMap):
-            return other
-        if isinstance(other, ZeroMap):
-            return self
-        if isinstance(self, Scale) and isinstance(other, Scale):
-            return Scale(self.src, self.dst, self.factor + other.factor)
-        if isinstance(self, Matrix) and isinstance(other, Matrix):
-            rows = tuple(
-                tuple(x + y for x, y in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-            return Matrix(self.src, self.dst, rows)
-        if isinstance(self, GenImages) and isinstance(other, GenImages):
-            return GenImages(
-                self.src,
-                self.dst,
-                {
-                    g: self.dst.add(v, other.images[g])
-                    for g, v in self.images.items()
-                },
-            )
-        return FnMap(self.src, self.dst, lambda v: self.dst.add(self.apply(v), other.apply(v)))
+        if (self.src, self.dst) != (other.src, other.dst):
+            raise CarrierError("slice map add: mismatched source or target")
+        return SliceMap(self.src, self.dst, tuple(map(self.dst.add, self.images, other.images)))
 
     def neg(self) -> "SliceMap":
-        if isinstance(self, ZeroMap):
-            return self
-        if isinstance(self, Scale):
-            return Scale(self.src, self.dst, -self.factor)
-        if isinstance(self, Matrix):
-            return Matrix(self.src, self.dst, tuple(tuple(-x for x in r) for r in self.rows))
-        if isinstance(self, GenImages):
-            return GenImages(
-                self.src, self.dst, {g: self.dst.neg(v) for g, v in self.images.items()}
-            )
-        return FnMap(self.src, self.dst, lambda v: self.dst.neg(self.apply(v)))
+        return SliceMap(self.src, self.dst, tuple(map(self.dst.neg, self.images)))
 
-    def kernel(self) -> "SliceKernel":
-        raise CarrierError(f"kernel solving unsupported for {type(self).__name__}")
-
-
-@dataclass(frozen=True)
-class ZeroMap(SliceMap):
-    src: Carrier
-    dst: Carrier
-
-    def apply(self, v):
-        self.src.require(v)
-        return self.dst.zero()
-
-    def kernel(self):
-        return whole_subgroup(self.src)
-
-
-@dataclass(frozen=True)
-class Scale(SliceMap):
-    """Multiplication by a fixed scalar; src and dst must be like kinds."""
-
-    src: Carrier
-    dst: Carrier
-    factor: Fraction
-
-    def __post_init__(self):
-        if isinstance(self.src, Cyclic):
-            if not isinstance(self.dst, Cyclic):
-                raise CarrierError("cyclic scale map needs a cyclic target")
-            f = int(self.factor)
-            if (f * self.src.order) % self.dst.order != 0:
-                raise CarrierError(
-                    f"x{f} is not a homomorphism Z/{self.src.order} -> Z/{self.dst.order}"
-                )
-
-    def apply(self, v):
-        self.src.require(v)
-        if isinstance(self.src, Cyclic):
-            return (int(self.factor) * v) % self.dst.order
-        if isinstance(self.src, Vectors):
-            return tuple(self.factor * x for x in v)
-        return self.factor * v
-
-    def kernel(self):
-        if isinstance(self.src, Cyclic):
-            members = tuple(
-                v for v in self.src.elements() if self.apply(v) == self.dst.zero()
-            )
-            return finite_subgroup(self.src, members)
-        if self.factor == 0:
-            return whole_subgroup(self.src)
-        return zero_subgroup(self.src)
-
-
-@dataclass(frozen=True)
-class Matrix(SliceMap):
-    src: Carrier  # Vectors(n)
-    dst: Carrier  # Vectors(m)
-    rows: tuple
-
-    def apply(self, v):
-        self.src.require(v)
-        return linalg.matvec(self.rows, v)
-
-    def kernel(self):
-        basis = linalg.nullspace(self.rows, self.src.dim)
-        if not basis:
-            return zero_subgroup(self.src)
-        return SliceSubgroup(self.src, "subspace", tuple(basis))
-
-
-@dataclass(frozen=True)
-class GenImages(SliceMap):
-    """Map out of a formal-sum slice, determined by generator images."""
-
-    src: Carrier  # FormalSums
-    dst: Carrier
-    images: dict
-
-    def apply(self, v):
-        self.src.require(v)
-        out = self.dst.zero()
-        for g, c in v:
-            out = self.dst.add(out, self.dst.int_mul(c, self.images[g]))
-        return out
-
-
-@dataclass(frozen=True)
-class FnMap(SliceMap):
-    src: Carrier
-    dst: Carrier
-    fn: callable
-
-    def apply(self, v):
-        self.src.require(v)
-        return self.fn(v)
+    def kernel(self) -> "SliceSubgroup":
+        """Whole when every image is zero, enumerated on a finite source,
+        a nullspace between rational carriers."""
+        src, dst = self.src, self.dst
+        zero = dst.zero()
+        if all(v == zero for v in self.images):
+            return whole_subgroup(src)
+        elems = src.elements()
+        if elems is not None:
+            return finite_subgroup(src, (v for v in elems if self.apply(v) == zero))
+        if not (all(src.rational_coords()) and all(dst.rational_coords())):
+            raise CarrierError(f"kernel solving unsupported for {src} -> {dst}")
+        rows = tuple(zip(*map(dst.coords, self.images)))
+        basis = linalg.nullspace(rows, len(self.images))
+        return SliceSubgroup(src, "subspace", tuple(basis)) if basis else zero_subgroup(src)
 
 
 def identity_map(carrier: Carrier) -> SliceMap:
-    if isinstance(carrier, (Rationals, Vectors, Cyclic)):
-        return Scale(carrier, carrier, Fraction(1))
-    if isinstance(carrier, FormalSums):
-        return GenImages(carrier, carrier, {g: carrier.embed(g) for g in carrier.gens})
-    return FnMap(carrier, carrier, lambda v: v)
+    return SliceMap(carrier, carrier, carrier.generators())
+
+
+def zero_map(src: Carrier, dst: Carrier) -> SliceMap:
+    return SliceMap(src, dst, (dst.zero(),) * len(src.generators()))
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +478,7 @@ class SliceSubgroup:
             return True
         if self.kind == "finite":
             return v in self.data
-        return linalg.in_rowspace(self.data, v)
+        return linalg.in_rowspace(self.data, self.carrier.coords(v))
 
     def elements(self):
         if self.kind == "zero":
@@ -577,24 +524,16 @@ def quotient_slice(carrier: Carrier, sub: SliceSubgroup) -> SliceQuotient:
     if sub.kind == "zero":
         return SliceQuotient(carrier, identity_map(carrier))
     if sub.kind == "whole":
-        return SliceQuotient(TRIVIAL_CARRIER, ZeroMap(carrier, TRIVIAL_CARRIER))
+        return SliceQuotient(TRIVIAL_CARRIER, zero_map(carrier, TRIVIAL_CARRIER))
     if sub.kind == "finite":
         if not isinstance(carrier, Cyclic):
             raise CarrierError("finite subgroup quotients are supported on cyclic slices")
         if not sub.closed():
             raise CarrierError("subset is not a subgroup")
-        q = carrier.order // len(sub.data)
-        return SliceQuotient(Cyclic(q), Scale(carrier, Cyclic(q), Fraction(1)))
-    # subspace of Q^n: quotient coordinates are the free columns after rref
-    red, pivots = linalg.rref(sub.data)
-    n = carrier.dim
-    free = [c for c in range(n) if c not in pivots]
-    rows = []
-    for f in free:
-        row = [Fraction(0)] * n
-        row[f] = Fraction(1)
-        for rrow, p in zip(red, pivots):
-            row[p] = -rrow[f]
-        rows.append(tuple(row))
-    out = Vectors(len(free))
-    return SliceQuotient(out, Matrix(carrier, out, tuple(rows)))
+        out = Cyclic(carrier.order // len(sub.data))
+        return SliceQuotient(out, SliceMap(carrier, out, out.generators()))
+    # subspace: the quotient coordinates pair with a basis of its annihilator
+    n = len(carrier.generators())
+    rows = linalg.nullspace(sub.data, n)
+    out = Vectors(len(rows))
+    return SliceQuotient(out, SliceMap(carrier, out, (tuple(r[j] for r in rows) for j in range(n))))

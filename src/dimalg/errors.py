@@ -49,7 +49,7 @@ class UnknownSymbolError(ExprSyntaxError):
 
     def __init__(self, symbol: str, pos: int):
         self.symbol = symbol
-        super().__init__(f"unknown symbol {symbol!r}", pos)
+        super().__init__(f"unknown symbol {reprlib.repr(symbol)}", pos)
 
 
 class InputFormatError(DimAlgError):

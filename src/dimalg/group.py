@@ -14,15 +14,14 @@ from . import carriers
 from .carriers import (
     Carrier,
     FormalSums,
-    GenImages,
     Pairs,
     SliceMap,
     SliceQuotient,
     SliceSubgroup,
-    ZeroMap,
     identity_map,
     quotient_slice,
     tensor_carrier,
+    zero_map,
 )
 from .errors import CarrierError, DimensionMapMismatch, DimensionMismatch
 from .monoid import DimSet
@@ -147,7 +146,7 @@ class DimMap:
             domain,
             codomain,
             dim_map,
-            lambda d: ZeroMap(domain.slice(d), codomain.slice(dim_map(d))),
+            lambda d: zero_map(domain.slice(d), codomain.slice(dim_map(d))),
         )
 
     def apply(self, a: DimElement) -> DimElement:
@@ -298,8 +297,8 @@ def direct_sum(a: DimAbGroup, b: DimAbGroup) -> DirectSum:
         def smap(d):
             src = side_group.slice(d)
             oz = other.slice(d).zero()
-            fn = (lambda v: (v, oz)) if left else (lambda v: (oz, v))
-            return carriers.FnMap(src, group.slice(d), fn)
+            images = ((g, oz) if left else (oz, g) for g in src.generators())
+            return SliceMap(src, group.slice(d), images)
 
         return DimMap(side_group, group, lambda d: d, smap)
 
@@ -342,10 +341,10 @@ class FreeAbelian(DimAbGroup):
                 raise DimensionMismatch(img.dim, dim_map(d), "free extension")
 
         def smap(d):
-            return GenImages(
+            return SliceMap(
                 self.slice(d),
                 target.slice(dim_map(d)),
-                {g: images[(g, d)].value for g in self.gen_slices[d]},
+                tuple(images[(g, d)].value for g in self.gen_slices[d]),
             )
 
         return DimMap(self, target, dim_map, smap)

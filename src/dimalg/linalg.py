@@ -3,18 +3,6 @@
 from fractions import Fraction
 
 
-def matvec(rows, v):
-    return tuple(sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in rows)
-
-
-def matmul(a, b):
-    cols = list(zip(*b)) if b else []
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols)
-        for row in a
-    )
-
-
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
     m = [list(map(Fraction, r)) for r in rows]

@@ -7,6 +7,18 @@ reproducible bit for bit.
 from fractions import Fraction
 
 
+def int_str(n: int) -> str:
+    """str(n) for an integer of any length: str() refuses more than 4300
+    digits, so a long integer is split at a power of ten and joined."""
+    if n < 0:
+        return "-" + int_str(-n)
+    if n.bit_length() <= 4000:  # at most 1205 digits
+        return str(n)
+    m = n.bit_length() * 3 // 20  # about half of its digits
+    hi, lo = divmod(n, 10**m)
+    return int_str(hi) + int_str(lo).zfill(m)
+
+
 def round_half_even(x: Fraction) -> int:
     """Nearest integer to x, ties going to the even neighbour."""
     q, r = divmod(x.numerator, x.denominator)
@@ -48,7 +60,7 @@ def format_rational(x: Fraction, digits: int = 4) -> str:
     if n == 10**digits:  # rounding bumped into the next decade
         n //= 10
         e += 1
-    s = str(n)
+    s = int_str(n)
     int_len = e + 1
     if e >= 0:
         if int_len >= digits:

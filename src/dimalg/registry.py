@@ -18,7 +18,7 @@ from .errors import DimensionMismatch, InputFormatError, typed_field
 from .exprparse import MAX_LITERAL_DIGITS, SYMBOL, eval_tree, parse_quantity_expr
 from .group import DimElement
 from .lines import Line, PowerRing, line_unit_to_section
-from .numfmt import format_rational
+from .numfmt import format_rational, int_str
 
 
 @dataclass(frozen=True)
@@ -267,8 +267,11 @@ def format_quantity(q: Quantity, reg: UnitRegistry, digits: int = 4, exact: bool
     """Decimal rendering (round-half-even, `digits` significant digits) or
     the exact rational with --exact; unit suffix in registry symbols."""
     v = display_value(q, reg)
-    body = f"{v.numerator}/{v.denominator}" if exact and v.denominator != 1 else (
-        str(v.numerator) if exact else format_rational(v, digits)
-    )
+    if not exact:
+        body = format_rational(v, digits)
+    elif v.denominator == 1:
+        body = int_str(v.numerator)
+    else:
+        body = f"{int_str(v.numerator)}/{int_str(v.denominator)}"
     suffix = render_unit(q.unit)
     return f"{body} {suffix}".strip()

@@ -12,6 +12,7 @@ strings, and an optional monomial ideal.
 import itertools
 import json
 import random
+import reprlib
 from fractions import Fraction
 
 from .errors import (
@@ -301,13 +302,13 @@ def load_poisson(source, validate: bool = True, rng=None):
         try:
             return parse_poly(ring, text)
         except (CarrierError, DimensionMismatch, ExprSyntaxError) as exc:
-            raise InputFormatError(f"bad polynomial {text!r}: {exc}") from exc
+            raise InputFormatError(f"bad polynomial {reprlib.repr(text)}: {exc}") from exc
 
     table = {}
     for key, text in typed_field(doc.get("bracket", {}), {str: str}, "bracket").items():
         names = [s.strip() for s in key.split(",")]
         if len(names) != 2 or any(n not in ring.index for n in names):
-            raise InputFormatError(f"bad bracket key {key!r}: expected 'x,y'")
+            raise InputFormatError(f"bad bracket key {reprlib.repr(key)}: expected 'x,y'")
         table[(names[0], names[1])] = poly_of(text)
 
     product_dim = typed_field(doc.get("product_dim", [0] * ring.rank), [int], "product_dim")
@@ -319,7 +320,7 @@ def load_poisson(source, validate: bool = True, rng=None):
     ideal = list(typed_field(doc.get("ideal", []), [str], "ideal"))
     for name in ideal:
         if name not in ring.index:
-            raise InputFormatError(f"ideal names unknown generator {name!r}")
+            raise InputFormatError(f"ideal names unknown generator {reprlib.repr(name)}")
 
     poisson = make_poisson(
         ring,

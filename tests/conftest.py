@@ -2,6 +2,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from dimalg import (
     GradedPolyRing,
@@ -11,6 +12,10 @@ from dimalg import (
     registry_load,
 )
 from dimalg.monoid import DimMonoid
+
+# Every property test draws the same examples on every run.
+settings.register_profile("dimalg", derandomize=True)
+settings.load_profile("dimalg")
 
 DATA = Path(__file__).parent / "data"
 REPO_DATA = Path(__file__).parent.parent / "data"

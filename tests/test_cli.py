@@ -1,5 +1,6 @@
 import json
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,17 @@ class TestEval:
         r = runner.invoke(main, ["eval", "9" * 5000 + " m", "--registry", REGISTRY])
         assert r.exit_code == 2
         assert r.stderr.splitlines() == ["error: number has more than 4300 digits (at offset 0)"]
+
+    def test_results_beyond_the_str_digit_limit(self, runner):
+        big = str(Decimal(99999**1000))  # 5000 digits; Decimal has no str() limit
+        for expr, flag, expect in [
+            ("99999^1000 m", "--exact", big + " m"),
+            ("1 m / 99999^1000", "--exact", f"1/{big} m"),
+            ("99999^1000 m", "--digits=5000", big + " m"),
+        ]:
+            r = runner.invoke(main, ["eval", expr, flag, "--registry", REGISTRY])
+            assert r.exit_code == 0 and "Traceback" not in r.output
+            assert r.output.strip() == expect
 
     def test_unknown_unit_exits_2(self, runner):
         r = runner.invoke(main, ["eval", "1 parsec", "--registry", REGISTRY])
@@ -215,6 +227,8 @@ MALFORMED = [
     ("poisson", "bracket polynomial", _set(["bracket", "q,p"], "1 +")),
     ("poisson", "huge exponent", _set(["bracket", "q,p"], "q^1001 p^1001")),
     ("poisson", "huge literal digits", _set(["bracket", "q,p"], "9" * 5000)),
+    ("poisson", "long symbol", _set(["bracket", "q,p"], "q" + "a" * 5000)),
+    ("poisson", "long bracket polynomial", _set(["bracket", "q,p"], "q + " * 1250 + "+")),
     ("registry", "unit dims", _set(["units", 0, "dims"], ["x", 0])),
     ("registry", "units", _set(["units"], ["m"])),
     ("registry", "base", _set(["base"], "length")),
@@ -251,7 +265,7 @@ class TestMalformedDocuments:
         r = runner.invoke(main, args)
         assert r.exit_code == 2, r.output
         lines = r.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(lines) == 1 and lines[0].startswith("error: ") and len(lines[0]) < 200
         assert field.split()[-1] in lines[0]
         assert "Traceback" not in r.output
 

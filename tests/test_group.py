@@ -16,7 +16,7 @@ from dimalg import (
     quotient_group,
     tensor_groups,
 )
-from dimalg.carriers import Cyclic, Rationals, Scale
+from dimalg.carriers import Cyclic, Rationals, SliceMap
 from dimalg.errors import CarrierError
 
 
@@ -64,12 +64,12 @@ class TestDimMaps:
         g = two_slices
         swap = {0: 1, 1: 0}
         phi = DimMap(g, g, lambda d: swap[d],
-                     lambda d: Scale(Rationals(), Rationals(), F(2)))
+                     lambda d: SliceMap(Rationals(), Rationals(), (F(2),)))
         assert phi.apply(g.element(F(5), 0)) == g.element(F(10), 1)
 
     def test_identity_compose_is_neutral(self, two_slices, rng):
         g = two_slices
-        phi = DimMap(g, g, lambda d: d, lambda d: Scale(Rationals(), Rationals(), F(2)))
+        phi = DimMap(g, g, lambda d: d, lambda d: SliceMap(Rationals(), Rationals(), (F(2),)))
         assert DimMap.identity(g).compose(phi).extensionally_equal(phi, rng)
         assert phi.compose(DimMap.identity(g)).extensionally_equal(phi, rng)
 
@@ -77,35 +77,35 @@ class TestDimMaps:
         # hand-composed: (id, x2) after (swap, x1) sends (5, 0) to (10, 1)
         g = two_slices
         swap = {0: 1, 1: 0}
-        phi = DimMap(g, g, lambda d: d, lambda d: Scale(Rationals(), Rationals(), F(2)))
-        psi = DimMap(g, g, lambda d: swap[d], lambda d: Scale(Rationals(), Rationals(), F(1)))
+        phi = DimMap(g, g, lambda d: d, lambda d: SliceMap(Rationals(), Rationals(), (F(2),)))
+        psi = DimMap(g, g, lambda d: swap[d], lambda d: SliceMap(Rationals(), Rationals(), (F(1),)))
         assert phi.compose(psi).apply(g.element(F(5), 0)) == g.element(F(10), 1)
 
     def test_compose_rejects_mismatched_groups(self, two_slices):
         g = two_slices
         other = DimAbGroup.from_dict({0: Rationals()})
-        phi = DimMap(g, g, lambda d: d, lambda d: Scale(Rationals(), Rationals(), F(1)))
-        psi = DimMap(other, other, lambda d: d, lambda d: Scale(Rationals(), Rationals(), F(1)))
+        phi = DimMap(g, g, lambda d: d, lambda d: SliceMap(Rationals(), Rationals(), (F(1),)))
+        psi = DimMap(other, other, lambda d: d, lambda d: SliceMap(Rationals(), Rationals(), (F(1),)))
         with pytest.raises(CarrierError):
             phi.compose(psi)
 
     def test_pointwise_add_same_map(self, two_slices):
         g = two_slices
-        mk = lambda c: DimMap(g, g, lambda d: d, lambda d: Scale(Rationals(), Rationals(), F(c)))
+        mk = lambda c: DimMap(g, g, lambda d: d, lambda d: SliceMap(Rationals(), Rationals(), (F(c),)))
         total = mk(2).pointwise_add(mk(3))
         assert total.apply(g.element(F(1), 0)) == g.element(F(5), 0)
 
     def test_pointwise_add_partial(self, two_slices):
         g = two_slices
         swap = {0: 1, 1: 0}
-        phi = DimMap(g, g, lambda d: d, lambda d: Scale(Rationals(), Rationals(), F(2)))
-        psi = DimMap(g, g, lambda d: swap[d], lambda d: Scale(Rationals(), Rationals(), F(3)))
+        phi = DimMap(g, g, lambda d: d, lambda d: SliceMap(Rationals(), Rationals(), (F(2),)))
+        psi = DimMap(g, g, lambda d: swap[d], lambda d: SliceMap(Rationals(), Rationals(), (F(3),)))
         with pytest.raises(DimensionMapMismatch):
             phi.pointwise_add(psi)
 
     def test_zero_map_is_pointwise_identity(self, two_slices, rng):
         g = two_slices
-        phi = DimMap(g, g, lambda d: d, lambda d: Scale(Rationals(), Rationals(), F(2)))
+        phi = DimMap(g, g, lambda d: d, lambda d: SliceMap(Rationals(), Rationals(), (F(2),)))
         z = DimMap.zero_over(g, g, lambda d: d)
         assert phi.pointwise_add(z).extensionally_equal(phi, rng)
 
@@ -113,7 +113,7 @@ class TestDimMaps:
         """For one fixed dimension map, pointwise addition has associativity,
         the zero map as identity, and pointwise negation as inverse."""
         g = two_slices
-        mk = lambda c: DimMap(g, g, lambda d: d, lambda d: Scale(Rationals(), Rationals(), F(c)))
+        mk = lambda c: DimMap(g, g, lambda d: d, lambda d: SliceMap(Rationals(), Rationals(), (F(c),)))
         a, b, c = mk(2), mk(-5), mk(F(1, 3))
         z = DimMap.zero_over(g, g, lambda d: d)
         lhs = a.pointwise_add(b).pointwise_add(c)
@@ -127,27 +127,27 @@ class TestDimMaps:
 class TestKernelsAndQuotients:
     def test_scale_zero_kernel_is_everything(self):
         g = DimAbGroup.from_dict({"d": Rationals()})
-        phi = DimMap(g, g, lambda d: d, lambda d: Scale(Rationals(), Rationals(), F(0)))
+        phi = DimMap(g, g, lambda d: d, lambda d: SliceMap(Rationals(), Rationals(), (F(0),)))
         k = kernel(phi)
         assert k.contains(g.element(F(9), "d"))
 
     def test_injective_scale_kernel_is_zero(self):
         g = DimAbGroup.from_dict({"d": Rationals()})
-        phi = DimMap(g, g, lambda d: d, lambda d: Scale(Rationals(), Rationals(), F(2)))
+        phi = DimMap(g, g, lambda d: d, lambda d: SliceMap(Rationals(), Rationals(), (F(2),)))
         k = kernel(phi)
         assert k.contains(g.zero("d"))
         assert not k.contains(g.element(F(1), "d"))
 
     def test_cyclic_kernel_enumerated(self):
         g = DimAbGroup.from_dict({"d": Cyclic(4)})
-        phi = DimMap(g, g, lambda d: d, lambda d: Scale(Cyclic(4), Cyclic(4), F(2)))
+        phi = DimMap(g, g, lambda d: d, lambda d: SliceMap(Cyclic(4), Cyclic(4), (2,)))
         # oracle: brute-force the four elements through x -> 2x mod 4
         expected = tuple(x for x in range(4) if (2 * x) % 4 == 0)
         assert kernel(phi).elements("d") == expected
 
     def test_quotient_of_cyclic(self):
         g = DimAbGroup.from_dict({"d": Cyclic(4)})
-        phi = DimMap(g, g, lambda d: d, lambda d: Scale(Cyclic(4), Cyclic(4), F(2)))
+        phi = DimMap(g, g, lambda d: d, lambda d: SliceMap(Cyclic(4), Cyclic(4), (2,)))
         q = quotient_group(g, kernel(phi))
         assert len(q.group.slice("d").elements()) == 2
         # the projection is additive wherever the sum is defined
@@ -173,6 +173,14 @@ class TestKernelsAndQuotients:
         q = quotient_group(g, whole_subgroup(g))
         assert q.group.slice("d").elements() == (0,)
         assert q.group.slice("e").elements() == (0,)
+
+    def test_direct_sum_injection_kernel_is_zero(self):
+        a = DimAbGroup.from_dict({"d": Cyclic(4), "e": Cyclic(2)})
+        b = DimAbGroup.from_dict({"d": Cyclic(6), "e": Cyclic(3)})
+        ds = direct_sum(a, b)
+        for inject in (ds.inject_left, ds.inject_right):
+            k = kernel(inject)
+            assert k.elements("d") == (0,) and k.elements("e") == (0,)
 
     def test_non_subgroup_rejected(self):
         from dimalg.carriers import finite_subgroup

@@ -160,7 +160,7 @@ candidates = st.one_of(
 
 
 class TestFiniteTablesAgainstClosedForms:
-    @settings(derandomize=True, max_examples=200)
+    @settings(max_examples=200)
     @given(st.sampled_from(REFERENCES), st.data())
     def test_combine_identity_and_inverse(self, ref, data):
         m = ref["monoid"]
@@ -175,7 +175,7 @@ class TestFiniteTablesAgainstClosedForms:
             with pytest.raises(CarrierError):
                 m.inverse(x)
 
-    @settings(derandomize=True, max_examples=50)
+    @settings(max_examples=50)
     @given(st.sampled_from(REFERENCES), st.integers(0, 2**32))
     def test_enumeration_order_and_seeded_sample(self, ref, seed):
         m = ref["monoid"]
@@ -185,7 +185,7 @@ class TestFiniteTablesAgainstClosedForms:
             theirs.choice(ref["elements"]) for _ in range(12)
         ]
 
-    @settings(derandomize=True, max_examples=300)
+    @settings(max_examples=300)
     @given(st.sampled_from(REFERENCES), candidates)
     def test_membership_and_rejection(self, ref, x):
         m = ref["monoid"]
@@ -252,7 +252,7 @@ free_candidates = st.one_of(
 
 
 class TestFreeAbelianAgainstClosedForm:
-    @settings(derandomize=True, max_examples=400)
+    @settings(max_examples=400)
     @given(st.integers(0, 3), free_candidates, free_candidates)
     def test_combine_accepts_and_refuses_as_before(self, rank, x, y):
         m = DimMonoid.free_abelian(rank)

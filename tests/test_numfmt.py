@@ -1,9 +1,10 @@
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dimalg.numfmt import format_rational, round_half_even
+from dimalg.numfmt import format_rational, int_str, round_half_even
 
 
 class TestRoundHalfEven:
@@ -59,3 +60,12 @@ class TestFormatRational:
     def test_formatting_already_rounded_is_idempotent(self, x, digits):
         once = format_rational(x, digits)
         assert format_rational(F(once), digits) == once
+
+
+class TestIntStr:
+    @pytest.mark.parametrize("n", [
+        0, 7, -12, 10**1204, 2**4000, 2**4001, 10**4300 - 1, 10**5000, -(99999**1000), 3**30000,
+    ], ids=lambda n: f"{n.bit_length()}-bits")
+    def test_digits_beyond_the_str_limit(self, n):
+        # Decimal converts integers without the 4300-digit limit
+        assert int_str(n) == str(Decimal(n))

@@ -132,7 +132,7 @@ def graded_rings(draw):
 
 
 class TestMonomialIndex:
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(graded_rings(), st.integers(0, 5), st.data())
     def test_matches_brute_force_in_order(self, ring_spec, max_degree, data):
         ring, gen_dims, rank = ring_spec
@@ -144,7 +144,7 @@ class TestMonomialIndex:
                 gen_dims, rank, dim, max_degree
             )
 
-    @settings(derandomize=True, max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(graded_rings(), st.integers(0, 5))
     def test_returned_lists_are_fresh(self, ring_spec, max_degree):
         ring, _, rank = ring_spec
@@ -157,7 +157,7 @@ class TestMonomialIndex:
         first.clear()
         assert ring.monomials_of_dim(dim, max_degree) == expected
 
-    @settings(derandomize=True, max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(graded_rings(), st.integers(0, 2**32 - 1), st.integers(0, 5))
     def test_seeded_sample_matches_reference(self, ring_spec, seed, max_degree):
         ring, gen_dims, rank = ring_spec
@@ -169,7 +169,7 @@ class TestMonomialIndex:
             )
         assert rng.random() == ref_rng.random()
 
-    @settings(derandomize=True, max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(graded_rings(), st.data())
     def test_poly_still_rejects_mixed_dimensions(self, ring_spec, data):
         ring, gen_dims, rank = ring_spec
@@ -184,7 +184,7 @@ class TestMonomialIndex:
         with pytest.raises(DimensionMismatch):
             ring.poly({a: 1}, dim=_weighted_dim(gen_dims, rank, b))
 
-    @settings(derandomize=True, max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(graded_rings(), st.data())
     def test_poly_still_rejects_bad_exponents(self, ring_spec, data):
         ring, _, _ = ring_spec

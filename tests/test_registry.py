@@ -209,7 +209,7 @@ class TestAgainstFractionOracle:
 
     # no shrinking: a failure already names its expression and target, and
     # shrinking through registry loads takes minutes
-    @settings(derandomize=True, max_examples=25, deadline=None,
+    @settings(max_examples=25, deadline=None,
               phases=(Phase.explicit, Phase.generate))
     @given(oracle_registries(), st.data())
     def test_products_and_quotients_of_units(self, registry, data):
