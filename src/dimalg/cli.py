@@ -8,6 +8,7 @@ import sys
 import click
 
 from .errors import DimAlgError, DimensionMismatch, ExprSyntaxError, InputFormatError
+from .numfmt import MAX_DIGITS
 from .poisson import coisotrope_check, poisson_axiom_report, poisson_reduce
 from .registry import (
     convert as convert_quantity,
@@ -24,6 +25,11 @@ EXIT_INPUT = 2
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _check_digits(digits):
+    if not 1 <= digits <= MAX_DIGITS:
+        _fail(EXIT_INPUT, f"digits must be between 1 and {MAX_DIGITS}")
 
 
 def _load_registry(path):
@@ -48,8 +54,7 @@ def main():
 @click.option("--to", "target", default=None, help="convert the result to this unit")
 def eval_cmd(expression, registry_path, digits, exact, target):
     """Evaluate a quantity expression."""
-    if digits < 1:
-        _fail(EXIT_INPUT, "digits must be >= 1")
+    _check_digits(digits)
     reg = _load_registry(registry_path)
     try:
         q = evaluate(expression, reg)
@@ -57,6 +62,8 @@ def eval_cmd(expression, registry_path, digits, exact, target):
             q = convert_quantity(q, target, reg)
     except ExprSyntaxError as exc:
         _fail(EXIT_INPUT, str(exc))
+    except ZeroDivisionError:
+        _fail(EXIT_INPUT, "division by zero")
     except DimensionMismatch as exc:
         _fail(EXIT_FAILURE, str(exc))
     click.echo(format_quantity(q, reg, digits=digits, exact=exact))
@@ -70,13 +77,14 @@ def eval_cmd(expression, registry_path, digits, exact, target):
 @click.option("--exact", is_flag=True)
 def convert_cmd(expression, target, registry_path, digits, exact):
     """Evaluate an expression and re-express it in TARGET units."""
-    if digits < 1:
-        _fail(EXIT_INPUT, "digits must be >= 1")
+    _check_digits(digits)
     reg = _load_registry(registry_path)
     try:
         q = convert_quantity(evaluate(expression, reg), target, reg)
     except ExprSyntaxError as exc:
         _fail(EXIT_INPUT, str(exc))
+    except ZeroDivisionError:
+        _fail(EXIT_INPUT, "division by zero")
     except DimensionMismatch as exc:
         _fail(EXIT_FAILURE, str(exc))
     click.echo(format_quantity(q, reg, digits=digits, exact=exact))

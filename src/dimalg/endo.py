@@ -18,6 +18,10 @@ from .monoid import DimMonoid, DimSet
 from .ring import DimRing, ProductDimRing
 
 
+# small integers keep the exhaustive sweeps exact and fast
+COEFF_PROBES = (-1, 0, 1, 2)
+
+
 def _coefficient_probes(n: int, values) -> tuple:
     """Coefficient functions on n points drawn from `values`: the constant
     ones, then the cyclic patterns (one per rotation of `values`)."""
@@ -116,12 +120,12 @@ class EndoRing(DimRing):
         )
 
     # -- structured probes for the axiom suite ------------------------------
-    def probe_elements(self, rng: random.Random, budget: int = 30,
-                       coeff_probes=(-1, 0, 1, 2)) -> tuple:
-        """All dimension maps crossed with constant coefficient functions
-        drawn from `coeff_probes`, plus cyclically-varying coefficient
-        patterns over the same value set."""
-        consts, patterns = _coefficient_probes(len(self.points), coeff_probes)
+    def probe_elements(self, rng: random.Random, budget: int = 30) -> tuple:
+        """All dimension maps crossed with the constant coefficient
+        functions drawn from COEFF_PROBES, plus the cyclically-varying
+        coefficient patterns over the same value set; `rng` and `budget`
+        are unused."""
+        consts, patterns = _coefficient_probes(len(self.points), COEFF_PROBES)
         return tuple(
             DimElement(c, phi)
             for phi in self.map_monoid.elements()
@@ -133,14 +137,13 @@ class EndoRing(DimRing):
         return f"({{{phi}}}; coeffs {a.value})"
 
 
-def endo_distributivity_report(endo: EndoRing, coeff_probes=(-1, 0, 1, 2)):
+def endo_distributivity_report(endo: EndoRing, coeff_probes=COEFF_PROBES):
     """Both distributivity laws of the endomorphism ring, exhaustively over
     all pairs of dimension maps with coefficient functions drawn from the
     probe value set (constants plus cyclic patterns over the same values)."""
     from .report import CheckReport
 
     rep = CheckReport(f"distributivity in {endo.label}")
-    # small integers keep the exhaustive sweep exact and fast
     consts, patterns = _coefficient_probes(len(endo.points), coeff_probes)
     maps = endo.map_monoid.elements()
 

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the JSON field check
-that raises InputFormatError."""
+"""Exception types shared across the package, and the JSON reader and
+field check that raise InputFormatError."""
 
+import json
 import reprlib
 
 
@@ -80,6 +81,24 @@ def _fit(x, shape):
     ):
         return x
     raise ValueError(shape)
+
+
+def load_json(source):
+    """The decoded JSON document at path `source`; a dict passes through.
+    An unreadable file or invalid JSON raises InputFormatError."""
+    if isinstance(source, dict):
+        return source
+    try:
+        with open(source) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputFormatError(f"cannot read file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(
+            f"not valid JSON (line {exc.lineno}, column {exc.colno})"
+        ) from exc
+    except ValueError as exc:  # not UTF-8, or an integer beyond Python's digit limit
+        raise InputFormatError(f"not valid JSON: {exc}") from exc
 
 
 def typed_field(value, shape, what: str):

@@ -11,8 +11,9 @@ Juxtaposition of a number and a symbol term denotes multiplication and
 binds tighter than '*': "36.7 cm^3/s" is (36.7 x cm^3) / s.  Numbers are
 decimal literals read as exact rationals.  Polynomial mode additionally
 allows a leading unary minus, which coefficient tables need: "-x" is
-(-1)·x.  An exponent's magnitude is at most MAX_EXPONENT, and a number
-has at most MAX_LITERAL_DIGITS digits.
+(-1)·x.  An exponent's magnitude is at most MAX_EXPONENT, a number has
+at most MAX_LITERAL_DIGITS digits, and parentheses nest at most
+MAX_NESTING deep.
 """
 
 import re
@@ -26,6 +27,9 @@ from .errors import ExprSyntaxError, UnknownSymbolError
 MAX_EXPONENT = 1000
 # Python refuses to read an integer of more than 4300 digits from a string.
 MAX_LITERAL_DIGITS = 4300
+# The parser recurses once per parenthesis level; this keeps it far from
+# Python's recursion limit.
+MAX_NESTING = 100
 
 # A unit or generator name; registries refuse symbols that do not match it.
 SYMBOL = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -91,6 +95,7 @@ class Parser:
         self.src = src
         self.tokens = tokenize(src)
         self.i = 0
+        self.depth = 0
         self.known_symbol = known_symbol
         self.allow_unary_minus = allow_unary_minus
 
@@ -178,8 +183,13 @@ class Parser:
                 raise UnknownSymbolError(t.text, t.pos)
             return Sym(t.text, t.pos)
         if t.kind == "op" and t.text == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExprSyntaxError(
+                    f"parentheses nest deeper than {MAX_NESTING} levels", t.pos)
             node = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return node
         raise ExprSyntaxError(f"expected a value, found {t.text or 'end of input'!r}", t.pos)
 
@@ -195,16 +205,28 @@ def parse_poly_expr(src: str, known_symbol=None):
 
 
 def eval_tree(tree, leaf_number, leaf_symbol, add, sub, mul, div, power):
-    """Fold a syntax tree with caller-supplied semantics."""
+    """Fold a syntax tree with caller-supplied semantics.
 
-    def go(node):
+    Operands are evaluated left to right, on an explicit stack rather
+    than by recursion, so a sum of any length folds."""
+    ops = {"+": add, "-": sub, "*": mul, "/": div}
+    values = []
+    todo = [(tree, False)]  # (node, operands already evaluated)
+    while todo:
+        node, ready = todo.pop()
         if isinstance(node, Num):
-            return leaf_number(node.value)
-        if isinstance(node, Sym):
-            return leaf_symbol(node.name, node.pos)
-        if isinstance(node, Pow):
-            return power(go(node.base), node.exponent)
-        ops = {"+": add, "-": sub, "*": mul, "/": div}
-        return ops[node.op](go(node.left), go(node.right))
-
-    return go(tree)
+            values.append(leaf_number(node.value))
+        elif isinstance(node, Sym):
+            values.append(leaf_symbol(node.name, node.pos))
+        elif ready and isinstance(node, Pow):
+            values.append(power(values.pop(), node.exponent))
+        elif ready:
+            right = values.pop()
+            values.append(ops[node.op](values.pop(), right))
+        else:
+            todo.append((node, True))
+            if isinstance(node, Pow):
+                todo.append((node.base, False))
+            else:
+                todo += [(node.right, False), (node.left, False)]
+    return values.pop()

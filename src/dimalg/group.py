@@ -98,19 +98,11 @@ class DimAbGroup:
     def probe_dims(self) -> tuple:
         return self.dims.probe()
 
-    def probe_elements(self, rng: random.Random, per_dim: int = 3) -> tuple:
-        out = []
-        for d in self.probe_dims():
-            c = self.slice(d)
-            out.append(self.zero(d))
-            for g in c.generators():
-                out.append(DimElement(g, d))
-            elems = c.elements()
-            if elems is not None and len(elems) <= 8:
-                out.extend(DimElement(v, d) for v in elems)
-            else:
-                out.extend(DimElement(c.sample(rng), d) for _ in range(per_dim))
-        return tuple(out)
+    def probe_elements(self, rng: random.Random) -> tuple:
+        """Each probe dimension's slice probes (`Carrier.probe`)."""
+        return tuple(
+            DimElement(v, d) for d in self.probe_dims() for v in self.slice(d).probe(rng)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CarrierError, DimensionMismatch
+from .carriers import Rationals
+from .errors import CarrierError
 from .group import DimElement
-from .monoid import DimMonoid, DimSet
+from .monoid import DimMonoid
 from .report import CheckReport
 from .ring import (
-    DimRing,
+    ProductDimRing,
     RingMorphism,
     SectionCheck,
     multiplicative_section,
@@ -63,23 +64,20 @@ class Factor:
         return Factor(line, line, Fraction(1))
 
 
-class PowerRing(DimRing):
+class PowerRing(ProductDimRing):
     """All tensor powers of an ordered system of lines: a dimensioned field
-    over the exponent group Z^k.
+    over the exponent group Z^k.  Relative to the reference bases it is
+    the product ring Q x Z^k, whose operations it inherits.
 
     Element encoding: value = rational coordinate, dim = exponent vector.
     """
-
-    is_field = True
 
     def __init__(self, lines):
         self.lines = tuple(lines)
         if not self.lines:
             raise CarrierError("a power ring needs at least one line")
-        k = len(self.lines)
-        self.monoid = DimMonoid.free_abelian(k)
-        self.dims = DimSet.of_monoid(self.monoid)
-        self.label = f"({','.join(l.name for l in self.lines)})^power"
+        label = f"({','.join(l.name for l in self.lines)})^power"
+        super().__init__(Rationals(), DimMonoid.free_abelian(len(self.lines)), label)
 
     @property
     def rank(self) -> int:
@@ -95,39 +93,14 @@ class PowerRing(DimRing):
         """An element of the scalar slice (all exponents zero)."""
         return self.element(coord, (0,) * self.rank)
 
-    # -- additive structure -------------------------------------------------
-    def add(self, a, b):
-        if a.dim != b.dim:
-            raise DimensionMismatch(a.dim, b.dim, self.label)
-        return DimElement(a.value + b.value, a.dim)
-
-    def neg(self, a):
-        return DimElement(-a.value, a.dim)
-
-    def zero(self, d):
-        return DimElement(Fraction(0), tuple(d))
-
-    # -- multiplicative structure -------------------------------------------
-    def mul(self, a, b):
-        """Tensor multiplication in coordinates; the six even/odd/mixed
-        power cases all reduce to coordinate product + exponent sum under
-        the pairing normalization."""
-        return DimElement(a.value * b.value, self.monoid.combine(a.dim, b.dim))
-
-    odot = mul
+    # tensor multiplication in coordinates: the six even/odd/mixed power
+    # cases all reduce to coordinate product + exponent sum under the
+    # pairing normalization
+    odot = ProductDimRing.mul
 
     @property
     def one(self):
         return self.scalar(1)
-
-    def reciprocal(self, a):
-        if a.value == 0:
-            raise ZeroDivisionError("reciprocal of a zero power-ring element")
-        return DimElement(1 / a.value, self.monoid.inverse(a.dim))
-
-    def sample(self, rng: random.Random, dim=None):
-        d = self.sample_dim(rng) if dim is None else tuple(dim)
-        return DimElement(rand_fraction(rng), d)
 
     def sample_nonzero(self, rng: random.Random, dim=None):
         d = self.sample_dim(rng) if dim is None else tuple(dim)

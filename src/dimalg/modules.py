@@ -81,11 +81,6 @@ class GSet:
     def sample(self, rng: random.Random):
         return (self.payload.sample(rng), rng.choice(self.orbits))
 
-    def probe(self) -> tuple:
-        return tuple(
-            (g, i) for g in self.payload.probe_words(1) for i in self.orbits
-        )
-
 
 @dataclass(frozen=True)
 class GSetTensor:

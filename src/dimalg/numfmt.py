@@ -6,6 +6,10 @@ reproducible bit for bit.
 
 from fractions import Fraction
 
+# Rendering builds 10^digits exactly, at a cost that grows faster than
+# linearly in `digits`.
+MAX_DIGITS = 100_000
+
 
 def int_str(n: int) -> str:
     """str(n) for an integer of any length: str() refuses more than 4300
@@ -48,8 +52,8 @@ def format_rational(x: Fraction, digits: int = 4) -> str:
     Trailing zeros are kept so the digit count is visible in the output:
     Fraction(43, 10) at 4 digits renders as "4.300".
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    if not 1 <= digits <= MAX_DIGITS:
+        raise ValueError(f"digits must be between 1 and {MAX_DIGITS}")
     if x == 0:
         return "0"
     sign = "-" if x < 0 else ""

@@ -8,13 +8,12 @@ is the power ring's partial addition, so incompatible dimensions fail
 with both exponent vectors pretty-printed in base-dimension names.
 """
 
-import json
 import re
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, InputFormatError, typed_field
+from .errors import DimensionMismatch, InputFormatError, load_json, typed_field
 from .exprparse import MAX_LITERAL_DIGITS, SYMBOL, eval_tree, parse_quantity_expr
 from .group import DimElement
 from .lines import Line, PowerRing, line_unit_to_section
@@ -98,21 +97,8 @@ class UnitRegistry:
 
 
 def registry_load(source) -> UnitRegistry:
-    """Build a registry from a JSON document (path, dict, or file object)."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        try:
-            with open(source) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise InputFormatError(f"cannot read registry: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(
-                f"registry is not valid JSON (line {exc.lineno}, column {exc.colno})"
-            ) from exc
-        except ValueError as exc:  # not UTF-8, or an integer beyond Python's digit limit
-            raise InputFormatError(f"registry is not valid JSON: {exc}") from exc
+    """Build a registry from a JSON document (a path or a dict)."""
+    doc = load_json(source)
     if not isinstance(doc, dict) or "base" not in doc or "units" not in doc:
         raise InputFormatError('registry needs "base" and "units" fields')
     base = typed_field(doc["base"], [str], "base")

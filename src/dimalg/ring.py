@@ -60,6 +60,14 @@ class DimRing(ABC):
     def probe_dims(self) -> tuple:
         return self.dims.probe()
 
+    def probe_elements(self, rng: random.Random, budget: int = 30) -> tuple:
+        """The elements the axiom suite quantifies over: `budget` samples,
+        then `one`, then the zero of the first element's slice."""
+        elems = [self.sample(rng) for _ in range(budget)]
+        elems.append(self.one)
+        elems.append(self.zero(elems[0].dim))
+        return tuple(elems)
+
     # -- derived ----------------------------------------------------------
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -99,41 +107,6 @@ class DimRing(ABC):
         return str(a)
 
 
-# ---------------------------------------------------------------------------
-# Scalar rings (the first factor of a product dimensioned ring)
-# ---------------------------------------------------------------------------
-
-
-class ScalarRing(ABC):
-    """An ordinary ring of raw values, used as every slice of a product ring."""
-
-    is_field = False
-
-    @abstractmethod
-    def add(self, a, b): ...
-
-    @abstractmethod
-    def neg(self, a): ...
-
-    @abstractmethod
-    def mul(self, a, b): ...
-
-    @abstractmethod
-    def zero(self): ...
-
-    @abstractmethod
-    def one(self): ...
-
-    @abstractmethod
-    def sample(self, rng): ...
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def reciprocal(self, a):
-        raise CarrierError("not a field")
-
-
 # the rationals carrier is also the scalar ring Q; the older name stays importable
 RationalScalars = Rationals
 
@@ -143,9 +116,12 @@ class ProductDimRing(DimRing):
 
     Elements are (value, dimension) pairs: addition is slice-wise in the
     value, multiplication multiplies values and combines dimensions.
+    `scalars` is the ordinary ring of values, `Rationals` or a
+    `DimlessRingView`: it has `add`, `neg`, `mul`, `zero()`, `one()`,
+    `sample(rng)`, `reciprocal` and `is_field`.
     """
 
-    def __init__(self, scalars: ScalarRing, monoid: DimMonoid, label: str = ""):
+    def __init__(self, scalars, monoid: DimMonoid, label: str = ""):
         self.scalars = scalars
         self.monoid = monoid
         self.dims = DimSet.of_monoid(monoid)
@@ -194,11 +170,11 @@ class ProductDimRing(DimRing):
 # ---------------------------------------------------------------------------
 
 
-class DimlessRingView(ScalarRing):
+class DimlessRingView:
     """The slice over the monoid identity, exposed with ordinary ring ops.
 
     Values are the raw slice values of the parent ring at the identity
-    dimension, so the view plugs in wherever a ScalarRing is expected.
+    dimension, so the view serves as the scalars of a ProductDimRing.
     """
 
     def __init__(self, ring: DimRing):
@@ -570,18 +546,6 @@ def quotient_ring(base: DimRing, ideal: Ideal, rng=None) -> QuotientDimRing:
 # ---------------------------------------------------------------------------
 
 
-def _probe_elements(ring, rng, budget):
-    custom = getattr(ring, "probe_elements", None)
-    if custom is not None:
-        elems = list(custom(rng, budget))
-    else:
-        elems = [ring.sample(rng) for _ in range(budget)]
-        elems.append(ring.one)
-        if elems:
-            elems.append(ring.zero(elems[0].dim))
-    return elems
-
-
 def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     """Run every dimensioned-ring law and report pass/fail with witnesses.
 
@@ -592,7 +556,7 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     """
     rng = rng or random.Random(20240229)
     rep = CheckReport(f"dimensioned ring {ring.label}")
-    elems = _probe_elements(ring, rng, budget)
+    elems = ring.probe_elements(rng, budget)
     dims = list(ring.probe_dims())
     comb, show = ring.dim_combine, ring.show
 

@@ -93,6 +93,54 @@ class TestEval:
         assert r.exit_code == 2
 
 
+class TestBoundedInputs:
+    @pytest.mark.parametrize("args", [
+        ["eval", "1 m / 0"],
+        ["eval", "1 m / (2 s - 2 s)"],
+        ["eval", "0^-1 m"],
+        ["eval", "1 m", "--to", "m / 0"],
+        ["convert", "1 m / 0", "m"],
+        ["convert", "1 m", "m / (1 - 1)"],
+    ])
+    def test_division_by_zero_exits_2_with_one_line(self, runner, args):
+        r = runner.invoke(main, args + ["--registry", REGISTRY])
+        assert r.exit_code == 2, r.output
+        assert r.stderr.splitlines() == ["error: division by zero"]
+
+    def test_a_sum_of_1000_terms(self, runner):
+        r = runner.invoke(main, ["eval", " + ".join(["1 m"] * 1000), "--registry", REGISTRY])
+        assert r.exit_code == 0, r.output
+        assert r.output.strip() == "1000 m"
+
+    def test_1000_nested_parentheses_exit_2_with_one_line(self, runner):
+        deep = "(" * 1000 + "1 m" + ")" * 1000
+        for args in (["eval", deep], ["convert", "1 m", deep]):
+            r = runner.invoke(main, args + ["--registry", REGISTRY])
+            assert r.exit_code == 2, r.output
+            assert r.stderr.splitlines() == [
+                "error: parentheses nest deeper than 100 levels (at offset 100)"]
+
+    @pytest.mark.parametrize("command", [["eval", "1 m"], ["convert", "1 m", "m"]])
+    def test_digits_are_bounded(self, runner, command):
+        start = time.perf_counter()
+        for digits in ("100001", "10000000"):
+            r = runner.invoke(main, command + ["--digits", digits, "--registry", REGISTRY])
+            assert r.exit_code == 2, r.output
+            assert r.stderr.splitlines() == ["error: digits must be between 1 and 100000"]
+        assert time.perf_counter() - start < 1.0
+        r = runner.invoke(main, command + ["--digits", "100000", "--registry", REGISTRY])
+        assert r.exit_code == 0 and r.output.strip() == "1." + "0" * 99999 + " m"
+
+    def test_a_bracket_polynomial_of_1000_terms(self, runner, tmp_path):
+        doc = json.loads((REPO / "poisson" / "canonical_qp.json").read_text())
+        doc["bracket"]["q,p"] = " + ".join(["1"] * 1000)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        r = runner.invoke(main, ["poisson", "bracket", str(path), "q", "p"])
+        assert r.exit_code == 0, r.output
+        assert r.output.strip() == "1000"
+
+
 class TestConvert:
     def test_cup_in_litres(self, runner):
         r = runner.invoke(main, ["convert", "300 cm^3", "L", "--registry", REGISTRY])

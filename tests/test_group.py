@@ -38,6 +38,13 @@ class TestPartialAddition:
             g.add(g.element(F(3), "l"), g.element(F(5), "t"))
         assert exc.value.left == "l" and exc.value.right == "t"
 
+    def test_probe_elements_are_the_slice_probes(self, rng):
+        g = DimAbGroup.from_dict({"a": Cyclic(12), "b": Rationals()})
+        probes = g.probe_elements(rng)
+        assert [x.value for x in probes if x.dim == "a"] == list(range(12))
+        over_b = [x.value for x in probes if x.dim == "b"]
+        assert over_b[:2] == [1, 0] and len(over_b) == 6
+
     def test_identity_and_negation(self, two_slices):
         g = two_slices
         x = g.element(F(7), 0)

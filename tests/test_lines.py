@@ -7,6 +7,8 @@ from dimalg import (
     Factor,
     Line,
     PowerRing,
+    ProductDimRing,
+    RationalScalars,
     functoriality_check,
     line_unit_to_section,
     power_functor,
@@ -14,6 +16,7 @@ from dimalg import (
     units_trivialization,
 )
 from dimalg.errors import CarrierError
+from dimalg.monoid import DimMonoid
 
 
 @pytest.fixture
@@ -63,6 +66,15 @@ class TestTensorMultiplication:
         for _ in range(30):
             x = two_lines.sample_nonzero(rng)
             assert two_lines.mul(x, two_lines.reciprocal(x)) == two_lines.one
+
+    def test_is_the_product_ring_of_q_and_z_k(self, two_lines, rng):
+        q_x_z2 = ProductDimRing(RationalScalars(), DimMonoid.free_abelian(2))
+        assert isinstance(two_lines, ProductDimRing) and two_lines.is_field
+        assert two_lines.monoid == q_x_z2.monoid
+        for _ in range(20):
+            x, y = two_lines.sample(rng), two_lines.sample(rng)
+            assert two_lines.mul(x, y) == q_x_z2.mul(x, y)
+            assert two_lines.add(x, two_lines.neg(x)) == q_x_z2.zero(x.dim)
 
     def test_reciprocal_examples(self, one_line, two_lines):
         assert one_line.reciprocal(one_line.element(4, (2,))) == one_line.element(

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from dimalg.numfmt import format_rational, int_str, round_half_even
+from dimalg.numfmt import MAX_DIGITS, format_rational, int_str, round_half_even
 
 
 class TestRoundHalfEven:
@@ -55,6 +55,11 @@ class TestFormatRational:
     def test_rejects_zero_digits(self):
         with pytest.raises(ValueError):
             format_rational(F(1), 0)
+
+    def test_rejects_digits_beyond_the_limit(self):
+        assert len(format_rational(F(1, 3), MAX_DIGITS)) == MAX_DIGITS + 2
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_DIGITS}"):
+            format_rational(F(1), MAX_DIGITS + 1)
 
     @given(st.fractions(min_value=F(1, 10000), max_value=10000), st.integers(1, 6))
     def test_formatting_already_rounded_is_idempotent(self, x, digits):

@@ -7,11 +7,13 @@ from dimalg import ExprSyntaxError, UnknownSymbolError
 from dimalg.exprparse import (
     MAX_EXPONENT,
     MAX_LITERAL_DIGITS,
+    MAX_NESTING,
     BinOp,
     Num,
     Pow,
     Sym,
     parse_poly_expr,
+    eval_tree,
     parse_quantity_expr,
     tokenize,
 )
@@ -124,6 +126,55 @@ class TestGrammar:
             with pytest.raises(ExprSyntaxError,
                                match=rf"more than {MAX_LITERAL_DIGITS} digits \(at offset 4\)"):
                 parse(f"2 * {text} x")
+
+    @pytest.mark.parametrize("parse", [parse_quantity_expr, parse_poly_expr])
+    def test_parenthesis_nesting_is_bounded(self, parse):
+        assert parse("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == Sym("x", MAX_NESTING)
+        # the depth counts open parentheses, not all that were ever opened
+        assert parse("(x) + " * 1000 + "x").op == "+"
+        deep = "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(ExprSyntaxError, match=rf"deeper than {MAX_NESTING} levels "
+                                                  rf"\(at offset {MAX_NESTING}\)"):
+            parse(deep)
+        with pytest.raises(ExprSyntaxError, match="deeper than"):
+            parse("(" * 5000)
+
+
+class TestEvalTree:
+    @staticmethod
+    def fold(src):
+        """Evaluate over Fractions, spelling every step out."""
+        trace = []
+
+        def step(name, fn):
+            def run(*args):
+                trace.append((name, *args))
+                return fn(*args)
+            return run
+
+        value = eval_tree(
+            parse_quantity_expr(src),
+            step("num", lambda v: v),
+            step("sym", lambda name, pos: F(len(name))),
+            step("+", lambda a, b: a + b),
+            step("-", lambda a, b: a - b),
+            step("*", lambda a, b: a * b),
+            step("/", lambda a, b: a / b),
+            step("^", lambda a, n: a**n),
+        )
+        return value, trace
+
+    def test_operands_fold_left_to_right(self):
+        value, trace = self.fold("(2 - xx)^3 / 4 + 5 y")
+        assert value == 5
+        assert trace == [
+            ("num", 2), ("sym", "xx", 5), ("-", 2, 2), ("^", 0, 3), ("num", 4),
+            ("/", 0, 4), ("num", 5), ("sym", "y", 19), ("*", 5, 1), ("+", F(0), 5),
+        ]
+
+    def test_a_long_sum_folds(self):
+        value, trace = self.fold(" + ".join(["2"] * 5000) + " - 1")
+        assert value == 9999 and len(trace) == 2 * 5001 - 1
 
 
 class TestRoundTrip:

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -49,6 +50,12 @@ class TestProductRing:
         assert q_x_z.mul(a, r) == q_x_z.one
         assert q_x_z.reciprocal(q_x_z.one) == q_x_z.one
         assert q_x_z.reciprocal(q_x_z.reciprocal(a)) == a
+
+    def test_probe_elements_are_samples_then_one_then_zero(self, q_x_z):
+        probes = q_x_z.probe_elements(random.Random(5), budget=4)
+        rng = random.Random(5)
+        samples = tuple(q_x_z.sample(rng) for _ in range(4))
+        assert probes == samples + (q_x_z.one, q_x_z.zero(samples[0].dim))
 
     def test_axiom_suite_passes(self, q_x_z, q_x_z2, rng):
         assert ring_axiom_report(q_x_z, rng).ok
