@@ -64,20 +64,9 @@ class Carrier(ABC):
         """Per generator, whether its coefficient ranges over Q, not Z."""
         return (False,) * len(self.generators())
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def require(self, v):
         if not self.contains(v):
             raise CarrierError(f"{v!r} is not an element of {self}")
-
-    def probe(self, rng: random.Random, n: int = 4) -> tuple:
-        elems = self.elements()
-        if elems is not None:
-            return elems
-        out = list(self.generators()) + [self.zero()]
-        out.extend(self.sample(rng) for _ in range(n))
-        return tuple(out)
 
 
 @dataclass(frozen=True)

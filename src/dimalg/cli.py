@@ -60,7 +60,7 @@ def eval_cmd(expression, registry_path, digits, exact, target):
         q = evaluate(expression, reg)
         if target is not None:
             q = convert_quantity(q, target, reg)
-    except ExprSyntaxError as exc:
+    except (ExprSyntaxError, InputFormatError) as exc:
         _fail(EXIT_INPUT, str(exc))
     except ZeroDivisionError:
         _fail(EXIT_INPUT, "division by zero")
@@ -81,7 +81,7 @@ def convert_cmd(expression, target, registry_path, digits, exact):
     reg = _load_registry(registry_path)
     try:
         q = convert_quantity(evaluate(expression, reg), target, reg)
-    except ExprSyntaxError as exc:
+    except (ExprSyntaxError, InputFormatError) as exc:
         _fail(EXIT_INPUT, str(exc))
     except ZeroDivisionError:
         _fail(EXIT_INPUT, "division by zero")
@@ -137,10 +137,11 @@ def _load_poisson(path, validate):
 @poisson_group.command("check")
 @click.argument("path", type=click.Path())
 def poisson_check(path):
-    """Axiom suite (plus coisotrope check when an ideal is declared)."""
+    """Axiom suite, then the coisotrope check when an ideal is declared and
+    the axioms hold (as `reduce` validates the algebra before reducing)."""
     p, ideal = _load_poisson(path, validate=False)
     rep = poisson_axiom_report(p)
-    if ideal:
+    if ideal and rep.ok:
         rep = rep.merged(coisotrope_check(p, ideal))
     for line in rep.lines():
         click.echo(line)

@@ -64,12 +64,6 @@ class GSet:
             and d[1] in self.orbits
         )
 
-    def point(self, g, orbit):
-        d = (g, orbit)
-        if not self.contains(d):
-            raise CarrierError(f"{d!r} is not a point of the G-set")
-        return d
-
     def act(self, h, d):
         """Action of the acting monoid (through hom)."""
         return (self.payload.combine(self.hom(h), d[0]), d[1])
@@ -162,9 +156,6 @@ class FreeDimModule:
     def zero(self, dim) -> DimElement:
         return self.element(dim, {})
 
-    def terms(self, a: DimElement) -> dict:
-        return dict(a.value)
-
     # -- additive structure ----------------------------------------------------
     def add(self, a, b):
         if a.dim != b.dim:
@@ -201,29 +192,11 @@ class FreeDimModule:
         return self.element(self.gset.place(c.dim, a.dim), out)
 
     # -- probing ----------------------------------------------------------------------
-    def coeff_dim_for(self, name, dim):
-        """The payload dimension a coefficient on `name` needs so the term
-        lands in `dim`; None when the orbits differ or it is unsolvable."""
-        g_e, orbit = self.basis_dim[name]
-        if orbit != dim[1]:
-            return None
-        payload = self.gset.payload
-        if not payload.is_group:
-            return None
-        return payload.combine(dim[0], payload.inverse(g_e))
-
-    def sample(self, rng: random.Random, dim=None) -> DimElement:
-        if dim is None:
-            name = rng.choice(self.basis)[0]
-            r = self.ring.sample(rng)
-            d = self.gset.act(r.dim, self.basis_dim[name])
-            return self.element(d, {name: self.coeff_map(r)})
-        terms = {}
-        for name, _ in self.basis:
-            g = self.coeff_dim_for(name, dim)
-            if g is not None and rng.random() < 0.85:
-                terms[name] = self.coeff_ring.sample(rng, dim=g)
-        return self.element(dim, terms)
+    def sample(self, rng: random.Random) -> DimElement:
+        name = rng.choice(self.basis)[0]
+        r = self.ring.sample(rng)
+        d = self.gset.act(r.dim, self.basis_dim[name])
+        return self.element(d, {name: self.coeff_map(r)})
 
     def sample_like(self, rng: random.Random, a: DimElement) -> DimElement:
         """A random element of the same slice as `a`, built by refreshing

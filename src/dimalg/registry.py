@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import DimensionMismatch, InputFormatError, load_json, typed_field
 from .exprparse import MAX_LITERAL_DIGITS, SYMBOL, eval_tree, parse_quantity_expr
 from .group import DimElement
-from .lines import Line, PowerRing, line_unit_to_section
+from .lines import Line, PowerRing
 from .numfmt import format_rational, int_str
 
 
@@ -75,8 +75,6 @@ class UnitRegistry:
                     f"(factor 1), found {len(coherent)}"
                 )
         self.ring = PowerRing(tuple(Line(n) for n in self.base))
-        section_check = line_unit_to_section(self.ring, [Fraction(1)] * len(self.base))
-        self.section = section_check.section
 
     @property
     def rank(self) -> int:
@@ -225,7 +223,8 @@ def evaluate(src: str, reg: UnitRegistry) -> Quantity:
 
 
 def convert(q: Quantity, target: str, reg: UnitRegistry) -> Quantity:
-    """Re-express a quantity in a compatible unit expression, exactly."""
+    """Re-express a quantity in a compatible unit expression, exactly; a
+    target whose value in its own unit is not 1 (`2 cm`, `0 m`) is refused."""
     tree = parse_expr(target, reg)
     unit_q = eval_expr(tree, reg)
     if unit_q.element.dim != q.element.dim:
@@ -233,6 +232,10 @@ def convert(q: Quantity, target: str, reg: UnitRegistry) -> Quantity:
             reg.dim_name(q.element.dim),
             reg.dim_name(unit_q.element.dim),
             "cannot convert",
+        )
+    if display_value(unit_q, reg) != 1:
+        raise InputFormatError(
+            f"conversion target {reprlib.repr(target)} is not a unit: its number is not 1"
         )
     return Quantity(q.element, unit_q.unit)
 

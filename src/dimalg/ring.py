@@ -8,6 +8,10 @@ for every nonzero element, which forces the dimension monoid to be a
 group.
 """
 
+# Unevaluated annotations: an evaluated `Callable[...]` of a dimalg class sits in
+# typing's global cache and keeps a re-imported package's old copy alive.
+from __future__ import annotations
+
 import itertools
 import random
 from abc import ABC, abstractmethod

@@ -151,6 +151,24 @@ class TestConvert:
         r = runner.invoke(main, ["convert", "1 m", "s", "--registry", REGISTRY])
         assert r.exit_code == 1
 
+    @pytest.mark.parametrize("args", [
+        ["convert", "1 m", "2 cm"],
+        ["eval", "1 m", "--to", "0 m"],
+    ], ids=["convert-2cm", "eval-to-0m"])
+    def test_target_with_a_number_exits_2_with_one_line(self, runner, args):
+        r = runner.invoke(main, args + ["--registry", REGISTRY])
+        assert r.exit_code == 2
+        target = args[-1]
+        assert r.stderr.splitlines() == [
+            f"error: conversion target '{target}' is not a unit: its number is not 1"
+        ]
+        assert r.stdout == ""
+
+    def test_reciprocal_unit_target_accepted(self, runner):
+        r = runner.invoke(main, ["convert", "3 /s", "1/s", "--registry", REGISTRY])
+        assert r.exit_code == 0
+        assert r.stdout.strip() == "3.000 /s"
+
 
 class TestRegistryValidate:
     def test_valid_registry(self, runner):
@@ -254,6 +272,33 @@ class TestPoisson:
         bad.write_text("[]")
         r = runner.invoke(main, ["poisson", "check", str(bad)])
         assert r.exit_code == 2
+
+    QP = {"generators": [{"name": "q", "dim": [1]}, {"name": "p", "dim": [-1]}],
+          "bracket": {"q,p": "1"}}
+
+    def _check(self, runner, tmp_path, **fields):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({**self.QP, **fields}))
+        return runner.invoke(main, ["poisson", "check", str(doc)])
+
+    def test_misplaced_structure_constant_is_a_failed_law(self, runner, tmp_path):
+        r = self._check(runner, tmp_path, bracket_dim=[5])
+        assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
+        assert r.stdout.splitlines() == [
+            "== Poisson algebra on Q[q,p]",
+            "FAIL  structure constants sit at b+g_i+g_j: dim({q,p}) = (0,), expected (5,)",
+        ]
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"bracket_dim": [0, 0]}, "bracket_dim has 2 exponents, expected 1"),
+        ({"product_dim": []}, "product_dim has 0 exponents, expected 1"),
+        ({"product_dim": [2]}, "a nonzero product_dim needs a scale"),
+        ({"product_dim": [2], "scale": "q"}, "scale sits at (1,), not at product_dim (2,)"),
+    ], ids=["bracket_dim-length", "product_dim-length", "scale-missing", "scale-misplaced"])
+    def test_shape_errors_exit_2_with_one_line(self, runner, tmp_path, fields, message):
+        r = self._check(runner, tmp_path, **fields)
+        assert r.exit_code == 2
+        assert r.stderr.splitlines() == [f"error: {message}"]
 
 
 def _set(path, value):

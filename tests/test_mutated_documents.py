@@ -1,0 +1,126 @@
+"""Every mutated document ends in exit 0, 1 or 2, never a traceback.
+
+Each case takes one of the shipped documents (the SI registry, the
+golden structure, the canonical Poisson algebra), applies one mutation
+(drop a key or list item, change a value's JSON type, lengthen or
+shorten a list, rename a string or key to another name from the same
+document), and runs the CLI on it in process.  An input error (exit 2)
+is at most one line on stderr.
+"""
+
+import copy
+import json
+import tempfile
+from pathlib import Path
+
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from dimalg.cli import main
+
+REPO = Path(__file__).parent.parent / "data"
+DOCUMENTS = {
+    "registry": (
+        REPO / "registries" / "si_demo.json",
+        [["eval", "300 cm^3 / (2.2 L/min)", "--to", "s", "--registry", "{}"]],
+    ),
+    "structure": (REPO / "structures" / "product_ring_mod5_z2.json", [["check", "{}"]]),
+    "poisson": (
+        REPO / "poisson" / "canonical_qp.json",
+        [["poisson", "check", "{}"], ["poisson", "reduce", "{}", "--cutoff", "3"]],
+    ),
+}
+RETYPED = [None, True, 7, 2.5, "x", [], {}]
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) in a JSON document, the root included."""
+    yield path, doc
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _nodes(value, path + (key,))
+
+
+def _names(doc) -> list:
+    """Every string and object key in a document, sorted, plus a fresh name."""
+    out = []
+    for _, value in _nodes(doc):
+        if isinstance(value, str):
+            out.append(value)
+        elif isinstance(value, dict):
+            out.extend(value)
+    return sorted(set(out)) + ["zz"]
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated(draw, doc):
+    doc = copy.deepcopy(doc)
+    nodes = list(_nodes(doc))
+    kind = draw(st.sampled_from(["drop", "retype", "lengthen", "shorten", "rename"]))
+    if kind in ("drop", "retype"):
+        path, value = draw(st.sampled_from(nodes[1:]))
+        parent = _at(doc, path[:-1])
+        if kind == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(st.sampled_from(
+                [v for v in RETYPED if type(v) is not type(value)]
+            ))
+    elif kind in ("lengthen", "shorten"):
+        lists = [v for _, v in nodes if isinstance(v, list) and (v or kind == "lengthen")]
+        target = draw(st.sampled_from(lists))
+        if kind == "shorten":
+            target.pop()
+        else:
+            target.append(copy.deepcopy(target[-1]) if target else "x")
+    else:
+        names = _names(doc)
+        spots = [(p, None) for p, v in nodes if isinstance(v, str)]
+        spots += [(p, k) for p, v in nodes if isinstance(v, dict) for k in v]
+        path, key = draw(st.sampled_from(spots))
+        new = draw(st.sampled_from(names))
+        if key is None:
+            _at(doc, path[:-1])[path[-1]] = new
+        else:
+            obj = _at(doc, path)
+            obj[new] = obj.pop(key)
+    return kind, doc
+
+
+def _run(kind, doc):
+    _, commands = DOCUMENTS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        for command in commands:
+            args = [str(path) if a == "{}" else a for a in command]
+            r = CliRunner().invoke(main, args)
+            assert r.exit_code in (0, 1, 2), (args, r.output)
+            assert r.exception is None or isinstance(r.exception, SystemExit), (
+                args, r.exc_info,
+            )
+            if r.exit_code == 2:
+                assert len(r.stderr.splitlines()) <= 1, (args, r.stderr)
+
+
+def _fuzz(kind):
+    source = json.loads(DOCUMENTS[kind][0].read_text())
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(mutated(source))
+    def test(case):
+        _run(kind, case[1])
+
+    return test
+
+
+test_mutated_registry_exits_cleanly = _fuzz("registry")
+test_mutated_structure_exits_cleanly = _fuzz("structure")
+test_mutated_poisson_exits_cleanly = _fuzz("poisson")

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -77,6 +78,17 @@ class TestRegistryLoading:
                 factor(text)
             assert len(str(exc.value)) < 120
 
+    def test_ten_base_dimensions_load_in_under_a_second(self):
+        base = [f"b{i}" for i in range(10)]
+        units = [
+            {"symbol": f"u{i}", "dims": [int(j == i) for j in range(10)], "factor": "1"}
+            for i in range(10)
+        ]
+        start = time.perf_counter()
+        reg = registry_load({"base": base, "units": units})
+        assert time.perf_counter() - start < 1.0
+        assert format_quantity(evaluate("2 u0*u9/u3", reg), reg) == "2.000 u0*u9/u3"
+
     def test_dim_names(self, si_registry):
         assert si_registry.dim_name((3, -1)) == "length^3·time^-1"
         assert si_registry.dim_name((0, 0)) == "dimensionless"
@@ -149,6 +161,22 @@ class TestConversion:
     def test_incompatible_target_rejected(self, si_registry):
         with pytest.raises(DimensionMismatch):
             convert(evaluate("1 m", si_registry), "s", si_registry)
+
+    def test_dimension_check_comes_before_the_unit_check(self, si_registry):
+        with pytest.raises(DimensionMismatch):
+            convert(evaluate("1 m", si_registry), "2 s", si_registry)
+
+    @pytest.mark.parametrize("target", ["2 cm", "0 m", "m + cm", "m/1000"])
+    def test_target_that_is_not_a_unit_rejected(self, si_registry, target):
+        with pytest.raises(InputFormatError, match="is not a unit"):
+            convert(evaluate("1 m", si_registry), target, si_registry)
+
+    @pytest.mark.parametrize("expr, target, value", [
+        ("3 /s", "1/s", 3), ("1 m", "2 cm / 2", 100), ("4 L", "1 L", 4),
+    ])
+    def test_target_whose_number_is_one_accepted(self, si_registry, expr, target, value):
+        q = convert(evaluate(expr, si_registry), target, si_registry)
+        assert display_value(q, si_registry) == value
 
 
 class TestUnitChoiceInvariance:

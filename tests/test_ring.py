@@ -207,6 +207,18 @@ class TestUnitSections:
         assert not result.ok
         assert "'1'" in result.report.failures[0].witness
 
+    def test_search_finds_the_declared_unit_candidate(self):
+        import json
+        from dimalg.structure import load_structure
+        from pathlib import Path
+
+        path = Path(__file__).parent.parent / "data" / "structures" / "product_ring_mod5_z2.json"
+        ring = load_structure(path)
+        result = search_unit_section(ring, ring.slice_elements)
+        assert result.ok
+        found = {d: result.section(d).value for d in ring.dims.elements()}
+        assert found == json.loads(path.read_text())["unit_candidate"]
+
 
 class TestSliceMulAndTrivialization:
     def test_slice_mul_example(self, q_x_z):
