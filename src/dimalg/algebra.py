@@ -101,13 +101,17 @@ def bilinear_check(
 PROPERTIES = ("symmetric", "antisymmetric", "associative", "jacobi")
 
 
+def jacobiator(mul, add, a, b, c):
+    """M(a,M(b,c)) + M(b,M(c,a)) + M(c,M(a,b)), which the Jacobi identity makes zero."""
+    return add(mul(a, mul(b, c)), add(mul(b, mul(c, a)), mul(c, mul(a, b))))
+
+
 def property_check(
     space: ProbeSpace,
     mul: Callable,
     dim_map: Callable,
     prop: str,
     rng=None,
-    probes: int = 30,
 ) -> CheckReport:
     """Check a 2-/3-element identity of a multiplication on probe tuples.
 
@@ -121,7 +125,7 @@ def property_check(
     rep = CheckReport(f"property: {prop}")
 
     def draws(sample):
-        return [tuple(sample(rng) for _ in range(3)) for _ in range(probes)]
+        return [tuple(sample(rng) for _ in range(3)) for _ in range(30)]
 
     def binar(d, e, f):
         if prop in ("symmetric", "antisymmetric"):
@@ -144,13 +148,8 @@ def property_check(
         elif prop == "associative":
             if not space.eq(mul(mul(a, b), c), mul(a, mul(b, c))):
                 return f"associator nonzero at {a}, {b}, {c}"
-        else:  # jacobi
-            jac = space.add(
-                mul(a, mul(b, c)),
-                space.add(mul(b, mul(c, a)), mul(c, mul(a, b))),
-            )
-            if not space.is_zero(jac):
-                return f"jacobiator nonzero at {a}, {b}, {c}"
+        elif not space.is_zero(jacobiator(mul, space.add, a, b, c)):
+            return f"jacobiator nonzero at {a}, {b}, {c}"
 
     rep.law(f"{prop} identity on probes", draws(space.sample), identity)
     return rep

@@ -479,15 +479,15 @@ class SliceSubgroup:
         return None
 
     def closed(self) -> bool:
-        """Subgroup closure, decidable for the finite kinds."""
-        elems = self.elements()
-        if elems is None:
-            return True  # subspaces are closed by construction
-        c = self.carrier
-        if c.zero() not in elems:
-            return False
-        return all(
-            c.add(a, b) in elems and c.neg(a) in elems for a in elems for b in elems
+        """Subgroup closure, decided on the listed elements of a finite
+        subset; the other kinds are subgroups by construction."""
+        if self.kind != "finite":
+            return True
+        c, elems = self.carrier, set(self.data)
+        return (
+            c.zero() in elems
+            and all(c.neg(a) in elems for a in elems)
+            and all(c.add(a, b) in elems for a in elems for b in elems)
         )
 
 

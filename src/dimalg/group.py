@@ -223,11 +223,9 @@ def whole_subgroup(group: DimAbGroup) -> DimSubgroup:
 
 def kernel(phi: DimMap) -> DimSubgroup:
     """The kernel of a dimensional-group morphism, as a membership
-    predicate with explicit element lists on finite slices."""
-    sub = DimSubgroup(phi.domain, lambda d: phi.slice_map(d).kernel())
-    if not sub.verify():
-        raise CarrierError("kernel slices failed subgroup closure")
-    return sub
+    predicate with explicit element lists on finite slices.  Each slice
+    map is additive by construction, so its kernel is a subgroup."""
+    return DimSubgroup(phi.domain, lambda d: phi.slice_map(d).kernel())
 
 
 @dataclass(frozen=True)

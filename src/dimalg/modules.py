@@ -23,57 +23,35 @@ from . import linalg
 from .errors import CarrierError, ConstructionError, DimensionMismatch
 from .group import DimElement
 from .monoid import DimMonoid
+from .poly import GradedPolyRing
 from .report import CheckReport
 from .ring import DimRing, Ideal, RingMorphism, quotient_ring
 
 
+@dataclass(frozen=True)
 class GSet:
-    """A free action on (monoid element, orbit) pairs.
+    """A free action of a monoid on (monoid element, orbit) pairs, by
+    translation of the left coordinate."""
 
-    `payload` is the monoid the left coordinate lives in; `acting` acts on
-    it through `hom` (identity unless the module was pulled back).
-    """
+    monoid: DimMonoid
+    orbits: tuple
 
-    def __init__(
-        self,
-        acting: DimMonoid,
-        orbits,
-        payload: "DimMonoid | None" = None,
-        hom: "Callable | None" = None,
-        hom_label: str = "id",
-    ):
-        self.acting = acting
-        self.payload = payload or acting
-        self.orbits = tuple(orbits)
-        self.hom = hom or (lambda g: g)
-        self.hom_label = hom_label
-
-    def same_as(self, other: "GSet") -> bool:
-        return (
-            self.acting == other.acting
-            and self.payload == other.payload
-            and self.orbits == other.orbits
-            and self.hom_label == other.hom_label
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "orbits", tuple(self.orbits))
 
     def contains(self, d) -> bool:
         return (
             isinstance(d, tuple)
             and len(d) == 2
-            and self.payload.contains(d[0])
+            and self.monoid.contains(d[0])
             and d[1] in self.orbits
         )
 
-    def act(self, h, d):
-        """Action of the acting monoid (through hom)."""
-        return (self.payload.combine(self.hom(h), d[0]), d[1])
-
-    def place(self, g, d):
-        """Direct payload translation, used for coefficient placement."""
-        return (self.payload.combine(g, d[0]), d[1])
+    def act(self, g, d):
+        return (self.monoid.combine(g, d[0]), d[1])
 
     def sample(self, rng: random.Random):
-        return (self.payload.sample(rng), rng.choice(self.orbits))
+        return (self.monoid.sample(rng), rng.choice(self.orbits))
 
 
 @dataclass(frozen=True)
@@ -89,18 +67,12 @@ def gset_tensor(d: GSet, e: GSet) -> GSetTensor:
     of ((g,i),(h,j)) is (g∘h, (i,j)), which is exactly the quotient by
     (gd, e) ~ (d, ge) because the actions are free.
     """
-    if d.acting != e.acting or d.payload != e.payload:
+    if d.monoid != e.monoid:
         raise CarrierError("tensor of G-sets needs one acting monoid")
-    out = GSet(
-        d.acting,
-        tuple(itertools.product(d.orbits, e.orbits)),
-        payload=d.payload,
-        hom=d.hom,
-        hom_label=d.hom_label,
-    )
+    out = GSet(d.monoid, tuple(itertools.product(d.orbits, e.orbits)))
 
     def eta(x, y):
-        return (d.payload.combine(x[0], y[0]), (x[1], y[1]))
+        return (d.monoid.combine(x[0], y[0]), (x[1], y[1]))
 
     return GSetTensor(out, eta)
 
@@ -110,7 +82,11 @@ def _term_key(item):
 
 
 class FreeDimModule:
-    """A free dimensioned module with a finite dimension-tagged basis."""
+    """A free dimensioned module with a finite dimension-tagged basis.
+
+    `ring` acts through `along`, a morphism from it to the ring the
+    coefficients live in; None means `ring` acts on its own coefficients.
+    """
 
     def __init__(
         self,
@@ -118,12 +94,11 @@ class FreeDimModule:
         gset: GSet,
         basis,
         label: str = "module",
-        coeff_ring: "DimRing | None" = None,
-        coeff_map: "Callable | None" = None,
+        along: "RingMorphism | None" = None,
     ):
-        self.ring = ring                       # the acting ring
-        self.coeff_ring = coeff_ring or ring   # where coefficients live
-        self.coeff_map = coeff_map or (lambda r: r)
+        self.ring = ring
+        self.along = along
+        self.coeff_ring = along.codomain if along else ring
         self.gset = gset
         self.basis = tuple(basis)
         for _, d in self.basis:
@@ -144,7 +119,7 @@ class FreeDimModule:
                 raise CarrierError(f"unknown basis vector {name!r}")
             if self.coeff_ring.is_zero(coeff):
                 continue
-            placed = self.gset.place(coeff.dim, self.basis_dim[name])
+            placed = self.gset.act(coeff.dim, self.basis_dim[name])
             if placed != dim:
                 raise DimensionMismatch(placed, dim, self.label)
             canon.append((name, coeff))
@@ -180,23 +155,24 @@ class FreeDimModule:
         return a.dim == b.dim and a.value == b.value
 
     # -- the module action --------------------------------------------------------
+    def _coefficient(self, r: DimElement) -> DimElement:
+        """The coefficient-ring element that r acts as."""
+        return self.along(r) if self.along else r
+
     def act(self, r: DimElement, a: DimElement) -> DimElement:
         """r_g · a_d, landing in the slice over g·d."""
-        s = self.coeff_map(r)
-        out = {n: self.coeff_ring.mul(s, c) for n, c in a.value}
-        return self.element(self.gset.act(r.dim, a.dim), out)
+        return self.coeff_act(self._coefficient(r), a)
 
     def coeff_act(self, c: DimElement, a: DimElement) -> DimElement:
-        """Scaling by a coefficient-ring element (payload placement)."""
+        """Scaling by a coefficient-ring element."""
         out = {n: self.coeff_ring.mul(c, x) for n, x in a.value}
-        return self.element(self.gset.place(c.dim, a.dim), out)
+        return self.element(self.gset.act(c.dim, a.dim), out)
 
     # -- probing ----------------------------------------------------------------------
     def sample(self, rng: random.Random) -> DimElement:
         name = rng.choice(self.basis)[0]
-        r = self.ring.sample(rng)
-        d = self.gset.act(r.dim, self.basis_dim[name])
-        return self.element(d, {name: self.coeff_map(r)})
+        c = self._coefficient(self.ring.sample(rng))
+        return self.element(self.gset.act(c.dim, self.basis_dim[name]), {name: c})
 
     def sample_like(self, rng: random.Random, a: DimElement) -> DimElement:
         """A random element of the same slice as `a`, built by refreshing
@@ -216,7 +192,7 @@ class FreeDimModule:
         return f"{body} @ {a.dim}"
 
 
-def module_axiom_report(m: FreeDimModule, rng=None, probes: int = 40) -> CheckReport:
+def module_axiom_report(m: FreeDimModule, rng=None) -> CheckReport:
     """The four module axioms plus the dimension-action law, on probes."""
     rng = rng or random.Random(11)
     rep = CheckReport(f"module axioms for {m.label}")
@@ -240,14 +216,15 @@ def module_axiom_report(m: FreeDimModule, rng=None, probes: int = 40) -> CheckRe
         if not m.eq(m.act(ring.mul(r, q), a), m.act(r, m.act(q, a))):
             return f"(rq)a != r(qa) at {r}, {q}, {show(a)}"
 
-    cases = [draw() for _ in range(probes)]
+    cases = [draw() for _ in range(40)]
     rep.law("r(a+b) = ra + rb", cases, distributive)
     rep.law("(r+p)a = ra + pa", cases, additive)
     rep.law("(rq)a = r(qa)", cases, associative)
     rep.law("1·a = a", cases,
             lambda a, *_: not m.eq(m.act(ring.one, a), a) and f"1·a != a at {show(a)}")
+    dim_map = m.along.dim_map if m.along else (lambda g: g)
     rep.law("dim of action is the monoid action", cases,
-            lambda a, b, r, *_: m.act(r, a).dim != m.gset.act(r.dim, a.dim)
+            lambda a, b, r, *_: m.act(r, a).dim != m.gset.act(dim_map(r.dim), a.dim)
             and f"dim(r·a) != g·d at {r}, {show(a)}")
     return rep
 
@@ -288,13 +265,13 @@ class TwistedLinearMap:
 
     def dim_map(self, d):
         """The twisted-equivariant dimension map the basis images determine."""
-        payload = self.src.gset.payload
+        monoid = self.src.gset.monoid
         for name, bd in self.src.basis:
-            if bd[1] != d[1] or not payload.is_group:
+            if bd[1] != d[1] or not monoid.is_group:
                 continue
-            shift = payload.combine(d[0], payload.inverse(bd[0]))
+            shift = monoid.combine(d[0], monoid.inverse(bd[0]))
             img = self.images[name]
-            return self.dst.gset.place(self.coeff_mor.dim_map(shift), img.dim)
+            return self.dst.gset.act(self.coeff_mor.dim_map(shift), img.dim)
         raise CarrierError(f"cannot transport dimension {d!r}")
 
     def apply(self, a: DimElement) -> DimElement:
@@ -355,7 +332,6 @@ def linear_map_check(
     images: dict,
     ring_mor: "RingMorphism | None" = None,
     rng=None,
-    probes: int = 30,
 ) -> LinearMapCheck:
     """Validate a candidate (twisted-)linear map given on the basis.
 
@@ -370,7 +346,7 @@ def linear_map_check(
             lambda name, img: not dst.gset.contains(img.dim)
             and f"image of {name!r} has no valid dimension")
 
-    payload = src.gset.payload
+    monoid = src.gset.monoid
     by_orbit: dict = {}
     for name, bd in src.basis:
         by_orbit.setdefault(bd[1], []).append((name, bd))
@@ -380,12 +356,12 @@ def linear_map_check(
         if len(img_orbits) > 1:
             return (f"orbit {orbit!r} scattered across image orbits "
                     f"{sorted(map(repr, img_orbits))}")
-        if not payload.is_group:
+        if not monoid.is_group:
             return None
         ref_name, ref_dim = members[0]
         for name, bd in members[1:]:
-            shift = payload.combine(bd[0], payload.inverse(ref_dim[0]))
-            expect = dst.gset.place(ring_mor.dim_map(shift), images[ref_name].dim)
+            shift = monoid.combine(bd[0], monoid.inverse(ref_dim[0]))
+            expect = dst.gset.act(ring_mor.dim_map(shift), images[ref_name].dim)
             if images[name].dim != expect:
                 return (f"image of {name!r} sits in slice {images[name].dim!r}, "
                         f"not the equivariant slice {expect!r}")
@@ -409,7 +385,7 @@ def linear_map_check(
         if not dst.eq(candidate(src.add(a, b)), dst.add(candidate(a), candidate(b))):
             return f"Phi(a+b) != Phi(a)+Phi(b) at {src.show(a)}, {src.show(b)}"
 
-    cases = [draw() for _ in range(probes)]
+    cases = [draw() for _ in range(30)]
     rep.law("linearity over the ring", cases, linear)
     rep.law("additive within slices", cases, additive)
     ok = rep.ok
@@ -429,15 +405,12 @@ class ModuleSum:
 
 
 def direct_sum_mod(a: FreeDimModule, b: FreeDimModule) -> ModuleSum:
-    if a.ring is not b.ring:
-        raise CarrierError("direct sum needs one base ring")
-    if not a.gset.same_as(b.gset):
+    if a.ring is not b.ring or a.along is not b.along:
+        raise CarrierError("direct sum needs one base ring acting through one morphism")
+    if a.gset != b.gset:
         raise DimensionMismatch(a.gset.orbits, b.gset.orbits, "direct_sum_mod")
     basis = [((0, n), d) for n, d in a.basis] + [((1, n), d) for n, d in b.basis]
-    out = FreeDimModule(
-        a.ring, a.gset, basis, f"{a.label}(+){b.label}",
-        coeff_ring=a.coeff_ring, coeff_map=a.coeff_map,
-    )
+    out = FreeDimModule(a.ring, a.gset, basis, f"{a.label}(+){b.label}", a.along)
     ident = RingMorphism.identity(a.ring)
     li = TwistedLinearMap(
         a, out, ident, {n: out.basis_element((0, n)) for n, _ in a.basis}, "inl"
@@ -467,16 +440,13 @@ class ModuleTensor:
 
 
 def tensor_mod(a: FreeDimModule, b: FreeDimModule) -> ModuleTensor:
-    if a.ring is not b.ring:
-        raise CarrierError("tensor product needs one base ring")
+    if a.ring is not b.ring or a.along is not b.along:
+        raise CarrierError("tensor product needs one base ring acting through one morphism")
     gt = gset_tensor(a.gset, b.gset)
     basis = [
         ((na, nb), gt.eta(da, db)) for na, da in a.basis for nb, db in b.basis
     ]
-    out = FreeDimModule(
-        a.ring, gt.gset, basis, f"{a.label}(x){b.label}",
-        coeff_ring=a.coeff_ring, coeff_map=a.coeff_map,
-    )
+    out = FreeDimModule(a.ring, gt.gset, basis, f"{a.label}(x){b.label}", a.along)
     return ModuleTensor(out, gt)
 
 
@@ -493,7 +463,6 @@ def bilinear_factorization(
     c: FreeDimModule,
     phi: Callable,
     rng=None,
-    probes: int = 25,
 ) -> FactorizationResult:
     """Try to factor a two-argument map through the tensor product.
 
@@ -515,7 +484,7 @@ def bilinear_factorization(
 
     def draws():
         # lazy: the additivity probe x2 is drawn between two of these draws
-        for _ in range(probes):
+        for _ in range(25):
             yield a.sample(rng), b.sample(rng), ring.sample(rng)
 
     def factors(x, y, r):
@@ -600,20 +569,9 @@ def rig_distributivity_witness(
 def pullback_module(phi: RingMorphism, a: FreeDimModule, label: str = "") -> FreeDimModule:
     """The same carrier as a module over the morphism's domain:
     p·x := phi(p)·x, the new monoid acting through the dimension map."""
-    gset = GSet(
-        phi.domain.dims.monoid,
-        a.gset.orbits,
-        payload=a.gset.payload,
-        hom=lambda h: a.gset.hom(phi.dim_map(h)),
-        hom_label=f"{a.gset.hom_label}∘{phi.label}",
-    )
+    along = a.along.compose(phi) if a.along else phi
     return FreeDimModule(
-        phi.domain,
-        gset,
-        a.basis,
-        label or f"{phi.label}*{a.label}",
-        coeff_ring=a.coeff_ring,
-        coeff_map=lambda p: a.coeff_map(phi(p)),
+        phi.domain, a.gset, a.basis, label or f"{phi.label}*{a.label}", along
     )
 
 
@@ -672,12 +630,9 @@ def quotient_module(
             multipliers[name].append(coeff)
 
     def generates(gens, x) -> bool:
-        if ring.is_zero(x):
-            return True
-        hook = getattr(ring, "monomial_ideal_contains", None)
-        if hook is not None:
-            return hook(gens, x)
-        return False
+        return ring.is_zero(x) or (
+            isinstance(ring, GradedPolyRing) and ring.monomial_ideal(gens).contains(x)
+        )
 
     kept = [name for name, _ in a.basis if name not in dropped]
     for name in kept:
@@ -719,7 +674,7 @@ def span_contains(m: FreeDimModule, generators, elem: DimElement) -> bool:
     """
     names = sorted(m.basis_dim, key=repr)
     index = {n: i for i, n in enumerate(names)}
-    payload = m.gset.payload
+    monoid = m.gset.monoid
 
     def coords(x: DimElement):
         v = [Fraction(0)] * len(names)
@@ -733,7 +688,7 @@ def span_contains(m: FreeDimModule, generators, elem: DimElement) -> bool:
     for gen in generators:
         if gen.dim[1] != elem.dim[1]:
             continue
-        shift = payload.combine(elem.dim[0], payload.inverse(gen.dim[0]))
+        shift = monoid.combine(elem.dim[0], monoid.inverse(gen.dim[0]))
         r = DimElement(Fraction(1), shift)
         rows.append(coords(m.coeff_act(r, gen)))
     if not rows:

@@ -33,16 +33,14 @@ def round_half_even(x: Fraction) -> int:
 
 
 def _floor_log10(x: Fraction) -> int:
-    """floor(log10(x)) for x > 0, computed exactly."""
-    e = 0
-    if x >= 1:
-        while x >= 10:
-            x /= 10
-            e += 1
-    else:
-        while x < 1:
-            x *= 10
-            e -= 1
+    """floor(log10(x)) for x > 0, computed exactly: the difference of the
+    bit lengths times log10(2) is within one of it, and comparisons with
+    powers of ten settle it."""
+    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 30103 // 100000
+    while x < Fraction(10) ** e:
+        e -= 1
+    while x >= Fraction(10) ** (e + 1):
+        e += 1
     return e
 
 

@@ -209,19 +209,6 @@ class GradedPolyRing(DimRing):
     def monomial_divides(self, alpha, beta) -> bool:
         return all(x <= y for x, y in zip(alpha, beta))
 
-    def monomial_ideal_contains(self, gens, x: DimElement) -> bool:
-        """Membership in the monomial ideal the generators span: every
-        monomial of x must be divisible by some generator monomial."""
-        gen_alphas = []
-        for g in gens:
-            if len(g.value) != 1:
-                raise CarrierError("monomial ideal generators must be monomials")
-            gen_alphas.append(g.value[0][0])
-        return all(
-            any(self.monomial_divides(ga, al) for ga in gen_alphas)
-            for al, _ in x.value
-        )
-
     def monomial_ideal(self, gens) -> Ideal:
         """The ideal of everything divisible by one of the generator
         monomials, with the normal form that drops exactly those terms.

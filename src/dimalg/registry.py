@@ -172,14 +172,40 @@ def parse_expr(src: str, reg: UnitRegistry):
     return parse_quantity_expr(src, known_symbol=lambda s: s in reg.units)
 
 
+# The most bits a value's numerator or denominator may have.  Any value
+# within it renders in well under a second; nested powers such as
+# (2^1000)^1000 would otherwise evaluate at once and never finish printing.
+MAX_VALUE_BITS = 2**18
+
+
+def _require_bits(bits: int) -> None:
+    if bits > MAX_VALUE_BITS:
+        raise InputFormatError(f"a value has more than {MAX_VALUE_BITS} bits")
+
+
+def _bits(q: Quantity) -> int:
+    x = q.element.value
+    return max(x.numerator.bit_length(), x.denominator.bit_length())
+
+
 def eval_expr(tree, reg: UnitRegistry) -> Quantity:
     """Evaluate a parsed tree to an exact Quantity.
 
     Every leaf becomes a coherent power-ring element; additions use the
     ring's partial addition (the display unit of a sum is the left
-    operand's); multiplication and division are total.
+    operand's); multiplication and division are total.  A result beyond
+    MAX_VALUE_BITS is an InputFormatError, and a power that must exceed
+    it is refused before it is computed.
     """
     ring = reg.ring
+
+    def bounded(op):
+        def run(a, b):
+            q = op(a, b)
+            _require_bits(_bits(q))
+            return q
+
+        return run
 
     def num(v):
         return Quantity(ring.scalar(v), ())
@@ -213,9 +239,10 @@ def eval_expr(tree, reg: UnitRegistry) -> Quantity:
         )
 
     def power(a, n):
+        _require_bits(abs(n) * (_bits(a) - 1) + 1)  # the fewest bits a^n can have
         return Quantity(ring.pow(a.element, n), _unit_pow(a.unit, n))
 
-    return eval_tree(tree, num, sym, add, sub, mul, div, power)
+    return eval_tree(tree, num, sym, *map(bounded, (add, sub, mul, div, power)))
 
 
 def evaluate(src: str, reg: UnitRegistry) -> Quantity:

@@ -257,7 +257,7 @@ class RingMorphism:
             f"{self.label}∘{other.label}",
         )
 
-    def check(self, rng: random.Random, probes: int = 40) -> CheckReport:
+    def check(self, rng: random.Random) -> CheckReport:
         """Morphism laws on random probes: the dimension square commutes,
         addition within slices, multiplication, and the unit."""
         rep = CheckReport(f"morphism {self.label}")
@@ -275,7 +275,7 @@ class RingMorphism:
             if not cod.eq(self(dom.mul(a, c)), cod.mul(self(a), self(c))):
                 return f"multiplicativity fails at {a}, {c}"
 
-        cases = [draw() for _ in range(probes)]
+        cases = [draw() for _ in range(40)]
         rep.law("dimension square commutes", cases,
                 lambda a, *_: self(a).dim != self.dim_map(a.dim)
                 and f"dim({self.label}({a})) != phi({a.dim})")
@@ -482,34 +482,37 @@ def whole_ideal(ring: DimRing) -> Ideal:
 class QuotientDimRing(DimRing):
     """Elements are normal forms of the base ring; ops compute then reduce."""
 
-    def __init__(self, base: DimRing, ideal: Ideal, rng=None, probes: int = 30):
+    def __init__(self, base: DimRing, ideal: Ideal, rng=None):
         self.base = base
         self.ideal = ideal
         self.dims = base.dims
         self.commutative = base.commutative
         self.label = f"{base.label}/I"
-        self._validate(rng or random.Random(20240501), probes)
+        self._validate(rng or random.Random(20240501))
 
-    def _validate(self, rng, probes):
-        nf = self.ideal.normal_form
-        base = self.base
-        for _ in range(probes):
+    def _validate(self, rng):
+        """The normal-form and ideal laws on 30 probes; the first witness
+        rejects the construction."""
+        nf, base, ideal = self.ideal.normal_form, self.base, self.ideal
+
+        def draw():
             a = base.sample(rng)
-            b = base.sample(rng, dim=a.dim)
-            c = base.sample(rng)
-            if not base.eq(nf(base.add(a, b)), nf(base.add(nf(a), nf(b)))):
-                raise ConstructionError(
-                    f"normal form is not additive at {a}, {b}; construction rejected"
-                )
-            if not base.eq(nf(base.mul(a, c)), nf(base.mul(nf(a), nf(c)))):
-                raise ConstructionError(
-                    f"normal form is not multiplicative at {a}, {c}"
-                )
-            for i in self.ideal.generators:
-                if not self.ideal.contains(base.mul(c, i)):
-                    raise ConstructionError(
-                        f"ideal law fails: {c} * {i} leaves the ideal"
-                    )
+            return a, base.sample(rng, dim=a.dim), base.sample(rng)
+
+        rep = CheckReport(f"quotient {self.label}")
+        cases = [draw() for _ in range(30)]
+        rep.law("normal form is additive", cases, lambda a, b, c:
+                not base.eq(nf(base.add(a, b)), nf(base.add(nf(a), nf(b))))
+                and f"normal form is not additive at {a}, {b}; construction rejected")
+        rep.law("normal form is multiplicative", cases, lambda a, b, c:
+                not base.eq(nf(base.mul(a, c)), nf(base.mul(nf(a), nf(c))))
+                and f"normal form is not multiplicative at {a}, {c}")
+        products = [(c, i) for *_, c in cases for i in ideal.generators]
+        rep.law("ideal absorbs products", products, lambda c, i:
+                not ideal.contains(base.mul(c, i))
+                and f"ideal law fails: {c} * {i} leaves the ideal")
+        if not rep.ok:
+            raise ConstructionError(rep.failures[0].witness)
 
     def project(self, a: DimElement) -> DimElement:
         return self.ideal.normal_form(a)

@@ -179,7 +179,7 @@ def test_criterion_5_quotient_projections_are_morphisms():
         )
         qgen = ideal.generators[0]
         gens = [
-            module.element(gs.place(qgen.dim, module.basis_dim[n]), {n: qgen})
+            module.element(gs.act(qgen.dim, module.basis_dim[n]), {n: qgen})
             for n in ("e", "f")
         ]
         qm = quotient_module(module, gens, ideal, rng)

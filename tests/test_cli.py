@@ -1,12 +1,13 @@
 import json
 import time
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from dimalg.cli import main
+from dimalg.registry import MAX_VALUE_BITS
 
 DATA = Path(__file__).parent / "data"
 REPO = Path(__file__).parent.parent / "data"
@@ -106,6 +107,25 @@ class TestBoundedInputs:
         r = runner.invoke(main, args + ["--registry", REGISTRY])
         assert r.exit_code == 2, r.output
         assert r.stderr.splitlines() == ["error: division by zero"]
+
+    @pytest.mark.parametrize("expr", ["(2^1000)^1000 m", "*".join(["2^1000"] * 300) + " m"],
+                             ids=["nested-power", "300-factor-product"])
+    def test_values_beyond_the_bit_bound_exit_2_at_once(self, runner, expr):
+        start = time.perf_counter()
+        r = runner.invoke(main, ["eval", expr, "--registry", REGISTRY])
+        assert time.perf_counter() - start < 1.0
+        assert r.exit_code == 2, r.output
+        assert r.stderr.splitlines() == [f"error: a value has more than {MAX_VALUE_BITS} bits"]
+
+    def test_a_nested_power_within_the_bound_renders_at_once(self, runner):
+        with localcontext() as ctx:
+            ctx.prec = 4  # rounding half-even, as the default rendering
+            expect = f"{+Decimal(2**100000):f} m"
+        start = time.perf_counter()
+        r = runner.invoke(main, ["eval", "(2^1000)^100 m", "--registry", REGISTRY])
+        assert time.perf_counter() - start < 1.0
+        assert r.exit_code == 0, r.output
+        assert r.output.strip() == expect
 
     def test_a_sum_of_1000_terms(self, runner):
         r = runner.invoke(main, ["eval", " + ".join(["1 m"] * 1000), "--registry", REGISTRY])

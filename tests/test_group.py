@@ -19,6 +19,7 @@ from dimalg import (
 )
 from dimalg.carriers import Cyclic, Pairs, Rationals, SliceMap
 from dimalg.errors import CarrierError
+from dimalg.group import whole_subgroup
 
 
 @pytest.fixture
@@ -195,6 +196,17 @@ class TestKernelsAndQuotients:
         for inject in (ds.inject_left, ds.inject_right):
             k = kernel(inject)
             assert k.elements("d") == (0,) and k.elements("e") == (0,)
+
+    def test_zero_map_kernel_and_whole_quotient_of_a_large_slice(self):
+        g = DimAbGroup.from_dict({"d": Cyclic(400)})
+        start = time.perf_counter()
+        k = kernel(DimMap.zero_over(g, g, lambda d: d))
+        assert time.perf_counter() - start < 0.1
+        assert k.contains(g.element(399, "d"))
+        start = time.perf_counter()
+        q = quotient_group(g, whole_subgroup(g))
+        assert time.perf_counter() - start < 0.1
+        assert q.projection.apply(g.element(7, "d")) == q.group.zero("d")
 
     def test_non_subgroup_rejected(self):
         from dimalg.carriers import finite_subgroup

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from dimalg import (
+    CarrierError,
     ConstructionError,
     DimensionMismatch,
     FreeDimModule,
@@ -136,6 +137,12 @@ class TestSumsAndTensors:
         e = GSet(g, orbits=("x", "y", "z"))
         t = gset_tensor(d, e)
         assert len(t.gset.orbits) == 6
+
+    def test_gsets_compare_by_value(self, ring):
+        g = ring.dims.monoid
+        assert GSet(g, ("a", "b")) == GSet(g, orbits=["a", "b"])
+        assert GSet(g, ("a",)) != GSet(g, ("b",))
+        assert GSet(g, ("a",)) != GSet(DimMonoid.trivial(), ("a",))
 
     def test_gset_tensor_single_orbit_is_the_group(self, ring):
         g = ring.dims.monoid
@@ -338,6 +345,38 @@ class TestPullback:
             assert rank2.eq(lhs(x), rhs(x))
             assert rank2.eq(ident_pull(x), x)
 
+    @staticmethod
+    def _scaled_inclusion(q, ring, factor):
+        """Q -> QxZ, x |-> factor·x in the dimensionless slice, under the
+        default morphism label."""
+        return RingMorphism(
+            q, ring, lambda d: (0,), lambda a: ring.element(factor * a.value, (0,))
+        )
+
+    def test_mixed_pullbacks_are_refused(self, ring, rank2):
+        """Pullbacks along two morphisms with one label are different modules:
+        a sum of them would have a right injection that is not linear."""
+        q = ProductDimRing(RationalScalars(), DimMonoid.trivial(), label="Q")
+        incl = self._scaled_inclusion(q, ring, 1)
+        double = self._scaled_inclusion(q, ring, 2)
+        a, b = pullback_module(incl, rank2), pullback_module(double, rank2)
+        with pytest.raises(CarrierError):
+            direct_sum_mod(a, b)
+        with pytest.raises(CarrierError):
+            tensor_mod(a, b)
+
+    def test_pullbacks_along_one_morphism_sum_and_tensor(self, ring, rank2, rng):
+        q = ProductDimRing(RationalScalars(), DimMonoid.trivial(), label="Q")
+        incl = self._scaled_inclusion(q, ring, 1)
+        a, b = pullback_module(incl, rank2), pullback_module(incl, rank2)
+        total = direct_sum_mod(a, b)
+        assert module_axiom_report(total.module, rng).ok
+        assert module_axiom_report(tensor_mod(a, b).module, rng).ok
+        r = q.element(F(3), ())
+        x = b.basis_element("e")
+        assert total.module.eq(total.inject_right(b.act(r, x)),
+                               total.module.act(r, total.inject_right(x)))
+
 
 class TestQuotientModule:
     def test_quotient_by_everything_is_trivial(self, ring, rank2, rng):
@@ -363,7 +402,7 @@ class TestQuotientModule:
         ideal = ring.monomial_ideal(["q"])
         qgen = ideal.generators[0]
         gens = [
-            mod.element(gs.place(qgen.dim, mod.basis_dim[n]), {n: qgen})
+            mod.element(gs.act(qgen.dim, mod.basis_dim[n]), {n: qgen})
             for n in ("e", "f")
         ]
         qm = quotient_module(mod, gens, ideal, rng)
@@ -382,7 +421,7 @@ class TestQuotientModule:
         mod = FreeDimModule(ring, gs, [("e", ((0,), "i"))], "A")
         ideal = ring.monomial_ideal(["q"])
         qgen = ideal.generators[0]
-        gens = [mod.element(gs.place(qgen.dim, mod.basis_dim["e"]), {"e": qgen})]
+        gens = [mod.element(gs.act(qgen.dim, mod.basis_dim["e"]), {"e": qgen})]
         qm = quotient_module(mod, gens, ideal, rng)
         for _ in range(20):
             r = ring.sample(rng)
@@ -407,7 +446,7 @@ class TestQuotientModule:
         ideal = ring.monomial_ideal(["q"])
         qgen = ideal.generators[0]
         # submodule only covers e, so I·f is not inside S
-        gens = [mod.element(gs.place(qgen.dim, mod.basis_dim["e"]), {"e": qgen})]
+        gens = [mod.element(gs.act(qgen.dim, mod.basis_dim["e"]), {"e": qgen})]
         with pytest.raises(ConstructionError) as exc:
             quotient_module(mod, gens, ideal, rng)
         assert "'f'" in str(exc.value)

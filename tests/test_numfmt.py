@@ -1,10 +1,10 @@
-from decimal import Decimal
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dimalg.numfmt import MAX_DIGITS, format_rational, int_str, round_half_even
+from dimalg.numfmt import MAX_DIGITS, _floor_log10, format_rational, int_str, round_half_even
 
 
 class TestRoundHalfEven:
@@ -65,6 +65,27 @@ class TestFormatRational:
     def test_formatting_already_rounded_is_idempotent(self, x, digits):
         once = format_rational(x, digits)
         assert format_rational(F(once), digits) == once
+
+
+def _decimal_floor_log10(x: F) -> int:
+    """The exponent of x's leading digit: a quotient rounded toward zero
+    stays within the decade of the exact one."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = 30, ROUND_FLOOR
+        return (Decimal(x.numerator) / Decimal(x.denominator)).adjusted()
+
+
+class TestFloorLog10:
+    @given(st.integers(1, 2**5000), st.integers(1, 2**5000))
+    def test_matches_a_decimal_oracle(self, n, d):
+        for x in (F(n, d), F(n), F(1, d)):
+            assert _floor_log10(x) == _decimal_floor_log10(x)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 300, 5000])
+    def test_next_to_powers_of_ten(self, k):
+        for x in (F(10**k), F(10**k - 1), F(10**k + 1), F(10**k, 10**k - 1)):
+            for y in (x, 1 / x):
+                assert _floor_log10(y) == _decimal_floor_log10(y)
 
 
 class TestIntStr:
