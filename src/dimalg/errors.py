@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the JSON reader and
-field check that raise InputFormatError."""
+"""Exception types shared across the package, and the JSON reader, field
+check and value bound that raise InputFormatError."""
 
 import json
 import reprlib
@@ -55,6 +55,21 @@ class UnknownSymbolError(ExprSyntaxError):
 
 class InputFormatError(DimAlgError):
     """A registry/structure/poisson document is malformed (distinct from axiom failures)."""
+
+
+# The most bits a value's numerator or denominator may have.  Any value
+# within it renders in well under a second; nested powers such as
+# (2^1000)^1000 would otherwise evaluate at once and never finish printing.
+MAX_VALUE_BITS = 2**18
+
+
+def require_bits(x, power: int = 1) -> None:
+    """Refuse the rational x, or x**power before it is computed, when the
+    result must have more than MAX_VALUE_BITS bits: x**n has at least
+    |n|·(bits(x) − 1) + 1 of them."""
+    bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+    if abs(power) * (bits - 1) + 1 > MAX_VALUE_BITS:
+        raise InputFormatError(f"a value has more than {MAX_VALUE_BITS} bits")
 
 
 _NAMES = {

@@ -23,6 +23,13 @@ def int_str(n: int) -> str:
     return int_str(hi) + int_str(lo).zfill(m)
 
 
+def fraction_str(x: Fraction) -> str:
+    """str(x) for a rational of any length."""
+    if x.denominator == 1:
+        return int_str(x.numerator)
+    return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
+
+
 def round_half_even(x: Fraction) -> int:
     """Nearest integer to x, ties going to the even neighbour."""
     q, r = divmod(x.numerator, x.denominator)

@@ -15,9 +15,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add as _add
 
 from .algebra import jacobiator
-from .errors import CarrierError, ConstructionError, InputFormatError
+from .errors import CarrierError, ConstructionError, DimensionMismatch, InputFormatError
 from .group import DimElement
 from .linalg import nullspace
 from .poly import GradedPolyRing
@@ -38,13 +39,15 @@ class DimPoisson:
 
     def bracket(self, f: DimElement, g: DimElement) -> DimElement:
         """Biderivation extension of the structure-constant table; the
-        result sits in the slice b + dim(f) + dim(g)."""
+        result sits in the slice b + dim(f) + dim(g).  One pass: every
+        term of every d_i f * d_j g * {x_i, x_j} goes into one sum, built
+        once; a pair whose term lands in another slice (a misplaced
+        structure constant) raises DimensionMismatch."""
         ring = self.ring
-        out = ring.zero(
-            tuple(b + x + y for b, x, y in zip(self.bracket_dim, f.dim, g.dim))
-        )
+        dim = tuple(b + x + y for b, x, y in zip(self.bracket_dim, f.dim, g.dim))
         partials_f = {}
         partials_g = {}
+        acc: dict = {}
         for i, ni in enumerate(ring.gen_names):
             for j, nj in enumerate(ring.gen_names):
                 if i == j:
@@ -59,8 +62,17 @@ class DimPoisson:
                 df, dg = partials_f[ni], partials_g[nj]
                 if not df.value or not dg.value:
                     continue
-                out = ring.add(out, ring.mul(ring.mul(df, dg), t))
-        return out
+                pair_dim = tuple(x + y + z for x, y, z in zip(df.dim, dg.dim, t.dim))
+                if pair_dim != dim:
+                    raise DimensionMismatch(dim, pair_dim, ring.label)
+                for al, ca in df.value:
+                    for bl, cb in dg.value:
+                        ab, cab = tuple(map(_add, al, bl)), ca * cb
+                        for tl, ct in t.value:
+                            key = tuple(map(_add, ab, tl))
+                            c = cab * ct
+                            acc[key] = acc[key] + c if key in acc else c
+        return ring._of(acc, dim)
 
 
 def make_poisson(
@@ -267,25 +279,25 @@ class ReducedPoisson:
         by_degree: dict = {}
         for dim, alphas in ring.monomial_index(self.cutoff).items():
             for alpha in alphas:
-                if not self.ideal.contains(ring.monomial(alpha)):
-                    by_degree.setdefault(sum(alpha), {}).setdefault(dim, []).append(alpha)
+                m = ring.monomial(alpha)
+                if not self.ideal.contains(m):
+                    by_degree.setdefault(sum(alpha), {}).setdefault(dim, []).append(m)
         for deg in range(0, self.cutoff + 1):
-            for dim, alphas in sorted(by_degree.get(deg, {}).items()):
+            for dim, monos in sorted(by_degree.get(deg, {}).items()):
                 # rows: one linear condition per (ideal generator, residual monomial)
                 conditions: dict = {}
-                for col, alpha in enumerate(alphas):
-                    m = ring.monomial(alpha)
+                for col, m in enumerate(monos):
                     for g in self.ideal.generators:
                         residual = nf(self.parent.bracket(m, g))
                         for beta, coeff in residual.value:
                             conditions.setdefault((g, beta), {})[col] = coeff
                 rows = [
-                    tuple(cond.get(c, Fraction(0)) for c in range(len(alphas)))
+                    tuple(cond.get(c, Fraction(0)) for c in range(len(monos)))
                     for cond in conditions.values()
                 ]
-                for vec in nullspace(rows, len(alphas)):
+                for vec in nullspace(rows, len(monos)):
                     terms = {
-                        alpha: c for alpha, c in zip(alphas, vec) if c != 0
+                        m.value[0][0]: c for m, c in zip(monos, vec) if c != 0
                     }
                     basis.append(ring.poly(terms, dim=dim))
         return tuple(basis)

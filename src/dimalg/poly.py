@@ -7,21 +7,31 @@ every stored element is homogeneous, addition rejects mixed dimensions,
 and multiplication adds dimensions.  Zero polynomials exist in every
 slice, so each slice is a (possibly infinite-dimensional) rational
 vector space containing at least its zero.
+
+`GradedPolyRing.poly` is the checked boundary: terms from outside (parsed
+documents, callers' dicts, samples) are validated there, each exponent
+tuple and the dimension of every monomial.  A sum, product or derivative
+of checked elements is homogeneous by construction, so results inside are
+trusted: `add`, `mul` and the Poisson bracket build theirs through `_of`,
+which only drops zero coefficients and sorts, and `partial`, whose terms
+come out distinct, nonzero and in order, builds its own directly.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from operator import add as _add
 
 from .errors import CarrierError, DimensionMismatch
 from .group import DimElement
 from .monoid import DimMonoid, DimSet
+from .numfmt import fraction_str
 from .ring import DimRing, Ideal
 from .sampling import rand_fraction
 
 
 def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(_add, a, b))
 
 
 def _exponents(nvars: int, budget: int):
@@ -112,6 +122,13 @@ class GradedPolyRing(DimRing):
             dim = (0,) * self.rank
         return DimElement(tuple(sorted(canon.items())), tuple(dim))
 
+    @staticmethod
+    def _of(acc: dict, dim: tuple) -> DimElement:
+        """An internal result, trusted: `acc` maps exponent tuples to
+        Fraction coefficients whose monomials all sit at `dim`.  Zero
+        coefficients are dropped and the terms sorted; nothing is checked."""
+        return DimElement(tuple(sorted((a, c) for a, c in acc.items() if c)), dim)
+
     def monomial(self, alpha, coeff=1) -> DimElement:
         return self.poly({tuple(alpha): coeff})
 
@@ -128,8 +145,8 @@ class GradedPolyRing(DimRing):
             raise DimensionMismatch(a.dim, b.dim, self.label)
         acc = dict(a.value)
         for alpha, c in b.value:
-            acc[alpha] = acc.get(alpha, Fraction(0)) + c
-        return self.poly(acc, dim=a.dim)
+            acc[alpha] = acc[alpha] + c if alpha in acc else c
+        return self._of(acc, a.dim)
 
     def neg(self, a):
         return DimElement(tuple((al, -c) for al, c in a.value), a.dim)
@@ -139,10 +156,11 @@ class GradedPolyRing(DimRing):
 
     def mul(self, a, b):
         acc: dict = {}
-        for (al, ca), (bl, cb) in itertools.product(a.value, b.value):
-            key = _vec_add(al, bl)
-            acc[key] = acc.get(key, Fraction(0)) + ca * cb
-        return self.poly(acc, dim=_vec_add(a.dim, b.dim))
+        for al, ca in a.value:
+            for bl, cb in b.value:
+                key = _vec_add(al, bl)
+                acc[key] = acc[key] + ca * cb if key in acc else ca * cb
+        return self._of(acc, _vec_add(a.dim, b.dim))
 
     @property
     def one(self):
@@ -170,14 +188,11 @@ class GradedPolyRing(DimRing):
         """The partial derivative along a generator; the result sits in the
         slice shifted down by that generator's dimension."""
         i = self.index[name]
-        acc: dict = {}
-        for alpha, c in a.value:
-            if alpha[i] == 0:
-                continue
-            down = tuple(e - int(j == i) for j, e in enumerate(alpha))
-            acc[down] = acc.get(down, Fraction(0)) + c * alpha[i]
-        dim = tuple(x - y for x, y in zip(a.dim, self.gen_dims[i]))
-        return self.poly(acc, dim=dim) if acc else self.zero(dim)
+        # Lowering alpha[i] by one keeps distinct terms distinct and in
+        # order, and c * alpha[i] != 0: the terms are already canonical.
+        terms = tuple((alpha[:i] + (e - 1,) + alpha[i + 1:], c if e == 1 else c * e)
+                      for alpha, c in a.value if (e := alpha[i]))
+        return DimElement(terms, tuple(x - y for x, y in zip(a.dim, self.gen_dims[i])))
 
     # -- probing --------------------------------------------------------------------
     def sample_dim(self, rng: random.Random):
@@ -246,12 +261,12 @@ class GradedPolyRing(DimRing):
                 if e
             ]
             if not factors:
-                parts.append(str(c))
+                parts.append(fraction_str(c))
             elif c == 1:
                 parts.append("*".join(factors))
             elif c == -1:
                 parts.append("-" + "*".join(factors))
             else:
-                parts.append("*".join([str(c)] + factors))
+                parts.append("*".join([fraction_str(c)] + factors))
         out = " + ".join(parts)
         return out.replace("+ -", "- ")

@@ -13,11 +13,11 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, InputFormatError, load_json, typed_field
+from .errors import DimensionMismatch, InputFormatError, load_json, require_bits, typed_field
 from .exprparse import MAX_LITERAL_DIGITS, SYMBOL, eval_tree, parse_quantity_expr
 from .group import DimElement
 from .lines import Line, PowerRing
-from .numfmt import format_rational, int_str
+from .numfmt import format_rational, fraction_str
 
 
 @dataclass(frozen=True)
@@ -172,29 +172,13 @@ def parse_expr(src: str, reg: UnitRegistry):
     return parse_quantity_expr(src, known_symbol=lambda s: s in reg.units)
 
 
-# The most bits a value's numerator or denominator may have.  Any value
-# within it renders in well under a second; nested powers such as
-# (2^1000)^1000 would otherwise evaluate at once and never finish printing.
-MAX_VALUE_BITS = 2**18
-
-
-def _require_bits(bits: int) -> None:
-    if bits > MAX_VALUE_BITS:
-        raise InputFormatError(f"a value has more than {MAX_VALUE_BITS} bits")
-
-
-def _bits(q: Quantity) -> int:
-    x = q.element.value
-    return max(x.numerator.bit_length(), x.denominator.bit_length())
-
-
 def eval_expr(tree, reg: UnitRegistry) -> Quantity:
     """Evaluate a parsed tree to an exact Quantity.
 
     Every leaf becomes a coherent power-ring element; additions use the
     ring's partial addition (the display unit of a sum is the left
     operand's); multiplication and division are total.  A result beyond
-    MAX_VALUE_BITS is an InputFormatError, and a power that must exceed
+    errors.MAX_VALUE_BITS is an InputFormatError, and a power that must exceed
     it is refused before it is computed.
     """
     ring = reg.ring
@@ -202,7 +186,7 @@ def eval_expr(tree, reg: UnitRegistry) -> Quantity:
     def bounded(op):
         def run(a, b):
             q = op(a, b)
-            _require_bits(_bits(q))
+            require_bits(q.element.value)
             return q
 
         return run
@@ -239,7 +223,7 @@ def eval_expr(tree, reg: UnitRegistry) -> Quantity:
         )
 
     def power(a, n):
-        _require_bits(abs(n) * (_bits(a) - 1) + 1)  # the fewest bits a^n can have
+        require_bits(a.element.value, n)
         return Quantity(ring.pow(a.element, n), _unit_pow(a.unit, n))
 
     return eval_tree(tree, num, sym, *map(bounded, (add, sub, mul, div, power)))
@@ -285,9 +269,7 @@ def format_quantity(q: Quantity, reg: UnitRegistry, digits: int = 4, exact: bool
     v = display_value(q, reg)
     if not exact:
         body = format_rational(v, digits)
-    elif v.denominator == 1:
-        body = int_str(v.numerator)
     else:
-        body = f"{int_str(v.numerator)}/{int_str(v.denominator)}"
+        body = fraction_str(v)
     suffix = render_unit(q.unit)
     return f"{body} {suffix}".strip()

@@ -20,9 +20,10 @@ from .errors import (
     ExprSyntaxError,
     InputFormatError,
     load_json,
+    require_bits,
     typed_field,
 )
-from .exprparse import parse_poly_expr
+from .exprparse import eval_tree, parse_poly_expr
 from .group import DimElement
 from .monoid import DimMonoid, DimSet
 from .poisson import make_poisson
@@ -236,10 +237,25 @@ def check_structure(source, rng=None):
 
 
 def parse_poly(ring: GradedPolyRing, src: str) -> DimElement:
-    """Evaluate a polynomial expression over a graded ring's generators."""
+    """Evaluate a polynomial expression over a graded ring's generators.
+
+    A coefficient beyond errors.MAX_VALUE_BITS is an InputFormatError,
+    and a power that must exceed it is refused before it is computed."""
     tree = parse_poly_expr(src, known_symbol=lambda s: s in ring.index)
 
+    def bounded(op):
+        def run(a, b):
+            out = op(a, b)
+            for _, c in out.value:
+                require_bits(c)
+            return out
+
+        return run
+
     def power(base, n):
+        # the lex-first and lex-last terms of base^n are those of base to the n
+        for _, c in base.value[:1] + base.value[-1:]:
+            require_bits(c, n)
         if n >= 0:
             return ring.pow(base, n)
         if ring.is_unit(base):
@@ -252,17 +268,15 @@ def parse_poly(ring: GradedPolyRing, src: str) -> DimElement:
             raise CarrierError("division is only defined by nonzero constants")
         return ring.scale(1 / b.value[0][1], a)
 
-    from .exprparse import eval_tree
-
     return eval_tree(
         tree,
         leaf_number=ring.constant,
         leaf_symbol=lambda name, pos: ring.generator(name),
-        add=ring.add,
-        sub=ring.sub,
-        mul=ring.mul,
-        div=div,
-        power=power,
+        add=bounded(ring.add),
+        sub=bounded(ring.sub),
+        mul=bounded(ring.mul),
+        div=bounded(div),
+        power=bounded(power),
     )
 
 
@@ -286,7 +300,7 @@ def load_poisson(source, validate: bool = True, rng=None):
     def poly_of(text):
         try:
             return parse_poly(ring, text)
-        except (CarrierError, DimensionMismatch, ExprSyntaxError) as exc:
+        except (CarrierError, DimensionMismatch, ExprSyntaxError, InputFormatError) as exc:
             raise InputFormatError(f"bad polynomial {reprlib.repr(text)}: {exc}") from exc
 
     table = {}

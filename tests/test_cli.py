@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from dimalg.cli import main
-from dimalg.registry import MAX_VALUE_BITS
+from dimalg.errors import MAX_VALUE_BITS
 
 DATA = Path(__file__).parent / "data"
 REPO = Path(__file__).parent.parent / "data"
@@ -150,6 +150,31 @@ class TestBoundedInputs:
         assert time.perf_counter() - start < 1.0
         r = runner.invoke(main, command + ["--digits", "100000", "--registry", REGISTRY])
         assert r.exit_code == 0 and r.output.strip() == "1." + "0" * 99999 + " m"
+
+    def test_a_poisson_coefficient_beyond_the_bit_bound_exits_2_at_once(self, runner, tmp_path):
+        qp = REPO / "poisson" / "canonical_qp.json"
+        start = time.perf_counter()
+        r = runner.invoke(main, ["poisson", "bracket", str(qp), "(2^1000)^1000*q", "p"])
+        assert time.perf_counter() - start < 1.0
+        assert r.exit_code == 2, r.output
+        assert r.stderr.splitlines() == [f"error: a value has more than {MAX_VALUE_BITS} bits"]
+        doc = json.loads(qp.read_text())
+        doc["bracket"]["q,p"] = "(2^1000)^1000"
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        r = runner.invoke(main, ["poisson", "check", str(path)])
+        assert r.exit_code == 2, r.output
+        assert r.stderr.splitlines() == [
+            f"error: bad polynomial '(2^1000)^1000': a value has more than {MAX_VALUE_BITS} bits"]
+
+    def test_a_poisson_coefficient_beyond_the_str_digit_limit_prints(self, runner):
+        with localcontext() as ctx:
+            ctx.prec = 7000
+            expect = f"{Decimal(2) ** 20000:f}"  # 6021 digits
+        qp = str(REPO / "poisson" / "canonical_qp.json")
+        r = runner.invoke(main, ["poisson", "bracket", qp, "(2^1000)^20*q", "p"])
+        assert r.exit_code == 0, r.output
+        assert r.output.strip() == expect
 
     def test_a_bracket_polynomial_of_1000_terms(self, runner, tmp_path):
         doc = json.loads((REPO / "poisson" / "canonical_qp.json").read_text())

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from dimalg import (
     ConstructionError,
+    DimensionMismatch,
     GradedPolyRing,
     coisotrope_check,
     make_poisson,
@@ -52,6 +54,25 @@ class TestCanonicalBracket:
         for _ in range(20):
             f, g = ring.sample(rng), ring.sample(rng)
             assert canonical_poisson.bracket(f, g).dim == (f.dim[0] + g.dim[0],)
+
+    def test_misplaced_structure_constant_raises_in_the_bracket(self):
+        """Without validation, a bracket that reaches a constant off its
+        slice b+g_i+g_j raises the mismatch; other pairs still bracket."""
+        ring = GradedPolyRing(["q1", "p1", "q2", "p2"], [(1,), (-1,), (1,), (-1,)])
+        p = make_poisson(
+            ring,
+            {("q1", "p1"): ring.one, ("q2", "p2"): ring.generator("q2")},  # dim 1, not 0
+            bracket_dim=(0,),
+            validate=False,
+        )
+        gen = ring.generator
+        assert p.bracket(gen("q1"), gen("p1")) == ring.one
+        for f, g in [(gen("q2"), gen("p2")), (ring.mul(gen("q1"), gen("q2")), gen("p2"))]:
+            with pytest.raises(DimensionMismatch) as exc:
+                p.bracket(f, g)
+            expect = tuple(x + y for x, y in zip(f.dim, g.dim))
+            assert (exc.value.left, exc.value.right) == (expect, (expect[0] + 1,))
+            assert str(exc.value).startswith(f"{ring.label}: ")
 
     def test_broken_table_is_rejected_loudly(self, canonical_ring):
         with pytest.raises(ConstructionError):
@@ -131,6 +152,25 @@ class TestReduction:
         p2 = ring.generator("p2")
         assert red.bracket(q2, p2) == ring.one
         assert red.axiom_report(probes=10).ok
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("cutoff", [4, 6])
+    def test_canonical_reduction_sizes_match_the_closed_form(self, n, cutoff):
+        """On q1..qn, p1..pn with {qk, pk} = 1, reducing by (q1) leaves
+        exactly the monomials free of q1 and p1 up to the cutoff:
+        C(cutoff + 2n - 2, 2n - 2) of them."""
+        names = [f"{x}{k}" for k in range(1, n + 1) for x in "qp"]
+        dims = [(k,) if x == "q" else (-k,) for k in range(1, n + 1) for x in "qp"]
+        ring = GradedPolyRing(names, dims)
+        p = make_poisson(ring, {(f"q{k}", f"p{k}"): ring.one for k in range(1, n + 1)})
+        red = poisson_reduce(p, ["q1"], cutoff)
+        expect = sorted(
+            (0, 0) + rest
+            for rest in itertools.product(range(cutoff + 1), repeat=2 * n - 2)
+            if sum(rest) <= cutoff
+        )
+        assert len(red.basis) == len(expect) == math.comb(cutoff + 2 * n - 2, 2 * n - 2)
+        assert sorted(b.value for b in red.basis) == [((alpha, 1),) for alpha in expect]
 
     def test_bracket_descends(self, canonical_poisson, rng):
         """Changing a numerator representative by an ideal element does not

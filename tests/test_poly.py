@@ -5,7 +5,7 @@ from random import Random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dimalg import DimensionMismatch, GradedPolyRing, ring_axiom_report
+from dimalg import DimensionMismatch, GradedPolyRing, make_poisson, ring_axiom_report
 from dimalg.errors import CarrierError
 
 
@@ -17,6 +17,13 @@ class TestConstruction:
     def test_mixed_dimension_terms_rejected(self, canonical_ring):
         with pytest.raises(DimensionMismatch):
             canonical_ring.poly({(1, 0): F(1), (0, 1): F(1)})
+
+    def test_sums_across_slices_rejected(self, canonical_ring):
+        ring = canonical_ring
+        with pytest.raises(DimensionMismatch):
+            ring.add(ring.generator("q"), ring.generator("p"))
+        with pytest.raises(DimensionMismatch):  # zeros too: each belongs to its slice
+            ring.add(ring.zero((1,)), ring.zero((0,)))
 
     def test_zero_lives_in_every_slice(self, canonical_ring):
         z = canonical_ring.zero((5,))
@@ -202,3 +209,43 @@ class TestMonomialIndex:
         from_fractions = canonical_ring.poly({(2, 1): F(3), (1, 0): F(-1)})
         assert from_ints == from_fractions
         assert all(type(c) is F for _, c in from_ints.value)
+
+
+class TestTrustedResults:
+    """add, mul, partial, neg, scale and the Poisson bracket build their
+    results without re-validation; each must still be exactly what the
+    checked constructor poly() builds from the same terms."""
+
+    @staticmethod
+    def assert_canonical(ring, x):
+        assert x == ring.poly(dict(x.value), dim=x.dim)
+        alphas = [a for a, _ in x.value]
+        assert all(a < b for a, b in zip(alphas, alphas[1:]))  # strictly sorted
+        assert all(type(c) is F and c != 0 for _, c in x.value)
+        assert all(ring.monomial_dim(a) == x.dim for a in alphas)
+
+    @settings(max_examples=80, deadline=None)
+    @given(graded_rings(), st.integers(0, 2**32 - 1),
+           st.fractions(min_value=-5, max_value=5, max_denominator=6))
+    def test_results_are_canonical(self, ring_spec, seed, c):
+        ring, gen_dims, rank = ring_spec
+        rng = Random(seed)
+        f, g = ring.sample(rng), ring.sample(rng)
+        h = ring.sample(rng, dim=f.dim)
+        # structure constants sampled in their slices b + g_i + g_j, so the
+        # bracket meets polynomial constants and cancellation
+        b = tuple(rng.randint(-1, 1) for _ in range(rank))
+        table = {
+            (ring.gen_names[i], ring.gen_names[j]): ring.sample(
+                rng, dim=tuple(map(sum, zip(b, gen_dims[i], gen_dims[j]))))
+            for i, j in itertools.combinations(range(ring.nvars), 2)
+        }
+        p = make_poisson(ring, table, bracket_dim=b, validate=False)
+        results = [
+            ring.add(f, h), ring.add(f, ring.neg(f)), ring.add(f, ring.sub(h, f)),
+            ring.mul(f, g), ring.mul(f, ring.zero(g.dim)), ring.neg(f), ring.scale(c, f),
+            p.bracket(f, g), p.bracket(f, f), p.bracket(f, h),
+        ]
+        results += [ring.partial(f, n) for n in ring.gen_names]
+        for x in results:
+            self.assert_canonical(ring, x)

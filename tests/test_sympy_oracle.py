@@ -1,0 +1,147 @@
+"""sympy as an independent oracle for the polynomial and Poisson kernels.
+
+`GradedPolyRing.mul`, `partial` and the monomial-ideal normal form are
+checked against `sympy.Poly`, and `DimPoisson.bracket` against the sum
+over ordered generator pairs of d_i f * d_j g * {x_i, x_j}, computed by
+sympy from the structure constants alone.
+"""
+
+import itertools
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings, strategies as st
+
+from dimalg import GradedPolyRing, make_poisson, poisson_product_homo
+from dimalg.structure import load_poisson
+
+REPO_DATA = Path(__file__).parent.parent / "data"
+
+# generators over Z^2 whose dimensions are not all multiples of one another
+RING = GradedPolyRing(["x", "y", "u", "v"], [(1, 0), (-1, 0), (0, 1), (1, -1)])
+
+oracle = settings(derandomize=True, max_examples=40, deadline=None)
+coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def polys(ring, max_degree=3):
+    """Homogeneous polynomials of up to four terms: a dimension of the
+    ring's monomial index, then coefficients on monomials of it."""
+    index = ring.monomial_index(max_degree)
+    return st.sampled_from(sorted(index)).flatmap(
+        lambda d: st.dictionaries(st.sampled_from(index[d]), coeffs, max_size=4)
+        .map(lambda terms: ring.poly(terms, dim=d)))
+
+
+def symbols(ring):
+    return sympy.symbols(ring.gen_names)
+
+
+def to_sympy(ring, f):
+    terms = {a: sympy.Rational(c.numerator, c.denominator) for a, c in f.value}
+    return sympy.Poly.from_dict(terms, *symbols(ring), domain=sympy.QQ)
+
+
+def terms_of(poly):
+    return {a: Fraction(int(c.p), int(c.q)) for a, c in poly.as_dict().items()}
+
+
+def vec_sum(*vs):
+    return tuple(map(sum, zip(*vs)))
+
+
+@oracle
+@given(polys(RING), polys(RING))
+def test_mul_matches_sympy(f, g):
+    got = RING.mul(f, g)
+    assert dict(got.value) == terms_of(to_sympy(RING, f) * to_sympy(RING, g))
+    assert got.dim == vec_sum(f.dim, g.dim)
+
+
+@oracle
+@given(polys(RING), st.sampled_from(RING.gen_names))
+def test_partial_matches_sympy(f, name):
+    got = RING.partial(f, name)
+    assert dict(got.value) == terms_of(to_sympy(RING, f).diff(sympy.Symbol(name)))
+    assert got.dim == tuple(d - e for d, e in zip(f.dim, RING.gen_dims[RING.index[name]]))
+
+
+# ideal generators: the monomials of degree 1 and 2
+DIVISORS = [a for a in itertools.product(range(3), repeat=RING.nvars) if 1 <= sum(a) <= 2]
+
+
+@oracle
+@given(polys(RING), st.lists(st.sampled_from(DIVISORS), min_size=1, max_size=3))
+def test_monomial_ideal_normal_form_matches_sympy(f, alphas):
+    """The remainder of dividing by monomials keeps exactly the terms no
+    generator divides, whatever the division order."""
+    ideal = RING.monomial_ideal([RING.monomial(a) for a in alphas])
+    xs = symbols(RING)
+    divisors = [sympy.Mul(*(x ** e for x, e in zip(xs, a))) for a in alphas]
+    _, remainder = sympy.reduced(to_sympy(RING, f).as_expr(), divisors, *xs)
+    got = ideal.normal_form(f)
+    assert dict(got.value) == terms_of(sympy.Poly(remainder, *xs, domain=sympy.QQ))
+    assert got.dim == f.dim
+
+
+def sympy_bracket(p, f, g):
+    """sum over i != j of d_i f * d_j g * {x_i, x_j}, in sympy."""
+    ring = p.ring
+    xs = symbols(ring)
+    F, G = to_sympy(ring, f).as_expr(), to_sympy(ring, g).as_expr()
+    total = sum(
+        (sympy.diff(F, xs[i]) * sympy.diff(G, xs[j])
+         * to_sympy(ring, p.table[(ni, nj)]).as_expr()
+         for (i, ni), (j, nj) in itertools.permutations(enumerate(ring.gen_names), 2)),
+        sympy.Integer(0),
+    )
+    return sympy.Poly(total, *xs, domain=sympy.QQ)
+
+
+# Both algebras are built without their axiom suites, which run the
+# bracket under test: the oracle alone decides here.
+CANONICAL_4GEN, _ = load_poisson(REPO_DATA / "poisson" / "canonical_4gen.json", validate=False)
+
+# Structure constants z^2 w^3 and z w^4, not constants: the homogeneous
+# product of criterion 7's two scaled algebras, written out.
+_SP = GradedPolyRing(["a1", "a2", "z", "b1", "b2", "w"],
+                     [(1,), (-1,), (1,), (2,), (-2,), (1,)])
+SCALED_PRODUCT = make_poisson(
+    _SP,
+    {("a1", "a2"): _SP.monomial((0, 0, 2, 0, 0, 3)),
+     ("b1", "b2"): _SP.monomial((0, 0, 1, 0, 0, 4))},
+    product_dim=(4,), scale=_SP.monomial((0, 0, 1, 0, 0, 3)), validate=False,
+)
+
+
+def test_the_scaled_product_is_a_product_of_two_algebras():
+    az = GradedPolyRing(["a1", "a2", "z"], [(1,), (-1,), (1,)])
+    paz = make_poisson(az, {("a1", "a2"): az.monomial((0, 0, 2))},
+                       product_dim=(1,), scale=az.generator("z"))
+    bw = GradedPolyRing(["b1", "b2", "w"], [(2,), (-2,), (1,)])
+    pbw = make_poisson(bw, {("b1", "b2"): bw.monomial((0, 0, 4))},
+                       product_dim=(3,), scale=bw.monomial((0, 0, 3)))
+    prod = poisson_product_homo(paz, pbw)
+    assert prod.ring.gen_dims == _SP.gen_dims
+    assert (prod.table, prod.scale, prod.bracket_dim, prod.product_dim) == (
+        SCALED_PRODUCT.table, SCALED_PRODUCT.scale,
+        SCALED_PRODUCT.bracket_dim, SCALED_PRODUCT.product_dim)
+
+
+@pytest.mark.parametrize("p", [CANONICAL_4GEN, SCALED_PRODUCT],
+                         ids=["canonical_4gen", "scaled_product"])
+def test_bracket_matches_sympy(p):
+    ring = p.ring
+
+    @oracle
+    @given(polys(ring), polys(ring))
+    def check(f, g):
+        got = p.bracket(f, g)
+        assert dict(got.value) == terms_of(sympy_bracket(p, f, g))
+        assert got.dim == vec_sum(p.bracket_dim, f.dim, g.dim)
+
+    check()
