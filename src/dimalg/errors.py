@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the JSON reader, field
-check and value bound that raise InputFormatError."""
+check, value bound and term bound that raise InputFormatError."""
 
 import json
 import reprlib
@@ -70,6 +70,19 @@ def require_bits(x, power: int = 1) -> None:
     bits = max(x.numerator.bit_length(), x.denominator.bit_length())
     if abs(power) * (bits - 1) + 1 > MAX_VALUE_BITS:
         raise InputFormatError(f"a value has more than {MAX_VALUE_BITS} bits")
+
+
+# The most terms a polynomial product or power may have, counted before
+# it is computed: len(a)·len(b) for a product, C(t+n−1, n) for the n-th
+# power of a sum of t terms.
+MAX_POLY_TERMS = 1000
+
+
+def require_terms(count: int) -> None:
+    """Refuse a polynomial product or power that may have `count` terms
+    when that is more than MAX_POLY_TERMS."""
+    if count > MAX_POLY_TERMS:
+        raise InputFormatError(f"a polynomial may have more than {MAX_POLY_TERMS} terms")
 
 
 _NAMES = {

@@ -10,6 +10,7 @@ strings, and an optional monomial ideal.
 """
 
 import itertools
+import math
 import random
 import reprlib
 from fractions import Fraction
@@ -21,6 +22,7 @@ from .errors import (
     InputFormatError,
     load_json,
     require_bits,
+    require_terms,
     typed_field,
 )
 from .exprparse import eval_tree, parse_poly_expr
@@ -239,8 +241,9 @@ def check_structure(source, rng=None):
 def parse_poly(ring: GradedPolyRing, src: str) -> DimElement:
     """Evaluate a polynomial expression over a graded ring's generators.
 
-    A coefficient beyond errors.MAX_VALUE_BITS is an InputFormatError,
-    and a power that must exceed it is refused before it is computed."""
+    A coefficient beyond errors.MAX_VALUE_BITS, or a product or power
+    that may have more than errors.MAX_POLY_TERMS terms, is an
+    InputFormatError, refused before it is computed."""
     tree = parse_poly_expr(src, known_symbol=lambda s: s in ring.index)
 
     def bounded(op):
@@ -252,11 +255,17 @@ def parse_poly(ring: GradedPolyRing, src: str) -> DimElement:
 
         return run
 
+    def product(a, b):
+        require_terms(len(a.value) * len(b.value))
+        return ring.mul(a, b)
+
     def power(base, n):
         # the lex-first and lex-last terms of base^n are those of base to the n
         for _, c in base.value[:1] + base.value[-1:]:
             require_bits(c, n)
         if n >= 0:
+            # a sum of t monomials to the n has at most C(t+n-1, n) terms
+            require_terms(math.comb(max(len(base.value), 1) + n - 1, n))
             return ring.pow(base, n)
         if ring.is_unit(base):
             c = base.value[0][1]
@@ -274,13 +283,13 @@ def parse_poly(ring: GradedPolyRing, src: str) -> DimElement:
         leaf_symbol=lambda name, pos: ring.generator(name),
         add=bounded(ring.add),
         sub=bounded(ring.sub),
-        mul=bounded(ring.mul),
+        mul=bounded(product),
         div=bounded(div),
         power=bounded(power),
     )
 
 
-def load_poisson(source, validate: bool = True, rng=None):
+def load_poisson(source, validate: bool = True):
     """Build a DimPoisson (plus its declared ideal) from a JSON document."""
     doc = typed_field(load_json(source), dict, "a Poisson description")
     try:
@@ -327,7 +336,6 @@ def load_poisson(source, validate: bool = True, rng=None):
         bracket_dim=bracket_dim,
         product_dim=product_dim,
         scale=scale,
-        rng=rng,
         validate=validate,
     )
     return poisson, ideal

@@ -324,7 +324,7 @@ def test_criterion_7_poisson_suite():
         b_ring = GradedPolyRing(["q2", "p2"], [(1,), (-1,)])
         pa = make_poisson(a_ring, {("q1", "p1"): a_ring.one})
         pb = make_poisson(b_ring, {("q2", "p2"): b_ring.one})
-        prod = poisson_product_hetero(pa, pb, rng)
+        prod = poisson_product_hetero(pa, pb)
         pring = prod.ring
         canonical_pairs = {("q1", "p1"), ("q2", "p2")}
         for x, y in itertools.combinations(pring.gen_names, 2):
@@ -345,7 +345,7 @@ def test_criterion_7_poisson_suite():
             bw, {("b1", "b2"): bw.monomial((0, 0, 4))},
             product_dim=(3,), scale=bw.monomial((0, 0, 3)),
         )
-        accepted = poisson_product_homo(paz, pbw, rng)
+        accepted = poisson_product_homo(paz, pbw)
         assert accepted.bracket_dim == (5,)
 
         xy = GradedPolyRing(["x", "y", "u"], [(1,), (-1,), (1,)])
@@ -353,7 +353,7 @@ def test_criterion_7_poisson_suite():
         st_ring = GradedPolyRing(["s", "t"], [(1,), (-1,)])
         pst = make_poisson(st_ring, {("s", "t"): st_ring.one})
         with pytest.raises(ConstructionError):
-            poisson_product_homo(pxy, pst, rng)
+            poisson_product_homo(pxy, pst)
 
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.2f}s"

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from dimalg.cli import main
-from dimalg.errors import MAX_VALUE_BITS
+from dimalg.errors import MAX_POLY_TERMS, MAX_VALUE_BITS
 
 DATA = Path(__file__).parent / "data"
 REPO = Path(__file__).parent.parent / "data"
@@ -184,6 +184,16 @@ class TestBoundedInputs:
         r = runner.invoke(main, ["poisson", "bracket", str(path), "q", "p"])
         assert r.exit_code == 0, r.output
         assert r.output.strip() == "1000"
+
+    @pytest.mark.parametrize("expr", ["(q1+q2)^1000*(p1+p2)^300", "(q1+q2)^40*(p1+p2)^40"],
+                             ids=["power", "product"])
+    def test_a_polynomial_with_too_many_terms_exits_2_at_once(self, runner, expr):
+        start = time.perf_counter()
+        r = runner.invoke(main, ["poisson", "bracket", str(REPO / "poisson" / "canonical_4gen.json"),
+                                 expr, "q1"])
+        assert time.perf_counter() - start < 1.0
+        assert r.exit_code == 2, r.output
+        assert r.stderr.splitlines() == [f"error: a polynomial may have more than {MAX_POLY_TERMS} terms"]
 
 
 class TestConvert:

@@ -1,6 +1,9 @@
 import itertools
+import json
 import math
+import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +19,8 @@ from dimalg import (
     poisson_product_homo,
     poisson_reduce,
 )
+from dimalg.algebra import jacobiator
+from dimalg.structure import load_poisson
 
 small_vec = st.tuples(*[st.integers(-5, 5)] * 3)
 
@@ -210,7 +215,7 @@ class TestHeterogeneousProduct:
         b_ring = GradedPolyRing(["q2", "p2"], [(1,), (-1,)])
         pa = make_poisson(a_ring, {("q1", "p1"): a_ring.one})
         pb = make_poisson(b_ring, {("q2", "p2"): b_ring.one})
-        prod = poisson_product_hetero(pa, pb, rng)
+        prod = poisson_product_hetero(pa, pb)
         ring = prod.ring
         expect = {
             ("q1", "p1"): ring.one,
@@ -226,7 +231,7 @@ class TestHeterogeneousProduct:
         b_ring = GradedPolyRing(["x"], [(1,)])
         pa = make_poisson(a_ring, {("q1", "p1"): a_ring.one})
         pb = make_poisson(b_ring, {})  # zero bracket
-        prod = poisson_product_hetero(pa, pb, rng)
+        prod = poisson_product_hetero(pa, pb)
         ring = prod.ring
         assert ring.eq(
             prod.bracket(ring.generator("q1"), ring.generator("p1")), ring.one
@@ -239,7 +244,7 @@ class TestHeterogeneousProduct:
         b_ring = GradedPolyRing(["q2", "p2"], [(1,), (-1,)])
         pa = make_poisson(a_ring, {("q1", "p1"): a_ring.one})
         pb = make_poisson(b_ring, {("q2", "p2"): b_ring.one})
-        prod = poisson_product_hetero(pa, pb, rng)
+        prod = poisson_product_hetero(pa, pb)
         ring = prod.ring
         for _ in range(15):
             f = ring.sample(rng)
@@ -252,7 +257,7 @@ class TestHeterogeneousProduct:
         b_ring = GradedPolyRing(["q2", "p2"], [(1,), (-1,)])
         pa = make_poisson(a_ring, {("q1", "p1"): a_ring.one})
         pb = make_poisson(b_ring, {("q2", "p2"): b_ring.one})
-        prod = poisson_product_hetero(pa, pb, rng)
+        prod = poisson_product_hetero(pa, pb)
         ring = prod.ring
         from dimalg.poisson import _embed
 
@@ -283,7 +288,7 @@ class TestHeterogeneousProduct:
         b_ring = GradedPolyRing(["x"], [(1,)])
         pb = make_poisson(b_ring, {})
         with pytest.raises(ConstructionError):
-            poisson_product_hetero(pa, pb, rng)
+            poisson_product_hetero(pa, pb)
 
 
 class TestHomogeneousProduct:
@@ -309,10 +314,10 @@ class TestHomogeneousProduct:
 
     def test_accepts_compatible_dimensions(self, rng):
         # (p, b, q, c) = (1, 2, 3, 4): b+q = 5 = p+c
-        prod = poisson_product_homo(self._factor_1_2(), self._factor_3_4(), rng)
+        prod = poisson_product_homo(self._factor_1_2(), self._factor_3_4())
         assert prod.product_dim == (4,)
         assert prod.bracket_dim == (5,)
-        assert poisson_axiom_report(prod, rng, probes=10).ok
+        assert poisson_axiom_report(prod, rng).ok
 
     def test_rejects_incompatible_dimensions(self, rng):
         # (p, b, q, c) = (0, 1, 0, 0): 1 != 0
@@ -321,7 +326,7 @@ class TestHomogeneousProduct:
         other = GradedPolyRing(["s", "t"], [(1,), (-1,)])
         p0 = make_poisson(other, {("s", "t"): other.one})  # q = 0, c = 0
         with pytest.raises(ConstructionError) as exc:
-            poisson_product_homo(p1, p0, rng)
+            poisson_product_homo(p1, p0)
         assert "(1,)" in str(exc.value) and "(0,)" in str(exc.value)
 
     def test_equal_dimensions_reduce_to_the_heterogeneous_shape(self, rng):
@@ -331,10 +336,176 @@ class TestHomogeneousProduct:
         b_ring = GradedPolyRing(["q2", "p2"], [(1,), (-1,)])
         pa = make_poisson(a_ring, {("q1", "p1"): a_ring.one})
         pb = make_poisson(b_ring, {("q2", "p2"): b_ring.one})
-        prod = poisson_product_homo(pa, pb, rng)
+        prod = poisson_product_homo(pa, pb)
         ring = prod.ring
         assert prod.product_dim == (0,)
         assert prod.bracket_dim == (0,)
         assert ring.eq(
             prod.bracket(ring.generator("q1"), ring.generator("p1")), ring.one
         )
+
+
+# ---------------------------------------------------------------------------
+# Laws decided on generators, against the random probes they replaced
+# ---------------------------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+REPO_DATA = Path(__file__).parent.parent / "data"
+
+ANTISYMMETRY = ("table antisymmetry", "bracket extends the table on generator pairs")
+JACOBI = "Jacobi on generator triples"
+LEIBNIZ = "Leibniz: the scale brackets to zero with every generator"
+
+
+def _canonical_doc(n, rank, rng):
+    """{q_i, p_i} = 1 on 2n generators with seeded dimension vectors."""
+    gens = []
+    for i in range(1, n + 1):
+        v = [0] * rank
+        while not any(v):
+            v = [rng.randint(-2, 2) for _ in range(rank)]
+        gens += [{"name": f"q{i}", "dim": v}, {"name": f"p{i}", "dim": [-x for x in v]}]
+    return {"generators": gens, "product_dim": [0] * rank, "bracket_dim": [0] * rank,
+            "bracket": {f"q{i},p{i}": "1" for i in range(1, n + 1)}, "ideal": ["q1"]}
+
+
+def _gens(names, dim=0):
+    return [{"name": n, "dim": [dim]} for n in names]
+
+
+def _subjects():
+    """Fifteen Poisson documents: the shipped ones, the broken fixture,
+    six seeded canonical shapes, two scaled algebras, so(3), and one
+    mutant per law (Jacobi, Leibniz, coisotrope closure)."""
+    docs = {p.stem: json.loads(p.read_text()) for p in sorted((REPO_DATA / "poisson").glob("*.json"))}
+    docs["broken antisymmetry"] = json.loads((DATA / "poisson_broken_antisymmetry.json").read_text())
+    rng = random.Random(901)
+    for n, rank in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)):
+        docs[f"canonical n={n} rank={rank}"] = _canonical_doc(n, rank, rng)
+    docs["scaled by z"] = {"generators": _gens(["a1"], 1) + _gens(["a2"], -1) + _gens(["z"], 1),
+                           "product_dim": [1], "scale": "z", "bracket": {"a1,a2": "z^2"}}
+    docs["scaled by w^3"] = {
+        "generators": [{"name": "b1", "dim": [2]}, {"name": "b2", "dim": [-2]},
+                       {"name": "w", "dim": [1]}],
+        "product_dim": [3], "scale": "w^3", "bracket": {"b1,b2": "w^4"}}
+    docs["so(3)"] = {"generators": _gens("xyz"),
+                     "bracket": {"x,y": "z", "y,z": "x", "z,x": "y"}}
+    docs["not Jacobi"] = {"generators": _gens("xyz"), "bracket": {"x,y": "z", "z,x": "x^2"}}
+    docs["scale not Casimir"] = {"generators": _gens("q", 1) + _gens("p", -1),
+                                 "product_dim": [1], "scale": "q", "bracket": {"q,p": "1"}}
+    docs["ideal (q, p)"] = {**docs["canonical_qp"], "ideal": ["q", "p"]}
+    return docs
+
+
+SUBJECTS = _subjects()
+
+
+def _load(name):
+    return load_poisson(SUBJECTS[name], validate=False)
+
+
+def probed_verdicts(p, ideal, seed=67, probes=25):
+    """The random-probe checks that the report and the coisotrope check
+    ran before their laws were decided on generators, kept as a reference
+    oracle: antisymmetry, Jacobi and Leibniz for the scaled product on
+    random polynomials, and closure on random multiples of the ideal
+    generators.  Maps each law to whether every probe passed."""
+    rng = random.Random(seed)
+    ring, br = p.ring, p.bracket
+
+    def draws(k):
+        return [tuple(ring.sample(rng) for _ in range(k)) for _ in range(probes)]
+
+    verdicts = {
+        "antisymmetry": all(ring.eq(br(f, g), ring.neg(br(g, f))) for f, g in draws(2)),
+        "Jacobi": all(ring.is_zero(jacobiator(br, ring.add, *fgh)) for fgh in draws(3)),
+        "Leibniz": all(
+            ring.eq(br(f, p.product(g, h)),
+                    ring.add(p.product(br(f, g), h), p.product(g, br(f, h))))
+            for f, g, h in draws(3)),
+    }
+    if ideal:
+        mono = ring.monomial_ideal(ideal)
+        fs = [ring.sample(rng) for _ in range(20)]
+        verdicts["closure"] = all(
+            mono.contains(br(ring.mul(f, g1), g2))
+            for f, g1, g2 in itertools.product(fs, mono.generators, mono.generators))
+    return verdicts
+
+
+class TestGeneratorDecisions:
+    @pytest.mark.parametrize("name", SUBJECTS)
+    def test_probes_agree_with_the_generator_decisions(self, name):
+        p, ideal = _load(name)
+        rep = poisson_axiom_report(p)
+        decided = {r.law: r.passed for r in rep.results}
+        expect = probed_verdicts(p, ideal)
+        assert all(decided[law] == expect["antisymmetry"] for law in ANTISYMMETRY
+                   if law in decided)
+        if len(rep.results) < 8:  # stops only after a failed law 1 or 2
+            assert not rep.ok and not expect["antisymmetry"]
+            return
+        assert decided[JACOBI] == expect["Jacobi"]
+        assert decided[LEIBNIZ] == expect["Leibniz"]
+        if ideal and rep.ok:
+            co = coisotrope_check(p, ideal)
+            assert len(co.results) == 3
+            assert co.ok == expect["closure"]
+
+    @pytest.mark.parametrize("name", SUBJECTS)
+    def test_no_law_reads_the_rng(self, name):
+        p, ideal = _load(name)
+        unusable = object()  # any draw from it would raise
+        assert poisson_axiom_report(p, unusable).lines() == poisson_axiom_report(p).lines()
+        if ideal:
+            assert coisotrope_check(p, ideal, unusable).lines() == coisotrope_check(p, ideal).lines()
+
+    def test_passing_reports_have_eight_and_three_lines(self):
+        passing = [name for name in SUBJECTS if poisson_axiom_report(_load(name)[0]).ok]
+        assert len(passing) == 12
+        for name in passing:
+            p, ideal = _load(name)
+            assert len(poisson_axiom_report(p).results) == 8
+            if ideal:
+                co = coisotrope_check(p, ideal)
+                assert len(co.results) == 3
+                assert co.ok == (name != "ideal (q, p)")
+
+    def test_a_scale_that_is_not_a_casimir_fails_leibniz(self):
+        rep = poisson_axiom_report(_load("scale not Casimir")[0])
+        assert [r.law for r in rep.failures] == [LEIBNIZ]
+        assert rep.failures[0].witness.startswith("{p,q} = -1, ")
+
+    def test_a_table_that_breaks_jacobi_fails_on_generators(self):
+        rep = poisson_axiom_report(_load("not Jacobi")[0])
+        assert [r.line() for r in rep.failures] == [
+            f"FAIL  {JACOBI}: Jacobi fails on generators (x,y,z)"]
+
+    def test_a_misplaced_constant_stops_after_the_first_law(self):
+        doc = {**SUBJECTS["canonical_qp"], "bracket_dim": [5]}
+        rep = poisson_axiom_report(load_poisson(doc, validate=False)[0])
+        assert rep.lines()[1:] == [
+            "FAIL  structure constants sit at b+g_i+g_j: dim({q,p}) = (0,), expected (5,)"]
+
+    def test_a_table_that_is_not_antisymmetric_stops_after_the_second_law(self):
+        rep = poisson_axiom_report(_load("broken antisymmetry")[0])
+        assert rep.lines()[1:] == [
+            "PASS  structure constants sit at b+g_i+g_j",
+            "FAIL  table antisymmetry: table not antisymmetric at (q,p)"]
+
+    def test_an_ideal_that_is_not_closed_fails_on_generator_pairs(self):
+        p, ideal = _load("ideal (q, p)")
+        rep = coisotrope_check(p, ideal)
+        assert [r.passed for r in rep.results] == [True, False, False]
+        assert rep.failures[0].line() == (
+            "FAIL  bracket closes on generator pairs: {q,p} = 1 is outside the ideal")
+
+    @pytest.mark.parametrize("name, law", [
+        ("broken antisymmetry", "table antisymmetry"),
+        ("not Jacobi", JACOBI),
+        ("scale not Casimir", LEIBNIZ),
+    ])
+    def test_validation_names_the_first_failing_law(self, name, law):
+        with pytest.raises(ConstructionError) as exc:
+            load_poisson(SUBJECTS[name], validate=True)
+        assert str(exc.value).startswith(f"Poisson construction rejected: FAIL  {law}: ")
