@@ -76,11 +76,6 @@ class DimPoisson:
         return ring._of(acc, dim)
 
 
-def _slot(ring: GradedPolyRing, bracket_dim, i: int, j: int) -> tuple:
-    """The slice b + g_i + g_j, where the structure constant {x_i, x_j} sits."""
-    return tuple(map(sum, zip(bracket_dim, ring.gen_dims[i], ring.gen_dims[j])))
-
-
 def make_poisson(
     ring: GradedPolyRing,
     bracket_table: dict,
@@ -110,21 +105,35 @@ def make_poisson(
     if scale.dim != product_dim:
         raise InputFormatError(f"scale sits at {scale.dim}, not at product_dim {product_dim}")
 
-    def gen_dim(name):
-        return ring.gen_dims[ring.index[name]]
-
-    if bracket_dim is None:  # read b off the first nonzero {x, y}, at b + g_x + g_y
-        bracket_dim = next((tuple(d - x - y for d, x, y in zip(v.dim, gen_dim(a), gen_dim(b)))
-                            for (a, b), v in bracket_table.items() if v.value), (0,) * ring.rank)
-    bracket_dim = tuple(bracket_dim)
-    full = {}
-    for (i, ni), (j, nj) in itertools.product(enumerate(ring.gen_names), repeat=2):
-        if (ni, nj) in bracket_table:
-            full[(ni, nj)] = bracket_table[(ni, nj)]
-        elif (nj, ni) in bracket_table:
-            full[(ni, nj)] = ring.neg(bracket_table[(nj, ni)])
+    table = {}
+    for (a, b), v in bracket_table.items():
+        table[(a, b)] = v
+    if bracket_dim is None:
+        for (a, b), v in table.items():
+            if v.value:
+                ga = ring.gen_dims[ring.index[a]]
+                gb = ring.gen_dims[ring.index[b]]
+                bracket_dim = tuple(d - x - y for d, x, y in zip(v.dim, ga, gb))
+                break
         else:
-            full[(ni, nj)] = ring.zero(_slot(ring, bracket_dim, i, j))
+            bracket_dim = (0,) * ring.rank
+    bracket_dim = tuple(bracket_dim)
+
+    full = {}
+    for i, ni in enumerate(ring.gen_names):
+        for j, nj in enumerate(ring.gen_names):
+            expect = tuple(
+                b + x + y
+                for b, x, y in zip(
+                    bracket_dim, ring.gen_dims[i], ring.gen_dims[j]
+                )
+            )
+            if (ni, nj) in table:
+                full[(ni, nj)] = table[(ni, nj)]
+            elif (nj, ni) in table:
+                full[(ni, nj)] = ring.neg(table[(nj, ni)])
+            else:
+                full[(ni, nj)] = ring.zero(expect)
     p = DimPoisson(ring, product_dim, bracket_dim, scale, full)
     if validate:
         rep = poisson_axiom_report(p)
@@ -158,23 +167,29 @@ def poisson_axiom_report(p: DimPoisson, rng=None) -> CheckReport:
     """
     ring = p.ring
     rep = CheckReport(f"Poisson algebra on {ring.label}")
-    show, names = ring.show, ring.gen_names
-    gens = [ring.generator(n) for n in names]
+    show = ring.show
 
     def placed(i, j):
-        t, expect = p.table[(names[i], names[j])], _slot(ring, p.bracket_dim, i, j)
+        ni, nj = ring.gen_names[i], ring.gen_names[j]
+        t = p.table[(ni, nj)]
+        expect = tuple(
+            b + x + y
+            for b, x, y in zip(p.bracket_dim, ring.gen_dims[i], ring.gen_dims[j])
+        )
         if t.dim != expect:
-            return f"dim({{{names[i]},{names[j]}}}) = {t.dim}, expected {expect}"
+            return f"dim({{{ni},{nj}}}) = {t.dim}, expected {expect}"
 
     rep.law("structure constants sit at b+g_i+g_j",
-            itertools.permutations(range(len(names)), 2), placed)
+            itertools.permutations(range(len(ring.gen_names)), 2), placed)
     if not rep.ok:  # brackets would add terms from distinct slices
         return rep
-    rep.law("table antisymmetry", itertools.combinations(names, 2),
+    rep.law("table antisymmetry", itertools.combinations(ring.gen_names, 2),
             lambda ni, nj: not ring.eq(p.table[(ni, nj)], ring.neg(p.table[(nj, ni)]))
             and f"table not antisymmetric at ({ni},{nj})")
     if not rep.ok:  # generator triples would not decide Jacobi
         return rep
+    names = ring.gen_names
+    gens = [ring.generator(n) for n in names]
 
     def extends(i, j):
         br, t = p.bracket(gens[i], gens[j]), p.table[(names[i], names[j])]
@@ -192,9 +207,10 @@ def poisson_axiom_report(p: DimPoisson, rng=None) -> CheckReport:
     pairs = list(itertools.combinations_with_replacement(gens, 2))
     rep.law("bracket extends the table on generator pairs",
             itertools.permutations(range(len(names)), 2), extends)
-    rep.law("Jacobi on generator triples", itertools.combinations(names, 3),
-            lambda *ns: not ring.is_zero(jacobiator(p.bracket, ring.add, *map(ring.generator, ns)))
-            and f"Jacobi fails on generators ({','.join(ns)})")
+    rep.law("Jacobi on generator triples", itertools.combinations(ring.gen_names, 3),
+            lambda *names: not ring.is_zero(
+                jacobiator(p.bracket, ring.add, *map(ring.generator, names))
+            ) and f"Jacobi fails on generators ({','.join(names)})")
     rep.law("Leibniz: the scale brackets to zero with every generator", zip(names, gens),
             lambda n, x: not ring.is_zero(br := p.bracket(x, p.scale))
             and f"{{{n},{show(p.scale)}}} = {show(br)}, so Leibniz fails for the scaled product")
@@ -320,13 +336,26 @@ class ReducedPoisson:
         )
 
     def axiom_report(self, rng=None, probes: int = 20) -> CheckReport:
-        """Poisson laws on reduced representatives, degree-guarded so the
-        cutoff truncation can never be mistaken for a failure."""
+        """Poisson laws on reduced classes, degree-guarded so the cutoff
+        truncation can never be mistaken for a failure.  Each probe is a
+        random representative of a basis class: the basis vector plus a
+        random element s*m of I in its slice (s drawn by the ring's
+        `sample`, m an ideal generator), so the laws also check that the
+        reduced operations do not depend on the representative."""
         rng = rng or random.Random(79)
         ring = self.ring
         rep = CheckReport(f"reduced Poisson (cutoff {self.cutoff})")
         lowdeg = [b for b in self.basis if ring.degree(b) <= self.cutoff // 3]
-        cases = [tuple(rng.choice(lowdeg) for _ in range(3)) for _ in range(probes)]
+
+        def representative(b):
+            if not self.ideal.generators:
+                return b
+            m = rng.choice(self.ideal.generators)
+            s = ring.sample(rng, tuple(x - y for x, y in zip(b.dim, m.dim)))
+            return ring.add(b, ring.mul(s, m))
+
+        cases = [tuple(representative(rng.choice(lowdeg)) for _ in range(3))
+                 for _ in range(probes)]
 
         def at(*xs):
             return ", ".join(map(ring.show, xs))
@@ -379,8 +408,14 @@ def _combined_ring(a: DimPoisson, b: DimPoisson, pad: bool) -> GradedPolyRing:
 
 
 def _embed(ring: GradedPolyRing, sub: GradedPolyRing, offset: int, pad, el: DimElement) -> DimElement:
-    before, after = (0,) * offset, (0,) * (ring.nvars - offset - sub.nvars)
-    return ring.poly({before + alpha + after: c for alpha, c in el.value}, dim=pad(el.dim))
+    terms = {}
+    for alpha, c in el.value:
+        beta = [0] * ring.nvars
+        for i, e in enumerate(alpha):
+            beta[offset + i] = e
+        terms[tuple(beta)] = c
+    dim = pad(el.dim)
+    return ring.poly(terms, dim=dim) if terms else ring.zero(dim)
 
 
 def _combine_tables(a: DimPoisson, b: DimPoisson, ring, pad_a, pad_b):
@@ -401,18 +436,30 @@ def _combine_tables(a: DimPoisson, b: DimPoisson, ring, pad_a, pad_b):
 def poisson_product_hetero(a: DimPoisson, b: DimPoisson) -> DimPoisson:
     """Product of two algebras whose bracket and product dimensions agree
     factor-wise; the result lives over the product dimension group."""
-    for side, f in (("left", a), ("right", b)):
-        if f.product_dim != f.bracket_dim:
-            raise ConstructionError(
-                f"{side} factor has product dim {f.product_dim} != bracket dim {f.bracket_dim}")
+    if a.product_dim != a.bracket_dim:
+        raise ConstructionError(
+            f"left factor has product dim {a.product_dim} != bracket dim {a.bracket_dim}"
+        )
+    if b.product_dim != b.bracket_dim:
+        raise ConstructionError(
+            f"right factor has product dim {b.product_dim} != bracket dim {b.bracket_dim}"
+        )
     ring = _combined_ring(a, b, pad=True)
     ka, kb = a.ring.rank, b.ring.rank
     pad_a = lambda d: d + (0,) * kb
     pad_b = lambda d: (0,) * ka + d
     table, sa, sb = _combine_tables(a, b, ring, pad_a, pad_b)
     scale = ring.mul(sa, sb)
-    bracket_dim = tuple(x + y for x, y in zip(pad_a(a.bracket_dim), pad_b(b.bracket_dim)))
-    return make_poisson(ring, table, bracket_dim=bracket_dim, product_dim=scale.dim, scale=scale)
+    bracket_dim = tuple(
+        x + y for x, y in zip(pad_a(a.bracket_dim), pad_b(b.bracket_dim))
+    )
+    return make_poisson(
+        ring,
+        table,
+        bracket_dim=bracket_dim,
+        product_dim=scale.dim,
+        scale=scale,
+    )
 
 
 def poisson_product_homo(a: DimPoisson, b: DimPoisson) -> DimPoisson:
@@ -423,9 +470,17 @@ def poisson_product_homo(a: DimPoisson, b: DimPoisson) -> DimPoisson:
     lhs = tuple(x + y for x, y in zip(a.bracket_dim, b.product_dim))
     rhs = tuple(x + y for x, y in zip(a.product_dim, b.bracket_dim))
     if lhs != rhs:
-        raise ConstructionError(f"dimension condition fails: b+q = {lhs} but p+c = {rhs}")
+        raise ConstructionError(
+            f"dimension condition fails: b+q = {lhs} but p+c = {rhs}"
+        )
     ring = _combined_ring(a, b, pad=False)
     ident = lambda d: d
     table, sa, sb = _combine_tables(a, b, ring, ident, ident)
     scale = ring.mul(sa, sb)
-    return make_poisson(ring, table, bracket_dim=lhs, product_dim=scale.dim, scale=scale)
+    return make_poisson(
+        ring,
+        table,
+        bracket_dim=lhs,
+        product_dim=scale.dim,
+        scale=scale,
+    )
