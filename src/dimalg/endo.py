@@ -6,6 +6,14 @@ dimension map phi: D -> D plus one scaling coefficient per slice.  Those
 pairs form a non-commutative dimensioned ring: addition is the partial
 pointwise one (defined exactly when the dimension maps agree) and
 multiplication is composition, whose dimension monoid is Map(D).
+
+Both operations act slot by slot: the coefficient of a sum or a
+composition at a base point is a scalar sum or product of coefficients
+read at that point or at its image.  `endo_distributivity_report` relies
+on that form.  It decides each distributivity law on every pair of
+dimension maps with one coefficient function per factor, plus every
+probe-value coefficient triple on each constant map, rather than on
+every map pair crossed with every triple.
 """
 
 import itertools
@@ -22,10 +30,10 @@ from .ring import DimRing, ProductDimRing
 COEFF_PROBES = (-1, 0, 1, 2)
 
 
-def _coefficient_probes(n: int, values) -> tuple:
-    """Coefficient functions on n points drawn from `values`: the constant
-    ones, then the cyclic patterns (one per rotation of `values`)."""
-    k = len(values)
+def _coefficient_probes(n: int) -> tuple:
+    """Coefficient functions on n points drawn from COEFF_PROBES: the
+    constant ones, then the cyclic patterns (one per rotation)."""
+    values, k = COEFF_PROBES, len(COEFF_PROBES)
     consts = [tuple(c for _ in range(n)) for c in values]
     patterns = [tuple(values[(i + s) % k] for i in range(n)) for s in range(k)]
     return consts, patterns
@@ -125,7 +133,7 @@ class EndoRing(DimRing):
         functions drawn from COEFF_PROBES, plus the cyclically-varying
         coefficient patterns over the same value set; `rng` and `budget`
         are unused."""
-        consts, patterns = _coefficient_probes(len(self.points), COEFF_PROBES)
+        consts, patterns = _coefficient_probes(len(self.points))
         return tuple(
             DimElement(c, phi)
             for phi in self.map_monoid.elements()
@@ -137,33 +145,65 @@ class EndoRing(DimRing):
         return f"({{{phi}}}; coeffs {a.value})"
 
 
-def endo_distributivity_report(endo: EndoRing, coeff_probes=COEFF_PROBES):
-    """Both distributivity laws of the endomorphism ring, exhaustively over
-    all pairs of dimension maps with coefficient functions drawn from the
-    probe value set (constants plus cyclic patterns over the same values)."""
+def endo_distributivity_report(endo: EndoRing):
+    """Both distributivity laws of the endomorphism ring, each decided from
+    a dimension part and a coefficient part.
+
+    `add` and `mul` act slot by slot.  At base point i, with F and T over
+    the map phi and P over psi, (F+T)∘P has the coefficient
+    (f(psi(i)) + t(psi(i)))·p(i) and F∘P + T∘P has f(psi(i))·p(i) +
+    t(psi(i))·p(i); P∘(F+T) and P∘F + P∘T read p at phi(i) and f, t at i.
+    So the coefficients of both sides depend on one map only (psi on the
+    left, phi on the right), and their dimension maps on no coefficient.
+    A sweep of every map pair with every coefficient triple repeats the
+    same scalar identities at each pair.  Each law is decided instead on:
+
+    * the dimension part: every pair (phi, psi), with F, T and P on the
+      coefficient functions i |-> 2+3i, 3+3i and 4+3i, whose values all
+      differ and are never -1, 0 or 1 (no factor vanishes or is neutral);
+      both sides must be defined and agree, dimension maps included;
+    * the coefficient part: every triple of constant, then of cyclic
+      coefficient functions over COEFF_PROBES, with F, T and P all over
+      the constant map to j, for every point j.  Slot i thus meets the
+      triple (f(j), t(j), p(i)) on the left and (f(i), t(i), p(j)) on
+      the right for every j, which is every triple that the full sweep
+      meets there, with j = psi(i) on the left and j = phi(i) on the
+      right.
+
+    The slot-by-slot form is checked on its own, through `apply_to_base`
+    and the base ring alone, by
+    `tests/test_endo.py::TestComposition::test_slot_by_slot_form_matches_the_action_on_base`.
+    """
     from .report import CheckReport
 
     rep = CheckReport(f"distributivity in {endo.label}")
-    consts, patterns = _coefficient_probes(len(endo.points), coeff_probes)
+    consts, patterns = _coefficient_probes(len(endo.points))
     maps = endo.map_monoid.elements()
+    f0, t0, p0 = (tuple(k + 3 * i for i in range(len(endo.points))) for k in (2, 3, 4))
 
     def cases():
-        """(F, T, P) with F, T over phi and P over psi, for every (phi, psi)
-        pair, exhausted first over constant coefficient functions, then
-        over the cyclic patterns."""
+        for phi, psi in itertools.product(maps, repeat=2):
+            yield DimElement(f0, phi), DimElement(t0, phi), DimElement(p0, psi)
         for family in (consts, patterns):
-            over = {phi: [DimElement(c, phi) for c in family] for phi in maps}
-            for phi, psi in itertools.product(maps, repeat=2):
-                yield from itertools.product(over[phi], over[phi], over[psi])
+            for d in endo.points:
+                const = (d,) * len(endo.points)
+                yield from itertools.product([DimElement(c, const) for c in family], repeat=3)
 
-    def left(f, t, p):
-        if endo.mul(endo.add(f, t), p) != endo.add(endo.mul(f, p), endo.mul(t, p)):
-            return f"(F+T)∘P != F∘P+T∘P at {endo.show(f)}"
+    def law(name, identity, lhs, rhs):
+        def check(f, t, p):
+            try:
+                if lhs(f, t, p) == rhs(f, t, p):
+                    return None
+                fault = "fails"
+            except DimensionMapMismatch as exc:
+                fault = f"is undefined ({exc})"
+            return f"{identity} {fault} at F={endo.show(f)}, T={endo.show(t)}, P={endo.show(p)}"
 
-    def right(f, t, p):
-        if endo.mul(p, endo.add(f, t)) != endo.add(endo.mul(p, f), endo.mul(p, t)):
-            return f"P∘(F+T) != P∘F+P∘T at {endo.show(p)}"
+        rep.law(name, cases(), check)
 
-    rep.law("left distributivity", cases(), left)
-    rep.law("right distributivity", cases(), right)
+    add, mul = endo.add, endo.mul
+    law("left distributivity", "(F+T)∘P = F∘P+T∘P",
+        lambda f, t, p: mul(add(f, t), p), lambda f, t, p: add(mul(f, p), mul(t, p)))
+    law("right distributivity", "P∘(F+T) = P∘F+P∘T",
+        lambda f, t, p: mul(p, add(f, t)), lambda f, t, p: add(mul(p, f), mul(p, t)))
     return rep

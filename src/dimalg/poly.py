@@ -12,9 +12,10 @@ vector space containing at least its zero.
 documents, callers' dicts, samples) are validated there, each exponent
 tuple and the dimension of every monomial.  A sum, product or derivative
 of checked elements is homogeneous by construction, so results inside are
-trusted: `add`, `mul` and the Poisson bracket build theirs through `_of`,
-which only drops zero coefficients and sorts, and `partial`, whose terms
-come out distinct, nonzero and in order, builds its own directly.
+trusted: `add`, `mul`, `pow` and the Poisson bracket build theirs
+through `_of`, which only drops zero coefficients and sorts, and
+`partial`, whose terms come out distinct, nonzero and in order, builds
+its own directly.
 """
 
 import itertools
@@ -161,6 +162,34 @@ class GradedPolyRing(DimRing):
                 key = _vec_add(al, bl)
                 acc[key] = acc[key] + ca * cb if key in acc else ca * cb
         return self._of(acc, _vec_add(a.dim, b.dim))
+
+    def pow(self, a, n):
+        """a to the n >= 0 by the multinomial theorem: one product of
+        coefficient powers per way of splitting n among a's t terms, so
+        C(t+n-1, n) of them, and a single one for a monomial."""
+        if n < 0:
+            return super().pow(a, n)
+        dim = tuple(n * x for x in a.dim)
+        if not a.value:
+            return self.one if n == 0 else self.zero(dim)
+        terms, acc = a.value, {}
+        # (next term, factors left for it and the terms after, coefficient
+        # and exponent so far); the last term takes every factor left
+        todo = [(0, n, Fraction(1), (0,) * self.nvars)]
+        while todo:
+            j, left, coeff, alpha = todo.pop()
+            al, c = terms[j]
+            lo = 0 if j < len(terms) - 1 else left
+            binom, ck = 1, c ** lo  # C(left, k) and c**k, k from lo up
+            for k in range(lo, left + 1):
+                kc = coeff * binom * ck
+                kal = tuple(x + k * e for x, e in zip(alpha, al))
+                if k < left:
+                    todo.append((j + 1, left - k, kc, kal))
+                else:
+                    acc[kal] = acc[kal] + kc if kal in acc else kc
+                binom, ck = binom * (left - k) // (k + 1), ck * c
+        return self._of(acc, dim)
 
     @property
     def one(self):

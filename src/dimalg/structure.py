@@ -264,7 +264,8 @@ def parse_poly(ring: GradedPolyRing, src: str) -> DimElement:
         for _, c in base.value[:1] + base.value[-1:]:
             require_bits(c, n)
         if n >= 0:
-            # a sum of t monomials to the n has at most C(t+n-1, n) terms
+            # a sum of t monomials to the n has at most C(t+n-1, n) terms, and
+            # ring.pow forms one coefficient product for each of them
             require_terms(math.comb(max(len(base.value), 1) + n - 1, n))
             return ring.pow(base, n)
         if ring.is_unit(base):

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -194,6 +195,21 @@ class TestBoundedInputs:
         assert time.perf_counter() - start < 1.0
         assert r.exit_code == 2, r.output
         assert r.stderr.splitlines() == [f"error: a polynomial may have more than {MAX_POLY_TERMS} terms"]
+
+    def test_a_power_of_a_sum_within_the_term_bound_finishes_at_once(self, runner):
+        start = time.perf_counter()
+        r = runner.invoke(main, ["poisson", "bracket", str(REPO / "poisson" / "canonical_4gen.json"),
+                                 "(q1+q2)^999", "p1"])
+        assert time.perf_counter() - start < 1.0
+        assert r.exit_code == 0, r.output
+
+        def power(name, e):
+            return [] if e == 0 else [name if e == 1 else f"{name}^{e}"]
+
+        # {(q1+q2)^999, p1} = 999 (q1+q2)^998, by the binomial theorem
+        expect = " + ".join("*".join([str(999 * math.comb(998, k))] + power("q1", k) + power("q2", 998 - k))
+                            for k in range(999))
+        assert r.output.strip() == expect
 
 
 class TestConvert:

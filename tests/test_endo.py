@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -11,14 +12,70 @@ from dimalg import (
     ring_axiom_report,
 )
 from dimalg.algebra import ProbeSpace, bilinear_check
+from dimalg.endo import _coefficient_probes
 from dimalg.errors import CarrierError
+from dimalg.group import DimElement
 from dimalg.monoid import DimMonoid
+
+
+def endo_over_cyclic(n, cls=EndoRing):
+    return cls(ProductDimRing(RationalScalars(), DimMonoid.cyclic(n)))
 
 
 @pytest.fixture
 def endo2():
-    base = ProductDimRing(RationalScalars(), DimMonoid.cyclic(2))
-    return EndoRing(base)
+    return endo_over_cyclic(2)
+
+
+def slot_by_slot_faults(endo):
+    """Compare `mul` and `add` with what they must be as operations on the
+    base ring, through `apply_to_base` and the base ring alone: every
+    dimension map with every cyclic coefficient pattern, at every base
+    point.  Yields one description per case that disagrees."""
+    _, patterns = _coefficient_probes(len(endo.points))
+    elems = [DimElement(c, phi) for phi in endo.map_monoid.elements() for c in patterns]
+    xs = [DimElement(F(5, 7), d) for d in endo.points]
+    act, base = endo.apply_to_base, endo.base
+    for a, b in itertools.product(elems, repeat=2):
+        ab = endo.mul(a, b)
+        total = endo.add(a, b) if a.dim == b.dim else None
+        for x in xs:
+            if act(ab, x) != act(a, act(b, x)):
+                yield f"(A∘B)(x) != A(B(x)) at {endo.show(a)}, {endo.show(b)}, {x}"
+            if total is not None and act(total, x) != base.add(act(a, x), act(b, x)):
+                yield f"(A+B)(x) != A(x)+B(x) at {endo.show(a)}, {endo.show(b)}, {x}"
+
+
+class OwnMapMul(EndoRing):
+    """Reads a's coefficients through a's own map instead of b's."""
+
+    def mul(self, a, b):
+        coeffs = tuple(a.value[self.index[a.dim[i]]] * b.value[i] for i in range(len(self.points)))
+        return DimElement(coeffs, self.map_monoid.combine(a.dim, b.dim))
+
+
+class SwappedOrderMul(EndoRing):
+    """Composes the dimension maps in the wrong order."""
+
+    def mul(self, a, b):
+        return DimElement(super().mul(a, b).value, self.map_monoid.combine(b.dim, a.dim))
+
+
+class SquareAcrossMaps(EndoRing):
+    """Squares a's coefficients when the two dimension maps differ."""
+
+    def mul(self, a, b):
+        if a.dim != b.dim:
+            a = DimElement(tuple(x * x for x in a.value), a.dim)
+        return super().mul(a, b)
+
+
+class ProductForSumEndo(EndoRing):
+    """Multiplies the coefficients where it should add them."""
+
+    def add(self, a, b):
+        total = super().add(a, b)  # keeps the equal-map check
+        return DimElement(tuple(x * y for x, y in zip(a.value, b.value)), total.dim)
 
 
 class TestComposition:
@@ -45,6 +102,16 @@ class TestComposition:
                 f, endo2.apply_to_base(g, x)
             )
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_slot_by_slot_form_matches_the_action_on_base(self, n):
+        """The form `endo_distributivity_report` relies on: composition and
+        sum act on base elements as composed and summed functions."""
+        assert next(slot_by_slot_faults(endo_over_cyclic(n)), None) is None
+
+    @pytest.mark.parametrize("cls", [OwnMapMul, SwappedOrderMul, ProductForSumEndo])
+    def test_slot_by_slot_check_catches_broken_operations(self, cls):
+        assert next(slot_by_slot_faults(endo_over_cyclic(3, cls)), None) is not None
+
     def test_addition_needs_equal_dimension_maps(self, endo2):
         f = endo2.endo({0: 0, 1: 1}, {0: F(1), 1: F(1)})
         g = endo2.endo({0: 1, 1: 0}, {0: F(1), 1: F(1)})
@@ -70,9 +137,22 @@ class TestSuites:
 
     def test_exhaustive_distributivity_up_to_three_points(self, rng):
         for n in (1, 2, 3):
-            base = ProductDimRing(RationalScalars(), DimMonoid.cyclic(n))
-            rep = endo_distributivity_report(EndoRing(base))
+            rep = endo_distributivity_report(endo_over_cyclic(n))
             assert rep.ok
+            assert [r.law for r in rep.results] == ["left distributivity", "right distributivity"]
+
+    def test_distributivity_report_fails_a_sum_that_multiplies(self):
+        rep = endo_distributivity_report(endo_over_cyclic(3, ProductForSumEndo))
+        assert [r.law for r in rep.failures] == ["left distributivity", "right distributivity"]
+        left, right = (r.witness for r in rep.failures)
+        assert left.startswith("(F+T)∘P = F∘P+T∘P fails at F=")
+        assert right.startswith("P∘(F+T) = P∘F+P∘T fails at F=")
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_distributivity_report_fails_a_product_nonlinear_across_maps(self, n):
+        # only pairs of different maps break linearity: the map-pair part catches it
+        rep = endo_distributivity_report(endo_over_cyclic(n, SquareAcrossMaps))
+        assert [r.law for r in rep.failures] == ["left distributivity"]
 
     def test_needs_finite_dimension_set(self, q_x_z):
         with pytest.raises(CarrierError):

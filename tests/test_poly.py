@@ -51,6 +51,14 @@ class TestArithmetic:
     def test_ring_axioms(self, canonical_ring, rng):
         assert ring_axiom_report(canonical_ring, rng).ok
 
+    def test_power_matches_repeated_multiplication(self, canonical_ring, rng):
+        ring = canonical_ring
+        for f in [ring.zero((2,))] + [ring.sample(rng) for _ in range(30)]:
+            expect = ring.one
+            for n in range(6):
+                assert ring.pow(f, n) == expect
+                expect = ring.mul(expect, f)
+
     def test_partial_derivative(self, canonical_ring):
         f = canonical_ring.poly({(2, 1): F(1)})  # q^2 p
         df = canonical_ring.partial(f, "q")
@@ -244,6 +252,7 @@ class TestTrustedResults:
         results = [
             ring.add(f, h), ring.add(f, ring.neg(f)), ring.add(f, ring.sub(h, f)),
             ring.mul(f, g), ring.mul(f, ring.zero(g.dim)), ring.neg(f), ring.scale(c, f),
+            ring.pow(f, 3),
             p.bracket(f, g), p.bracket(f, f), p.bracket(f, h),
         ]
         results += [ring.partial(f, n) for n in ring.gen_names]
