@@ -79,7 +79,8 @@ class TableDimRing(DimRing):
                 raise InputFormatError(f"slice {d!r} is empty")
             for x in xs:
                 if x in self.by_name:
-                    raise InputFormatError(f"element name {x!r} appears in two slices")
+                    where = f"twice in slice {d!r}" if self.by_name[x].dim == d else "in two slices"
+                    raise InputFormatError(f"element name {x!r} appears {where}")
                 self.by_name[x] = DimElement(x, d)
         all_names = set(self.by_name)
         for d, xs in self.slices.items():
@@ -154,10 +155,6 @@ class TableDimRing(DimRing):
     def elements(self):
         return tuple(self.by_name.values())
 
-    def probe_elements(self, rng, budget=30):
-        """Every element; `rng` and `budget` are unused."""
-        return self.elements()
-
     def slice_elements(self, d):
         return tuple(self.el(x) for x in self.slices[d])
 
@@ -196,13 +193,13 @@ def slice_group_report(ring: TableDimRing) -> CheckReport:
     return rep
 
 
-def structure_axiom_report(ring: TableDimRing, rng=None) -> CheckReport:
-    """The full suite for a declared structure: slice groups first, then
-    the dimensioned-ring laws, then the unit-section candidate if any."""
-    rng = rng or random.Random(97)
+def structure_axiom_report(ring: TableDimRing) -> CheckReport:
+    """The full suite for a declared structure, every law on every case:
+    slice groups first, then the dimensioned-ring laws, then the
+    unit-section candidate if any."""
     rep = slice_group_report(ring)
     if rep.ok:
-        rep = rep.merged(ring_axiom_report(ring, rng=rng))
+        rep = rep.merged(ring_axiom_report(ring))
         if ring._unit_candidate is not None:
             cand = ring._unit_candidate
             missing = set(ring.dim_elems) - set(cand)
@@ -222,14 +219,14 @@ def load_structure(source) -> TableDimRing:
     return TableDimRing(load_json(source))
 
 
-def check_structure(source, rng=None):
+def check_structure(source):
     """Load and check a structure file.
 
     Returns (exit_code, lines): 0 all laws pass, 1 an axiom fails.
     Input-shape errors raise InputFormatError (the CLI maps them to 2).
     """
     ring = load_structure(source)
-    rep = structure_axiom_report(ring, rng=rng)
+    rep = structure_axiom_report(ring)
     return (0 if rep.ok else 1), rep.lines()
 
 

@@ -21,6 +21,50 @@ DATA = Path(__file__).parent / "data"
 REPO_DATA = Path(__file__).parent.parent / "data"
 
 
+def product_table(n: int, m: int, rng=None) -> dict:
+    """The product ring Z/n x Z/m as a structure document, `r@dk` being r
+    over dimension k. Its slices and their elements are listed in order,
+    or in an order shuffled by `rng`."""
+
+    def order(xs):
+        xs = list(xs)
+        if rng is not None:
+            rng.shuffle(xs)
+        return xs
+
+    def el(r, d):
+        return f"{r}@d{d}"
+
+    dims = order(range(m))
+    elems = [(r, d) for d in dims for r in order(range(n))]
+    return {
+        "name": f"Z{n}xZ{m}",
+        "monoid": {
+            "elements": [f"d{d}" for d in dims],
+            "identity": "d0",
+            "op": {f"d{d}": {f"d{e}": f"d{(d + e) % m}" for e in dims} for d in dims},
+        },
+        "slices": {f"d{d}": [el(r, e) for r, e in elems if e == d] for d in dims},
+        "add": {f"d{d}": {el(r, d): {el(s, d): el((r + s) % n, d) for s in range(n)}
+                          for r in range(n)} for d in dims},
+        "mul": {el(r, d): {el(s, e): el(r * s % n, (d + e) % m) for s, e in elems}
+                for r, d in elems},
+        "one": el(1 % n, 0),
+        "unit_candidate": {f"d{d}": el(1 % n, d) for d in dims},
+    }
+
+
+@pytest.fixture
+def defect_beyond_caps() -> dict:
+    """Z/32 x Z/2 with one symmetric pair of product cells, 3@d1·5@d1 and
+    its mirror, moved to another element of their slice. Listed in order,
+    the defect lies beyond the first 6 000 distributivity cases and the
+    first 6 000 element triples, in lexicographic order."""
+    doc = product_table(32, 2)
+    doc["mul"]["3@d1"]["5@d1"] = doc["mul"]["5@d1"]["3@d1"] = "16@d0"
+    return doc
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)

@@ -5,7 +5,8 @@ golden structure, the canonical Poisson algebra), applies one mutation
 (drop a key or list item, change a value's JSON type, lengthen or
 shorten a list, rename a string or key to another name from the same
 document), and runs the CLI on it in process.  An input error (exit 2)
-is at most one line on stderr.
+is at most one line on stderr.  A structure that is checked (exit 0 or
+1) gets the verdict of the independent table oracle.
 """
 
 import copy
@@ -17,6 +18,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dimalg.cli import main
+from test_table_oracle import table_verdict
 
 REPO = Path(__file__).parent.parent / "data"
 DOCUMENTS = {
@@ -107,6 +109,8 @@ def _run(kind, doc):
             )
             if r.exit_code == 2:
                 assert len(r.stderr.splitlines()) <= 1, (args, r.stderr)
+            elif kind == "structure":
+                assert r.exit_code == table_verdict(doc), (args, r.output)
 
 
 def _fuzz(kind):

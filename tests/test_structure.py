@@ -1,9 +1,12 @@
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
 
+from conftest import product_table
 from dimalg import InputFormatError, check_structure, load_structure
+from dimalg.ring import generating_set
 from dimalg.structure import structure_axiom_report
 
 DATA = Path(__file__).parent / "data"
@@ -60,6 +63,16 @@ class TestNegativeControls:
             in lines
         )
 
+    def test_defect_beyond_the_first_cases_of_a_law_is_found(self, defect_beyond_caps):
+        # every law runs on every case: (3@d0·1@d1)·5@d1 != 3@d0·(1@d1·5@d1)
+        code, lines = check_structure(defect_beyond_caps)
+        assert code == 1
+        assert [l.split(":")[0] for l in lines if l.startswith("FAIL")] == [
+            "FAIL  distributivity where defined",
+            "FAIL  multiplicative associativity",
+        ]
+        assert "FAIL  multiplicative associativity: (ab)c != a(bc) at 3@d0,1@d1,5@d1" in lines
+
     def test_sum_leaving_its_slice_is_a_failed_law(self):
         # 1@0 + 1@0 declared as an element over dimension 1
         doc = json.loads(GOLDEN.read_text())
@@ -67,6 +80,36 @@ class TestNegativeControls:
         code, lines = check_structure(doc)
         assert code == 1
         assert "FAIL  slices closed under addition: 1@0+1@0 leaves slice '0'" in lines
+
+
+class TestLightsTest:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_generating_set_is_greedy(self, n):
+        """Each generator lies outside the closure of those before it, and
+        together they generate every element. The magmas x·y = ax + by
+        mod n are mostly neither commutative nor associative."""
+
+        def closure(gens, mul):
+            out = set(gens)
+            while (more := out | {mul(x, y) for x in out for y in out}) != out:
+                out = more
+            return out
+
+        for a, b in product(range(n), repeat=2):
+            def mul(x, y):
+                return (a * x + b * y) % n
+
+            gens = generating_set(range(n), mul)
+            assert all(x not in closure(gens[:i], mul) for i, x in enumerate(gens)), (a, b)
+            assert closure(gens, mul) == set(range(n)), (a, b)
+
+    def test_associativity_defect_late_in_lights_order(self):
+        # 7 generators, so with a outermost the witness is case 9 851
+        doc = product_table(32, 2)
+        doc["mul"]["21@d1"]["27@d1"] = doc["mul"]["27@d1"]["21@d1"] = "0@d0"
+        code, lines = check_structure(doc)
+        assert code == 1
+        assert "FAIL  multiplicative associativity: (ab)c != a(bc) at 21@d0,1@d1,27@d1" in lines
 
 
 class TestShapeErrors:
@@ -96,7 +139,13 @@ class TestShapeErrors:
     def test_duplicate_element_across_slices(self):
         doc = json.loads(GOLDEN.read_text())
         doc["slices"]["1"] = list(doc["slices"]["1"]) + ["0@0"]
-        with pytest.raises(InputFormatError):
+        with pytest.raises(InputFormatError, match="'0@0' appears in two slices"):
+            check_structure(doc)
+
+    def test_duplicate_element_within_one_slice(self):
+        doc = json.loads(GOLDEN.read_text())
+        doc["slices"]["1"] = list(doc["slices"]["1"]) + ["0@1"]
+        with pytest.raises(InputFormatError, match="'0@1' appears twice in slice '1'"):
             check_structure(doc)
 
 
