@@ -1,7 +1,8 @@
 """Golden outputs: the report lines and exit codes of the checkers.
 
 `dimalg check` runs on every structure document, `dimalg poisson check`
-and `poisson reduce --cutoff 6` on every Poisson document, and
+and `poisson reduce --cutoff 6` on every Poisson document, `poisson
+reduce` at the higher cutoffs of `DEEP_REDUCTIONS`, and
 `ring_axiom_report` on one seeded broken ring of each kind.
 
 `tests/golden.json` holds, for every case below, the exit code and
@@ -51,6 +52,12 @@ STRUCTURES = sorted(REPO.glob("data/structures/*.json")) + sorted(
 POISSON = sorted(REPO.glob("data/poisson/*.json")) + [
     TESTS / "data" / "poisson_broken_antisymmetry.json"
 ]
+# reductions whose bases reach well past cutoff 6: degree 10 on four
+# generators, degree 8 on two
+DEEP_REDUCTIONS = {
+    REPO / "data" / "poisson" / "canonical_4gen.json": 10,
+    REPO / "data" / "poisson" / "canonical_qp.json": 8,
+}
 
 
 class AbsProduct(ProductDimRing):
@@ -111,6 +118,9 @@ def outputs() -> dict:
         out[f"poisson check {_rel(path)}"] = cli("poisson", "check", str(path))
         out[f"poisson reduce --cutoff 6 {_rel(path)}"] = cli(
             "poisson", "reduce", str(path), "--cutoff", "6")
+    for path, cutoff in DEEP_REDUCTIONS.items():
+        out[f"poisson reduce --cutoff {cutoff} {_rel(path)}"] = cli(
+            "poisson", "reduce", str(path), "--cutoff", str(cutoff))
     for kind, ring in broken_rings().items():
         rep = ring_axiom_report(ring, random.Random(11), budget=12)
         out[f"ring_axiom_report {kind}"] = [int(not rep.ok), rep.lines()]
