@@ -13,8 +13,10 @@ except the reduced algebra's own `axiom_report`.
 """
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import add as _add
 
@@ -40,40 +42,87 @@ class DimPoisson:
 
     def bracket(self, f: DimElement, g: DimElement) -> DimElement:
         """Biderivation extension of the structure-constant table; the
-        result sits in the slice b + dim(f) + dim(g).  One pass: every
-        term of every d_i f * d_j g * {x_i, x_j} goes into one sum, built
-        once; a pair whose term lands in another slice (a misplaced
-        structure constant) raises DimensionMismatch."""
+        result sits in the slice b + dim(f) + dim(g).  f and g are scaled
+        to integer coefficients by the lcm of their denominators, their
+        derivatives taken by the ring's `partial` only along the
+        generators a table entry pairs them on, and `_terms` sums every
+        d_i f * d_j g * {x_i, x_j} in integers; each output coefficient is
+        one Fraction over the three denominators.  A pair whose term
+        lands in another slice (a misplaced structure constant) raises
+        DimensionMismatch."""
         ring = self.ring
+        names = ring.gen_names
+        (df_den, f), (dg_den, g) = _numerators(f), _numerators(g)
+        used_f, used_g = _variables(f), _variables(g)
+        dfs, dgs = {}, {}
+        for i, j, _, _ in self._entries:
+            if i in used_f and j in used_g:
+                if i not in dfs:
+                    dfs[i] = ring.partial(f, names[i]).value
+                if j not in dgs:
+                    dgs[j] = ring.partial(g, names[j]).value
+        acc = self._terms(dfs, dgs, f.dim, g.dim)
+        den = self._denominator * df_den * dg_den
         dim = tuple(b + x + y for b, x, y in zip(self.bracket_dim, f.dim, g.dim))
-        partials_f = {}
-        partials_g = {}
-        acc: dict = {}
+        return DimElement(tuple(sorted((a, Fraction(n, den)) for a, n in acc.items() if n)), dim)
+
+    @cached_property
+    def _denominator(self) -> int:
+        """The lcm of every structure constant's denominators."""
+        return math.lcm(*(c.denominator for t in self.table.values() for _, c in t.value))
+
+    @cached_property
+    def _entries(self) -> tuple:
+        """The table's nonzero off-diagonal entries in (i, j) order, each
+        (i, j, shift, terms): terms with integer coefficients over
+        `_denominator`, and shift the entry's offset from its slice
+        b + g_i + g_j, or None when it sits there."""
+        ring, den = self.ring, self._denominator
+        entries = []
         for i, ni in enumerate(ring.gen_names):
             for j, nj in enumerate(ring.gen_names):
-                if i == j:
-                    continue
                 t = self.table[(ni, nj)]
-                if not t.value:
+                if i == j or not t.value:
                     continue
-                if ni not in partials_f:
-                    partials_f[ni] = ring.partial(f, ni)
-                if nj not in partials_g:
-                    partials_g[nj] = ring.partial(g, nj)
-                df, dg = partials_f[ni], partials_g[nj]
-                if not df.value or not dg.value:
-                    continue
-                pair_dim = tuple(x + y + z for x, y, z in zip(df.dim, dg.dim, t.dim))
-                if pair_dim != dim:
-                    raise DimensionMismatch(dim, pair_dim, ring.label)
-                for al, ca in df.value:
-                    for bl, cb in dg.value:
-                        ab, cab = tuple(map(_add, al, bl)), ca * cb
-                        for tl, ct in t.value:
-                            key = tuple(map(_add, ab, tl))
-                            c = cab * ct
-                            acc[key] = acc[key] + c if key in acc else c
-        return ring._of(acc, dim)
+                shift = tuple(d - b - x - y for d, b, x, y in zip(
+                    t.dim, self.bracket_dim, ring.gen_dims[i], ring.gen_dims[j]))
+                terms = tuple((a, c.numerator * (den // c.denominator)) for a, c in t.value)
+                entries.append((i, j, shift if any(shift) else None, terms))
+        return tuple(entries)
+
+    def _terms(self, dfs: dict, dgs: dict, dim_f: tuple, dim_g: tuple) -> dict:
+        """The integer kernel: sum over the entries (i, j) with i in `dfs`
+        and j in `dgs` of d_i f * d_j g * {x_i, x_j}, keyed by exponent
+        tuple.  `dfs` and `dgs` map a generator index to the nonzero
+        derivative's terms, with integer coefficients; f and g sit at
+        `dim_f` and `dim_g`.  A misplaced entry raises DimensionMismatch."""
+        acc: dict = {}
+        for i, j, shift, terms in self._entries:
+            if i not in dfs or j not in dgs:
+                continue
+            if shift is not None:
+                dim = tuple(b + x + y for b, x, y in zip(self.bracket_dim, dim_f, dim_g))
+                raise DimensionMismatch(dim, tuple(map(_add, dim, shift)), self.ring.label)
+            for al, ca in dfs[i]:
+                for bl, cb in dgs[j]:
+                    ab, cab = tuple(map(_add, al, bl)), ca * cb
+                    for tl, ct in terms:
+                        key = tuple(map(_add, ab, tl))
+                        c = cab * ct
+                        acc[key] = acc[key] + c if key in acc else c
+        return acc
+
+
+def _numerators(f: DimElement):
+    """The lcm of f's denominators, and f scaled by it to integer coefficients."""
+    den = math.lcm(*[c.denominator for _, c in f.value])
+    return den, DimElement(
+        tuple([(a, c.numerator * (den // c.denominator)) for a, c in f.value]), f.dim)
+
+
+def _variables(f: DimElement) -> set:
+    """The indices of the generators f depends on."""
+    return {i for a, _ in f.value for i, e in enumerate(a) if e}
 
 
 def make_poisson(
@@ -290,38 +339,50 @@ class ReducedPoisson:
 
     def _compute_basis(self):
         """Per degree, solve the linear conditions cutting N(I) out of the
-        span of non-ideal monomials; representatives modulo I.  Index
-        exponent tuples and nullspace terms are valid by construction, so
-        monomials and basis vectors are built trusted."""
-        ring = self.ring
+        span of non-ideal monomials; representatives modulo I.
+
+        Each condition row is read off the parent's integer kernel: the
+        derivative of a monomial x^a along x_i is a_i x^(a - e_i), so the
+        bracket of a column monomial with an ideal generator m is
+        sum a_i c_j pi_ij x^(a + c - e_i - e_j) (c the exponent of m),
+        and the terms no ideal generator divides give one row per
+        (m, residual monomial).  Each row is that of the normal forms of
+        the brackets times one nonzero factor, the table's denominator
+        over m's coefficient, so the rows have the same reduced echelon
+        form and the same nullspace.  Index exponent tuples and nullspace
+        terms are valid by construction, so basis vectors are built
+        trusted."""
+        ring, parent = self.ring, self.parent
         basis = []
-        nf = self.ideal.normal_form
         ideal_alphas = [g.value[0][0] for g in self.ideal.generators]
-        one = Fraction(1)
+
+        def derivatives(alpha):
+            return {i: ((alpha[:i] + (e - 1,) + alpha[i + 1:], e),)
+                    for i, e in enumerate(alpha) if e}
+
+        ideal = [(derivatives(ga), g.dim) for ga, g in zip(ideal_alphas, self.ideal.generators)]
         # exact-degree, non-ideal monomials per (degree, dimension), each
         # group in lexicographic order
         by_degree: dict = {}
         for dim, alphas in ring.monomial_index(self.cutoff).items():
             for alpha in alphas:
                 if not any(ring.monomial_divides(ga, alpha) for ga in ideal_alphas):
-                    m = DimElement(((alpha, one),), dim)
-                    by_degree.setdefault(sum(alpha), {}).setdefault(dim, []).append(m)
+                    by_degree.setdefault(sum(alpha), {}).setdefault(dim, []).append(alpha)
         for deg in range(0, self.cutoff + 1):
             for dim, monos in sorted(by_degree.get(deg, {}).items()):
                 # rows: one linear condition per (ideal generator, residual monomial)
                 conditions: dict = {}
-                for col, m in enumerate(monos):
-                    for g in self.ideal.generators:
-                        residual = nf(self.parent.bracket(m, g))
-                        for beta, coeff in residual.value:
-                            conditions.setdefault((g, beta), {})[col] = coeff
-                rows = [
-                    tuple(cond.get(c, Fraction(0)) for c in range(len(monos)))
-                    for cond in conditions.values()
-                ]
+                for col, alpha in enumerate(monos):
+                    dfs = derivatives(alpha)
+                    for k, (dgs, gdim) in enumerate(ideal):
+                        for beta, n in parent._terms(dfs, dgs, dim, gdim).items():
+                            if n and not any(ring.monomial_divides(ga, beta)
+                                             for ga in ideal_alphas):
+                                conditions.setdefault((k, beta), {})[col] = n
+                rows = [tuple(cond.get(c, 0) for c in range(len(monos)))
+                        for cond in conditions.values()]
                 for vec in nullspace(rows, len(monos)):
-                    terms = {m.value[0][0]: c for m, c in zip(monos, vec)}
-                    basis.append(ring._of(terms, dim))
+                    basis.append(ring._of(dict(zip(monos, vec)), dim))
         return tuple(basis)
 
     # -- the reduced structure ------------------------------------------------

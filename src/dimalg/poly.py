@@ -12,10 +12,11 @@ vector space containing at least its zero.
 documents, callers' dicts, samples) are validated there, each exponent
 tuple and the dimension of every monomial.  A sum, product or derivative
 of checked elements is homogeneous by construction, so results inside are
-trusted: `add`, `mul`, `pow` and the Poisson bracket build theirs
-through `_of`, which only drops zero coefficients and sorts, and
-`partial`, whose terms come out distinct, nonzero and in order, builds
-its own directly.
+trusted: `add`, `mul` and `pow` build theirs through `_of`, which only
+drops zero coefficients and sorts; `partial`, whose terms come out
+distinct, nonzero and in order, builds its own directly, and so does the
+Poisson bracket, whose integer kernel makes one Fraction per nonzero
+output term.
 """
 
 import itertools

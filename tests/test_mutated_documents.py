@@ -4,7 +4,8 @@ Each case takes one of the shipped documents (the SI registry, the
 golden structure, the canonical Poisson algebra), applies one mutation
 (drop a key or list item, change a value's JSON type, lengthen or
 shorten a list, rename a string or key to another name from the same
-document), and runs the CLI on it in process.  An input error (exit 2)
+document, or set a table cell to another name its table holds), and
+runs the CLI on it in process.  An input error (exit 2)
 is at most one line on stderr.  A structure that is checked (exit 0 or
 1) gets the verdict of the independent table oracle.
 """
@@ -60,11 +61,28 @@ def _at(doc, path):
     return doc
 
 
+def _cells(doc) -> list:
+    """Table cells, the strings two dict levels below a top-level key
+    (`mul[a][b]`, `add[d][a][b]`, `monoid.op[d][e]`), each with the other
+    names that the cells of its table hold: a cell set to one of them
+    keeps the document's shape, so it is checked."""
+    cells = [(p, v) for p, v in _nodes(doc) if isinstance(v, str) and len(p) >= 3
+             and isinstance(_at(doc, p[:-1]), dict) and isinstance(_at(doc, p[:-2]), dict)]
+    held: dict = {}
+    for path, value in cells:
+        held.setdefault(path[0], set()).add(value)
+    return [(path, sorted(held[path[0]] - {value})) for path, value in cells
+            if len(held[path[0]]) > 1]
+
+
 @st.composite
 def mutated(draw, doc):
     doc = copy.deepcopy(doc)
     nodes = list(_nodes(doc))
-    kind = draw(st.sampled_from(["drop", "retype", "lengthen", "shorten", "rename"]))
+    cells = _cells(doc)
+    # a document with tables gets as many cell changes as other mutations
+    kinds = ["drop", "retype", "lengthen", "shorten", "rename"]
+    kind = draw(st.sampled_from(kinds + ["recell"] * len(kinds) * bool(cells)))
     if kind in ("drop", "retype"):
         path, value = draw(st.sampled_from(nodes[1:]))
         parent = _at(doc, path[:-1])
@@ -81,6 +99,9 @@ def mutated(draw, doc):
             target.pop()
         else:
             target.append(copy.deepcopy(target[-1]) if target else "x")
+    elif kind == "recell":
+        path, names = draw(st.sampled_from(cells))
+        _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(names))
     else:
         names = _names(doc)
         spots = [(p, None) for p, v in nodes if isinstance(v, str)]

@@ -3,7 +3,9 @@
 `GradedPolyRing.mul`, `partial` and the monomial-ideal normal form are
 checked against `sympy.Poly`, and `DimPoisson.bracket` against the sum
 over ordered generator pairs of d_i f * d_j g * {x_i, x_j}, computed by
-sympy from the structure constants alone.
+sympy from the structure constants alone.  The reduced basis that
+`poisson_reduce` computes is checked against sympy's nullspace of the
+same conditions, built from that sum and `sympy.reduced`.
 """
 
 import itertools
@@ -16,7 +18,7 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st
 
-from dimalg import GradedPolyRing, make_poisson, poisson_product_homo
+from dimalg import GradedPolyRing, make_poisson, poisson_product_homo, poisson_reduce
 from dimalg.structure import load_poisson
 
 REPO_DATA = Path(__file__).parent.parent / "data"
@@ -132,8 +134,20 @@ def test_the_scaled_product_is_a_product_of_two_algebras():
         SCALED_PRODUCT.bracket_dim, SCALED_PRODUCT.product_dim)
 
 
-@pytest.mark.parametrize("p", [CANONICAL_4GEN, SCALED_PRODUCT],
-                         ids=["canonical_4gen", "scaled_product"])
+# Constants over denominators 2, 3 and 7, with several terms and nonzero
+# exponents, each entry in one slice: the common denominator of the
+# table shows in every coefficient.  Not a Poisson algebra (Jacobi fails
+# on x, y, u), which the bracket itself does not need.
+FRACTIONAL = make_poisson(
+    RING,
+    {("x", "y"): RING.poly({(1, 0, 0, 0): Fraction(3, 2), (0, 0, 1, 1): Fraction(-5, 7)}),
+     ("u", "v"): RING.poly({(2, 0, 0, 0): Fraction(1, 3)})},
+    bracket_dim=(1, 0), validate=False,
+)
+
+
+@pytest.mark.parametrize("p", [CANONICAL_4GEN, SCALED_PRODUCT, FRACTIONAL],
+                         ids=["canonical_4gen", "scaled_product", "fractional"])
 def test_bracket_matches_sympy(p):
     ring = p.ring
 
@@ -145,3 +159,79 @@ def test_bracket_matches_sympy(p):
         assert got.dim == vec_sum(p.bracket_dim, f.dim, g.dim)
 
     check()
+
+
+# Two Poisson algebras that are not canonical.  ROTATION is the Lie-Poisson
+# structure {x,y} = 3/2 z, {y,z} = 5/7 x, {z,x} = 1/3 y, graded by b = -1;
+# its reductions hold Casimir classes such as 9/2 z^2 + y^2, so the
+# conditions mix several monomials.  CASIMIR_SCALED is the scaled product
+# with structure constants of two terms each, polynomials in the Casimirs
+# z and w.
+_R3 = GradedPolyRing(["x", "y", "z"], [(1,), (1,), (1,)])
+ROTATION = make_poisson(
+    _R3,
+    {("x", "y"): _R3.poly({(0, 0, 1): Fraction(3, 2)}),
+     ("y", "z"): _R3.poly({(1, 0, 0): Fraction(5, 7)}),
+     ("z", "x"): _R3.poly({(0, 1, 0): Fraction(1, 3)})},
+)
+CASIMIR_SCALED = make_poisson(
+    _SP,
+    {("a1", "a2"): _SP.poly({(0, 0, 2, 0, 0, 3): Fraction(3, 2),
+                             (0, 0, 5, 0, 0, 0): Fraction(-5, 7)}),
+     ("b1", "b2"): _SP.poly({(0, 0, 1, 0, 0, 4): Fraction(1, 3),
+                             (0, 0, 0, 0, 0, 5): Fraction(2, 9)})},
+    product_dim=(4,), scale=_SP.monomial((0, 0, 1, 0, 0, 3)),
+)
+
+
+def sympy_reduced_blocks(p, ideal, cutoff):
+    """{(degree, dimension): (block monomials, nullspace)} of the
+    reduction of `p` by the monomial ideal with exponents `ideal`: one
+    condition per (ideal generator, monomial of the remainder of the
+    bracket of a block monomial with it), solved by sympy."""
+    ring = p.ring
+    xs = symbols(ring)
+    divisors = [sympy.Mul(*(x ** e for x, e in zip(xs, c))) for c in ideal]
+    blocks: dict = {}
+    for alpha in itertools.product(range(cutoff + 1), repeat=ring.nvars):
+        if sum(alpha) <= cutoff and not any(
+                all(x <= y for x, y in zip(c, alpha)) for c in ideal):
+            dim = vec_sum(*(tuple(e * d for d in gd) for e, gd in zip(alpha, ring.gen_dims)))
+            blocks.setdefault((sum(alpha), dim), []).append(alpha)
+    out = {}
+    for key, monos in blocks.items():
+        conditions: dict = {}
+        for col, alpha in enumerate(monos):
+            for k, c in enumerate(ideal):
+                br = sympy_bracket(p, ring.monomial(alpha), ring.monomial(c))
+                _, rem = sympy.reduced(br.as_expr(), divisors, *xs)
+                for beta, coeff in sympy.Poly(rem, *xs, domain=sympy.QQ).as_dict().items():
+                    conditions.setdefault((k, beta), {})[col] = coeff
+        matrix = sympy.Matrix([[cond.get(col, 0) for col in range(len(monos))]
+                               for cond in conditions.values()])
+        out[key] = monos, (matrix.nullspace() if conditions
+                           else list(sympy.eye(len(monos)).columnspace()))
+    return out
+
+
+@pytest.mark.parametrize("p,ideal,cutoff", [
+    (ROTATION, [(1, 0, 0)], 5),
+    (ROTATION, [(2, 0, 0)], 4),
+    (ROTATION, [(1, 1, 0)], 5),
+    (CASIMIR_SCALED, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)], 3),
+], ids=["rotation-x", "rotation-x2", "rotation-xy", "casimir_scaled-a1-b1"])
+def test_reduced_basis_matches_sympy_nullspace(p, ideal, cutoff):
+    """Per (degree, dimension) block the reduced basis has sympy's size,
+    and both bases have the same reduced row echelon form."""
+    ring = p.ring
+    reduced = poisson_reduce(p, [ring.monomial(c) for c in ideal], cutoff)
+    ours: dict = {}
+    for b in reduced.basis:
+        ours.setdefault((ring.degree(b), b.dim), []).append(dict(b.value))
+    want = sympy_reduced_blocks(p, ideal, cutoff)
+    assert {k for k, (_, null) in want.items() if null} == set(ours)
+    for key, vectors in ours.items():
+        monos, null = want[key]
+        assert len(vectors) == len(null), key
+        got = sympy.Matrix([[sympy.Rational(v.get(m, 0)) for m in monos] for v in vectors])
+        assert got.rref()[0] == sympy.Matrix.hstack(*null).T.rref()[0], key

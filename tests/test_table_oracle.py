@@ -1,10 +1,12 @@
 """An independent oracle for `dimalg check`.
 
-`table_verdict` decides a structure document by brute force over its raw
-JSON tables, every law on every case, and imports nothing from `dimalg`.
-Its verdict must equal `check_structure`'s exit code on every shipped
-structure, on a table whose defect lies beyond the first cases of each
-law, and on fixed-seed product tables, clean and with one-cell defects.
+`table_laws` decides each law of a structure document by brute force over
+its raw JSON tables, every law on every case, and imports nothing from
+`dimalg`; `table_verdict` folds those verdicts into an exit code. Both
+must agree with `check_structure`, the exit code and the law named by
+each FAIL line, on every shipped structure, on a table whose defect lies
+beyond the first cases of each law, on fixed-seed product tables, clean
+and with one-cell defects, and on a table that breaks associativity alone.
 """
 
 import copy
@@ -25,10 +27,12 @@ STRUCTURES = sorted((TESTS.parent / "data" / "structures").glob("*.json")) + [
 ]
 
 
-def table_verdict(doc: dict) -> int:
-    """0 when the tables form a dimensioned ring whose unit candidate, if
-    declared, is a unit section; 1 otherwise. The document must be well
-    formed: names declared and tables total."""
+def table_laws(doc: dict):
+    """Whether the tables hold each law of `dimalg check`, by the name of
+    its report line: None when a slice is no abelian group (the report
+    then stops after its slice-group lines), else {law: holds} for the
+    ring laws and, when a unit candidate is declared, its three laws. The
+    document must be well formed: names declared and tables total."""
     dims, e, op = doc["monoid"]["elements"], doc["monoid"]["identity"], doc["monoid"]["op"]
     slices, add, mul, one = doc["slices"], doc["add"], doc["mul"], doc["one"]
     dim = {x: d for d, xs in slices.items() for x in xs}
@@ -36,15 +40,15 @@ def table_verdict(doc: dict) -> int:
     for d, xs in slices.items():
         t = add[d]
         if any(dim[t[a][b]] != d for a in xs for b in xs):
-            return 1
+            return None
         zs = [z for z in xs if all(t[z][x] == x == t[x][z] for x in xs)]
         if not zs:
-            return 1
+            return None
         zero[d] = z = zs[0]
         if not (all(z in t[a].values() for a in xs)
                 and all(t[a][b] == t[b][a] for a, b in product(xs, repeat=2))
                 and all(t[t[a][b]][c] == t[a][t[b][c]] for a, b, c in product(xs, repeat=3))):
-            return 1
+            return None
 
     def s(a, b):  # a + b, or None when b lies outside a's slice
         return add[dim[a]][a].get(b)
@@ -52,24 +56,53 @@ def table_verdict(doc: dict) -> int:
     def m(a, b):
         return mul[a][b]
 
-    laws = [
-        all(op[op[x][y]][w] == op[x][op[y][w]] for x, y, w in product(dims, repeat=3)),
-        all(op[e][x] == x == op[x][e] for x in dims),
-        all(dim[m(a, b)] == op[dim[a]][dim[b]] for a, b in product(elems, repeat=2)),
-        all(m(s(a, b), c) == s(m(a, c), m(b, c)) and m(c, s(a, b)) == s(m(c, a), m(c, b))
-            for a, b, c in product(elems, repeat=3) if dim[a] == dim[b]),
-        all(m(zero[d], a) == zero[op[d][dim[a]]] and m(a, zero[d]) == zero[op[dim[a]][d]]
-            for d, a in product(dims, elems)),
-        all(m(one, a) == a == m(a, one) for a in elems),
-        all(m(m(a, b), c) == m(a, m(b, c)) for a, b, c in product(elems, repeat=3)),
-        not doc.get("commutative", True)
-        or all(m(a, b) == m(b, a) for a, b in product(elems, repeat=2)),
-    ]
+    laws = {
+        "dimension monoid: associativity":
+            all(op[op[x][y]][w] == op[x][op[y][w]] for x, y, w in product(dims, repeat=3)),
+        "dimension monoid: identity": all(op[e][x] == x == op[x][e] for x in dims),
+        "projection is a monoid morphism":
+            all(dim[m(a, b)] == op[dim[a]][dim[b]] for a, b in product(elems, repeat=2)),
+        "distributivity where defined":
+            all(m(s(a, b), c) == s(m(a, c), m(b, c)) and m(c, s(a, b)) == s(m(c, a), m(c, b))
+                for a, b, c in product(elems, repeat=3) if dim[a] == dim[b]),
+        "zero family is absorbent":
+            all(m(zero[d], a) == zero[op[d][dim[a]]] and m(a, zero[d]) == zero[op[dim[a]][d]]
+                for d, a in product(dims, elems)),
+        "unitality": all(m(one, a) == a == m(a, one) for a in elems),
+        "multiplicative associativity":
+            all(m(m(a, b), c) == m(a, m(b, c)) for a, b, c in product(elems, repeat=3)),
+        "commutativity": not doc.get("commutative", True)
+            or all(m(a, b) == m(b, a) for a, b in product(elems, repeat=2)),
+    }
     u = doc.get("unit_candidate")
     if u is not None:
-        laws.append(all(dim[u[d]] == d and u[d] != zero[d] for d in dims)
-                    and all(u[op[d][f]] == m(u[d], u[f]) for d, f in product(dims, repeat=2)))
-    return 0 if all(laws) else 1
+        laws["splits the projection"] = all(dim[u[d]] == d for d in dims)
+        laws["nowhere zero"] = all(u[d] != zero[dim[u[d]]] for d in dims)
+        laws["multiplicative on probed pairs"] = all(
+            u[op[d][f]] == m(u[d], u[f]) for d, f in product(dims, repeat=2))
+    return laws
+
+
+def table_verdict(doc: dict) -> int:
+    """0 when the tables form a dimensioned ring whose unit candidate, if
+    declared, is a unit section; 1 otherwise."""
+    laws = table_laws(doc)
+    return 0 if laws is not None and all(laws.values()) else 1
+
+
+def assert_oracle_agrees(doc) -> int:
+    """`check_structure` gives the oracle's verdict, and, when the slices
+    are abelian groups, its FAIL lines name exactly the laws the oracle
+    finds broken. Returns the verdict."""
+    code, lines = check_structure(doc)
+    laws = table_laws(doc)
+    assert code == table_verdict(doc)
+    if laws is not None:
+        fails = [line for line in lines if line.startswith("FAIL  ")]
+        named = {n for n in laws if any(f.startswith(f"FAIL  {n}: ") for f in fails)}
+        assert named == {n for n, holds in laws.items() if not holds}
+        assert len(fails) == len(named), fails
+    return code
 
 
 def one_cell_defect(doc: dict, kind: str, rng: random.Random) -> dict:
@@ -102,11 +135,11 @@ def one_cell_defect(doc: dict, kind: str, rng: random.Random) -> dict:
 
 @pytest.mark.parametrize("path", STRUCTURES, ids=lambda p: p.name)
 def test_oracle_agrees_on_every_shipped_structure(path):
-    assert table_verdict(json.loads(path.read_text())) == check_structure(path)[0]
+    assert_oracle_agrees(json.loads(path.read_text()))
 
 
 def test_oracle_agrees_on_a_defect_beyond_the_first_cases(defect_beyond_caps):
-    assert table_verdict(defect_beyond_caps) == check_structure(defect_beyond_caps)[0] == 1
+    assert assert_oracle_agrees(defect_beyond_caps) == 1
 
 
 SIZES = ((2, 3), (3, 2), (4, 4), (6, 2), (7, 3))
@@ -117,7 +150,43 @@ DEFECTS = ("mul_cell_same_slice", "mul_pair", "add_cell", "monoid_cell", "mul_ce
 def test_oracle_agrees_on_product_tables(n, m):
     rng = random.Random(1000 * n + m)
     clean = product_table(n, m, rng)
-    assert table_verdict(clean) == check_structure(clean)[0] == 0
+    assert assert_oracle_agrees(clean) == 0
     for kind in DEFECTS:
-        doc = one_cell_defect(clean, kind, rng)
-        assert table_verdict(doc) == check_structure(doc)[0], kind
+        assert_oracle_agrees(one_cell_defect(clean, kind, rng))
+
+
+def nonassociative_table() -> dict:
+    """The commutative unital F2-algebra on the basis 1, a, b with
+    a·a = b·b = 0 and a·b = b·a = a, in one dimension: its product is
+    bilinear, so distributive, but (a·b)·b = a while a·(b·b) = 0. The
+    slice lists 0 first, and (x·0)·y = x·(0·y) for every x and y, so
+    associativity tried on the first element alone would hold."""
+    basis = ("1", "a", "b")
+
+    def name(v):
+        return "+".join(x for x, c in zip(basis, v) if c) or "0"
+
+    def times(x, y):
+        (x1, xa, xb), (y1, ya, yb) = x, y
+        return (x1 * y1 % 2, (x1 * ya + xa * y1 + xa * yb + xb * ya) % 2, (x1 * yb + xb * y1) % 2)
+
+    vs = sorted(product((0, 1), repeat=3), key=lambda v: (sum(v), v[::-1]))
+    return {
+        "name": "F2<1,a,b>",
+        "monoid": {"elements": ["d"], "identity": "d", "op": {"d": {"d": "d"}}},
+        "slices": {"d": [name(v) for v in vs]},
+        "add": {"d": {name(x): {name(y): name(tuple((p + q) % 2 for p, q in zip(x, y)))
+                                for y in vs} for x in vs}},
+        "mul": {name(x): {name(y): name(times(x, y)) for y in vs} for x in vs},
+        "one": "1",
+        "unit_candidate": {"d": "1"},
+    }
+
+
+def test_oracle_names_associativity_as_the_only_law_a_table_breaks():
+    """Every one-cell product defect above also breaks distributivity; this
+    table breaks associativity alone."""
+    doc = nonassociative_table()
+    assert [n for n, holds in table_laws(doc).items() if not holds] == [
+        "multiplicative associativity"]
+    assert assert_oracle_agrees(doc) == 1
