@@ -1,22 +1,23 @@
 """One-shot command line front end.
 
 Exit codes: 0 success, 1 axiom or dimension failure, 2 input error.
+Each command imports the layers it runs: start-up loads only the
+calculator (`registry` and what it builds on).
 """
 
 import sys
+from contextlib import contextmanager
 
 import click
 
 from .errors import DimAlgError, DimensionMismatch, ExprSyntaxError, InputFormatError
 from .numfmt import MAX_DIGITS
-from .poisson import coisotrope_check, poisson_axiom_report, poisson_reduce
 from .registry import (
     convert as convert_quantity,
     evaluate,
     format_quantity,
     registry_load,
 )
-from .structure import check_structure, load_poisson, parse_poly
 
 EXIT_FAILURE = 1
 EXIT_INPUT = 2
@@ -41,7 +42,36 @@ def _load_registry(path):
         _fail(EXIT_INPUT, str(exc))
 
 
-@click.group()
+# click >= 8.2 raises this to print the help of a group called bare
+_SHOWS_HELP = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
+@contextmanager
+def _one_line_usage_errors():
+    try:
+        yield
+    except click.UsageError as exc:
+        if isinstance(exc, _SHOWS_HELP):
+            raise
+        _fail(EXIT_INPUT, exc.format_message())
+
+
+class _Main(click.Group):
+    """The root group. A usage error (an unknown option or command, a
+    missing or malformed argument) is an input error like any other: one
+    line on stderr, exit 2. An argument that starts with '-' follows
+    '--'."""
+
+    def parse_args(self, ctx, args):
+        with _one_line_usage_errors():
+            return super().parse_args(ctx, args)
+
+    def invoke(self, ctx):
+        with _one_line_usage_errors():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact dimensioned-quantity calculator and structure checker."""
 
@@ -111,6 +141,8 @@ def registry_validate(path):
 @click.argument("path", type=click.Path())
 def check_cmd(path):
     """Run the axiom suite on a declared finite structure."""
+    from .structure import check_structure
+
     try:
         code, lines = check_structure(path)
     except InputFormatError as exc:
@@ -126,6 +158,8 @@ def poisson_group():
 
 
 def _load_poisson(path, validate):
+    from .structure import load_poisson
+
     try:
         return load_poisson(path, validate=validate)
     except InputFormatError as exc:
@@ -139,6 +173,8 @@ def _load_poisson(path, validate):
 def poisson_check(path):
     """Axiom suite, then the coisotrope check when an ideal is declared and
     the axioms hold (as `reduce` validates the algebra before reducing)."""
+    from .poisson import coisotrope_check, poisson_axiom_report
+
     p, ideal = _load_poisson(path, validate=False)
     rep = poisson_axiom_report(p)
     if ideal and rep.ok:
@@ -154,6 +190,8 @@ def poisson_check(path):
 @click.argument("right")
 def poisson_bracket_cmd(path, left, right):
     """Print the bracket of two polynomial expressions."""
+    from .structure import parse_poly
+
     p, _ = _load_poisson(path, validate=True)
     try:
         f = parse_poly(p.ring, left)
@@ -172,6 +210,8 @@ def poisson_bracket_cmd(path, left, right):
 @click.option("--cutoff", default=6, show_default=True, help="degree cutoff")
 def poisson_reduce_cmd(path, cutoff):
     """Reduce by the declared coisotrope and list the surviving basis."""
+    from .poisson import poisson_reduce
+
     if cutoff < 1:
         _fail(EXIT_INPUT, "cutoff must be >= 1")
     p, ideal = _load_poisson(path, validate=True)

@@ -38,7 +38,8 @@ class DimPoisson:
 
     # -- the two multiplications ---------------------------------------
     def product(self, f: DimElement, g: DimElement) -> DimElement:
-        return self.ring.mul(self.scale, self.ring.mul(f, g))
+        fg = self.ring.mul(f, g)
+        return fg if self._unit_scale else self.ring.mul(self.scale, fg)
 
     def bracket(self, f: DimElement, g: DimElement) -> DimElement:
         """Biderivation extension of the structure-constant table; the
@@ -65,6 +66,11 @@ class DimPoisson:
         den = self._denominator * df_den * dg_den
         dim = tuple(b + x + y for b, x, y in zip(self.bracket_dim, f.dim, g.dim))
         return DimElement(tuple(sorted((a, Fraction(n, den)) for a, n in acc.items() if n)), dim)
+
+    @cached_property
+    def _unit_scale(self) -> bool:
+        """Whether the scale is the ring's one, so products skip it."""
+        return self.scale == self.ring.one
 
     @cached_property
     def _denominator(self) -> int:

@@ -28,7 +28,6 @@ from .errors import (
 from .exprparse import eval_tree, parse_poly_expr
 from .group import DimElement
 from .monoid import DimMonoid, DimSet
-from .poisson import make_poisson
 from .poly import GradedPolyRing
 from .report import CheckReport
 from .ring import DimRing, ring_axiom_report, unit_section_check
@@ -289,6 +288,8 @@ def parse_poly(ring: GradedPolyRing, src: str) -> DimElement:
 
 def load_poisson(source, validate: bool = True):
     """Build a DimPoisson (plus its declared ideal) from a JSON document."""
+    from .poisson import make_poisson  # `dimalg check` never loads the Poisson layer
+
     doc = typed_field(load_json(source), dict, "a Poisson description")
     try:
         gens = []

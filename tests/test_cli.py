@@ -1,5 +1,9 @@
+import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -96,6 +100,17 @@ class TestEval:
 
 
 class TestBoundedInputs:
+    @pytest.mark.parametrize("args, message", [
+        (["eval", "-3 m", "--registry", REGISTRY], "No such option '-3'."),
+        (["convert", "1 m", "--registry", REGISTRY], "Missing argument 'TARGET'."),
+        (["evl", "1 m"], "No such command 'evl'. Did you mean 'eval'?"),
+        (["--bogus", "eval"], "No such option '--bogus'."),
+    ], ids=["leading-minus", "missing-argument", "unknown-command", "unknown-root-option"])
+    def test_usage_errors_exit_2_with_one_line(self, runner, args, message):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2
+        assert r.stderr.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize("args", [
         ["eval", "1 m / 0"],
         ["eval", "1 m / (2 s - 2 s)"],
@@ -450,3 +465,58 @@ class TestMalformedDocuments:
         assert r.exit_code == 2, r.output
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and reason in lines[0]
+
+
+# ---------------------------------------------------------------------------
+# Start-up footprint: each command imports only the layers it runs
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).parent.parent / "src"
+CALCULATOR_ONLY = {"dimalg.poisson", "dimalg.structure", "dimalg.poly", "dimalg.algebra",
+                   "dimalg.modules", "dimalg.endo"}
+NO_POISSON = {"dimalg.poisson", "dimalg.algebra", "dimalg.modules"}
+FOOTPRINT = """
+import json, sys
+import dimalg
+bare = sorted(m for m in sys.modules if m.startswith("dimalg"))
+from dimalg.cli import main
+code = None
+try:
+    main(args=sys.argv[1:], prog_name="dimalg")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([bare, code, sorted(m for m in sys.modules if m.startswith("dimalg"))]))
+"""
+
+
+@pytest.mark.parametrize("args, code, unloaded", [
+    (["eval", "300 cm^3 / (2.2 L/min)", "--to", "s", "--registry", REGISTRY], 0, CALCULATOR_ONLY),
+    (["convert", "300 cm^3", "L", "--registry", REGISTRY], 0, CALCULATOR_ONLY),
+    (["eval", "1 +", "--registry", REGISTRY], 2, CALCULATOR_ONLY),
+    (["check", str(REPO / "structures" / "product_ring_mod5_z2.json")], 0, NO_POISSON),
+], ids=["eval", "convert", "syntax-error", "check"])
+def test_a_fresh_command_loads_only_its_layers(args, code, unloaded):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    bare, exit_code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert bare == ["dimalg"]
+    assert exit_code == code, proc.stderr
+    assert "dimalg.registry" in loaded
+    assert not unloaded & set(loaded)
+
+
+def test_every_public_name_resolves_to_its_module():
+    import dimalg
+
+    assert sorted(dimalg.__all__) == sorted(dimalg._OWNER)
+    assert set(dimalg.__all__) <= set(dir(dimalg))
+    for name, module in dimalg._OWNER.items():
+        assert getattr(dimalg, name) is getattr(importlib.import_module(f"dimalg.{module}"), name)
+    star: dict = {}
+    exec("from dimalg import *", star)
+    assert all(star[name] is getattr(dimalg, name) for name in dimalg.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dimalg.no_such_name
+    with pytest.raises(ImportError):
+        exec("from dimalg import no_such_name", {})

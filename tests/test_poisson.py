@@ -528,3 +528,20 @@ class TestGeneratorDecisions:
         with pytest.raises(ConstructionError) as exc:
             load_poisson(SUBJECTS[name], validate=True)
         assert str(exc.value).startswith(f"Poisson construction rejected: FAIL  {law}: ")
+
+
+@pytest.mark.parametrize("name, unit", [
+    ("canonical_qp", True),
+    ("canonical n=2 rank=2", True),
+    ("scaled by z", False),
+    ("scaled by w^3", False),
+])
+def test_product_is_the_scale_times_the_ring_product(name, unit):
+    """A unit scale is skipped, and no other: on sampled polynomials the
+    product is ring.mul(scale, ring.mul(f, g)) in either case."""
+    p, _ = _load(name)
+    ring, rng = p.ring, random.Random(71)
+    assert ring.eq(p.scale, ring.one) == unit
+    for _ in range(30):
+        f, g = ring.sample(rng), ring.sample(rng)
+        assert p.product(f, g) == ring.mul(p.scale, ring.mul(f, g))

@@ -155,38 +155,71 @@ def test_oracle_agrees_on_product_tables(n, m):
         assert_oracle_agrees(one_cell_defect(clean, kind, rng))
 
 
-def nonassociative_table() -> dict:
-    """The commutative unital F2-algebra on the basis 1, a, b with
-    a·a = b·b = 0 and a·b = b·a = a, in one dimension: its product is
-    bilinear, so distributive, but (a·b)·b = a while a·(b·b) = 0. The
-    slice lists 0 first, and (x·0)·y = x·(0·y) for every x and y, so
-    associativity tried on the first element alone would hold."""
-    basis = ("1", "a", "b")
+def f2_algebra(basis, times, order, commutative=True) -> dict:
+    """The unital F2-algebra on `basis`, its first element the unit, in one
+    dimension: `times(i, j)` is the index of the product of basis elements
+    i and j (neither the unit), or None for 0, and the product extends
+    bilinearly, so it is distributive. The slice lists the vectors sorted
+    by `order`."""
 
     def name(v):
         return "+".join(x for x, c in zip(basis, v) if c) or "0"
 
-    def times(x, y):
-        (x1, xa, xb), (y1, ya, yb) = x, y
-        return (x1 * y1 % 2, (x1 * ya + xa * y1 + xa * yb + xb * ya) % 2, (x1 * yb + xb * y1) % 2)
+    def mul(x, y):
+        out = [0] * len(basis)
+        for i, j in product(range(len(basis)), repeat=2):
+            k = i + j if 0 in (i, j) else times(i, j)  # the unit's index is 0
+            if x[i] and y[j] and k is not None:
+                out[k] ^= 1
+        return tuple(out)
 
-    vs = sorted(product((0, 1), repeat=3), key=lambda v: (sum(v), v[::-1]))
+    vs = sorted(product((0, 1), repeat=len(basis)), key=order)
     return {
-        "name": "F2<1,a,b>",
+        "name": f"F2<{','.join(basis)}>",
+        "commutative": commutative,
         "monoid": {"elements": ["d"], "identity": "d", "op": {"d": {"d": "d"}}},
         "slices": {"d": [name(v) for v in vs]},
         "add": {"d": {name(x): {name(y): name(tuple((p + q) % 2 for p, q in zip(x, y)))
                                 for y in vs} for x in vs}},
-        "mul": {name(x): {name(y): name(times(x, y)) for y in vs} for x in vs},
-        "one": "1",
-        "unit_candidate": {"d": "1"},
+        "mul": {name(x): {name(y): name(mul(x, y)) for y in vs} for x in vs},
+        "one": basis[0],
+        "unit_candidate": {"d": basis[0]},
     }
+
+
+def nonassociative_table() -> dict:
+    """The commutative F2-algebra on the basis 1, a, b with a·a = b·b = 0
+    and a·b = b·a = a: (a·b)·b = a while a·(b·b) = 0. The slice lists 0
+    first, and (x·0)·y = x·(0·y) for every x and y, so associativity tried
+    on the first element alone would hold."""
+    return f2_algebra(("1", "a", "b"), lambda i, j: 1 if {i, j} == {1, 2} else None,
+                      order=lambda v: (sum(v), v[::-1]))
+
+
+def late_nonassociative_table() -> dict:
+    """The F2-algebra on the basis 1, b, e1, e2, a whose only nonzero
+    product of non-unit basis elements is a·b = a; it is not commutative.
+    Its associator vanishes unless a appears in the outermost factor,
+    as in (a·b)·b = a, a·(b·b) = 0. The 32 elements are listed with the 16
+    free of a first, so Light's test, a outermost, meets its first failing
+    case at number 8 771, beyond a cap of 6 000."""
+    return f2_algebra(("1", "b", "e1", "e2", "a"), lambda i, j: 4 if (i, j) == (4, 1) else None,
+                      order=lambda v: v[::-1], commutative=False)
 
 
 def test_oracle_names_associativity_as_the_only_law_a_table_breaks():
     """Every one-cell product defect above also breaks distributivity; this
     table breaks associativity alone."""
     doc = nonassociative_table()
+    assert [n for n, holds in table_laws(doc).items() if not holds] == [
+        "multiplicative associativity"]
+    assert assert_oracle_agrees(doc) == 1
+
+
+def test_oracle_finds_an_associativity_defect_beyond_6000_cases():
+    """Every law holds but associativity, and Light's test reaches the
+    first failing triple only after 6 000 cases."""
+    doc = late_nonassociative_table()
     assert [n for n, holds in table_laws(doc).items() if not holds] == [
         "multiplicative associativity"]
     assert assert_oracle_agrees(doc) == 1
