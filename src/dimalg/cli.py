@@ -76,14 +76,9 @@ def main():
     """Exact dimensioned-quantity calculator and structure checker."""
 
 
-@main.command("eval")
-@click.argument("expression")
-@click.option("--registry", "registry_path", type=click.Path(), help="registry JSON")
-@click.option("--digits", default=4, show_default=True, help="significant digits")
-@click.option("--exact", is_flag=True, help="print the exact rational")
-@click.option("--to", "target", default=None, help="convert the result to this unit")
-def eval_cmd(expression, registry_path, digits, exact, target):
-    """Evaluate a quantity expression."""
+def _print_quantity(expression, target, registry_path, digits, exact):
+    """Evaluate `expression`, convert it to `target` unless that is None,
+    and print it: the body of `eval` and `convert`."""
     _check_digits(digits)
     reg = _load_registry(registry_path)
     try:
@@ -99,6 +94,17 @@ def eval_cmd(expression, registry_path, digits, exact, target):
     click.echo(format_quantity(q, reg, digits=digits, exact=exact))
 
 
+@main.command("eval")
+@click.argument("expression")
+@click.option("--registry", "registry_path", type=click.Path(), help="registry JSON")
+@click.option("--digits", default=4, show_default=True, help="significant digits")
+@click.option("--exact", is_flag=True, help="print the exact rational")
+@click.option("--to", "target", default=None, help="convert the result to this unit")
+def eval_cmd(expression, registry_path, digits, exact, target):
+    """Evaluate a quantity expression."""
+    _print_quantity(expression, target, registry_path, digits, exact)
+
+
 @main.command("convert")
 @click.argument("expression")
 @click.argument("target")
@@ -107,17 +113,7 @@ def eval_cmd(expression, registry_path, digits, exact, target):
 @click.option("--exact", is_flag=True)
 def convert_cmd(expression, target, registry_path, digits, exact):
     """Evaluate an expression and re-express it in TARGET units."""
-    _check_digits(digits)
-    reg = _load_registry(registry_path)
-    try:
-        q = convert_quantity(evaluate(expression, reg), target, reg)
-    except (ExprSyntaxError, InputFormatError) as exc:
-        _fail(EXIT_INPUT, str(exc))
-    except ZeroDivisionError:
-        _fail(EXIT_INPUT, "division by zero")
-    except DimensionMismatch as exc:
-        _fail(EXIT_FAILURE, str(exc))
-    click.echo(format_quantity(q, reg, digits=digits, exact=exact))
+    _print_quantity(expression, target, registry_path, digits, exact)
 
 
 @main.group("registry")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .carriers import Rationals
-from .errors import CarrierError, ConstructionError, DimensionMismatch
+from .errors import CarrierError, ConstructionError, DimensionMapMismatch, DimensionMismatch
 from .group import DimElement
 from .monoid import DimMonoid, DimSet
 from .report import CheckReport
@@ -582,8 +582,9 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
 
     Laws: the dimension monoid's own axioms, the projection being a monoid
     morphism, distributivity wherever addition is defined, absorbency of
-    the zero family, unitality, associativity, and slice abelian-group
-    axioms (plus commutativity when declared).
+    the zero family, unitality, associativity, slice abelian-group
+    axioms (plus commutativity when declared), and addition raising
+    across slices.
 
     A ring that lists its `elements()` is decided on every case, and its
     associativity by Light's test: (a·g)·c = a·(g·c) for every a, c and
@@ -682,5 +683,16 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
             return f"a+(-a) != 0 at {show(a)}"
 
     rep.law("slices are abelian groups", upto(4000, pairs), abelian)
+
+    def undefined_across(a, e):
+        try:
+            s = ring.add(a, ring.zero(e))
+        except (DimensionMismatch, DimensionMapMismatch):
+            return None
+        return f"{show(a)}+0_{e!r} = {show(s)} across slices"
+
+    rep.law("addition is undefined across slices",
+            upto(4000, ((a, e) for a in elems for e in dims if e != a.dim)),
+            undefined_across)
 
     return rep

@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -465,6 +466,32 @@ class TestMalformedDocuments:
         assert r.exit_code == 2, r.output
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and reason in lines[0]
+
+
+# ---------------------------------------------------------------------------
+# No command draws a random value
+# ---------------------------------------------------------------------------
+
+FOUR_GEN = str(REPO / "poisson" / "canonical_4gen.json")
+
+
+@pytest.mark.parametrize("args", [
+    ["check", str(REPO / "structures" / "product_ring_mod5_z2.json")],
+    ["poisson", "check", FOUR_GEN],
+    ["poisson", "bracket", FOUR_GEN, "q1^2*p2 + q2", "p1*q2^3"],
+    ["poisson", "reduce", FOUR_GEN, "--cutoff", "6"],
+], ids=["check", "poisson-check", "poisson-bracket", "poisson-reduce"])
+def test_no_command_draws_a_random_value(runner, monkeypatch, args):
+    """Every draw of a `random.Random` goes through its `random` or its
+    `getrandbits`; with both raising, each command still exits 0."""
+    def draw(*_):
+        raise AssertionError("a random value was drawn")
+
+    for method in ("random", "getrandbits"):
+        monkeypatch.setattr(random.Random, method, draw)
+    r = runner.invoke(main, args)
+    assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
+    assert r.exit_code == 0, r.output
 
 
 # ---------------------------------------------------------------------------

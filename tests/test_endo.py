@@ -131,9 +131,24 @@ class TestComposition:
             assert endo2.eq(lhs, rhs)
 
 
+class UncheckedAdd(EndoRing):
+    """Adds coefficients whatever the two dimension maps are."""
+
+    def add(self, a, b):
+        sc = self.base.scalars
+        return DimElement(tuple(sc.add(x, y) for x, y in zip(a.value, b.value)), a.dim)
+
+
 class TestSuites:
     def test_axiom_report_small(self, endo2, rng):
         assert ring_axiom_report(endo2, rng).ok
+
+    def test_axiom_report_fails_an_addition_across_maps(self, rng):
+        """Every other law adds within one slice only, so this law alone
+        sees a sum of endomorphisms with different dimension maps."""
+        rep = ring_axiom_report(endo_over_cyclic(2, UncheckedAdd), rng)
+        assert [r.law for r in rep.failures] == ["addition is undefined across slices"]
+        assert "across slices" in rep.failures[0].witness
 
     def test_exhaustive_distributivity_up_to_three_points(self, rng):
         for n in (1, 2, 3):
