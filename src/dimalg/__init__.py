@@ -40,7 +40,6 @@ _EXPORTS = {
         "DimRing",
         "Ideal",
         "ProductDimRing",
-        "RationalScalars",
         "RingMorphism",
         "UnitSection",
         "dimensionless_ring",

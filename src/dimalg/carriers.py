@@ -330,10 +330,7 @@ class TensorSlice:
     """The tensor product of two carriers plus the pure-tensor pairing."""
 
     carrier: Carrier
-    _pure: callable
-
-    def pure(self, a, b):
-        return self._pure(a, b)
+    pure: callable
 
 
 def tensor_carrier(left: Carrier, right: Carrier) -> TensorSlice:

@@ -10,7 +10,13 @@ from contextlib import contextmanager
 
 import click
 
-from .errors import DimAlgError, DimensionMismatch, ExprSyntaxError, InputFormatError
+from .errors import (
+    DimAlgError,
+    DimensionMismatch,
+    ExprSyntaxError,
+    InputFormatError,
+    require_monomials,
+)
 from .numfmt import MAX_DIGITS
 from .registry import (
     convert as convert_quantity,
@@ -33,13 +39,22 @@ def _check_digits(digits):
         _fail(EXIT_INPUT, f"digits must be between 1 and {MAX_DIGITS}")
 
 
+@contextmanager
+def _exit_on(*policy):
+    """Turn an error into one `error:` line and an exit code.  `policy`
+    is (error type, exit code) pairs; the first type that matches wins."""
+    try:
+        yield
+    except tuple(kind for kind, _ in policy) as exc:
+        code = next(code for kind, code in policy if isinstance(exc, kind))
+        _fail(code, "division by zero" if isinstance(exc, ZeroDivisionError) else str(exc))
+
+
 def _load_registry(path):
     if path is None:
         _fail(EXIT_INPUT, "a registry is required (--registry PATH)")
-    try:
+    with _exit_on((InputFormatError, EXIT_INPUT)):
         return registry_load(path)
-    except InputFormatError as exc:
-        _fail(EXIT_INPUT, str(exc))
 
 
 # click >= 8.2 raises this to print the help of a group called bare
@@ -81,16 +96,11 @@ def _print_quantity(expression, target, registry_path, digits, exact):
     and print it: the body of `eval` and `convert`."""
     _check_digits(digits)
     reg = _load_registry(registry_path)
-    try:
+    with _exit_on((ExprSyntaxError, EXIT_INPUT), (InputFormatError, EXIT_INPUT),
+                  (ZeroDivisionError, EXIT_INPUT), (DimensionMismatch, EXIT_FAILURE)):
         q = evaluate(expression, reg)
         if target is not None:
             q = convert_quantity(q, target, reg)
-    except (ExprSyntaxError, InputFormatError) as exc:
-        _fail(EXIT_INPUT, str(exc))
-    except ZeroDivisionError:
-        _fail(EXIT_INPUT, "division by zero")
-    except DimensionMismatch as exc:
-        _fail(EXIT_FAILURE, str(exc))
     click.echo(format_quantity(q, reg, digits=digits, exact=exact))
 
 
@@ -125,10 +135,7 @@ def registry_group():
 @click.argument("path", type=click.Path())
 def registry_validate(path):
     """Validate a registry file and summarize it."""
-    try:
-        reg = registry_load(path)
-    except InputFormatError as exc:
-        _fail(EXIT_INPUT, str(exc))
+    reg = _load_registry(path)
     click.echo(f"ok: {len(reg.base)} base dimensions ({', '.join(reg.base)}), "
                f"{len(reg.units)} units")
 
@@ -139,10 +146,8 @@ def check_cmd(path):
     """Run the axiom suite on a declared finite structure."""
     from .structure import check_structure
 
-    try:
+    with _exit_on((InputFormatError, EXIT_INPUT)):
         code, lines = check_structure(path)
-    except InputFormatError as exc:
-        _fail(EXIT_INPUT, str(exc))
     for line in lines:
         click.echo(line)
     sys.exit(code)
@@ -156,12 +161,8 @@ def poisson_group():
 def _load_poisson(path, validate):
     from .structure import load_poisson
 
-    try:
+    with _exit_on((InputFormatError, EXIT_INPUT), (DimAlgError, EXIT_FAILURE)):
         return load_poisson(path, validate=validate)
-    except InputFormatError as exc:
-        _fail(EXIT_INPUT, str(exc))
-    except DimAlgError as exc:
-        _fail(EXIT_FAILURE, str(exc))
 
 
 @poisson_group.command("check")
@@ -189,15 +190,11 @@ def poisson_bracket_cmd(path, left, right):
     from .structure import parse_poly
 
     p, _ = _load_poisson(path, validate=True)
-    try:
+    with _exit_on((DimAlgError, EXIT_INPUT)):
         f = parse_poly(p.ring, left)
         g = parse_poly(p.ring, right)
-    except (ExprSyntaxError, DimAlgError) as exc:
-        _fail(EXIT_INPUT, str(exc))
-    try:
+    with _exit_on((DimensionMismatch, EXIT_FAILURE)):
         out = p.bracket(f, g)
-    except DimensionMismatch as exc:
-        _fail(EXIT_FAILURE, str(exc))
     click.echo(p.ring.show(out))
 
 
@@ -213,10 +210,10 @@ def poisson_reduce_cmd(path, cutoff):
     p, ideal = _load_poisson(path, validate=True)
     if not ideal:
         _fail(EXIT_INPUT, "the description declares no ideal to reduce by")
-    try:
+    with _exit_on((InputFormatError, EXIT_INPUT)):
+        require_monomials(cutoff, p.ring.nvars)
+    with _exit_on((DimAlgError, EXIT_FAILURE)):
         reduced = poisson_reduce(p, ideal, cutoff)
-    except DimAlgError as exc:
-        _fail(EXIT_FAILURE, str(exc))
     click.echo(f"reduced basis up to degree {cutoff} "
                f"({len(reduced.basis)} classes):")
     for b in reduced.basis:

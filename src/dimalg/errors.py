@@ -1,7 +1,9 @@
 """Exception types shared across the package, and the JSON reader, field
-check, value bound and term bound that raise InputFormatError."""
+check, value bound, term bound and reduction bound that raise
+InputFormatError."""
 
 import json
+import math
 import reprlib
 
 
@@ -83,6 +85,24 @@ def require_terms(count: int) -> None:
     when that is more than MAX_POLY_TERMS."""
     if count > MAX_POLY_TERMS:
         raise InputFormatError(f"a polynomial may have more than {MAX_POLY_TERMS} terms")
+
+
+# The most monomials a reduction may span: C(cutoff + n, n) of degree at
+# most the cutoff in n generators.  At this bound `poisson reduce` on four
+# generators (cutoff 19) takes about a second on a 2-vCPU machine; its time
+# grows faster than the count, to 30 s at cutoff 40.
+MAX_REDUCE_MONOMIALS = 10_000
+
+
+def require_monomials(cutoff: int, nvars: int) -> None:
+    """Refuse a reduction up to degree `cutoff` in `nvars` generators when
+    it spans more than MAX_REDUCE_MONOMIALS monomials."""
+    count = math.comb(cutoff + nvars, nvars)
+    if count > MAX_REDUCE_MONOMIALS:
+        raise InputFormatError(
+            f"cutoff {cutoff} spans {count} monomials in {nvars} generators, "
+            f"more than {MAX_REDUCE_MONOMIALS}"
+        )
 
 
 _NAMES = {

@@ -10,6 +10,7 @@ point and the only addition this library ever performs.
 # typing's global cache and keeps a re-imported package's old copy alive.
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -241,12 +242,9 @@ def quotient_group(a: DimAbGroup, s: DimSubgroup) -> QuotientGroup:
     if not s.verify():
         raise CarrierError("subset fails subgroup closure")
 
-    cache: dict = {}
-
+    @functools.cache
     def q(d) -> SliceQuotient:
-        if d not in cache:
-            cache[d] = quotient_slice(a.slice(d), s.at(d))
-        return cache[d]
+        return quotient_slice(a.slice(d), s.at(d))
 
     quot = DimAbGroup(a.dims, lambda d: q(d).carrier, f"{a.label}/S")
     proj = DimMap(a, quot, lambda d: d, lambda d: q(d).project)
@@ -333,22 +331,17 @@ class FreeAbelian(DimAbGroup):
 @dataclass(frozen=True)
 class TensorGroup:
     group: DimAbGroup
-    _pure: Callable
-
-    def pure(self, a: DimElement, b: DimElement) -> DimElement:
-        """The pure tensor of two elements, reduced modulo bilinearity."""
-        return self._pure(a, b)
+    # the pure tensor of two elements, reduced modulo bilinearity
+    pure: Callable[[DimElement, DimElement], DimElement]
 
 
 def tensor_groups(a: DimAbGroup, b: DimAbGroup) -> TensorGroup:
     """Slice-wise tensor product over the product dimension set."""
     dims = DimSet.pairs(a.dims, b.dims)
-    cache: dict = {}
 
+    @functools.cache
     def ts(de):
-        if de not in cache:
-            cache[de] = tensor_carrier(a.slice(de[0]), b.slice(de[1]))
-        return cache[de]
+        return tensor_carrier(a.slice(de[0]), b.slice(de[1]))
 
     group = DimAbGroup(dims, lambda de: ts(de).carrier, f"{a.label}(x){b.label}")
 

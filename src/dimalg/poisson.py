@@ -446,21 +446,6 @@ def poisson_reduce(p: DimPoisson, ideal_gens, cutoff: int, rng=None) -> ReducedP
 # ---------------------------------------------------------------------------
 
 
-def _combined_ring(a: DimPoisson, b: DimPoisson, pad: bool) -> GradedPolyRing:
-    names = a.ring.gen_names + b.ring.gen_names
-    if len(set(names)) != len(names):
-        raise CarrierError("factor algebras must use distinct generator names")
-    if pad:
-        ka, kb = a.ring.rank, b.ring.rank
-        dims = [d + (0,) * kb for d in a.ring.gen_dims]
-        dims += [(0,) * ka + d for d in b.ring.gen_dims]
-    else:
-        if a.ring.rank != b.ring.rank:
-            raise CarrierError("homogeneous product needs one dimension group")
-        dims = list(a.ring.gen_dims) + list(b.ring.gen_dims)
-    return GradedPolyRing(names, dims, label=f"{a.ring.label}(x){b.ring.label}")
-
-
 def _embed(ring: GradedPolyRing, sub: GradedPolyRing, offset: int, pad, el: DimElement) -> DimElement:
     terms = {}
     for alpha, c in el.value:
@@ -472,19 +457,28 @@ def _embed(ring: GradedPolyRing, sub: GradedPolyRing, offset: int, pad, el: DimE
     return ring.poly(terms, dim=dim) if terms else ring.zero(dim)
 
 
-def _combine_tables(a: DimPoisson, b: DimPoisson, ring, pad_a, pad_b):
-    """Structure constants of the product bracket on the combined ring:
-    an A-pair brackets to {x,y}_A tensor the B-scale, a B-pair to the
-    A-scale tensor {u,v}_B, and cross pairs vanish."""
-    na, nb = a.ring.nvars, b.ring.nvars
-    sa = _embed(ring, a.ring, 0, pad_a, a.scale)
-    sb = _embed(ring, b.ring, na, pad_b, b.scale)
+def _product(a: DimPoisson, b: DimPoisson, pad_a, pad_b, bracket_dim) -> DimPoisson:
+    """The product on the combined ring, whose generators' dimensions are
+    the factors' through `pad_a` and `pad_b`: an A-pair brackets to
+    {x,y}_A tensor the B-scale, a B-pair to the A-scale tensor {u,v}_B,
+    cross pairs vanish, and the scale is the product of the scales."""
+    names = a.ring.gen_names + b.ring.gen_names
+    if len(set(names)) != len(names):
+        raise CarrierError("factor algebras must use distinct generator names")
+    dims = [pad_a(d) for d in a.ring.gen_dims] + [pad_b(d) for d in b.ring.gen_dims]
+    ring = GradedPolyRing(names, dims, label=f"{a.ring.label}(x){b.ring.label}")
+    ea = lambda el: _embed(ring, a.ring, 0, pad_a, el)
+    eb = lambda el: _embed(ring, b.ring, a.ring.nvars, pad_b, el)
+    sa, sb = ea(a.scale), eb(b.scale)
     table = {}
     for x, y in itertools.permutations(a.ring.gen_names, 2):
-        table[(x, y)] = ring.mul(_embed(ring, a.ring, 0, pad_a, a.table[(x, y)]), sb)
+        table[(x, y)] = ring.mul(ea(a.table[(x, y)]), sb)
     for u, v in itertools.permutations(b.ring.gen_names, 2):
-        table[(u, v)] = ring.mul(sa, _embed(ring, b.ring, na, pad_b, b.table[(u, v)]))
-    return table, sa, sb
+        table[(u, v)] = ring.mul(sa, eb(b.table[(u, v)]))
+    scale = ring.mul(sa, sb)
+    return make_poisson(
+        ring, table, bracket_dim=bracket_dim, product_dim=scale.dim, scale=scale
+    )
 
 
 def poisson_product_hetero(a: DimPoisson, b: DimPoisson) -> DimPoisson:
@@ -498,21 +492,10 @@ def poisson_product_hetero(a: DimPoisson, b: DimPoisson) -> DimPoisson:
         raise ConstructionError(
             f"right factor has product dim {b.product_dim} != bracket dim {b.bracket_dim}"
         )
-    ring = _combined_ring(a, b, pad=True)
     ka, kb = a.ring.rank, b.ring.rank
-    pad_a = lambda d: d + (0,) * kb
-    pad_b = lambda d: (0,) * ka + d
-    table, sa, sb = _combine_tables(a, b, ring, pad_a, pad_b)
-    scale = ring.mul(sa, sb)
-    bracket_dim = tuple(
-        x + y for x, y in zip(pad_a(a.bracket_dim), pad_b(b.bracket_dim))
-    )
-    return make_poisson(
-        ring,
-        table,
-        bracket_dim=bracket_dim,
-        product_dim=scale.dim,
-        scale=scale,
+    return _product(
+        a, b, lambda d: d + (0,) * kb, lambda d: (0,) * ka + d,
+        a.bracket_dim + b.bracket_dim,
     )
 
 
@@ -527,14 +510,5 @@ def poisson_product_homo(a: DimPoisson, b: DimPoisson) -> DimPoisson:
         raise ConstructionError(
             f"dimension condition fails: b+q = {lhs} but p+c = {rhs}"
         )
-    ring = _combined_ring(a, b, pad=False)
-    ident = lambda d: d
-    table, sa, sb = _combine_tables(a, b, ring, ident, ident)
-    scale = ring.mul(sa, sb)
-    return make_poisson(
-        ring,
-        table,
-        bracket_dim=lhs,
-        product_dim=scale.dim,
-        scale=scale,
-    )
+    same = lambda d: d
+    return _product(a, b, same, same, lhs)

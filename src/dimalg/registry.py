@@ -197,21 +197,18 @@ def eval_expr(tree, reg: UnitRegistry) -> Quantity:
     def sym(name, pos):
         return Quantity(reg.element_of(name), ((name, 1),))
 
-    def add(a, b):
-        try:
-            return Quantity(ring.add(a.element, b.element), a.unit)
-        except DimensionMismatch as exc:
-            raise DimensionMismatch(
-                reg.dim_name(exc.left), reg.dim_name(exc.right), "cannot add"
-            ) from None
+    def additive(op, verb):
+        def run(a, b):
+            try:
+                return Quantity(op(a.element, b.element), a.unit)
+            except DimensionMismatch as exc:
+                raise DimensionMismatch(
+                    reg.dim_name(exc.left), reg.dim_name(exc.right), f"cannot {verb}"
+                ) from None
 
-    def sub(a, b):
-        try:
-            return Quantity(ring.sub(a.element, b.element), a.unit)
-        except DimensionMismatch as exc:
-            raise DimensionMismatch(
-                reg.dim_name(exc.left), reg.dim_name(exc.right), "cannot subtract"
-            ) from None
+        return run
+
+    add, sub = additive(ring.add, "add"), additive(ring.sub, "subtract")
 
     def mul(a, b):
         return Quantity(ring.mul(a.element, b.element), _unit_mul(a.unit, b.unit))

@@ -115,7 +115,8 @@ class DimRing(ABC):
         return str(a)
 
 
-# the rationals carrier is also the scalar ring Q; the older name stays importable
+# the rationals carrier is also the scalar ring Q.  The older name's last user
+# is perfbench/workloads.py:312; it goes with ROADMAP item 1's benchmark change.
 RationalScalars = Rationals
 
 

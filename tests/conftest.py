@@ -7,10 +7,10 @@ from hypothesis import settings
 from dimalg import (
     GradedPolyRing,
     ProductDimRing,
-    RationalScalars,
     make_poisson,
     registry_load,
 )
+from dimalg.carriers import Rationals
 from dimalg.monoid import DimMonoid
 
 # Every property test draws the same examples on every run.
@@ -73,12 +73,12 @@ def rng():
 @pytest.fixture
 def q_x_z():
     """The product ring of exact rationals with the integers."""
-    return ProductDimRing(RationalScalars(), DimMonoid.free_abelian(1), label="QxZ")
+    return ProductDimRing(Rationals(), DimMonoid.free_abelian(1), label="QxZ")
 
 
 @pytest.fixture
 def q_x_z2():
-    return ProductDimRing(RationalScalars(), DimMonoid.cyclic(2), label="QxZ/2")
+    return ProductDimRing(Rationals(), DimMonoid.cyclic(2), label="QxZ/2")
 
 
 @pytest.fixture

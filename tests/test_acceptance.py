@@ -26,7 +26,6 @@ from dimalg import (
     Line,
     PowerRing,
     ProductDimRing,
-    RationalScalars,
     RingMorphism,
     TwistedLinearMap,
     check_structure,
@@ -46,6 +45,7 @@ from dimalg import (
     tensor_mod,
     units_trivialization,
 )
+from dimalg.carriers import Rationals
 from dimalg.cli import main
 from dimalg.monoid import DimMonoid
 from dimalg.sampling import rand_nonzero_fraction
@@ -94,7 +94,7 @@ def test_criterion_2_ring_axiom_suites():
     with criterion(2, "ring axiom suite on four rings inside 10 s"):
         start = time.perf_counter()
         rng = random.Random(202)
-        scalars = RationalScalars()
+        scalars = Rationals()
 
         subjects = [
             ProductDimRing(scalars, DimMonoid.free_abelian(1), label="QxZ"),
@@ -200,7 +200,7 @@ def test_criterion_5_quotient_projections_are_morphisms():
 def test_criterion_6_tensor_machinery():
     with criterion(6, "tensor relation, distributivity bijection, pullback laws"):
         rng = random.Random(606)
-        ring = ProductDimRing(RationalScalars(), DimMonoid.free_abelian(1), label="QxZ")
+        ring = ProductDimRing(Rationals(), DimMonoid.free_abelian(1), label="QxZ")
         g = ring.dims.monoid
         gs = GSet(g, orbits=("i",))
         module = FreeDimModule(
@@ -234,7 +234,7 @@ def test_criterion_6_tensor_machinery():
             assert w.report.ok, w.report.failures
 
         # pullback functor laws on 100 probes
-        q = ProductDimRing(RationalScalars(), DimMonoid.trivial(), label="Q")
+        q = ProductDimRing(Rationals(), DimMonoid.trivial(), label="Q")
         incl = RingMorphism(
             q, ring, lambda d: (0,), lambda a: ring.element(a.value, (0,)), "incl"
         )

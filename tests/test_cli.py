@@ -13,7 +13,13 @@ import pytest
 from click.testing import CliRunner
 
 from dimalg.cli import main
-from dimalg.errors import MAX_POLY_TERMS, MAX_VALUE_BITS
+from dimalg.errors import (
+    MAX_POLY_TERMS,
+    MAX_REDUCE_MONOMIALS,
+    MAX_VALUE_BITS,
+    InputFormatError,
+    require_monomials,
+)
 
 DATA = Path(__file__).parent / "data"
 REPO = Path(__file__).parent.parent / "data"
@@ -346,6 +352,25 @@ class TestPoisson:
         ])
         assert r.exit_code == 0
         assert "q2" in r.output and "q1" not in r.output.replace("q1)", "")
+
+    def test_reduce_beyond_the_monomial_bound_exits_2_at_once(self, runner):
+        start = time.perf_counter()
+        r = runner.invoke(main, [
+            "poisson", "reduce", str(REPO / "poisson" / "canonical_4gen.json"),
+            "--cutoff", "40",
+        ])
+        assert time.perf_counter() - start < 1.0
+        assert r.exit_code == 2, r.output
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == [
+            f"error: cutoff 40 spans {math.comb(44, 4)} monomials in 4 generators, "
+            f"more than {MAX_REDUCE_MONOMIALS}"
+        ]
+
+    def test_reduce_monomial_bound_admits_cutoff_19_on_four_generators(self):
+        require_monomials(19, 4)  # C(23, 4) = 8855
+        with pytest.raises(InputFormatError):
+            require_monomials(20, 4)  # C(24, 4) = 10626
 
     def test_reduce_needs_positive_cutoff(self, runner):
         r = runner.invoke(main, [

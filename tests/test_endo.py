@@ -7,11 +7,11 @@ from dimalg import (
     DimensionMapMismatch,
     EndoRing,
     ProductDimRing,
-    RationalScalars,
     endo_distributivity_report,
     ring_axiom_report,
 )
 from dimalg.algebra import ProbeSpace, bilinear_check
+from dimalg.carriers import Rationals
 from dimalg.endo import _coefficient_probes
 from dimalg.errors import CarrierError
 from dimalg.group import DimElement
@@ -19,7 +19,7 @@ from dimalg.monoid import DimMonoid
 
 
 def endo_over_cyclic(n, cls=EndoRing):
-    return cls(ProductDimRing(RationalScalars(), DimMonoid.cyclic(n)))
+    return cls(ProductDimRing(Rationals(), DimMonoid.cyclic(n)))
 
 
 @pytest.fixture

@@ -33,9 +33,9 @@ from dimalg import (
     Line,
     PowerRing,
     ProductDimRing,
-    RationalScalars,
     ring_axiom_report,
 )
+from dimalg.carriers import Rationals
 from dimalg.cli import main
 from dimalg.group import DimElement
 from dimalg.monoid import DimMonoid
@@ -92,7 +92,7 @@ class LeftHeavyEndo(EndoRing):
 
 
 def broken_rings():
-    q = RationalScalars()
+    q = Rationals()
     return {
         "product": AbsProduct(q, DimMonoid.free_abelian(1), label="QxZ"),
         "power": FloorPower((Line("length"), Line("time"))),

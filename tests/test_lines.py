@@ -8,13 +8,13 @@ from dimalg import (
     Line,
     PowerRing,
     ProductDimRing,
-    RationalScalars,
     functoriality_check,
     line_unit_to_section,
     power_functor,
     ring_axiom_report,
     units_trivialization,
 )
+from dimalg.carriers import Rationals
 from dimalg.errors import CarrierError
 from dimalg.monoid import DimMonoid
 
@@ -68,7 +68,7 @@ class TestTensorMultiplication:
             assert two_lines.mul(x, two_lines.reciprocal(x)) == two_lines.one
 
     def test_is_the_product_ring_of_q_and_z_k(self, two_lines, rng):
-        q_x_z2 = ProductDimRing(RationalScalars(), DimMonoid.free_abelian(2))
+        q_x_z2 = ProductDimRing(Rationals(), DimMonoid.free_abelian(2))
         assert isinstance(two_lines, ProductDimRing) and two_lines.is_field
         assert two_lines.monoid == q_x_z2.monoid
         for _ in range(20):

@@ -11,7 +11,6 @@ from dimalg import (
     GradedPolyRing,
     GSet,
     ProductDimRing,
-    RationalScalars,
     RingMorphism,
     TwistedLinearMap,
     bilinear_factorization,
@@ -27,12 +26,13 @@ from dimalg import (
     tensor_mod,
     zero_ideal,
 )
+from dimalg.carriers import Rationals
 from dimalg.monoid import DimMonoid
 
 
 @pytest.fixture
 def ring():
-    return ProductDimRing(RationalScalars(), DimMonoid.free_abelian(1), label="QxZ")
+    return ProductDimRing(Rationals(), DimMonoid.free_abelian(1), label="QxZ")
 
 
 @pytest.fixture
@@ -306,7 +306,7 @@ class TestPullback:
     def test_dimensionless_inclusion_gives_ordinary_module(self, ring, rank2, rng):
         """Pull back along Q -> QxZ: the trivial monoid acts, so the module
         axioms hold with dimension shifts frozen."""
-        q = ProductDimRing(RationalScalars(), DimMonoid.trivial(), label="Q")
+        q = ProductDimRing(Rationals(), DimMonoid.trivial(), label="Q")
         incl = RingMorphism(
             q, ring, lambda d: (0,), lambda a: ring.element(a.value, (0,)), "incl"
         )
@@ -319,7 +319,7 @@ class TestPullback:
 
     def test_pullback_functor_laws(self, ring, rank2, rng):
         """Pulled-back composition equals composition of the pullbacks."""
-        q = ProductDimRing(RationalScalars(), DimMonoid.trivial(), label="Q")
+        q = ProductDimRing(Rationals(), DimMonoid.trivial(), label="Q")
         incl = RingMorphism(
             q, ring, lambda d: (0,), lambda a: ring.element(a.value, (0,)), "incl"
         )
@@ -356,7 +356,7 @@ class TestPullback:
     def test_mixed_pullbacks_are_refused(self, ring, rank2):
         """Pullbacks along two morphisms with one label are different modules:
         a sum of them would have a right injection that is not linear."""
-        q = ProductDimRing(RationalScalars(), DimMonoid.trivial(), label="Q")
+        q = ProductDimRing(Rationals(), DimMonoid.trivial(), label="Q")
         incl = self._scaled_inclusion(q, ring, 1)
         double = self._scaled_inclusion(q, ring, 2)
         a, b = pullback_module(incl, rank2), pullback_module(double, rank2)
@@ -366,7 +366,7 @@ class TestPullback:
             tensor_mod(a, b)
 
     def test_pullbacks_along_one_morphism_sum_and_tensor(self, ring, rank2, rng):
-        q = ProductDimRing(RationalScalars(), DimMonoid.trivial(), label="Q")
+        q = ProductDimRing(Rationals(), DimMonoid.trivial(), label="Q")
         incl = self._scaled_inclusion(q, ring, 1)
         a, b = pullback_module(incl, rank2), pullback_module(incl, rank2)
         total = direct_sum_mod(a, b)

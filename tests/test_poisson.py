@@ -349,6 +349,30 @@ class TestHeterogeneousProduct:
         with pytest.raises(ConstructionError):
             poisson_product_hetero(pa, pb)
 
+    def test_hypothesis_checked_on_the_right_factor_too(self):
+        a_ring = GradedPolyRing(["x"], [(1,)])
+        pa = make_poisson(a_ring, {})
+        b_ring = GradedPolyRing(["q1", "p1", "z"], [(1,), (-1,), (1,)])
+        pb = make_poisson(
+            b_ring,
+            {("q1", "p1"): b_ring.monomial((0, 0, 2))},
+            product_dim=(1,),
+            scale=b_ring.generator("z"),
+        )
+        with pytest.raises(ConstructionError) as exc:
+            poisson_product_hetero(pa, pb)
+        assert str(exc.value) == "right factor has product dim (1,) != bracket dim (2,)"
+
+    @pytest.mark.parametrize("product", [poisson_product_hetero, poisson_product_homo])
+    def test_rejects_factors_sharing_a_generator_name(self, product):
+        from dimalg.errors import CarrierError
+
+        ring = GradedPolyRing(["q", "p"], [(1,), (-1,)])
+        pa = make_poisson(ring, {("q", "p"): ring.one})
+        with pytest.raises(CarrierError) as exc:
+            product(pa, pa)
+        assert str(exc.value) == "factor algebras must use distinct generator names"
+
 
 class TestHomogeneousProduct:
     @staticmethod
@@ -387,6 +411,15 @@ class TestHomogeneousProduct:
         with pytest.raises(ConstructionError) as exc:
             poisson_product_homo(p1, p0)
         assert "(1,)" in str(exc.value) and "(0,)" in str(exc.value)
+
+    def test_rejects_factors_over_different_dimension_groups(self):
+        a_ring = GradedPolyRing(["q1", "p1"], [(1,), (-1,)])
+        b_ring = GradedPolyRing(["q2", "p2"], [(1, 0), (-1, 0)])
+        pa = make_poisson(a_ring, {("q1", "p1"): a_ring.one})
+        pb = make_poisson(b_ring, {("q2", "p2"): b_ring.one})
+        with pytest.raises(ConstructionError) as exc:
+            poisson_product_homo(pa, pb)
+        assert str(exc.value) == "homogeneous product needs one dimension group"
 
     def test_equal_dimensions_reduce_to_the_heterogeneous_shape(self, rng):
         """With p = b and q = c the compatibility is automatic and the
