@@ -41,7 +41,6 @@ _EXPORTS = {
         "Ideal",
         "ProductDimRing",
         "RingMorphism",
-        "UnitSection",
         "dimensionless_ring",
         "multiplicative_section",
         "quotient_ring",
@@ -97,15 +96,13 @@ _EXPORTS = {
     ),
     "registry": (
         "Quantity",
-        "UnitRegistry",
         "convert",
         "eval_expr",
         "evaluate",
         "format_quantity",
-        "parse_expr",
         "registry_load",
     ),
-    "structure": ("TableDimRing", "check_structure", "load_poisson", "load_structure", "parse_poly"),
+    "structure": ("check_structure", "load_poisson", "load_structure", "parse_poly"),
 }
 
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

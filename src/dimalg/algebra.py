@@ -161,20 +161,20 @@ def property_check(
 
 
 class DimDerivation:
-    """A derivation with a dimension shift: it obeys the Leibniz rule and
-    moves every slice by one fixed monoid element."""
+    """A derivation with a dimension shift: it moves every slice by one
+    fixed monoid element.  `apply` is the Leibniz extension Σᵢ ∂ᵢf·D(xᵢ)
+    of the generator images, so D(fg) = D(f)g + fD(g) follows from the
+    product rule for `partial`, and no law is left to probe."""
 
     def __init__(self, ring: GradedPolyRing, shift, images: dict, label: str = "D"):
         self.ring = ring
         self.shift = tuple(shift)
         self.images = {}
         for name in ring.gen_names:
-            img = images.get(name, ring.zero(
-                tuple(s + g for s, g in zip(self.shift, ring.gen_dims[ring.index[name]]))
-            ))
             expect = tuple(
                 s + g for s, g in zip(self.shift, ring.gen_dims[ring.index[name]])
             )
+            img = images.get(name, ring.zero(expect))
             if img.dim != expect:
                 raise ConstructionError(
                     f"image of {name} sits at {img.dim}, expected shift+dim {expect}"
@@ -196,24 +196,10 @@ class DimDerivation:
 
     __call__ = apply
 
-    def leibniz_report(self, rng=None, probes: int = 25) -> CheckReport:
-        rng = rng or random.Random(47)
-        rep = CheckReport(f"derivation {self.label}")
-        ring = self.ring
-
-        def leibniz(f, g):
-            lhs = self.apply(ring.mul(f, g))
-            rhs = ring.add(ring.mul(self.apply(f), g), ring.mul(f, self.apply(g)))
-            if not ring.eq(lhs, rhs):
-                return f"Leibniz fails at {ring.show(f)}, {ring.show(g)}"
-
-        pairs = [(ring.sample(rng), ring.sample(rng)) for _ in range(probes)]
-        rep.law("Leibniz rule on probes", pairs, leibniz)
-        return rep
-
-    def commutator(self, other: "DimDerivation", rng=None) -> "DimDerivation":
-        """[self, other] = self∘other - other∘self; shifts add because the
-        dimension group is commutative."""
+    def commutator(self, other: "DimDerivation") -> "DimDerivation":
+        """[self, other] = self∘other - other∘self, again a derivation, so
+        its generator images define it; shifts add because the dimension
+        group is commutative, and __init__ checks each image's slice."""
         if self.ring is not other.ring:
             raise CarrierError("commutator needs one carrier ring")
         ring = self.ring
@@ -222,11 +208,7 @@ class DimDerivation:
         for name in ring.gen_names:
             x = ring.generator(name)
             images[name] = ring.sub(self.apply(other.apply(x)), other.apply(self.apply(x)))
-        out = DimDerivation(ring, shift, images, f"[{self.label},{other.label}]")
-        rep = out.leibniz_report(rng or random.Random(53), probes=10)
-        if not rep.ok:
-            raise ConstructionError(f"commutator lost the Leibniz rule: {rep.failures[0].witness}")
-        return out
+        return DimDerivation(ring, shift, images, f"[{self.label},{other.label}]")
 
     def eq(self, other: "DimDerivation") -> bool:
         return self.shift == other.shift and all(

@@ -102,6 +102,15 @@ class TableDimRing(DimRing):
                     raise InputFormatError(f"multiplication references undeclared element {c!r}")
         if self.one_name not in self.by_name:
             raise InputFormatError(f"declared unit {self.one_name!r} is not an element")
+        if cand is not None:
+            missing = set(self.dim_elems) - set(cand)
+            if missing:
+                raise InputFormatError(
+                    f"unit candidate misses dimensions {sorted(missing)}"
+                )
+            for x in cand.values():
+                if x not in self.by_name:
+                    raise InputFormatError(f"unit candidate names unknown element {x!r}")
 
         self._zeros = self._find_zeros()
 
@@ -201,14 +210,6 @@ def structure_axiom_report(ring: TableDimRing) -> CheckReport:
         rep = rep.merged(ring_axiom_report(ring))
         if ring._unit_candidate is not None:
             cand = ring._unit_candidate
-            missing = set(ring.dim_elems) - set(cand)
-            if missing:
-                raise InputFormatError(
-                    f"unit candidate misses dimensions {sorted(missing)}"
-                )
-            for d, x in cand.items():
-                if x not in ring.by_name:
-                    raise InputFormatError(f"unit candidate names unknown element {x!r}")
             check = unit_section_check(ring, lambda d: ring.el(cand[d]))
             rep = rep.merged(check.report)
     return rep

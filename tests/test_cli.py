@@ -492,6 +492,25 @@ class TestMalformedDocuments:
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and reason in lines[0]
 
+    @pytest.mark.parametrize("candidate, message", [
+        ({"0": "1@0", "1": "nowhere"}, "unit candidate names unknown element 'nowhere'"),
+        ({"0": "1@0"}, "unit candidate misses dimensions ['1']"),
+    ], ids=["unknown-element", "missing-dimension"])
+    def test_bad_unit_candidate_exits_2_when_a_slice_law_fails(
+        self, runner, tmp_path, candidate, message
+    ):
+        """The candidate is shape, refused at load: a failing slice law
+        (here 1@0 + 2@0 = 0@0) must not turn it into two FAIL lines."""
+        doc = json.loads(Path(SOURCES["structure"]).read_text())
+        doc["add"]["0"]["1@0"]["2@0"] = "0@0"
+        doc["unit_candidate"] = candidate
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        r = runner.invoke(main, ["check", str(bad)])
+        assert r.exit_code == 2, r.output
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == [f"error: {message}"]
+
 
 # ---------------------------------------------------------------------------
 # No command draws a random value

@@ -262,9 +262,9 @@ class TestBilinearFactorization:
 
 
 class TestRigDistributivity:
-    def test_exhaustive_small_shapes(self, ring, rng):
+    def test_exhaustive_small_shapes(self, ring):
         """Every configuration with ranks <= 2 and orbit index sets of
-        size <= 3 (element equalities on random probes)."""
+        size <= 3 (each bijection decided on basis vectors)."""
         g = ring.dims.monoid
         for n_orb, ra, rb, rc in itertools.product((1, 2, 3), (1, 2), (1, 2), (1, 2)):
             orbits = tuple(f"o{k}" for k in range(n_orb))
@@ -283,12 +283,12 @@ class TestRigDistributivity:
 
             a, b = mk("a", ra), mk("b", rb)
             # b must share a's dimension G-set for the direct sum
-            w = rig_distributivity_witness(a, b, mk("c", rc), rng, probes=8)
+            w = rig_distributivity_witness(a, b, mk("c", rc))
             assert w.report.ok, w.report.failures
 
     def test_zero_summand_reduces_to_identity(self, ring, gset, rank2, rng):
         zero_mod = FreeDimModule(ring, gset, [])
-        w = rig_distributivity_witness(rank2, zero_mod, rank2, rng)
+        w = rig_distributivity_witness(rank2, zero_mod, rank2)
         assert w.report.ok
         # with B = 0 the bijection is a pure relabeling of A (x) C
         x = tensor_mod(direct_sum_mod(rank2, zero_mod).module, rank2).module.sample(rng)
