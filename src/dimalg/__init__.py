@@ -35,7 +35,7 @@ _EXPORTS = {
         "quotient_group",
         "tensor_groups",
     ),
-    "monoid": ("DimMonoid", "DimSet"),
+    "monoid": ("DimMonoid",),
     "ring": (
         "DimRing",
         "Ideal",

@@ -44,7 +44,7 @@ def ring_probe_space(ring) -> ProbeSpace:
         dim_of=lambda a: a.dim,
         act=ring.mul,
         sample_ring=ring.sample,
-        ring_dim_act=ring.dim_combine,
+        ring_dim_act=ring.dims.combine,
         sample_dim=ring.sample_dim,
         neg=ring.neg,
         is_zero=ring.is_zero,

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import CarrierError, DimensionMapMismatch
 from .group import DimElement
-from .monoid import DimMonoid, DimSet
+from .monoid import DimMonoid
 from .ring import DimRing, ProductDimRing
 
 
@@ -50,13 +50,12 @@ class EndoRing(DimRing):
     commutative = False
 
     def __init__(self, base: ProductDimRing):
-        if base.monoid.elements() is None:
+        if base.dims.elements() is None:
             raise CarrierError("endomorphism ring needs a finite dimension set")
         self.base = base
-        self.points = base.monoid.elements()
+        self.points = base.dims.elements()
         self.index = {d: i for i, d in enumerate(self.points)}
-        self.map_monoid = DimMonoid.map_monoid(self.points)
-        self.dims = DimSet.of_monoid(self.map_monoid)
+        self.dims = DimMonoid.map_monoid(self.points)
         self.label = f"Endo({base.label})"
 
     # -- element helpers -------------------------------------------------
@@ -82,7 +81,7 @@ class EndoRing(DimRing):
     def act(self, r: DimElement, a: DimElement) -> DimElement:
         """The base-ring module action (r·Phi)(x) := r·Phi(x)."""
         coeffs = tuple(self.base.scalars.mul(r.value, c) for c in a.value)
-        phi = tuple(self.base.monoid.combine(r.dim, d) for d in a.dim)
+        phi = tuple(self.base.dims.combine(r.dim, d) for d in a.dim)
         return DimElement(coeffs, phi)
 
     # -- ring structure ----------------------------------------------------
@@ -111,18 +110,18 @@ class EndoRing(DimRing):
             sc.mul(a.value[self.index[b.dim[i]]], b.value[i])
             for i in range(len(self.points))
         )
-        phi = self.map_monoid.combine(a.dim, b.dim)
+        phi = self.dims.combine(a.dim, b.dim)
         return DimElement(coeffs, phi)
 
     @property
     def one(self):
         return DimElement(
             (self.base.scalars.one(),) * len(self.points),
-            self.map_monoid.identity,
+            self.dims.identity,
         )
 
     def sample(self, rng: random.Random, dim=None):
-        phi = self.map_monoid.sample(rng) if dim is None else tuple(dim)
+        phi = self.dims.sample(rng) if dim is None else tuple(dim)
         return DimElement(
             tuple(self.base.scalars.sample(rng) for _ in self.points), phi
         )
@@ -136,7 +135,7 @@ class EndoRing(DimRing):
         consts, patterns = _coefficient_probes(len(self.points))
         return tuple(
             DimElement(c, phi)
-            for phi in self.map_monoid.elements()
+            for phi in self.dims.elements()
             for c in consts + patterns
         )
 
@@ -178,7 +177,7 @@ def endo_distributivity_report(endo: EndoRing):
 
     rep = CheckReport(f"distributivity in {endo.label}")
     consts, patterns = _coefficient_probes(len(endo.points))
-    maps = endo.map_monoid.elements()
+    maps = endo.dims.elements()
     f0, t0, p0 = (tuple(k + 3 * i for i in range(len(endo.points))) for k in (2, 3, 4))
 
     def cases():

@@ -1,9 +1,11 @@
 """Dimensional abelian groups and their maps.
 
 A dimensional abelian group is a family of abelian-group slices indexed
-by a dimension set; addition is defined exactly within a slice and
-raises DimensionMismatch across slices -- that partiality is the whole
-point and the only addition this library ever performs.
+by a dimension set: a ring's dimension monoid, or a plain finite set
+(`FiniteDims`) for a group given slice by slice.  Addition is defined
+exactly within a slice and raises DimensionMismatch across slices --
+that partiality is the whole point and the only addition this library
+ever performs.
 """
 
 # Unevaluated annotations: an evaluated `Callable[...]` of a dimalg class sits in
@@ -11,6 +13,7 @@ point and the only addition this library ever performs.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -29,7 +32,7 @@ from .carriers import (
     zero_map,
 )
 from .errors import CarrierError, DimensionMapMismatch, DimensionMismatch
-from .monoid import DimSet
+from .monoid import DimMonoid
 
 
 @dataclass(frozen=True)
@@ -43,24 +46,49 @@ class DimElement:
         return f"{self.value} @ {self.dim}"
 
 
+class FiniteDims(tuple):
+    """A plain finite dimension set.  It answers the calls a dimension
+    monoid answers: `contains`, `elements`, `sample` and `probe_words`."""
+
+    def contains(self, d) -> bool:
+        return d in self
+
+    def elements(self) -> tuple:
+        return self
+
+    def sample(self, rng: random.Random):
+        return rng.choice(self)
+
+    def probe_words(self, length: int = 3) -> tuple:
+        """Every element, whatever the length."""
+        return self
+
+    @staticmethod
+    def pairs(left, right) -> "FiniteDims":
+        """The product of two finite dimension sets."""
+        le, re = left.elements(), right.elements()
+        if le is None or re is None:
+            raise CarrierError("product dimension sets need finite factors")
+        return FiniteDims(itertools.product(le, re))
+
+
 class DimAbGroup:
     """A dimension set together with one abelian-group carrier per slice."""
 
-    def __init__(self, dims: DimSet, slice_of: Callable[[Any], Carrier], label: str = ""):
+    def __init__(self, dims: DimMonoid | FiniteDims, slice_of: Callable[[Any], Carrier],
+                 label: str = ""):
         self.dims = dims
         self._slice_of = slice_of
         self.label = label or "dim-group"
 
     @staticmethod
-    def uniform(dims: DimSet, carrier: Carrier, label: str = "") -> "DimAbGroup":
+    def uniform(dims: DimMonoid | FiniteDims, carrier: Carrier, label: str = "") -> "DimAbGroup":
         return DimAbGroup(dims, lambda d: carrier, label)
 
     @staticmethod
     def from_dict(slices: dict, label: str = "") -> "DimAbGroup":
         table = dict(slices)
-        return DimAbGroup(
-            DimSet.plain(table.keys()), lambda d: table[d], label
-        )
+        return DimAbGroup(FiniteDims(table), lambda d: table[d], label)
 
     def slice(self, d) -> Carrier:
         if not self.dims.contains(d):
@@ -95,7 +123,7 @@ class DimAbGroup:
         return DimElement(self.slice(d).sample(rng), d)
 
     def probe_dims(self) -> tuple:
-        return self.dims.probe()
+        return self.dims.probe_words(2)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +313,7 @@ def direct_sum(a: DimAbGroup, b: DimAbGroup) -> DirectSum:
 
 def product_group(a: DimAbGroup, b: DimAbGroup) -> DimAbGroup:
     """Cartesian product: dimension set is the product of the two sets."""
-    dims = DimSet.pairs(a.dims, b.dims)
+    dims = FiniteDims.pairs(a.dims, b.dims)
     return DimAbGroup(
         dims,
         lambda de: Pairs(a.slice(de[0]), b.slice(de[1])),
@@ -303,7 +331,7 @@ class FreeAbelian(DimAbGroup):
     def __init__(self, slices: dict, label: str = "free"):
         self.gen_slices = {d: tuple(gens) for d, gens in slices.items()}
         table = {d: FormalSums(gens) for d, gens in self.gen_slices.items()}
-        super().__init__(DimSet.plain(table.keys()), lambda d: table[d], label)
+        super().__init__(FiniteDims(table), lambda d: table[d], label)
 
     def embed(self, gen, d) -> DimElement:
         return DimElement(self.slice(d).embed(gen), d)
@@ -337,7 +365,7 @@ class TensorGroup:
 
 def tensor_groups(a: DimAbGroup, b: DimAbGroup) -> TensorGroup:
     """Slice-wise tensor product over the product dimension set."""
-    dims = DimSet.pairs(a.dims, b.dims)
+    dims = FiniteDims.pairs(a.dims, b.dims)
 
     @functools.cache
     def ts(de):

@@ -1,4 +1,4 @@
-"""Dimension monoids and dimension sets.
+"""Dimension monoids.
 
 A dimension monoid is the algebra carried by the set of dimensions of a
 dimensioned multiplication: a totally-defined associative unital product.
@@ -22,7 +22,6 @@ is not).  ``kind`` is only a display name, as in the label ``Qxcyclic``.
 import itertools
 import operator
 import random
-from dataclasses import dataclass
 
 from .errors import CarrierError
 from .sampling import rand_int_vector
@@ -191,51 +190,3 @@ class DimMonoid:
             frontier = {self.combine(w, g) for w in frontier for g in gens}
             seen |= frontier
         return tuple(sorted(seen))
-
-
-@dataclass(frozen=True)
-class DimSet:
-    """A set of dimensions: either the carrier of a monoid or a finite plain set."""
-
-    monoid: "DimMonoid | None" = None
-    finite: "tuple | None" = None
-
-    def __post_init__(self):
-        if (self.monoid is None) == (self.finite is None):
-            raise ValueError("exactly one of monoid/finite must be given")
-
-    @staticmethod
-    def of_monoid(m: DimMonoid) -> "DimSet":
-        return DimSet(monoid=m)
-
-    @staticmethod
-    def plain(elements) -> "DimSet":
-        return DimSet(finite=tuple(elements))
-
-    @staticmethod
-    def pairs(left: "DimSet", right: "DimSet") -> "DimSet":
-        le, re = left.elements(), right.elements()
-        if le is None or re is None:
-            raise CarrierError("product dimension sets need finite factors")
-        return DimSet.plain(tuple(itertools.product(le, re)))
-
-    def contains(self, d) -> bool:
-        if self.monoid is not None:
-            return self.monoid.contains(d)
-        return d in self.finite
-
-    def elements(self):
-        if self.monoid is not None:
-            return self.monoid.elements()
-        return self.finite
-
-    def sample(self, rng: random.Random):
-        if self.monoid is not None:
-            return self.monoid.sample(rng)
-        return rng.choice(self.finite)
-
-    def probe(self) -> tuple:
-        """A finite, documented set of dimensions to quantify laws over."""
-        if self.monoid is not None:
-            return self.monoid.probe_words(2)
-        return self.finite

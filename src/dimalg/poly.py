@@ -26,7 +26,7 @@ from operator import add as _add
 
 from .errors import CarrierError, DimensionMismatch
 from .group import DimElement
-from .monoid import DimMonoid, DimSet
+from .monoid import DimMonoid
 from .numfmt import fraction_str
 from .ring import DimRing, Ideal
 from .sampling import rand_fraction
@@ -66,8 +66,7 @@ class GradedPolyRing(DimRing):
         if len(ranks) != 1:
             raise CarrierError("generator dimensions must share one rank")
         self.rank = ranks.pop()
-        self.monoid = DimMonoid.free_abelian(self.rank)
-        self.dims = DimSet.of_monoid(self.monoid)
+        self.dims = DimMonoid.free_abelian(self.rank)
         self.index = {n: i for i, n in enumerate(self.gen_names)}
         # one column of generator weights per dimension coordinate
         self._dim_cols = tuple(zip(*self.gen_dims))

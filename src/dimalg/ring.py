@@ -21,7 +21,7 @@ from typing import Any, Callable
 from .carriers import Rationals
 from .errors import CarrierError, ConstructionError, DimensionMapMismatch, DimensionMismatch
 from .group import DimElement
-from .monoid import DimMonoid, DimSet
+from .monoid import DimMonoid
 from .report import CheckReport
 
 
@@ -29,9 +29,10 @@ class DimRing(ABC):
     """Protocol every concrete dimensioned ring implements.
 
     Elements are DimElement values; `value` encodings are ring-specific.
+    `dims` is the dimension monoid.
     """
 
-    dims: DimSet
+    dims: DimMonoid
     commutative: bool = True
     is_field: bool = False
     label: str = "ring"
@@ -62,7 +63,7 @@ class DimRing(ABC):
         return self.dims.sample(rng)
 
     def probe_dims(self) -> tuple:
-        return self.dims.probe()
+        return self.dims.probe_words(2)
 
     def elements(self):
         """Every element, when the ring lists them; None otherwise."""
@@ -85,9 +86,6 @@ class DimRing(ABC):
 
     def is_zero(self, a: DimElement) -> bool:
         return self.eq(a, self.zero(a.dim))
-
-    def dim_combine(self, d, e):
-        return self.dims.monoid.combine(d, e)
 
     def reciprocal(self, a: DimElement) -> DimElement:
         raise CarrierError(f"{self.label} has no reciprocals")
@@ -132,8 +130,7 @@ class ProductDimRing(DimRing):
 
     def __init__(self, scalars, monoid: DimMonoid, label: str = ""):
         self.scalars = scalars
-        self.monoid = monoid
-        self.dims = DimSet.of_monoid(monoid)
+        self.dims = monoid
         self.is_field = scalars.is_field and monoid.is_group
         self.label = label or f"{scalars}x{monoid.kind}"
 
@@ -155,18 +152,18 @@ class ProductDimRing(DimRing):
 
     def mul(self, a, b):
         return DimElement(
-            self.scalars.mul(a.value, b.value), self.monoid.combine(a.dim, b.dim)
+            self.scalars.mul(a.value, b.value), self.dims.combine(a.dim, b.dim)
         )
 
     @property
     def one(self):
-        return DimElement(self.scalars.one(), self.monoid.identity)
+        return DimElement(self.scalars.one(), self.dims.identity)
 
     def reciprocal(self, a):
         if not self.is_field:
             raise CarrierError(f"{self.label} is not a dimensioned field")
         return DimElement(
-            self.scalars.reciprocal(a.value), self.monoid.inverse(a.dim)
+            self.scalars.reciprocal(a.value), self.dims.inverse(a.dim)
         )
 
     def sample(self, rng, dim=None):
@@ -188,7 +185,7 @@ class DimlessRingView:
 
     def __init__(self, ring: DimRing):
         self.ring = ring
-        self._id = ring.dims.monoid.identity
+        self._id = ring.dims.identity
         self.is_field = ring.is_field
 
     def _wrap(self, v):
@@ -323,8 +320,7 @@ def multiplicative_section(ring: DimRing, gen_values: dict) -> Callable:
     `gen_values[i]` is the section value on the i-th positive unit vector;
     negative exponents use reciprocals, so the ring must be a field.
     """
-    monoid = ring.dims.monoid
-    if monoid.rank is None:
+    if ring.dims.rank is None:
         raise CarrierError("multiplicative extension needs a free abelian monoid")
 
     def u(d):
@@ -341,7 +337,7 @@ def unit_section_check(ring: DimRing, candidate: Callable) -> SectionCheck:
     never hit a slice zero, and be multiplicative on all probed pairs."""
     rep = CheckReport(f"unit section on {ring.label}")
     # every dimension when finite, else all words of length <= 3
-    dims = ring.dims.monoid.probe_words(3)
+    dims = ring.dims.probe_words(3)
     values = {d: candidate(d) for d in dims}
     rep.law("splits the projection", values.items(),
             lambda d, v: v.dim != d and f"delta(u({d!r})) = {v.dim!r} != {d!r}")
@@ -350,7 +346,7 @@ def unit_section_check(ring: DimRing, candidate: Callable) -> SectionCheck:
 
     # a section is a function of its dimension: evaluate each product once
     def multiplicative(d, e):
-        de = ring.dim_combine(d, e)
+        de = ring.dims.combine(d, e)
         if de not in values:
             values[de] = candidate(de)
         if not ring.eq(values[de], ring.mul(values[d], values[e])):
@@ -408,7 +404,7 @@ class SliceMul:
 
     @property
     def dst_dim(self):
-        return self.ring.dim_combine(self.by.dim, self.src_dim)
+        return self.ring.dims.combine(self.by.dim, self.src_dim)
 
     def apply(self, b: DimElement) -> DimElement:
         if b.dim != self.src_dim:
@@ -437,7 +433,7 @@ class Trivialization:
 def units_trivialization(field: DimRing, u: UnitSection) -> Trivialization:
     if not field.is_field:
         raise CarrierError("trivialization needs a dimensioned field")
-    monoid = field.dims.monoid
+    monoid = field.dims
     view = dimensionless_ring(field)
     product = ProductDimRing(view, monoid, label=f"{view}x{monoid.kind}")
     ident = monoid.identity
@@ -601,7 +597,7 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     if not listed:
         elems = ring.probe_elements(rng or random.Random(20240229), budget)
     dims = list(ring.probe_dims())
-    comb, show = ring.dim_combine, ring.show
+    comb, show = ring.dims.combine, ring.show
 
     def upto(cap, cases):
         return cases if listed else itertools.islice(cases, cap)
@@ -614,7 +610,7 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
             lambda d, e, f: comb(comb(d, e), f) != comb(d, comb(e, f))
             and f"monoid associativity fails at {d!r},{e!r},{f!r}")
 
-    ident = ring.dims.monoid.identity
+    ident = ring.dims.identity
     rep.law("dimension monoid: identity", zip(dims),
             lambda d: (comb(ident, d) != d or comb(d, ident) != d)
             and f"monoid identity fails at {d!r}")

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .exprparse import eval_tree, parse_poly_expr
 from .group import DimElement
-from .monoid import DimMonoid, DimSet
+from .monoid import DimMonoid
 from .poly import GradedPolyRing
 from .report import CheckReport
 from .ring import DimRing, ring_axiom_report, unit_section_check
@@ -44,7 +44,7 @@ class TableDimRing(DimRing):
         doc = typed_field(doc, dict, "a structure description")
         try:
             mon = typed_field(doc["monoid"], dict, "monoid")
-            self.dim_elems = typed_field(mon["elements"], [str], "monoid elements")
+            dim_elems = typed_field(mon["elements"], [str], "monoid elements")
             identity = typed_field(mon["identity"], str, "monoid identity")
             dim_op = typed_field(mon["op"], {str: {str: str}}, "monoid op")
             self.slices = typed_field(doc["slices"], {str: [str]}, "slices")
@@ -62,15 +62,14 @@ class TableDimRing(DimRing):
 
         # shape validation: declared names only, tables total; associativity
         # and the identity law are left to the axiom suite
-        for a in self.dim_elems:
-            if set(dim_op.get(a, ())) != set(self.dim_elems):
+        for a in dim_elems:
+            if set(dim_op.get(a, ())) != set(dim_elems):
                 raise InputFormatError(f"monoid row {a!r} is not total")
         try:
-            monoid = DimMonoid.finite(self.dim_elems, identity, lambda d, e: dim_op[d][e])
+            self.dims = DimMonoid.finite(dim_elems, identity, lambda d, e: dim_op[d][e])
         except ValueError as exc:
             raise InputFormatError(f"bad monoid table: {exc}") from exc
-        self.dims = DimSet.of_monoid(monoid)
-        if set(self.slices) != set(self.dim_elems):
+        if set(self.slices) != set(dim_elems):
             raise InputFormatError("slices must cover exactly the declared dimensions")
         self.by_name = {}  # element name -> its one DimElement
         for d, xs in self.slices.items():
@@ -103,11 +102,12 @@ class TableDimRing(DimRing):
         if self.one_name not in self.by_name:
             raise InputFormatError(f"declared unit {self.one_name!r} is not an element")
         if cand is not None:
-            missing = set(self.dim_elems) - set(cand)
+            missing = set(dim_elems) - set(cand)
             if missing:
-                raise InputFormatError(
-                    f"unit candidate misses dimensions {sorted(missing)}"
-                )
+                raise InputFormatError(f"unit candidate misses dimensions {sorted(missing)}")
+            unknown = set(cand) - set(dim_elems)
+            if unknown:
+                raise InputFormatError(f"unit candidate names unknown dimensions {sorted(unknown)}")
             for x in cand.values():
                 if x not in self.by_name:
                     raise InputFormatError(f"unit candidate names unknown element {x!r}")
@@ -157,7 +157,7 @@ class TableDimRing(DimRing):
         return self.el(self.one_name)
 
     def sample(self, rng: random.Random, dim=None):
-        d = dim if dim is not None else rng.choice(self.dim_elems)
+        d = dim if dim is not None else self.dims.sample(rng)
         return self.el(rng.choice(self.slices[d]))
 
     def elements(self):

@@ -173,7 +173,7 @@ def test_criterion_5_quotient_projections_are_morphisms():
                 quot.mul(quot.project(x), quot.project(z)),
             )
 
-        gs = GSet(ring.dims.monoid, orbits=("i",))
+        gs = GSet(ring.dims, orbits=("i",))
         module = FreeDimModule(
             ring, gs, [("e", ((0,), "i")), ("f", ((1,), "i"))], "A"
         )
@@ -201,7 +201,7 @@ def test_criterion_6_tensor_machinery():
     with criterion(6, "tensor relation, distributivity bijection, pullback laws"):
         rng = random.Random(606)
         ring = ProductDimRing(Rationals(), DimMonoid.free_abelian(1), label="QxZ")
-        g = ring.dims.monoid
+        g = ring.dims
         gs = GSet(g, orbits=("i",))
         module = FreeDimModule(
             ring, gs, [("e", ((0,), "i")), ("f", ((1,), "i"))], "M"

@@ -495,7 +495,8 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize("candidate, message", [
         ({"0": "1@0", "1": "nowhere"}, "unit candidate names unknown element 'nowhere'"),
         ({"0": "1@0"}, "unit candidate misses dimensions ['1']"),
-    ], ids=["unknown-element", "missing-dimension"])
+        ({"0": "1@0", "1": "1@1", "7": "1@0"}, "unit candidate names unknown dimensions ['7']"),
+    ], ids=["unknown-element", "missing-dimension", "unknown-dimension"])
     def test_bad_unit_candidate_exits_2_when_a_slice_law_fails(
         self, runner, tmp_path, candidate, message
     ):

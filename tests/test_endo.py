@@ -33,7 +33,7 @@ def slot_by_slot_faults(endo):
     dimension map with every cyclic coefficient pattern, at every base
     point.  Yields one description per case that disagrees."""
     _, patterns = _coefficient_probes(len(endo.points))
-    elems = [DimElement(c, phi) for phi in endo.map_monoid.elements() for c in patterns]
+    elems = [DimElement(c, phi) for phi in endo.dims.elements() for c in patterns]
     xs = [DimElement(F(5, 7), d) for d in endo.points]
     act, base = endo.apply_to_base, endo.base
     for a, b in itertools.product(elems, repeat=2):
@@ -51,14 +51,14 @@ class OwnMapMul(EndoRing):
 
     def mul(self, a, b):
         coeffs = tuple(a.value[self.index[a.dim[i]]] * b.value[i] for i in range(len(self.points)))
-        return DimElement(coeffs, self.map_monoid.combine(a.dim, b.dim))
+        return DimElement(coeffs, self.dims.combine(a.dim, b.dim))
 
 
 class SwappedOrderMul(EndoRing):
     """Composes the dimension maps in the wrong order."""
 
     def mul(self, a, b):
-        return DimElement(super().mul(a, b).value, self.map_monoid.combine(b.dim, a.dim))
+        return DimElement(super().mul(a, b).value, self.dims.combine(b.dim, a.dim))
 
 
 class SquareAcrossMaps(EndoRing):
@@ -194,13 +194,13 @@ class TestModuleStructure:
         def as_operator(r):
             # multiplication by r: constant coefficients, translation on dims
             return endo2.endo(
-                {d: base.monoid.combine(r.dim, d) for d in endo2.points},
+                {d: base.dims.combine(r.dim, d) for d in endo2.points},
                 {d: r.value for d in endo2.points},
             )
 
         def translation(g):
             # dimension maps of multiplication operators are translations
-            return tuple(base.monoid.combine(g, d) for d in endo2.points)
+            return tuple(base.dims.combine(g, d) for d in endo2.points)
 
         space = ProbeSpace(
             sample=lambda rng_: as_operator(base.sample(rng_)),
@@ -211,14 +211,14 @@ class TestModuleStructure:
             act=endo2.act,
             sample_ring=base.sample,
             ring_dim_act=lambda g, phi: tuple(
-                base.monoid.combine(g, img) for img in phi
+                base.dims.combine(g, img) for img in phi
             ),
-            sample_dim=lambda rng_: translation(base.monoid.sample(rng_)),
+            sample_dim=lambda rng_: translation(base.dims.sample(rng_)),
         )
         rep = bilinear_check(
             space,
             endo2.mul,
-            lambda phi, psi: endo2.map_monoid.combine(phi, psi),
+            lambda phi, psi: endo2.dims.combine(phi, psi),
             rng,
             probes=25,
         )

@@ -245,6 +245,15 @@ class TestSumsProductsFreeTensor:
         p = product_group(g, g)
         assert len(p.dims.elements()) == 4
 
+    @pytest.mark.parametrize("construct", [product_group, tensor_groups])
+    def test_product_dimension_sets_need_finite_factors(self, q_x_z, two_slices, construct):
+        """A factor over the free abelian monoid Z has no finite element
+        list, so neither product dimension set can be formed."""
+        infinite = DimAbGroup.uniform(q_x_z.dims, Rationals())
+        for a, b in ((infinite, two_slices), (two_slices, infinite)):
+            with pytest.raises(CarrierError, match="product dimension sets need finite factors"):
+                construct(a, b)
+
     def test_free_abelian_embedding_and_cancellation(self):
         fa = FreeAbelian({"d": ("x", "y"), "e": ()})
         x = fa.embed("x", "d")

@@ -70,7 +70,7 @@ class TestTensorMultiplication:
     def test_is_the_product_ring_of_q_and_z_k(self, two_lines, rng):
         q_x_z2 = ProductDimRing(Rationals(), DimMonoid.free_abelian(2))
         assert isinstance(two_lines, ProductDimRing) and two_lines.is_field
-        assert two_lines.monoid == q_x_z2.monoid
+        assert two_lines.dims == q_x_z2.dims
         for _ in range(20):
             x, y = two_lines.sample(rng), two_lines.sample(rng)
             assert two_lines.mul(x, y) == q_x_z2.mul(x, y)
@@ -170,7 +170,7 @@ class TestLineUnits:
         for _ in range(30):
             n = two_lines.sample_dim(rng)
             m = two_lines.sample_dim(rng)
-            nm = two_lines.dim_combine(n, m)
+            nm = two_lines.dims.combine(n, m)
             assert two_lines.mul(u(n), u(m)) == u(nm)
 
     def test_zero_unit_rejected(self, two_lines):

@@ -37,7 +37,7 @@ def ring():
 
 @pytest.fixture
 def gset(ring):
-    return GSet(ring.dims.monoid, orbits=("i",))
+    return GSet(ring.dims, orbits=("i",))
 
 
 @pytest.fixture
@@ -132,26 +132,26 @@ class TestSumsAndTensors:
             )
 
     def test_gset_tensor_orbit_count(self, ring):
-        g = ring.dims.monoid
+        g = ring.dims
         d = GSet(g, orbits=("a", "b"))
         e = GSet(g, orbits=("x", "y", "z"))
         t = gset_tensor(d, e)
         assert len(t.gset.orbits) == 6
 
     def test_gsets_compare_by_value(self, ring):
-        g = ring.dims.monoid
+        g = ring.dims
         assert GSet(g, ("a", "b")) == GSet(g, orbits=["a", "b"])
         assert GSet(g, ("a",)) != GSet(g, ("b",))
         assert GSet(g, ("a",)) != GSet(DimMonoid.trivial(), ("a",))
 
     def test_gset_tensor_single_orbit_is_the_group(self, ring):
-        g = ring.dims.monoid
+        g = ring.dims
         d = GSet(g, orbits=("i",))
         t = gset_tensor(d, d)
         assert t.eta(((2,), "i"), ((3,), "i")) == ((5,), ("i", "i"))
 
     def test_gset_tensor_defining_relation(self, ring, rng):
-        g = ring.dims.monoid
+        g = ring.dims
         d = GSet(g, orbits=("a", "b"))
         t = gset_tensor(d, d)
         for _ in range(30):
@@ -162,7 +162,7 @@ class TestSumsAndTensors:
     def test_gset_tensor_symmetric_and_associative_up_to_bijection(self, ring, rng):
         """For index sets of size <= 3: swapping factors and reassociating
         are orbit relabelings that match the canonical representatives."""
-        g = ring.dims.monoid
+        g = ring.dims
         for nd, ne, nf in itertools.product((1, 2, 3), repeat=3):
             d = GSet(g, orbits=tuple(f"d{k}" for k in range(nd)))
             e = GSet(g, orbits=tuple(f"e{k}" for k in range(ne)))
@@ -226,7 +226,7 @@ class TestSumsAndTensors:
 class TestBilinearFactorization:
     def test_module_action_factors(self, ring, gset, rank2, rng):
         # the action R x M -> M is bilinear, so it factors
-        rmod = FreeDimModule(ring, GSet(ring.dims.monoid, orbits=("r",)),
+        rmod = FreeDimModule(ring, GSet(ring.dims, orbits=("r",)),
                              [("1", ((0,), "r"))], "R")
 
         def action(x, y):
@@ -254,7 +254,7 @@ class TestBilinearFactorization:
 
     def test_zero_map_factors(self, ring, rank2, rng):
         def zero(x, y):
-            g = ring.dims.monoid
+            g = ring.dims
             return rank2.zero((g.combine(x.dim[0], y.dim[0]), "i"))
 
         res = bilinear_factorization(rank2, rank2, rank2, zero, rng)
@@ -265,7 +265,7 @@ class TestRigDistributivity:
     def test_exhaustive_small_shapes(self, ring):
         """Every configuration with ranks <= 2 and orbit index sets of
         size <= 3 (each bijection decided on basis vectors)."""
-        g = ring.dims.monoid
+        g = ring.dims
         for n_orb, ra, rb, rc in itertools.product((1, 2, 3), (1, 2), (1, 2), (1, 2)):
             orbits = tuple(f"o{k}" for k in range(n_orb))
             gs = GSet(g, orbits=orbits)
@@ -395,7 +395,7 @@ class TestQuotientModule:
 
     def test_graded_instance_projection_is_q_linear(self, rng):
         ring = GradedPolyRing(["q", "p"], [(1,), (-1,)])
-        gs = GSet(ring.dims.monoid, orbits=("i",))
+        gs = GSet(ring.dims, orbits=("i",))
         mod = FreeDimModule(
             ring, gs, [("e", ((0,), "i")), ("f", ((1,), "i"))], "A"
         )
@@ -417,7 +417,7 @@ class TestQuotientModule:
     def test_leibniz_style_expansion_lands_in_the_coset(self, rng):
         """(r+i)·(a+s) projects to the same coset as r·a."""
         ring = GradedPolyRing(["q", "p"], [(1,), (-1,)])
-        gs = GSet(ring.dims.monoid, orbits=("i",))
+        gs = GSet(ring.dims, orbits=("i",))
         mod = FreeDimModule(ring, gs, [("e", ((0,), "i"))], "A")
         ideal = ring.monomial_ideal(["q"])
         qgen = ideal.generators[0]
@@ -439,7 +439,7 @@ class TestQuotientModule:
 
     def test_containment_violation_witnessed(self, rng):
         ring = GradedPolyRing(["q", "p"], [(1,), (-1,)])
-        gs = GSet(ring.dims.monoid, orbits=("i",))
+        gs = GSet(ring.dims, orbits=("i",))
         mod = FreeDimModule(
             ring, gs, [("e", ((0,), "i")), ("f", ((1,), "i"))], "A"
         )

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dimalg import CarrierError, DimMonoid
-from dimalg.monoid import DimSet
 
 small_int = st.integers(min_value=-20, max_value=20)
 
@@ -88,13 +87,6 @@ class TestTrivialAndMap:
         m = DimMonoid.map_monoid((0, 1))
         with pytest.raises(CarrierError):
             m.inverse((0, 0))
-
-
-def test_dimset_needs_exactly_one_flavor():
-    with pytest.raises(ValueError):
-        DimSet()
-    with pytest.raises(ValueError):
-        DimSet(monoid=DimMonoid.trivial(), finite=(1, 2))
 
 
 # -- the table-backed monoids against their closed forms -------------------

@@ -37,7 +37,7 @@ class TestProductRing:
             a = q_x_z.sample(rng)
             d = q_x_z.sample_dim(rng)
             prod = q_x_z.mul(q_x_z.zero(d), a)
-            assert prod == q_x_z.zero(q_x_z.dim_combine(d, a.dim))
+            assert prod == q_x_z.zero(q_x_z.dims.combine(d, a.dim))
 
     def test_one_is_neutral(self, q_x_z, rng):
         a = q_x_z.sample(rng)
