@@ -30,7 +30,7 @@ from .group import DimElement
 from .monoid import DimMonoid
 from .poly import GradedPolyRing
 from .report import CheckReport
-from .ring import DimRing, ring_axiom_report, unit_section_check
+from .ring import DimRing, generating_set, ring_axiom_report, unit_section_check
 
 
 class TableDimRing(DimRing):
@@ -113,6 +113,7 @@ class TableDimRing(DimRing):
                     raise InputFormatError(f"unit candidate names unknown element {x!r}")
 
         self._zeros = self._find_zeros()
+        self._negs = self._find_negs()
 
     def _find_zeros(self) -> dict:
         zeros = {}
@@ -123,6 +124,18 @@ class TableDimRing(DimRing):
                     zeros[d] = z
                     break
         return zeros
+
+    def _find_negs(self) -> dict:
+        """Each element of a unital slice -> the first x in slice order
+        with a + x = 0, where there is one."""
+        negs = {}
+        for d, z in self._zeros.items():
+            tbl, xs = self.add_table[d], self.slices[d]
+            for a in xs:
+                x = next((x for x in xs if tbl[a][x] == z), None)
+                if x is not None:
+                    negs[a] = x
+        return negs
 
     # -- DimRing protocol ---------------------------------------------------
     def el(self, name: str) -> DimElement:
@@ -137,11 +150,10 @@ class TableDimRing(DimRing):
         z = self._zeros.get(a.dim)
         if z is None:
             raise CarrierError(f"slice {a.dim!r} has no additive identity")
-        tbl = self.add_table[a.dim]
-        for x in self.slices[a.dim]:
-            if tbl[a.value][x] == z:
-                return self.el(x)
-        raise CarrierError(f"{a.value!r} has no additive inverse")
+        x = self._negs.get(a.value)
+        if x is None:
+            raise CarrierError(f"{a.value!r} has no additive inverse")
+        return self.el(x)
 
     def zero(self, d):
         z = self._zeros.get(d)
@@ -171,7 +183,14 @@ class TableDimRing(DimRing):
 
 
 def slice_group_report(ring: TableDimRing) -> CheckReport:
-    """Exhaustive abelian-group laws for every declared slice."""
+    """The abelian-group laws of every declared slice, decided on every
+    case but one: associativity is decided by Light's test in each closed
+    slice that has an identity, t[t[a][g]][c] = t[a][t[g][c]] for every a
+    and c and every g of a greedy additive generating set, k·n² cases
+    instead of n³: the g that pass are closed under + (Clifford &
+    Preston, 1961), so they are the whole slice.  A slice that leaks
+    holds no magma to run it on; its `slices closed under addition` FAIL
+    stands for it."""
     rep = CheckReport(f"slice groups of {ring.label}")
     slices, tables, zeros = ring.slices, ring.add_table, ring._zeros
 
@@ -179,22 +198,27 @@ def slice_group_report(ring: TableDimRing) -> CheckReport:
         return ((tables[d], d, *xs)
                 for d in ds for xs in itertools.product(slices[d], repeat=repeat))
 
-    def associative(t, _, a, b, c):
-        ab, bc = t[a][b], t[b][c]
-        # decided where both sums stay in the slice; a leak fails closure
-        if ab in t and bc in t and t[ab][c] != t[a][bc]:
-            return f"addition not associative at {a},{b},{c}"
+    def light(ds):
+        for d in ds:
+            t, xs = tables[d], slices[d]
+            gens = generating_set(xs, lambda x, y: t[x][y])
+            yield from ((t, a, g, c) for a in xs for g in gens for c in xs)
 
-    # the laws after the identity law run on the slices that have an identity
+    # the laws after the identity law run on the slices that have an identity,
+    # Light's test on those also closed (a slice's add table is keyed by its elements)
     unital = [d for d in slices if d in zeros]
+    magmas = [d for d in unital
+              if all(s in tables[d] for row in tables[d].values() for s in row.values())]
     rep.law("slices closed under addition", over(slices, 2),
-            lambda t, d, a, b: t[a][b] not in slices[d] and f"{a}+{b} leaves slice {d!r}")
+            lambda t, d, a, b: t[a][b] not in t and f"{a}+{b} leaves slice {d!r}")
     rep.law("additive identities exist", zip(slices),
             lambda d: d not in zeros and f"slice {d!r} has no additive identity")
     rep.law("additive inverses exist", over(unital, 1),
             lambda t, d, a: zeros[d] not in t[a].values()
             and f"{a} in slice {d!r} has no inverse")
-    rep.law("addition associative", over(unital, 3), associative)
+    rep.law("addition associative", light(magmas),
+            lambda t, a, g, c: t[t[a][g]][c] != t[a][t[g][c]]
+            and f"addition not associative at {a},{g},{c}")
     rep.law("addition commutative", over(unital, 2),
             lambda t, _, a, b: t[a][b] != t[b][a]
             and f"addition not commutative at {a},{b}")
@@ -202,9 +226,12 @@ def slice_group_report(ring: TableDimRing) -> CheckReport:
 
 
 def structure_axiom_report(ring: TableDimRing) -> CheckReport:
-    """The full suite for a declared structure, every law on every case:
-    slice groups first, then the dimensioned-ring laws, then the
-    unit-section candidate if any."""
+    """The full suite for a declared structure, every law on every case
+    or on generators: slice groups first, then the dimensioned-ring laws,
+    then the unit-section candidate if any.  The ring laws run only once
+    every slice is a closed abelian group: `ring_axiom_report` decides
+    distributivity on additive generators, which needs slice addition to
+    be associative."""
     rep = slice_group_report(ring)
     if rep.ok:
         rep = rep.merged(ring_axiom_report(ring))

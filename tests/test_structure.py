@@ -1,11 +1,13 @@
 import json
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 from conftest import product_table
-from dimalg import InputFormatError, check_structure, load_structure
+from dimalg import CarrierError, InputFormatError, check_structure, load_structure
+from dimalg.report import CheckReport
 from dimalg.ring import generating_set
 from dimalg.structure import structure_axiom_report
 
@@ -58,10 +60,8 @@ class TestNegativeControls:
         code, lines = check_structure(doc)
         assert code == 1
         assert "FAIL  projection is a monoid morphism: dim(2@0·3@0) != combined dims" in lines
-        assert (
-            "FAIL  distributivity where defined: ac, bc lie over '0' != '1' at 0@0,2@0,3@0"
-            in lines
-        )
+        # b runs over the additive generators 0@0, 1@0: (1+1)·3 lies over '1'
+        assert "FAIL  distributivity where defined: (a+b)c != ac+bc at 1@0,1@0,3@0" in lines
 
     def test_defect_beyond_the_first_cases_of_a_law_is_found(self, defect_beyond_caps):
         # every law runs on every case: (3@d0·1@d1)·5@d1 != 3@d0·(1@d1·5@d1)
@@ -110,6 +110,47 @@ class TestLightsTest:
         code, lines = check_structure(doc)
         assert code == 1
         assert "FAIL  multiplicative associativity: (ab)c != a(bc) at 21@d0,1@d1,27@d1" in lines
+
+
+class TestGeneratorDecidedLaws:
+    def test_case_counts_grow_as_n_squared(self, monkeypatch):
+        """Distributivity and slice-addition associativity are decided in
+        k·n² cases, so doubling a slice multiplies their counts by 4, not
+        by the 8 of every triple."""
+        laws = ("distributivity where defined", "addition associative")
+        counts = Counter()
+        law = CheckReport.law
+
+        def counting(rep, name, cases, check):
+            def counted():
+                for case in cases:
+                    counts[name] += 1
+                    yield case
+
+            law(rep, name, counted() if name in laws else cases, check)
+
+        monkeypatch.setattr(CheckReport, "law", counting)
+
+        def cases(n):
+            counts.clear()
+            assert check_structure(product_table(n, 2))[0] == 0
+            return [counts[name] for name in laws]
+
+        for name, small, large in zip(laws, cases(32), cases(64)):
+            assert 0 < large <= 4.5 * small, (name, small, large)
+
+    def test_neg_is_the_first_inverse_in_slice_order(self):
+        doc = json.loads(GOLDEN.read_text())
+        doc["add"]["0"]["1@0"]["2@0"] = "0@0"  # 1@0 gains the inverse 2@0 before 4@0
+        doc["add"]["0"]["3@0"]["2@0"] = "3@0"  # and 3@0 loses its only one
+        doc["add"]["1"]["0@1"]["1@1"] = "2@1"  # slice '1' loses its identity
+        ring = load_structure(doc)
+        assert ring.neg(ring.el("1@0")) == ring.el("2@0")
+        assert ring.neg(ring.el("4@0")) == ring.el("1@0")
+        with pytest.raises(CarrierError, match="^'3@0' has no additive inverse$"):
+            ring.neg(ring.el("3@0"))
+        with pytest.raises(CarrierError, match="^slice '1' has no additive identity$"):
+            ring.neg(ring.el("1@1"))
 
 
 class TestShapeErrors:

@@ -6,7 +6,9 @@ its raw JSON tables, every law on every case, and imports nothing from
 must agree with `check_structure`, the exit code and the law named by
 each FAIL line, on every shipped structure, on a table whose defect lies
 beyond the first cases of each law, on fixed-seed product tables, clean
-and with one-cell defects, and on a table that breaks associativity alone.
+and with one-cell defects, on tables that break associativity alone, and
+on tables that break distributivity or slice-addition associativity
+alone, where the first additive generator of the slice passes.
 """
 
 import copy
@@ -27,28 +29,36 @@ STRUCTURES = sorted((TESTS.parent / "data" / "structures").glob("*.json")) + [
 ]
 
 
-def table_laws(doc: dict):
+def table_laws(doc: dict) -> dict:
     """Whether the tables hold each law of `dimalg check`, by the name of
-    its report line: None when a slice is no abelian group (the report
-    then stops after its slice-group lines), else {law: holds} for the
-    ring laws and, when a unit candidate is declared, its three laws. The
-    document must be well formed: names declared and tables total."""
+    its report line: {law: holds} for the slice-group laws and, when they
+    all hold (else the report stops after them), for the ring laws and,
+    when a unit candidate is declared, its three laws. As in the report,
+    inverses and commutativity are laws of the slices with an identity,
+    and associativity of those that are also closed. The document must be
+    well formed: names declared and tables total."""
     dims, e, op = doc["monoid"]["elements"], doc["monoid"]["identity"], doc["monoid"]["op"]
     slices, add, mul, one = doc["slices"], doc["add"], doc["mul"], doc["one"]
     dim = {x: d for d, xs in slices.items() for x in xs}
     elems, zero = list(dim), {}
+    groups = dict.fromkeys(("slices closed under addition", "additive identities exist",
+                            "additive inverses exist", "addition associative",
+                            "addition commutative"), True)
     for d, xs in slices.items():
         t = add[d]
-        if any(dim[t[a][b]] != d for a in xs for b in xs):
-            return None
+        closed = all(dim[t[a][b]] == d for a, b in product(xs, repeat=2))
         zs = [z for z in xs if all(t[z][x] == x == t[x][z] for x in xs)]
-        if not zs:
-            return None
-        zero[d] = z = zs[0]
-        if not (all(z in t[a].values() for a in xs)
-                and all(t[a][b] == t[b][a] for a, b in product(xs, repeat=2))
-                and all(t[t[a][b]][c] == t[a][t[b][c]] for a, b, c in product(xs, repeat=3))):
-            return None
+        groups["slices closed under addition"] &= closed
+        groups["additive identities exist"] &= bool(zs)
+        if zs:
+            zero[d] = z = zs[0]
+            groups["additive inverses exist"] &= all(z in t[a].values() for a in xs)
+            groups["addition associative"] &= not closed or all(
+                t[t[a][b]][c] == t[a][t[b][c]] for a, b, c in product(xs, repeat=3))
+            groups["addition commutative"] &= all(
+                t[a][b] == t[b][a] for a, b in product(xs, repeat=2))
+    if not all(groups.values()):
+        return groups
 
     def s(a, b):  # a + b, or None when b lies outside a's slice
         return add[dim[a]][a].get(b)
@@ -57,6 +67,7 @@ def table_laws(doc: dict):
         return mul[a][b]
 
     laws = {
+        **groups,
         "dimension monoid: associativity":
             all(op[op[x][y]][w] == op[x][op[y][w]] for x, y, w in product(dims, repeat=3)),
         "dimension monoid: identity": all(op[e][x] == x == op[x][e] for x in dims),
@@ -86,22 +97,19 @@ def table_laws(doc: dict):
 def table_verdict(doc: dict) -> int:
     """0 when the tables form a dimensioned ring whose unit candidate, if
     declared, is a unit section; 1 otherwise."""
-    laws = table_laws(doc)
-    return 0 if laws is not None and all(laws.values()) else 1
+    return 0 if all(table_laws(doc).values()) else 1
 
 
 def assert_oracle_agrees(doc) -> int:
-    """`check_structure` gives the oracle's verdict, and, when the slices
-    are abelian groups, its FAIL lines name exactly the laws the oracle
-    finds broken. Returns the verdict."""
+    """`check_structure` gives the oracle's verdict, and its FAIL lines
+    name exactly the laws the oracle finds broken. Returns the verdict."""
     code, lines = check_structure(doc)
     laws = table_laws(doc)
     assert code == table_verdict(doc)
-    if laws is not None:
-        fails = [line for line in lines if line.startswith("FAIL  ")]
-        named = {n for n in laws if any(f.startswith(f"FAIL  {n}: ") for f in fails)}
-        assert named == {n for n, holds in laws.items() if not holds}
-        assert len(fails) == len(named), fails
+    fails = [line for line in lines if line.startswith("FAIL  ")]
+    named = {n for n in laws if any(f.startswith(f"FAIL  {n}: ") for f in fails)}
+    assert named == {n for n, holds in laws.items() if not holds}
+    assert len(fails) == len(named), fails
     return code
 
 
@@ -223,3 +231,61 @@ def test_oracle_finds_an_associativity_defect_beyond_6000_cases():
     assert [n for n, holds in table_laws(doc).items() if not holds] == [
         "multiplicative associativity"]
     assert assert_oracle_agrees(doc) == 1
+
+
+def late_nondistributive_table() -> dict:
+    """F2[e, x]/(e·e = e, e·x = 0, x³ = 0), 16 elements, its product
+    carried across the involution σ that swaps 1+x with 1+e+x+x2 and
+    1+e+x with 1+x+x2: a·b becomes σ(σ(a)·σ(b)). σ fixes 0 and 1, so the
+    new product is still associative, commutative and unital with 0
+    absorbent; σ is not additive, so distributivity fails, and it fails
+    alone. σ commutes with adding e, so (a+e)c = ac+ec for every a and c:
+    e, listed first, is the first of four additive generators, and a check
+    on that generator alone would pass. The subgroup <e, x2>, on which
+    every x ↦ x·c is additive, leads the list, so the first failing
+    (a, b) pair is (x, 1): the fifth element and the fourth generator."""
+    doc = f2_algebra(("1", "e", "x", "x2"), lambda i, j: {(1, 1): 1, (2, 2): 3}.get((i, j)),
+                     order=lambda v: (v[0] or v[2], v != (0, 1, 0, 0), v))
+    swap = {"1+x": "1+e+x+x2", "1+e+x": "1+x+x2"}
+    swap.update({b: a for a, b in swap.items()})
+
+    def s(a):
+        return swap.get(a, a)
+
+    mul = doc["mul"]
+    doc["mul"] = {a: {b: s(mul[s(a)][s(b)]) for b in row} for a, row in mul.items()}
+    return doc
+
+
+def late_nonassociative_addition_table() -> dict:
+    """F2⁴ on the basis 1, e, x, y whose sum of an element of x+<e> and one
+    of y+<e> is moved by 1, as (x+y)+y = x while x+(y+y) = x+y+1; every
+    other sum is the vector sum. The slice is still closed and
+    commutative, with identity 0 and every inverse. The eight elements
+    whose x and y coordinates differ, the summands of the moved sums, are
+    listed last. Each moved sum keeps its e coordinate's place in the
+    vector sum, so e, listed first, passes Light's test, and a test on the
+    first additive generator alone would pass."""
+    doc = f2_algebra(("1", "e", "x", "y"), lambda i, j: None,
+                     order=lambda v: (v[2] != v[3], v != (0, 1, 0, 0), v))
+    t = doc["add"]["d"]
+    for p, q in product(("x", "e+x"), ("y", "e+y")):
+        t[p][q] = t[q][p] = t[t[p][q]]["1"]
+    return doc
+
+
+def test_oracle_finds_distributivity_failing_beyond_the_first_generator():
+    doc = late_nondistributive_table()
+    assert [n for n, holds in table_laws(doc).items() if not holds] == [
+        "distributivity where defined"]
+    assert assert_oracle_agrees(doc) == 1
+    _, lines = check_structure(doc)
+    assert "FAIL  distributivity where defined: (a+b)c != ac+bc at x,1,e" in lines
+
+
+def test_oracle_finds_slice_addition_failing_beyond_the_first_generator():
+    doc = late_nonassociative_addition_table()
+    assert [n for n, holds in table_laws(doc).items() if not holds] == ["addition associative"]
+    assert assert_oracle_agrees(doc) == 1
+    _, lines = check_structure(doc)
+    assert "FAIL  addition associative: addition not associative at x+y,y,y" in lines
