@@ -9,7 +9,6 @@ vectors, the two homogeneous dimensions, a bracket table of polynomial
 strings, and an optional monomial ideal.
 """
 
-import itertools
 import math
 import random
 import reprlib
@@ -30,7 +29,10 @@ from .group import DimElement
 from .monoid import DimMonoid
 from .poly import GradedPolyRing
 from .report import CheckReport
-from .ring import DimRing, generating_set, ring_axiom_report, unit_section_check
+
+# perfbench/tracer.py traces `slice_group_report` under this module's name and rebinds
+# every dimalg name bound to it, so the calls from `ring_axiom_report` count too.
+from .ring import DimRing, ring_axiom_report, slice_group_report
 
 
 class TableDimRing(DimRing):
@@ -58,7 +60,6 @@ class TableDimRing(DimRing):
         cand = doc.get("unit_candidate")
         if cand is not None:
             cand = typed_field(cand, {str: str}, "unit_candidate")
-        self._unit_candidate = cand
 
         # shape validation: declared names only, tables total; associativity
         # and the identity law are left to the axiom suite
@@ -111,9 +112,9 @@ class TableDimRing(DimRing):
             for x in cand.values():
                 if x not in self.by_name:
                     raise InputFormatError(f"unit candidate names unknown element {x!r}")
+            self.unit_candidate = {d: self.el(x) for d, x in cand.items()}
 
         self._zeros = self._find_zeros()
-        self._negs = self._find_negs()
 
     def _find_zeros(self) -> dict:
         zeros = {}
@@ -125,18 +126,6 @@ class TableDimRing(DimRing):
                     break
         return zeros
 
-    def _find_negs(self) -> dict:
-        """Each element of a unital slice -> the first x in slice order
-        with a + x = 0, where there is one."""
-        negs = {}
-        for d, z in self._zeros.items():
-            tbl, xs = self.add_table[d], self.slices[d]
-            for a in xs:
-                x = next((x for x in xs if tbl[a][x] == z), None)
-                if x is not None:
-                    negs[a] = x
-        return negs
-
     # -- DimRing protocol ---------------------------------------------------
     def el(self, name: str) -> DimElement:
         return self.by_name[name]
@@ -147,10 +136,10 @@ class TableDimRing(DimRing):
         return self.el(self.add_table[a.dim][a.value][b.value])
 
     def neg(self, a):
-        z = self._zeros.get(a.dim)
-        if z is None:
-            raise CarrierError(f"slice {a.dim!r} has no additive identity")
-        x = self._negs.get(a.value)
+        """The first x in slice order with a + x = 0."""
+        z = self.zero(a.dim).value  # raises where the slice has no identity
+        row = self.add_table[a.dim][a.value]
+        x = next((x for x in self.slices[a.dim] if row[x] == z), None)
         if x is None:
             raise CarrierError(f"{a.value!r} has no additive inverse")
         return self.el(x)
@@ -175,71 +164,14 @@ class TableDimRing(DimRing):
     def elements(self):
         return tuple(self.by_name.values())
 
-    def slice_elements(self, d):
-        return tuple(self.el(x) for x in self.slices[d])
-
     def show(self, a):
         return str(a.value)
 
 
-def slice_group_report(ring: TableDimRing) -> CheckReport:
-    """The abelian-group laws of every declared slice, decided on every
-    case but one: associativity is decided by Light's test in each closed
-    slice that has an identity, t[t[a][g]][c] = t[a][t[g][c]] for every a
-    and c and every g of a greedy additive generating set, k·n² cases
-    instead of n³: the g that pass are closed under + (Clifford &
-    Preston, 1961), so they are the whole slice.  A slice that leaks
-    holds no magma to run it on; its `slices closed under addition` FAIL
-    stands for it."""
-    rep = CheckReport(f"slice groups of {ring.label}")
-    slices, tables, zeros = ring.slices, ring.add_table, ring._zeros
-
-    def over(ds, repeat):
-        return ((tables[d], d, *xs)
-                for d in ds for xs in itertools.product(slices[d], repeat=repeat))
-
-    def light(ds):
-        for d in ds:
-            t, xs = tables[d], slices[d]
-            gens = generating_set(xs, lambda x, y: t[x][y])
-            yield from ((t, a, g, c) for a in xs for g in gens for c in xs)
-
-    # the laws after the identity law run on the slices that have an identity,
-    # Light's test on those also closed (a slice's add table is keyed by its elements)
-    unital = [d for d in slices if d in zeros]
-    magmas = [d for d in unital
-              if all(s in tables[d] for row in tables[d].values() for s in row.values())]
-    rep.law("slices closed under addition", over(slices, 2),
-            lambda t, d, a, b: t[a][b] not in t and f"{a}+{b} leaves slice {d!r}")
-    rep.law("additive identities exist", zip(slices),
-            lambda d: d not in zeros and f"slice {d!r} has no additive identity")
-    rep.law("additive inverses exist", over(unital, 1),
-            lambda t, d, a: zeros[d] not in t[a].values()
-            and f"{a} in slice {d!r} has no inverse")
-    rep.law("addition associative", light(magmas),
-            lambda t, a, g, c: t[t[a][g]][c] != t[a][t[g][c]]
-            and f"addition not associative at {a},{g},{c}")
-    rep.law("addition commutative", over(unital, 2),
-            lambda t, _, a, b: t[a][b] != t[b][a]
-            and f"addition not commutative at {a},{b}")
-    return rep
-
-
 def structure_axiom_report(ring: TableDimRing) -> CheckReport:
-    """The full suite for a declared structure, every law on every case
-    or on generators: slice groups first, then the dimensioned-ring laws,
-    then the unit-section candidate if any.  The ring laws run only once
-    every slice is a closed abelian group: `ring_axiom_report` decides
-    distributivity on additive generators, which needs slice addition to
-    be associative."""
-    rep = slice_group_report(ring)
-    if rep.ok:
-        rep = rep.merged(ring_axiom_report(ring))
-        if ring._unit_candidate is not None:
-            cand = ring._unit_candidate
-            check = unit_section_check(ring, lambda d: ring.el(cand[d]))
-            rep = rep.merged(check.report)
-    return rep
+    """The full suite for a declared structure: `ring_axiom_report`'s chain of
+    slice-group laws, ring laws and unit-section candidate."""
+    return ring_axiom_report(ring)
 
 
 def load_structure(source) -> TableDimRing:

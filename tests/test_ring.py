@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from dimalg import (
+    CarrierError,
     ConstructionError,
     Ideal,
     Line,
@@ -203,7 +204,7 @@ class TestUnitSections:
         from pathlib import Path
 
         ring = load_structure(Path(__file__).parent / "data" / "zero_slice_no_unit.json")
-        result = search_unit_section(ring, ring.slice_elements)
+        result = search_unit_section(ring)
         assert not result.ok
         assert "'1'" in result.report.failures[0].witness
 
@@ -214,10 +215,16 @@ class TestUnitSections:
 
         path = Path(__file__).parent.parent / "data" / "structures" / "product_ring_mod5_z2.json"
         ring = load_structure(path)
-        result = search_unit_section(ring, ring.slice_elements)
+        result = search_unit_section(ring)
         assert result.ok
         found = {d: result.section(d).value for d in ring.dims.elements()}
         assert found == json.loads(path.read_text())["unit_candidate"]
+
+    @pytest.mark.parametrize("ring", ["q_x_z", "q_x_z2"])
+    def test_search_needs_a_ring_that_lists_its_elements(self, ring, request):
+        # Q x Z/2 has finitely many dimensions but does not list its elements
+        with pytest.raises(CarrierError, match="lists its elements"):
+            search_unit_section(request.getfixturevalue(ring))
 
 
 class TestSliceMulAndTrivialization:

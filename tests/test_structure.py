@@ -6,7 +6,13 @@ from pathlib import Path
 import pytest
 
 from conftest import product_table
-from dimalg import CarrierError, InputFormatError, check_structure, load_structure
+from dimalg import (
+    CarrierError,
+    InputFormatError,
+    check_structure,
+    load_structure,
+    ring_axiom_report,
+)
 from dimalg.report import CheckReport
 from dimalg.ring import generating_set
 from dimalg.structure import structure_axiom_report
@@ -80,6 +86,41 @@ class TestNegativeControls:
         code, lines = check_structure(doc)
         assert code == 1
         assert "FAIL  slices closed under addition: 1@0+1@0 leaves slice '0'" in lines
+
+
+class TestOneChain:
+    """`ring_axiom_report` decides a listed ring's slice groups first and
+    returns after them when one of them FAILs: its generator proofs need
+    closed, associative slice addition, so a library caller gets a FAIL
+    there, not an exception."""
+
+    SLICE_GROUP_LAWS = (
+        "slices closed under addition",
+        "additive identities exist",
+        "additive inverses exist",
+        "addition associative",
+        "addition commutative",
+    )
+
+    @pytest.mark.parametrize("slice_, a, b, fail", [
+        ("0", "1@0", "1@0", "slices closed under addition: 1@0+1@0 leaves slice '0'"),
+        # 0@1 + 1@1 = 2@1: slice '1' loses its identity
+        ("1", "0@1", "1@1", "additive identities exist: slice '1' has no additive identity"),
+    ])
+    def test_a_failed_slice_group_law_ends_the_report(self, slice_, a, b, fail):
+        doc = json.loads(GOLDEN.read_text())
+        doc["add"][slice_][a][b] = "2@1"
+        rep = ring_axiom_report(load_structure(doc))
+        assert rep.lines() == ["== dimensioned ring mod5-product-ring-over-Z2"] + [
+            f"FAIL  {fail}" if fail.startswith(law) else f"PASS  {law}"
+            for law in self.SLICE_GROUP_LAWS
+        ]
+
+    def test_a_listed_ring_names_each_law_once(self):
+        laws = [r.law for r in ring_axiom_report(load_structure(GOLDEN)).results]
+        assert laws[:5] == list(self.SLICE_GROUP_LAWS)
+        assert len(laws) == len(set(laws))
+        assert "slices are abelian groups" not in laws
 
 
 class TestLightsTest:
