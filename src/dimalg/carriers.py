@@ -1,18 +1,17 @@
 """Slice carriers: the abelian groups a dimension slice can be.
 
-Carriers are restricted to four exactly-computable kinds -- rationals,
-rational vectors of a fixed finite dimension, finite cyclic groups, and
-finite integer formal sums -- plus pairwise products of those.  Every
-axiom over them is decidable or exactly sampleable; no floating point.
-
-Slice maps are the additive maps between carriers that dimensioned maps
-are assembled from.  A slice map is stored as its generator images: it
-composes, adds and negates image by image, and its kernel is a nullspace
-between rational carriers or is enumerated on a finite source.
+Each carrier -- Q, Q^k, Z/n, finite integer formal sums, or a pair of
+carriers -- is a presentation Q^r + Z^f + Z/n_1 + ... on its generators
+(`orders`, `coords`, `from_coords`), on which the group operations are
+written once.  Additive slice maps are stored as generator images; their
+kernels, quotients and tensor products are read off the presentations
+through one reduction, the Smith normal form over Z.
 """
 
+import functools
 import itertools
 import math
+import operator
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -23,46 +22,60 @@ from .errors import CarrierError
 from .sampling import rand_fraction
 
 
+def _units(k):
+    return [tuple(int(i == j) for j in range(k)) for i in range(k)]
+
+
 class Carrier(ABC):
-    """An abelian group that can serve as a dimension slice."""
+    """An abelian group that can serve as a dimension slice, presented on
+    its generators."""
 
     @abstractmethod
-    def zero(self): ...
-
-    @abstractmethod
-    def add(self, a, b): ...
-
-    @abstractmethod
-    def neg(self, a): ...
-
-    @abstractmethod
-    def contains(self, v) -> bool: ...
-
-    @abstractmethod
-    def elements(self):
-        """All elements when finite, else None."""
-
-    @abstractmethod
-    def sample(self, rng: random.Random): ...
-
-    @abstractmethod
-    def generators(self) -> tuple:
-        """A spanning set: an additive map is determined by its values here."""
-
-    @abstractmethod
-    def int_mul(self, n: int, v): ...
+    def orders(self) -> tuple:
+        """Per generator: None when its coefficient ranges over Q, 0 over
+        Z, and n over Z/n."""
 
     @abstractmethod
     def coords(self, v) -> tuple:
         """The coefficients of v on `generators()`."""
 
-    def relations(self) -> tuple:
-        """Coefficient tuples that sum the generators to zero."""
-        return ()
+    @abstractmethod
+    def from_coords(self, c):
+        """The element with coefficients c, each reduced by its order."""
 
-    def rational_coords(self) -> tuple:
-        """Per generator, whether its coefficient ranges over Q, not Z."""
-        return (False,) * len(self.generators())
+    @abstractmethod
+    def contains(self, v) -> bool: ...
+
+    def zero(self):
+        return self.from_coords((0,) * len(self.orders()))
+
+    def add(self, a, b):
+        return self.from_coords(tuple(map(operator.add, self.coords(a), self.coords(b))))
+
+    def neg(self, a):
+        return self.from_coords(tuple(-x for x in self.coords(a)))
+
+    def int_mul(self, n, v):
+        # n may be rational where the coefficients it meets are rational or 0
+        return self.from_coords(tuple(n * x for x in self.coords(v)))
+
+    def generators(self) -> tuple:
+        """A spanning set: an additive map is determined by its values here."""
+        return tuple(map(self.from_coords, _units(len(self.orders()))))
+
+    def elements(self):
+        """All elements when finite, else None."""
+        orders = self.orders()
+        if not all(orders):
+            return None
+        return tuple(map(self.from_coords, itertools.product(*map(range, orders))))
+
+    def sample(self, rng: random.Random):
+        """One draw per generator, in generator order."""
+        return self.from_coords(tuple(
+            rand_fraction(rng) if n is None else rng.randrange(n) if n else rng.randint(-3, 3)
+            for n in self.orders()
+        ))
 
     def require(self, v):
         if not self.contains(v):
@@ -75,6 +88,16 @@ class Rationals(Carrier):
 
     is_field = True
 
+    def orders(self):
+        return (None,)
+
+    def coords(self, v):
+        return (v,)
+
+    def from_coords(self, c):
+        return Fraction(c[0])
+
+    # the scalar ring's operations, written out: they are on every hot path
     def zero(self):
         return Fraction(0)
 
@@ -98,23 +121,8 @@ class Rationals(Carrier):
     def contains(self, v):
         return isinstance(v, (Fraction, int))
 
-    def elements(self):
-        return None
-
     def sample(self, rng):
         return rand_fraction(rng)
-
-    def generators(self):
-        return (Fraction(1),)
-
-    def int_mul(self, n, v):
-        return n * v
-
-    def coords(self, v):
-        return (v,)
-
-    def rational_coords(self):
-        return (True,)
 
     def __str__(self):
         return "Q"
@@ -124,38 +132,21 @@ class Rationals(Carrier):
 class Vectors(Carrier):
     dim: int
 
-    def zero(self):
-        return (Fraction(0),) * self.dim
+    def __post_init__(self):
+        if not (isinstance(self.dim, int) and self.dim >= 0):
+            raise CarrierError(f"Q^{self.dim}: the dimension must be an integer >= 0")
 
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def contains(self, v):
-        return isinstance(v, tuple) and len(v) == self.dim
-
-    def elements(self):
-        return None
-
-    def sample(self, rng):
-        return tuple(rand_fraction(rng) for _ in range(self.dim))
-
-    def generators(self):
-        return tuple(
-            tuple(Fraction(int(i == j)) for j in range(self.dim))
-            for i in range(self.dim)
-        )
-
-    def int_mul(self, n, v):
-        return tuple(n * x for x in v)
+    def orders(self):
+        return (None,) * self.dim
 
     def coords(self, v):
         return v
 
-    def rational_coords(self):
-        return (True,) * self.dim
+    def from_coords(self, c):
+        return tuple(map(Fraction, c))
+
+    def contains(self, v):
+        return isinstance(v, tuple) and len(v) == self.dim
 
     def __str__(self):
         return f"Q^{self.dim}"
@@ -165,41 +156,24 @@ class Vectors(Carrier):
 class Cyclic(Carrier):
     order: int
 
-    def zero(self):
-        return 0
+    def __post_init__(self):
+        if not (isinstance(self.order, int) and self.order >= 1):
+            raise CarrierError(f"Z/{self.order}: the order must be an integer >= 1")
 
-    def add(self, a, b):
-        return (a + b) % self.order
-
-    def neg(self, a):
-        return (-a) % self.order
-
-    def contains(self, v):
-        return isinstance(v, int) and 0 <= v < self.order
-
-    def elements(self):
-        return tuple(range(self.order))
-
-    def sample(self, rng):
-        return rng.randrange(self.order)
-
-    def generators(self):
-        return (1 % self.order,)
-
-    def int_mul(self, n, v):
-        return (n * v) % self.order if v else 0  # n may be rational when v = 0
+    def orders(self):
+        return (self.order,)
 
     def coords(self, v):
         return (v,)
 
-    def relations(self):
-        return ((self.order,),)
+    def from_coords(self, c):
+        return int(c[0]) % self.order
+
+    def contains(self, v):
+        return isinstance(v, int) and 0 <= v < self.order
 
     def __str__(self):
         return f"Z/{self.order}"
-
-
-TRIVIAL_CARRIER = Cyclic(1)
 
 
 @dataclass(frozen=True)
@@ -212,51 +186,30 @@ class FormalSums(Carrier):
 
     gens: tuple
 
-    @staticmethod
-    def canon(pairs):
-        acc = {}
-        for g, c in pairs:
-            acc[g] = acc.get(g, 0) + c
-        return tuple(sorted((g, c) for g, c in acc.items() if c != 0))
+    def __post_init__(self):
+        if len(set(self.gens)) != len(self.gens):
+            raise CarrierError(f"repeated generator in {self.gens!r}")
 
     def embed(self, g):
         if g not in self.gens:
             raise CarrierError(f"{g!r} is not a generator")
         return ((g, 1),)
 
-    def zero(self):
-        return ()
-
-    def add(self, a, b):
-        return self.canon(list(a) + list(b))
-
-    def neg(self, a):
-        return tuple((g, -c) for g, c in a)
-
-    def contains(self, v):
-        return (
-            isinstance(v, tuple)
-            and all(len(p) == 2 and p[0] in self.gens and p[1] != 0 for p in v)
-            and v == self.canon(v)
-        )
-
-    def elements(self):
-        return (() ,) if not self.gens else None
-
-    def sample(self, rng):
-        return self.canon((g, rng.randint(-3, 3)) for g in self.gens)
-
-    def generators(self):
-        return tuple(self.embed(g) for g in self.gens)
-
-    def int_mul(self, n, v):
-        if n == 0:
-            return ()
-        return tuple((g, n * c) for g, c in v)
+    def orders(self):
+        return (0,) * len(self.gens)
 
     def coords(self, v):
         c = dict(v)
         return tuple(c.get(g, 0) for g in self.gens)
+
+    def from_coords(self, c):
+        return tuple(sorted((g, int(x)) for g, x in zip(self.gens, c) if x))
+
+    def contains(self, v):
+        try:  # canonical exactly when coefficients round-trip unchanged
+            return v == self.from_coords(self.coords(v))
+        except (TypeError, ValueError):
+            return False
 
     def __str__(self):
         return f"Z[{','.join(map(str, self.gens))}]"
@@ -269,14 +222,15 @@ class Pairs(Carrier):
     left: Carrier
     right: Carrier
 
-    def zero(self):
-        return (self.left.zero(), self.right.zero())
+    def orders(self):
+        return self.left.orders() + self.right.orders()
 
-    def add(self, a, b):
-        return (self.left.add(a[0], b[0]), self.right.add(a[1], b[1]))
+    def coords(self, v):
+        return self.left.coords(v[0]) + self.right.coords(v[1])
 
-    def neg(self, a):
-        return (self.left.neg(a[0]), self.right.neg(a[1]))
+    def from_coords(self, c):
+        k = len(self.left.orders())
+        return (self.left.from_coords(c[:k]), self.right.from_coords(c[k:]))
 
     def contains(self, v):
         return (
@@ -286,38 +240,25 @@ class Pairs(Carrier):
             and self.right.contains(v[1])
         )
 
-    def elements(self):
-        le, re = self.left.elements(), self.right.elements()
-        if le is None or re is None:
-            return None
-        return tuple(itertools.product(le, re))
-
-    def sample(self, rng):
-        return (self.left.sample(rng), self.right.sample(rng))
-
-    def generators(self):
-        lz, rz = self.left.zero(), self.right.zero()
-        return tuple((g, rz) for g in self.left.generators()) + tuple(
-            (lz, g) for g in self.right.generators()
-        )
-
-    def int_mul(self, n, v):
-        return (self.left.int_mul(n, v[0]), self.right.int_mul(n, v[1]))
-
-    def coords(self, v):
-        return self.left.coords(v[0]) + self.right.coords(v[1])
-
-    def relations(self):
-        nl, nr = len(self.left.generators()), len(self.right.generators())
-        return tuple(r + (0,) * nr for r in self.left.relations()) + tuple(
-            (0,) * nl + r for r in self.right.relations()
-        )
-
-    def rational_coords(self):
-        return self.left.rational_coords() + self.right.rational_coords()
-
     def __str__(self):
         return f"({self.left} x {self.right})"
+
+
+def _presented(orders, names):
+    """The carrier on generators of these orders but 1, joining Q^k, Z/n and
+    Z[names] by `Pairs`, and the map from coefficients on all of them."""
+    keep = [i for i, n in enumerate(orders) if n != 1]
+    runs = [list(r) for _, r in itertools.groupby(keep, lambda i: (orders[i], orders[i] and i))]
+    pieces = [
+        Vectors(len(r)) if orders[r[0]] is None
+        else Cyclic(orders[r[0]]) if orders[r[0]]
+        else FormalSums(tuple(names[i] for i in r))
+        for r in runs
+    ]
+    if not pieces:
+        return Cyclic(1), lambda c: 0
+    out = functools.reduce(lambda right, left: Pairs(left, right), reversed(pieces))
+    return out, lambda c: out.from_coords(tuple(c[i] for i in keep))
 
 
 # ---------------------------------------------------------------------------
@@ -334,40 +275,41 @@ class TensorSlice:
 
 
 def tensor_carrier(left: Carrier, right: Carrier) -> TensorSlice:
-    """A_d (x) B_e with pure tensors reduced modulo bilinearity."""
-    if isinstance(left, Rationals) and isinstance(right, Rationals):
-        return TensorSlice(Rationals(), lambda a, b: a * b)
-    if isinstance(left, Rationals) and isinstance(right, Vectors):
-        return TensorSlice(right, lambda a, b: tuple(a * x for x in b))
-    if isinstance(left, Vectors) and isinstance(right, Rationals):
-        return TensorSlice(left, lambda a, b: tuple(x * b for x in a))
-    if isinstance(left, Vectors) and isinstance(right, Vectors):
-        out = Vectors(left.dim * right.dim)
-        return TensorSlice(
-            out, lambda a, b: tuple(x * y for x in a for y in b)
-        )
-    if isinstance(left, Cyclic) and isinstance(right, Cyclic):
-        g = math.gcd(left.order, right.order)
-        return TensorSlice(Cyclic(g), lambda a, b: (a * b) % g)
-    divisible = (Rationals, Vectors)
-    if isinstance(left, divisible) and isinstance(right, Cyclic):
-        return TensorSlice(TRIVIAL_CARRIER, lambda a, b: 0)
-    if isinstance(left, Cyclic) and isinstance(right, divisible):
-        return TensorSlice(TRIVIAL_CARRIER, lambda a, b: 0)
-    if isinstance(left, FormalSums) and isinstance(right, FormalSums):
-        out = FormalSums(tuple(itertools.product(left.gens, right.gens)))
-        return TensorSlice(
-            out,
-            lambda a, b: out.canon(
-                (((g, h), c * d)) for g, c in a for h, d in b
-            ),
-        )
-    raise CarrierError(f"unsupported tensor slice {left} (x) {right}")
+    """A (x) B on the pairs of generators.  A pair of orders m, n has order
+    Q(x)Q = Q(x)Z = Q, Q(x)Z/n = 0 or Z/m(x)Z/n = Z/gcd(m, n), with Z =
+    Z/0; by bilinearity a pure tensor multiplies coefficients.  Free pairs
+    are named by a formal sum's generators, else by position."""
+    def order(m, n):
+        if m is None or n is None:
+            return 1 if m or n else None
+        return math.gcd(m, n)
+
+    def names(c):
+        return c.gens if isinstance(c, FormalSums) else range(len(c.orders()))
+
+    out, to_out = _presented(
+        [order(m, n) for m in left.orders() for n in right.orders()],
+        list(itertools.product(names(left), names(right))),
+    )
+    return TensorSlice(
+        out, lambda a, b: to_out([x * y for x in left.coords(a) for y in right.coords(b)])
+    )
 
 
 # ---------------------------------------------------------------------------
 # Slice maps: additive maps between carriers
 # ---------------------------------------------------------------------------
+
+
+def _span(qrows, zrows, n):
+    """Q·qrows + Z·zrows as the echelon Q-rows, their pivots, and the
+    `linalg.smith` of the Z-rows, cleared of those pivots, on n columns:
+    its members zero on those columns are the Q-span of the echelon rows
+    and the Z-span of the smith rows that are zero there."""
+    qred, pivots = linalg.rref(qrows)
+    for row, p in zip(qred, pivots):
+        zrows = [tuple(x - z[p] * y for x, y in zip(z, row)) for z in zrows]
+    return (qred, pivots, *linalg.smith(zrows, n))
 
 
 @dataclass(frozen=True)
@@ -381,29 +323,22 @@ class SliceMap:
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(self.images))
-        n = len(self.src.generators())
-        if len(self.images) != n:
-            raise CarrierError(f"{self.src} has {n} generators, got {len(self.images)} images")
-        for v in self.images:
-            self.dst.require(v)
-        integral = [not r for r in self.dst.rational_coords()]
-        for rational, v in zip(self.src.rational_coords(), self.images):
-            if rational and any(c for c, i in zip(self.dst.coords(v), integral) if i):
-                raise CarrierError(f"{v!r} is not divisible in {self.dst}, so not an image of {self.src}")
-        for rel in self.src.relations():
-            if self._combine(rel) != self.dst.zero():
-                raise CarrierError(f"not additive {self.src} -> {self.dst}: relation {rel} fails")
-
-    def _combine(self, coeffs):
-        dst = self.dst
-        out = dst.zero()
-        for c, v in zip(coeffs, self.images):
-            out = dst.add(out, dst.int_mul(c, v))
-        return out
+        src, dst, orders = self.src, self.dst, self.src.orders()
+        if len(self.images) != len(orders):
+            raise CarrierError(f"{src} has {len(orders)} generators, got {len(self.images)} images")
+        for n, v in zip(orders, self.images):
+            dst.require(v)
+            if n is None and any(c for c, m in zip(dst.coords(v), dst.orders()) if m is not None):
+                raise CarrierError(f"{v!r} is not divisible in {dst}, so not an image of {src}")
+            if n and dst.int_mul(n, v) != dst.zero():
+                raise CarrierError(f"not additive {src} -> {dst}: {n}·{v!r} != 0")
 
     def apply(self, v):
         self.src.require(v)
-        return self._combine(self.src.coords(v))
+        dst, out = self.dst, self.dst.zero()
+        for c, image in zip(self.src.coords(v), self.images):
+            out = dst.add(out, dst.int_mul(c, image))
+        return out
 
     def compose(self, other: "SliceMap") -> "SliceMap":
         """self after other."""
@@ -418,20 +353,24 @@ class SliceMap:
         return SliceMap(self.src, self.dst, tuple(map(self.dst.neg, self.images)))
 
     def kernel(self) -> "SliceSubgroup":
-        """Whole when every image is zero, enumerated on a finite source,
-        a nullspace between rational carriers."""
+        """The x with f(x) = 0, solved on coefficients.
+
+        Lift the source to Q^r + Z^f and each Z/p coordinate of the target
+        to Z: x is in the kernel when sum_i x_i·image_i is an integer
+        combination of the p·e_j.  So the kernel is the trailing part of
+        the combinations of the rows (image_i | e_i) -- over Q for a
+        rational generator, over Z otherwise -- and (p·e_j | 0) that
+        vanish on the leading part, as `_span` finds them.
+        """
         src, dst = self.src, self.dst
-        zero = dst.zero()
-        if all(v == zero for v in self.images):
-            return whole_subgroup(src)
-        elems = src.elements()
-        if elems is not None:
-            return finite_subgroup(src, (v for v in elems if self.apply(v) == zero))
-        if not (all(src.rational_coords()) and all(dst.rational_coords())):
-            raise CarrierError(f"kernel solving unsupported for {src} -> {dst}")
-        rows = tuple(zip(*map(dst.coords, self.images)))
-        basis = linalg.nullspace(rows, len(self.images))
-        return SliceSubgroup(src, "subspace", tuple(basis)) if basis else zero_subgroup(src)
+        k, m = len(dst.orders()), len(self.images)
+        rows = [dst.coords(v) + e for v, e in zip(self.images, _units(m))]
+        qrows = [r for r, n in zip(rows, src.orders()) if n is None]
+        zrows = [r for r, n in zip(rows, src.orders()) if n is not None]
+        zrows += [tuple(p * x for x in e) + (0,) * m for e, p in zip(_units(k), dst.orders()) if p]
+        qred, _, zred, _ = _span(qrows, zrows, k)
+        return SliceSubgroup(src, tuple(r[k:] for r in zred if not any(r[:k])),
+                             tuple(r[k:] for r in qred if not any(r[:k])))
 
 
 def identity_map(carrier: Carrier) -> SliceMap:
@@ -449,55 +388,52 @@ def zero_map(src: Carrier, dst: Carrier) -> SliceMap:
 
 @dataclass(frozen=True)
 class SliceSubgroup:
-    """A subgroup of one slice: zero, the whole slice, a finite subgroup,
-    or a rational subspace given by a spanning set of rows."""
+    """A subgroup of one slice: the Z-span of the coefficient rows
+    `lattice` plus the Q-span of the rows `subspace`, which are zero on
+    the integral coefficients."""
 
     carrier: Carrier
-    kind: str  # "zero" | "whole" | "finite" | "subspace"
-    data: tuple = ()
+    lattice: tuple = ()
+    subspace: tuple = ()
+
+    def __post_init__(self):
+        c = self.carrier
+        object.__setattr__(self, "lattice", tuple(c.coords(c.from_coords(r)) for r in self.lattice))
+
+    @functools.cached_property
+    def _quotient(self) -> "SliceQuotient":
+        return quotient_slice(self.carrier, self)
 
     def contains(self, v) -> bool:
-        self.carrier.require(v)
-        if self.kind == "zero":
-            return v == self.carrier.zero()
-        if self.kind == "whole":
-            return True
-        if self.kind == "finite":
-            return v in self.data
-        return linalg.in_rowspace(self.data, self.carrier.coords(v))
+        """Whether v projects to zero in the quotient by this subgroup."""
+        return self._quotient.project.apply(v) == self._quotient.carrier.zero()
 
     def elements(self):
-        if self.kind == "zero":
-            return (self.carrier.zero(),)
-        if self.kind == "finite":
-            return self.data
-        if self.kind == "whole":
-            return self.carrier.elements()
-        return None
-
-    def closed(self) -> bool:
-        """Subgroup closure, decided on the listed elements of a finite
-        subset; the other kinds are subgroups by construction."""
-        if self.kind != "finite":
-            return True
-        c, elems = self.carrier, set(self.data)
-        return (
-            c.zero() in elems
-            and all(c.neg(a) in elems for a in elems)
-            and all(c.add(a, b) in elems for a in elems for b in elems)
-        )
+        """All members when finitely many, else None."""
+        c, orders = self.carrier, self.carrier.orders()
+        if any(x for r in self.lattice + self.subspace for x, n in zip(r, orders) if not n):
+            return None  # a member of infinite order
+        torsion = itertools.product(*(range(n or 1) for n in orders))
+        return tuple(v for v in map(c.from_coords, torsion) if self.contains(v))
 
 
 def zero_subgroup(carrier: Carrier) -> SliceSubgroup:
-    return SliceSubgroup(carrier, "zero")
+    return SliceSubgroup(carrier)
 
 
 def whole_subgroup(carrier: Carrier) -> SliceSubgroup:
-    return SliceSubgroup(carrier, "whole")
+    rows = _units(len(carrier.orders()))
+    return SliceSubgroup(carrier, rows, tuple(r for r, n in zip(rows, carrier.orders()) if n is None))
 
 
 def finite_subgroup(carrier: Carrier, members) -> SliceSubgroup:
-    return SliceSubgroup(carrier, "finite", tuple(sorted(members)))
+    """The subgroup whose elements are exactly `members`; refused when
+    they are not closed under the group operations."""
+    members = sorted(set(members))
+    sub = SliceSubgroup(carrier, tuple(map(carrier.coords, members)))
+    if sorted(sub.elements() or ()) != members:
+        raise CarrierError(f"{members} is not a subgroup of {carrier}")
+    return sub
 
 
 @dataclass(frozen=True)
@@ -507,19 +443,42 @@ class SliceQuotient:
 
 
 def quotient_slice(carrier: Carrier, sub: SliceSubgroup) -> SliceQuotient:
-    if sub.kind == "zero":
+    """carrier / sub, presented by the Smith normal form of its relations.
+
+    Lift the carrier to Z^f + Q^r, integral coefficients first.  The
+    relations are the Q-span of `subspace` and the Z-span of `lattice` and
+    of n·e_j for each Z/n generator.  `_span` clears the subspace's pivot
+    coordinates, which the quotient forgets, and diagonalizes the rest: in
+    the basis y = x·V the relations are d_k·y_k + q_k = 0, q_k rational.
+    One with d_k = 0 and q_k != 0 puts Q/Z, which is no carrier, in the
+    quotient.  Otherwise x goes to (y_k mod d_k, its rational part minus
+    y_k/d_k·q_k for d_k > 0): additive, onto, and zero exactly on the
+    relations.  By the zero subgroup the quotient is the carrier itself.
+    """
+    if not any(map(any, sub.lattice + sub.subspace)):
         return SliceQuotient(carrier, identity_map(carrier))
-    if sub.kind == "whole":
-        return SliceQuotient(TRIVIAL_CARRIER, zero_map(carrier, TRIVIAL_CARRIER))
-    if sub.kind == "finite":
-        if not isinstance(carrier, Cyclic):
-            raise CarrierError("finite subgroup quotients are supported on cyclic slices")
-        if not sub.closed():
-            raise CarrierError("subset is not a subgroup")
-        out = Cyclic(carrier.order // len(sub.data))
-        return SliceQuotient(out, SliceMap(carrier, out, out.generators()))
-    # subspace: the quotient coordinates pair with a basis of its annihilator
-    n = len(carrier.generators())
-    rows = linalg.nullspace(sub.data, n)
-    out = Vectors(len(rows))
-    return SliceQuotient(out, SliceMap(carrier, out, (tuple(r[j] for r in rows) for j in range(n))))
+    orders = carrier.orders()
+    perm = sorted(range(len(orders)), key=lambda j: orders[j] is None)
+    f = sum(n is not None for n in orders)
+
+    def lift(row):
+        return tuple(row[j] for j in perm)
+
+    torsion = tuple(tuple(n * x for x in e) for e, n in zip(_units(len(orders)), orders) if n)
+    qred, pivots, zred, basis = _span(
+        [lift(r) for r in sub.subspace], [lift(r) for r in sub.lattice + torsion], f)
+    if any(any(r[f:]) for r in zred if not any(r[:f])):
+        raise CarrierError(f"{carrier} by {sub} contains Q/Z, which is no carrier")
+    free = [j for j in range(f, len(orders)) if j not in pivots]
+    d = [int(zred[k][k]) if k < len(zred) else 0 for k in range(f)]  # integral in value
+    out, to_out = _presented(d + [None] * len(free), range(f))
+
+    def project(x):
+        x = lift(x)
+        y = [sum(a * b for a, b in zip(x, col)) for col in zip(*basis)]
+        for row, p in zip(qred, pivots):
+            x = tuple(a - x[p] * b for a, b in zip(x, row))
+        return to_out(y + [x[j] - sum(Fraction(y[k], d[k]) * zred[k][j] for k in range(f) if d[k])
+                           for j in free])
+
+    return SliceQuotient(out, SliceMap(carrier, out, map(project, _units(len(orders)))))

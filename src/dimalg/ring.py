@@ -372,21 +372,22 @@ def unit_section_check(ring: DimRing, candidate: Callable) -> SectionCheck:
 def search_unit_section(ring) -> "SectionCheck":
     """Exhaustive search for a unit section of a ring that lists its
     `elements()`, each slice's candidates in list order.  Returns a failure
-    report naming an empty-of-nonzeros slice when none can exist.
+    report naming a slice with no nonzero element, or with no zero, when
+    none can exist.
     """
     dims, elems = ring.dims.elements(), ring.elements()
     if dims is None or elems is None:
         raise CarrierError("exhaustive search needs a ring that lists its elements")
     choices = {}
     for d in dims:
-        choices[d] = [a for a in elems if a.dim == d and not ring.is_zero(a)]
+        why = f"slice {d!r} contains only its zero"
+        try:
+            choices[d] = [a for a in elems if a.dim == d and not ring.is_zero(a)]
+        except CarrierError as exc:  # the slice has no additive identity
+            choices[d], why = [], str(exc)
         if not choices[d]:
             rep = CheckReport(f"unit section search on {ring.label}")
-            rep.check(
-                "nowhere zero",
-                False,
-                f"slice {d!r} contains only its zero; no section can exist",
-            )
+            rep.check("nowhere zero", False, f"{why}; no section can exist")
             return SectionCheck(False, None, rep)
     for combo in itertools.product(*choices.values()):
         result = unit_section_check(ring, dict(zip(dims, combo)).__getitem__)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dimalg import CarrierError
+from dimalg import CarrierError, FreeAbelian
 from dimalg.carriers import (
     Cyclic,
     FormalSums,
@@ -22,6 +22,8 @@ from dimalg.carriers import (
     zero_map,
     zero_subgroup,
 )
+from dimalg.linalg import smith
+from dimalg.sampling import rand_fraction
 
 
 def test_formal_sums_canonical_form():
@@ -102,9 +104,11 @@ class TestSliceMaps:
         assert q.project.apply((F(1), (F(0), F(1)))) == (F(0),)
         assert q.project.apply((F(1), (F(0), F(0)))) != (F(0),)
 
-    def test_kernel_out_of_a_free_slice_is_unsupported(self):
-        with pytest.raises(CarrierError, match="kernel solving unsupported"):
-            SliceMap(FormalSums(("x",)), Rationals(), (F(1),)).kernel()
+    def test_kernel_out_of_a_free_slice_is_zero(self):
+        src = FormalSums(("x",))
+        k = SliceMap(src, Rationals(), (F(1),)).kernel()
+        assert k == zero_subgroup(src)
+        assert k.contains(()) and not k.contains((("x", 3),))
 
 
 class TestTensorSlices:
@@ -154,7 +158,7 @@ class TestQuotientSlices:
 
     def test_subspace_quotient_kills_exactly_the_subspace(self):
         v2 = Vectors(2)
-        sub = SliceSubgroup(v2, "subspace", ((F(1), F(1)),))
+        sub = SliceSubgroup(v2, subspace=((F(1), F(1)),))
         q = quotient_slice(v2, sub)
         assert q.carrier == Vectors(1)
         assert q.project.apply((F(2), F(2))) == (F(0),)
@@ -236,3 +240,168 @@ def test_map_algebra_against_function_arithmetic(a, b, c, seed):
         assert g.neg().apply(v) == b.neg(gv)
         u = rng.choice(probes)
         assert g.apply(a.add(v, u)) == b.add(gv, g.apply(u))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Cyclic(0),
+    lambda: Cyclic(-2),
+    lambda: Vectors(-1),
+    lambda: FormalSums(("x", "x")),
+    lambda: FreeAbelian({"d": ("x", "x")}),
+], ids=["Z/0", "Z/-2", "Q^-1", "repeated-generator", "free-repeated-generator"])
+def test_malformed_carrier_parameters_are_refused(build):
+    with pytest.raises(CarrierError):
+        build()
+
+
+LEAF_CARRIERS = st.one_of(
+    st.just(Rationals()),
+    st.integers(0, 2).map(Vectors),
+    st.integers(1, 6).map(Cyclic),
+    st.lists(st.sampled_from("xyz"), unique=True, max_size=2).map(lambda g: FormalSums(tuple(g))),
+)
+CARRIERS = st.recursive(
+    LEAF_CARRIERS, lambda inner: st.tuples(inner, inner).map(lambda p: Pairs(*p)), max_leaves=3
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(CARRIERS, st.integers(0, 2**32 - 1))
+def test_presentation_laws(c, seed):
+    """Coefficients round-trip, generators are the unit vectors, a finite
+    carrier has prod(orders) elements, and the group operations written
+    on coefficients obey the abelian-group laws; a sample is one draw per
+    generator, in generator order."""
+    orders = c.orders()
+    for i, g in enumerate(c.generators()):
+        assert c.coords(g) == tuple(int(i == j) % n if n else int(i == j) for j, n in enumerate(orders))
+    elems = c.elements()
+    if all(orders):
+        assert len(set(elems)) == len(elems) == math.prod(orders)
+    else:
+        assert elems is None
+    draws = random.Random(seed)
+    expected = c.from_coords(tuple(
+        rand_fraction(draws) if n is None else draws.randrange(n) if n else draws.randint(-3, 3)
+        for n in orders
+    ))
+    rng = random.Random(seed)
+    a, b, v = c.sample(rng), c.sample(rng), c.sample(rng)
+    assert a == expected
+    zero = c.zero()
+    for x in (a, b, v, zero):
+        assert c.contains(x) and c.from_coords(c.coords(x)) == x
+    assert c.add(c.add(a, b), v) == c.add(a, c.add(b, v))
+    assert c.add(a, b) == c.add(b, a)
+    assert c.add(a, zero) == a and c.add(a, c.neg(a)) == zero
+    for n in range(-3, 4):
+        assert c.int_mul(n, c.add(a, b)) == c.add(c.int_mul(n, a), c.int_mul(n, b))
+        assert c.add(c.int_mul(n, a), a) == c.int_mul(n + 1, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(CARRIERS, CARRIERS, st.integers(0, 2**32 - 1))
+def test_pure_tensors_are_bilinear(a, b, seed):
+    rng = random.Random(seed)
+    t = tensor_carrier(a, b)
+    x, x2, y, y2 = a.sample(rng), a.sample(rng), b.sample(rng), b.sample(rng)
+    assert t.pure(a.add(x, x2), y) == t.carrier.add(t.pure(x, y), t.pure(x2, y))
+    assert t.pure(x, b.add(y, y2)) == t.carrier.add(t.pure(x, y), t.pure(x, y2))
+
+
+def test_smith_agrees_with_sympy_invariant_factors():
+    from sympy import Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(7)
+    for _ in range(120):
+        r, n = rng.randint(1, 4), rng.randint(1, 4)
+        m = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(r)]
+        rows, _ = smith(m, n)
+        assert [rows[k][k] for k in range(min(r, n))] == list(invariant_factors(Matrix(m)))
+        assert all(x == 0 for i, row in enumerate(rows) for j, x in enumerate(row) if i != j)
+
+
+FINITE_CARRIERS = (
+    Cyclic(1), Cyclic(2), Cyclic(4), Cyclic(6),
+    Pairs(Cyclic(2), Cyclic(2)), Pairs(Cyclic(2), Cyclic(3)), Pairs(Cyclic(3), Cyclic(6)),
+    Pairs(Cyclic(6), Cyclic(6)), Pairs(Cyclic(2), Pairs(Cyclic(2), Cyclic(3))),
+)
+
+
+@pytest.mark.parametrize("a", FINITE_CARRIERS, ids=str)
+def test_kernel_quotient_and_tensor_against_enumeration(a):
+    """For a seeded additive map out of a into each finite carrier b: the
+    kernel is the enumerated one, the quotient by it has |a| / |kernel|
+    elements and identifies exactly the cosets, and |a (x) b| is the
+    product of gcd(m, n) over pairs of generator orders."""
+    rng = random.Random(str(a))
+    elems = a.elements()
+    for b in FINITE_CARRIERS:
+        torsion = {n: [v for v in b.elements() if b.int_mul(n, v) == b.zero()] for n in a.orders()}
+        f = SliceMap(a, b, [rng.choice(torsion[n]) for n in a.orders()])
+        kernel = f.kernel()
+        expected = {v for v in elems if f.apply(v) == b.zero()}
+        assert set(kernel.elements()) == expected
+        q = quotient_slice(a, kernel)
+        assert len(q.carrier.elements()) * len(expected) == len(elems)
+        fibres = {}
+        for u in elems:
+            fibres.setdefault(q.project.apply(u), set()).add(u)
+        assert len(fibres) == len(q.carrier.elements())
+        for fibre in fibres.values():
+            u = min(fibre)
+            assert fibre == {a.add(u, k) for k in expected}
+        gcds = [math.gcd(m, n) for m in a.orders() for n in b.orders()]
+        assert len(tensor_carrier(a, b).carrier.elements()) == math.prod(gcds)
+
+
+def test_mixed_kernel_is_a_lattice_and_its_quotient_is_q():
+    # (a, n·x) -> a + n on Q x Z[x]
+    src = Pairs(Rationals(), FormalSums(("x",)))
+    f = SliceMap(src, Rationals(), (F(1), F(1)))
+    k = f.kernel()
+    assert k.lattice == ((F(-1), 1),) and k.subspace == ()
+    assert k.contains((F(-3), (("x", 3),))) and not k.contains((F(-1, 2), (("x", 1),)))
+    q = quotient_slice(src, k)
+    assert q.carrier.orders() == (None,)
+    for v in ((F(1, 2), (("x", 3),)), (F(-2), ()), (F(0), (("x", -1),))):
+        assert q.project.apply(v) == (f.apply(v),)
+
+
+def test_q_by_a_lattice_is_refused():
+    q = Rationals()
+    with pytest.raises(CarrierError, match="Q/Z, which is no carrier"):
+        quotient_slice(q, SliceSubgroup(q, lattice=((1,),)))
+
+
+def test_formerly_unsupported_slices_compute():
+    assert tensor_carrier(Pairs(Rationals(), Cyclic(4)), Cyclic(6)).carrier == Cyclic(2)
+    assert len(tensor_carrier(FormalSums(("x", "y")), Cyclic(6)).carrier.elements()) == 36
+    c = Pairs(Cyclic(2), Cyclic(2))
+    q = quotient_slice(c, finite_subgroup(c, [(0, 0), (1, 1)]))
+    assert q.carrier == Cyclic(2)
+    assert q.project.apply((1, 1)) == 0 and q.project.apply((1, 0)) == q.project.apply((0, 1)) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(MAP_CARRIERS + (Pairs(Rationals(), Cyclic(4)),)),
+    st.sampled_from(MAP_CARRIERS),
+    st.integers(0, 2**32 - 1),
+)
+def test_kernel_and_quotient_of_random_maps(a, b, seed):
+    """v is in the kernel exactly when f(v) = 0, and the quotient by the
+    kernel identifies u and v exactly when f(u) = f(v)."""
+    rng = random.Random(seed)
+    f = random_map(a, b, rng)
+    k = f.kernel()
+    q = quotient_slice(a, k)
+    probes = a.elements()
+    if probes is None:
+        probes = (*a.generators(), *(a.sample(rng) for _ in range(4)))
+        probes += tuple(a.add(a.from_coords(r), u) for r in k.lattice + k.subspace for u in probes)
+    for u in probes:
+        v = rng.choice(probes)
+        assert k.contains(u) == (f.apply(u) == b.zero())
+        assert (q.project.apply(u) == q.project.apply(v)) == (f.apply(u) == f.apply(v))

@@ -208,6 +208,20 @@ class TestUnitSections:
         assert not result.ok
         assert "'1'" in result.report.failures[0].witness
 
+    def test_slice_without_additive_identity_has_no_section(self):
+        import json
+        from dimalg.structure import load_structure
+        from pathlib import Path
+
+        path = Path(__file__).parent.parent / "data" / "structures" / "product_ring_mod5_z2.json"
+        doc = json.loads(path.read_text())
+        doc["add"]["1"]["0@1"]["1@1"] = "2@1"
+        result = search_unit_section(load_structure(doc))
+        assert not result.ok and result.section is None
+        assert result.report.failures[0].line() == (
+            "FAIL  nowhere zero: slice '1' has no additive identity; no section can exist"
+        )
+
     def test_search_finds_the_declared_unit_candidate(self):
         import json
         from dimalg.structure import load_structure
