@@ -405,3 +405,12 @@ def test_kernel_and_quotient_of_random_maps(a, b, seed):
         v = rng.choice(probes)
         assert k.contains(u) == (f.apply(u) == b.zero())
         assert (q.project.apply(u) == q.project.apply(v)) == (f.apply(u) == f.apply(v))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FormalSums(("x",)).embed("y"), "'y' is not a generator"),
+    (lambda: identity_map(Cyclic(2)).add(identity_map(Cyclic(3))), "mismatched source or target"),
+], ids=["embed-non-generator", "add-maps-of-other-ends"])
+def test_carrier_refusals(call, message):
+    with pytest.raises(CarrierError, match=message):
+        call()

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -511,6 +512,29 @@ class TestMalformedDocuments:
         assert r.exit_code == 2, r.output
         assert r.stdout == ""
         assert r.stderr.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda doc: doc["monoid"]["op"]["1"].pop("0"), r"monoid row '1' is not total"),
+        (_set(["slices", "1"], []), r"slice '1' is empty"),
+        (lambda doc: doc["add"].pop("1"), r"addition table for slice '1' is not total"),
+        (lambda doc: doc["add"]["0"]["1@0"].pop("2@0"), r"addition .*row '1@0'.* is not total"),
+        (_set(["add", "0", "1@0", "2@0"], "nowhere"), r"addition .*undeclared element 'nowhere'"),
+        (lambda doc: doc["mul"].pop("1@1"), r"multiplication table is not total"),
+        (lambda doc: doc["mul"]["1@1"].pop("2@0"), r"multiplication .*row '1@1' is not total"),
+        (_set(["mul", "1@1", "2@0"], "nowhere"), r"multiplication .*undeclared element 'nowhere'"),
+        (_set(["one"], "nowhere"), r"declared unit 'nowhere' is not an element"),
+    ], ids=["monoid-row", "empty-slice", "add-row", "add-cell", "add-undeclared",
+            "mul-row", "mul-cell", "mul-undeclared", "unit"])
+    def test_table_that_is_not_total_exits_2_with_one_line(self, runner, tmp_path, mutate, message):
+        doc = json.loads(Path(SOURCES["structure"]).read_text())
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        r = runner.invoke(main, ["check", str(bad)])
+        assert r.exit_code == 2, r.output
+        assert r.stdout == ""
+        (line,) = r.stderr.splitlines()
+        assert line.startswith("error: ") and re.search(message, line), line
 
 
 # ---------------------------------------------------------------------------

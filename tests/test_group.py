@@ -19,7 +19,7 @@ from dimalg import (
 )
 from dimalg.carriers import Cyclic, Pairs, Rationals, SliceMap
 from dimalg.errors import CarrierError
-from dimalg.group import whole_subgroup
+from dimalg.group import DimElement, whole_subgroup
 
 
 @pytest.fixture
@@ -307,3 +307,22 @@ class TestSumsProductsFreeTensor:
         z = DimAbGroup.from_dict({"z": Cyclic(1)})
         t = tensor_groups(a, z)
         assert t.group.slice(("a", "z")).elements() == (0,)
+
+
+_G = DimAbGroup.from_dict({0: Rationals(), 1: Rationals()}, label="G")
+_H = DimAbGroup.from_dict({0: Rationals()}, label="H")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _G.slice(7), CarrierError, "unknown dimension 7"),
+    (lambda: DimMap.identity(_G).apply(DimElement(F(1), 7)), CarrierError, "not in the domain"),
+    (lambda: DimMap.identity(_G).pointwise_add(DimMap.identity(_H)), CarrierError,
+     "mismatched hom-sets"),
+    (lambda: quotient_group(_G, whole_subgroup(_H)), CarrierError, "different group"),
+    (lambda: FreeAbelian({0: ("x",)}).extend({("x", 0): _G.element(F(1), 1)}, _G, lambda d: d),
+     DimensionMismatch, "free extension"),
+], ids=["slice-of-unknown-dim", "apply-outside-domain", "add-across-hom-sets",
+        "quotient-by-foreign-subgroup", "extend-over-wrong-dim"])
+def test_group_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

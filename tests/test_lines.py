@@ -190,3 +190,14 @@ class TestMultiLineEmbedding:
         assert emb.check(rng).ok
         x = emb.domain.element(5, (2,))
         assert emb(x) == two_lines.element(5, (0, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Factor(Line("L"), Line("M"), F(2)).compose(Factor(Line("L"), Line("M"), F(3))),
+     "factors do not compose"),
+    (lambda: PowerRing(()), "at least one line"),
+    (lambda: PowerRing((Line("L"),)).element(1, (1, 2)), r"bad exponent vector \(1, 2\)"),
+], ids=["compose-unmatched-factors", "no-lines", "bad-exponent-vector"])
+def test_lines_refusals(call, message):
+    with pytest.raises(CarrierError, match=message):
+        call()

@@ -265,3 +265,13 @@ class TestFreeAbelianAgainstClosedForm:
             m.combine((1, 0), (1.0, 0))
         with pytest.raises(CarrierError, match=r"\[1, 0\] is not an element"):
             m.combine([1, 0], (1, 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DimMonoid.free_abelian(-1), "rank must be >= 0"),
+    (lambda: DimMonoid.cyclic(0), "order must be >= 1"),
+    (lambda: DimMonoid.map_monoid(()), "non-empty base set"),
+], ids=["negative-rank", "order-zero", "empty-map-base"])
+def test_constructor_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -7,9 +7,11 @@ import pytest
 from dimalg import (
     CarrierError,
     ConstructionError,
+    DimensionMismatch,
     Ideal,
     Line,
     PowerRing,
+    ProductDimRing,
     dimensionless_ring,
     multiplicative_section,
     quotient_ring,
@@ -21,6 +23,8 @@ from dimalg import (
     whole_ideal,
     zero_ideal,
 )
+from dimalg.carriers import Rationals
+from dimalg.monoid import DimMonoid
 
 
 class TestProductRing:
@@ -314,3 +318,23 @@ class TestAxiomReportNegativeControls:
         ring = load_structure(Path(__file__).parent / "data" / "broken_absorbency.json")
         rep = ring_axiom_report(ring)
         assert "zero family is absorbent" in {r.law for r in rep.failures}
+
+
+_QXZ = ProductDimRing(Rationals(), DimMonoid.free_abelian(1), label="QxZ")
+_NOT_A_FIELD = ProductDimRing(Rationals(), DimMonoid.map_monoid((0, 1)), label="QxMap")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _QXZ.element(F(1), "x"), CarrierError, "unknown dimension 'x'"),
+    (lambda: _NOT_A_FIELD.reciprocal(_NOT_A_FIELD.one), CarrierError,
+     "is not a dimensioned field"),
+    (lambda: multiplicative_section(_NOT_A_FIELD, {}), CarrierError, "free abelian monoid"),
+    (lambda: slice_mul(_QXZ, _QXZ.element(F(2), (1,)), (0,)).apply(_QXZ.element(F(1), (1,))),
+     DimensionMismatch, "slice_mul"),
+    (lambda: units_trivialization(_NOT_A_FIELD, lambda d: _NOT_A_FIELD.one), CarrierError,
+     "needs a dimensioned field"),
+], ids=["element-of-unknown-dim", "reciprocal-off-a-field", "section-on-a-finite-monoid",
+        "slice-mul-from-another-slice", "trivialization-of-a-non-field"])
+def test_ring_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
