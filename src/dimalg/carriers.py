@@ -56,8 +56,12 @@ class Carrier(ABC):
         return self.from_coords(tuple(-x for x in self.coords(a)))
 
     def int_mul(self, n, v):
-        # n may be rational where the coefficients it meets are rational or 0
-        return self.from_coords(tuple(n * x for x in self.coords(v)))
+        """n·v; n may be rational where the coefficients it meets are
+        rational or 0."""
+        c = self.coords(v)
+        if n % 1 and any(x for x, m in zip(c, self.orders()) if m is not None):
+            raise CarrierError(f"{n}·{v!r}: a non-integer multiple in {self}")
+        return self.from_coords(tuple(n * x for x in c))
 
     def generators(self) -> tuple:
         """A spanning set: an additive map is determined by its values here."""
@@ -146,7 +150,8 @@ class Vectors(Carrier):
         return tuple(map(Fraction, c))
 
     def contains(self, v):
-        return isinstance(v, tuple) and len(v) == self.dim
+        return (isinstance(v, tuple) and len(v) == self.dim
+                and all(isinstance(x, (Fraction, int)) for x in v))
 
     def __str__(self):
         return f"Q^{self.dim}"
@@ -399,6 +404,7 @@ class SliceSubgroup:
     def __post_init__(self):
         c = self.carrier
         object.__setattr__(self, "lattice", tuple(c.coords(c.from_coords(r)) for r in self.lattice))
+        object.__setattr__(self, "subspace", tuple(map(tuple, self.subspace)))
 
     @functools.cached_property
     def _quotient(self) -> "SliceQuotient":

@@ -216,10 +216,7 @@ class DimSubgroup:
     """A dimensional subgroup: one slice subgroup per dimension."""
 
     group: DimAbGroup
-    slice_sub: Callable[[Any], SliceSubgroup]
-
-    def at(self, d) -> SliceSubgroup:
-        return self.slice_sub(d)
+    at: Callable[[Any], SliceSubgroup]  # dimension -> its slice subgroup
 
     def contains(self, a: DimElement) -> bool:
         return self.at(a.dim).contains(a.value)

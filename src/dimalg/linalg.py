@@ -45,17 +45,6 @@ def nullspace(rows, ncols):
     return basis
 
 
-def in_rowspace(rows, v) -> bool:
-    """Whether v lies in the span of the given rows."""
-    red, pivots = rref(rows)
-    w = list(map(Fraction, v))
-    for row, p in zip(red, pivots):
-        if w[p] != 0:
-            f = w[p]
-            w = [x - f * y for x, y in zip(w, row)]
-    return all(x == 0 for x in w)
-
-
 def smith(rows, n):
     """Smith normal form over Z of the first n columns; returns (rows, cols).
 

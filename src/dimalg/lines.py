@@ -20,14 +20,8 @@ from .carriers import Rationals
 from .errors import CarrierError
 from .group import DimElement
 from .monoid import DimMonoid
-from .report import CheckReport
-from .ring import (
-    ProductDimRing,
-    RingMorphism,
-    SectionCheck,
-    multiplicative_section,
-    unit_section_check,
-)
+from .report import Checked, CheckReport
+from .ring import ProductDimRing, RingMorphism, multiplicative_section, unit_section_check
 from .sampling import rand_nonzero_fraction
 
 
@@ -98,10 +92,6 @@ class PowerRing(ProductDimRing):
     # pairing normalization
     odot = ProductDimRing.mul
 
-    @property
-    def one(self):
-        return self.scalar(1)
-
     def sample_nonzero(self, rng: random.Random, dim=None):
         d = self.sample_dim(rng) if dim is None else tuple(dim)
         return DimElement(rand_nonzero_fraction(rng), d)
@@ -157,7 +147,7 @@ def functoriality_check(b: Factor, c: Factor) -> CheckReport:
     return rep
 
 
-def line_unit_to_section(ring: PowerRing, unit_coords) -> SectionCheck:
+def line_unit_to_section(ring: PowerRing, unit_coords) -> Checked:
     """Turn one nonzero element per line into a unit section of the power
     ring: U(n_1..n_k) is the tensor product of the per-line unit powers."""
     coords = [Fraction(c) for c in unit_coords]

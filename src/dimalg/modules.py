@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from . import linalg
+from .carriers import SliceSubgroup, Vectors
 from .errors import CarrierError, ConstructionError, DimensionMismatch
 from .group import DimElement
 from .monoid import DimMonoid
 from .poly import GradedPolyRing
-from .report import CheckReport
+from .report import Checked, CheckReport
 from .ring import DimRing, Ideal, RingMorphism, quotient_ring
 
 
@@ -319,20 +319,13 @@ class TwistedLinearMap:
         )
 
 
-@dataclass
-class LinearMapCheck:
-    ok: bool
-    map: "TwistedLinearMap | None"
-    report: CheckReport
-
-
 def linear_map_check(
     src: FreeDimModule,
     dst: FreeDimModule,
     images: dict,
     ring_mor: "RingMorphism | None" = None,
     rng=None,
-) -> LinearMapCheck:
+) -> Checked:
     """Validate a candidate (twisted-)linear map given on the basis.
 
     Checks that basis images land in equivariantly consistent slices and
@@ -369,7 +362,7 @@ def linear_map_check(
     rep.law("dimension map is twisted-equivariant", by_orbit.items(), equivariant)
 
     if not rep.ok:
-        return LinearMapCheck(False, None, rep)
+        return Checked(None, rep)
 
     candidate = TwistedLinearMap(src, dst, ring_mor, images)
 
@@ -388,8 +381,7 @@ def linear_map_check(
     cases = [draw() for _ in range(30)]
     rep.law("linearity over the ring", cases, linear)
     rep.law("additive within slices", cases, additive)
-    ok = rep.ok
-    return LinearMapCheck(ok, candidate if ok else None, rep)
+    return Checked(candidate if rep.ok else None, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -450,20 +442,13 @@ def tensor_mod(a: FreeDimModule, b: FreeDimModule) -> ModuleTensor:
     return ModuleTensor(out, gt)
 
 
-@dataclass
-class FactorizationResult:
-    ok: bool
-    map: "TwistedLinearMap | None"
-    witness: str = ""
-
-
 def bilinear_factorization(
     a: FreeDimModule,
     b: FreeDimModule,
     c: FreeDimModule,
     phi: Callable,
     rng=None,
-) -> FactorizationResult:
+) -> Checked:
     """Try to factor a two-argument map through the tensor product.
 
     The factoring map is defined on the tensor basis by the values of
@@ -505,8 +490,7 @@ def bilinear_factorization(
 
     rep = CheckReport("bilinear factorization")
     rep.law("phi is bilinear and balanced", draws(), factors)
-    (law,) = rep.results
-    return FactorizationResult(law.passed, factored if law.passed else None, law.witness)
+    return Checked(factored if rep.ok else None, rep)
 
 
 @dataclass(frozen=True)
@@ -666,7 +650,8 @@ def span_contains(m: FreeDimModule, generators, elem: DimElement) -> bool:
 
     Supported for base rings whose slice values are single rationals
     (product and power rings): within one slice the span of a generator
-    is the rational line through any nonzero shift of it.
+    is the rational line through any nonzero shift of it, and membership
+    in the span of those lines is asked of the slice presentation.
     """
     names = sorted(m.basis_dim, key=repr)
     index = {n: i for i, n in enumerate(names)}
@@ -689,4 +674,4 @@ def span_contains(m: FreeDimModule, generators, elem: DimElement) -> bool:
         rows.append(coords(m.coeff_act(r, gen)))
     if not rows:
         return m.is_zero(elem)
-    return linalg.in_rowspace(rows, coords(elem))
+    return SliceSubgroup(Vectors(len(names)), subspace=rows).contains(coords(elem))

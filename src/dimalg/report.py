@@ -49,3 +49,16 @@ class CheckReport:
 
     def merged(self, other: "CheckReport") -> "CheckReport":
         return CheckReport(self.subject, self.results + other.results)
+
+
+@dataclass(frozen=True)
+class Checked:
+    """A checked construction: `value` is the construction when every law
+    of `report` passes, and None otherwise."""
+
+    value: object
+    report: CheckReport
+
+    @property
+    def ok(self) -> bool:
+        return self.report.ok

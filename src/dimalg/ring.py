@@ -22,7 +22,7 @@ from .carriers import Rationals
 from .errors import CarrierError, ConstructionError, DimensionMapMismatch, DimensionMismatch
 from .group import DimElement
 from .monoid import DimMonoid
-from .report import CheckReport
+from .report import Checked, CheckReport
 
 
 class DimRing(ABC):
@@ -237,6 +237,15 @@ def dimensionless_ring(ring: DimRing) -> DimlessRingView:
 # ---------------------------------------------------------------------------
 
 
+def _probe_triples(ring: DimRing, rng: random.Random, n: int) -> list:
+    """n probes (a, b, c): b is drawn from a's slice, c from anywhere."""
+    out = []
+    for _ in range(n):
+        a = ring.sample(rng)
+        out.append((a, ring.sample(rng, dim=a.dim), ring.sample(rng)))
+    return out
+
+
 class RingMorphism:
     """A dimensioned map that preserves multiplication and the unit."""
 
@@ -276,10 +285,6 @@ class RingMorphism:
         rep = CheckReport(f"morphism {self.label}")
         dom, cod = self.domain, self.codomain
 
-        def draw():
-            a = dom.sample(rng)
-            return a, dom.sample(rng, dim=a.dim), dom.sample(rng)
-
         def additive(a, b, _):
             if not cod.eq(self(dom.add(a, b)), cod.add(self(a), self(b))):
                 return f"additivity fails at {a}, {b}"
@@ -288,7 +293,7 @@ class RingMorphism:
             if not cod.eq(self(dom.mul(a, c)), cod.mul(self(a), self(c))):
                 return f"multiplicativity fails at {a}, {c}"
 
-        cases = [draw() for _ in range(40)]
+        cases = _probe_triples(dom, rng, 40)
         rep.law("dimension square commutes", cases,
                 lambda a, *_: self(a).dim != self.dim_map(a.dim)
                 and f"dim({self.label}({a})) != phi({a.dim})")
@@ -305,24 +310,6 @@ class RingMorphism:
 # ---------------------------------------------------------------------------
 # Unit sections
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UnitSection:
-    """A multiplicative, nowhere-zero section of the dimension projection."""
-
-    ring: DimRing
-    fn: Callable[[Any], DimElement]
-
-    def __call__(self, d) -> DimElement:
-        return self.fn(d)
-
-
-@dataclass(frozen=True)
-class SectionCheck:
-    ok: bool
-    section: "UnitSection | None"
-    report: CheckReport
 
 
 def multiplicative_section(ring: DimRing, gen_values: dict) -> Callable:
@@ -343,9 +330,10 @@ def multiplicative_section(ring: DimRing, gen_values: dict) -> Callable:
     return u
 
 
-def unit_section_check(ring: DimRing, candidate: Callable) -> SectionCheck:
+def unit_section_check(ring: DimRing, candidate: Callable) -> Checked:
     """Validate a candidate section: it must split the dimension projection,
-    never hit a slice zero, and be multiplicative on all probed pairs."""
+    never hit a slice zero, and be multiplicative on all probed pairs; the
+    unit section is then the candidate itself."""
     rep = CheckReport(f"unit section on {ring.label}")
     # every dimension when finite, else all words of length <= 3
     dims = ring.dims.probe_words(3)
@@ -365,11 +353,10 @@ def unit_section_check(ring: DimRing, candidate: Callable) -> SectionCheck:
 
     rep.law("multiplicative on probed pairs",
             itertools.product(dims, repeat=2), multiplicative)
-    ok = rep.ok
-    return SectionCheck(ok, UnitSection(ring, candidate) if ok else None, rep)
+    return Checked(candidate if rep.ok else None, rep)
 
 
-def search_unit_section(ring) -> "SectionCheck":
+def search_unit_section(ring) -> Checked:
     """Exhaustive search for a unit section of a ring that lists its
     `elements()`, each slice's candidates in list order.  Returns a failure
     report naming a slice with no nonzero element, or with no zero, when
@@ -388,7 +375,7 @@ def search_unit_section(ring) -> "SectionCheck":
         if not choices[d]:
             rep = CheckReport(f"unit section search on {ring.label}")
             rep.check("nowhere zero", False, f"{why}; no section can exist")
-            return SectionCheck(False, None, rep)
+            return Checked(None, rep)
     for combo in itertools.product(*choices.values()):
         result = unit_section_check(ring, dict(zip(dims, combo)).__getitem__)
         if result.ok:
@@ -437,7 +424,7 @@ class Trivialization:
     from_field: RingMorphism   # a_d |-> (u(d)^-1 · a_d, d)
 
 
-def units_trivialization(field: DimRing, u: UnitSection) -> Trivialization:
+def units_trivialization(field: DimRing, u: Callable[[Any], DimElement]) -> Trivialization:
     if not field.is_field:
         raise CarrierError("trivialization needs a dimensioned field")
     monoid = field.dims
@@ -502,13 +489,8 @@ class QuotientDimRing(DimRing):
         """The normal-form and ideal laws on 30 probes; the first witness
         rejects the construction."""
         nf, base, ideal = self.ideal.normal_form, self.base, self.ideal
-
-        def draw():
-            a = base.sample(rng)
-            return a, base.sample(rng, dim=a.dim), base.sample(rng)
-
         rep = CheckReport(f"quotient {self.label}")
-        cases = [draw() for _ in range(30)]
+        cases = _probe_triples(base, rng, 30)
         rep.law("normal form is additive", cases, lambda a, b, c:
                 not base.eq(nf(base.add(a, b)), nf(base.add(nf(a), nf(b))))
                 and f"normal form is not additive at {a}, {b}; construction rejected")
@@ -581,10 +563,11 @@ def generating_set(elements, mul) -> list:
     return gens
 
 
-def slice_group_report(ring: DimRing) -> CheckReport:
+def slice_group_report(ring: DimRing, slices: dict) -> CheckReport:
     """The abelian-group laws of every slice of a ring that lists its
-    `elements()`, decided on the ring's own `add`, `zero` and `neg` (a
-    CarrierError from `zero` or `neg` is a FAIL), every case but one:
+    elements, `slices` (dimension -> its elements), decided on the ring's
+    own `add`, `zero` and `neg` (a CarrierError from `zero` or `neg` is a
+    FAIL), every case but one:
     associativity is decided by Light's test in each closed slice that has
     an identity, (a+g)+c = a+(g+c) for every a, c and every g of
     `ring.additive_generators`, k·n² cases instead of n³: the g that pass
@@ -593,9 +576,6 @@ def slice_group_report(ring: DimRing) -> CheckReport:
     closed under addition` FAIL stands for it."""
     rep = CheckReport(f"slice groups of {ring.label}")
     add, eq, show = ring.add, ring.eq, ring.show
-    slices = {}
-    for a in ring.elements():
-        slices.setdefault(a.dim, []).append(a)
 
     def leak(d):
         return next((f"{show(a)}+{show(b)} leaves slice {d!r}"
@@ -665,12 +645,15 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     rep = CheckReport(f"dimensioned ring {ring.label}")
     elems = ring.elements()
     listed = elems is not None
+    if not listed:
+        elems = ring.probe_elements(rng or random.Random(20240229), budget)
+    slices = {}
+    for a in elems:
+        slices.setdefault(a.dim, []).append(a)
     if listed:
-        rep = rep.merged(slice_group_report(ring))
+        rep = rep.merged(slice_group_report(ring, slices))
         if not rep.ok:
             return rep
-    else:
-        elems = ring.probe_elements(rng or random.Random(20240229), budget)
     dims = list(ring.probe_dims())
     comb, show = ring.dims.combine, ring.show
 
@@ -711,9 +694,6 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
             return None
         return f"{w} at {at(a, b, c)}"
 
-    slices = {}
-    for a in elems:
-        slices.setdefault(a.dim, []).append(a)
     # a listed ring's b: additive generators of a's slice (see the docstring)
     adds = {d: ring.additive_generators(d) for d in slices} if listed else slices
     rep.law("distributivity where defined",

@@ -8,16 +8,18 @@ import random
 from fractions import Fraction
 
 
-def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 9) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+def rand_fraction(rng: random.Random) -> Fraction:
+    """n/d with -9 <= n <= 9 and 1 <= d <= 9."""
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
-def rand_nonzero_fraction(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 9) -> Fraction:
+def rand_nonzero_fraction(rng: random.Random) -> Fraction:
     while True:
-        f = rand_fraction(rng, lo, hi, max_den)
+        f = rand_fraction(rng)
         if f != 0:
             return f
 
 
-def rand_int_vector(rng: random.Random, k: int, lo: int = -3, hi: int = 3) -> tuple:
-    return tuple(rng.randint(lo, hi) for _ in range(k))
+def rand_int_vector(rng: random.Random, k: int) -> tuple:
+    """k integers from -3 to 3."""
+    return tuple(rng.randint(-3, 3) for _ in range(k))

@@ -35,6 +35,19 @@ from .report import CheckReport
 from .ring import DimRing, ring_axiom_report, slice_group_report
 
 
+def _require_total(table, keys, names, what):
+    """Refuse a table (row -> column -> cell) that lacks a row or a cell on
+    `keys`, or whose cell is not one of `names`."""
+    if table is None or set(table) != keys:
+        raise InputFormatError(f"{what} is not total")
+    for a, row in table.items():
+        if set(row) != keys:
+            raise InputFormatError(f"{what}: row {a!r} is not total")
+        for c in row.values():
+            if c not in names:
+                raise InputFormatError(f"{what} references undeclared element {c!r}")
+
+
 class TableDimRing(DimRing):
     """A finite dimensioned ring given entirely by lookup tables.
 
@@ -83,23 +96,9 @@ class TableDimRing(DimRing):
                 self.by_name[x] = DimElement(x, d)
         all_names = set(self.by_name)
         for d, xs in self.slices.items():
-            tbl = self.add_table.get(d)
-            if tbl is None or set(tbl) != set(xs):
-                raise InputFormatError(f"addition table for slice {d!r} is not total")
-            for a, row in tbl.items():
-                if set(row) != set(xs):
-                    raise InputFormatError(f"addition row {a!r} in slice {d!r} is not total")
-                for c in row.values():
-                    if c not in all_names:
-                        raise InputFormatError(f"addition references undeclared element {c!r}")
-        if set(self.mul_table) != all_names:
-            raise InputFormatError("multiplication table is not total")
-        for a, row in self.mul_table.items():
-            if set(row) != all_names:
-                raise InputFormatError(f"multiplication row {a!r} is not total")
-            for c in row.values():
-                if c not in all_names:
-                    raise InputFormatError(f"multiplication references undeclared element {c!r}")
+            _require_total(self.add_table.get(d), set(xs), all_names,
+                           f"addition table for slice {d!r}")
+        _require_total(self.mul_table, all_names, all_names, "multiplication table")
         if self.one_name not in self.by_name:
             raise InputFormatError(f"declared unit {self.one_name!r} is not an element")
         if cand is not None:

@@ -123,7 +123,7 @@ def test_criterion_3_trivialization_bit_exact():
             coords = [rand_nonzero_fraction(rng), rand_nonzero_fraction(rng)]
             section = line_unit_to_section(ring, coords)
             assert section.ok
-            triv = units_trivialization(ring, section.section)
+            triv = units_trivialization(ring, section.value)
             product = triv.product
             elements = [product.sample(rng) for _ in range(1000)]
             for x in elements:

@@ -414,3 +414,34 @@ def test_kernel_and_quotient_of_random_maps(a, b, seed):
 def test_carrier_refusals(call, message):
     with pytest.raises(CarrierError, match=message):
         call()
+
+
+def test_vectors_hold_rationals_only():
+    assert Vectors(2).contains((F(1, 2), 3))
+    assert not Vectors(1).contains(("x",))
+    with pytest.raises(CarrierError, match="not an element of Q"):
+        identity_map(Vectors(1)).apply(("x",))
+
+
+@pytest.mark.parametrize("carrier, v", [
+    (Cyclic(4), 1),
+    (FormalSums(("x",)), (("x", 1),)),
+    (Pairs(Rationals(), Cyclic(2)), (F(1), 1)),
+], ids=["Z/4", "Z[x]", "Q x Z/2"])
+def test_a_non_integer_multiple_of_an_integral_coefficient_is_refused(carrier, v):
+    with pytest.raises(CarrierError, match="non-integer multiple"):
+        carrier.int_mul(F(1, 2), v)
+
+
+def test_a_rational_multiple_of_rational_or_zero_coefficients():
+    assert Rationals().int_mul(F(1, 2), F(3)) == F(3, 2)
+    assert Vectors(2).int_mul(F(1, 3), (F(1), F(2))) == (F(1, 3), F(2, 3))
+    assert Pairs(Rationals(), Cyclic(2)).int_mul(F(1, 2), (F(1), 0)) == (F(1, 2), 0)
+    assert FormalSums(("x",)).int_mul(F(1, 2), ()) == ()
+    assert Cyclic(4).int_mul(F(6, 2), 3) == 1
+
+
+def test_subspace_rows_may_be_given_as_a_list():
+    sub = SliceSubgroup(Vectors(2), subspace=[(1, 0)])
+    assert sub.subspace == ((1, 0),)
+    assert sub.contains((3, 0)) and not sub.contains((3, 1))

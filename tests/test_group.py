@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from dimalg import (
     DimAbGroup,
+    DimElement,
     DimensionMapMismatch,
     DimensionMismatch,
     DimMap,
@@ -19,7 +20,7 @@ from dimalg import (
 )
 from dimalg.carriers import Cyclic, Pairs, Rationals, SliceMap
 from dimalg.errors import CarrierError
-from dimalg.group import DimElement, whole_subgroup
+from dimalg.group import whole_subgroup
 
 
 @pytest.fixture

@@ -151,7 +151,7 @@ class TestLineUnits:
     def test_unit_one_gives_identity_trivialization(self, one_line, rng):
         check = line_unit_to_section(one_line, [F(1)])
         assert check.ok
-        triv = units_trivialization(one_line, check.section)
+        triv = units_trivialization(one_line, check.value)
         for _ in range(20):
             x = one_line.sample(rng)
             assert triv.to_field(x) == x
@@ -159,14 +159,14 @@ class TestLineUnits:
     def test_centi_unit_rescales(self, one_line):
         # a unit with coordinate 100: the element (3, 1) displays as 3/100
         check = line_unit_to_section(one_line, [F(100)])
-        triv = units_trivialization(one_line, check.section)
+        triv = units_trivialization(one_line, check.value)
         out = triv.from_field(one_line.element(3, (1,)))
         assert out == triv.product.element(F(3, 100), (1,))
 
     def test_section_is_multiplicative(self, two_lines, rng):
         check = line_unit_to_section(two_lines, [F(3), F(1, 7)])
         assert check.ok
-        u = check.section
+        u = check.value
         for _ in range(30):
             n = two_lines.sample_dim(rng)
             m = two_lines.sample_dim(rng)

@@ -92,7 +92,7 @@ class TestLinearMaps:
         images = {"e": m.basis_element("f"), "f": m.basis_element("e")}
         check = linear_map_check(m, m, images)
         assert check.ok
-        assert check.map(m.basis_element("e")) == m.basis_element("f")
+        assert check.value(m.basis_element("e")) == m.basis_element("f")
 
     def test_wrong_slice_image_rejected(self, rank2):
         # e and f sit one dimension apart; equal images cannot be equivariant
@@ -250,7 +250,7 @@ class TestBilinearFactorization:
 
         res = bilinear_factorization(rank2, rank2, rank2, phi, rng)
         assert not res.ok
-        assert res.witness
+        assert res.report.failures[0].witness
 
     def test_zero_map_factors(self, ring, rank2, rng):
         def zero(x, y):

@@ -81,7 +81,7 @@ class TestDimensionlessRing:
         """Restricting a dimensioned-ring morphism to the identity slice
         preserves + and ·."""
         u = multiplicative_section(q_x_z, {0: q_x_z.element(F(2), (1,))})
-        triv = units_trivialization(q_x_z, unit_section_check(q_x_z, u).section)
+        triv = units_trivialization(q_x_z, unit_section_check(q_x_z, u).value)
         phi = triv.to_field
         ident = (0,)
         for _ in range(20):
@@ -221,7 +221,7 @@ class TestUnitSections:
         doc = json.loads(path.read_text())
         doc["add"]["1"]["0@1"]["1@1"] = "2@1"
         result = search_unit_section(load_structure(doc))
-        assert not result.ok and result.section is None
+        assert not result.ok and result.value is None
         assert result.report.failures[0].line() == (
             "FAIL  nowhere zero: slice '1' has no additive identity; no section can exist"
         )
@@ -235,7 +235,7 @@ class TestUnitSections:
         ring = load_structure(path)
         result = search_unit_section(ring)
         assert result.ok
-        found = {d: result.section(d).value for d in ring.dims.elements()}
+        found = {d: result.value(d).value for d in ring.dims.elements()}
         assert found == json.loads(path.read_text())["unit_candidate"]
 
     @pytest.mark.parametrize("ring", ["q_x_z", "q_x_z2"])
@@ -268,7 +268,7 @@ class TestSliceMulAndTrivialization:
             slice_mul(q_x_z, q_x_z.zero((1,)), (0,))
 
     def test_trivialization_with_unit_one_is_identity(self, q_x_z, rng):
-        u = unit_section_check(q_x_z, lambda d: q_x_z.element(F(1), d)).section
+        u = unit_section_check(q_x_z, lambda d: q_x_z.element(F(1), d)).value
         triv = units_trivialization(q_x_z, u)
         for _ in range(20):
             a = q_x_z.sample(rng)
@@ -279,7 +279,7 @@ class TestSliceMulAndTrivialization:
         # oracle: u(2) = 4 so (3, 2) maps to (12, 2) and back
         u = unit_section_check(
             q_x_z, multiplicative_section(q_x_z, {0: q_x_z.element(F(2), (1,))})
-        ).section
+        ).value
         triv = units_trivialization(q_x_z, u)
         x = triv.product.element(F(3), (2,))
         assert triv.to_field(x) == q_x_z.element(F(12), (2,))
@@ -288,7 +288,7 @@ class TestSliceMulAndTrivialization:
     def test_trivialization_is_multiplicative(self, q_x_z, rng):
         u = unit_section_check(
             q_x_z, multiplicative_section(q_x_z, {0: q_x_z.element(F(3), (1,))})
-        ).section
+        ).value
         triv = units_trivialization(q_x_z, u)
         for _ in range(50):
             a = triv.product.sample(rng)
