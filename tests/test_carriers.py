@@ -410,27 +410,15 @@ def test_kernel_and_quotient_of_random_maps(a, b, seed):
 @pytest.mark.parametrize("call, message", [
     (lambda: FormalSums(("x",)).embed("y"), "'y' is not a generator"),
     (lambda: identity_map(Cyclic(2)).add(identity_map(Cyclic(3))), "mismatched source or target"),
-], ids=["embed-non-generator", "add-maps-of-other-ends"])
+    (lambda: Vectors(1).require(("x",)), r"\('x',\) is not an element of Q\^1"),
+    (lambda: Cyclic(4).int_mul(F(1, 2), 1), "non-integer multiple"),
+    (lambda: FormalSums(("x",)).int_mul(F(1, 2), (("x", 1),)), "non-integer multiple"),
+    (lambda: Pairs(Rationals(), Cyclic(2)).int_mul(F(1, 2), (F(1), 1)), "non-integer multiple"),
+], ids=["embed-non-generator", "add-maps-of-other-ends", "vector-of-a-non-rational",
+        "half-in-Z/4", "half-in-Z[x]", "half-in-Q-x-Z/2"])
 def test_carrier_refusals(call, message):
     with pytest.raises(CarrierError, match=message):
         call()
-
-
-def test_vectors_hold_rationals_only():
-    assert Vectors(2).contains((F(1, 2), 3))
-    assert not Vectors(1).contains(("x",))
-    with pytest.raises(CarrierError, match="not an element of Q"):
-        identity_map(Vectors(1)).apply(("x",))
-
-
-@pytest.mark.parametrize("carrier, v", [
-    (Cyclic(4), 1),
-    (FormalSums(("x",)), (("x", 1),)),
-    (Pairs(Rationals(), Cyclic(2)), (F(1), 1)),
-], ids=["Z/4", "Z[x]", "Q x Z/2"])
-def test_a_non_integer_multiple_of_an_integral_coefficient_is_refused(carrier, v):
-    with pytest.raises(CarrierError, match="non-integer multiple"):
-        carrier.int_mul(F(1, 2), v)
 
 
 def test_a_rational_multiple_of_rational_or_zero_coefficients():
