@@ -310,20 +310,19 @@ class TestSumsProductsFreeTensor:
         assert t.group.slice(("a", "z")).elements() == (0,)
 
 
-_G = DimAbGroup.from_dict({0: Rationals(), 1: Rationals()}, label="G")
 _H = DimAbGroup.from_dict({0: Rationals()}, label="H")
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: _G.slice(7), CarrierError, "unknown dimension 7"),
-    (lambda: DimMap.identity(_G).apply(DimElement(F(1), 7)), CarrierError, "not in the domain"),
-    (lambda: DimMap.identity(_G).pointwise_add(DimMap.identity(_H)), CarrierError,
+    (lambda g: g.slice(7), CarrierError, "unknown dimension 7"),
+    (lambda g: DimMap.identity(g).apply(DimElement(F(1), 7)), CarrierError, "not in the domain"),
+    (lambda g: DimMap.identity(g).pointwise_add(DimMap.identity(_H)), CarrierError,
      "mismatched hom-sets"),
-    (lambda: quotient_group(_G, whole_subgroup(_H)), CarrierError, "different group"),
-    (lambda: FreeAbelian({0: ("x",)}).extend({("x", 0): _G.element(F(1), 1)}, _G, lambda d: d),
+    (lambda g: quotient_group(g, whole_subgroup(_H)), CarrierError, "different group"),
+    (lambda g: FreeAbelian({0: ("x",)}).extend({("x", 0): g.element(F(1), 1)}, g, lambda d: d),
      DimensionMismatch, "free extension"),
 ], ids=["slice-of-unknown-dim", "apply-outside-domain", "add-across-hom-sets",
         "quotient-by-foreign-subgroup", "extend-over-wrong-dim"])
-def test_group_refusals(call, error, message):
+def test_group_refusals(two_slices, call, error, message):
     with pytest.raises(error, match=message):
-        call()
+        call(two_slices)

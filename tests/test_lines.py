@@ -193,11 +193,11 @@ class TestMultiLineEmbedding:
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: Factor(Line("L"), Line("M"), F(2)).compose(Factor(Line("L"), Line("M"), F(3))),
+    (lambda r: Factor(Line("L"), Line("M"), F(2)).compose(Factor(Line("L"), Line("M"), F(3))),
      "factors do not compose"),
-    (lambda: PowerRing(()), "at least one line"),
-    (lambda: PowerRing((Line("L"),)).element(1, (1, 2)), r"bad exponent vector \(1, 2\)"),
+    (lambda r: PowerRing(()), "at least one line"),
+    (lambda r: r.element(1, (1, 2)), r"bad exponent vector \(1, 2\)"),
 ], ids=["compose-unmatched-factors", "no-lines", "bad-exponent-vector"])
-def test_lines_refusals(call, message):
+def test_lines_refusals(one_line, call, message):
     with pytest.raises(CarrierError, match=message):
-        call()
+        call(one_line)

@@ -25,6 +25,7 @@ from dimalg import (
 )
 from dimalg.carriers import Rationals
 from dimalg.monoid import DimMonoid
+from dimalg.ring import _probe_triples
 
 
 class TestProductRing:
@@ -61,6 +62,13 @@ class TestProductRing:
         rng = random.Random(5)
         samples = tuple(q_x_z.sample(rng) for _ in range(4))
         assert probes == samples + (q_x_z.one, q_x_z.zero(samples[0].dim))
+
+    def test_probe_triples_draw_a_then_from_its_slice_then_anywhere(self, q_x_z):
+        rng, want = random.Random(5), []
+        for _ in range(4):
+            a = q_x_z.sample(rng)
+            want.append((a, q_x_z.sample(rng, dim=a.dim), q_x_z.sample(rng)))
+        assert _probe_triples(q_x_z, random.Random(5), 4) == want
 
     def test_axiom_suite_passes(self, q_x_z, q_x_z2, rng):
         assert ring_axiom_report(q_x_z, rng).ok
@@ -320,21 +328,20 @@ class TestAxiomReportNegativeControls:
         assert "zero family is absorbent" in {r.law for r in rep.failures}
 
 
-_QXZ = ProductDimRing(Rationals(), DimMonoid.free_abelian(1), label="QxZ")
 _NOT_A_FIELD = ProductDimRing(Rationals(), DimMonoid.map_monoid((0, 1)), label="QxMap")
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: _QXZ.element(F(1), "x"), CarrierError, "unknown dimension 'x'"),
-    (lambda: _NOT_A_FIELD.reciprocal(_NOT_A_FIELD.one), CarrierError,
+    (lambda r: r.element(F(1), "x"), CarrierError, "unknown dimension 'x'"),
+    (lambda r: _NOT_A_FIELD.reciprocal(_NOT_A_FIELD.one), CarrierError,
      "is not a dimensioned field"),
-    (lambda: multiplicative_section(_NOT_A_FIELD, {}), CarrierError, "free abelian monoid"),
-    (lambda: slice_mul(_QXZ, _QXZ.element(F(2), (1,)), (0,)).apply(_QXZ.element(F(1), (1,))),
+    (lambda r: multiplicative_section(_NOT_A_FIELD, {}), CarrierError, "free abelian monoid"),
+    (lambda r: slice_mul(r, r.element(F(2), (1,)), (0,)).apply(r.element(F(1), (1,))),
      DimensionMismatch, "slice_mul"),
-    (lambda: units_trivialization(_NOT_A_FIELD, lambda d: _NOT_A_FIELD.one), CarrierError,
+    (lambda r: units_trivialization(_NOT_A_FIELD, lambda d: _NOT_A_FIELD.one), CarrierError,
      "needs a dimensioned field"),
 ], ids=["element-of-unknown-dim", "reciprocal-off-a-field", "section-on-a-finite-monoid",
         "slice-mul-from-another-slice", "trivialization-of-a-non-field"])
-def test_ring_refusals(call, error, message):
+def test_ring_refusals(q_x_z, call, error, message):
     with pytest.raises(error, match=message):
-        call()
+        call(q_x_z)
