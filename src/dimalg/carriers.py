@@ -394,8 +394,8 @@ def zero_map(src: Carrier, dst: Carrier) -> SliceMap:
 @dataclass(frozen=True)
 class SliceSubgroup:
     """A subgroup of one slice: the Z-span of the coefficient rows
-    `lattice` plus the Q-span of the rows `subspace`, which are zero on
-    the integral coefficients."""
+    `lattice` plus the Q-span of the rows `subspace`, which must be zero
+    on the integral coefficients: a CarrierError otherwise."""
 
     carrier: Carrier
     lattice: tuple = ()
@@ -405,6 +405,9 @@ class SliceSubgroup:
         c = self.carrier
         object.__setattr__(self, "lattice", tuple(c.coords(c.from_coords(r)) for r in self.lattice))
         object.__setattr__(self, "subspace", tuple(map(tuple, self.subspace)))
+        for r in self.subspace:
+            if any(x for x, n in zip(r, c.orders()) if n is not None):
+                raise CarrierError(f"subspace row {r!r} of {c} is nonzero on an integral coefficient")
 
     @functools.cached_property
     def _quotient(self) -> "SliceQuotient":

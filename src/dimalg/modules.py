@@ -328,16 +328,24 @@ def linear_map_check(
 ) -> Checked:
     """Validate a candidate (twisted-)linear map given on the basis.
 
-    Checks that basis images land in equivariantly consistent slices and
-    that linearity/additivity hold on probes; failures carry a witness.
+    Checks that `images` is keyed by exactly the basis names, that the
+    images land in equivariantly consistent slices and that
+    linearity/additivity hold on probes; failures carry a witness.
     """
     rng = rng or random.Random(5)
     ring_mor = ring_mor or RingMorphism.identity(src.ring)
     rep = CheckReport("linear map candidate")
 
+    names = [name for name, _ in src.basis]
+    unkeyed = [n for n in names if n not in images] + [n for n in images if n not in names]
+    rep.law("images keyed by the basis names", zip(unkeyed),
+            lambda name: f"no image of basis element {name!r}" if name in names
+            else f"image of {name!r}, which names no basis element")
     rep.law("images live in the codomain", images.items(),
             lambda name, img: not dst.gset.contains(img.dim)
             and f"image of {name!r} has no valid dimension")
+    if unkeyed:  # the laws below index the images by basis name
+        return Checked(None, rep)
 
     monoid = src.gset.monoid
     by_orbit: dict = {}

@@ -414,8 +414,13 @@ def test_kernel_and_quotient_of_random_maps(a, b, seed):
     (lambda: Cyclic(4).int_mul(F(1, 2), 1), "non-integer multiple"),
     (lambda: FormalSums(("x",)).int_mul(F(1, 2), (("x", 1),)), "non-integer multiple"),
     (lambda: Pairs(Rationals(), Cyclic(2)).int_mul(F(1, 2), (F(1), 1)), "non-integer multiple"),
+    (lambda: SliceSubgroup(FormalSums(("x",)), subspace=[(1,)]), "nonzero on an integral"),
+    (lambda: SliceSubgroup(Cyclic(4), subspace=[(1,)]), "nonzero on an integral"),
+    (lambda: SliceSubgroup(Pairs(Rationals(), Cyclic(2)), subspace=[(0, 1)]),
+     "nonzero on an integral"),
 ], ids=["embed-non-generator", "add-maps-of-other-ends", "vector-of-a-non-rational",
-        "half-in-Z/4", "half-in-Z[x]", "half-in-Q-x-Z/2"])
+        "half-in-Z/4", "half-in-Z[x]", "half-in-Q-x-Z/2", "Q-span-in-Z[x]", "Q-span-in-Z/4",
+        "Q-span-in-Q-x-Z/2"])
 def test_carrier_refusals(call, message):
     with pytest.raises(CarrierError, match=message):
         call()
@@ -433,3 +438,5 @@ def test_subspace_rows_may_be_given_as_a_list():
     sub = SliceSubgroup(Vectors(2), subspace=[(1, 0)])
     assert sub.subspace == ((1, 0),)
     assert sub.contains((3, 0)) and not sub.contains((3, 1))
+    mixed = SliceSubgroup(Pairs(Rationals(), Cyclic(2)), subspace=[(1, 0)])
+    assert mixed.contains((F(1, 2), 0)) and not mixed.contains((F(1, 2), 1))

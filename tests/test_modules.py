@@ -101,6 +101,19 @@ class TestLinearMaps:
         assert not check.ok
         assert "equivariant" in check.report.failures[0].witness
 
+    @pytest.mark.parametrize("names, witness", [
+        (("e",), "no image of basis element 'f'"),
+        (("e", "f", "g"), "image of 'g', which names no basis element"),
+    ], ids=["missing", "extra"])
+    def test_images_keyed_by_other_names_are_a_failed_law(self, rank2, names, witness):
+        e = rank2.basis_element("e")
+        check = linear_map_check(rank2, rank2, dict.fromkeys(names, e))
+        assert check.value is None
+        assert [r.line() for r in check.report.results] == [
+            f"FAIL  images keyed by the basis names: {witness}",
+            "PASS  images live in the codomain",
+        ]
+
     def test_map_action(self, ring, rank2, rng):
         images = {n: rank2.basis_element(n) for n, _ in rank2.basis}
         ident = TwistedLinearMap(rank2, rank2, RingMorphism.identity(ring), images)

@@ -157,8 +157,13 @@ class TestGeneratorDecidedLaws:
     def test_case_counts_grow_as_n_squared(self, monkeypatch):
         """Distributivity and slice-addition associativity are decided in
         k·n² cases, so doubling a slice multiplies their counts by 4, not
-        by the 8 of every triple."""
-        laws = ("distributivity where defined", "addition associative")
+        by the 8 of every triple. Associativity and commutativity are
+        decided on the additive generators and the dimension monoid's
+        associativity on its own generators: the slices of Z/n x Z/2 are
+        cyclic, so their counts do not grow with n."""
+        squared = ("distributivity where defined", "addition associative")
+        fixed = ("multiplicative associativity", "commutativity",
+                 "dimension monoid: associativity")
         counts = Counter()
         law = CheckReport.law
 
@@ -168,17 +173,43 @@ class TestGeneratorDecidedLaws:
                     counts[name] += 1
                     yield case
 
-            law(rep, name, counted() if name in laws else cases, check)
+            law(rep, name, counted() if name in squared + fixed else cases, check)
 
         monkeypatch.setattr(CheckReport, "law", counting)
 
         def cases(n):
             counts.clear()
             assert check_structure(product_table(n, 2))[0] == 0
-            return [counts[name] for name in laws]
+            return dict(counts)
 
-        for name, small, large in zip(laws, cases(32), cases(64)):
-            assert 0 < large <= 4.5 * small, (name, small, large)
+        small, large = cases(32), cases(64)
+        for name in squared:
+            assert 0 < large[name] <= 4.5 * small[name], (name, small, large)
+        for name in fixed:
+            assert 0 < large[name] <= small[name], (name, small, large)
+
+    def test_dimension_monoid_defect_beyond_the_first_generator(self):
+        """The magma on a, e, b with identity e, a·a = a, a·b = b·a = b
+        and b·b = e, listed with a first, fails associativity only at
+        triples whose middle element is b, as (a·b)·b = e but a·(b·b) = a;
+        a, the first generator, passes Light's test. Each slice is the
+        zero group, so the products of zeros inherit the defect."""
+        dims = ("a", "e", "b")
+        op = {"a": {"a": "a", "e": "a", "b": "b"}, "e": {d: d for d in dims},
+              "b": {"a": "b", "e": "b", "b": "e"}}
+        doc = {
+            "monoid": {"elements": list(dims), "identity": "e", "op": op},
+            "slices": {d: [f"0@{d}"] for d in dims},
+            "add": {d: {f"0@{d}": {f"0@{d}": f"0@{d}"}} for d in dims},
+            "mul": {f"0@{d}": {f"0@{f}": f"0@{op[d][f]}" for f in dims} for d in dims},
+            "one": "0@e",
+        }
+        code, lines = check_structure(doc)
+        assert code == 1
+        assert [l for l in lines if l.startswith("FAIL")] == [
+            "FAIL  dimension monoid: associativity: monoid associativity fails at 'a','b','b'",
+            "FAIL  multiplicative associativity: (ab)c != a(bc) at 0@a,0@b,0@b",
+        ]
 
     def test_neg_is_the_first_inverse_in_slice_order(self):
         doc = json.loads(GOLDEN.read_text())

@@ -6,9 +6,10 @@ its raw JSON tables, every law on every case, and imports nothing from
 must agree with `check_structure`, the exit code and the law named by
 each FAIL line, on every shipped structure, on a table whose defect lies
 beyond the first cases of each law, on fixed-seed product tables, clean
-and with one-cell defects, on tables that break associativity alone, and
-on tables that break distributivity or slice-addition associativity
-alone, where the first additive generator of the slice passes.
+and with one-cell defects, on tables that break associativity or
+commutativity alone, and on tables that break distributivity or
+slice-addition associativity alone, where the first additive generator of
+the slice passes.
 """
 
 import copy
@@ -209,8 +210,9 @@ def late_nonassociative_table() -> dict:
     product of non-unit basis elements is a·b = a; it is not commutative.
     Its associator vanishes unless a appears in the outermost factor,
     as in (a·b)·b = a, a·(b·b) = 0. The 32 elements are listed with the 16
-    free of a first, so Light's test, a outermost, meets its first failing
-    case at number 8 771, beyond a cap of 6 000."""
+    free of a first, so Light's test, a outermost, would meet its first
+    failing case at number 8 771, beyond a cap of 6 000; the table is
+    distributive, so the report decides it on its 5 additive generators."""
     return f2_algebra(("1", "b", "e1", "e2", "a"), lambda i, j: 4 if (i, j) == (4, 1) else None,
                       order=lambda v: v[::-1], commutative=False)
 
@@ -225,12 +227,33 @@ def test_oracle_names_associativity_as_the_only_law_a_table_breaks():
 
 
 def test_oracle_finds_an_associativity_defect_beyond_6000_cases():
-    """Every law holds but associativity, and Light's test reaches the
+    """Every law holds but associativity, and Light's test would reach the
     first failing triple only after 6 000 cases."""
     doc = late_nonassociative_table()
     assert [n for n, holds in table_laws(doc).items() if not holds] == [
         "multiplicative associativity"]
     assert assert_oracle_agrees(doc) == 1
+
+
+def noncommutative_table() -> dict:
+    """The upper-triangular F2-algebra on the basis 1, e, n with e·e = e,
+    e·n = n and n·e = n·n = 0, declared commutative: e·n = n while
+    n·e = 0. It is associative (e, n and 1+e are the matrix units E11,
+    E12 and E22) and distributive, so commutativity is the only law it
+    breaks. The slice lists 1 first, so the first additive generator
+    commutes with every element, and a check on it alone would pass."""
+    return f2_algebra(("1", "e", "n"), lambda i, j: {(1, 1): 1, (1, 2): 2}.get((i, j)),
+                      order=lambda v: (v != (1, 0, 0), v))
+
+
+def test_oracle_names_commutativity_as_the_only_law_a_table_breaks():
+    """The report decides commutativity on the additive generators of a
+    distributive table; this table takes that path and fails there."""
+    doc = noncommutative_table()
+    assert [n for n, holds in table_laws(doc).items() if not holds] == ["commutativity"]
+    assert assert_oracle_agrees(doc) == 1
+    _, lines = check_structure(doc)
+    assert "FAIL  commutativity: ab != ba at n,e" in lines
 
 
 def late_nondistributive_table() -> dict:
