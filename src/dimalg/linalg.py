@@ -1,48 +1,71 @@
 """Tiny exact linear algebra over the rationals and the integers (row
-vectors as tuples)."""
+vectors as tuples, or as {column: entry} dicts where `rref` takes them)."""
 
 from fractions import Fraction
 
 
+def _entries(row):
+    """The (column, entry) pairs of a dense row or of a {column: entry} row."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
+
+
+def _subtract(r, f, s):
+    """r -= f·s on sparse rows, in place; entries that cancel are dropped."""
+    for c, x in s.items():
+        if y := r.get(c, 0) - f * x:
+            r[c] = y
+        else:
+            del r[c]
+
+
 def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
+    """Reduced row echelon form; returns (rows, pivot_columns).
+
+    Rows are dense sequences or {column: entry} dicts, and come back in
+    the form given: dense rows as tuples as wide as the first row, dict
+    rows as dicts of their nonzero entries.  The elimination touches
+    nonzero entries only: each row is reduced by the pivot rows kept so
+    far (each 1 at its own pivot and 0 at every other), and what is left
+    of it, if anything, becomes a pivot row at its first column, which it
+    clears from the others.  A kept row is 0 left of its pivot, so the
+    kept rows in pivot order are the reduced row echelon form, which is
+    unique."""
+    kept = {}  # pivot column -> row
+    for row in rows:
+        r = {c: Fraction(x) for c, x in _entries(row) if x}
+        for p in [c for c in r if c in kept]:
+            _subtract(r, r[p], kept[p])
+        if not r:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    reduced = [tuple(row) for row in m[:r]]
+        p = min(r)
+        if (pv := r[p]) != 1:
+            r = {c: x / pv for c, x in r.items()}
+        for q in kept.values():
+            if f := q.get(p):
+                _subtract(q, f, r)
+        kept[p] = r
+    pivots = sorted(kept)
+    reduced = [kept[p] for p in pivots]
+    if rows and not isinstance(rows[0], dict):
+        zero, width = Fraction(0), len(rows[0])
+        reduced = [tuple(r.get(c, zero) for c in range(width)) for r in reduced]
     return reduced, pivots
 
 
 def nullspace(rows, ncols):
-    """Basis of the right nullspace of the matrix (rows x ncols)."""
-    if not rows:
-        return [tuple(Fraction(i == j) for j in range(ncols)) for i in range(ncols)]
+    """Basis of the right nullspace of the matrix (rows x ncols), dense or
+    sparse rows as `rref` takes them: one vector per free column f, 1 at
+    f and minus each pivot row's entry at f at that row's pivot."""
     red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
+    bound, zero = set(pivots), Fraction(0)
+    basis = {f: [zero] * ncols for f in range(ncols) if f not in bound}
+    for f, v in basis.items():
         v[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return basis
+    for row, p in zip(red, pivots):
+        for c, x in _entries(row):
+            if x and c != p:
+                basis[c][p] = -x
+    return [tuple(v) for v in basis.values()]
 
 
 def smith(rows, n):

@@ -346,9 +346,10 @@ class ReducedPoisson:
         (m, residual monomial).  Each row is that of the normal forms of
         the brackets times one nonzero factor, the table's denominator
         over m's coefficient, so the rows have the same reduced echelon
-        form and the same nullspace.  Index exponent tuples and nullspace
-        terms are valid by construction, so basis vectors are built
-        trusted."""
+        form and the same nullspace.  Rows stay sparse, {column: integer},
+        as they are collected: `nullspace` eliminates on their nonzero
+        entries alone.  Index exponent tuples and nullspace terms are
+        valid by construction, so basis vectors are built trusted."""
         ring, parent = self.ring, self.parent
         basis = []
         ideal_alphas = [g.value[0][0] for g in self.ideal.generators]
@@ -376,9 +377,7 @@ class ReducedPoisson:
                             if n and not any(ring.monomial_divides(ga, beta)
                                              for ga in ideal_alphas):
                                 conditions.setdefault((k, beta), {})[col] = n
-                rows = [tuple(cond.get(c, 0) for c in range(len(monos)))
-                        for cond in conditions.values()]
-                for vec in nullspace(rows, len(monos)):
+                for vec in nullspace(list(conditions.values()), len(monos)):
                     basis.append(ring._of(dict(zip(monos, vec)), dim))
         return tuple(basis)
 
@@ -404,14 +403,21 @@ class ReducedPoisson:
         - both vanish on I: op(x, g) = 0 = op(g, x) for every monomial x
           of I and basis vector g, both of degree <= cutoff // 3.
         Normal form and truncation are linear, so within that degree
-        guard these finite sets decide the last two laws.  `rng` is
-        unused: no law is probed.
+        guard these finite sets decide the last two laws.  Each of them
+        checks one order of each pair: the polynomial product is exact
+        and sorts its terms, so f*g and g*f are the same element, and the
+        bracket of an antisymmetric table (the parent's law 2; a mirror
+        entry left out is filled in as the negated one) is exactly
+        antisymmetric, so the reduced op(g, f) is op(f, g) or its
+        negation, a normal form of the same degree, zero with it.  So the
+        normal-form law runs on unordered pairs of basis vectors, and the
+        vanishing law on (x, g) alone.  `rng` is unused: no law is probed.
         """
         ring, ideal, show, cutoff = self.ring, self.ideal, self.ring.show, self.cutoff
         rep = CheckReport(f"reduced Poisson (cutoff {cutoff})")
         lowdeg = [b for b in self.basis if ring.degree(b) <= cutoff // 3]
-        monomials = [ring._of({alpha: 1}, dim)
-                     for dim, alphas in ring.monomial_index(cutoff // 3).items() for alpha in alphas]
+        monomials = [ring._of({alpha: 1}, dim) for dim, alphas in ring.monomial_index(cutoff).items()
+                     for alpha in alphas if sum(alpha) <= cutoff // 3]
         ops = (("product", self.product), ("bracket", self.bracket))
 
         def normal_forms(f, g):
@@ -421,15 +427,15 @@ class ReducedPoisson:
                     return f"{name} of {show(f)}, {show(g)} is {show(r)}, no normal form"
 
         def vanishes(x, g):
-            for (name, op), (f, h) in itertools.product(ops, ((x, g), (g, x))):
-                if not ring.is_zero(r := op(f, h)):
-                    return f"{name} of {show(f)}, {show(h)} is {show(r)}, not 0"
+            for name, op in ops:
+                if not ring.is_zero(r := op(x, g)):
+                    return f"{name} of {show(x)}, {show(g)} is {show(r)}, not 0"
 
         rep.law("basis lies in N(I): {b, m} in I for every ideal generator m",
                 itertools.product(self.basis, ideal.generators),
                 lambda b, m: _outside(self.parent, ideal, b, m))
         rep.law("product and bracket of low-degree basis pairs are normal forms",
-                itertools.product(lowdeg, repeat=2), normal_forms)
+                itertools.combinations_with_replacement(lowdeg, 2), normal_forms)
         rep.law("product and bracket vanish on I at low degree", itertools.product(
             [x for x in monomials if ideal.contains(x)], lowdeg), vanishes)
         return rep

@@ -36,18 +36,6 @@ def _vec_add(a, b):
     return tuple(map(_add, a, b))
 
 
-def _exponents(nvars: int, budget: int):
-    """Exponent tuples of length nvars and total degree <= budget, in
-    lexicographic order (the order itertools.product visits them in)."""
-    if nvars == 0:
-        if budget >= 0:
-            yield ()
-        return
-    for e in range(budget + 1):
-        for rest in _exponents(nvars - 1, budget - e):
-            yield (e,) + rest
-
-
 class GradedPolyRing(DimRing):
     """Polynomials on dimension-tagged generators, as a dimensioned ring.
 
@@ -84,12 +72,23 @@ class GradedPolyRing(DimRing):
     def monomial_index(self, max_degree: int) -> dict:
         """Every exponent tuple of total degree <= max_degree, grouped by
         dimension, each group in lexicographic order.  Built on first use
-        and kept on the ring, one index per max_degree."""
+        and kept on the ring, one index per max_degree, in one
+        lexicographic walk: each generator extends every prefix by each
+        exponent its degree budget allows, adding the generator's
+        dimension to the prefix's at each step."""
         index = self._monomial_index.get(max_degree)
         if index is None:
+            walk = [((), (0,) * self.rank, max_degree)]  # (prefix, its dimension, degree left)
+            for g in self.gen_dims:
+                longer = []
+                for alpha, dim, left in walk:
+                    for e in range(left + 1):
+                        longer.append((alpha + (e,), dim, left - e))
+                        dim = _vec_add(dim, g)
+                walk = longer
             groups: dict = {}
-            for alpha in _exponents(self.nvars, max_degree):
-                groups.setdefault(self.monomial_dim(alpha), []).append(alpha)
+            for alpha, dim, _ in walk:
+                groups.setdefault(dim, []).append(alpha)
             index = {d: tuple(alphas) for d, alphas in groups.items()}
             self._monomial_index[max_degree] = index
         return index

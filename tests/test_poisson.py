@@ -21,6 +21,7 @@ from dimalg import (
 )
 from dimalg.algebra import jacobiator
 from dimalg.poisson import ReducedPoisson
+from dimalg.report import CheckReport
 from dimalg.structure import load_poisson
 
 small_vec = st.tuples(*[st.integers(-5, 5)] * 3)
@@ -256,6 +257,54 @@ class TestReduction:
         p4 = canonical_4gen()
         rep = poisson_reduce(p4, ["q1"], cutoff).axiom_report()
         assert rep.ok and len(rep.results) == 3
+
+    @pytest.mark.parametrize("cutoff, normal_form_cases, vanishing_cases",
+                             [(6, 21, 30), (10, 55, 150)])
+    def test_report_checks_each_symmetric_case_once(
+            self, monkeypatch, cutoff, normal_form_cases, vanishing_cases):
+        """By (q1) the low-degree basis L is the monomials in q2, p2 of
+        degree at most cutoff // 3, and I_low the monomials of I up to
+        that degree: the normal-form law runs on the |L|(|L|+1)/2
+        unordered pairs of L and the vanishing law on the |I_low|·|L|
+        pairs (x, g), one order each."""
+        counts = {}
+        law = CheckReport.law
+
+        def counting(self, name, cases, check):
+            cases = list(cases)
+            counts[name] = len(cases)
+            law(self, name, cases, check)
+
+        red = poisson_reduce(canonical_4gen(), ["q1"], cutoff)
+        monkeypatch.setattr(CheckReport, "law", counting)
+        assert red.axiom_report().ok
+        low = cutoff // 3
+        n_low, n_ideal = math.comb(low + 2, 2), math.comb(low - 1 + 4, 4)
+        assert counts["product and bracket of low-degree basis pairs are normal forms"] \
+            == normal_form_cases == n_low * (n_low + 1) // 2
+        assert counts["product and bracket vanish on I at low degree"] \
+            == vanishing_cases == n_ideal * n_low
+
+    def test_a_reduction_reaches_rref_through_nullspace(self, monkeypatch):
+        """Every block of a reduction is solved by `nullspace` as the
+        poisson module names it, and `nullspace` eliminates by `rref` as
+        the linalg module names it, so wrapping those two names, as a
+        per-layer tracer does, counts every solve and every elimination."""
+        import dimalg.linalg as linalg
+        import dimalg.poisson as poisson
+
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(linalg, "rref", spy("rref", linalg.rref))
+        monkeypatch.setattr(poisson, "nullspace", spy("nullspace", linalg.nullspace))
+        poisson_reduce(canonical_4gen(), ["q1"], 4)
+        assert calls and calls == ["nullspace", "rref"] * (len(calls) // 2)
 
     def test_rejects_non_coisotrope(self, canonical_poisson):
         with pytest.raises(ConstructionError):

@@ -327,6 +327,30 @@ class TestAxiomReportNegativeControls:
         rep = ring_axiom_report(ring)
         assert "zero family is absorbent" in {r.law for r in rep.failures}
 
+    def test_finite_monoid_defect_beyond_the_probe_cap(self):
+        """Thirteen zeros z listed first (z·x = z for every x, x·z = z for
+        every other x), then e, a and b, the magma of a·a = a,
+        a·b = b·a = b, b·b = e under the identity e: (a·b)·b = e but
+        a·(b·b) = a.  A triple that opens with a zero or e is associative,
+        so the first failing triple of the 16³ comes after the first
+        13·16² = 3 328, beyond the 3 000 triples an infinite monoid is
+        probed on; this one is finite and closed, so Light's test decides
+        it on a ring that lists no elements too."""
+        zeros = [f"z{i}" for i in range(13)]
+        magma = {("a", "a"): "a", ("a", "b"): "b", ("b", "a"): "b", ("b", "b"): "e"}
+
+        def op(x, y):
+            if x in zeros:
+                return x
+            if y in zeros or x == "e":
+                return y
+            return x if y == "e" else magma[(x, y)]
+
+        dims = DimMonoid.finite(zeros + ["e", "a", "b"], "e", op, is_group=False)
+        rep = ring_axiom_report(ProductDimRing(Rationals(), dims, label="QxM"))
+        assert next(r for r in rep.results if r.law == "dimension monoid: associativity") \
+            .line() == "FAIL  dimension monoid: associativity: monoid associativity fails at 'a','b','b'"
+
 
 _NOT_A_FIELD = ProductDimRing(Rationals(), DimMonoid.map_monoid((0, 1)), label="QxMap")
 

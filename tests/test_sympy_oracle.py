@@ -5,10 +5,13 @@ checked against `sympy.Poly`, and `DimPoisson.bracket` against the sum
 over ordered generator pairs of d_i f * d_j g * {x_i, x_j}, computed by
 sympy from the structure constants alone.  The reduced basis that
 `poisson_reduce` computes is checked against sympy's nullspace of the
-same conditions, built from that sum and `sympy.reduced`.
+same conditions, built from that sum and `sympy.reduced`, and the exact
+elimination under it, `rref` and `nullspace`, against
+sympy's `rref` and `nullspace` on seeded integer matrices.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +22,7 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st
 
 from dimalg import GradedPolyRing, make_poisson, poisson_product_homo, poisson_reduce
+from dimalg.linalg import nullspace, rref
 from dimalg.structure import load_poisson
 
 REPO_DATA = Path(__file__).parent.parent / "data"
@@ -235,3 +239,31 @@ def test_reduced_basis_matches_sympy_nullspace(p, ideal, cutoff):
         assert len(vectors) == len(null), key
         got = sympy.Matrix([[sympy.Rational(v.get(m, 0)) for m in monos] for v in vectors])
         assert got.rref()[0] == sympy.Matrix.hstack(*null).T.rref()[0], key
+
+
+def _fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+@pytest.mark.parametrize("nrows,ncols", [(2, 5), (4, 4), (9, 3), (12, 6)])
+def test_elimination_matches_sympy(nrows, ncols):
+    """On seeded integer matrices, mostly zeros, each with a zero row and
+    a duplicate row inserted, `rref` and `nullspace` give sympy's reduced
+    rows, pivots and nullspace vectors, for dense rows and for
+    {column: entry} rows of the nonzero entries alike."""
+    rng = random.Random(nrows * 100 + ncols)
+    for _ in range(10):
+        rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(ncols)]
+                for _ in range(nrows)]
+        rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+        rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
+        red, pivots = sympy.Matrix(rows).rref()
+        want_rows = [tuple(map(_fraction, red.row(i))) for i in range(len(pivots))]
+        want_null = [tuple(map(_fraction, v)) for v in sympy.Matrix(rows).nullspace()]
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+        for form in (rows, sparse):
+            got, got_pivots = rref(form)
+            dense = [tuple(r.get(c, 0) for c in range(ncols)) if isinstance(r, dict) else r
+                     for r in got]
+            assert (dense, got_pivots) == (want_rows, list(pivots)), rows
+            assert nullspace(form, ncols) == want_null, rows
