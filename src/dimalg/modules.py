@@ -84,21 +84,21 @@ def _term_key(item):
 class FreeDimModule:
     """A free dimensioned module with a finite dimension-tagged basis.
 
-    `ring` acts through `along`, a morphism from it to the ring the
-    coefficients live in; None means `ring` acts on its own coefficients.
+    Coefficients live in `coeff_ring`.  The acting ring `ring` is the domain
+    of `along`, a morphism into `coeff_ring`, or `coeff_ring` itself.
     """
 
     def __init__(
         self,
-        ring: DimRing,
+        coeff_ring: DimRing,
         gset: GSet,
         basis,
         label: str = "module",
         along: "RingMorphism | None" = None,
     ):
-        self.ring = ring
+        self.coeff_ring = coeff_ring
         self.along = along
-        self.coeff_ring = along.codomain if along else ring
+        self.ring = along.domain if along else coeff_ring
         self.gset = gset
         self.basis = tuple(basis)
         for _, d in self.basis:
@@ -237,24 +237,22 @@ def module_axiom_report(m: FreeDimModule, rng=None) -> CheckReport:
 class TwistedLinearMap:
     """A module map over a ring morphism: Phi(r·a) = phi(r)·Phi(a).
 
-    `ring_mor` is the twist between the acting rings; `coeff_mor` carries
-    the stored coefficients across (they differ only for pulled-back
-    sources, where the carrier map is unchanged).
+    `coeff_mor` carries the stored coefficients from `src.coeff_ring` to
+    `dst.coeff_ring`; the twist phi is derived from it, r |-> coeff_mor(along(r)).
     """
 
     def __init__(
         self,
         src: FreeDimModule,
         dst: FreeDimModule,
-        ring_mor: RingMorphism,
+        coeff_mor: RingMorphism,
         images: dict,
         label: str = "linear-map",
-        coeff_mor: "RingMorphism | None" = None,
     ):
         self.src = src
         self.dst = dst
-        self.ring_mor = ring_mor
-        self.coeff_mor = coeff_mor or ring_mor
+        self.coeff_mor = coeff_mor
+        self.twist = coeff_mor.compose(src.along) if src.along else coeff_mor
         self.images = dict(images)
         self.label = label
         missing = set(src.basis_dim) - set(self.images)
@@ -290,21 +288,19 @@ class TwistedLinearMap:
         return TwistedLinearMap(
             other.src,
             self.dst,
-            self.ring_mor.compose(other.ring_mor),
+            self.coeff_mor.compose(other.coeff_mor),
             images,
             f"{self.label}∘{other.label}",
-            coeff_mor=self.coeff_mor.compose(other.coeff_mor),
         )
 
     def scaled(self, r: DimElement) -> "TwistedLinearMap":
-        """The module action on maps: (r·Phi)(a) := r·Phi(a)."""
+        """The module action on maps: (r·Phi)(a) := phi(r)·Phi(a)."""
         return TwistedLinearMap(
             self.src,
             self.dst,
-            self.ring_mor,
-            {n: self.dst.act(self.ring_mor(r), img) for n, img in self.images.items()},
+            self.coeff_mor,
+            {n: self.dst.coeff_act(self.twist(r), img) for n, img in self.images.items()},
             f"r·{self.label}",
-            coeff_mor=self.coeff_mor,
         )
 
     @staticmethod
@@ -312,10 +308,9 @@ class TwistedLinearMap:
         return TwistedLinearMap(
             m,
             m,
-            RingMorphism.identity(m.ring),
+            RingMorphism.identity(m.coeff_ring),
             {name: m.basis_element(name) for name, _ in m.basis},
             "id",
-            coeff_mor=RingMorphism.identity(m.coeff_ring),
         )
 
 
@@ -323,17 +318,18 @@ def linear_map_check(
     src: FreeDimModule,
     dst: FreeDimModule,
     images: dict,
-    ring_mor: "RingMorphism | None" = None,
+    coeff_mor: "RingMorphism | None" = None,
     rng=None,
 ) -> Checked:
-    """Validate a candidate (twisted-)linear map given on the basis.
+    """Validate a candidate (twisted-)linear map given on the basis, its
+    coefficients carried by `coeff_mor` (the identity by default).
 
     Checks that `images` is keyed by exactly the basis names, that the
     images land in equivariantly consistent slices and that
     linearity/additivity hold on probes; failures carry a witness.
     """
     rng = rng or random.Random(5)
-    ring_mor = ring_mor or RingMorphism.identity(src.ring)
+    coeff_mor = coeff_mor or RingMorphism.identity(src.coeff_ring)
     rep = CheckReport("linear map candidate")
 
     names = [name for name, _ in src.basis]
@@ -347,39 +343,29 @@ def linear_map_check(
     if unkeyed:  # the laws below index the images by basis name
         return Checked(None, rep)
 
-    monoid = src.gset.monoid
-    by_orbit: dict = {}
+    candidate = TwistedLinearMap(src, dst, coeff_mor, images)
+    first = {}  # each orbit's first basis vector, the one `dim_map` transports
     for name, bd in src.basis:
-        by_orbit.setdefault(bd[1], []).append((name, bd))
+        first.setdefault(bd[1], name)
 
-    def equivariant(orbit, members):
-        img_orbits = {images[name].dim[1] for name, _ in members}
-        if len(img_orbits) > 1:
-            return (f"orbit {orbit!r} scattered across image orbits "
-                    f"{sorted(map(repr, img_orbits))}")
-        if not monoid.is_group:
-            return None
-        ref_name, ref_dim = members[0]
-        for name, bd in members[1:]:
-            shift = monoid.combine(bd[0], monoid.inverse(ref_dim[0]))
-            expect = dst.gset.act(ring_mor.dim_map(shift), images[ref_name].dim)
-            if images[name].dim != expect:
-                return (f"image of {name!r} sits in slice {images[name].dim!r}, "
-                        f"not the equivariant slice {expect!r}")
+    def equivariant(name, bd):
+        img, ref = images[name].dim, images[first[bd[1]]].dim
+        if img[1] != ref[1]:
+            return f"orbit {bd[1]!r} scattered across image orbits {ref[1]!r} and {img[1]!r}"
+        if src.gset.monoid.is_group and img != candidate.dim_map(bd):
+            return (f"image of {name!r} sits in slice {img!r}, "
+                    f"not the equivariant slice {candidate.dim_map(bd)!r}")
 
-    rep.law("dimension map is twisted-equivariant", by_orbit.items(), equivariant)
-
+    rep.law("dimension map is twisted-equivariant", src.basis, equivariant)
     if not rep.ok:
         return Checked(None, rep)
-
-    candidate = TwistedLinearMap(src, dst, ring_mor, images)
 
     def draw():
         a = src.sample(rng)
         return a, src.sample_like(rng, a), src.ring.sample(rng)
 
     def linear(a, b, r):
-        if not dst.eq(candidate(src.act(r, a)), dst.act(ring_mor(r), candidate(a))):
+        if not dst.eq(candidate(src.act(r, a)), dst.coeff_act(candidate.twist(r), candidate(a))):
             return f"Phi(r·a) != phi(r)·Phi(a) at {r}, {src.show(a)}"
 
     def additive(a, b, r):
@@ -405,13 +391,13 @@ class ModuleSum:
 
 
 def direct_sum_mod(a: FreeDimModule, b: FreeDimModule) -> ModuleSum:
-    if a.ring is not b.ring or a.along is not b.along:
+    if a.coeff_ring is not b.coeff_ring or a.along is not b.along:
         raise CarrierError("direct sum needs one base ring acting through one morphism")
     if a.gset != b.gset:
         raise DimensionMismatch(a.gset.orbits, b.gset.orbits, "direct_sum_mod")
     basis = [((0, n), d) for n, d in a.basis] + [((1, n), d) for n, d in b.basis]
-    out = FreeDimModule(a.ring, a.gset, basis, f"{a.label}(+){b.label}", a.along)
-    ident = RingMorphism.identity(a.ring)
+    out = FreeDimModule(a.coeff_ring, a.gset, basis, f"{a.label}(+){b.label}", a.along)
+    ident = RingMorphism.identity(a.coeff_ring)
     li = TwistedLinearMap(
         a, out, ident, {n: out.basis_element((0, n)) for n, _ in a.basis}, "inl"
     )
@@ -440,13 +426,13 @@ class ModuleTensor:
 
 
 def tensor_mod(a: FreeDimModule, b: FreeDimModule) -> ModuleTensor:
-    if a.ring is not b.ring or a.along is not b.along:
+    if a.coeff_ring is not b.coeff_ring or a.along is not b.along:
         raise CarrierError("tensor product needs one base ring acting through one morphism")
     gt = gset_tensor(a.gset, b.gset)
     basis = [
         ((na, nb), gt.eta(da, db)) for na, da in a.basis for nb, db in b.basis
     ]
-    out = FreeDimModule(a.ring, gt.gset, basis, f"{a.label}(x){b.label}", a.along)
+    out = FreeDimModule(a.coeff_ring, gt.gset, basis, f"{a.label}(x){b.label}", a.along)
     return ModuleTensor(out, gt)
 
 
@@ -471,7 +457,7 @@ def bilinear_factorization(
         for nb, _ in b.basis
     }
     factored = TwistedLinearMap(
-        tens.module, c, RingMorphism.identity(a.ring), images, "factored"
+        tens.module, c, RingMorphism.identity(a.coeff_ring), images, "factored"
     )
     ring = a.ring
 
@@ -528,7 +514,7 @@ def rig_distributivity_witness(
             dst_name = (tag, (n, nc))
             fwd_images[src_name] = right.module.basis_element(dst_name)
             bwd_images[dst_name] = left.module.basis_element(src_name)
-    ident = RingMorphism.identity(a.ring)
+    ident = RingMorphism.identity(a.coeff_ring)
     fwd = TwistedLinearMap(left.module, right.module, ident, fwd_images, "distribute")
     bwd = TwistedLinearMap(right.module, left.module, ident, bwd_images, "collect")
 
@@ -559,20 +545,19 @@ def pullback_module(phi: RingMorphism, a: FreeDimModule, label: str = "") -> Fre
     p·x := phi(p)·x, the new monoid acting through the dimension map."""
     along = a.along.compose(phi) if a.along else phi
     return FreeDimModule(
-        phi.domain, a.gset, a.basis, label or f"{phi.label}*{a.label}", along
+        a.coeff_ring, a.gset, a.basis, label or f"{phi.label}*{a.label}", along
     )
 
 
 def pullback_map(phi: RingMorphism, psi: TwistedLinearMap) -> TwistedLinearMap:
-    """Pull a twisted map back along a ring morphism: the twist composes,
-    the carrier map is unchanged."""
+    """Pull a twisted map back along a ring morphism: only the source
+    changes, so the twist composes with phi; the carrier map is unchanged."""
     return TwistedLinearMap(
         pullback_module(phi, psi.src),
         psi.dst,
-        psi.ring_mor.compose(phi),
+        psi.coeff_mor,
         psi.images,
         f"{phi.label}*{psi.label}",
-        coeff_mor=psi.coeff_mor,
     )
 
 
@@ -645,7 +630,7 @@ def quotient_module(
         for name, dim in a.basis
     }
     proj = TwistedLinearMap(a, quot, qring.projection, images, "Q")
-    return QuotientModule(quot, proj, qring.projection)
+    return QuotientModule(quot, proj, proj.twist)
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +658,7 @@ def span_contains(m: FreeDimModule, generators, elem: DimElement) -> bool:
             v[index[name]] = Fraction(coeff.value)
         return tuple(v)
 
+    target = coords(elem)  # refuses other rings before a product is formed
     rows = []
     for gen in generators:
         if gen.dim[1] != elem.dim[1]:
@@ -680,6 +666,4 @@ def span_contains(m: FreeDimModule, generators, elem: DimElement) -> bool:
         shift = monoid.combine(elem.dim[0], monoid.inverse(gen.dim[0]))
         r = DimElement(Fraction(1), shift)
         rows.append(coords(m.coeff_act(r, gen)))
-    if not rows:
-        return m.is_zero(elem)
-    return SliceSubgroup(Vectors(len(names)), subspace=rows).contains(coords(elem))
+    return SliceSubgroup(Vectors(len(names)), subspace=rows).contains(target)

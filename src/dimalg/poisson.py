@@ -189,6 +189,15 @@ def make_poisson(
     return p
 
 
+def _antisymmetric(p: DimPoisson, rep: CheckReport) -> bool:
+    """Decide law 2, table antisymmetry, on generator pairs into `rep`; whether `rep` passes."""
+    ring = p.ring
+    rep.law("table antisymmetry", itertools.combinations(ring.gen_names, 2),
+            lambda ni, nj: not ring.eq(p.table[(ni, nj)], ring.neg(p.table[(nj, ni)]))
+            and f"table not antisymmetric at ({ni},{nj})")
+    return rep.ok
+
+
 def poisson_axiom_report(p: DimPoisson, rng=None) -> CheckReport:
     """The dimensioned-Poisson axiom suite, decided exactly on generators.
 
@@ -228,10 +237,7 @@ def poisson_axiom_report(p: DimPoisson, rng=None) -> CheckReport:
             itertools.permutations(range(len(ring.gen_names)), 2), placed)
     if not rep.ok:  # brackets would add terms from distinct slices
         return rep
-    rep.law("table antisymmetry", itertools.combinations(ring.gen_names, 2),
-            lambda ni, nj: not ring.eq(p.table[(ni, nj)], ring.neg(p.table[(nj, ni)]))
-            and f"table not antisymmetric at ({ni},{nj})")
-    if not rep.ok:  # generator triples would not decide Jacobi
+    if not _antisymmetric(p, rep):  # generator triples would not decide Jacobi
         return rep
     names = ring.gen_names
     gens = [ring.generator(n) for n in names]
@@ -325,6 +331,9 @@ class ReducedPoisson:
     def __init__(self, parent: DimPoisson, ideal_gens, cutoff: int):
         if cutoff < 1:
             raise CarrierError("cutoff must be >= 1")
+        law2 = CheckReport("parent")
+        if not _antisymmetric(parent, law2):
+            raise ConstructionError(f"parent is not Poisson: {law2.failures[0].line()}")
         co = coisotrope_check(parent, ideal_gens)
         if not co.ok:
             raise ConstructionError(f"not a coisotrope: {co.failures[0].witness}")
@@ -391,11 +400,13 @@ class ReducedPoisson:
     def axiom_report(self, rng=None) -> CheckReport:
         """The reduced structure, decided on finitely many cases.
 
-        The parent is Poisson and I a coisotrope (both decided on
-        generators before a reduction is built), so N(I) is a Poisson
-        subalgebra, I a Poisson ideal in it, and N(I)/I is Poisson
-        (Śniatycki & Weinstein, *Lett. Math. Phys.* 7, 1983).  What is
-        left is that the code computes that quotient:
+        A reduction is built only when I is a coisotrope and the parent's
+        table is antisymmetric, both decided on generators; the parent's
+        Jacobi and Casimir laws are decided by `poisson_axiom_report`,
+        which `make_poisson` runs unless `validate=False`.  When the parent
+        is Poisson, N(I) is a Poisson subalgebra, I a Poisson ideal in it,
+        and N(I)/I is Poisson (Śniatycki & Weinstein, *Lett. Math. Phys.*
+        7, 1983).  What is left is that the code computes that quotient:
         - every basis vector b lies in N(I): {b, m} is in I for every
           ideal generator m;
         - on pairs of basis vectors of degree <= cutoff // 3, the reduced
@@ -406,12 +417,11 @@ class ReducedPoisson:
         guard these finite sets decide the last two laws.  Each of them
         checks one order of each pair: the polynomial product is exact
         and sorts its terms, so f*g and g*f are the same element, and the
-        bracket of an antisymmetric table (the parent's law 2; a mirror
-        entry left out is filled in as the negated one) is exactly
-        antisymmetric, so the reduced op(g, f) is op(f, g) or its
-        negation, a normal form of the same degree, zero with it.  So the
-        normal-form law runs on unordered pairs of basis vectors, and the
-        vanishing law on (x, g) alone.  `rng` is unused: no law is probed.
+        bracket of the antisymmetric table is exactly antisymmetric, so
+        the reduced op(g, f) is op(f, g) or its negation, a normal form of
+        the same degree, zero with it.  So the normal-form law runs on
+        unordered pairs of basis vectors, and the vanishing law on (x, g)
+        alone.  `rng` is unused: no law is probed.
         """
         ring, ideal, show, cutoff = self.ring, self.ideal, self.ring.show, self.cutoff
         rep = CheckReport(f"reduced Poisson (cutoff {cutoff})")

@@ -475,7 +475,10 @@ def whole_ideal(ring: DimRing) -> Ideal:
 
 
 class QuotientDimRing(DimRing):
-    """Elements are normal forms of the base ring; ops compute then reduce."""
+    """Elements are normal forms of the base ring; ops compute then reduce.
+
+    Construction runs the projection's `RingMorphism.check` and probes the
+    ideal law; the first witness rejects the quotient."""
 
     def __init__(self, base: DimRing, ideal: Ideal, rng=None):
         self.base = base
@@ -483,21 +486,9 @@ class QuotientDimRing(DimRing):
         self.dims = base.dims
         self.commutative = base.commutative
         self.label = f"{base.label}/I"
-        self._validate(rng or random.Random(20240501))
-
-    def _validate(self, rng):
-        """The normal-form and ideal laws on 30 probes; the first witness
-        rejects the construction."""
-        nf, base, ideal = self.ideal.normal_form, self.base, self.ideal
-        rep = CheckReport(f"quotient {self.label}")
-        cases = _probe_triples(base, rng, 30)
-        rep.law("normal form is additive", cases, lambda a, b, c:
-                not base.eq(nf(base.add(a, b)), nf(base.add(nf(a), nf(b))))
-                and f"normal form is not additive at {a}, {b}; construction rejected")
-        rep.law("normal form is multiplicative", cases, lambda a, b, c:
-                not base.eq(nf(base.mul(a, c)), nf(base.mul(nf(a), nf(c))))
-                and f"normal form is not multiplicative at {a}, {c}")
-        products = [(c, i) for *_, c in cases for i in ideal.generators]
+        rng = rng or random.Random(20240501)
+        rep = self.projection.check(rng)
+        products = [(base.sample(rng), i) for _ in range(30) for i in ideal.generators]
         rep.law("ideal absorbs products", products, lambda c, i:
                 not ideal.contains(base.mul(c, i))
                 and f"ideal law fails: {c} * {i} leaves the ideal")

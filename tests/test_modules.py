@@ -27,7 +27,24 @@ from dimalg import (
     zero_ideal,
 )
 from dimalg.carriers import Rationals
+from dimalg.endo import EndoRing
 from dimalg.monoid import DimMonoid
+
+
+def sign_morphism(s):
+    """sgn(v, d) = ((-1)^d v, d) on QxZ/2: a ring automorphism that moves
+    the odd slice's values and no dimension."""
+    return RingMorphism(
+        s, s, lambda d: d, lambda a: s.element((-1) ** a.dim * a.value, a.dim), "sgn"
+    )
+
+
+class OffByOne(ProductDimRing):
+    """Slice addition plus one: the product no longer distributes."""
+
+    def add(self, a, b):
+        total = super().add(a, b)
+        return self.element(total.value + 1, total.dim)
 
 
 @pytest.fixture
@@ -391,6 +408,20 @@ class TestPullback:
                                total.module.act(r, total.inject_right(x)))
 
 
+    def test_a_map_from_a_pullback_twists_through_its_source(self, q_x_z2, rng):
+        """Pulled back along sgn(v, d) = ((-1)^d v, d), A's identity carrier
+        map is linear over sgn with the identity on coefficients."""
+        s, sgn = q_x_z2, sign_morphism(q_x_z2)
+        a = FreeDimModule(s, GSet(s.dims, ("o",)), [("e", (0, "o"))], "A")
+        check = linear_map_check(pullback_module(sgn, a), a, {"e": a.basis_element("e")})
+        assert check.ok, check.report.failures
+        pulled = pullback_map(sgn, TwistedLinearMap.identity(a))
+        for _ in range(30):
+            r, x = s.sample(rng), pulled.src.sample(rng)
+            assert a.eq(check.value(x), pulled(x))
+            assert a.eq(pulled(pulled.src.act(r, x)), a.act(sgn(r), pulled(x)))
+
+
 class TestQuotientModule:
     def test_quotient_by_everything_is_trivial(self, ring, rank2, rng):
         gens = [rank2.basis_element("e"), rank2.basis_element("f")]
@@ -424,6 +455,27 @@ class TestQuotientModule:
             a = mod.sample(rng)
             assert qm.module.eq(
                 qm.projection(mod.act(r, a)),
+                qm.module.act(qm.ring_projection(r), qm.projection(a)),
+            )
+
+    def test_quotient_of_a_pullback_is_linear_over_the_composed_projection(
+        self, ring, canonical_ring, rng
+    ):
+        """Pulled back along QxZ -> Q[q,p], (v, d) |-> v, the acting ring
+        reaches the quotient ring through the pullback's morphism."""
+        poly = canonical_ring
+        forget = RingMorphism(ring, poly, lambda d: (0,), lambda a: poly.constant(a.value))
+        gs = GSet(poly.dims, orbits=("i",))
+        mod = FreeDimModule(poly, gs, [("e", ((0,), "i")), ("f", ((1,), "i"))], "A")
+        pulled = pullback_module(forget, mod)
+        ideal = poly.monomial_ideal(["q"])
+        qgen = ideal.generators[0]
+        gens = [pulled.element(gs.act(qgen.dim, mod.basis_dim[n]), {n: qgen}) for n in ("e", "f")]
+        qm = quotient_module(pulled, gens, ideal, rng)
+        for _ in range(30):
+            r, a = ring.sample(rng), pulled.sample(rng)
+            assert qm.module.eq(
+                qm.projection(pulled.act(r, a)),
                 qm.module.act(qm.ring_projection(r), qm.projection(a)),
             )
 
@@ -481,3 +533,114 @@ class TestSpan:
         for _ in range(20):
             a = rank2.sample(rng)
             assert span_contains(rank2, gens, a)
+
+
+class TestNegativeControls:
+    """Each probed law FAILs, with a witness, on a module or map built to
+    break it."""
+
+    @staticmethod
+    def _failure(rep, law):
+        (line,) = [r for r in rep.results if r.law == law]
+        assert not line.passed and line.witness
+        return line.witness
+
+    @staticmethod
+    def _rank_one(ring, along=None):
+        gset = GSet(ring.dims, ("i",))
+        return FreeDimModule(ring, gset, [("e", (ring.one.dim, "i"))], "M", along)
+
+    @staticmethod
+    def _product(m, out):
+        """phi(x, y) = (x's coefficient)·(y's coefficient) on `out`'s basis vector."""
+        def phi(x, y):
+            d = m.gset.monoid.combine(x.dim[0], y.dim[0])
+            if not (x.value and y.value):
+                return out.zero((d, "i"))
+            return out.element((d, "i"), {"e": m.coeff_ring.mul(x.value[0][1], y.value[0][1])})
+        return phi
+
+    def test_action_not_additive_in_the_module(self, ring, rng):
+        m = self._rank_one(OffByOne(Rationals(), ring.dims, label="QxZ+1"))
+        witness = self._failure(module_axiom_report(m, rng), "r(a+b) = ra + rb")
+        assert witness.startswith("r(a+b) != ra+rb at ")
+
+    @pytest.mark.parametrize("fn, law, witness", [
+        (lambda v: v * v, "(r+p)a = ra + pa", "(r+p)a != ra+pa at "),
+        (lambda v: 2 * v, "(rq)a = r(qa)", "(rq)a != r(qa) at "),
+    ], ids=["non-additive", "non-multiplicative"])
+    def test_pullback_along_a_map_that_is_no_morphism(self, ring, rank2, rng, fn, law, witness):
+        bad = RingMorphism(ring, ring, lambda d: d, lambda a: ring.element(fn(a.value), a.dim))
+        rep = module_axiom_report(pullback_module(bad, rank2), rng)
+        assert self._failure(rep, law).startswith(witness)
+
+    def test_bilinear_balance(self, rng):
+        """Over the non-commutative Endo ring, (r·a)·b != a·(r·b)."""
+        m = self._rank_one(EndoRing(ProductDimRing(Rationals(), DimMonoid.cyclic(2))))
+        res = bilinear_factorization(m, m, m, self._product(m, m), rng)
+        assert res.value is None
+        witness = self._failure(res.report, "phi is bilinear and balanced")
+        assert witness.startswith("balance fails: phi(r·a, b) != phi(a, r·b) at ")
+
+    def test_bilinear_scaling(self, q_x_z2, rng):
+        """The target acts through sgn, so r·phi(a, b) = sgn(r)·a·b."""
+        m = self._rank_one(q_x_z2)
+        pulled = self._rank_one(q_x_z2, sign_morphism(q_x_z2))
+        res = bilinear_factorization(m, m, pulled, self._product(m, m), rng)
+        witness = self._failure(res.report, "phi is bilinear and balanced")
+        assert witness.startswith("phi(r·a, b) != r·phi(a, b) at ")
+
+    def test_bilinear_left_additivity(self, ring, rng):
+        m = self._rank_one(OffByOne(Rationals(), ring.dims, label="QxZ+1"))
+        res = bilinear_factorization(m, m, m, self._product(m, m), rng)
+        witness = self._failure(res.report, "phi is bilinear and balanced")
+        assert witness.startswith("left additivity fails at ")
+
+    def test_bilinear_dimension_clash(self, ring, rng):
+        """phi puts the product in a's slice, which a·b leaves unless b is
+        dimensionless: the element refuses the placement."""
+        m = self._rank_one(ring)
+
+        def phi(x, y):
+            return m.element(x.dim, {"e": ring.mul(x.value[0][1], y.value[0][1])})
+
+        res = bilinear_factorization(m, m, m, phi, rng)
+        witness = self._failure(res.report, "phi is bilinear and balanced")
+        assert witness.startswith("dimension clash: ")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda r, m, poly, pmod: gset_tensor(m.gset, GSet(DimMonoid.trivial(), ("i",))),
+     CarrierError, "tensor of G-sets needs one acting monoid"),
+    (lambda r, m, poly, pmod: FreeDimModule(r, m.gset, [("e", ((0,), "x"))]),
+     CarrierError, r"basis dimension \(\(0,\), 'x'\) is not a G-set point"),
+    (lambda r, m, poly, pmod: FreeDimModule(r, m.gset, [("e", ((0,), "i")), ("e", ((1,), "i"))]),
+     ConstructionError, "duplicate basis names"),
+    (lambda r, m, poly, pmod: m.element(((0,), "x"), {}), CarrierError, "is not a module dimension"),
+    (lambda r, m, poly, pmod: m.element(((0,), "i"), {"g": r.one}),
+     CarrierError, "unknown basis vector 'g'"),
+    (lambda r, m, poly, pmod: m.add(m.basis_element("e"), m.basis_element("f")),
+     DimensionMismatch, "M: undefined across dimensions"),
+    (lambda r, m, poly, pmod: TwistedLinearMap(m, m, RingMorphism.identity(r), {"e": m.basis_element("e")}),
+     ConstructionError, r"""no image for basis vectors \["'f'"\]"""),
+    (lambda r, m, poly, pmod: TwistedLinearMap.identity(m).dim_map(((0,), "j")),
+     CarrierError, "cannot transport dimension"),
+    (lambda r, m, poly, pmod: direct_sum_mod(m, FreeDimModule(r, GSet(r.dims, ("j",)), [])),
+     DimensionMismatch, "direct_sum_mod: undefined across dimensions"),
+    (lambda r, m, poly, pmod: quotient_module(
+        m, [m.element(((1,), "i"), {"e": r.element(F(1), (1,)), "f": r.one})], zero_ideal(r)),
+     ConstructionError, "multiples of single basis vectors"),
+    (lambda r, m, poly, pmod: quotient_module(
+        pmod, [pmod.element(((-1,), "i"), {"e": poly.generator("p")})], poly.monomial_ideal(["q"])),
+     ConstructionError, "submodule multiplier p on 'e' falls outside the ideal"),
+    (lambda r, m, poly, pmod: span_contains(pmod, [pmod.basis_element("e")], pmod.basis_element("e")),
+     CarrierError, "span solving needs rational slice values"),
+], ids=["tensor-of-two-monoids", "basis-off-the-gset", "duplicate-basis", "element-off-the-gset",
+        "unknown-basis-vector", "sum-across-slices", "missing-image", "transport-to-no-orbit",
+        "sum-of-two-gsets", "two-term-generator", "multiplier-outside-ideal", "span-over-polynomials"])
+def test_module_refusals(ring, rank2, canonical_ring, call, error, message):
+    """`rank2` over QxZ, and a rank-one module over Q[q, p]."""
+    graded = FreeDimModule(canonical_ring, GSet(canonical_ring.dims, ("i",)),
+                           [("e", ((0,), "i"))], "A")
+    with pytest.raises(error, match=message):
+        call(ring, rank2, canonical_ring, graded)

@@ -316,6 +316,17 @@ class TestReduction:
         with pytest.raises(CarrierError):
             poisson_reduce(canonical_poisson, ["q"], 0)
 
+    @pytest.mark.parametrize("ideal", [["q"], ["p"]])
+    def test_a_parent_whose_table_is_not_antisymmetric_is_refused(self, ideal):
+        """{q,p} = {p,q} = 1 closes on (q) and on (p), so only the parent's
+        law 2 stands between this table and a reduction."""
+        p, _ = load_poisson(Path(__file__).parent / "data" / "poisson_broken_antisymmetry.json",
+                            validate=False)
+        with pytest.raises(ConstructionError) as exc:
+            poisson_reduce(p, ideal, 6)
+        assert str(exc.value) == (
+            "parent is not Poisson: FAIL  table antisymmetry: table not antisymmetric at (q,p)")
+
 
 class TestHeterogeneousProduct:
     def test_two_canonical_factors_give_the_four_generator_bracket(self, rng):

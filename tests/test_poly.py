@@ -258,3 +258,13 @@ class TestTrustedResults:
         results += [ring.partial(f, n) for n in ring.gen_names]
         for x in results:
             self.assert_canonical(ring, x)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ring: GradedPolyRing(["q"], []), "one dimension vector per generator"),
+    (lambda ring: ring.monomial_ideal([ring.add(ring.generator("q"), ring.monomial((2, 1)))]),
+     "monomial ideal generators must be monomials"),
+], ids=["a-generator-without-dimension", "a-binomial-ideal-generator"])
+def test_poly_refusals(canonical_ring, call, message):
+    with pytest.raises(CarrierError, match=message):
+        call(canonical_ring)

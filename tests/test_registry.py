@@ -288,3 +288,11 @@ class TestRendering:
         assert format_quantity(q, si_registry) == "0.5000"
         assert unit_dims(si_registry, q.unit) == (0, 0)
         assert unit_factor(si_registry, q.unit) == 1
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"base": [], "units": []}, "registry needs at least one base dimension"),
+], ids=["no-base-dimension"])
+def test_registry_refusals(doc, message):
+    with pytest.raises(InputFormatError, match=message):
+        registry_load(doc)

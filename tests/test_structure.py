@@ -15,7 +15,7 @@ from dimalg import (
 )
 from dimalg.report import CheckReport
 from dimalg.ring import generating_set
-from dimalg.structure import structure_axiom_report
+from dimalg.structure import load_poisson, parse_poly, structure_axiom_report
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent.parent / "data" / "structures" / "product_ring_mod5_z2.json"
@@ -302,3 +302,16 @@ class TestPoissonDocuments:
         assert f == ring.poly({(2, 1): 2, (1, 0): "-1/2"})
         g = parse_poly(ring, "-3")
         assert g == ring.constant(-3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda ring: parse_poly(ring, "q^-1"),
+     CarrierError, "negative powers are only defined for constants"),
+    (lambda ring: parse_poly(ring, "q/p"),
+     CarrierError, "division is only defined by nonzero constants"),
+    (lambda ring: load_poisson({"generators": [], "bracket": {}}),
+     InputFormatError, "a Poisson description needs generators"),
+], ids=["negative-power-of-a-generator", "division-by-a-generator", "no-generators"])
+def test_structure_refusals(canonical_ring, call, error, message):
+    with pytest.raises(error, match=message):
+        call(canonical_ring)
