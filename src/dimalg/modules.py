@@ -96,6 +96,9 @@ class FreeDimModule:
         label: str = "module",
         along: "RingMorphism | None" = None,
     ):
+        if along is not None and along.codomain is not coeff_ring:
+            raise CarrierError(f"{label}: along ends in {along.codomain.label}, "
+                               f"not in the coefficient ring {coeff_ring.label}")
         self.coeff_ring = coeff_ring
         self.along = along
         self.ring = along.domain if along else coeff_ring
@@ -451,11 +454,17 @@ def bilinear_factorization(
     """
     rng = rng or random.Random(17)
     tens = tensor_mod(a, b)
-    images = {
-        (na, nb): phi(a.basis_element(na), b.basis_element(nb))
-        for na, _ in a.basis
-        for nb, _ in b.basis
-    }
+    rep = CheckReport("bilinear factorization")
+    law = "phi is bilinear and balanced"
+    try:
+        images = {
+            (na, nb): phi(a.basis_element(na), b.basis_element(nb))
+            for na, _ in a.basis
+            for nb, _ in b.basis
+        }
+    except DimensionMismatch as exc:  # phi's values clash on the basis pairs already
+        rep.check(law, False, f"dimension clash: {exc}")
+        return Checked(None, rep)
     factored = TwistedLinearMap(
         tens.module, c, RingMorphism.identity(a.coeff_ring), images, "factored"
     )
@@ -482,8 +491,7 @@ def bilinear_factorization(
         except DimensionMismatch as exc:
             return f"dimension clash: {exc}"
 
-    rep = CheckReport("bilinear factorization")
-    rep.law("phi is bilinear and balanced", draws(), factors)
+    rep.law(law, draws(), factors)
     return Checked(factored if rep.ok else None, rep)
 
 

@@ -13,10 +13,10 @@ which identity reduces which law.  Nothing here uses a random value.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from operator import add as _add
+from operator import add as _add, sub as _sub
 
 from .algebra import jacobiator
 from .errors import CarrierError, ConstructionError, DimensionMismatch, InputFormatError
@@ -29,10 +29,17 @@ from .report import CheckReport
 @dataclass(frozen=True)
 class DimPoisson:
     ring: GradedPolyRing
-    product_dim: tuple
     bracket_dim: tuple
-    scale: DimElement                  # homogeneous, dim = product_dim
-    table: dict                        # (name, name) -> structure constant
+    scale: DimElement                  # homogeneous at the product dimension
+    table: dict                        # every (name, name) -> structure constant
+
+    @property
+    def product_dim(self) -> tuple:
+        return self.scale.dim
+
+    def bracket_slice(self, d: tuple, e: tuple) -> tuple:
+        """The grading rule: {f, g} sits at b + d + e for f at d and g at e."""
+        return tuple(b + x + y for b, x, y in zip(self.bracket_dim, d, e))
 
     # -- the two multiplications ---------------------------------------
     def product(self, f: DimElement, g: DimElement) -> DimElement:
@@ -62,7 +69,7 @@ class DimPoisson:
                     dgs[j] = ring.partial(g, names[j]).value
         acc = self._terms(dfs, dgs, f.dim, g.dim)
         den = self._denominator * df_den * dg_den
-        dim = tuple(b + x + y for b, x, y in zip(self.bracket_dim, f.dim, g.dim))
+        dim = self.bracket_slice(f.dim, g.dim)
         return DimElement(tuple(sorted((a, Fraction(n, den)) for a, n in acc.items() if n)), dim)
 
     @cached_property
@@ -88,10 +95,10 @@ class DimPoisson:
                 t = self.table[(ni, nj)]
                 if i == j or not t.value:
                     continue
-                shift = tuple(d - b - x - y for d, b, x, y in zip(
-                    t.dim, self.bracket_dim, ring.gen_dims[i], ring.gen_dims[j]))
+                expect = self.bracket_slice(ring.gen_dims[i], ring.gen_dims[j])
+                shift = None if t.dim == expect else tuple(map(_sub, t.dim, expect))
                 terms = tuple((a, c.numerator * (den // c.denominator)) for a, c in t.value)
-                entries.append((i, j, shift if any(shift) else None, terms))
+                entries.append((i, j, shift, terms))
         return tuple(entries)
 
     def _terms(self, dfs: dict, dgs: dict, dim_f: tuple, dim_g: tuple) -> dict:
@@ -105,7 +112,7 @@ class DimPoisson:
             if i not in dfs or j not in dgs:
                 continue
             if shift is not None:
-                dim = tuple(b + x + y for b, x, y in zip(self.bracket_dim, dim_f, dim_g))
+                dim = self.bracket_slice(dim_f, dim_g)
                 raise DimensionMismatch(dim, tuple(map(_add, dim, shift)), self.ring.label)
             for al, ca in dfs[i]:
                 for bl, cb in dgs[j]:
@@ -133,55 +140,42 @@ def make_poisson(
     ring: GradedPolyRing,
     bracket_table: dict,
     bracket_dim=None,
-    product_dim=None,
     scale: "DimElement | None" = None,
     validate: bool = True,
 ) -> DimPoisson:
     """Assemble and (by default) validate a dimensioned Poisson algebra.
 
-    `bracket_table` maps generator-name pairs to homogeneous elements;
-    missing pairs default to zero and missing mirror entries to the
-    negated transpose.  A `product_dim` or `bracket_dim` of the wrong
-    length, or a `scale` that is missing or not at `product_dim`, is an
-    InputFormatError.  Validation runs `poisson_axiom_report`, which
-    decides every law on generators, and raises ConstructionError with
-    the first failing law and its witness.
+    `bracket_table` maps generator-name pairs to homogeneous elements.
+    The algebra holds every pair in one normal form: a missing pair is
+    the negated transpose of its mirror, or zero, and every zero entry,
+    however it came, sits at its slice b + g_i + g_j.  An omitted
+    `bracket_dim` is read off the first nonzero entry (zero when there is
+    none); one of the wrong length is an InputFormatError.  The product
+    dimension is the dimension of `scale`, which defaults to the ring's
+    one.  Validation runs `poisson_axiom_report`, which decides every law
+    on generators, and raises ConstructionError with the first failing
+    law and its witness.
     """
-    product_dim = tuple(product_dim) if product_dim is not None else (0,) * ring.rank
-    for field, dims in (("product_dim", product_dim), ("bracket_dim", bracket_dim)):
-        if dims is not None and len(dims) != ring.rank:
-            raise InputFormatError(f"{field} has {len(dims)} exponents, expected {ring.rank}")
-    if scale is None:
-        if any(product_dim):
-            raise InputFormatError("a nonzero product_dim needs a scale")
-        scale = ring.one
-    if scale.dim != product_dim:
-        raise InputFormatError(f"scale sits at {scale.dim}, not at product_dim {product_dim}")
-
-    table = dict(bracket_table)
-    if bracket_dim is None:
-        for (a, b), v in table.items():
+    if bracket_dim is not None and len(bracket_dim) != ring.rank:
+        raise InputFormatError(
+            f"bracket_dim has {len(bracket_dim)} exponents, expected {ring.rank}")
+    scale = ring.one if scale is None else scale
+    p = DimPoisson(ring, (0,) * ring.rank if bracket_dim is None else tuple(bracket_dim), scale, {})
+    dims = dict(zip(ring.gen_names, ring.gen_dims))
+    if bracket_dim is None:  # invert the grading rule at the first nonzero entry
+        for (x, y), v in bracket_table.items():
             if v.value:
-                ga = ring.gen_dims[ring.index[a]]
-                gb = ring.gen_dims[ring.index[b]]
-                bracket_dim = tuple(d - x - y for d, x, y in zip(v.dim, ga, gb))
+                offset = p.bracket_slice(dims[x], dims[y])  # g_x + g_y while b is 0
+                p = replace(p, bracket_dim=tuple(map(_sub, v.dim, offset)))
                 break
-        else:
-            bracket_dim = (0,) * ring.rank
-    bracket_dim = tuple(bracket_dim)
-
-    full = {}
-    for i, ni in enumerate(ring.gen_names):
-        for j, nj in enumerate(ring.gen_names):
-            expect = tuple(b + x + y for b, x, y in zip(
-                bracket_dim, ring.gen_dims[i], ring.gen_dims[j]))
-            if (ni, nj) in table:
-                full[(ni, nj)] = table[(ni, nj)]
-            elif (nj, ni) in table:
-                full[(ni, nj)] = ring.neg(table[(nj, ni)])
-            else:
-                full[(ni, nj)] = ring.zero(expect)
-    p = DimPoisson(ring, product_dim, bracket_dim, scale, full)
+    for ni, gi in dims.items():  # fills p.table in place
+        for nj, gj in dims.items():
+            t = bracket_table.get((ni, nj))
+            if t is None and (nj, ni) in bracket_table:
+                t = ring.neg(bracket_table[(nj, ni)])
+            if t is None or not t.value:
+                t = ring.zero(p.bracket_slice(gi, gj))
+            p.table[(ni, nj)] = t
     if validate:
         rep = poisson_axiom_report(p)
         if not rep.ok:
@@ -190,9 +184,10 @@ def make_poisson(
 
 
 def _antisymmetric(p: DimPoisson, rep: CheckReport) -> bool:
-    """Decide law 2, table antisymmetry, on generator pairs into `rep`; whether `rep` passes."""
+    """Decide law 2, table antisymmetry, on generator pairs, the diagonal
+    included, into `rep`; whether `rep` passes."""
     ring = p.ring
-    rep.law("table antisymmetry", itertools.combinations(ring.gen_names, 2),
+    rep.law("table antisymmetry", itertools.combinations_with_replacement(ring.gen_names, 2),
             lambda ni, nj: not ring.eq(p.table[(ni, nj)], ring.neg(p.table[(nj, ni)]))
             and f"table not antisymmetric at ({ni},{nj})")
     return rep.ok
@@ -201,8 +196,10 @@ def _antisymmetric(p: DimPoisson, rep: CheckReport) -> bool:
 def poisson_axiom_report(p: DimPoisson, rng=None) -> CheckReport:
     """The dimensioned-Poisson axiom suite, decided exactly on generators.
 
-    With the table placed (law 1) and antisymmetric (law 2), each law of
-    the biderivation extension reduces to generator cases:
+    With the table placed (law 1: each nonzero off-diagonal entry sits at
+    b + g_i + g_j, where `make_poisson` put every zero) and antisymmetric
+    (law 2, which makes each {x_i, x_i} zero), each law of the
+    biderivation extension reduces to generator cases:
     - the bracket extends the table (law 3), so {g, f} = -{f, g}
       everywhere: both sides are biderivations that agree on generators;
     - the Jacobiator of an antisymmetric biderivation is an alternating
@@ -221,25 +218,18 @@ def poisson_axiom_report(p: DimPoisson, rng=None) -> CheckReport:
     """
     ring = p.ring
     rep = CheckReport(f"Poisson algebra on {ring.label}")
-    show = ring.show
+    show, names, dims = ring.show, ring.gen_names, ring.gen_dims
 
-    def placed(i, j):
-        ni, nj = ring.gen_names[i], ring.gen_names[j]
-        t = p.table[(ni, nj)]
-        expect = tuple(
-            b + x + y
-            for b, x, y in zip(p.bracket_dim, ring.gen_dims[i], ring.gen_dims[j])
-        )
-        if t.dim != expect:
-            return f"dim({{{ni},{nj}}}) = {t.dim}, expected {expect}"
+    def misplaced(i, j, shift, _):
+        if shift is not None:
+            return (f"dim({{{names[i]},{names[j]}}}) = {p.table[(names[i], names[j])].dim}, "
+                    f"expected {p.bracket_slice(dims[i], dims[j])}")
 
-    rep.law("structure constants sit at b+g_i+g_j",
-            itertools.permutations(range(len(ring.gen_names)), 2), placed)
+    rep.law("structure constants sit at b+g_i+g_j", p._entries, misplaced)
     if not rep.ok:  # brackets would add terms from distinct slices
         return rep
     if not _antisymmetric(p, rep):  # generator triples would not decide Jacobi
         return rep
-    names = ring.gen_names
     gens = [ring.generator(n) for n in names]
 
     def extends(i, j):
@@ -248,8 +238,7 @@ def poisson_axiom_report(p: DimPoisson, rng=None) -> CheckReport:
             return f"{{{names[i]},{names[j]}}} = {show(br)}, the table says {show(t)}"
 
     def graded(f, g):
-        expect = tuple(b + x + y for b, x, y in zip(p.bracket_dim, f.dim, g.dim))
-        if p.bracket(f, g).dim != expect:
+        if p.bracket(f, g).dim != p.bracket_slice(f.dim, g.dim):
             return f"dim({{f,g}}) != b+dim(f)+dim(g) at {show(f)}, {show(g)}"
         expect = tuple(q + x + y for q, x, y in zip(p.product_dim, f.dim, g.dim))
         if p.product(f, g).dim != expect:
@@ -462,7 +451,7 @@ def poisson_reduce(p: DimPoisson, ideal_gens, cutoff: int, rng=None) -> ReducedP
 # ---------------------------------------------------------------------------
 
 
-def _embed(ring: GradedPolyRing, sub: GradedPolyRing, offset: int, pad, el: DimElement) -> DimElement:
+def _embed(ring: GradedPolyRing, offset: int, pad, el: DimElement) -> DimElement:
     terms = {}
     for alpha, c in el.value:
         beta = [0] * ring.nvars
@@ -483,18 +472,15 @@ def _product(a: DimPoisson, b: DimPoisson, pad_a, pad_b, bracket_dim) -> DimPois
         raise CarrierError("factor algebras must use distinct generator names")
     dims = [pad_a(d) for d in a.ring.gen_dims] + [pad_b(d) for d in b.ring.gen_dims]
     ring = GradedPolyRing(names, dims, label=f"{a.ring.label}(x){b.ring.label}")
-    ea = lambda el: _embed(ring, a.ring, 0, pad_a, el)
-    eb = lambda el: _embed(ring, b.ring, a.ring.nvars, pad_b, el)
+    ea = lambda el: _embed(ring, 0, pad_a, el)
+    eb = lambda el: _embed(ring, a.ring.nvars, pad_b, el)
     sa, sb = ea(a.scale), eb(b.scale)
     table = {}
     for x, y in itertools.permutations(a.ring.gen_names, 2):
         table[(x, y)] = ring.mul(ea(a.table[(x, y)]), sb)
     for u, v in itertools.permutations(b.ring.gen_names, 2):
         table[(u, v)] = ring.mul(sa, eb(b.table[(u, v)]))
-    scale = ring.mul(sa, sb)
-    return make_poisson(
-        ring, table, bracket_dim=bracket_dim, product_dim=scale.dim, scale=scale
-    )
+    return make_poisson(ring, table, bracket_dim=bracket_dim, scale=ring.mul(sa, sb))
 
 
 def poisson_product_hetero(a: DimPoisson, b: DimPoisson) -> DimPoisson:
@@ -520,8 +506,9 @@ def poisson_product_homo(a: DimPoisson, b: DimPoisson) -> DimPoisson:
     compatibility b+q = p+c between bracket and product dimensions."""
     if a.ring.rank != b.ring.rank:
         raise ConstructionError("homogeneous product needs one dimension group")
-    lhs = tuple(x + y for x, y in zip(a.bracket_dim, b.product_dim))
-    rhs = tuple(x + y for x, y in zip(a.product_dim, b.bracket_dim))
+    zero = (0,) * a.ring.rank
+    lhs = a.bracket_slice(b.product_dim, zero)
+    rhs = b.bracket_slice(a.product_dim, zero)
     if lhs != rhs:
         raise ConstructionError(
             f"dimension condition fails: b+q = {lhs} but p+c = {rhs}"

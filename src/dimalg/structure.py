@@ -277,7 +277,7 @@ def load_poisson(source, validate: bool = True):
             raise InputFormatError(f"bad bracket key {reprlib.repr(key)}: expected 'x,y'")
         table[(names[0], names[1])] = poly_of(text)
 
-    product_dim = typed_field(doc.get("product_dim", [0] * ring.rank), [int], "product_dim")
+    product_dim = tuple(typed_field(doc.get("product_dim", [0] * ring.rank), [int], "product_dim"))
     bracket_dim = doc.get("bracket_dim")
     if bracket_dim is not None:
         bracket_dim = typed_field(bracket_dim, [int], "bracket_dim")
@@ -288,12 +288,12 @@ def load_poisson(source, validate: bool = True):
         if name not in ring.index:
             raise InputFormatError(f"ideal names unknown generator {reprlib.repr(name)}")
 
-    poisson = make_poisson(
-        ring,
-        table,
-        bracket_dim=bracket_dim,
-        product_dim=product_dim,
-        scale=scale,
-        validate=validate,
-    )
+    if len(product_dim) != ring.rank:
+        raise InputFormatError(
+            f"product_dim has {len(product_dim)} exponents, expected {ring.rank}")
+    if scale is None and any(product_dim):
+        raise InputFormatError("a nonzero product_dim needs a scale")
+    if scale is not None and scale.dim != product_dim:
+        raise InputFormatError(f"scale sits at {scale.dim}, not at product_dim {product_dim}")
+    poisson = make_poisson(ring, table, bracket_dim=bracket_dim, scale=scale, validate=validate)
     return poisson, ideal

@@ -1,4 +1,8 @@
+import importlib.util
 import random
+import statistics
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +23,44 @@ settings.load_profile("dimalg")
 
 DATA = Path(__file__).parent / "data"
 REPO_DATA = Path(__file__).parent.parent / "data"
+HOSTSPEED = Path(__file__).resolve().parent.parent / "perfbench" / "hostspeed.py"
+
+
+def _hostspeed():
+    """perfbench/hostspeed.py, loaded read-only from its path (it imports
+    only the standard library) without writing bytecode."""
+    spec = importlib.util.spec_from_file_location("perfbench_hostspeed", HOSTSPEED)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def _kernel_ms(hostspeed) -> float:
+    """The median of five timings of the host-speed kernel, in ms."""
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        hostspeed.kernel()
+        times.append(time.perf_counter() - t0)
+    return 1000 * statistics.median(times)
+
+
+def pytest_sessionstart(session):
+    session.config.hostspeed = _hostspeed()
+    session.config.kernel_ms_at_start = _kernel_ms(session.config.hostspeed)
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    """One line beside the suite's own time: how fast the host ran it."""
+    hostspeed = config.hostspeed
+    terminalreporter.write_line(
+        f"host speed: hostspeed.kernel() took {config.kernel_ms_at_start:.1f} ms at the start "
+        f"and {_kernel_ms(hostspeed):.1f} ms at the end (median of 5; reference "
+        f"{1000 * hostspeed.REFERENCE_S:.1f} ms)")
 
 
 def product_table(n: int, m: int, rng=None) -> dict:

@@ -337,12 +337,12 @@ def test_criterion_7_poisson_suite():
         az = GradedPolyRing(["a1", "a2", "z"], [(1,), (-1,), (1,)])
         paz = make_poisson(
             az, {("a1", "a2"): az.monomial((0, 0, 2))},
-            product_dim=(1,), scale=az.generator("z"),
+            scale=az.generator("z"),
         )
         bw = GradedPolyRing(["b1", "b2", "w"], [(2,), (-2,), (1,)])
         pbw = make_poisson(
             bw, {("b1", "b2"): bw.monomial((0, 0, 4))},
-            product_dim=(3,), scale=bw.monomial((0, 0, 3)),
+            scale=bw.monomial((0, 0, 3)),
         )
         accepted = poisson_product_homo(paz, pbw)
         assert accepted.bracket_dim == (5,)

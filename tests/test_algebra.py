@@ -72,6 +72,44 @@ class TestPropertyCheck:
                            vec_add, "alternative", rng)
 
 
+def _square_left(r):
+    """M(a, b) = a·a·b: commutative in no slot, additive in the right one only."""
+    return lambda a, b: r.mul(r.mul(a, a), b)
+
+
+def _subtract(d, e):
+    return tuple(x - y for x, y in zip(d, e))
+
+
+# (suite on QxZ and its probe space, law, witness start): each candidate
+# breaks the law it is listed with
+BLACK_BOX_CONTROLS = [
+    (lambda r, s, rng: bilinear_check(s, _square_left(r), vec_add, rng),
+     "additive in the left slot", "M(a+b, c) != M(a,c)+M(b,c) at "),
+    (lambda r, s, rng: bilinear_check(s, lambda a, b: r.mul(a, r.mul(b, b)), vec_add, rng),
+     "additive in the right slot", "M(c, a+b) != M(c,a)+M(c,b) at "),
+    (lambda r, s, rng: bilinear_check(
+        s, lambda a, b: r.element(a.value * b.value, (0,)), vec_add, rng),
+     "module action moves outside", "M(r·a, s·c) != r·s·M(a,c) at "),
+    (lambda r, s, rng: property_check(s, r.mul, _subtract, "associative", rng),
+     "dimension binar prerequisite", "dimension binar not associative at "),
+    (lambda r, s, rng: property_check(s, _square_left(r), vec_add, "symmetric", rng),
+     "symmetric identity on probes", "M(a,b) != M(b,a) at "),
+    (lambda r, s, rng: property_check(s, _square_left(r), vec_add, "associative", rng),
+     "associative identity on probes", "associator nonzero at "),
+    (lambda r, s, rng: property_check(s, r.mul, vec_add, "jacobi", rng),
+     "jacobi identity on probes", "jacobiator nonzero at "),
+]
+
+
+@pytest.mark.parametrize("suite, law, witness", BLACK_BOX_CONTROLS, ids=[
+    "left-additivity", "right-additivity", "action-outside", "binar-associativity",
+    "symmetric", "associative", "jacobi"])
+def test_each_black_box_law_fails_on_a_candidate_that_breaks_it(q_x_z, rng, suite, law, witness):
+    (line,) = [r for r in suite(q_x_z, ring_probe_space(q_x_z), rng).results if r.law == law]
+    assert not line.passed and line.witness.startswith(witness)
+
+
 @pytest.fixture
 def ddq(canonical_ring):
     return DimDerivation(canonical_ring, (-1,), {"q": canonical_ring.one}, "d/dq")

@@ -413,6 +413,30 @@ class TestPoisson:
         assert r.exit_code == 2
         assert r.stderr.splitlines() == [f"error: {message}"]
 
+    def test_a_zero_entry_sits_in_every_slice(self, runner, tmp_path):
+        """"0" parses at dimension (0,), yet it is the zero of {q,r}'s
+        slice (3,) as much as a missing entry is."""
+        r = self._check(runner, tmp_path, generators=[
+            {"name": "q", "dim": [1]}, {"name": "p", "dim": [-1]}, {"name": "r", "dim": [2]}],
+            bracket_dim=[0], bracket={"q,p": "1", "q,r": "0"})
+        assert r.exit_code == 0
+        laws = r.stdout.splitlines()[1:]
+        assert len(laws) == 8 and all(line.startswith("PASS  ") for line in laws)
+
+    def test_a_nonzero_diagonal_entry_fails_antisymmetry(self, runner, tmp_path):
+        """{q,q} = -{q,q} forces the diagonal to 0; the reduction refuses the
+        table too."""
+        doc = json.loads((REPO / "poisson" / "canonical_qp.json").read_text())
+        doc["bracket"]["q,q"] = "1"
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        check = runner.invoke(main, ["poisson", "check", str(path)])
+        assert check.exit_code == 1
+        assert check.stdout.splitlines()[1:] == [
+            "PASS  structure constants sit at b+g_i+g_j",
+            "FAIL  table antisymmetry: table not antisymmetric at (q,q)"]
+        assert runner.invoke(main, ["poisson", "reduce", str(path)]).exit_code == 1
+
 
 def _set(path, value):
     """A mutation that replaces the field at `path` (keys and indices)."""

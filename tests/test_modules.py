@@ -28,6 +28,7 @@ from dimalg import (
 )
 from dimalg.carriers import Rationals
 from dimalg.endo import EndoRing
+from dimalg.group import DimElement
 from dimalg.monoid import DimMonoid
 
 
@@ -421,6 +422,16 @@ class TestPullback:
             assert a.eq(check.value(x), pulled(x))
             assert a.eq(pulled(pulled.src.act(r, x)), a.act(sgn(r), pulled(x)))
 
+    def test_a_morphism_into_another_ring_is_refused(self, rank2, canonical_ring):
+        """rank2's coefficients live in QxZ, which a morphism ending in
+        Q[q, p] cannot reach."""
+        q = ProductDimRing(Rationals(), DimMonoid.trivial(), label="Q")
+        into_poly = RingMorphism(q, canonical_ring, lambda d: (0,),
+                                 lambda a: canonical_ring.constant(a.value), "c")
+        with pytest.raises(CarrierError, match=(
+                r"^c\*M: along ends in Q\[q,p\], not in the coefficient ring QxZ$")):
+            pullback_module(into_poly, rank2)
+
 
 class TestQuotientModule:
     def test_quotient_by_everything_is_trivial(self, ring, rank2, rng):
@@ -607,6 +618,56 @@ class TestNegativeControls:
         res = bilinear_factorization(m, m, m, phi, rng)
         witness = self._failure(res.report, "phi is bilinear and balanced")
         assert witness.startswith("dimension clash: ")
+
+    def test_bilinear_clash_on_basis_pairs(self, rank2, rng):
+        """phi = addition adds e at (0,) to f at (1,): the factoring map's
+        basis images clash before any probe is drawn."""
+        res = bilinear_factorization(rank2, rank2, rank2, rank2.add, rng)
+        assert res.value is None
+        witness = self._failure(res.report, "phi is bilinear and balanced")
+        assert witness.startswith("dimension clash: M: undefined across dimensions")
+
+
+def _doubling(r):
+    """Doubles every slice's dimension and no value: not a morphism."""
+    return RingMorphism(r, r, lambda d: tuple(2 * x for x in d), lambda a: a, "twice")
+
+
+def _values(r, fn):
+    """The same dimensions, every value v replaced by fn(v)."""
+    return RingMorphism(r, r, lambda d: d, lambda a: r.element(fn(a.value), a.dim))
+
+
+def _two_orbits(r):
+    return FreeDimModule(r, GSet(r.dims, ("i", "j")), [("e", ((0,), "i")), ("f", ((0,), "j"))], "N")
+
+
+def _ident(m):
+    return {n: m.basis_element(n) for n, _ in m.basis}
+
+
+# (report on QxZ and rank2, law, witness start): each input breaks its law
+PROBED_MODULE_CONTROLS = [
+    (lambda r, m, rng: module_axiom_report(pullback_module(_doubling(r), m), rng),
+     "dim of action is the monoid action", "dim(r·a) != g·d at "),
+    (lambda r, m, rng: linear_map_check(
+        m, m, {**_ident(m), "e": DimElement((), ((0,), "x"))}, rng=rng).report,
+     "images live in the codomain", "image of 'e' has no valid dimension"),
+    (lambda r, m, rng: linear_map_check(m, _two_orbits(r), _ident(_two_orbits(r)), rng=rng).report,
+     "dimension map is twisted-equivariant", "orbit 'i' scattered across image orbits 'i' and 'j'"),
+    (lambda r, m, rng: linear_map_check(m, m, _ident(m), _values(r, lambda v: 2 * v), rng).report,
+     "linearity over the ring", "Phi(r·a) != phi(r)·Phi(a) at "),
+    (lambda r, m, rng: linear_map_check(m, m, _ident(m), _values(r, lambda v: v * v), rng).report,
+     "additive within slices", "Phi(a+b) != Phi(a)+Phi(b) at "),
+]
+
+
+@pytest.mark.parametrize("report, law, witness", PROBED_MODULE_CONTROLS, ids=[
+    "action-dimension", "image-off-the-codomain", "scattered-orbit", "linearity", "additivity"])
+def test_each_probed_module_law_fails_on_an_input_that_breaks_it(
+        ring, rank2, rng, report, law, witness):
+    (line,) = [r for r in report(ring, rank2, rng).results if r.law == law]
+    assert not line.passed and line.witness.startswith(witness)
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -20,7 +20,8 @@ from dimalg import (
     poisson_reduce,
 )
 from dimalg.algebra import jacobiator
-from dimalg.poisson import ReducedPoisson
+from dimalg.group import DimElement
+from dimalg.poisson import DimPoisson, ReducedPoisson
 from dimalg.report import CheckReport
 from dimalg.structure import load_poisson
 
@@ -327,6 +328,15 @@ class TestReduction:
         assert str(exc.value) == (
             "parent is not Poisson: FAIL  table antisymmetry: table not antisymmetric at (q,p)")
 
+    def test_a_parent_with_a_nonzero_diagonal_entry_is_refused(self):
+        """{q,q} = -{q,q} leaves no diagonal entry but 0."""
+        p, _ = load_poisson({"generators": _gens("q", 1) + _gens("p", -1),
+                             "bracket": {"q,p": "1", "q,q": "1"}}, validate=False)
+        with pytest.raises(ConstructionError) as exc:
+            poisson_reduce(p, ["q"], 6)
+        assert str(exc.value) == (
+            "parent is not Poisson: FAIL  table antisymmetry: table not antisymmetric at (q,q)")
+
 
 class TestHeterogeneousProduct:
     def test_two_canonical_factors_give_the_four_generator_bracket(self, rng):
@@ -382,8 +392,8 @@ class TestHeterogeneousProduct:
 
         pad_a = lambda d: d + (0,)
         pad_b = lambda d: (0,) + d
-        ea = lambda el: _embed(ring, a_ring, 0, pad_a, el)
-        eb = lambda el: _embed(ring, b_ring, 2, pad_b, el)
+        ea = lambda el: _embed(ring, 0, pad_a, el)
+        eb = lambda el: _embed(ring, 2, pad_b, el)
         for _ in range(15):
             a1, a2 = a_ring.sample(rng), a_ring.sample(rng)
             b1, b2 = b_ring.sample(rng), b_ring.sample(rng)
@@ -401,7 +411,6 @@ class TestHeterogeneousProduct:
         pa = make_poisson(
             a_ring,
             {("q1", "p1"): a_ring.monomial((0, 0, 2))},
-            product_dim=(1,),
             scale=a_ring.generator("z"),
         )  # product dim 1 != bracket dim 2
         b_ring = GradedPolyRing(["x"], [(1,)])
@@ -416,7 +425,6 @@ class TestHeterogeneousProduct:
         pb = make_poisson(
             b_ring,
             {("q1", "p1"): b_ring.monomial((0, 0, 2))},
-            product_dim=(1,),
             scale=b_ring.generator("z"),
         )
         with pytest.raises(ConstructionError) as exc:
@@ -441,7 +449,6 @@ class TestHomogeneousProduct:
         return make_poisson(
             ring,
             {("a1", "a2"): ring.monomial((0, 0, 2))},
-            product_dim=(1,),
             scale=ring.generator("z"),
         )
 
@@ -451,7 +458,6 @@ class TestHomogeneousProduct:
         return make_poisson(
             ring,
             {("b1", "b2"): ring.monomial((0, 0, 4))},
-            product_dim=(3,),
             scale=ring.monomial((0, 0, 3)),
         )
 
@@ -678,3 +684,53 @@ def test_product_is_the_scale_times_the_ring_product(name, unit):
     for _ in range(30):
         f, g = ring.sample(rng), ring.sample(rng)
         assert p.product(f, g) == ring.mul(p.scale, ring.mul(f, g))
+
+
+def test_every_zero_entry_sits_at_its_slice():
+    """Declared, mirrored or missing, each zero of the table is the zero
+    of its slice b + g_i + g_j; the product dimension is the scale's."""
+    p, _ = load_poisson({"generators": _gens("q", 1) + _gens("p", -1) + _gens("r", 2),
+                         "bracket": {"q,p": "1", "q,r": "0", "r,r": "0"}}, validate=False)
+    dims = dict(zip(p.ring.gen_names, p.ring.gen_dims))
+    for (x, y), t in p.table.items():
+        assert t.dim == p.bracket_slice(dims[x], dims[y])
+    assert p.product_dim == p.scale.dim == (0,)
+
+
+def _shifted(el):
+    """`el` moved one slice up."""
+    return DimElement(el.value, tuple(d + 1 for d in el.dim))
+
+
+POISSON_MUTANTS = [
+    # (owner, operation, mutant of the true value r at f, g, report, law, witness start)
+    (DimPoisson, "bracket", lambda ring, r, f, g: ring.add(r, r), poisson_axiom_report,
+     "bracket extends the table on generator pairs", "{q1,p1} = 2, the table says 1"),
+    (DimPoisson, "bracket", lambda ring, r, f, g: _shifted(r), poisson_axiom_report,
+     "dimension projections of both products", "dim({f,g}) != b+dim(f)+dim(g) at "),
+    (DimPoisson, "product", lambda ring, r, f, g: _shifted(r), poisson_axiom_report,
+     "dimension projections of both products", "dim(f*g) != p+dim(f)+dim(g) at "),
+    (DimPoisson, "product", lambda ring, r, f, g: ring.mul(f, r), poisson_axiom_report,
+     "product commutative on generator pairs", "product not commutative at "),
+    (DimPoisson, "product", lambda ring, r, f, g: ring.mul(r, r), poisson_axiom_report,
+     "product associative on generator triples", "product not associative at "),
+    (DimPoisson, "product", lambda ring, r, f, g: ring.one, lambda p: coisotrope_check(p, ["q1"]),
+     "ideal for the product", "product leaks: 1*q1 left the ideal"),
+    (ReducedPoisson, "bracket", lambda ring, r, f, g: ring.mul(r, ring.generator("q1")),
+     lambda p: poisson_reduce(p, ["q1"], 6).axiom_report(),
+     "product and bracket of low-degree basis pairs are normal forms", "bracket of "),
+]
+
+
+@pytest.mark.parametrize("owner, op, mutant, report, law, witness", POISSON_MUTANTS, ids=[
+    "bracket-off-the-table", "bracket-off-its-slice", "product-off-its-slice",
+    "product-not-commutative", "product-not-associative", "product-leaves-the-ideal",
+    "reduced-bracket-no-normal-form"])
+def test_each_poisson_law_fails_on_a_mutant(monkeypatch, owner, op, mutant, report, law, witness):
+    """canonical_4gen is built with the true operations, then `op` is
+    replaced by a mutant: `law` FAILs with a witness."""
+    p4 = canonical_4gen()
+    true_op = getattr(owner, op)
+    monkeypatch.setattr(owner, op, lambda self, f, g: mutant(self.ring, true_op(self, f, g), f, g))
+    (line,) = [r for r in report(p4).results if r.law == law and not r.passed]
+    assert line.witness.startswith(witness)

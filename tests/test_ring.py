@@ -12,6 +12,7 @@ from dimalg import (
     Line,
     PowerRing,
     ProductDimRing,
+    RingMorphism,
     dimensionless_ring,
     multiplicative_section,
     quotient_ring,
@@ -25,7 +26,7 @@ from dimalg import (
 )
 from dimalg.carriers import Rationals
 from dimalg.monoid import DimMonoid
-from dimalg.ring import _probe_triples
+from dimalg.ring import QuotientDimRing, _probe_triples
 
 
 class TestProductRing:
@@ -350,6 +351,34 @@ class TestAxiomReportNegativeControls:
         rep = ring_axiom_report(ProductDimRing(Rationals(), dims, label="QxM"))
         assert next(r for r in rep.results if r.law == "dimension monoid: associativity") \
             .line() == "FAIL  dimension monoid: associativity: monoid associativity fails at 'a','b','b'"
+
+
+def _failure(rep, law):
+    (line,) = [r for r in rep.results if r.law == law and not r.passed]
+    return line.witness
+
+
+def _refusal(build):
+    with pytest.raises(ConstructionError) as exc:
+        build()
+    return str(exc.value)
+
+
+# (the witness a broken input draws from QxZ, its start)
+PROBED_LAW_CONTROLS = [
+    (lambda r, rng: _failure(RingMorphism(r, r, lambda d: tuple(2 * x for x in d), lambda a: a,
+                                          "bad").check(rng), "dimension square commutes"),
+     "dim(bad("),
+    # identity normal forms keep the nonzero generator 1 out of its own ideal
+    (lambda r, rng: _refusal(lambda: QuotientDimRing(r, Ideal(r, (r.one,), lambda a: a), rng)),
+     "ideal law fails: "),
+]
+
+
+@pytest.mark.parametrize("call, witness", PROBED_LAW_CONTROLS,
+                         ids=["morphism-dimension-square", "ideal-absorbs-products"])
+def test_each_probed_ring_law_fails_on_an_input_that_breaks_it(q_x_z, rng, call, witness):
+    assert call(q_x_z, rng).startswith(witness)
 
 
 _NOT_A_FIELD = ProductDimRing(Rationals(), DimMonoid.map_monoid((0, 1)), label="QxMap")

@@ -120,17 +120,17 @@ SCALED_PRODUCT = make_poisson(
     _SP,
     {("a1", "a2"): _SP.monomial((0, 0, 2, 0, 0, 3)),
      ("b1", "b2"): _SP.monomial((0, 0, 1, 0, 0, 4))},
-    product_dim=(4,), scale=_SP.monomial((0, 0, 1, 0, 0, 3)), validate=False,
+    scale=_SP.monomial((0, 0, 1, 0, 0, 3)), validate=False,
 )
 
 
 def test_the_scaled_product_is_a_product_of_two_algebras():
     az = GradedPolyRing(["a1", "a2", "z"], [(1,), (-1,), (1,)])
     paz = make_poisson(az, {("a1", "a2"): az.monomial((0, 0, 2))},
-                       product_dim=(1,), scale=az.generator("z"))
+                       scale=az.generator("z"))
     bw = GradedPolyRing(["b1", "b2", "w"], [(2,), (-2,), (1,)])
     pbw = make_poisson(bw, {("b1", "b2"): bw.monomial((0, 0, 4))},
-                       product_dim=(3,), scale=bw.monomial((0, 0, 3)))
+                       scale=bw.monomial((0, 0, 3)))
     prod = poisson_product_homo(paz, pbw)
     assert prod.ring.gen_dims == _SP.gen_dims
     assert (prod.table, prod.scale, prod.bracket_dim, prod.product_dim) == (
@@ -184,7 +184,7 @@ CASIMIR_SCALED = make_poisson(
                              (0, 0, 5, 0, 0, 0): Fraction(-5, 7)}),
      ("b1", "b2"): _SP.poly({(0, 0, 1, 0, 0, 4): Fraction(1, 3),
                              (0, 0, 0, 0, 0, 5): Fraction(2, 9)})},
-    product_dim=(4,), scale=_SP.monomial((0, 0, 1, 0, 0, 3)),
+    scale=_SP.monomial((0, 0, 1, 0, 0, 3)),
 )
 
 
