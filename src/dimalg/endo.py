@@ -7,13 +7,42 @@ pairs form a non-commutative dimensioned ring: addition is the partial
 pointwise one (defined exactly when the dimension maps agree) and
 multiplication is composition, whose dimension monoid is Map(D).
 
-Both operations act slot by slot: the coefficient of a sum or a
-composition at a base point is a scalar sum or product of coefficients
-read at that point or at its image.  `endo_distributivity_report` relies
-on that form.  It decides each distributivity law on every pair of
-dimension maps with one coefficient function per factor, plus every
-probe-value coefficient triple on each constant map, rather than on
-every map pair crossed with every triple.
+Both operations act slot by slot: with A over phi and B over psi, A+B
+has the coefficient a(i) + b(i) at base point i, over phi, and A∘B has
+a(psi(i))·b(i), over phi∘psi.  So in each law a side's dimension map
+depends on no coefficient, and its coefficient at i is a scalar
+expression in coefficients read at i or at images of i under the case's
+maps.  A sweep of every map tuple with every coefficient tuple repeats
+the same scalar identities at each map tuple; `EndoRing.decided_cases`
+decides six laws of `ring_axiom_report` on two parts instead:
+
+* the dimension part: each tuple of the maps the law depends on, the
+  factors on the coefficient functions i |-> 2+3i, 3+3i and 4+3i, whose
+  values all differ and are never -1, 0 or 1 (no factor vanishes or is
+  neutral); both sides must be defined and agree, maps included;
+* the coefficient part: every tuple of constant, then of cyclic
+  coefficient functions over COEFF_PROBES, all over the constant map to
+  j, for every point j: slot i meets the values at j and at i in every
+  combination that the full sweep meets there.
+
+Law by law, with C over chi:
+
+* projection is a monoid morphism: A∘B lies over phi∘psi whatever the
+  coefficients; every pair (phi, psi), then coefficient pairs;
+* distributivity, A and B over phi: (A+B)∘C and A∘C + B∘C read a and b
+  at chi(i), C∘(A+B) and C∘A + C∘B read c at phi(i); every pair (phi,
+  chi), then coefficient triples, as in `endo_distributivity_report`;
+* zero family is absorbent: 0_d∘A and A∘0_d have the coefficients 0·a(i)
+  and a(d(i))·0; every pair (d, phi), then each coefficient function
+  over a constant map d;
+* multiplicative associativity: (A∘B)∘C and A∘(B∘C) have the coefficient
+  a(psi(chi(i)))·b(chi(i))·c(i), and their maps agree where the monoid
+  is associative (Light's test); every pair (psi, chi), A over psi, then
+  coefficient triples;
+* slices are abelian groups: the sum at i is a(i) + b(i); every map,
+  then coefficient pairs;
+* addition is undefined across slices: A + 0_e is defined iff phi = e;
+  every pair of maps phi != e.
 """
 
 import itertools
@@ -139,35 +168,45 @@ class EndoRing(DimRing):
             for c in consts + patterns
         )
 
+    def decided_cases(self, law: str):
+        """The cases that decide `law` by the slot-by-slot argument of the
+        module docstring, or None for a law it does not cover."""
+        maps = self.dims.elements()
+        pairs = itertools.product(maps, repeat=2)
+        if law == "projection is a monoid morphism":
+            return self._slot_cases(pairs, 2)
+        if law in ("distributivity where defined", "multiplicative associativity"):
+            return self._slot_cases(((phi, phi, chi) for phi, chi in pairs), 3)
+        if law == "zero family is absorbent":  # d is the first factor's map
+            return ((xs[0].dim, xs[-1]) for xs in self._slot_cases(pairs, 1))
+        if law == "slices are abelian groups":
+            return self._slot_cases(((phi, phi) for phi in maps), 2)
+        if law == "addition is undefined across slices":
+            return ((a, b.dim) for a, b in self._slot_cases(pairs, 2) if a.dim != b.dim)
+        return None
+
+    def _slot_cases(self, map_tuples, arity: int):
+        """The dimension part, each of `map_tuples` with its factors on the
+        distinct-valued coefficient functions, then the coefficient part,
+        every `arity`-tuple of probe coefficient functions on each constant map."""
+        n = len(self.points)
+        distinct = [tuple(k + 3 * i for i in range(n)) for k in (2, 3, 4)]
+        for maps in map_tuples:
+            yield tuple(map(DimElement, distinct, maps))
+        for family in _coefficient_probes(n):
+            for d in self.points:
+                const = (d,) * n
+                yield from itertools.product([DimElement(c, const) for c in family], repeat=arity)
+
     def show(self, a):
         phi = ",".join(f"{d}->{img}" for d, img in zip(self.points, a.dim))
         return f"({{{phi}}}; coeffs {a.value})"
 
 
 def endo_distributivity_report(endo: EndoRing):
-    """Both distributivity laws of the endomorphism ring, each decided from
-    a dimension part and a coefficient part.
-
-    `add` and `mul` act slot by slot.  At base point i, with F and T over
-    the map phi and P over psi, (F+T)∘P has the coefficient
-    (f(psi(i)) + t(psi(i)))·p(i) and F∘P + T∘P has f(psi(i))·p(i) +
-    t(psi(i))·p(i); P∘(F+T) and P∘F + P∘T read p at phi(i) and f, t at i.
-    So the coefficients of both sides depend on one map only (psi on the
-    left, phi on the right), and their dimension maps on no coefficient.
-    A sweep of every map pair with every coefficient triple repeats the
-    same scalar identities at each pair.  Each law is decided instead on:
-
-    * the dimension part: every pair (phi, psi), with F, T and P on the
-      coefficient functions i |-> 2+3i, 3+3i and 4+3i, whose values all
-      differ and are never -1, 0 or 1 (no factor vanishes or is neutral);
-      both sides must be defined and agree, dimension maps included;
-    * the coefficient part: every triple of constant, then of cyclic
-      coefficient functions over COEFF_PROBES, with F, T and P all over
-      the constant map to j, for every point j.  Slot i thus meets the
-      triple (f(j), t(j), p(i)) on the left and (f(i), t(i), p(j)) on
-      the right for every j, which is every triple that the full sweep
-      meets there, with j = psi(i) on the left and j = phi(i) on the
-      right.
+    """Both distributivity laws of the endomorphism ring, decided on
+    `endo.decided_cases("distributivity where defined")` (see the module
+    docstring).
 
     The slot-by-slot form is checked on its own, through `apply_to_base`
     and the base ring alone, by
@@ -176,17 +215,6 @@ def endo_distributivity_report(endo: EndoRing):
     from .report import CheckReport
 
     rep = CheckReport(f"distributivity in {endo.label}")
-    consts, patterns = _coefficient_probes(len(endo.points))
-    maps = endo.dims.elements()
-    f0, t0, p0 = (tuple(k + 3 * i for i in range(len(endo.points))) for k in (2, 3, 4))
-
-    def cases():
-        for phi, psi in itertools.product(maps, repeat=2):
-            yield DimElement(f0, phi), DimElement(t0, phi), DimElement(p0, psi)
-        for family in (consts, patterns):
-            for d in endo.points:
-                const = (d,) * len(endo.points)
-                yield from itertools.product([DimElement(c, const) for c in family], repeat=3)
 
     def law(name, identity, lhs, rhs):
         def check(f, t, p):
@@ -198,7 +226,7 @@ def endo_distributivity_report(endo: EndoRing):
                 fault = f"is undefined ({exc})"
             return f"{identity} {fault} at F={endo.show(f)}, T={endo.show(t)}, P={endo.show(p)}"
 
-        rep.law(name, cases(), check)
+        rep.law(name, endo.decided_cases("distributivity where defined"), check)
 
     add, mul = endo.add, endo.mul
     law("left distributivity", "(F+T)∘P = F∘P+T∘P",

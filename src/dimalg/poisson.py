@@ -150,11 +150,12 @@ def make_poisson(
     the negated transpose of its mirror, or zero, and every zero entry,
     however it came, sits at its slice b + g_i + g_j.  An omitted
     `bracket_dim` is read off the first nonzero entry (zero when there is
-    none); one of the wrong length is an InputFormatError.  The product
-    dimension is the dimension of `scale`, which defaults to the ring's
-    one.  Validation runs `poisson_axiom_report`, which decides every law
-    on generators, and raises ConstructionError with the first failing
-    law and its witness.
+    none); one of the wrong length is an InputFormatError, and so is a
+    key that is not a pair of generator names.  The product dimension is the
+    dimension of `scale`, which defaults to the ring's one.  Validation
+    runs `poisson_axiom_report`, which decides every law on generators,
+    and raises ConstructionError with the first failing law and its
+    witness.
     """
     if bracket_dim is not None and len(bracket_dim) != ring.rank:
         raise InputFormatError(
@@ -162,6 +163,9 @@ def make_poisson(
     scale = ring.one if scale is None else scale
     p = DimPoisson(ring, (0,) * ring.rank if bracket_dim is None else tuple(bracket_dim), scale, {})
     dims = dict(zip(ring.gen_names, ring.gen_dims))
+    for key in bracket_table:
+        if not (isinstance(key, tuple) and len(key) == 2 and key[0] in dims and key[1] in dims):
+            raise InputFormatError(f"bracket table key {key!r} is not a pair of generator names")
     if bracket_dim is None:  # invert the grading rule at the first nonzero entry
         for (x, y), v in bracket_table.items():
             if v.value:

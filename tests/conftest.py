@@ -3,6 +3,7 @@ import random
 import statistics
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from dimalg import (
 )
 from dimalg.carriers import Rationals
 from dimalg.monoid import DimMonoid
+from dimalg.report import CheckReport
 
 # Every property test draws the same examples on every run.
 settings.register_profile("dimalg", derandomize=True)
@@ -105,6 +107,25 @@ def defect_beyond_caps() -> dict:
     doc = product_table(32, 2)
     doc["mul"]["3@d1"]["5@d1"] = doc["mul"]["5@d1"]["3@d1"] = "16@d0"
     return doc
+
+
+@pytest.fixture
+def law_case_counts(monkeypatch) -> Counter:
+    """The number of cases each `CheckReport.law` consumes during the
+    test, by law name, summed over reports."""
+    counts = Counter()
+    law = CheckReport.law
+
+    def counting(rep, name, cases, check):
+        def counted():
+            for case in cases:
+                counts[name] += 1
+                yield case
+
+        law(rep, name, counted(), check)
+
+    monkeypatch.setattr(CheckReport, "law", counting)
+    return counts
 
 
 @pytest.fixture

@@ -12,10 +12,11 @@ from dimalg import (
 )
 from dimalg.algebra import ProbeSpace, bilinear_check
 from dimalg.carriers import Rationals
-from dimalg.endo import _coefficient_probes
+from dimalg.endo import COEFF_PROBES, _coefficient_probes
 from dimalg.errors import CarrierError
 from dimalg.group import DimElement
 from dimalg.monoid import DimMonoid
+from dimalg.ring import generating_set
 
 
 def endo_over_cyclic(n, cls=EndoRing):
@@ -68,6 +69,15 @@ class SquareAcrossMaps(EndoRing):
         if a.dim != b.dim:
             a = DimElement(tuple(x * x for x in a.value), a.dim)
         return super().mul(a, b)
+
+
+class WrongSlotMul(EndoRing):
+    """Reads b's coefficients through b's own map: b(psi(i)) for b(i)."""
+
+    def mul(self, a, b):
+        coeffs = tuple(a.value[self.index[b.dim[i]]] * b.value[self.index[b.dim[i]]]
+                       for i in range(len(self.points)))
+        return DimElement(coeffs, self.dims.combine(a.dim, b.dim))
 
 
 class ProductForSumEndo(EndoRing):
@@ -149,6 +159,41 @@ class TestSuites:
         rep = ring_axiom_report(endo_over_cyclic(2, UncheckedAdd), rng)
         assert [r.law for r in rep.failures] == ["addition is undefined across slices"]
         assert "across slices" in rep.failures[0].witness
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_law_runs_its_whole_decided_set(self, n, law_case_counts, rng):
+        """Every law line counts the cases of its decided set, or of Light's
+        test and the probe elements, so no line stops at a cap.  A part
+        over constant maps holds 2·n·k^arity cases: constant, then cyclic,
+        coefficient functions on each of the n constant maps."""
+        endo = endo_over_cyclic(n)
+        maps, k = n ** n, len(COEFF_PROBES)
+
+        def coefficient_part(arity):
+            return 2 * n * k ** arity
+
+        assert ring_axiom_report(endo, rng).ok
+        assert dict(law_case_counts) == {
+            "dimension monoid: associativity":
+                maps ** 2 * len(generating_set(endo.dims.elements(), endo.dims.combine)),
+            "dimension monoid: identity": maps,
+            "projection is a monoid morphism": maps ** 2 + coefficient_part(2),
+            "distributivity where defined": maps ** 2 + coefficient_part(3),
+            "zero family is absorbent": maps ** 2 + coefficient_part(1),
+            "unitality": 2 * k * maps,
+            "multiplicative associativity": maps ** 2 + coefficient_part(3),
+            "slices are abelian groups": maps + coefficient_part(2),
+            "addition is undefined across slices": maps ** 2 - maps,
+        }
+
+    @pytest.mark.parametrize("cls", [OwnMapMul, WrongSlotMul])
+    def test_axiom_report_fails_a_composition_read_through_the_wrong_map(self, cls, rng):
+        rep = ring_axiom_report(endo_over_cyclic(3, cls), rng)
+        assert "multiplicative associativity" in [r.law for r in rep.failures]
+
+    @pytest.mark.parametrize("cls", [SwappedOrderMul, SquareAcrossMaps, ProductForSumEndo])
+    def test_axiom_report_fails_each_other_broken_operation(self, cls, rng):
+        assert not ring_axiom_report(endo_over_cyclic(3, cls), rng).ok
 
     def test_exhaustive_distributivity_up_to_three_points(self, rng):
         for n in (1, 2, 3):

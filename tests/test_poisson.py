@@ -12,6 +12,7 @@ from dimalg import (
     ConstructionError,
     DimensionMismatch,
     GradedPolyRing,
+    InputFormatError,
     coisotrope_check,
     make_poisson,
     poisson_axiom_report,
@@ -22,7 +23,6 @@ from dimalg import (
 from dimalg.algebra import jacobiator
 from dimalg.group import DimElement
 from dimalg.poisson import DimPoisson, ReducedPoisson
-from dimalg.report import CheckReport
 from dimalg.structure import load_poisson
 
 small_vec = st.tuples(*[st.integers(-5, 5)] * 3)
@@ -94,6 +94,16 @@ class TestCanonicalBracket:
                 canonical_ring,
                 {("q", "p"): canonical_ring.one, ("p", "q"): canonical_ring.one},
             )
+
+    @pytest.mark.parametrize("bracket_dim", [(0,), None])
+    @pytest.mark.parametrize("key", [("q", "z"), ("q",), "qp"])
+    def test_a_key_that_is_not_a_pair_of_generator_names_is_refused(
+            self, canonical_ring, key, bracket_dim):
+        """A key is refused before anything reads it, whether the bracket
+        dimension is given or read off the table's first nonzero entry."""
+        one = canonical_ring.one
+        with pytest.raises(InputFormatError, match="is not a pair of generator names"):
+            make_poisson(canonical_ring, {key: one, ("q", "p"): one}, bracket_dim=bracket_dim)
 
 
 class TestCoisotropes:
@@ -262,22 +272,15 @@ class TestReduction:
     @pytest.mark.parametrize("cutoff, normal_form_cases, vanishing_cases",
                              [(6, 21, 30), (10, 55, 150)])
     def test_report_checks_each_symmetric_case_once(
-            self, monkeypatch, cutoff, normal_form_cases, vanishing_cases):
+            self, law_case_counts, cutoff, normal_form_cases, vanishing_cases):
         """By (q1) the low-degree basis L is the monomials in q2, p2 of
         degree at most cutoff // 3, and I_low the monomials of I up to
         that degree: the normal-form law runs on the |L|(|L|+1)/2
         unordered pairs of L and the vanishing law on the |I_low|·|L|
         pairs (x, g), one order each."""
-        counts = {}
-        law = CheckReport.law
-
-        def counting(self, name, cases, check):
-            cases = list(cases)
-            counts[name] = len(cases)
-            law(self, name, cases, check)
-
+        counts = law_case_counts
         red = poisson_reduce(canonical_4gen(), ["q1"], cutoff)
-        monkeypatch.setattr(CheckReport, "law", counting)
+        counts.clear()
         assert red.axiom_report().ok
         low = cutoff // 3
         n_low, n_ideal = math.comb(low + 2, 2), math.comb(low - 1 + 4, 4)

@@ -1,5 +1,4 @@
 import json
-from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -13,7 +12,6 @@ from dimalg import (
     load_structure,
     ring_axiom_report,
 )
-from dimalg.report import CheckReport
 from dimalg.ring import generating_set
 from dimalg.structure import load_poisson, parse_poly, structure_axiom_report
 
@@ -154,7 +152,7 @@ class TestLightsTest:
 
 
 class TestGeneratorDecidedLaws:
-    def test_case_counts_grow_as_n_squared(self, monkeypatch):
+    def test_case_counts_grow_as_n_squared(self, law_case_counts):
         """Distributivity and slice-addition associativity are decided in
         k·n² cases, so doubling a slice multiplies their counts by 4, not
         by the 8 of every triple. Associativity and commutativity are
@@ -164,18 +162,7 @@ class TestGeneratorDecidedLaws:
         squared = ("distributivity where defined", "addition associative")
         fixed = ("multiplicative associativity", "commutativity",
                  "dimension monoid: associativity")
-        counts = Counter()
-        law = CheckReport.law
-
-        def counting(rep, name, cases, check):
-            def counted():
-                for case in cases:
-                    counts[name] += 1
-                    yield case
-
-            law(rep, name, counted() if name in squared + fixed else cases, check)
-
-        monkeypatch.setattr(CheckReport, "law", counting)
+        counts = law_case_counts
 
         def cases(n):
             counts.clear()
