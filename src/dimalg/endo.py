@@ -7,56 +7,31 @@ pairs form a non-commutative dimensioned ring: addition is the partial
 pointwise one (defined exactly when the dimension maps agree) and
 multiplication is composition, whose dimension monoid is Map(D).
 
-Both operations act slot by slot: with A over phi and B over psi, A+B
-has the coefficient a(i) + b(i) at base point i, over phi, and A∘B has
-a(psi(i))·b(i), over phi∘psi.  So in each law a side's dimension map
-depends on no coefficient, and its coefficient at i is a scalar
-expression in coefficients read at i or at images of i under the case's
-maps.  A sweep of every map tuple with every coefficient tuple repeats
-the same scalar identities at each map tuple; `EndoRing.decided_cases`
-decides six laws of `ring_axiom_report` on two parts instead:
+Both operations act slot by slot (the slot rule of `ring`): with A over
+phi and B over psi, A+B has the coefficient a(i) + b(i) at base point i,
+over phi, and A∘B has a(psi(i))·b(i), over phi∘psi.  `EndoRing.slots`
+gives the rule the maps; the functions i |-> v + 3i, v in DISTINCT, whose
+values all differ and are never integers; the cyclic functions over
+COEFF_PROBES on each constant map to j, where slot i meets the values at
+j and at i in every combination a full sweep meets, and on every map for
+a law within one slice, whose slot i reads other slots only through a
+zero; and the constant ones on one constant map, which all maps read alike.
 
-* the dimension part: each tuple of the maps the law depends on, the
-  factors on the coefficient functions i |-> 2+3i, 3+3i and 4+3i, whose
-  values all differ and are never -1, 0 or 1 (no factor vanishes or is
-  neutral); both sides must be defined and agree, maps included;
-* the coefficient part: every tuple of constant, then of cyclic
-  coefficient functions over COEFF_PROBES, all over the constant map to
-  j, for every point j: slot i meets the values at j and at i in every
-  combination that the full sweep meets there.
-
-Law by law, with C over chi:
-
-* projection is a monoid morphism: A∘B lies over phi∘psi whatever the
-  coefficients; every pair (phi, psi), then coefficient pairs;
-* distributivity, A and B over phi: (A+B)∘C and A∘C + B∘C read a and b
-  at chi(i), C∘(A+B) and C∘A + C∘B read c at phi(i); every pair (phi,
-  chi), then coefficient triples, as in `endo_distributivity_report`;
-* zero family is absorbent: 0_d∘A and A∘0_d have the coefficients 0·a(i)
-  and a(d(i))·0; every pair (d, phi), then each coefficient function
-  over a constant map d;
-* multiplicative associativity: (A∘B)∘C and A∘(B∘C) have the coefficient
-  a(psi(chi(i)))·b(chi(i))·c(i), and their maps agree where the monoid
-  is associative (Light's test); every pair (psi, chi), A over psi, then
-  coefficient triples;
-* slices are abelian groups: the sum at i is a(i) + b(i); every map,
-  then coefficient pairs;
-* addition is undefined across slices: A + 0_e is defined iff phi = e;
-  every pair of maps phi != e.
+Law by law, with C over chi: A∘B lies over phi∘psi whatever the
+coefficients; (A+B)∘C reads a and b at chi(i), and C∘(A+B) reads c at
+phi(i); (A∘B)∘C and A∘(B∘C) have the coefficient
+a(psi(chi(i)))·b(chi(i))·c(i) whatever A's map, and their maps agree
+where Map(D) is associative; 0_d, 1 and A+B have the coefficients 0, 1
+and a(i) + b(i) at i; and A + 0_e is defined iff phi = e.
 """
 
-import itertools
 import random
 from fractions import Fraction
 
 from .errors import CarrierError, DimensionMapMismatch
 from .group import DimElement
 from .monoid import DimMonoid
-from .ring import DimRing, ProductDimRing
-
-
-# small integers keep the exhaustive sweeps exact and fast
-COEFF_PROBES = (-1, 0, 1, 2)
+from .ring import COEFF_PROBES, DISTINCT, DimRing, ProductDimRing, Slots, slot_cases
 
 
 def _coefficient_probes(n: int) -> tuple:
@@ -155,58 +130,23 @@ class EndoRing(DimRing):
             tuple(self.base.scalars.sample(rng) for _ in self.points), phi
         )
 
-    # -- structured probes for the axiom suite ------------------------------
-    def probe_elements(self, rng: random.Random, budget: int = 30) -> tuple:
-        """All dimension maps crossed with the constant coefficient
-        functions drawn from COEFF_PROBES, plus the cyclically-varying
-        coefficient patterns over the same value set; `rng` and `budget`
-        are unused."""
-        consts, patterns = _coefficient_probes(len(self.points))
-        return tuple(
-            DimElement(c, phi)
-            for phi in self.dims.elements()
-            for c in consts + patterns
-        )
-
-    def decided_cases(self, law: str):
-        """The cases that decide `law` by the slot-by-slot argument of the
-        module docstring, or None for a law it does not cover."""
-        maps = self.dims.elements()
-        pairs = itertools.product(maps, repeat=2)
-        if law == "projection is a monoid morphism":
-            return self._slot_cases(pairs, 2)
-        if law in ("distributivity where defined", "multiplicative associativity"):
-            return self._slot_cases(((phi, phi, chi) for phi, chi in pairs), 3)
-        if law == "zero family is absorbent":  # d is the first factor's map
-            return ((xs[0].dim, xs[-1]) for xs in self._slot_cases(pairs, 1))
-        if law == "slices are abelian groups":
-            return self._slot_cases(((phi, phi) for phi in maps), 2)
-        if law == "addition is undefined across slices":
-            return ((a, b.dim) for a, b in self._slot_cases(pairs, 2) if a.dim != b.dim)
-        return None
-
-    def _slot_cases(self, map_tuples, arity: int):
-        """The dimension part, each of `map_tuples` with its factors on the
-        distinct-valued coefficient functions, then the coefficient part,
-        every `arity`-tuple of probe coefficient functions on each constant map."""
+    def slots(self):
+        """The slot data of the module docstring."""
         n = len(self.points)
-        distinct = [tuple(k + 3 * i for i in range(n)) for k in (2, 3, 4)]
-        for maps in map_tuples:
-            yield tuple(map(DimElement, distinct, maps))
-        for family in _coefficient_probes(n):
-            for d in self.points:
-                const = (d,) * n
-                yield from itertools.product([DimElement(c, const) for c in family], repeat=arity)
+        constants = [(d,) * n for d in self.points]
+        consts, patterns = _coefficient_probes(n)
+        maps = self.dims.elements()
+        return Slots(maps, [tuple(v + 3 * i for i in range(n)) for v in DISTINCT],
+                     ((consts, constants[:1], constants[:1]), (patterns, constants, maps)))
 
     def show(self, a):
         phi = ",".join(f"{d}->{img}" for d, img in zip(self.points, a.dim))
-        return f"({{{phi}}}; coeffs {a.value})"
+        return f"({{{phi}}}; coeffs ({', '.join(map(str, a.value))}))"
 
 
 def endo_distributivity_report(endo: EndoRing):
-    """Both distributivity laws of the endomorphism ring, decided on
-    `endo.decided_cases("distributivity where defined")` (see the module
-    docstring).
+    """Both distributivity laws of the endomorphism ring, decided on the
+    slot rule's cases for `ring_axiom_report`'s (module docstring).
 
     The slot-by-slot form is checked on its own, through `apply_to_base`
     and the base ring alone, by
@@ -215,6 +155,7 @@ def endo_distributivity_report(endo: EndoRing):
     from .report import CheckReport
 
     rep = CheckReport(f"distributivity in {endo.label}")
+    slots = endo.slots()
 
     def law(name, identity, lhs, rhs):
         def check(f, t, p):
@@ -226,7 +167,7 @@ def endo_distributivity_report(endo: EndoRing):
                 fault = f"is undefined ({exc})"
             return f"{identity} {fault} at F={endo.show(f)}, T={endo.show(t)}, P={endo.show(p)}"
 
-        rep.law(name, endo.decided_cases("distributivity where defined"), check)
+        rep.law(name, slot_cases(slots, "distributivity where defined"), check)
 
     add, mul = endo.add, endo.mul
     law("left distributivity", "(F+T)∘P = F∘P+T∘P",

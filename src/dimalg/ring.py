@@ -6,6 +6,21 @@ distributivity holding wherever the partial addition is defined and the
 zero family acting absorbently.  Fields additionally have reciprocals
 for every nonzero element, which forces the dimension monoid to be a
 group.
+
+The slot rule.  In a product ring Q x D a sum's or a product's value
+and dimension combine apart; in an endomorphism ring (`endo`) the
+coefficient at base point i reads the factors' at i or at images of i.
+So in each law a side's dimension depends on no value, and its value at
+a slot is one scalar expression in the factors' values, the same at
+every dimension tuple.  `slot_cases` decides a law from the ring's
+`slots()`: on each tuple of slot dimensions it depends on (`SLOT_LAWS`),
+each factor on its own signed non-integer; then on every tuple of each
+probe family's values at each dimension the family names for the law,
+by whether it lies within one slice.  Over Q a side has degree at most 2
+in each value, so that grid of COEFF_PROBES decides it; its -1/2 catches
+an operation exact on integers.  The rule takes the ring's own
+slot-by-slot add and mul for granted: a subclass whose add or mul reads
+the dimension is probed by these cases, not decided.
 """
 
 # Unevaluated annotations: an evaluated `Callable[...]` of a dimalg class sits in
@@ -16,7 +31,8 @@ import itertools
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable
+from fractions import Fraction
+from typing import Any, Callable, NamedTuple
 
 from .carriers import Rationals
 from .errors import CarrierError, ConstructionError, DimensionMapMismatch, DimensionMismatch
@@ -70,9 +86,8 @@ class DimRing(ABC):
         """Every element, when the ring lists them; None otherwise."""
         return None
 
-    def decided_cases(self, law: str):
-        """The cases that decide `ring_axiom_report`'s law `law` on this ring,
-        where an argument reduces it to a finite set; None otherwise."""
+    def slots(self) -> Slots | None:
+        """The slot rule's data (module docstring), or None: the default."""
         return None
 
     def additive_generators(self, d) -> list:
@@ -127,6 +142,44 @@ class DimRing(ABC):
 
     def show(self, a: DimElement) -> str:
         return str(a)
+
+
+class Slots(NamedTuple):
+    dims: tuple  # the slot dimensions
+    distinct: tuple  # one value per factor, at every slot dimension
+    families: tuple  # (values, dimensions, dimensions within one slice) per family
+
+
+# The slot rule's table, per law: its slot-dimension tuples, bare place, one-slice flag
+SLOT_LAWS = {
+    "projection is a monoid morphism": (lambda ds: itertools.product(ds, repeat=2), None, False),
+    "distributivity where defined": (lambda ds: ((d, d, e) for d in ds for e in ds), None, False),
+    "zero family is absorbent": (lambda ds: itertools.product(ds, repeat=2), 0, True),
+    "unitality": (lambda ds: zip(ds), None, True),
+    "multiplicative associativity": (lambda ds: ((d, d, e) for d in ds for e in ds), None, False),
+    "commutativity": (lambda ds: itertools.product(ds, repeat=2), None, False),
+    "slices are abelian groups": (lambda ds: zip(ds, ds), None, True),
+    "addition is undefined across slices":
+        (lambda ds: ((d, e) for d in ds for e in ds if d != e), 1, False),
+}
+COEFF_PROBES = (-1, 0, 1, 2, Fraction(-1, 2))
+DISTINCT = (Fraction(-3, 2), Fraction(5, 3), Fraction(-7, 4))
+
+
+def slot_cases(slots: Slots, law: str):
+    """`ring_axiom_report`'s cases for `law` by the slot rule (module docstring)."""
+    tuples, bare, one_slice = SLOT_LAWS[law]
+
+    def case(ds, values):
+        values = iter(values)
+        return tuple(d if i == bare else DimElement(next(values), d) for i, d in enumerate(ds))
+
+    yield from (case(ds, slots.distinct) for ds in tuples(slots.dims))
+    for family, at, one_slice_at in slots.families:
+        at = one_slice_at if one_slice else at
+        for ds in itertools.chain.from_iterable(tuples((d,)) for d in at):
+            arity = len(ds) - (bare is not None)
+            yield from (case(ds, vs) for vs in itertools.product(family, repeat=arity))
 
 
 # the rationals carrier is also the scalar ring Q.  The older name's last user
@@ -185,6 +238,13 @@ class ProductDimRing(DimRing):
     def sample(self, rng, dim=None):
         d = self.sample_dim(rng) if dim is None else dim
         return DimElement(self.scalars.sample(rng), d)
+
+    def slots(self):
+        """Over Q: DISTINCT, then COEFF_PROBES at the identity or in every slice."""
+        if not isinstance(self.scalars, Rationals):
+            return None
+        dims = self.probe_dims()
+        return Slots(dims, DISTINCT, ((COEFF_PROBES, (self.dims.identity,), dims),))
 
 
 # ---------------------------------------------------------------------------
@@ -649,16 +709,16 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
       over a generating set of the product, and commutativity to every
       pair.
 
-    Any other ring is probed on `ring.probe_elements(rng, budget)`, each
-    law but that monoid associativity up to a fixed number of cases,
-    except where `ring.decided_cases(law)` gives the set that decides the
-    law, as `EndoRing`'s does: that set runs uncapped, on the same check.
+    A ring with `slots()` runs every other law uncapped on its `slot_cases`;
+    any other ring is probed on `ring.probe_elements(rng, budget)`, each
+    law but that monoid associativity up to a fixed number of cases.
     """
     rep = CheckReport(f"dimensioned ring {ring.label}")
     elems = ring.elements()
     listed = elems is not None
-    if not listed:
-        elems = ring.probe_elements(rng or random.Random(20240229), budget)
+    slots = ring.slots()
+    if not listed:  # a slot ring's laws run on its decided cases alone
+        elems = () if slots else ring.probe_elements(rng or random.Random(20240229), budget)
     slices = {}
     for a in elems:
         slices.setdefault(a.dim, []).append(a)
@@ -670,9 +730,8 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     comb, show = ring.dims.combine, ring.show
 
     def law(name, cap, cases, check):
-        decided = ring.decided_cases(name)
-        if decided is not None:
-            cases = decided
+        if slots and name in SLOT_LAWS:
+            cases = slot_cases(slots, name)
         elif not listed:
             cases = itertools.islice(cases, cap)
         rep.law(name, cases, check)
@@ -732,9 +791,9 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     law("zero family is absorbent", 4000, itertools.product(dims, elems), absorbent)
 
     one = ring.one
-    rep.law("unitality", zip(elems),
-            lambda a: not (ring.eq(ring.mul(one, a), a) and ring.eq(ring.mul(a, one), a))
-            and f"unit law fails at {show(a)}")
+    law("unitality", None, zip(elems),
+        lambda a: not (ring.eq(ring.mul(one, a), a) and ring.eq(ring.mul(a, one), a))
+        and f"unit law fails at {show(a)}")
 
     # otherwise a listed ring's middle factor runs over Light's generators
     mid = spanning if multilinear else generating_set(elems, ring.mul) if listed else elems

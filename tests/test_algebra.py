@@ -6,6 +6,7 @@ from dimalg import (
     CarrierError,
     ConstructionError,
     DimDerivation,
+    GradedPolyRing,
     bilinear_check,
     dimensionless_restriction,
     property_check,
@@ -162,6 +163,11 @@ class TestCommutators:
             canonical_ring, (-1,), {"q": canonical_ring.neg(canonical_ring.one)}
         )
         assert c.eq(minus)
+
+    def test_commutator_across_two_rings_is_refused(self, ddq):
+        other = GradedPolyRing(["q", "p"], [(1,), (-1,)])
+        with pytest.raises(CarrierError, match="commutator needs one carrier ring"):
+            ddq.commutator(DimDerivation(other, (1,), {"p": other.one}, "d/dp"))
 
     def test_self_commutator_vanishes(self, ddq):
         assert ddq.commutator(ddq).is_zero()

@@ -1,8 +1,11 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
 
+from conftest import PROBE_CAPS
+from dimalg import ring as ring_module
 from dimalg import (
     DimensionMapMismatch,
     EndoRing,
@@ -88,6 +91,61 @@ class ProductForSumEndo(EndoRing):
         return DimElement(tuple(x * y for x, y in zip(a.value, b.value)), total.dim)
 
 
+class FloorEndo(EndoRing):
+    """Composes, then floors each coefficient: exact on integers only."""
+
+    def mul(self, a, b):
+        out = super().mul(a, b)
+        return DimElement(tuple(F(math.floor(c)) for c in out.value), out.dim)
+
+
+class ThresholdMapMul(EndoRing):
+    """Composes the maps only where a's first coefficient is negative: a sum
+    of two compositions can then meet two maps."""
+
+    def mul(self, a, b):
+        out = super().mul(a, b)
+        return out if a.value[0] < 0 else DimElement(out.value, a.dim)
+
+
+class FloorOffConstantMaps(EndoRing):
+    """Composes, then floors each coefficient unless b's map is constant."""
+
+    def mul(self, a, b):
+        out = super().mul(a, b)
+        if len(set(b.dim)) == 1:
+            return out
+        return DimElement(tuple(F(math.floor(c)) for c in out.value), out.dim)
+
+
+class FloorSumProduct(ProductDimRing):
+    """Q x Z/2 whose sums round negative non-integers down in the slices
+    `floored`."""
+
+    floored = (0, 1)
+
+    def add(self, a, b):
+        s = super().add(a, b)
+        if s.value < 0 and s.dim in self.floored:
+            return DimElement(F(math.floor(s.value)), s.dim)
+        return s
+
+
+class FloorSliceOneSum(FloorSumProduct):
+    """Rounds down in slice 1 alone, away from the identity slice."""
+
+    floored = (1,)
+
+
+class OddEvenDoubledProduct(ProductDimRing):
+    """Q x Z/2 whose product doubles only when a lies over 1 and b over 0:
+    no cocycle twist, so not a ring."""
+
+    def mul(self, a, b):
+        out = super().mul(a, b)
+        return DimElement(2 * out.value, out.dim) if (a.dim, b.dim) == (1, 0) else out
+
+
 class TestComposition:
     def test_hand_composed_example(self, endo2):
         # oracle by hand: composing with the swap relabels the coefficients
@@ -163,14 +221,18 @@ class TestSuites:
     @pytest.mark.parametrize("n", [2, 3])
     def test_each_law_runs_its_whole_decided_set(self, n, law_case_counts, rng):
         """Every law line counts the cases of its decided set, or of Light's
-        test and the probe elements, so no line stops at a cap.  A part
-        over constant maps holds 2·n·k^arity cases: constant, then cyclic,
-        coefficient functions on each of the n constant maps."""
+        test and the probe dimensions, so no line stops at a cap.  A
+        coefficient part holds (n+1)·k^arity cases: the constant
+        coefficient functions on one constant map, then the cyclic ones on
+        each of the n, or on every map for a law within one slice."""
         endo = endo_over_cyclic(n)
         maps, k = n ** n, len(COEFF_PROBES)
 
         def coefficient_part(arity):
-            return 2 * n * k ** arity
+            return (n + 1) * k ** arity
+
+        def every_map(arity):
+            return (1 + maps) * k ** arity
 
         assert ring_axiom_report(endo, rng).ok
         assert dict(law_case_counts) == {
@@ -179,12 +241,13 @@ class TestSuites:
             "dimension monoid: identity": maps,
             "projection is a monoid morphism": maps ** 2 + coefficient_part(2),
             "distributivity where defined": maps ** 2 + coefficient_part(3),
-            "zero family is absorbent": maps ** 2 + coefficient_part(1),
-            "unitality": 2 * k * maps,
+            "zero family is absorbent": maps ** 2 + every_map(1),
+            "unitality": maps + every_map(1),
             "multiplicative associativity": maps ** 2 + coefficient_part(3),
-            "slices are abelian groups": maps + coefficient_part(2),
+            "slices are abelian groups": maps + every_map(2),
             "addition is undefined across slices": maps ** 2 - maps,
         }
+        assert not PROBE_CAPS & set(law_case_counts.values())
 
     @pytest.mark.parametrize("cls", [OwnMapMul, WrongSlotMul])
     def test_axiom_report_fails_a_composition_read_through_the_wrong_map(self, cls, rng):
@@ -213,6 +276,11 @@ class TestSuites:
         # only pairs of different maps break linearity: the map-pair part catches it
         rep = endo_distributivity_report(endo_over_cyclic(n, SquareAcrossMaps))
         assert [r.law for r in rep.failures] == ["left distributivity"]
+
+    def test_distributivity_report_names_a_sum_it_cannot_form(self):
+        rep = endo_distributivity_report(endo_over_cyclic(2, ThresholdMapMul))
+        assert "(F+T)∘P = F∘P+T∘P is undefined (endomorphism addition needs equal" \
+            in rep.failures[0].witness
 
     def test_needs_finite_dimension_set(self, q_x_z):
         with pytest.raises(CarrierError):
@@ -268,3 +336,39 @@ class TestModuleStructure:
             probes=25,
         )
         assert rep.ok, rep.failures
+
+
+class TestRationalProbes:
+    """The slot rule's coefficient part runs over Q: its -1/2 catches an
+    operation exact on integers only, which integer probes pass."""
+
+    @pytest.mark.parametrize("cls", [FloorEndo, FloorOffConstantMaps])
+    def test_both_reports_fail_a_composition_that_floors(self, cls, rng):
+        """The coefficient part's constant maps never meet FloorOffConstantMaps's
+        floor: the dimension part's non-integer coefficients must."""
+        endo = endo_over_cyclic(3, cls)
+        failed = [r.law for r in ring_axiom_report(endo, rng).failures]
+        assert "multiplicative associativity" in failed
+        assert not endo_distributivity_report(endo).ok
+
+    @pytest.mark.parametrize("cls", [FloorSumProduct, FloorSliceOneSum])
+    def test_both_parts_fail_a_sum_that_floors(self, cls, monkeypatch, rng):
+        """The signed distinct values catch the floor in the dimension part;
+        with positive ones, that part forms no negative sum, and the grid's
+        -1/2 must catch it alone: in slice 1, that is the slice-group law,
+        which runs the grid in every slice."""
+        ring = cls(Rationals(), DimMonoid.cyclic(2))
+        assert "slices are abelian groups" in [r.law for r in ring_axiom_report(ring, rng).failures]
+        monkeypatch.setattr(ring_module, "DISTINCT", (F(3, 2), F(5, 3), F(7, 4)))
+        rep = ring_axiom_report(ring, rng)
+        assert rep.failures
+        assert all("-1/2 @ " in r.witness for r in rep.failures)
+        if cls is FloorSliceOneSum:
+            assert [r.law for r in rep.failures] == ["slices are abelian groups"]
+            assert "-1/2 @ 1" in rep.failures[0].witness
+
+    def test_dimension_part_fails_a_product_doubled_between_slices(self, rng):
+        rep = ring_axiom_report(OddEvenDoubledProduct(Rationals(), DimMonoid.cyclic(2)), rng)
+        assert rep.failures
+        # the product differs from Q x Z/2's only where a lies over 1
+        assert all(" @ 1" in r.witness for r in rep.failures)

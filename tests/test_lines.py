@@ -8,14 +8,17 @@ from dimalg import (
     Line,
     PowerRing,
     ProductDimRing,
+    RingMorphism,
     functoriality_check,
     line_unit_to_section,
     power_functor,
     ring_axiom_report,
     units_trivialization,
 )
+from dimalg import lines
 from dimalg.carriers import Rationals
 from dimalg.errors import CarrierError
+from dimalg.group import DimElement
 from dimalg.monoid import DimMonoid
 
 
@@ -138,6 +141,22 @@ class TestFunctoriality:
         c = Factor(Line("B"), Line("C"), F(3))
         assert functoriality_check(b, c).ok
 
+    def test_report_fails_a_power_that_is_not_multiplicative(self, monkeypatch):
+        """A power acting by scalar**|n| keeps the composition and identity
+        laws, but not the product across exponents of opposite sign."""
+        real = lines.power_functor
+
+        def absolute_power(factor):
+            f = real(factor)
+            return RingMorphism(f.domain, f.codomain, f.dim_map, lambda a: DimElement(
+                a.value * factor.scalar ** abs(a.dim[0]), a.dim), f.label)
+
+        monkeypatch.setattr(lines, "power_functor", absolute_power)
+        rep = functoriality_check(Factor(Line("A"), Line("B"), F(2)),
+                                  Factor(Line("B"), Line("C"), F(3)))
+        assert [r.law for r in rep.failures] == ["preserves the tensor multiplication"]
+        assert rep.failures[0].witness.startswith("B^power not multiplicative at ")
+
     def test_identity_factor(self, rng):
         line = Line("A")
         ident = power_functor(Factor.identity(line))
@@ -195,9 +214,12 @@ class TestMultiLineEmbedding:
 @pytest.mark.parametrize("call, message", [
     (lambda r: Factor(Line("L"), Line("M"), F(2)).compose(Factor(Line("L"), Line("M"), F(3))),
      "factors do not compose"),
+    (lambda r: functoriality_check(Factor(Line("L"), Line("M"), F(2)),
+                                   Factor(Line("L"), Line("M"), F(3))),
+     "factors do not compose"),
     (lambda r: PowerRing(()), "at least one line"),
     (lambda r: r.element(1, (1, 2)), r"bad exponent vector \(1, 2\)"),
-], ids=["compose-unmatched-factors", "no-lines", "bad-exponent-vector"])
+], ids=["compose-unmatched-factors", "check-unmatched-factors", "no-lines", "bad-exponent-vector"])
 def test_lines_refusals(one_line, call, message):
     with pytest.raises(CarrierError, match=message):
         call(one_line)

@@ -48,6 +48,14 @@ class OffByOne(ProductDimRing):
         return self.element(total.value + 1, total.dim)
 
 
+class DoubledProduct(ProductDimRing):
+    """Doubles every product: 1 is no longer neutral."""
+
+    def mul(self, a, b):
+        out = super().mul(a, b)
+        return self.element(2 * out.value, out.dim)
+
+
 @pytest.fixture
 def ring():
     return ProductDimRing(Rationals(), DimMonoid.free_abelian(1), label="QxZ")
@@ -584,6 +592,14 @@ class TestNegativeControls:
         bad = RingMorphism(ring, ring, lambda d: d, lambda a: ring.element(fn(a.value), a.dim))
         rep = module_axiom_report(pullback_module(bad, rank2), rng)
         assert self._failure(rep, law).startswith(witness)
+
+    def test_round_trip_over_a_ring_whose_unit_is_not_neutral(self, ring):
+        """The bijection's round trips rest on the coefficient ring's unit law."""
+        doubled = DoubledProduct(Rationals(), ring.dims, label="QxZ·2")
+        m = self._rank_one(doubled)
+        w = rig_distributivity_witness(m, m, m)
+        assert [r.law for r in w.report.failures] == ["both round trips fix every basis vector"]
+        assert w.report.failures[0].witness.startswith("round trip moved ")
 
     def test_bilinear_balance(self, rng):
         """Over the non-commutative Endo ring, (r·a)·b != a·(r·b)."""

@@ -9,6 +9,22 @@ from dimalg import DimensionMismatch, GradedPolyRing, make_poisson, ring_axiom_r
 from dimalg.errors import CarrierError
 
 
+class SkewSumPoly(GradedPolyRing):
+    """Q[q, p] whose dimensionless sums gain (a·b)(a+b): still commutative,
+    with 0 and -a, but no longer associative."""
+
+    def add(self, a, b):
+        s = super().add(a, b)
+        return s if any(a.dim) else super().add(s, self.mul(self.mul(a, b), s))
+
+
+class SelfNegPoly(GradedPolyRing):
+    """Q[q, p] whose negation returns its argument."""
+
+    def neg(self, a):
+        return a
+
+
 class TestConstruction:
     def test_monomial_dimension_is_weighted_sum(self, canonical_ring):
         assert canonical_ring.monomial_dim((2, 1)) == (1,)
@@ -50,6 +66,17 @@ class TestArithmetic:
 
     def test_ring_axioms(self, canonical_ring, rng):
         assert ring_axiom_report(canonical_ring, rng).ok
+
+    @pytest.mark.parametrize("cls, budget, witness", [
+        # two distinct summands of one slice come only from the samples
+        (SkewSumPoly, 30, "(a+b)+b != a+(b+b) at "),
+        # the ring's one, probed first, shows it without samples
+        (SelfNegPoly, 0, "a+(-a) != 0 at 1"),
+    ], ids=["non-associative-sum", "self-negation"])
+    def test_probed_slice_group_law_names_its_broken_axiom(self, cls, budget, witness, rng):
+        rep = ring_axiom_report(cls(["q", "p"], [(1,), (-1,)]), rng, budget)
+        (line,) = [r for r in rep.failures if r.law == "slices are abelian groups"]
+        assert line.witness.startswith(witness)
 
     def test_power_matches_repeated_multiplication(self, canonical_ring, rng):
         ring = canonical_ring

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import PROBE_CAPS
 from dimalg import (
     CarrierError,
     ConstructionError,
@@ -26,7 +27,14 @@ from dimalg import (
 )
 from dimalg.carriers import Rationals
 from dimalg.monoid import DimMonoid
-from dimalg.ring import QuotientDimRing, _probe_triples
+from dimalg.ring import COEFF_PROBES, QuotientDimRing, _probe_triples, generating_set
+
+# the three product rings of acceptance criterion 2
+CRITERION_2_PRODUCTS = (
+    ProductDimRing(Rationals(), DimMonoid.free_abelian(1), label="QxZ"),
+    ProductDimRing(Rationals(), DimMonoid.cyclic(2), label="QxZ/2"),
+    PowerRing((Line("length"), Line("time"))),
+)
 
 
 class TestProductRing:
@@ -75,6 +83,31 @@ class TestProductRing:
         assert ring_axiom_report(q_x_z, rng).ok
         assert ring_axiom_report(q_x_z2, rng).ok
 
+    @pytest.mark.parametrize("ring", CRITERION_2_PRODUCTS, ids=lambda r: r.label)
+    def test_each_law_runs_its_whole_decided_set(self, ring, law_case_counts, rng):
+        """Every law runs the slot rule's cases, uncapped: each tuple of the
+        D probe dimensions it depends on, then every tuple of the k probe
+        values in the identity slice, k^arity cases, or in each of the D
+        slices for a law within one slice."""
+        dims, k = ring.probe_dims(), len(COEFF_PROBES)
+        d = len(dims)
+        closed = ring.dims.elements() == dims
+        assert ring_axiom_report(ring, rng).ok
+        assert dict(law_case_counts) == {
+            "dimension monoid: associativity":
+                d ** 2 * len(generating_set(dims, ring.dims.combine)) if closed else d ** 3,
+            "dimension monoid: identity": d,
+            "projection is a monoid morphism": d ** 2 + k ** 2,
+            "distributivity where defined": d ** 2 + k ** 3,
+            "zero family is absorbent": d ** 2 + d * k,
+            "unitality": d + d * k,
+            "multiplicative associativity": d ** 2 + k ** 3,
+            "commutativity": d ** 2 + k ** 2,
+            "slices are abelian groups": d + d * k ** 2,
+            "addition is undefined across slices": d ** 2 - d,
+        }
+        assert not PROBE_CAPS & set(law_case_counts.values())
+
 
 class TestDimensionlessRing:
     def test_product_ring_view_is_the_scalar_field(self, q_x_z, rng):
@@ -85,6 +118,13 @@ class TestDimensionlessRing:
         assert view.add(F(2), F(3)) == 5
         assert view.one() == 1 and view.zero() == 0
         assert view.reciprocal(F(4)) == F(1, 4)
+
+    def test_a_product_over_the_view_is_probed(self, q_x_z, rng):
+        """No slot rule covers a product over a view: its laws run on samples."""
+        u = multiplicative_section(q_x_z, {0: q_x_z.element(F(2), (1,))})
+        product = units_trivialization(q_x_z, u).product
+        assert product.slots() is None and q_x_z.slots() is not None
+        assert ring_axiom_report(product, rng, budget=6).ok
 
     def test_morphism_restriction_is_a_ring_morphism(self, q_x_z, rng):
         """Restricting a dimensioned-ring morphism to the identity slice
@@ -122,6 +162,12 @@ class TestQuotientRing:
         c = ring.sample(rng)
         d = ring.sample(rng, dim=c.dim)
         assert ring.eq(q.project(ring.add(c, d)), q.add(q.project(c), q.project(d)))
+
+    def test_axiom_report_probes_a_quotient(self, canonical_ring, rng):
+        """No slot rule covers a quotient ring: its laws run on samples."""
+        q = quotient_ring(canonical_ring, canonical_ring.monomial_ideal(["q"]), rng)
+        assert q.slots() is None
+        assert ring_axiom_report(q, rng, budget=8).ok
 
     def test_normal_form_drops_divisible_monomials(self, canonical_ring):
         ring = canonical_ring

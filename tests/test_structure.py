@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -270,6 +271,14 @@ class TestPoissonDocuments:
         rep = poisson_axiom_report(p)
         assert not rep.ok
         assert any("antisymmet" in r.law for r in rep.failures)
+
+    def test_a_negative_power_of_a_constant_is_its_reciprocal_power(self):
+        p, _ = load_poisson({
+            "generators": [{"name": "q", "dim": [1]}, {"name": "p", "dim": [-1]}],
+            "bracket": {"q,p": "2^-3"},
+        })
+        ring = p.ring
+        assert p.bracket(ring.generator("q"), ring.generator("p")) == ring.constant(Fraction(1, 8))
 
     def test_unknown_generator_in_ideal(self):
         with pytest.raises(InputFormatError):
