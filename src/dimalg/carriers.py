@@ -5,131 +5,19 @@ carriers -- is a presentation Q^r + Z^f + Z/n_1 + ... on its generators
 (`orders`, `coords`, `from_coords`), on which the group operations are
 written once.  Additive slice maps are stored as generator images; their
 kernels, quotients and tensor products are read off the presentations
-through one reduction, the Smith normal form over Z.
+through one reduction, the Smith normal form over Z.  The `Carrier`
+base and `Rationals` are defined in `core` and re-exported here.
 """
 
 import functools
 import itertools
 import math
-import operator
-import random
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .core import Carrier, Rationals, _units
 from .errors import CarrierError
-from .sampling import rand_fraction
-
-
-def _units(k):
-    return [tuple(int(i == j) for j in range(k)) for i in range(k)]
-
-
-class Carrier(ABC):
-    """An abelian group that can serve as a dimension slice, presented on
-    its generators."""
-
-    @abstractmethod
-    def orders(self) -> tuple:
-        """Per generator: None when its coefficient ranges over Q, 0 over
-        Z, and n over Z/n."""
-
-    @abstractmethod
-    def coords(self, v) -> tuple:
-        """The coefficients of v on `generators()`."""
-
-    @abstractmethod
-    def from_coords(self, c):
-        """The element with coefficients c, each reduced by its order."""
-
-    @abstractmethod
-    def contains(self, v) -> bool: ...
-
-    def zero(self):
-        return self.from_coords((0,) * len(self.orders()))
-
-    def add(self, a, b):
-        return self.from_coords(tuple(map(operator.add, self.coords(a), self.coords(b))))
-
-    def neg(self, a):
-        return self.from_coords(tuple(-x for x in self.coords(a)))
-
-    def int_mul(self, n, v):
-        """n·v; n may be rational where the coefficients it meets are
-        rational or 0."""
-        c = self.coords(v)
-        if n % 1 and any(x for x, m in zip(c, self.orders()) if m is not None):
-            raise CarrierError(f"{n}·{v!r}: a non-integer multiple in {self}")
-        return self.from_coords(tuple(n * x for x in c))
-
-    def generators(self) -> tuple:
-        """A spanning set: an additive map is determined by its values here."""
-        return tuple(map(self.from_coords, _units(len(self.orders()))))
-
-    def elements(self):
-        """All elements when finite, else None."""
-        orders = self.orders()
-        if not all(orders):
-            return None
-        return tuple(map(self.from_coords, itertools.product(*map(range, orders))))
-
-    def sample(self, rng: random.Random):
-        """One draw per generator, in generator order."""
-        return self.from_coords(tuple(
-            rand_fraction(rng) if n is None else rng.randrange(n) if n else rng.randint(-3, 3)
-            for n in self.orders()
-        ))
-
-    def require(self, v):
-        if not self.contains(v):
-            raise CarrierError(f"{v!r} is not an element of {self}")
-
-
-@dataclass(frozen=True)
-class Rationals(Carrier):
-    """The group Q, and with `mul`, `one`, `reciprocal` the scalar field Q."""
-
-    is_field = True
-
-    def orders(self):
-        return (None,)
-
-    def coords(self, v):
-        return (v,)
-
-    def from_coords(self, c):
-        return Fraction(c[0])
-
-    # the scalar ring's operations, written out: they are on every hot path
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def reciprocal(self, a):
-        if a == 0:
-            raise ZeroDivisionError("reciprocal of zero")
-        return Fraction(1) / a
-
-    def contains(self, v):
-        return isinstance(v, (Fraction, int))
-
-    def sample(self, rng):
-        return rand_fraction(rng)
-
-    def __str__(self):
-        return "Q"
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 axiom or dimension failure, 2 input error.
 Each command imports the layers it runs: start-up loads only the
-calculator (`registry` and what it builds on).
+calculator (`registry`, `core` and what they build on), no law suite.
 """
 
 import sys

@@ -5,7 +5,7 @@ by a dimension set: a ring's dimension monoid, or a plain finite set
 (`FiniteDims`) for a group given slice by slice.  Addition is defined
 exactly within a slice and raises DimensionMismatch across slices --
 that partiality is the whole point and the only addition this library
-ever performs.
+ever performs.  `DimElement` is defined in `core` and re-exported here.
 """
 
 # Unevaluated annotations: an evaluated `Callable[...]` of a dimalg class sits in
@@ -21,19 +21,9 @@ from typing import Any, Callable
 from . import carriers
 from .carriers import (Carrier, FormalSums, Pairs, SliceMap, SliceQuotient, SliceSubgroup,
                        identity_map, quotient_slice, tensor_carrier, zero_map)
+from .core import DimElement
 from .errors import CarrierError, DimensionMapMismatch, DimensionMismatch
 from .monoid import DimMonoid
-
-
-@dataclass(frozen=True)
-class DimElement:
-    """A value tagged with its dimension; the atom of every dimensioned structure."""
-
-    value: Any
-    dim: Any
-
-    def __str__(self):
-        return f"{self.value} @ {self.dim}"
 
 
 class FiniteDims(tuple):

@@ -10,94 +10,15 @@ factor, which the functoriality suite checks.
 Coordinate conventions: the dual reference basis pairs to 1, so the
 tensor multiplication multiplies coordinates and adds exponent vectors,
 and the power of a factor with scalar b acts on exponent n by b**n.
+`Line`, `Factor` and `PowerRing` are defined in `core` and re-exported here.
 """
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .carriers import Rationals
+from .core import DimElement, Factor, Line, PowerRing
 from .errors import CarrierError
-from .group import DimElement
-from .monoid import DimMonoid
 from .report import Checked, CheckReport
-from .ring import ProductDimRing, RingMorphism, multiplicative_section, unit_section_check
-from .sampling import rand_nonzero_fraction
-
-
-@dataclass(frozen=True)
-class Line:
-    """A 1-dimensional rational vector space, identified by name only."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class Factor:
-    """An invertible linear map between lines: a unit-free conversion factor.
-
-    `scalar` is the coordinate of the image of the source reference basis.
-    """
-
-    src: Line
-    dst: Line
-    scalar: Fraction
-
-    def __post_init__(self):
-        if self.scalar == 0:
-            raise CarrierError("a factor must be invertible (nonzero)")
-
-    def compose(self, other: "Factor") -> "Factor":
-        """self after other."""
-        if other.dst != self.src:
-            raise CarrierError("factors do not compose")
-        return Factor(other.src, self.dst, self.scalar * other.scalar)
-
-    @staticmethod
-    def identity(line: Line) -> "Factor":
-        return Factor(line, line, Fraction(1))
-
-
-class PowerRing(ProductDimRing):
-    """All tensor powers of an ordered system of lines: a dimensioned field
-    over the exponent group Z^k.  Relative to the reference bases it is
-    the product ring Q x Z^k, whose operations it inherits.
-
-    Element encoding: value = rational coordinate, dim = exponent vector.
-    """
-
-    def __init__(self, lines):
-        self.lines = tuple(lines)
-        if not self.lines:
-            raise CarrierError("a power ring needs at least one line")
-        label = f"({','.join(l.name for l in self.lines)})^power"
-        super().__init__(Rationals(), DimMonoid.free_abelian(len(self.lines)), label)
-
-    @property
-    def rank(self) -> int:
-        return len(self.lines)
-
-    def element(self, coord, exps) -> DimElement:
-        exps = tuple(exps)
-        if not self.dims.contains(exps):
-            raise CarrierError(f"bad exponent vector {exps!r}")
-        return DimElement(Fraction(coord), exps)
-
-    def scalar(self, coord) -> DimElement:
-        """An element of the scalar slice (all exponents zero)."""
-        return self.element(coord, (0,) * self.rank)
-
-    # tensor multiplication in coordinates: the six even/odd/mixed power
-    # cases all reduce to coordinate product + exponent sum under the
-    # pairing normalization
-    odot = ProductDimRing.mul
-
-    def sample_nonzero(self, rng: random.Random, dim=None):
-        d = self.sample_dim(rng) if dim is None else tuple(dim)
-        return DimElement(rand_nonzero_fraction(rng), d)
-
-    def show(self, a):
-        return f"{a.value}·[{','.join(map(str, a.dim))}]"
+from .ring import RingMorphism, multiplicative_section, unit_section_check
 
 
 def power_functor(factor: Factor) -> RingMorphism:

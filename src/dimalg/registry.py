@@ -13,10 +13,9 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .core import DimElement, Line, PowerRing
 from .errors import DimensionMismatch, InputFormatError, load_json, require_bits, typed_field
 from .exprparse import MAX_LITERAL_DIGITS, SYMBOL, eval_tree, parse_quantity_expr
-from .group import DimElement
-from .lines import Line, PowerRing
 from .numfmt import format_rational, fraction_str
 
 

@@ -21,6 +21,9 @@ in each value, so that grid of COEFF_PROBES decides it; its -1/2 catches
 an operation exact on integers.  The rule takes the ring's own
 slot-by-slot add and mul for granted: a subclass whose add or mul reads
 the dimension is probed by these cases, not decided.
+
+The `DimRing` base, `Slots` and `ProductDimRing` are defined in `core`
+and re-exported here.
 """
 
 # Unevaluated annotations: an evaluated `Callable[...]` of a dimalg class sits in
@@ -29,125 +32,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
-from .carriers import Rationals
+from .core import DimElement, DimRing, ProductDimRing, Rationals, Slots
 from .errors import CarrierError, ConstructionError, DimensionMapMismatch, DimensionMismatch
-from .group import DimElement
-from .monoid import DimMonoid
 from .report import Checked, CheckReport
-
-
-class DimRing(ABC):
-    """Protocol every concrete dimensioned ring implements.
-
-    Elements are DimElement values; `value` encodings are ring-specific.
-    `dims` is the dimension monoid.
-    """
-
-    dims: DimMonoid
-    commutative: bool = True
-    is_field: bool = False
-    label: str = "ring"
-    unit_candidate: dict | None = None  # dimension -> element, a unit section to check
-
-    # -- additive structure (partial) -----------------------------------
-    @abstractmethod
-    def add(self, a: DimElement, b: DimElement) -> DimElement: ...
-
-    @abstractmethod
-    def neg(self, a: DimElement) -> DimElement: ...
-
-    @abstractmethod
-    def zero(self, d) -> DimElement: ...
-
-    # -- multiplicative structure (total) -------------------------------
-    @abstractmethod
-    def mul(self, a: DimElement, b: DimElement) -> DimElement: ...
-
-    @property
-    @abstractmethod
-    def one(self) -> DimElement: ...
-
-    # -- probing ---------------------------------------------------------
-    @abstractmethod
-    def sample(self, rng: random.Random, dim=None) -> DimElement: ...
-
-    def sample_dim(self, rng: random.Random):
-        return self.dims.sample(rng)
-
-    def probe_dims(self) -> tuple:
-        return self.dims.probe_words(2)
-
-    def elements(self):
-        """Every element, when the ring lists them; None otherwise."""
-        return None
-
-    def slots(self) -> Slots | None:
-        """The slot rule's data (module docstring), or None: the default."""
-        return None
-
-    def additive_generators(self, d) -> list:
-        """A greedy generating set of the listed slice over `d` under `add`,
-        which must be closed; found once per ring, for the laws decided on it."""
-        memo = getattr(self, "_additive_generators", None)
-        if memo is None:
-            memo = self._additive_generators = {}
-        if d not in memo:
-            memo[d] = generating_set([a for a in self.elements() if a.dim == d], self.add)
-        return memo[d]
-
-    def probe_elements(self, rng: random.Random, budget: int = 30) -> tuple:
-        """The elements the axiom suite quantifies over: `budget` samples,
-        then `one`, then the zero of the first element's slice."""
-        elems = [self.sample(rng) for _ in range(budget)]
-        elems.append(self.one)
-        elems.append(self.zero(elems[0].dim))
-        return tuple(elems)
-
-    # -- derived ----------------------------------------------------------
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def eq(self, a: DimElement, b: DimElement) -> bool:
-        return a.dim == b.dim and a.value == b.value
-
-    def is_zero(self, a: DimElement) -> bool:
-        return self.eq(a, self.zero(a.dim))
-
-    def reciprocal(self, a: DimElement) -> DimElement:
-        raise CarrierError(f"{self.label} has no reciprocals")
-
-    def is_unit(self, a: DimElement) -> bool:
-        try:
-            self.reciprocal(a)
-            return True
-        except (CarrierError, ZeroDivisionError, DimensionMismatch):
-            return False
-
-    def pow(self, a: DimElement, n: int) -> DimElement:
-        if n < 0:
-            return self.pow(self.reciprocal(a), -n)
-        out = self.one
-        while n:  # square-and-multiply: O(log n) products
-            if n & 1:
-                out = self.mul(out, a)
-            n >>= 1
-            if n:
-                a = self.mul(a, a)
-        return out
-
-    def show(self, a: DimElement) -> str:
-        return str(a)
-
-
-class Slots(NamedTuple):
-    dims: tuple  # the slot dimensions
-    distinct: tuple  # one value per factor, at every slot dimension
-    families: tuple  # (values, dimensions, dimensions within one slice) per family
 
 
 # The slot rule's table, per law: its slot-dimension tuples, bare place, one-slice flag
@@ -185,66 +76,6 @@ def slot_cases(slots: Slots, law: str):
 # the rationals carrier is also the scalar ring Q.  The older name's last user
 # is perfbench/workloads.py:312; it goes with ROADMAP item 1's benchmark change.
 RationalScalars = Rationals
-
-
-class ProductDimRing(DimRing):
-    """The product of an ordinary ring with a dimension monoid.
-
-    Elements are (value, dimension) pairs: addition is slice-wise in the
-    value, multiplication multiplies values and combines dimensions.
-    `scalars` is the ordinary ring of values, `Rationals` or a
-    `DimlessRingView`: it has `add`, `neg`, `mul`, `zero()`, `one()`,
-    `sample(rng)`, `reciprocal` and `is_field`.
-    """
-
-    def __init__(self, scalars, monoid: DimMonoid, label: str = ""):
-        self.scalars = scalars
-        self.dims = monoid
-        self.is_field = scalars.is_field and monoid.is_group
-        self.label = label or f"{scalars}x{monoid.kind}"
-
-    def element(self, value, dim) -> DimElement:
-        if not self.dims.contains(dim):
-            raise CarrierError(f"unknown dimension {dim!r}")
-        return DimElement(value, dim)
-
-    def add(self, a, b):
-        if a.dim != b.dim:
-            raise DimensionMismatch(a.dim, b.dim, self.label)
-        return DimElement(self.scalars.add(a.value, b.value), a.dim)
-
-    def neg(self, a):
-        return DimElement(self.scalars.neg(a.value), a.dim)
-
-    def zero(self, d):
-        return DimElement(self.scalars.zero(), d)
-
-    def mul(self, a, b):
-        return DimElement(
-            self.scalars.mul(a.value, b.value), self.dims.combine(a.dim, b.dim)
-        )
-
-    @property
-    def one(self):
-        return DimElement(self.scalars.one(), self.dims.identity)
-
-    def reciprocal(self, a):
-        if not self.is_field:
-            raise CarrierError(f"{self.label} is not a dimensioned field")
-        return DimElement(
-            self.scalars.reciprocal(a.value), self.dims.inverse(a.dim)
-        )
-
-    def sample(self, rng, dim=None):
-        d = self.sample_dim(rng) if dim is None else dim
-        return DimElement(self.scalars.sample(rng), d)
-
-    def slots(self):
-        """Over Q: DISTINCT, then COEFF_PROBES at the identity or in every slice."""
-        if not isinstance(self.scalars, Rationals):
-            return None
-        dims = self.probe_dims()
-        return Slots(dims, DISTINCT, ((COEFF_PROBES, (self.dims.identity,), dims),))
 
 
 # ---------------------------------------------------------------------------

@@ -593,7 +593,8 @@ def test_no_command_draws_a_random_value(runner, monkeypatch, args):
 
 SRC = Path(__file__).parent.parent / "src"
 CALCULATOR_ONLY = {"dimalg.poisson", "dimalg.structure", "dimalg.poly", "dimalg.algebra",
-                   "dimalg.modules", "dimalg.endo"}
+                   "dimalg.modules", "dimalg.endo", "dimalg.ring", "dimalg.carriers",
+                   "dimalg.group", "dimalg.lines", "dimalg.report", "dimalg.linalg"}
 NO_POISSON = {"dimalg.poisson", "dimalg.algebra", "dimalg.modules"}
 FOOTPRINT = """
 import json, sys
@@ -613,8 +614,10 @@ print(json.dumps([bare, code, sorted(m for m in sys.modules if m.startswith("dim
     (["eval", "300 cm^3 / (2.2 L/min)", "--to", "s", "--registry", REGISTRY], 0, CALCULATOR_ONLY),
     (["convert", "300 cm^3", "L", "--registry", REGISTRY], 0, CALCULATOR_ONLY),
     (["eval", "1 +", "--registry", REGISTRY], 2, CALCULATOR_ONLY),
+    (["eval", "1 m + 1 s", "--registry", REGISTRY], 1, CALCULATOR_ONLY),
+    (["registry", "validate", REGISTRY], 0, CALCULATOR_ONLY),
     (["check", str(REPO / "structures" / "product_ring_mod5_z2.json")], 0, NO_POISSON),
-], ids=["eval", "convert", "syntax-error", "check"])
+], ids=["eval", "convert", "syntax-error", "dimension-mismatch", "registry-validate", "check"])
 def test_a_fresh_command_loads_only_its_layers(args, code, unloaded):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *args], env=env,
@@ -624,6 +627,28 @@ def test_a_fresh_command_loads_only_its_layers(args, code, unloaded):
     assert exit_code == code, proc.stderr
     assert "dimalg.registry" in loaded
     assert not unloaded & set(loaded)
+
+
+@pytest.mark.parametrize("module, name", [
+    ("group", "DimElement"), ("carriers", "Carrier"), ("carriers", "Rationals"),
+    ("ring", "DimRing"), ("ring", "Slots"), ("ring", "ProductDimRing"),
+    ("lines", "Line"), ("lines", "Factor"), ("lines", "PowerRing"),
+])
+def test_each_calculator_class_has_one_definition(module, name):
+    from dimalg import core
+
+    assert getattr(importlib.import_module(f"dimalg.{module}"), name) is getattr(core, name)
+
+
+def test_quantity_arithmetic_is_the_product_rings_own():
+    """The registry adds and multiplies with `ProductDimRing`'s operations:
+    no second arithmetic."""
+    from dimalg.registry import registry_load
+    from dimalg.ring import ProductDimRing
+
+    ring = registry_load(REGISTRY).ring
+    assert ring.add.__func__ is ProductDimRing.add
+    assert ring.mul.__func__ is ProductDimRing.mul
 
 
 def test_every_public_name_resolves_to_its_module():
