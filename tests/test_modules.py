@@ -22,6 +22,7 @@ from dimalg import (
     pullback_module,
     quotient_module,
     rig_distributivity_witness,
+    ring_axiom_report,
     span_contains,
     tensor_mod,
     zero_ideal,
@@ -30,6 +31,7 @@ from dimalg.carriers import Rationals
 from dimalg.endo import EndoRing
 from dimalg.group import DimElement
 from dimalg.monoid import DimMonoid
+from mutants import DifferentHalvesAddOne, DoubledProduct, OffByOne, ZeroTimesTwoIsOne
 
 
 def sign_morphism(s):
@@ -38,22 +40,6 @@ def sign_morphism(s):
     return RingMorphism(
         s, s, lambda d: d, lambda a: s.element((-1) ** a.dim * a.value, a.dim), "sgn"
     )
-
-
-class OffByOne(ProductDimRing):
-    """Slice addition plus one: the product no longer distributes."""
-
-    def add(self, a, b):
-        total = super().add(a, b)
-        return self.element(total.value + 1, total.dim)
-
-
-class DoubledProduct(ProductDimRing):
-    """Doubles every product: 1 is no longer neutral."""
-
-    def mul(self, a, b):
-        out = super().mul(a, b)
-        return self.element(2 * out.value, out.dim)
 
 
 @pytest.fixture
@@ -105,6 +91,68 @@ class TestModuleBasics:
                 ((0,), "i"),
                 {"e": ring.one, "f": ring.one},
             )
+
+
+class NoDraws:
+    """An rng whose every method raises: a report handed it must draw nothing."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from rng.{name}")
+
+
+def _rank_one_over(mutant):
+    r = mutant(Rationals(), DimMonoid.free_abelian(1), label=mutant.__name__)
+    return r, FreeDimModule(r, GSet(r.dims, ("i",)), [("e", ((0,), "i"))], "M")
+
+
+class TestModuleLawsAreRingLaws:
+    """Each module law restates a coefficient-ring law on one basis vector:
+    decided over a slot ring, probed over any other; a pullback's and a
+    map's report end with their morphism's check."""
+
+    def test_a_slot_ring_decides_without_drawing(self, rank2):
+        decided = module_axiom_report(rank2, NoDraws())
+        assert decided.ok and decided.lines() == module_axiom_report(rank2).lines()
+
+    @pytest.mark.parametrize("mutant", [ZeroTimesTwoIsOne, DifferentHalvesAddOne])
+    def test_mutants_beyond_random_probes_fail_both_distributive_laws(self, mutant):
+        rep = module_axiom_report(_rank_one_over(mutant)[1])
+        failures = {f.law: f.witness for f in rep.failures}
+        assert failures["r(a+b) = ra + rb"].startswith("r(a+b) != ra+rb at ")
+        assert failures["(r+p)a = ra + pa"].startswith("(r+p)a != ra+pa at ")
+
+    @pytest.mark.parametrize("mutant", [ZeroTimesTwoIsOne, DifferentHalvesAddOne])
+    def test_the_ring_suite_fails_the_same_coefficient_rings(self, mutant):
+        rep = ring_axiom_report(_rank_one_over(mutant)[0])
+        (line,) = [r for r in rep.results if r.law == "distributivity where defined"]
+        assert not line.passed and line.witness
+
+    def test_a_module_over_a_polynomial_ring_is_probed(self, rng):
+        ring = GradedPolyRing(["q", "p"], [(1,), (-1,)])
+        m = FreeDimModule(ring, GSet(ring.dims, ("i",)), [("e", ((0,), "i"))], "A")
+        assert module_axiom_report(m, rng).ok
+        with pytest.raises(AssertionError, match="drew from rng"):
+            module_axiom_report(m, NoDraws())
+
+    def test_the_zero_module_passes_every_law(self, ring, gset, rank2):
+        zero = FreeDimModule(ring, gset, [], "0")
+        rep = module_axiom_report(zero)
+        assert rep.ok and len(rep.results) == 4
+        for dst in (zero, rank2):
+            check = linear_map_check(zero, dst, {})
+            assert check.ok and check.value is not None
+
+    def test_a_pullback_and_a_map_end_with_their_morphisms_check(self, ring, rank2, rng):
+        q = ProductDimRing(Rationals(), DimMonoid.trivial(), label="Q")
+        incl = RingMorphism(q, ring, lambda d: (0,), lambda a: ring.element(a.value, (0,)), "incl")
+        morphism_laws = [r.law for r in incl.check(rng).results]
+        rep = module_axiom_report(pullback_module(incl, rank2), rng)
+        assert [r.law for r in rep.results] == [
+            "r(a+b) = ra + rb", "(r+p)a = ra + pa", "(rq)a = r(qa)", "1·a = a", *morphism_laws]
+        check = linear_map_check(rank2, rank2, _ident(rank2))
+        assert [r.law for r in check.report.results] == [
+            "images keyed by the basis names", "images live in the codomain",
+            "dimension map is twisted-equivariant", *morphism_laws]
 
 
 class TestLinearMaps:
@@ -585,8 +633,8 @@ class TestNegativeControls:
         assert witness.startswith("r(a+b) != ra+rb at ")
 
     @pytest.mark.parametrize("fn, law, witness", [
-        (lambda v: v * v, "(r+p)a = ra + pa", "(r+p)a != ra+pa at "),
-        (lambda v: 2 * v, "(rq)a = r(qa)", "(rq)a != r(qa) at "),
+        (lambda v: v * v, "additive within slices", "additivity fails at "),
+        (lambda v: 2 * v, "multiplicative", "multiplicativity fails at "),
     ], ids=["non-additive", "non-multiplicative"])
     def test_pullback_along_a_map_that_is_no_morphism(self, ring, rank2, rng, fn, law, witness):
         bad = RingMorphism(ring, ring, lambda d: d, lambda a: ring.element(fn(a.value), a.dim))
@@ -665,16 +713,16 @@ def _ident(m):
 # (report on QxZ and rank2, law, witness start): each input breaks its law
 PROBED_MODULE_CONTROLS = [
     (lambda r, m, rng: module_axiom_report(pullback_module(_doubling(r), m), rng),
-     "dim of action is the monoid action", "dim(r·a) != g·d at "),
+     "dimension square commutes", "dim(twice("),
     (lambda r, m, rng: linear_map_check(
         m, m, {**_ident(m), "e": DimElement((), ((0,), "x"))}, rng=rng).report,
      "images live in the codomain", "image of 'e' has no valid dimension"),
     (lambda r, m, rng: linear_map_check(m, _two_orbits(r), _ident(_two_orbits(r)), rng=rng).report,
      "dimension map is twisted-equivariant", "orbit 'i' scattered across image orbits 'i' and 'j'"),
     (lambda r, m, rng: linear_map_check(m, m, _ident(m), _values(r, lambda v: 2 * v), rng).report,
-     "linearity over the ring", "Phi(r·a) != phi(r)·Phi(a) at "),
+     "multiplicative", "multiplicativity fails at "),
     (lambda r, m, rng: linear_map_check(m, m, _ident(m), _values(r, lambda v: v * v), rng).report,
-     "additive within slices", "Phi(a+b) != Phi(a)+Phi(b) at "),
+     "additive within slices", "additivity fails at "),
 ]
 
 
@@ -691,6 +739,8 @@ def test_each_probed_module_law_fails_on_an_input_that_breaks_it(
      CarrierError, "tensor of G-sets needs one acting monoid"),
     (lambda r, m, poly, pmod: FreeDimModule(r, m.gset, [("e", ((0,), "x"))]),
      CarrierError, r"basis dimension \(\(0,\), 'x'\) is not a G-set point"),
+    (lambda r, m, poly, pmod: FreeDimModule(r, GSet(DimMonoid.cyclic(2), ("i",)), [], "C"),
+     CarrierError, r"^C: G-set over DimMonoid\(cyclic, 2 elements\), not DimMonoid\(free_abelian, "),
     (lambda r, m, poly, pmod: FreeDimModule(r, m.gset, [("e", ((0,), "i")), ("e", ((1,), "i"))]),
      ConstructionError, "duplicate basis names"),
     (lambda r, m, poly, pmod: m.element(((0,), "x"), {}), CarrierError, "is not a module dimension"),
@@ -712,9 +762,10 @@ def test_each_probed_module_law_fails_on_an_input_that_breaks_it(
      ConstructionError, "submodule multiplier p on 'e' falls outside the ideal"),
     (lambda r, m, poly, pmod: span_contains(pmod, [pmod.basis_element("e")], pmod.basis_element("e")),
      CarrierError, "span solving needs rational slice values"),
-], ids=["tensor-of-two-monoids", "basis-off-the-gset", "duplicate-basis", "element-off-the-gset",
-        "unknown-basis-vector", "sum-across-slices", "missing-image", "transport-to-no-orbit",
-        "sum-of-two-gsets", "two-term-generator", "multiplier-outside-ideal", "span-over-polynomials"])
+], ids=["tensor-of-two-monoids", "basis-off-the-gset", "gset-over-another-monoid",
+        "duplicate-basis", "element-off-the-gset", "unknown-basis-vector", "sum-across-slices",
+        "missing-image", "transport-to-no-orbit", "sum-of-two-gsets", "two-term-generator",
+        "multiplier-outside-ideal", "span-over-polynomials"])
 def test_module_refusals(ring, rank2, canonical_ring, call, error, message):
     """`rank2` over QxZ, and a rank-one module over Q[q, p]."""
     graded = FreeDimModule(canonical_ring, GSet(canonical_ring.dims, ("i",)),
