@@ -451,6 +451,8 @@ def bilinear_factorization(
     `phi` on basis pairs; it exists exactly when `phi` is bilinear and
     balanced over the ring, which is validated on probes with witnesses.
     """
+    if not (a.basis and b.basis):  # a map out of the zero module has no dimension map
+        raise ConstructionError(f"cannot factor through {a.label} ⊗ {b.label}: a factor has an empty basis")
     rng = rng or random.Random(17)
     tens = tensor_mod(a, b)
     rep = CheckReport("bilinear factorization")

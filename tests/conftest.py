@@ -1,10 +1,13 @@
 import importlib.util
+import io
 import random
 import statistics
 import sys
 import time
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -16,6 +19,7 @@ from dimalg import (
     registry_load,
 )
 from dimalg.carriers import Rationals
+from dimalg.cli import main
 from dimalg.monoid import DimMonoid
 from dimalg.report import CheckReport
 
@@ -65,6 +69,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         f"host speed: hostspeed.kernel() took {config.kernel_ms_at_start:.1f} ms at the start "
         f"and {_kernel_ms(hostspeed):.1f} ms at the end (median of 5; reference "
         f"{1000 * hostspeed.REFERENCE_S:.1f} ms)")
+
+
+def run_cli(args):
+    """Run `dimalg` on `args` in process. The result has the exit code,
+    stdout, stderr, `output` (stdout then stderr), and the exception that
+    ended the run with its `exc_info`: a SystemExit of a nonzero code, an
+    escaped error (exit code 1), or None."""
+    out, err = io.StringIO(), io.StringIO()
+    code, exception, exc_info = 0, None, None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            main(args=list(args), prog_name="dimalg")
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+            exception, exc_info = (exc, sys.exc_info()) if code else (None, None)
+        except Exception as exc:
+            code, exception, exc_info = 1, exc, sys.exc_info()
+    stdout, stderr = out.getvalue(), err.getvalue()
+    return SimpleNamespace(exit_code=code, stdout=stdout, stderr=stderr, output=stdout + stderr,
+                           exception=exception, exc_info=exc_info)
 
 
 def product_table(n: int, m: int, rng=None) -> dict:

@@ -14,8 +14,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import run_cli
 from dimalg import (
     ConstructionError,
     EndoRing,
@@ -46,7 +46,6 @@ from dimalg import (
     units_trivialization,
 )
 from dimalg.carriers import Rationals
-from dimalg.cli import main
 from dimalg.monoid import DimMonoid
 from dimalg.sampling import rand_nonzero_fraction
 
@@ -72,14 +71,13 @@ def criterion(number: int, title: str, bound_s: float | None = None):
 
 def test_criterion_1_worked_example_end_to_end():
     with criterion(1, "worked example: combined flow and fill time", bound_s=1.0):
-        runner = CliRunner()
         registry = str(REPO / "data" / "registries" / "si_demo.json")
 
-        r = runner.invoke(main, ["eval", "2.2 L/min + 2.1 L/min", "--registry", registry])
+        r = run_cli(["eval", "2.2 L/min + 2.1 L/min", "--registry", registry])
         assert r.exit_code == 0
         assert r.output.strip() == "4.300 L/min"
 
-        r = runner.invoke(main, [
+        r = run_cli([
             "eval", "300 cm^3 / (2.2 L/min + 2.1 L/min)",
             "--registry", registry, "--to", "s",
         ])
@@ -354,7 +352,6 @@ def test_criterion_7_poisson_suite():
 
 def test_criterion_8_negative_controls():
     with criterion(8, "mutated fixtures are rejected with witnesses, exit 1"):
-        runner = CliRunner()
         fixtures = {
             "broken_associativity.json": "associativity",
             "broken_absorbency.json": "absorbent",
@@ -366,10 +363,10 @@ def test_criterion_8_negative_controls():
             failing = [l for l in lines if l.startswith("FAIL") and needle in l]
             assert failing, f"{name}: no witnessed failure mentioning {needle!r}"
 
-            r = runner.invoke(main, ["check", str(DATA / name)])
+            r = run_cli(["check", str(DATA / name)])
             assert r.exit_code == 1
 
-        r = runner.invoke(main, [
+        r = run_cli([
             "poisson", "check", str(DATA / "poisson_broken_antisymmetry.json")
         ])
         assert r.exit_code == 1

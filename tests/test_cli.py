@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import math
 import os
@@ -11,8 +12,8 @@ from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import run_cli
 from dimalg.cli import main
 from dimalg.errors import (
     MAX_POLY_TERMS,
@@ -27,83 +28,78 @@ REPO = Path(__file__).parent.parent / "data"
 REGISTRY = str(REPO / "registries" / "si_demo.json")
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
 class TestEval:
-    def test_combined_flow(self, runner):
-        r = runner.invoke(main, ["eval", "2.2 L/min + 2.1 L/min", "--registry", REGISTRY])
+    def test_combined_flow(self):
+        r = run_cli(["eval", "2.2 L/min + 2.1 L/min", "--registry", REGISTRY])
         assert r.exit_code == 0
         assert r.output.strip() == "4.300 L/min"
 
-    def test_eval_with_conversion(self, runner):
-        r = runner.invoke(main, [
+    def test_eval_with_conversion(self):
+        r = run_cli([
             "eval", "300 cm^3 / (2.2 L/min + 2.1 L/min)",
             "--registry", REGISTRY, "--to", "s",
         ])
         assert r.exit_code == 0
         assert r.output.strip() == "4.186 s"
 
-    def test_exact_flag(self, runner):
-        r = runner.invoke(main, [
+    def test_exact_flag(self):
+        r = run_cli([
             "eval", "300 cm^3 / (2.2 L/min + 2.1 L/min)",
             "--registry", REGISTRY, "--to", "min", "--exact",
         ])
         assert r.output.strip() == "3/43 min"
 
-    def test_digits_flag(self, runner):
-        r = runner.invoke(main, [
+    def test_digits_flag(self):
+        r = run_cli([
             "eval", "300 cm^3 / (2.2 L/min + 2.1 L/min)",
             "--registry", REGISTRY, "--to", "min", "--digits", "2",
         ])
         assert r.output.strip() == "0.070 min"
 
-    def test_dimension_mismatch_exits_1(self, runner):
-        r = runner.invoke(main, ["eval", "1 m + 1 s", "--registry", REGISTRY])
+    def test_dimension_mismatch_exits_1(self):
+        r = run_cli(["eval", "1 m + 1 s", "--registry", REGISTRY])
         assert r.exit_code == 1
         assert "length" in r.output and "time" in r.output
 
-    def test_syntax_error_exits_2(self, runner):
-        r = runner.invoke(main, ["eval", "1 +", "--registry", REGISTRY])
+    def test_syntax_error_exits_2(self):
+        r = run_cli(["eval", "1 +", "--registry", REGISTRY])
         assert r.exit_code == 2
 
-    def test_huge_exponent_exits_2_at_once(self, runner):
+    def test_huge_exponent_exits_2_at_once(self):
         start = time.perf_counter()
-        r = runner.invoke(main, ["eval", "2^99999999 m", "--registry", REGISTRY])
+        r = run_cli(["eval", "2^99999999 m", "--registry", REGISTRY])
         assert time.perf_counter() - start < 1.0
         assert r.exit_code == 2
         lines = r.stderr.splitlines()
         assert lines == ["error: exponent is beyond the limit 1000 (at offset 2)"]
 
-    def test_huge_literal_exits_2(self, runner):
-        r = runner.invoke(main, ["eval", "9" * 5000 + " m", "--registry", REGISTRY])
+    def test_huge_literal_exits_2(self):
+        r = run_cli(["eval", "9" * 5000 + " m", "--registry", REGISTRY])
         assert r.exit_code == 2
         assert r.stderr.splitlines() == ["error: number has more than 4300 digits (at offset 0)"]
 
-    def test_results_beyond_the_str_digit_limit(self, runner):
+    def test_results_beyond_the_str_digit_limit(self):
         big = str(Decimal(99999**1000))  # 5000 digits; Decimal has no str() limit
         for expr, flag, expect in [
             ("99999^1000 m", "--exact", big + " m"),
             ("1 m / 99999^1000", "--exact", f"1/{big} m"),
             ("99999^1000 m", "--digits=5000", big + " m"),
         ]:
-            r = runner.invoke(main, ["eval", expr, flag, "--registry", REGISTRY])
+            r = run_cli(["eval", expr, flag, "--registry", REGISTRY])
             assert r.exit_code == 0 and "Traceback" not in r.output
             assert r.output.strip() == expect
 
-    def test_unknown_unit_exits_2(self, runner):
-        r = runner.invoke(main, ["eval", "1 parsec", "--registry", REGISTRY])
+    def test_unknown_unit_exits_2(self):
+        r = run_cli(["eval", "1 parsec", "--registry", REGISTRY])
         assert r.exit_code == 2
         assert "parsec" in r.output
 
-    def test_missing_registry_exits_2(self, runner):
-        r = runner.invoke(main, ["eval", "1 m"])
+    def test_missing_registry_exits_2(self):
+        r = run_cli(["eval", "1 m"])
         assert r.exit_code == 2
 
-    def test_nonpositive_digits_exit_2(self, runner):
-        r = runner.invoke(main, ["eval", "1 m", "--registry", REGISTRY, "--digits", "0"])
+    def test_nonpositive_digits_exit_2(self):
+        r = run_cli(["eval", "1 m", "--registry", REGISTRY, "--digits", "0"])
         assert r.exit_code == 2
 
 
@@ -114,8 +110,8 @@ class TestBoundedInputs:
         (["evl", "1 m"], "No such command 'evl'. Did you mean 'eval'?"),
         (["--bogus", "eval"], "No such option '--bogus'."),
     ], ids=["leading-minus", "missing-argument", "unknown-command", "unknown-root-option"])
-    def test_usage_errors_exit_2_with_one_line(self, runner, args, message):
-        r = runner.invoke(main, args)
+    def test_usage_errors_exit_2_with_one_line(self, args, message):
+        r = run_cli(args)
         assert r.exit_code == 2
         assert r.stderr.splitlines() == [f"error: {message}"]
 
@@ -127,58 +123,58 @@ class TestBoundedInputs:
         ["convert", "1 m / 0", "m"],
         ["convert", "1 m", "m / (1 - 1)"],
     ])
-    def test_division_by_zero_exits_2_with_one_line(self, runner, args):
-        r = runner.invoke(main, args + ["--registry", REGISTRY])
+    def test_division_by_zero_exits_2_with_one_line(self, args):
+        r = run_cli(args + ["--registry", REGISTRY])
         assert r.exit_code == 2, r.output
         assert r.stderr.splitlines() == ["error: division by zero"]
 
     @pytest.mark.parametrize("expr", ["(2^1000)^1000 m", "*".join(["2^1000"] * 300) + " m"],
                              ids=["nested-power", "300-factor-product"])
-    def test_values_beyond_the_bit_bound_exit_2_at_once(self, runner, expr):
+    def test_values_beyond_the_bit_bound_exit_2_at_once(self, expr):
         start = time.perf_counter()
-        r = runner.invoke(main, ["eval", expr, "--registry", REGISTRY])
+        r = run_cli(["eval", expr, "--registry", REGISTRY])
         assert time.perf_counter() - start < 1.0
         assert r.exit_code == 2, r.output
         assert r.stderr.splitlines() == [f"error: a value has more than {MAX_VALUE_BITS} bits"]
 
-    def test_a_nested_power_within_the_bound_renders_at_once(self, runner):
+    def test_a_nested_power_within_the_bound_renders_at_once(self):
         with localcontext() as ctx:
             ctx.prec = 4  # rounding half-even, as the default rendering
             expect = f"{+Decimal(2**100000):f} m"
         start = time.perf_counter()
-        r = runner.invoke(main, ["eval", "(2^1000)^100 m", "--registry", REGISTRY])
+        r = run_cli(["eval", "(2^1000)^100 m", "--registry", REGISTRY])
         assert time.perf_counter() - start < 1.0
         assert r.exit_code == 0, r.output
         assert r.output.strip() == expect
 
-    def test_a_sum_of_1000_terms(self, runner):
-        r = runner.invoke(main, ["eval", " + ".join(["1 m"] * 1000), "--registry", REGISTRY])
+    def test_a_sum_of_1000_terms(self):
+        r = run_cli(["eval", " + ".join(["1 m"] * 1000), "--registry", REGISTRY])
         assert r.exit_code == 0, r.output
         assert r.output.strip() == "1000 m"
 
-    def test_1000_nested_parentheses_exit_2_with_one_line(self, runner):
+    def test_1000_nested_parentheses_exit_2_with_one_line(self):
         deep = "(" * 1000 + "1 m" + ")" * 1000
         for args in (["eval", deep], ["convert", "1 m", deep]):
-            r = runner.invoke(main, args + ["--registry", REGISTRY])
+            r = run_cli(args + ["--registry", REGISTRY])
             assert r.exit_code == 2, r.output
             assert r.stderr.splitlines() == [
                 "error: parentheses nest deeper than 100 levels (at offset 100)"]
 
     @pytest.mark.parametrize("command", [["eval", "1 m"], ["convert", "1 m", "m"]])
-    def test_digits_are_bounded(self, runner, command):
+    def test_digits_are_bounded(self, command):
         start = time.perf_counter()
         for digits in ("100001", "10000000"):
-            r = runner.invoke(main, command + ["--digits", digits, "--registry", REGISTRY])
+            r = run_cli(command + ["--digits", digits, "--registry", REGISTRY])
             assert r.exit_code == 2, r.output
             assert r.stderr.splitlines() == ["error: digits must be between 1 and 100000"]
         assert time.perf_counter() - start < 1.0
-        r = runner.invoke(main, command + ["--digits", "100000", "--registry", REGISTRY])
+        r = run_cli(command + ["--digits", "100000", "--registry", REGISTRY])
         assert r.exit_code == 0 and r.output.strip() == "1." + "0" * 99999 + " m"
 
-    def test_a_poisson_coefficient_beyond_the_bit_bound_exits_2_at_once(self, runner, tmp_path):
+    def test_a_poisson_coefficient_beyond_the_bit_bound_exits_2_at_once(self, tmp_path):
         qp = REPO / "poisson" / "canonical_qp.json"
         start = time.perf_counter()
-        r = runner.invoke(main, ["poisson", "bracket", str(qp), "(2^1000)^1000*q", "p"])
+        r = run_cli(["poisson", "bracket", str(qp), "(2^1000)^1000*q", "p"])
         assert time.perf_counter() - start < 1.0
         assert r.exit_code == 2, r.output
         assert r.stderr.splitlines() == [f"error: a value has more than {MAX_VALUE_BITS} bits"]
@@ -186,42 +182,42 @@ class TestBoundedInputs:
         doc["bracket"]["q,p"] = "(2^1000)^1000"
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
-        r = runner.invoke(main, ["poisson", "check", str(path)])
+        r = run_cli(["poisson", "check", str(path)])
         assert r.exit_code == 2, r.output
         assert r.stderr.splitlines() == [
             f"error: bad polynomial '(2^1000)^1000': a value has more than {MAX_VALUE_BITS} bits"]
 
-    def test_a_poisson_coefficient_beyond_the_str_digit_limit_prints(self, runner):
+    def test_a_poisson_coefficient_beyond_the_str_digit_limit_prints(self):
         with localcontext() as ctx:
             ctx.prec = 7000
             expect = f"{Decimal(2) ** 20000:f}"  # 6021 digits
         qp = str(REPO / "poisson" / "canonical_qp.json")
-        r = runner.invoke(main, ["poisson", "bracket", qp, "(2^1000)^20*q", "p"])
+        r = run_cli(["poisson", "bracket", qp, "(2^1000)^20*q", "p"])
         assert r.exit_code == 0, r.output
         assert r.output.strip() == expect
 
-    def test_a_bracket_polynomial_of_1000_terms(self, runner, tmp_path):
+    def test_a_bracket_polynomial_of_1000_terms(self, tmp_path):
         doc = json.loads((REPO / "poisson" / "canonical_qp.json").read_text())
         doc["bracket"]["q,p"] = " + ".join(["1"] * 1000)
         path = tmp_path / "long.json"
         path.write_text(json.dumps(doc))
-        r = runner.invoke(main, ["poisson", "bracket", str(path), "q", "p"])
+        r = run_cli(["poisson", "bracket", str(path), "q", "p"])
         assert r.exit_code == 0, r.output
         assert r.output.strip() == "1000"
 
     @pytest.mark.parametrize("expr", ["(q1+q2)^1000*(p1+p2)^300", "(q1+q2)^40*(p1+p2)^40"],
                              ids=["power", "product"])
-    def test_a_polynomial_with_too_many_terms_exits_2_at_once(self, runner, expr):
+    def test_a_polynomial_with_too_many_terms_exits_2_at_once(self, expr):
         start = time.perf_counter()
-        r = runner.invoke(main, ["poisson", "bracket", str(REPO / "poisson" / "canonical_4gen.json"),
+        r = run_cli(["poisson", "bracket", str(REPO / "poisson" / "canonical_4gen.json"),
                                  expr, "q1"])
         assert time.perf_counter() - start < 1.0
         assert r.exit_code == 2, r.output
         assert r.stderr.splitlines() == [f"error: a polynomial may have more than {MAX_POLY_TERMS} terms"]
 
-    def test_a_power_of_a_sum_within_the_term_bound_finishes_at_once(self, runner):
+    def test_a_power_of_a_sum_within_the_term_bound_finishes_at_once(self):
         start = time.perf_counter()
-        r = runner.invoke(main, ["poisson", "bracket", str(REPO / "poisson" / "canonical_4gen.json"),
+        r = run_cli(["poisson", "bracket", str(REPO / "poisson" / "canonical_4gen.json"),
                                  "(q1+q2)^999", "p1"])
         assert time.perf_counter() - start < 1.0
         assert r.exit_code == 0, r.output
@@ -236,21 +232,21 @@ class TestBoundedInputs:
 
 
 class TestConvert:
-    def test_cup_in_litres(self, runner):
-        r = runner.invoke(main, ["convert", "300 cm^3", "L", "--registry", REGISTRY])
+    def test_cup_in_litres(self):
+        r = run_cli(["convert", "300 cm^3", "L", "--registry", REGISTRY])
         assert r.exit_code == 0
         assert r.output.strip() == "0.3000 L"
 
-    def test_incompatible_units_exit_1(self, runner):
-        r = runner.invoke(main, ["convert", "1 m", "s", "--registry", REGISTRY])
+    def test_incompatible_units_exit_1(self):
+        r = run_cli(["convert", "1 m", "s", "--registry", REGISTRY])
         assert r.exit_code == 1
 
     @pytest.mark.parametrize("args", [
         ["convert", "1 m", "2 cm"],
         ["eval", "1 m", "--to", "0 m"],
     ], ids=["convert-2cm", "eval-to-0m"])
-    def test_target_with_a_number_exits_2_with_one_line(self, runner, args):
-        r = runner.invoke(main, args + ["--registry", REGISTRY])
+    def test_target_with_a_number_exits_2_with_one_line(self, args):
+        r = run_cli(args + ["--registry", REGISTRY])
         assert r.exit_code == 2
         target = args[-1]
         assert r.stderr.splitlines() == [
@@ -258,28 +254,28 @@ class TestConvert:
         ]
         assert r.stdout == ""
 
-    def test_reciprocal_unit_target_accepted(self, runner):
-        r = runner.invoke(main, ["convert", "3 /s", "1/s", "--registry", REGISTRY])
+    def test_reciprocal_unit_target_accepted(self):
+        r = run_cli(["convert", "3 /s", "1/s", "--registry", REGISTRY])
         assert r.exit_code == 0
         assert r.stdout.strip() == "3.000 /s"
 
 
 class TestRegistryValidate:
-    def test_valid_registry(self, runner):
-        r = runner.invoke(main, ["registry", "validate", REGISTRY])
+    def test_valid_registry(self):
+        r = run_cli(["registry", "validate", REGISTRY])
         assert r.exit_code == 0
         assert "2 base dimensions" in r.output
 
-    def test_broken_registry(self, runner, tmp_path):
+    def test_broken_registry(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"base": ["length"], "units": []}')
-        r = runner.invoke(main, ["registry", "validate", str(bad)])
+        r = run_cli(["registry", "validate", str(bad)])
         assert r.exit_code == 2
 
 
 class TestCheck:
-    def test_golden_structure_exits_0(self, runner):
-        r = runner.invoke(main, ["check", str(REPO / "structures" / "product_ring_mod5_z2.json")])
+    def test_golden_structure_exits_0(self):
+        r = run_cli(["check", str(REPO / "structures" / "product_ring_mod5_z2.json")])
         assert r.exit_code == 0
         assert "PASS" in r.output and "FAIL" not in r.output
 
@@ -288,75 +284,75 @@ class TestCheck:
         "broken_absorbency.json",
         "zero_slice_no_unit.json",
     ])
-    def test_mutated_fixtures_exit_1_with_witness(self, runner, fixture):
-        r = runner.invoke(main, ["check", str(DATA / fixture)])
+    def test_mutated_fixtures_exit_1_with_witness(self, fixture):
+        r = run_cli(["check", str(DATA / fixture)])
         assert r.exit_code == 1
         assert "FAIL" in r.output
 
-    def test_product_cell_in_another_slice_exits_1_without_traceback(self, runner, tmp_path):
+    def test_product_cell_in_another_slice_exits_1_without_traceback(self, tmp_path):
         doc = json.loads((REPO / "structures" / "product_ring_mod5_z2.json").read_text())
         doc["mul"]["2@0"]["3@0"] = "1@1"
         bad = tmp_path / "moved.json"
         bad.write_text(json.dumps(doc))
-        r = runner.invoke(main, ["check", str(bad)])
+        r = run_cli(["check", str(bad)])
         assert r.exit_code == 1, r.output
         assert r.exception is None or isinstance(r.exception, SystemExit)
         assert "FAIL  distributivity where defined" in r.output
         assert "Traceback" not in r.output
 
-    def test_shape_error_exits_2(self, runner):
-        r = runner.invoke(main, ["check", str(DATA / "undeclared_dimension.json")])
+    def test_shape_error_exits_2(self):
+        r = run_cli(["check", str(DATA / "undeclared_dimension.json")])
         assert r.exit_code == 2
 
 
 class TestPoisson:
-    def test_check_canonical(self, runner):
-        r = runner.invoke(main, ["poisson", "check", str(REPO / "poisson" / "canonical_qp.json")])
+    def test_check_canonical(self):
+        r = run_cli(["poisson", "check", str(REPO / "poisson" / "canonical_qp.json")])
         assert r.exit_code == 0
         assert "bracket closes on generator pairs" in r.output
 
-    def test_check_broken_antisymmetry_exits_1(self, runner):
-        r = runner.invoke(main, [
+    def test_check_broken_antisymmetry_exits_1(self):
+        r = run_cli([
             "poisson", "check", str(DATA / "poisson_broken_antisymmetry.json")
         ])
         assert r.exit_code == 1
         assert "FAIL" in r.output
 
-    def test_bracket_command(self, runner):
-        r = runner.invoke(main, [
+    def test_bracket_command(self):
+        r = run_cli([
             "poisson", "bracket", str(REPO / "poisson" / "canonical_qp.json"),
             "q^2", "p",
         ])
         assert r.exit_code == 0
         assert r.output.strip() == "2*q"
 
-    def test_bracket_with_a_leading_minus(self, runner):
+    def test_bracket_with_a_leading_minus(self):
         qp = str(REPO / "poisson" / "canonical_qp.json")
-        pos = runner.invoke(main, ["poisson", "bracket", qp, "--", "3 q^2 p", "q"])
-        neg = runner.invoke(main, ["poisson", "bracket", qp, "--", "-3 q^2 p", "q"])
+        pos = run_cli(["poisson", "bracket", qp, "--", "3 q^2 p", "q"])
+        neg = run_cli(["poisson", "bracket", qp, "--", "-3 q^2 p", "q"])
         assert pos.exit_code == 0 and neg.exit_code == 0, neg.output
         assert pos.output.strip() == "-3*q^2"
         assert neg.output.strip() == "3*q^2"
 
-    def test_reduce_command(self, runner):
-        r = runner.invoke(main, [
+    def test_reduce_command(self):
+        r = run_cli([
             "poisson", "reduce", str(REPO / "poisson" / "canonical_qp.json"),
             "--cutoff", "6",
         ])
         assert r.exit_code == 0
         assert "1 classes" in r.output
 
-    def test_reduce_four_generators(self, runner):
-        r = runner.invoke(main, [
+    def test_reduce_four_generators(self):
+        r = run_cli([
             "poisson", "reduce", str(REPO / "poisson" / "canonical_4gen.json"),
             "--cutoff", "4",
         ])
         assert r.exit_code == 0
         assert "q2" in r.output and "q1" not in r.output.replace("q1)", "")
 
-    def test_reduce_beyond_the_monomial_bound_exits_2_at_once(self, runner):
+    def test_reduce_beyond_the_monomial_bound_exits_2_at_once(self):
         start = time.perf_counter()
-        r = runner.invoke(main, [
+        r = run_cli([
             "poisson", "reduce", str(REPO / "poisson" / "canonical_4gen.json"),
             "--cutoff", "40",
         ])
@@ -373,29 +369,29 @@ class TestPoisson:
         with pytest.raises(InputFormatError):
             require_monomials(20, 4)  # C(24, 4) = 10626
 
-    def test_reduce_needs_positive_cutoff(self, runner):
-        r = runner.invoke(main, [
+    def test_reduce_needs_positive_cutoff(self):
+        r = run_cli([
             "poisson", "reduce", str(REPO / "poisson" / "canonical_qp.json"),
             "--cutoff", "0",
         ])
         assert r.exit_code == 2
 
-    def test_bad_file_exits_2(self, runner, tmp_path):
+    def test_bad_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("[]")
-        r = runner.invoke(main, ["poisson", "check", str(bad)])
+        r = run_cli(["poisson", "check", str(bad)])
         assert r.exit_code == 2
 
     QP = {"generators": [{"name": "q", "dim": [1]}, {"name": "p", "dim": [-1]}],
           "bracket": {"q,p": "1"}}
 
-    def _check(self, runner, tmp_path, **fields):
+    def _check(self, tmp_path, **fields):
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps({**self.QP, **fields}))
-        return runner.invoke(main, ["poisson", "check", str(doc)])
+        return run_cli(["poisson", "check", str(doc)])
 
-    def test_misplaced_structure_constant_is_a_failed_law(self, runner, tmp_path):
-        r = self._check(runner, tmp_path, bracket_dim=[5])
+    def test_misplaced_structure_constant_is_a_failed_law(self, tmp_path):
+        r = self._check(tmp_path, bracket_dim=[5])
         assert r.exit_code == 1 and isinstance(r.exception, SystemExit)
         assert r.stdout.splitlines() == [
             "== Poisson algebra on Q[q,p]",
@@ -408,34 +404,34 @@ class TestPoisson:
         ({"product_dim": [2]}, "a nonzero product_dim needs a scale"),
         ({"product_dim": [2], "scale": "q"}, "scale sits at (1,), not at product_dim (2,)"),
     ], ids=["bracket_dim-length", "product_dim-length", "scale-missing", "scale-misplaced"])
-    def test_shape_errors_exit_2_with_one_line(self, runner, tmp_path, fields, message):
-        r = self._check(runner, tmp_path, **fields)
+    def test_shape_errors_exit_2_with_one_line(self, tmp_path, fields, message):
+        r = self._check(tmp_path, **fields)
         assert r.exit_code == 2
         assert r.stderr.splitlines() == [f"error: {message}"]
 
-    def test_a_zero_entry_sits_in_every_slice(self, runner, tmp_path):
+    def test_a_zero_entry_sits_in_every_slice(self, tmp_path):
         """"0" parses at dimension (0,), yet it is the zero of {q,r}'s
         slice (3,) as much as a missing entry is."""
-        r = self._check(runner, tmp_path, generators=[
+        r = self._check(tmp_path, generators=[
             {"name": "q", "dim": [1]}, {"name": "p", "dim": [-1]}, {"name": "r", "dim": [2]}],
             bracket_dim=[0], bracket={"q,p": "1", "q,r": "0"})
         assert r.exit_code == 0
         laws = r.stdout.splitlines()[1:]
         assert len(laws) == 8 and all(line.startswith("PASS  ") for line in laws)
 
-    def test_a_nonzero_diagonal_entry_fails_antisymmetry(self, runner, tmp_path):
+    def test_a_nonzero_diagonal_entry_fails_antisymmetry(self, tmp_path):
         """{q,q} = -{q,q} forces the diagonal to 0; the reduction refuses the
         table too."""
         doc = json.loads((REPO / "poisson" / "canonical_qp.json").read_text())
         doc["bracket"]["q,q"] = "1"
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
-        check = runner.invoke(main, ["poisson", "check", str(path)])
+        check = run_cli(["poisson", "check", str(path)])
         assert check.exit_code == 1
         assert check.stdout.splitlines()[1:] == [
             "PASS  structure constants sit at b+g_i+g_j",
             "FAIL  table antisymmetry: table not antisymmetric at (q,q)"]
-        assert runner.invoke(main, ["poisson", "reduce", str(path)]).exit_code == 1
+        assert run_cli(["poisson", "reduce", str(path)]).exit_code == 1
 
 
 def _set(path, value):
@@ -482,7 +478,7 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize(
         "kind, field, mutate", MALFORMED, ids=[f"{k}-{f}" for k, f, _ in MALFORMED]
     )
-    def test_wrong_field_type_exits_2_with_one_line(self, runner, tmp_path, kind, field, mutate):
+    def test_wrong_field_type_exits_2_with_one_line(self, tmp_path, kind, field, mutate):
         doc = json.loads(Path(SOURCES[kind]).read_text())
         mutate(doc)
         bad = tmp_path / "bad.json"
@@ -492,7 +488,7 @@ class TestMalformedDocuments:
             "registry": ["eval", "1 m", "--registry", str(bad)],
             "structure": ["check", str(bad)],
         }[kind]
-        r = runner.invoke(main, args)
+        r = run_cli(args)
         assert r.exit_code == 2, r.output
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and len(lines[0]) < 200
@@ -504,7 +500,7 @@ class TestMalformedDocuments:
         (b"\xff{}", "codec can't decode"),
         (b'{"base": ' + b"9" * 5000 + b"}", "4300 digits"),
     ], ids=["not-utf8", "huge-json-integer"])
-    def test_unreadable_json_exits_2_with_one_line(self, runner, tmp_path, kind, body, reason):
+    def test_unreadable_json_exits_2_with_one_line(self, tmp_path, kind, body, reason):
         bad = tmp_path / "bad.json"
         bad.write_bytes(body)
         args = {
@@ -512,7 +508,7 @@ class TestMalformedDocuments:
             "registry": ["eval", "1 m", "--registry", str(bad)],
             "structure": ["check", str(bad)],
         }[kind]
-        r = runner.invoke(main, args)
+        r = run_cli(args)
         assert r.exit_code == 2, r.output
         lines = r.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and reason in lines[0]
@@ -523,7 +519,7 @@ class TestMalformedDocuments:
         ({"0": "1@0", "1": "1@1", "7": "1@0"}, "unit candidate names unknown dimensions ['7']"),
     ], ids=["unknown-element", "missing-dimension", "unknown-dimension"])
     def test_bad_unit_candidate_exits_2_when_a_slice_law_fails(
-        self, runner, tmp_path, candidate, message
+        self, tmp_path, candidate, message
     ):
         """The candidate is shape, refused at load: a failing slice law
         (here 1@0 + 2@0 = 0@0) must not turn it into two FAIL lines."""
@@ -532,7 +528,7 @@ class TestMalformedDocuments:
         doc["unit_candidate"] = candidate
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        r = runner.invoke(main, ["check", str(bad)])
+        r = run_cli(["check", str(bad)])
         assert r.exit_code == 2, r.output
         assert r.stdout == ""
         assert r.stderr.splitlines() == [f"error: {message}"]
@@ -549,16 +545,159 @@ class TestMalformedDocuments:
         (_set(["one"], "nowhere"), r"declared unit 'nowhere' is not an element"),
     ], ids=["monoid-row", "empty-slice", "add-row", "add-cell", "add-undeclared",
             "mul-row", "mul-cell", "mul-undeclared", "unit"])
-    def test_table_that_is_not_total_exits_2_with_one_line(self, runner, tmp_path, mutate, message):
+    def test_table_that_is_not_total_exits_2_with_one_line(self, tmp_path, mutate, message):
         doc = json.loads(Path(SOURCES["structure"]).read_text())
         mutate(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        r = runner.invoke(main, ["check", str(bad)])
+        r = run_cli(["check", str(bad)])
         assert r.exit_code == 2, r.output
         assert r.stdout == ""
         (line,) = r.stderr.splitlines()
         assert line.startswith("error: ") and re.search(message, line), line
+
+
+# ---------------------------------------------------------------------------
+# The usage contract: help exits 0 on stdout, every usage error exits 2
+# ---------------------------------------------------------------------------
+
+ROOT_HELP = """\
+Usage: dimalg [OPTIONS] COMMAND [ARGS]...
+
+  Exact dimensioned-quantity calculator and structure checker.
+
+Options:
+  --help  Show this message and exit.
+
+Commands:
+  check     Run the axiom suite on a declared finite structure.
+  convert   Evaluate an expression and re-express it in TARGET units.
+  eval      Evaluate a quantity expression.
+  poisson   Dimensioned Poisson algebra commands (JSON descriptions).
+  registry  Registry utilities.
+"""
+POISSON_HELP = """\
+Usage: dimalg poisson [OPTIONS] COMMAND [ARGS]...
+
+  Dimensioned Poisson algebra commands (JSON descriptions).
+
+Options:
+  --help  Show this message and exit.
+
+Commands:
+  bracket  Print the bracket of two polynomial expressions.
+  check    Run the axiom suite, then the coisotrope check if an ideal is declared.
+  reduce   Reduce by the declared coisotrope and list the surviving basis.
+"""
+REGISTRY_HELP = """\
+Usage: dimalg registry [OPTIONS] COMMAND [ARGS]...
+
+  Registry utilities.
+
+Options:
+  --help  Show this message and exit.
+
+Commands:
+  validate  Validate a registry file and summarize it.
+"""
+EVAL_HELP = """\
+Usage: dimalg eval [OPTIONS] EXPRESSION
+
+  Evaluate a quantity expression.
+
+Options:
+  --registry PATH   registry JSON
+  --digits INTEGER  significant digits  [default: 4]
+  --exact           print the exact rational
+  --to TEXT         convert the result to this unit
+  --help            Show this message and exit.
+"""
+CONVERT_HELP = """\
+Usage: dimalg convert [OPTIONS] EXPRESSION TARGET
+
+  Evaluate an expression and re-express it in TARGET units.
+
+Options:
+  --registry PATH   registry JSON
+  --digits INTEGER  significant digits  [default: 4]
+  --exact           print the exact rational
+  --help            Show this message and exit.
+"""
+REDUCE_HELP = """\
+Usage: dimalg poisson reduce [OPTIONS] PATH
+
+  Reduce by the declared coisotrope and list the surviving basis.
+
+Options:
+  --cutoff INTEGER  degree cutoff  [default: 6]
+  --help            Show this message and exit.
+"""
+
+
+def _bare_help(usage, text):
+    return f"Usage: dimalg {usage}\n\n  {text}\n\nOptions:\n  --help  Show this message and exit.\n"
+
+
+QP_PATH = str(REPO / "poisson" / "canonical_qp.json")
+USAGE = [
+    ([], (2, "", ROOT_HELP)),
+    (["poisson"], (2, "", POISSON_HELP)),
+    (["registry"], (2, "", REGISTRY_HELP)),
+    (["--help"], (0, ROOT_HELP, "")),
+    (["--help", "eval"], (0, ROOT_HELP, "")),
+    (["poisson", "--help"], (0, POISSON_HELP, "")),
+    (["registry", "--help"], (0, REGISTRY_HELP, "")),
+    (["eval", "--help"], (0, EVAL_HELP, "")),
+    (["eval", "1 m", "--digits", "x", "--help"], (0, EVAL_HELP, "")),
+    (["convert", "--help"], (0, CONVERT_HELP, "")),
+    (["registry", "validate", "--help"], (0, _bare_help(
+        "registry validate [OPTIONS] PATH", "Validate a registry file and summarize it."), "")),
+    (["check", "--help"], (0, _bare_help(
+        "check [OPTIONS] PATH", "Run the axiom suite on a declared finite structure."), "")),
+    (["poisson", "check", "--help"], (0, _bare_help(
+        "poisson check [OPTIONS] PATH",
+        "Run the axiom suite, then the coisotrope check if an ideal is declared."), "")),
+    (["poisson", "bracket", "--help"], (0, _bare_help(
+        "poisson bracket [OPTIONS] PATH LEFT RIGHT",
+        "Print the bracket of two polynomial expressions."), "")),
+    (["poisson", "reduce", "--help"], (0, REDUCE_HELP, "")),
+    (["eval", "1 m", "--digits", "x", "--registry", REGISTRY],
+     (2, "", "error: Invalid value for '--digits': 'x' is not a valid integer.\n")),
+    (["poisson", "reduce", QP_PATH, "--cutoff", "abc"],
+     (2, "", "error: Invalid value for '--cutoff': 'abc' is not a valid integer.\n")),
+    (["eval", "1 m", "--registry"], (2, "", "error: Option '--registry' requires an argument.\n")),
+    (["eval", "1", "m", "extra", "--registry", REGISTRY],
+     (2, "", "error: Got unexpected extra arguments (m extra)\n")),
+    (["eval", "1 m", "extra", "--registry", REGISTRY],
+     (2, "", "error: Got unexpected extra argument (extra)\n")),
+    (["eval", "1 m", "--exact=1", "--registry", REGISTRY],
+     (2, "", "error: Option '--exact' does not take a value.\n")),
+    (["eval", "1 m", "--regstry", REGISTRY],
+     (2, "", "error: No such option '--regstry'. Did you mean '--registry'?\n")),
+    (["poisson", "frobnicate"], (2, "", "error: No such command 'frobnicate'.\n")),
+    (["eval", "--registry=" + REGISTRY, "1 m", "--digits=3"], (0, "1.00 m\n", "")),
+    (["poisson", "bracket", QP_PATH, "--", "-3 q^2 p", "q"], (0, "3*q^2\n", "")),
+]
+
+
+def test_a_reader_that_stops_early_ends_the_command_with_exit_1(monkeypatch):
+    """`dimalg ... | head -1`: the write that meets the closed pipe ends
+    the command with exit 1 and no traceback."""
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(SystemExit) as exc:
+        main(args=["eval", "1 m", "--registry", REGISTRY], prog_name="dimalg")
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("args, expected", USAGE,
+                         ids=[",".join(w.replace(f"{REPO}/", "") for w in a) or "bare" for a, _ in USAGE])
+def test_the_usage_contract(args, expected):
+    r = run_cli(args)
+    assert (r.exit_code, r.stdout, r.stderr) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +713,7 @@ FOUR_GEN = str(REPO / "poisson" / "canonical_4gen.json")
     ["poisson", "bracket", FOUR_GEN, "q1^2*p2 + q2", "p1*q2^3"],
     ["poisson", "reduce", FOUR_GEN, "--cutoff", "6"],
 ], ids=["check", "poisson-check", "poisson-bracket", "poisson-reduce"])
-def test_no_command_draws_a_random_value(runner, monkeypatch, args):
+def test_no_command_draws_a_random_value(monkeypatch, args):
     """Every draw of a `random.Random` goes through its `random` or its
     `getrandbits`; with both raising, each command still exits 0."""
     def draw(*_):
@@ -582,7 +721,7 @@ def test_no_command_draws_a_random_value(runner, monkeypatch, args):
 
     for method in ("random", "getrandbits"):
         monkeypatch.setattr(random.Random, method, draw)
-    r = runner.invoke(main, args)
+    r = run_cli(args)
     assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
     assert r.exit_code == 0, r.output
 
@@ -606,7 +745,8 @@ try:
     main(args=sys.argv[1:], prog_name="dimalg")
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([bare, code, sorted(m for m in sys.modules if m.startswith("dimalg"))]))
+print(json.dumps([bare, code, sorted(m for m in sys.modules if m.startswith("dimalg")),
+                  sorted(m for m in sys.modules if m.partition(".")[0] == "click")]))
 """
 
 
@@ -622,11 +762,12 @@ def test_a_fresh_command_loads_only_its_layers(args, code, unloaded):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *args], env=env,
                           capture_output=True, text=True, timeout=60)
-    bare, exit_code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    bare, exit_code, loaded, click = json.loads(proc.stdout.splitlines()[-1])
     assert bare == ["dimalg"]
     assert exit_code == code, proc.stderr
     assert "dimalg.registry" in loaded
     assert not unloaded & set(loaded)
+    assert click == []
 
 
 @pytest.mark.parametrize("module, name", [

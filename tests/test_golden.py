@@ -25,8 +25,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import run_cli
 from dimalg import (
     EndoRing,
     GradedPolyRing,
@@ -36,7 +36,6 @@ from dimalg import (
     ring_axiom_report,
 )
 from dimalg.carriers import Rationals
-from dimalg.cli import main
 from dimalg.group import DimElement
 from dimalg.monoid import DimMonoid
 
@@ -107,10 +106,9 @@ def _rel(path: Path) -> str:
 
 def outputs() -> dict:
     """Every golden case: its id mapped to [exit code, output lines]."""
-    runner = CliRunner()
 
     def cli(*args):
-        r = runner.invoke(main, list(args))
+        r = run_cli(list(args))
         return [r.exit_code, r.stdout.splitlines() + r.stderr.splitlines()]
 
     out = {f"check {_rel(p)}": cli("check", str(p)) for p in STRUCTURES}

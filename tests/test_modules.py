@@ -347,6 +347,20 @@ class TestBilinearFactorization:
         res = bilinear_factorization(rank2, rank2, rank2, zero, rng)
         assert res.ok
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_a_zero_module_factor_is_refused_before_sampling(self, ring, gset, rank2, side):
+        """A map out of the zero module has no dimension map to transport:
+        one ConstructionError, and no value is drawn."""
+        zero = FreeDimModule(ring, gset, [], "0")
+        a, b = (zero, rank2) if side == "left" else (rank2, zero)
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"rng.{name} was called")
+
+        with pytest.raises(ConstructionError, match="^cannot factor through .*: a factor has an empty basis$"):
+            bilinear_factorization(a, b, rank2, lambda x, y: rank2.zero(((0,), "i")), NoDraws())
+
 
 class TestRigDistributivity:
     def test_exhaustive_small_shapes(self, ring):

@@ -15,10 +15,9 @@ import json
 import tempfile
 from pathlib import Path
 
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dimalg.cli import main
+from conftest import run_cli
 from test_table_oracle import table_verdict
 
 REPO = Path(__file__).parent.parent / "data"
@@ -123,7 +122,7 @@ def _run(kind, doc):
         path.write_text(json.dumps(doc))
         for command in commands:
             args = [str(path) if a == "{}" else a for a in command]
-            r = CliRunner().invoke(main, args)
+            r = run_cli(args)
             assert r.exit_code in (0, 1, 2), (args, r.output)
             assert r.exception is None or isinstance(r.exception, SystemExit), (
                 args, r.exc_info,

@@ -9,10 +9,9 @@ An input error (exit 2) is at most one line on stderr.
 
 from pathlib import Path
 
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dimalg.cli import main
+from conftest import run_cli
 
 REPO = Path(__file__).parent.parent / "data"
 REGISTRY = str(REPO / "registries" / "si_demo.json")
@@ -68,7 +67,7 @@ def _fuzz(kind):
               suppress_health_check=[HealthCheck.too_slow])
     @given(mutated_command(kind))
     def test(args):
-        r = CliRunner().invoke(main, args)
+        r = run_cli(args)
         assert r.exit_code in (0, 1, 2), (args, r.output)
         assert r.exception is None or isinstance(r.exception, SystemExit), (args, r.exc_info)
         if r.exit_code == 2:
