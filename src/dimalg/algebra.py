@@ -8,17 +8,15 @@ candidates can be exercised.
 """
 
 import random
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
+from .core import DimElement
 from .errors import CarrierError, ConstructionError, DimensionMismatch
-from .group import DimElement
 from .poly import GradedPolyRing
 from .report import CheckReport
 
 
-@dataclass
-class ProbeSpace:
+class ProbeSpace(NamedTuple):
     """Sampling and arithmetic hooks the checkers draw probes from."""
 
     sample: Callable                 # rng -> element

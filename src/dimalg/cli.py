@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 axiom or dimension failure, 2 input error.
 Each command imports the layers it runs: start-up loads only the
 calculator (`registry`, `core` and what they build on), no law suite.
+`check` adds `structure`, `ring`, `poly` and `report`, and `poisson ...`
+adds `poisson`, `algebra` and `linalg` to those. No command loads the
+group or carrier layers, or `dataclasses` (`core` says why).
 """
 
 import sys

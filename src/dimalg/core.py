@@ -5,30 +5,60 @@ its `Slots`, `ProductDimRing`, and `Line`, `Factor` and `PowerRing` are
 defined here and re-exported by `group`, `carriers`, `ring` and `lines`.
 `registry` needs only this module, so `eval` and `convert` load no law
 suite, carrier presentation or linear algebra.
+
+Records: a module a command loads defines records as `NamedTuple`s or
+slotted classes; a frozen dataclass `exec`s each method at import, and
+every command would pay for it.
 """
 
 import itertools
 import operator
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from .errors import CarrierError, DimensionMismatch
 from .monoid import DimMonoid
 from .sampling import rand_fraction, rand_nonzero_fraction
 
 
-@dataclass(frozen=True)
 class DimElement:
-    """A value tagged with its dimension; the atom of every dimensioned structure."""
+    """A value tagged with its dimension; the atom of every dimensioned structure.
 
-    value: Any
-    dim: Any
+    Frozen, equal only to another DimElement, and hashed as (value, dim).
+    Not a tuple: monoids and carriers tell a dimension by `isinstance(x, tuple)`."""
+
+    __slots__ = ("value", "dim")
+
+    def __init__(self, value, dim):
+        _set_value(self, value)
+        _set_dim(self, dim)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value, self.dim) == (other.value, other.dim)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value, self.dim))
+
+    def __reduce__(self):
+        return DimElement, (self.value, self.dim)
+
+    def __repr__(self):
+        return f"DimElement(value={self.value!r}, dim={self.dim!r})"
 
     def __str__(self):
         return f"{self.value} @ {self.dim}"
+
+
+_set_value, _set_dim = DimElement.value.__set__, DimElement.dim.__set__
 
 
 def _units(k):
@@ -95,11 +125,20 @@ class Carrier(ABC):
             raise CarrierError(f"{v!r} is not an element of {self}")
 
 
-@dataclass(frozen=True)
 class Rationals(Carrier):
-    """The group Q, and with `mul`, `one`, `reciprocal` the scalar field Q."""
+    """The group Q, and with `mul`, `one`, `reciprocal` the scalar field Q.
+    Every instance is equal to every other, and hashes alike."""
 
     is_field = True
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ or NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+    def __repr__(self):
+        return "Rationals()"
 
     def orders(self):
         return (None,)
@@ -314,27 +353,22 @@ class ProductDimRing(DimRing):
         return Slots(dims, DISTINCT, ((COEFF_PROBES, (self.dims.identity,), dims),))
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(NamedTuple):
     """A 1-dimensional rational vector space, identified by name only."""
 
     name: str
 
 
-@dataclass(frozen=True)
 class Factor:
     """An invertible linear map between lines: a unit-free conversion factor.
 
     `scalar` is the coordinate of the image of the source reference basis.
     """
 
-    src: Line
-    dst: Line
-    scalar: Fraction
-
-    def __post_init__(self):
-        if self.scalar == 0:
+    def __init__(self, src: Line, dst: Line, scalar: Fraction):
+        if scalar == 0:
             raise CarrierError("a factor must be invertible (nonzero)")
+        self.src, self.dst, self.scalar = src, dst, scalar
 
     def compose(self, other: "Factor") -> "Factor":
         """self after other."""

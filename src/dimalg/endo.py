@@ -28,8 +28,8 @@ and a(i) + b(i) at i; and A + 0_e is defined iff phi = e.
 import random
 from fractions import Fraction
 
+from .core import DimElement
 from .errors import CarrierError, DimensionMapMismatch
-from .group import DimElement
 from .monoid import DimMonoid
 from .ring import COEFF_PROBES, DISTINCT, DimRing, ProductDimRing, Slots, slot_cases
 

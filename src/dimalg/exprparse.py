@@ -17,8 +17,8 @@ MAX_NESTING deep.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ExprSyntaxError, UnknownSymbolError
 
@@ -42,8 +42,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "number" | "symbol" | "op" | "end"
     text: str
     pos: int
@@ -66,26 +65,22 @@ def tokenize(src: str):
 # -- syntax tree -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(NamedTuple):
     name: str
     pos: int
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # '+', '-', '*', '/'
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: object
     exponent: int
 

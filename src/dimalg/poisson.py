@@ -13,25 +13,24 @@ which identity reduces which law.  Nothing here uses a random value.
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from operator import add as _add, sub as _sub
 
 from .algebra import jacobiator
+from .core import DimElement
 from .errors import CarrierError, ConstructionError, DimensionMismatch, InputFormatError
-from .group import DimElement
 from .linalg import nullspace
 from .poly import GradedPolyRing
 from .report import CheckReport
 
 
-@dataclass(frozen=True)
 class DimPoisson:
-    ring: GradedPolyRing
-    bracket_dim: tuple
-    scale: DimElement                  # homogeneous at the product dimension
-    table: dict                        # every (name, name) -> structure constant
+    def __init__(self, ring: GradedPolyRing, bracket_dim: tuple, scale: DimElement, table: dict):
+        self.ring = ring
+        self.bracket_dim = bracket_dim
+        self.scale = scale  # homogeneous at the product dimension
+        self.table = table  # every (name, name) -> structure constant
 
     @property
     def product_dim(self) -> tuple:
@@ -170,7 +169,7 @@ def make_poisson(
         for (x, y), v in bracket_table.items():
             if v.value:
                 offset = p.bracket_slice(dims[x], dims[y])  # g_x + g_y while b is 0
-                p = replace(p, bracket_dim=tuple(map(_sub, v.dim, offset)))
+                p = DimPoisson(ring, tuple(map(_sub, v.dim, offset)), scale, {})
                 break
     for ni, gi in dims.items():  # fills p.table in place
         for nj, gj in dims.items():

@@ -24,8 +24,8 @@ import random
 from fractions import Fraction
 from operator import add as _add
 
+from .core import DimElement
 from .errors import CarrierError, DimensionMismatch
-from .group import DimElement
 from .monoid import DimMonoid
 from .numfmt import fraction_str
 from .ring import DimRing, Ideal

@@ -10,8 +10,8 @@ with both exponent vectors pretty-printed in base-dimension names.
 
 import re
 import reprlib
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import DimElement, Line, PowerRing
 from .errors import DimensionMismatch, InputFormatError, load_json, require_bits, typed_field
@@ -19,8 +19,7 @@ from .exprparse import MAX_LITERAL_DIGITS, SYMBOL, eval_tree, parse_quantity_exp
 from .numfmt import format_rational, fraction_str
 
 
-@dataclass(frozen=True)
-class UnitDef:
+class UnitDef(NamedTuple):
     symbol: str
     dims: tuple
     factor: Fraction
@@ -120,8 +119,7 @@ def registry_load(source) -> UnitRegistry:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(NamedTuple):
     """An exact power-ring element plus the unit expression it displays in."""
 
     element: DimElement

@@ -5,11 +5,10 @@ optional witness so callers (tests, the CLI `check` command) can render
 one line per law and pick an exit code.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class LawResult:
+class LawResult(NamedTuple):
     law: str
     passed: bool
     witness: str = ""
@@ -20,10 +19,10 @@ class LawResult:
         return f"FAIL  {self.law}: {self.witness}"
 
 
-@dataclass
 class CheckReport:
-    subject: str
-    results: list = field(default_factory=list)
+    def __init__(self, subject: str, results: list | None = None):
+        self.subject = subject
+        self.results = [] if results is None else results
 
     def check(self, law: str, condition: bool, witness: str = "") -> None:
         self.results.append(LawResult(law, bool(condition), "" if condition else witness))
@@ -51,8 +50,7 @@ class CheckReport:
         return CheckReport(self.subject, self.results + other.results)
 
 
-@dataclass(frozen=True)
-class Checked:
+class Checked(NamedTuple):
     """A checked construction: `value` is the construction when every law
     of `report` passes, and None otherwise."""
 

@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .core import DimElement, DimRing, ProductDimRing, Rationals, Slots
 from .errors import CarrierError, ConstructionError, DimensionMapMismatch, DimensionMismatch
@@ -284,8 +283,7 @@ def search_unit_section(ring) -> Checked:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SliceMul:
+class SliceMul(NamedTuple):
     """Multiplication by a fixed nonzero field element, slice e -> slice de."""
 
     ring: DimRing
@@ -311,8 +309,7 @@ def slice_mul(field: DimRing, a: DimElement, e) -> SliceMul:
     return SliceMul(field, a, e)
 
 
-@dataclass(frozen=True)
-class Trivialization:
+class Trivialization(NamedTuple):
     """The isomorphism a unit section induces with the product dimensioned field."""
 
     product: ProductDimRing
@@ -345,8 +342,7 @@ def units_trivialization(field: DimRing, u: Callable[[Any], DimElement]) -> Triv
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(NamedTuple):
     """An ideal presented by generators plus a normal-form chooser.
 
     Membership is decided by the normal form: a is in the ideal exactly

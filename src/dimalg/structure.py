@@ -14,6 +14,7 @@ import random
 import reprlib
 from fractions import Fraction
 
+from .core import DimElement
 from .errors import (
     CarrierError,
     DimensionMismatch,
@@ -25,7 +26,6 @@ from .errors import (
     typed_field,
 )
 from .exprparse import eval_tree, parse_poly_expr
-from .group import DimElement
 from .monoid import DimMonoid
 from .poly import GradedPolyRing
 from .report import CheckReport

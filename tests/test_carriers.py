@@ -140,7 +140,8 @@ class TestTensorSlices:
 class TestQuotientSlices:
     def test_by_zero_is_identity(self):
         q = quotient_slice(Rationals(), zero_subgroup(Rationals()))
-        assert q.carrier == Rationals()
+        assert q.carrier == Rationals() and hash(q.carrier) == hash(Rationals())
+        assert q.carrier != Cyclic(1) and Rationals() != Vectors(1)
         assert q.project.apply(F(7)) == 7
 
     def test_by_whole_is_trivial(self):

@@ -734,7 +734,12 @@ SRC = Path(__file__).parent.parent / "src"
 CALCULATOR_ONLY = {"dimalg.poisson", "dimalg.structure", "dimalg.poly", "dimalg.algebra",
                    "dimalg.modules", "dimalg.endo", "dimalg.ring", "dimalg.carriers",
                    "dimalg.group", "dimalg.lines", "dimalg.report", "dimalg.linalg"}
-NO_POISSON = {"dimalg.poisson", "dimalg.algebra", "dimalg.modules"}
+# the law commands take DimElement from core: no carrier presentation loads
+NO_CARRIERS = {"dimalg.group", "dimalg.carriers", "dimalg.modules"}
+NO_POISSON = NO_CARRIERS | {"dimalg.poisson", "dimalg.algebra", "dimalg.linalg"}
+# a frozen dataclass execs its methods at import, and dataclasses loads inspect
+UNWANTED = ("click", "dataclasses", "inspect")
+POISSON_DOC = str(REPO / "poisson" / "canonical_4gen.json")
 FOOTPRINT = """
 import json, sys
 import dimalg
@@ -746,8 +751,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps([bare, code, sorted(m for m in sys.modules if m.startswith("dimalg")),
-                  sorted(m for m in sys.modules if m.partition(".")[0] == "click")]))
-"""
+                  sorted(m for m in sys.modules if m.partition(".")[0] in %r)]))
+""" % (UNWANTED,)
 
 
 @pytest.mark.parametrize("args, code, unloaded", [
@@ -757,17 +762,21 @@ print(json.dumps([bare, code, sorted(m for m in sys.modules if m.startswith("dim
     (["eval", "1 m + 1 s", "--registry", REGISTRY], 1, CALCULATOR_ONLY),
     (["registry", "validate", REGISTRY], 0, CALCULATOR_ONLY),
     (["check", str(REPO / "structures" / "product_ring_mod5_z2.json")], 0, NO_POISSON),
-], ids=["eval", "convert", "syntax-error", "dimension-mismatch", "registry-validate", "check"])
+    (["poisson", "check", POISSON_DOC], 0, NO_CARRIERS),
+    (["poisson", "bracket", POISSON_DOC, "q1", "p1"], 0, NO_CARRIERS),
+    (["poisson", "reduce", POISSON_DOC, "--cutoff", "4"], 0, NO_CARRIERS),
+], ids=["eval", "convert", "syntax-error", "dimension-mismatch", "registry-validate", "check",
+        "poisson-check", "poisson-bracket", "poisson-reduce"])
 def test_a_fresh_command_loads_only_its_layers(args, code, unloaded):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *args], env=env,
                           capture_output=True, text=True, timeout=60)
-    bare, exit_code, loaded, click = json.loads(proc.stdout.splitlines()[-1])
+    bare, exit_code, loaded, unwanted = json.loads(proc.stdout.splitlines()[-1])
     assert bare == ["dimalg"]
     assert exit_code == code, proc.stderr
     assert "dimalg.registry" in loaded
     assert not unloaded & set(loaded)
-    assert click == []
+    assert unwanted == []
 
 
 @pytest.mark.parametrize("module, name", [

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import time
 from fractions import Fraction as F
 
@@ -26,6 +28,21 @@ from dimalg.group import whole_subgroup
 @pytest.fixture
 def two_slices():
     return DimAbGroup.from_dict({0: Rationals(), 1: Rationals()}, label="G2")
+
+
+def test_a_dim_element_is_a_frozen_record_and_not_a_tuple():
+    """Monoids and carriers tell a dimension by `isinstance(x, tuple)`, and
+    set order (so the golden file) follows the hash of (value, dim)."""
+    e = DimElement(1, (0,))
+    assert e != (1, (0,)) and not isinstance(e, tuple)
+    assert e == DimElement(1, (0,)) and e != DimElement(1, (1,))
+    assert hash(e) == hash((e.value, e.dim))
+    assert repr(DimElement(F(1, 2), (0, -1))) == "DimElement(value=Fraction(1, 2), dim=(0, -1))"
+    for field in ("value", "dim"):
+        with pytest.raises(AttributeError):
+            setattr(e, field, 2)
+    assert (e.value, e.dim) == (1, (0,))
+    assert copy.copy(e) == pickle.loads(pickle.dumps(e)) == e
 
 
 class TestPartialAddition:

@@ -113,8 +113,9 @@ class TestPowerFunctor:
         assert power_functor(b).check(rng).ok
 
     def test_factor_must_be_invertible(self):
-        with pytest.raises(CarrierError):
-            Factor(Line("A"), Line("B"), F(0))
+        for src, dst in (("A", "B"), ("A", "A")):
+            with pytest.raises(CarrierError):
+                Factor(Line(src), Line(dst), F(0))
 
 
 class TestFunctoriality:
