@@ -14,6 +14,7 @@ from .core import DimElement
 from .errors import CarrierError, ConstructionError, DimensionMismatch
 from .poly import GradedPolyRing
 from .report import CheckReport
+from .ring import jacobiator
 
 
 class ProbeSpace(NamedTuple):
@@ -97,11 +98,6 @@ def bilinear_check(
 
 
 PROPERTIES = ("symmetric", "antisymmetric", "associative", "jacobi")
-
-
-def jacobiator(mul, add, a, b, c):
-    """M(a,M(b,c)) + M(b,M(c,a)) + M(c,M(a,b)), which the Jacobi identity makes zero."""
-    return add(mul(a, mul(b, c)), add(mul(b, mul(c, a)), mul(c, mul(a, b))))
 
 
 def property_check(

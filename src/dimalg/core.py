@@ -235,18 +235,6 @@ class DimRing(ABC):
         """The slot rule's data (`ring` module docstring), or None: the default."""
         return None
 
-    def additive_generators(self, d) -> list:
-        """A greedy generating set of the listed slice over `d` under `add`,
-        which must be closed; found once per ring, for the laws decided on it."""
-        memo = getattr(self, "_additive_generators", None)
-        if memo is None:
-            memo = self._additive_generators = {}
-        if d not in memo:
-            from .ring import generating_set  # a law-suite helper: loaded on use
-
-            memo[d] = generating_set([a for a in self.elements() if a.dim == d], self.add)
-        return memo[d]
-
     def probe_elements(self, rng: random.Random, budget: int = 30) -> tuple:
         """The elements the axiom suite quantifies over: `budget` samples,
         then `one`, then the zero of the first element's slice."""

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .carriers import SliceSubgroup, Vectors
+from .core import DimElement
 from .errors import CarrierError, ConstructionError, DimensionMismatch
-from .group import DimElement
+from .linalg import rref
 from .monoid import DimMonoid
 from .poly import GradedPolyRing
 from .report import Checked, CheckReport
@@ -652,8 +652,8 @@ def span_contains(m: FreeDimModule, generators, elem: DimElement) -> bool:
 
     Supported for base rings whose slice values are single rationals
     (product and power rings): within one slice the span of a generator
-    is the rational line through any nonzero shift of it, and membership
-    in the span of those lines is asked of the slice presentation.
+    is the rational line through any nonzero shift of it, and `elem` lies
+    in the span of those lines iff it leaves their rank unchanged.
     """
     names = sorted(m.basis_dim, key=repr)
     index = {n: i for i, n in enumerate(names)}
@@ -675,4 +675,4 @@ def span_contains(m: FreeDimModule, generators, elem: DimElement) -> bool:
         shift = monoid.combine(elem.dim[0], monoid.inverse(gen.dim[0]))
         r = DimElement(Fraction(1), shift)
         rows.append(coords(m.coeff_act(r, gen)))
-    return SliceSubgroup(Vectors(len(names)), subspace=rows).contains(target)
+    return len(rref(rows)[1]) == len(rref(rows + [target])[1])

@@ -17,12 +17,12 @@ from functools import cached_property
 from fractions import Fraction
 from operator import add as _add, sub as _sub
 
-from .algebra import jacobiator
 from .core import DimElement
 from .errors import CarrierError, ConstructionError, DimensionMismatch, InputFormatError
 from .linalg import nullspace
 from .poly import GradedPolyRing
 from .report import CheckReport
+from .ring import jacobiator
 
 
 class DimPoisson:

@@ -30,6 +30,7 @@ and re-exported here.
 # typing's global cache and keeps a re-imported package's old copy alive.
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -446,17 +447,22 @@ def generating_set(elements, mul) -> list:
     return gens
 
 
-def slice_group_report(ring: DimRing, slices: dict) -> CheckReport:
+def jacobiator(mul, add, a, b, c):
+    """M(a,M(b,c)) + M(b,M(c,a)) + M(c,M(a,b)), which the Jacobi identity makes zero."""
+    return add(mul(a, mul(b, c)), add(mul(b, mul(c, a)), mul(c, mul(a, b))))
+
+
+def slice_group_report(ring: DimRing, slices: dict, adds: Callable) -> CheckReport:
     """The abelian-group laws of every slice of a ring that lists its
     elements, `slices` (dimension -> its elements), decided on the ring's
     own `add`, `zero` and `neg` (a CarrierError from `zero` or `neg` is a
     FAIL), every case but one:
     associativity is decided by Light's test in each closed slice that has
     an identity, (a+g)+c = a+(g+c) for every a, c and every g of
-    `ring.additive_generators`, k·n² cases instead of n³: the g that pass
-    are closed under + (Clifford & Preston, 1961), so they are the whole
-    slice.  A slice that leaks holds no magma to run it on; its `slices
-    closed under addition` FAIL stands for it."""
+    `adds(d)`, the slice's `generating_set` under +, k·n² cases instead of
+    n³: the g that pass are closed under + (Clifford & Preston, 1961), so
+    they are the whole slice.  A slice that leaks holds no magma to run it
+    on; its `slices closed under addition` FAIL stands for it."""
     rep = CheckReport(f"slice groups of {ring.label}")
     add, eq, show = ring.add, ring.eq, ring.show
 
@@ -486,7 +492,7 @@ def slice_group_report(ring: DimRing, slices: dict) -> CheckReport:
             and f"{show(a)} in slice {d!r} has no inverse")
     rep.law("addition associative",
             ((a, g, c) for d in unital if not leaks[d] for a in slices[d]
-             for g in ring.additive_generators(d) for c in slices[d]),
+             for g in adds(d) for c in slices[d]),
             lambda a, g, c: not eq(add(add(a, g), c), add(a, add(g, c)))
             and f"addition not associative at {show(a)},{show(g)},{show(c)}")
     rep.law("addition commutative",
@@ -515,11 +521,11 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
       d·(g·f) for every d, f and every g of a generating set, since the g
       that pass are closed under the product (Clifford & Preston, *The
       Algebraic Theory of Semigroups*, vol. 1, 1961): |D|²·k cases.  This
-      one runs, uncapped, on every ring, listed or not, whose
-      `probe_dims` are its whole finite monoid;
-    * distributivity with b over `ring.additive_generators` of a's slice,
-      a and c over every element.  Fix c: the b with (a+b)c = ac+bc for
-      every a are closed under +, since
+      one runs on every ring, listed or not, whose `probe_dims` D are its
+      whole finite monoid;
+    * distributivity with b over the `generating_set` of a's slice under
+      + (found once per report), a and c over every element.  Fix c: the
+      b with (a+b)c = ac+bc for every a are closed under +, since
       (a+(b+b'))c = ((a+b)+b')c = (ac+bc)+b'c = ac+(b+b')c, so they are
       the whole slice; c(a+b) likewise.  That step needs slice addition
       to be associative and closed, which the chain has decided first;
@@ -536,9 +542,14 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
       over a generating set of the product, and commutativity to every
       pair.
 
-    A ring with `slots()` runs every other law uncapped on its `slot_cases`;
-    any other ring is probed on `ring.probe_elements(rng, budget)`, each
-    law but that monoid associativity up to a fixed number of cases.
+    A ring with `slots()` runs every other law on its `slot_cases`.  Any
+    other ring is probed on E = `ring.probe_elements(rng, budget)` and
+    D = `probe_dims`, every law on every case of those sets, E_d being
+    the probes over d: |D|³ monoid triples (unless D is the whole
+    monoid), |E|² for the projection and commutativity, |E|·Σ|E_d|² for
+    distributivity, |D|·|E| for the zero family, |E| for unitality, |E|³
+    for associativity, Σ|E_d|² for the slice groups, and each probe with
+    each other dimension of D for addition across slices.
     """
     rep = CheckReport(f"dimensioned ring {ring.label}")
     elems = ring.elements()
@@ -549,28 +560,26 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     slices = {}
     for a in elems:
         slices.setdefault(a.dim, []).append(a)
-    if listed:
-        rep = rep.merged(slice_group_report(ring, slices))
+    adds = slices.__getitem__
+    if listed:  # each slice's additive generators, found once per report
+        adds = functools.cache(lambda d: generating_set(slices[d], ring.add))
+        rep = rep.merged(slice_group_report(ring, slices, adds))
         if not rep.ok:
             return rep
     dims = list(ring.probe_dims())
     comb, show = ring.dims.combine, ring.show
 
-    def law(name, cap, cases, check):
-        if slots and name in SLOT_LAWS:
-            cases = slot_cases(slots, name)
-        elif not listed:
-            cases = itertools.islice(cases, cap)
-        rep.law(name, cases, check)
+    def law(name, cases, check):
+        rep.law(name, slot_cases(slots, name) if slots and name in SLOT_LAWS else cases, check)
 
     def at(*xs):
         return ",".join(map(show, xs))
 
-    # Light's test, uncapped, wherever the probed dimensions are the whole
-    # finite monoid, which is closed; an infinite monoid is probed
+    # Light's test wherever the probed dimensions are the whole finite
+    # monoid, which is closed; an infinite monoid is probed
     closed = ring.dims.elements() == tuple(dims)
     triples = itertools.product(dims, generating_set(dims, comb) if closed else dims, dims)
-    law("dimension monoid: associativity", None if closed else 3000, triples,
+    law("dimension monoid: associativity", triples,
         lambda d, e, f: comb(comb(d, e), f) != comb(d, comb(e, f))
         and f"monoid associativity fails at {d!r},{e!r},{f!r}")
 
@@ -579,7 +588,7 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
             lambda d: (comb(ident, d) != d or comb(d, ident) != d)
             and f"monoid identity fails at {d!r}")
 
-    law("projection is a monoid morphism", 4000, itertools.product(elems, repeat=2),
+    law("projection is a monoid morphism", itertools.product(elems, repeat=2),
         lambda a, b: ring.mul(a, b).dim != comb(a.dim, b.dim)
         and f"dim({show(a)}·{show(b)}) != combined dims")
 
@@ -599,14 +608,12 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
             return None
         return f"{w} at {at(a, b, c)}"
 
-    # a listed ring's b: additive generators of a's slice (see the docstring)
-    adds = {d: ring.additive_generators(d) for d in slices} if listed else slices
-    law("distributivity where defined", 6000,
-        ((a, b, c) for a in elems for b in adds[a.dim] for c in elems), distributive)
+    law("distributivity where defined",
+        ((a, b, c) for a in elems for b in adds(a.dim) for c in elems), distributive)
     # once distributivity holds, the associator and commutator are additive in
     # each argument, so K, every slice's additive generators, stands for elems
     multilinear = listed and rep.results[-1].passed
-    spanning = [g for d in slices for g in adds[d]] if multilinear else elems
+    spanning = [g for d in slices for g in adds(d)] if multilinear else elems
 
     def absorbent(d, a):
         z = ring.zero(d)
@@ -615,22 +622,22 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
         if not ring.eq(ring.mul(a, z), ring.zero(comb(a.dim, d))):
             return f"{show(a)}·0_{d!r} != 0"
 
-    law("zero family is absorbent", 4000, itertools.product(dims, elems), absorbent)
+    law("zero family is absorbent", itertools.product(dims, elems), absorbent)
 
     one = ring.one
-    law("unitality", None, zip(elems),
+    law("unitality", zip(elems),
         lambda a: not (ring.eq(ring.mul(one, a), a) and ring.eq(ring.mul(a, one), a))
         and f"unit law fails at {show(a)}")
 
     # otherwise a listed ring's middle factor runs over Light's generators
     mid = spanning if multilinear else generating_set(elems, ring.mul) if listed else elems
-    law("multiplicative associativity", 6000, itertools.product(spanning, mid, spanning),
+    law("multiplicative associativity", itertools.product(spanning, mid, spanning),
         lambda a, b, c: not ring.eq(
             ring.mul(ring.mul(a, b), c), ring.mul(a, ring.mul(b, c))
         ) and f"(ab)c != a(bc) at {at(a, b, c)}")
 
     if ring.commutative:
-        law("commutativity", 4000, itertools.product(spanning, repeat=2),
+        law("commutativity", itertools.product(spanning, repeat=2),
             lambda a, b: not ring.eq(ring.mul(a, b), ring.mul(b, a))
             and f"ab != ba at {at(a, b)}")
 
@@ -647,7 +654,7 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
 
     if not listed:  # a listed ring's slice groups open its report
         pairs = ((a, b) for a in elems for b in slices[a.dim])
-        law("slices are abelian groups", 4000, pairs, abelian)
+        law("slices are abelian groups", pairs, abelian)
 
     def undefined_across(a, e):
         try:
@@ -656,7 +663,7 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
             return None
         return f"{show(a)}+0_{e!r} = {show(s)} across slices"
 
-    law("addition is undefined across slices", 4000,
+    law("addition is undefined across slices",
         ((a, e) for a in elems for e in dims if e != a.dim), undefined_across)
 
     if ring.unit_candidate is not None:

@@ -30,8 +30,6 @@ settings.load_profile("dimalg")
 DATA = Path(__file__).parent / "data"
 REPO_DATA = Path(__file__).parent.parent / "data"
 HOSTSPEED = Path(__file__).resolve().parent.parent / "perfbench" / "hostspeed.py"
-# the case caps of `ring_axiom_report`'s probed path, which no decided law may stop at
-PROBE_CAPS = {3000, 4000, 6000}
 
 
 def _hostspeed():

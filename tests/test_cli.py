@@ -737,6 +737,8 @@ CALCULATOR_ONLY = {"dimalg.poisson", "dimalg.structure", "dimalg.poly", "dimalg.
 # the law commands take DimElement from core: no carrier presentation loads
 NO_CARRIERS = {"dimalg.group", "dimalg.carriers", "dimalg.modules"}
 NO_POISSON = NO_CARRIERS | {"dimalg.poisson", "dimalg.algebra", "dimalg.linalg"}
+# the Poisson commands take `jacobiator` from ring: no bilinear-algebra layer loads
+NO_ALGEBRA = NO_CARRIERS | {"dimalg.algebra"}
 # a frozen dataclass execs its methods at import, and dataclasses loads inspect
 UNWANTED = ("click", "dataclasses", "inspect")
 POISSON_DOC = str(REPO / "poisson" / "canonical_4gen.json")
@@ -762,9 +764,9 @@ print(json.dumps([bare, code, sorted(m for m in sys.modules if m.startswith("dim
     (["eval", "1 m + 1 s", "--registry", REGISTRY], 1, CALCULATOR_ONLY),
     (["registry", "validate", REGISTRY], 0, CALCULATOR_ONLY),
     (["check", str(REPO / "structures" / "product_ring_mod5_z2.json")], 0, NO_POISSON),
-    (["poisson", "check", POISSON_DOC], 0, NO_CARRIERS),
-    (["poisson", "bracket", POISSON_DOC, "q1", "p1"], 0, NO_CARRIERS),
-    (["poisson", "reduce", POISSON_DOC, "--cutoff", "4"], 0, NO_CARRIERS),
+    (["poisson", "check", POISSON_DOC], 0, NO_ALGEBRA),
+    (["poisson", "bracket", POISSON_DOC, "q1", "p1"], 0, NO_ALGEBRA),
+    (["poisson", "reduce", POISSON_DOC, "--cutoff", "4"], 0, NO_ALGEBRA),
 ], ids=["eval", "convert", "syntax-error", "dimension-mismatch", "registry-validate", "check",
         "poisson-check", "poisson-bracket", "poisson-reduce"])
 def test_a_fresh_command_loads_only_its_layers(args, code, unloaded):

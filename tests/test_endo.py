@@ -4,7 +4,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import PROBE_CAPS
 from dimalg import ring as ring_module
 from dimalg import (
     DimensionMapMismatch,
@@ -247,7 +246,6 @@ class TestSuites:
             "slices are abelian groups": maps + every_map(2),
             "addition is undefined across slices": maps ** 2 - maps,
         }
-        assert not PROBE_CAPS & set(law_case_counts.values())
 
     @pytest.mark.parametrize("cls", [OwnMapMul, WrongSlotMul])
     def test_axiom_report_fails_a_composition_read_through_the_wrong_map(self, cls, rng):

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -614,6 +618,24 @@ class TestSpan:
         for _ in range(20):
             a = rank2.sample(rng)
             assert span_contains(rank2, gens, a)
+
+    def test_a_repeated_generator_adds_no_direction(self, rank2):
+        e, f = rank2.basis_element("e"), rank2.basis_element("f")
+        assert span_contains(rank2, [e, e], e)
+        assert not span_contains(rank2, [e, e], f)
+        assert span_contains(rank2, [], rank2.zero(e.dim))
+
+
+def test_a_fresh_import_loads_no_group_or_carrier_layer():
+    """`modules` takes `DimElement` from core and decides span membership
+    by `linalg.rref` ranks, not by a slice presentation."""
+    code = "import sys, dimalg.modules; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert "dimalg.modules" in loaded
+    assert not {"dimalg.group", "dimalg.carriers"} & loaded
 
 
 class TestNegativeControls:

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction as F
 from random import Random
 
@@ -64,8 +65,30 @@ class TestArithmetic:
             fg = canonical_ring.mul(f, g)
             assert fg.dim == tuple(a + b for a, b in zip(f.dim, g.dim))
 
-    def test_ring_axioms(self, canonical_ring, rng):
-        assert ring_axiom_report(canonical_ring, rng).ok
+    def test_ring_axioms(self, canonical_ring, law_case_counts):
+        """Every law runs every case over the probes E (one, the zero, q, p,
+        then 30 samples) and the probe dimensions D, E_d being the probes
+        over d: associativity all |E|³ = 34³ triples."""
+        ring = canonical_ring
+        probes = ring.probe_elements(Random(5))
+        dims = ring.probe_dims()
+        e, d = len(probes), len(dims)
+        by_dim = Counter(a.dim for a in probes)
+        within = sum(n * n for n in by_dim.values())
+        assert ring_axiom_report(ring, Random(5)).ok
+        assert dict(law_case_counts) == {
+            "dimension monoid: associativity": d ** 3,
+            "dimension monoid: identity": d,
+            "projection is a monoid morphism": e ** 2,
+            "distributivity where defined": e * within,
+            "zero family is absorbent": d * e,
+            "unitality": e,
+            "multiplicative associativity": e ** 3,
+            "commutativity": e ** 2,
+            "slices are abelian groups": within,
+            "addition is undefined across slices": sum(d - (a.dim in dims) for a in probes),
+        }
+        assert law_case_counts["multiplicative associativity"] == 34 ** 3
 
     @pytest.mark.parametrize("cls, budget, witness", [
         # two distinct summands of one slice come only from the samples
