@@ -119,11 +119,20 @@ def _describe(shape, plural: bool = False) -> str:
 
 
 def _fit(x, shape):
-    """`x` with its arrays as tuples; ValueError when it has another shape."""
+    """`x` with its arrays as tuples; ValueError when it has another shape.
+    A container whose entries all have exactly its leaf type is copied in
+    one pass; any other goes entry by entry."""
     if isinstance(shape, list) and isinstance(x, (list, tuple)):
-        return tuple(_fit(v, shape[0]) for v in x)
-    if isinstance(shape, dict) and isinstance(x, dict) and all(isinstance(k, str) for k in x):
-        return {k: _fit(v, shape[str]) for k, v in x.items()}
+        t = shape[0]
+        if isinstance(t, type) and all(type(v) is t for v in x):
+            return tuple(x)
+        return tuple(_fit(v, t) for v in x)
+    if isinstance(shape, dict) and isinstance(x, dict):
+        t = shape[str]
+        if isinstance(t, type) and all(type(k) is str and type(v) is t for k, v in x.items()):
+            return dict(x)
+        if all(isinstance(k, str) for k in x):
+            return {k: _fit(v, t) for k, v in x.items()}
     if isinstance(shape, type) and isinstance(x, shape) and not (
         shape is int and isinstance(x, bool)
     ):

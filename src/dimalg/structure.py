@@ -113,15 +113,23 @@ class TableDimRing(DimRing):
                     raise InputFormatError(f"unit candidate names unknown element {x!r}")
             self.unit_candidate = {d: self.el(x) for d, x in cand.items()}
 
+        # every cell resolved to its element once; a resolved addition row
+        # lists its slice in slice order
+        el = self.by_name.__getitem__
+        self.add_table = {a: {b: el(self.add_table[d][a][b]) for b in xs}
+                          for d, xs in self.slices.items() for a in xs}
+        self.mul_table = {a: {b: el(c) for b, c in row.items()}
+                          for a, row in self.mul_table.items()}
         self._zeros = self._find_zeros()
 
     def _find_zeros(self) -> dict:
-        zeros = {}
+        """Each slice's first element, in slice order, that is a two-sided
+        identity of its addition."""
+        add, zeros = self.add_table, {}
         for d, xs in self.slices.items():
-            tbl = self.add_table[d]
             for z in xs:
-                if all(tbl[z][x] == x and tbl[x][z] == x for x in xs):
-                    zeros[d] = z
+                if all(add[z][x].value == x == add[x][z].value for x in xs):
+                    zeros[d] = self.by_name[z]
                     break
         return zeros
 
@@ -132,13 +140,12 @@ class TableDimRing(DimRing):
     def add(self, a, b):
         if a.dim != b.dim:
             raise DimensionMismatch(a.dim, b.dim, self.label)
-        return self.el(self.add_table[a.dim][a.value][b.value])
+        return self.add_table[a.value][b.value]
 
     def neg(self, a):
         """The first x in slice order with a + x = 0."""
-        z = self.zero(a.dim).value  # raises where the slice has no identity
-        row = self.add_table[a.dim][a.value]
-        x = next((x for x in self.slices[a.dim] if row[x] == z), None)
+        z = self.zero(a.dim)  # raises where the slice has no identity
+        x = next((x for x, s in self.add_table[a.value].items() if s == z), None)
         if x is None:
             raise CarrierError(f"{a.value!r} has no additive inverse")
         return self.el(x)
@@ -147,10 +154,10 @@ class TableDimRing(DimRing):
         z = self._zeros.get(d)
         if z is None:
             raise CarrierError(f"slice {d!r} has no additive identity")
-        return self.el(z)
+        return z
 
     def mul(self, a, b):
-        return self.el(self.mul_table[a.value][b.value])
+        return self.mul_table[a.value][b.value]
 
     @property
     def one(self):

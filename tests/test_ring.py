@@ -443,6 +443,30 @@ def test_each_probed_ring_law_fails_on_an_input_that_breaks_it(q_x_z, rng, call,
     assert call(q_x_z, rng).startswith(witness)
 
 
+class NoDraws:
+    """An rng whose every method raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} was called")
+
+
+MORPHISM_LAWS = ("dimension square commutes", "additive within slices", "multiplicative",
+                 "preserves unit")
+
+
+def test_the_identity_morphism_holds_its_laws_without_probing(q_x_z, law_case_counts):
+    rep = RingMorphism.identity(q_x_z).check(NoDraws())
+    assert rep.lines() == ["== morphism id"] + [f"PASS  {law}" for law in MORPHISM_LAWS]
+    assert not +law_case_counts  # each law ran on no case
+
+
+def test_a_map_equal_to_the_identity_is_still_probed(q_x_z):
+    same = RingMorphism(q_x_z, q_x_z, lambda d: d, lambda a: a, "same")
+    with pytest.raises(AssertionError, match="was called"):
+        same.check(NoDraws())
+    assert same.check(random.Random(5)).ok
+
+
 _NOT_A_FIELD = ProductDimRing(Rationals(), DimMonoid.map_monoid((0, 1)), label="QxMap")
 
 

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ from dimalg import (
     ring_axiom_report,
 )
 from dimalg.ring import generating_set
+from dimalg.errors import typed_field
 from dimalg.structure import load_poisson, parse_poly, structure_axiom_report
 
 DATA = Path(__file__).parent / "data"
@@ -126,8 +127,9 @@ class TestLightsTest:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_generating_set_is_greedy(self, n):
         """Each generator lies outside the closure of those before it, and
-        together they generate every element. The magmas x·y = ax + by
-        mod n are mostly neither commutative nor associative."""
+        together they generate every element, the idempotents taking their
+        turns after the rest. The magmas x·y = ax + by mod n are mostly
+        neither commutative nor associative."""
 
         def closure(gens, mul):
             out = set(gens)
@@ -144,7 +146,8 @@ class TestLightsTest:
             assert closure(gens, mul) == set(range(n)), (a, b)
 
     def test_associativity_defect_late_in_lights_order(self):
-        # 7 generators, so with a outermost the witness is case 9 851
+        # 5 generators, 0@d0 and 1@d0 not among them, so with a outermost
+        # the witness is the 7 036th case
         doc = product_table(32, 2)
         doc["mul"]["21@d1"]["27@d1"] = doc["mul"]["27@d1"]["21@d1"] = "0@d0"
         code, lines = check_structure(doc)
@@ -152,7 +155,56 @@ class TestLightsTest:
         assert "FAIL  multiplicative associativity: (ab)c != a(bc) at 21@d0,1@d1,27@d1" in lines
 
 
+    @pytest.mark.parametrize("orders", [(2,), (5,), (8,), (2, 2), (2, 3), (3, 4), (2, 2, 2)])
+    def test_a_group_never_gets_its_identity_as_a_generator(self, orders):
+        """Listed with its identity first, then in order and reversed, a
+        product of cyclic groups of two or more elements is generated
+        without its identity, the one idempotent of a group."""
+        elems = list(product(*map(range, orders)))
+
+        def add(x, y):
+            return tuple((a + b) % n for a, b, n in zip(x, y, orders))
+
+        for listed in (elems, elems[:1] + elems[:0:-1]):
+            assert elems[0] not in generating_set(listed, add), listed
+        if len(orders) == 1:  # a cyclic group has one generator
+            assert len(generating_set(elems, add)) == 1
+
+    def test_the_symmetric_group_never_gets_its_identity_as_a_generator(self):
+        perms = list(permutations(range(3)))  # the identity first
+
+        def compose(p, q):
+            return tuple(p[i] for i in q)
+
+        gens = generating_set(perms, compose)
+        assert perms[0] not in gens and len(gens) == 2
+
+
 class TestGeneratorDecidedLaws:
+    def test_golden_structure_counts(self, law_case_counts):
+        """Z/5 x Z/2 lists each slice's zero first; its slices and its
+        dimension monoid are cyclic, so each has one generator: k = 1 per
+        slice, K = 2 and 1 of the 2 dimensions."""
+        assert check_structure(GOLDEN)[0] == 0
+        assert {law: law_case_counts[law] for law in (
+            "distributivity where defined", "multiplicative associativity", "commutativity",
+            "addition associative", "dimension monoid: associativity")} == {
+            "distributivity where defined": 100,   # k·n², n = 10
+            "multiplicative associativity": 8,     # K³
+            "commutativity": 4,                    # K²
+            "addition associative": 50,            # k·Σ|slice|²
+            "dimension monoid: associativity": 4,  # |D|²·1
+        }
+
+    @pytest.mark.parametrize("n,m", [(2, 14), (14, 2)])
+    def test_zero_first_slices_count_one_generator_each(self, n, m, law_case_counts):
+        """product_table lists every slice's zero first: Z/n x Z/m has m
+        cyclic slices, so K holds m elements, one per slice."""
+        assert check_structure(product_table(n, m))[0] == 0
+        assert law_case_counts["multiplicative associativity"] == m ** 3
+        assert law_case_counts["commutativity"] == m ** 2
+        assert law_case_counts["distributivity where defined"] == (n * m) ** 2
+
     def test_case_counts_grow_as_n_squared(self, law_case_counts):
         """Distributivity and slice-addition associativity are decided in
         k·n² cases, so doubling a slice multiplies their counts by 4, not
@@ -248,6 +300,26 @@ class TestShapeErrors:
         doc["slices"]["1"] = list(doc["slices"]["1"]) + ["0@1"]
         with pytest.raises(InputFormatError, match="'0@1' appears twice in slice '1'"):
             check_structure(doc)
+
+
+@pytest.mark.parametrize("value, shape, message", [
+    ([1, True], [int], "x must be an array of integers, got [1, True]"),
+    ({"a": 1, "b": False}, {str: int}, "x must be an object of integers, got {'a': 1, 'b': False}"),
+    ({"a": ["u", 2]}, {str: [str]}, "x must be an object of arrays of strings, got {'a': ['u', 2]}"),
+    ({1: "a"}, {str: str}, "x must be an object of strings, got {1: 'a'}"),
+], ids=["boolean-in-integers", "boolean-in-object", "nested-integer", "integer-key"])
+def test_a_field_with_one_entry_of_another_type_is_refused(value, shape, message):
+    with pytest.raises(InputFormatError) as exc:
+        typed_field(value, shape, "x")
+    assert str(exc.value) == message
+
+
+def test_a_field_of_leaves_is_copied_with_its_arrays_as_tuples():
+    value = {"a": ["u", "v"], "b": []}
+    out = typed_field(value, {str: [str]}, "x")
+    assert out == {"a": ("u", "v"), "b": ()} and out is not value
+    row = {"a": "b"}
+    assert typed_field(row, {str: str}, "x") == row and typed_field(row, {str: str}, "x") is not row
 
 
 class TestPoissonDocuments:

@@ -6,10 +6,11 @@ its raw JSON tables, every law on every case, and imports nothing from
 must agree with `check_structure`, the exit code and the law named by
 each FAIL line, on every shipped structure, on a table whose defect lies
 beyond the first cases of each law, on fixed-seed product tables, clean
-and with one-cell defects, on tables that break associativity or
-commutativity alone, and on tables that break distributivity or
-slice-addition associativity alone, where the first additive generator of
-the slice passes.
+and with one-cell defects, shuffled or with each slice's zero listed
+first, on a table whose defect is at the ring's 1, on tables that break
+associativity or commutativity alone, and on tables that break
+distributivity or slice-addition associativity alone, where the first
+additive generator of the slice passes.
 """
 
 import copy
@@ -21,7 +22,8 @@ from pathlib import Path
 import pytest
 
 from conftest import product_table
-from dimalg import check_structure
+from dimalg import check_structure, load_structure
+from dimalg.ring import generating_set
 
 TESTS = Path(__file__).parent
 STRUCTURES = sorted((TESTS.parent / "data" / "structures").glob("*.json")) + [
@@ -312,3 +314,37 @@ def test_oracle_finds_slice_addition_failing_beyond_the_first_generator():
     assert assert_oracle_agrees(doc) == 1
     _, lines = check_structure(doc)
     assert "FAIL  addition associative: addition not associative at x+y,y,y" in lines
+
+
+def zero_first(doc: dict) -> dict:
+    """`doc` with every slice's zero, `0@dk`, moved to the front."""
+    for xs in doc["slices"].values():
+        xs.sort(key=lambda x: not x.startswith("0@"))
+    return doc
+
+
+@pytest.mark.parametrize("n,m,shuffled", [(2, 14, False), (14, 2, False), (3, 5, True),
+                                          (6, 3, True)])
+def test_oracle_agrees_on_zero_first_tables(n, m, shuffled):
+    """Each zero, the one additive idempotent of its slice, is listed
+    first, so the slice's generators are taken from the elements after it;
+    clean and with each one-cell defect."""
+    rng = random.Random(100 * n + m)
+    clean = zero_first(product_table(n, m, rng if shuffled else None))
+    assert assert_oracle_agrees(clean) == 0
+    for kind in DEFECTS:
+        assert_oracle_agrees(one_cell_defect(clean, kind, rng))
+
+
+def test_oracle_finds_a_defect_at_the_rings_one():
+    """Z/5 x Z/2 whose one product cell 1@d0·2@d0 is 3@d0, not 2@d0.
+    Distributivity fails, so associativity runs Light's test, whose
+    generators of the product leave out the idempotent 1@d0; the
+    associativity failure is still found."""
+    doc = product_table(5, 2)
+    doc["mul"]["1@d0"]["2@d0"] = "3@d0"
+    broken = [n for n, holds in table_laws(doc).items() if not holds]
+    assert "multiplicative associativity" in broken and "unitality" in broken
+    ring = load_structure(doc)
+    assert ring.one not in generating_set(ring.elements(), ring.mul)
+    assert assert_oracle_agrees(doc) == 1
