@@ -460,9 +460,31 @@ def generating_set(elements, mul) -> list:
     return gens
 
 
-def jacobiator(mul, add, a, b, c):
-    """M(a,M(b,c)) + M(b,M(c,a)) + M(c,M(a,b)), which the Jacobi identity makes zero."""
-    return add(mul(a, mul(b, c)), add(mul(b, mul(c, a)), mul(c, mul(a, b))))
+def distributivity(ring: DimRing, side: str | None = None) -> Callable:
+    """The check of (a+b)c = ac+bc and then c(a+b) = ca+cb, or of the one
+    `side`, "left" or "right", on a case (a, b, c) with a and b in one
+    slice.  Its witness names the dimensions of ac and bc first when they
+    differ, since ac+bc is then undefined."""
+    add, mul, eq = ring.add, ring.mul, ring.eq
+    left, right = side != "right", side != "left"
+
+    def distributive(a, b, c):
+        ab, w = add(a, b), ""
+        if left:
+            ac, bc = mul(a, c), mul(b, c)
+            if ac.dim != bc.dim:
+                w = f"ac, bc lie over {ac.dim!r} != {bc.dim!r}"
+            elif not eq(mul(ab, c), add(ac, bc)):
+                w = "(a+b)c != ac+bc"
+        if right and not w:
+            ca, cb = mul(c, a), mul(c, b)
+            if ca.dim != cb.dim:
+                w = f"ca, cb lie over {ca.dim!r} != {cb.dim!r}"
+            elif not eq(mul(c, ab), add(ca, cb)):
+                w = "c(a+b) != ca+cb"
+        return w and f"{w} at {','.join(map(ring.show, (a, b, c)))}"
+
+    return distributive
 
 
 def slice_group_report(ring: DimRing, slices: dict, adds: Callable) -> CheckReport:
@@ -608,24 +630,8 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
         lambda a, b: ring.mul(a, b).dim != comb(a.dim, b.dim)
         and f"dim({show(a)}·{show(b)}) != combined dims")
 
-    def distributive(a, b, c):
-        ab = ring.add(a, b)
-        ac, bc = ring.mul(a, c), ring.mul(b, c)
-        ca, cb = ring.mul(c, a), ring.mul(c, b)
-        if ac.dim != bc.dim:
-            w = f"ac, bc lie over {ac.dim!r} != {bc.dim!r}"
-        elif not ring.eq(ring.mul(ab, c), ring.add(ac, bc)):
-            w = "(a+b)c != ac+bc"
-        elif ca.dim != cb.dim:
-            w = f"ca, cb lie over {ca.dim!r} != {cb.dim!r}"
-        elif not ring.eq(ring.mul(c, ab), ring.add(ca, cb)):
-            w = "c(a+b) != ca+cb"
-        else:
-            return None
-        return f"{w} at {at(a, b, c)}"
-
     law("distributivity where defined",
-        ((a, b, c) for a in elems for b in adds(a.dim) for c in elems), distributive)
+        ((a, b, c) for a in elems for b in adds(a.dim) for c in elems), distributivity(ring))
     # once distributivity holds, the associator and commutator are additive in
     # each argument, so K, every slice's additive generators, stands for elems
     multilinear = listed and rep.results[-1].passed

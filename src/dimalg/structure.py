@@ -27,7 +27,6 @@ from .errors import (
 )
 from .exprparse import eval_tree, parse_poly_expr
 from .monoid import DimMonoid
-from .poly import GradedPolyRing
 from .report import CheckReport
 
 # perfbench/tracer.py traces `slice_group_report` under this module's name and rebinds
@@ -200,7 +199,7 @@ def check_structure(source):
 # ---------------------------------------------------------------------------
 
 
-def parse_poly(ring: GradedPolyRing, src: str) -> DimElement:
+def parse_poly(ring: "GradedPolyRing", src: str) -> DimElement:
     """Evaluate a polynomial expression over a graded ring's generators.
 
     A coefficient beyond errors.MAX_VALUE_BITS, or a product or power
@@ -254,7 +253,9 @@ def parse_poly(ring: GradedPolyRing, src: str) -> DimElement:
 
 def load_poisson(source, validate: bool = True):
     """Build a DimPoisson (plus its declared ideal) from a JSON document."""
-    from .poisson import make_poisson  # `dimalg check` never loads the Poisson layer
+    # `dimalg check` loads neither the Poisson nor the polynomial layer
+    from .poisson import make_poisson
+    from .poly import GradedPolyRing
 
     doc = typed_field(load_json(source), dict, "a Poisson description")
     try:

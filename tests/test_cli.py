@@ -736,8 +736,9 @@ CALCULATOR_ONLY = {"dimalg.poisson", "dimalg.structure", "dimalg.poly", "dimalg.
                    "dimalg.group", "dimalg.lines", "dimalg.report", "dimalg.linalg"}
 # the law commands take DimElement from core: no carrier presentation loads
 NO_CARRIERS = {"dimalg.group", "dimalg.carriers", "dimalg.modules"}
-NO_POISSON = NO_CARRIERS | {"dimalg.poisson", "dimalg.algebra", "dimalg.linalg"}
-# the Poisson commands take `jacobiator` from ring: no bilinear-algebra layer loads
+# a declared table needs no polynomial: `check` loads neither poly nor poisson
+NO_POISSON = NO_CARRIERS | {"dimalg.poisson", "dimalg.poly", "dimalg.algebra", "dimalg.linalg"}
+# the Poisson suite decides its laws on its own table: no bilinear-algebra layer loads
 NO_ALGEBRA = NO_CARRIERS | {"dimalg.algebra"}
 # a frozen dataclass execs its methods at import, and dataclasses loads inspect
 UNWANTED = ("click", "dataclasses", "inspect")

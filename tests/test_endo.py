@@ -1,5 +1,4 @@
 import itertools
-import math
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +7,10 @@ from dimalg import ring as ring_module
 from dimalg import (
     DimensionMapMismatch,
     EndoRing,
+    Line,
+    PowerRing,
     ProductDimRing,
+    dimensionless_ring,
     endo_distributivity_report,
     ring_axiom_report,
 )
@@ -19,6 +21,20 @@ from dimalg.errors import CarrierError
 from dimalg.group import DimElement
 from dimalg.monoid import DimMonoid
 from dimalg.ring import generating_set
+from mutants import (
+    FloorEndo,
+    FloorOffConstantMaps,
+    FloorSliceOneSum,
+    FloorSumProduct,
+    OddEvenDoubledProduct,
+    OwnMapMul,
+    ProductForSumEndo,
+    SquareAcrossMaps,
+    SwappedOrderMul,
+    ThresholdMapMul,
+    UncheckedAdd,
+    WrongSlotMul,
+)
 
 
 def endo_over_cyclic(n, cls=EndoRing):
@@ -47,102 +63,6 @@ def slot_by_slot_faults(endo):
                 yield f"(A∘B)(x) != A(B(x)) at {endo.show(a)}, {endo.show(b)}, {x}"
             if total is not None and act(total, x) != base.add(act(a, x), act(b, x)):
                 yield f"(A+B)(x) != A(x)+B(x) at {endo.show(a)}, {endo.show(b)}, {x}"
-
-
-class OwnMapMul(EndoRing):
-    """Reads a's coefficients through a's own map instead of b's."""
-
-    def mul(self, a, b):
-        coeffs = tuple(a.value[self.index[a.dim[i]]] * b.value[i] for i in range(len(self.points)))
-        return DimElement(coeffs, self.dims.combine(a.dim, b.dim))
-
-
-class SwappedOrderMul(EndoRing):
-    """Composes the dimension maps in the wrong order."""
-
-    def mul(self, a, b):
-        return DimElement(super().mul(a, b).value, self.dims.combine(b.dim, a.dim))
-
-
-class SquareAcrossMaps(EndoRing):
-    """Squares a's coefficients when the two dimension maps differ."""
-
-    def mul(self, a, b):
-        if a.dim != b.dim:
-            a = DimElement(tuple(x * x for x in a.value), a.dim)
-        return super().mul(a, b)
-
-
-class WrongSlotMul(EndoRing):
-    """Reads b's coefficients through b's own map: b(psi(i)) for b(i)."""
-
-    def mul(self, a, b):
-        coeffs = tuple(a.value[self.index[b.dim[i]]] * b.value[self.index[b.dim[i]]]
-                       for i in range(len(self.points)))
-        return DimElement(coeffs, self.dims.combine(a.dim, b.dim))
-
-
-class ProductForSumEndo(EndoRing):
-    """Multiplies the coefficients where it should add them."""
-
-    def add(self, a, b):
-        total = super().add(a, b)  # keeps the equal-map check
-        return DimElement(tuple(x * y for x, y in zip(a.value, b.value)), total.dim)
-
-
-class FloorEndo(EndoRing):
-    """Composes, then floors each coefficient: exact on integers only."""
-
-    def mul(self, a, b):
-        out = super().mul(a, b)
-        return DimElement(tuple(F(math.floor(c)) for c in out.value), out.dim)
-
-
-class ThresholdMapMul(EndoRing):
-    """Composes the maps only where a's first coefficient is negative: a sum
-    of two compositions can then meet two maps."""
-
-    def mul(self, a, b):
-        out = super().mul(a, b)
-        return out if a.value[0] < 0 else DimElement(out.value, a.dim)
-
-
-class FloorOffConstantMaps(EndoRing):
-    """Composes, then floors each coefficient unless b's map is constant."""
-
-    def mul(self, a, b):
-        out = super().mul(a, b)
-        if len(set(b.dim)) == 1:
-            return out
-        return DimElement(tuple(F(math.floor(c)) for c in out.value), out.dim)
-
-
-class FloorSumProduct(ProductDimRing):
-    """Q x Z/2 whose sums round negative non-integers down in the slices
-    `floored`."""
-
-    floored = (0, 1)
-
-    def add(self, a, b):
-        s = super().add(a, b)
-        if s.value < 0 and s.dim in self.floored:
-            return DimElement(F(math.floor(s.value)), s.dim)
-        return s
-
-
-class FloorSliceOneSum(FloorSumProduct):
-    """Rounds down in slice 1 alone, away from the identity slice."""
-
-    floored = (1,)
-
-
-class OddEvenDoubledProduct(ProductDimRing):
-    """Q x Z/2 whose product doubles only when a lies over 1 and b over 0:
-    no cocycle twist, so not a ring."""
-
-    def mul(self, a, b):
-        out = super().mul(a, b)
-        return DimElement(2 * out.value, out.dim) if (a.dim, b.dim) == (1, 0) else out
 
 
 class TestComposition:
@@ -196,14 +116,6 @@ class TestComposition:
             lhs = endo2.mul(psi, endo2.add(phi, theta))
             rhs = endo2.add(endo2.mul(psi, phi), endo2.mul(psi, theta))
             assert endo2.eq(lhs, rhs)
-
-
-class UncheckedAdd(EndoRing):
-    """Adds coefficients whatever the two dimension maps are."""
-
-    def add(self, a, b):
-        sc = self.base.scalars
-        return DimElement(tuple(sc.add(x, y) for x, y in zip(a.value, b.value)), a.dim)
 
 
 class TestSuites:
@@ -266,8 +178,8 @@ class TestSuites:
         rep = endo_distributivity_report(endo_over_cyclic(3, ProductForSumEndo))
         assert [r.law for r in rep.failures] == ["left distributivity", "right distributivity"]
         left, right = (r.witness for r in rep.failures)
-        assert left.startswith("(F+T)∘P = F∘P+T∘P fails at F=")
-        assert right.startswith("P∘(F+T) = P∘F+P∘T fails at F=")
+        assert left.startswith("(a+b)c != ac+bc at ({0->0,1->0,2->0}; coeffs (-3/2, ")
+        assert right.startswith("c(a+b) != ca+cb at ({0->0,1->0,2->0}; coeffs (-3/2, ")
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_distributivity_report_fails_a_product_nonlinear_across_maps(self, n):
@@ -277,12 +189,21 @@ class TestSuites:
 
     def test_distributivity_report_names_a_sum_it_cannot_form(self):
         rep = endo_distributivity_report(endo_over_cyclic(2, ThresholdMapMul))
-        assert "(F+T)∘P = F∘P+T∘P is undefined (endomorphism addition needs equal" \
-            in rep.failures[0].witness
+        assert rep.failures[0].law == "left distributivity"
+        assert rep.failures[0].witness.startswith("ac, bc lie over (0, 0) != (0, 1) at ")
 
     def test_needs_finite_dimension_set(self, q_x_z):
         with pytest.raises(CarrierError):
             EndoRing(q_x_z)
+
+    def test_needs_a_rational_base(self):
+        """Only over Q is every slice endomorphism a scaling."""
+        view = dimensionless_ring(PowerRing((Line("length"), Line("time"))))
+        with pytest.raises(CarrierError) as exc:
+            EndoRing(ProductDimRing(view, DimMonoid.cyclic(2)))
+        assert str(exc.value) == f"endomorphism ring needs a base over Q, not over {view}"
+        accepted = EndoRing(ProductDimRing(ring_module.RationalScalars(), DimMonoid.cyclic(2)))
+        assert ring_axiom_report(accepted).ok
 
 
 class TestModuleStructure:

@@ -28,7 +28,6 @@ import pytest
 
 from conftest import run_cli
 from dimalg import (
-    EndoRing,
     GradedPolyRing,
     Line,
     PowerRing,
@@ -38,6 +37,7 @@ from dimalg import (
 from dimalg.carriers import Rationals
 from dimalg.group import DimElement
 from dimalg.monoid import DimMonoid
+from mutants import LeftHeavyEndo
 
 TESTS = Path(__file__).parent
 REPO = TESTS.parent
@@ -80,14 +80,6 @@ class ConstantlessPoly(GradedPolyRing):
     def mul(self, a, b):
         out = super().mul(a, b)
         return DimElement(tuple(t for t in out.value if any(t[0])), out.dim)
-
-
-class LeftHeavyEndo(EndoRing):
-    """Endo(Q x Z/2) whose sum counts the left summand's first coefficient twice."""
-
-    def add(self, a, b):
-        c = super().add(a, b).value
-        return DimElement((c[0] + a.value[0],) + c[1:], a.dim)
 
 
 def broken_rings():

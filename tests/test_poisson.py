@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from dimalg import (
 from dimalg.algebra import jacobiator
 from dimalg.group import DimElement
 from dimalg.poisson import DimPoisson, ReducedPoisson
+from dimalg.report import CheckReport
 from dimalg.structure import load_poisson
 
 small_vec = st.tuples(*[st.integers(-5, 5)] * 3)
@@ -507,6 +509,52 @@ class TestHomogeneousProduct:
 
 
 # ---------------------------------------------------------------------------
+# A product reduces factor by factor
+# ---------------------------------------------------------------------------
+
+
+def _doc(gens, bracket):
+    return {"generators": [{"name": n, "dim": [d]} for n, d in gens], "bracket": bracket}
+
+
+# scale 1 and bracket and product dimension 0, so both products apply
+FACTORS = {
+    "A": _doc([("a1", 1), ("b1", -1), ("a2", 1), ("b2", -1)], {"a1,b1": "1", "a2,b2": "1"}),
+    "B": _doc([("c1", 1), ("d1", -1), ("c2", 1), ("d2", -1)], {"c1,d1": "1", "c2,d2": "1"}),
+    "QP": _doc([("Q", 1), ("P", -1)], {"Q,P": "Q*P"}),
+    "so(3)": _doc([("u", 0), ("v", 0), ("w", 0)], {"u,v": "w", "v,w": "u", "w,u": "v"}),
+}
+
+
+def _reduced_counts(p, ideal, cutoff):
+    """The reduced basis's size in each degree 0..cutoff."""
+    degrees = Counter(p.ring.degree(b) for b in poisson_reduce(p, ideal, cutoff).basis)
+    return [degrees[n] for n in range(cutoff + 1)]
+
+
+@pytest.mark.parametrize("product", [poisson_product_hetero, poisson_product_homo])
+@pytest.mark.parametrize("a, ideal_a, b, ideal_b", [
+    ("A", ["a1"], "B", ["d2"]),
+    ("A", ["a1", "b2"], "QP", ["Q"]),
+    ("QP", ["P"], "so(3)", ["u"]),
+    ("so(3)", ["u"], "A", ["a1"]),
+], ids=["A/(a1) x B/(d2)", "A/(a1,b2) x QP/(Q)", "QP/(P) x so(3)/(u)", "so(3)/(u) x A/(a1)"])
+def test_a_product_reduces_factor_by_factor(product, a, ideal_a, b, ideal_b):
+    """With scale 1 on both factors and I = I_A(x)B + A(x)I_B,
+    N(I)/I = N(I_A)/I_A (x) N(I_B)/I_B as graded spaces (Śniatycki &
+    Weinstein, 1983, through the product of the source paper): the
+    product's reduced counts per degree are the convolution of the
+    factors' counts."""
+    pa, pb = load_poisson(FACTORS[a])[0], load_poisson(FACTORS[b])[0]
+    for cutoff in (4, 6):
+        ca, cb = _reduced_counts(pa, ideal_a, cutoff), _reduced_counts(pb, ideal_b, cutoff)
+        convolved = [sum(ca[i] * cb[n - i] for i in range(n + 1)) for n in range(cutoff + 1)]
+        assert _reduced_counts(product(pa, pb), ideal_a + ideal_b, cutoff) == convolved
+    if (a, b) == ("A", "B"):  # polynomials in four variables, by hand
+        assert convolved == [1, 4, 10, 20, 35, 56, 84]
+
+
+# ---------------------------------------------------------------------------
 # Laws decided on generators, against the random probes they replaced
 # ---------------------------------------------------------------------------
 
@@ -559,6 +607,18 @@ def _subjects():
 
 
 SUBJECTS = _subjects()
+
+
+def _gl_doc(n):
+    """The Lie-Poisson table of gl(n)*: {e_ij, e_kl} = δ_jk·e_il - δ_li·e_kj
+    on dimensionless generators, Poisson by construction."""
+    idx = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    bracket = {}
+    for (i, j), (k, l) in itertools.combinations(idx, 2):
+        plus, minus = f"e{i}{l}" * (j == k), f"-e{k}{j}" * (l == i)
+        if plus or minus:
+            bracket[f"e{i}{j},e{k}{l}"] = " ".join(filter(None, (plus, minus)))
+    return {"generators": _gens(f"e{i}{j}" for i, j in idx), "bracket": bracket}
 
 
 def _load(name):
@@ -641,6 +701,31 @@ class TestGeneratorDecisions:
         rep = poisson_axiom_report(_load("not Jacobi")[0])
         assert [r.line() for r in rep.failures] == [
             f"FAIL  {JACOBI}: Jacobi fails on generators (x,y,z)"]
+
+    def test_jacobi_reads_the_table_of_gl3_and_builds_no_generator(self, monkeypatch):
+        """The Lie-Poisson table of gl(3)* PASSes; with one entry perturbed
+        it FAILs Jacobi alone.  The law brackets the report's generators with
+        table entries, so it builds no generator of its own."""
+        doc = _gl_doc(3)
+        assert doc["bracket"]["e12,e21"] == "e11 -e22"
+        built, inside, law = [], [], CheckReport.law
+        generator = GradedPolyRing.generator
+        monkeypatch.setattr(GradedPolyRing, "generator",
+                            lambda ring, name: built.append(name) or generator(ring, name))
+
+        def counted(rep, name, cases, check):
+            before = len(built)
+            law(rep, name, cases, check)
+            if name == JACOBI:
+                inside.append(len(built) - before)
+
+        monkeypatch.setattr(CheckReport, "law", counted)
+        assert poisson_axiom_report(load_poisson(doc, validate=False)[0]).ok
+        rep = poisson_axiom_report(load_poisson(
+            {**doc, "bracket": {**doc["bracket"], "e12,e21": "e11"}}, validate=False)[0])
+        assert [r.line() for r in rep.failures] == [
+            f"FAIL  {JACOBI}: Jacobi fails on generators (e12,e21,e23)"]
+        assert inside == [0, 0]
 
     def test_a_misplaced_constant_stops_after_the_first_law(self):
         doc = {**SUBJECTS["canonical_qp"], "bracket_dim": [5]}

@@ -127,6 +127,11 @@ class TestArithmetic:
                 assert ring.pow(f, n) == expect
                 expect = ring.mul(expect, f)
 
+    def test_a_negative_power_needs_a_reciprocal(self, canonical_ring):
+        q = canonical_ring.generator("q")
+        with pytest.raises(CarrierError, match=r"^Q\[q,p\] has no reciprocals$"):
+            canonical_ring.pow(q, -1)
+
     def test_partial_derivative(self, canonical_ring):
         f = canonical_ring.poly({(2, 1): F(1)})  # q^2 p
         df = canonical_ring.partial(f, "q")

@@ -12,7 +12,7 @@ from dimalg import (
     format_quantity,
     registry_load,
 )
-from dimalg.registry import display_value, render_unit, unit_dims, unit_factor
+from dimalg.registry import Quantity, display_value, render_unit, unit_dims, unit_factor
 
 
 class TestRegistryLoading:
@@ -114,6 +114,12 @@ class TestEvaluation:
         assert display_value(in_s, si_registry) == F(180, 43)
         assert format_quantity(in_s, si_registry) == "4.186 s"
         assert format_quantity(in_min, si_registry, exact=True) == "3/43 min"
+
+    def test_a_display_unit_of_other_dimensions_is_refused(self, si_registry):
+        q = evaluate("3 m", si_registry)
+        with pytest.raises(DimensionMismatch, match="^display unit drifted: ") as exc:
+            display_value(Quantity(q.element, (("s", 1),)), si_registry)
+        assert (exc.value.left, exc.value.right) == ("length", "time")
 
     def test_mismatched_addition_pretty_prints_dimensions(self, si_registry):
         with pytest.raises(DimensionMismatch) as exc:

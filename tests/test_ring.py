@@ -145,6 +145,11 @@ class TestQuotientRing:
             a = q_x_z.sample(rng)
             assert q.project(a) == a
 
+    def test_an_element_shows_as_its_class(self, q_x_z, rng):
+        q = quotient_ring(q_x_z, zero_ideal(q_x_z), rng)
+        a = q_x_z.element(F(3, 2), (1,))
+        assert q.show(a) == f"[{q_x_z.show(a)}]"
+
     def test_whole_ideal_collapses_slices(self, q_x_z, rng):
         q = quotient_ring(q_x_z, whole_ideal(q_x_z), rng)
         a = q_x_z.sample(rng)

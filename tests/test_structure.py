@@ -27,6 +27,13 @@ class TestGoldenFile:
         assert code == 0
         assert all(line.startswith(("PASS", "==")) for line in lines)
 
+    def test_sample_draws_a_declared_element_of_the_slice(self, rng):
+        ring = load_structure(GOLDEN)
+        for d in ring.dims.elements():
+            a = ring.sample(rng, dim=d)
+            assert a.dim == d and a in ring.elements()
+        assert ring.sample(rng) in ring.elements()
+
     def test_declared_unit_candidate_validates(self):
         ring = load_structure(GOLDEN)
         rep = structure_axiom_report(ring)
