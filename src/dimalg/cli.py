@@ -1,11 +1,13 @@
 """One-shot command line front end, on the standard library alone.
 
 Exit codes: 0 success, 1 axiom or dimension failure, 2 input error.
-Each command imports the layers it runs: start-up loads only the
-calculator (`registry`, `core` and what they build on), no law suite.
-`check` adds `structure`, `ring`, `poly` and `report`, and `poisson ...`
-adds `poisson` and `linalg` to those. No command loads `algebra`, the
-group or carrier layers, or `dataclasses` (`core` says why).
+Each command imports the layers it runs: start-up loads only `errors`.
+The calculator commands (`eval`, `convert`, `registry validate`) add
+`registry`, `numfmt`, `core` and what they build on, and no law suite.
+`check` adds `structure`, `ring`, `report` and `core`, but neither
+`registry` nor `numfmt`; `poisson ...` adds `poly`, `numfmt`, `poisson`
+and `linalg` to those. No command loads `algebra`, the group or carrier
+layers, or `dataclasses` (`core` says why).
 """
 
 import sys
@@ -17,13 +19,6 @@ from .errors import (
     ExprSyntaxError,
     InputFormatError,
     require_monomials,
-)
-from .numfmt import MAX_DIGITS
-from .registry import (
-    convert as convert_quantity,
-    evaluate,
-    format_quantity,
-    registry_load,
 )
 
 EXIT_FAILURE = 1
@@ -47,6 +42,8 @@ def _exit_on(*policy):
 
 
 def _load_registry(path):
+    from .registry import registry_load
+
     if path is None:
         _fail(EXIT_INPUT, "a registry is required (--registry PATH)")
     with _exit_on((InputFormatError, EXIT_INPUT)):
@@ -56,6 +53,9 @@ def _load_registry(path):
 def _print_quantity(expression, registry, digits, exact, to=None, target=None):
     """`eval` and `convert`: evaluate `expression`, convert it to the unit
     `to` (eval) or `target` (convert) unless that is None, and print it."""
+    from .numfmt import MAX_DIGITS
+    from .registry import convert as convert_quantity, evaluate, format_quantity
+
     if not 1 <= digits <= MAX_DIGITS:
         _fail(EXIT_INPUT, f"digits must be between 1 and {MAX_DIGITS}")
     reg = _load_registry(registry)

@@ -5,6 +5,7 @@ optional witness so callers (tests, the CLI `check` command) can render
 one line per law and pick an exit code.
 """
 
+import itertools
 from typing import NamedTuple
 
 
@@ -32,7 +33,7 @@ class CheckReport:
         law holds and the witness text where it fails.  Each case is a tuple
         of arguments (`zip(values)` for single values); `cases` is walked
         lazily up to the first witness, and an empty `cases` passes."""
-        witness = next(filter(None, (check(*case) for case in cases)), "")
+        witness = next(filter(None, itertools.starmap(check, cases)), "")
         self.check(name, not witness, witness)
 
     @property
