@@ -15,16 +15,21 @@ class DimensionMismatch(DimAlgError):
     """A slice-wise operation was applied to elements of distinct dimensions.
 
     Addition (and anything built on it) is only defined within a single
-    dimension slice; the two offending dimensions are kept for reporting.
+    dimension slice; the two offending dimensions are kept for reporting,
+    and `args` is (left, right, context).  The message is formatted when it
+    is read: the ring suite's law of addition across slices raises one per
+    case and reads none.
     """
 
     def __init__(self, left, right, context: str = ""):
+        super().__init__(left, right, context)
         self.left = left
         self.right = right
-        msg = f"undefined across dimensions {left!r} and {right!r}"
-        if context:
-            msg = f"{context}: {msg}"
-        super().__init__(msg)
+        self.context = context
+
+    def __str__(self):
+        msg = f"undefined across dimensions {self.left!r} and {self.right!r}"
+        return f"{self.context}: {msg}" if self.context else msg
 
 
 class DimensionMapMismatch(DimAlgError):

@@ -434,42 +434,55 @@ def quotient_ring(base: DimRing, ideal: Ideal, rng=None) -> QuotientDimRing:
 # ---------------------------------------------------------------------------
 
 
-def generating_set(elements, mul) -> list:
-    """A greedy generating set of the magma (`elements`, `mul`): each
-    element in turn joins it unless the closure of those before holds it.
-    The turns follow the listed order, but with the idempotents (x·x = x:
-    a slice's zero, a monoid's identity, a ring's 0 and 1) last, since such
-    an element adds nothing to a closure that holds other elements.  A
-    greedy pass in any order generates, so a cyclic group gives one
-    generator whatever its listed order, and a finite group of two or more
-    elements never gives its identity."""
+def generating_set(elements, *ops) -> list:
+    """A greedy generating set of `elements` under the binary `ops`, each
+    of which returns None where it is undefined (a sum across slices):
+    each element in turn joins it unless the step closure of those before
+    holds it.  The step closure of the generators is the least set that
+    holds them and, with each y, op(y, g) and op(g, y) for every op and
+    every generator g, so it costs |closure|·|generators| calls per side
+    and op, not |closure|².  It lies within the closure under the ops, so
+    a set of elements closed under each op (the elements that pass a
+    Light's test) holds every element once it holds the generators.
+    The turns follow the listed order, but with the idempotents (x·x = x
+    under some op: a slice's zero, a monoid's identity, a ring's 0 and 1)
+    last, since such an element adds little to a closure that holds other
+    elements.  A greedy pass in any order generates, so a cyclic group
+    gives one generator whatever its listed order, and a finite group of
+    two or more elements never gives its identity."""
     gens, closure = [], set()
-    for x in sorted(elements, key=lambda x: mul(x, x) == x):
+    for x in sorted(elements, key=lambda x: any(op(x, x) == x for op in ops)):
         if x in closure:
             continue
+        # (y, the generators y steps by): the closure so far by x alone, and
+        # x and each new element by every generator
+        todo = [(y, (x,)) for y in closure]
         gens.append(x)
         closure.add(x)
-        todo = [x]
+        todo.append((x, gens))
         while todo:
-            y = todo.pop()
-            for z in list(closure):
-                for p in (mul(y, z), mul(z, y)):
-                    if p not in closure:
-                        closure.add(p)
-                        todo.append(p)
+            y, by = todo.pop()
+            for g in by:
+                for op in ops:
+                    for p in (op(y, g), op(g, y)):
+                        if p is not None and p not in closure:
+                            closure.add(p)
+                            todo.append((p, gens))
     return gens
 
 
 def distributivity(ring: DimRing, side: str | None = None) -> Callable:
     """The check of (a+b)c = ac+bc and then c(a+b) = ca+cb, or of the one
     `side`, "left" or "right", on a case (a, b, c) with a and b in one
-    slice.  Its witness names the dimensions of ac and bc first when they
-    differ, since ac+bc is then undefined."""
+    slice; a fourth argument `right`, when given, says whether the case
+    checks c(a+b) = ca+cb, and a fifth is a+b, formed once by the caller.
+    Its witness names the dimensions of ac and bc first when they differ,
+    since ac+bc is then undefined."""
     add, mul, eq = ring.add, ring.mul, ring.eq
-    left, right = side != "right", side != "left"
+    left = side != "right"
 
-    def distributive(a, b, c):
-        ab, w = add(a, b), ""
+    def distributive(a, b, c, right=side != "left", ab=None):
+        ab, w = add(a, b) if ab is None else ab, ""
         if left:
             ac, bc = mul(a, c), mul(b, c)
             if ac.dim != bc.dim:
@@ -491,13 +504,18 @@ def slice_group_report(ring: DimRing, slices: dict, adds: Callable) -> CheckRepo
     """The abelian-group laws of every slice of a ring that lists its
     elements, `slices` (dimension -> its elements), decided on the ring's
     own `add`, `zero` and `neg` (a CarrierError from `zero` or `neg` is a
-    FAIL), every case but one:
+    FAIL), every case but two, each on `adds(d)`, the slice's
+    `generating_set` under +:
     associativity is decided by Light's test in each closed slice that has
     an identity, (a+g)+c = a+(g+c) for every a, c and every g of
-    `adds(d)`, the slice's `generating_set` under +, k·n² cases instead of
-    n³: the g that pass are closed under + (Clifford & Preston, 1961), so
-    they are the whole slice.  A slice that leaks holds no magma to run it
-    on; its `slices closed under addition` FAIL stands for it."""
+    `adds(d)`, k·n² cases instead of n³: the g that pass are closed under
+    + (Clifford & Preston, 1961), so they are the whole slice.  A slice
+    that leaks holds no magma to run it on; its `slices closed under
+    addition` FAIL stands for it.  Once associativity has passed,
+    commutativity is decided on a+g = g+a for every a and every g of
+    `adds(d)` in each closed slice, k·n cases instead of n²: the g that
+    pass are closed under +, as a+(g+g') = (a+g)+g' = (g+a)+g' =
+    g+(a+g') = g+(g'+a) = (g+g')+a."""
     rep = CheckReport(f"slice groups of {ring.label}")
     add, eq, show = ring.add, ring.eq, ring.show
 
@@ -530,8 +548,10 @@ def slice_group_report(ring: DimRing, slices: dict, adds: Callable) -> CheckRepo
              for g in adds(d) for c in slices[d]),
             lambda a, g, c: not eq(add(add(a, g), c), add(a, add(g, c)))
             and f"addition not associative at {show(a)},{show(g)},{show(c)}")
+    associative = rep.results[-1].passed
     rep.law("addition commutative",
-            ((a, b) for d in unital for a, b in itertools.product(slices[d], repeat=2)),
+            ((a, b) for d in unital for a in slices[d]
+             for b in (adds(d) if associative and not leaks[d] else slices[d])),
             lambda a, b: not eq(add(a, b), add(b, a))
             and f"addition not commutative at {show(a)},{show(b)}")
     return rep
@@ -549,10 +569,14 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     A ring that lists its `elements()` is decided on every case, in one
     chain: its slice groups (`slice_group_report`) first, and, only if
     every slice-group law passes, the ring laws and then the laws of its
-    `unit_candidate`, if it declares one.  Four laws are decided on
-    generators, each a `generating_set`, which takes its idempotents last,
-    so a cyclic slice, or a cyclic group of dimensions, gives one
-    generator whatever its listed order:
+    `unit_candidate`, if it declares one.  Each ring law below runs on the
+    cases its theorem needs where the laws that theorem rests on have
+    passed, and on every case where one of them FAILs.  The sets are
+    `generating_set`s, which take their idempotents last, so a cyclic
+    slice, or a cyclic group of dimensions, gives one generator whatever
+    its listed order; K is the union of every slice's additive generators
+    (found once per report), and every element is a sum of generators of
+    its slice:
 
     * associativity of the dimension monoid by Light's test: (d·g)·f =
       d·(g·f) for every d, f and every g of a generating set, since the g
@@ -560,24 +584,40 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
       Algebraic Theory of Semigroups*, vol. 1, 1961): |D|²·k cases.  This
       one runs on every ring, listed or not, whose `probe_dims` D are its
       whole finite monoid;
-    * distributivity with b over the `generating_set` of a's slice under
-      + (found once per report), a and c over every element.  Fix c: the
-      b with (a+b)c = ac+bc for every a are closed under +, since
-      (a+(b+b'))c = ((a+b)+b')c = (ac+bc)+b'c = ac+(b+b')c, so they are
-      the whole slice; c(a+b) likewise.  That step needs slice addition
-      to be associative and closed, which the chain has decided first;
-    * associativity and commutativity, once distributivity has passed, on
-      K, the union of every slice's additive generators: K³ and K² cases.
-      Distributivity makes (ab)c = a(bc) and ab = ba hold at a sum where
-      they hold at its summands, in each argument:
-      (a(b+b'))c = (ab+ab')c = (ab)c+(ab')c = a(bc)+a(b'c) =
-      a(bc+b'c) = a((b+b')c), and (a+a')b = ab+a'b = ba+ba' = b(a+a');
-      every element is a sum of generators of its slice, so the laws hold
-      everywhere iff they hold on K.  Without distributivity the sums do
-      not split, and this proves nothing: where distributivity FAILs,
-      associativity falls back to Light's test, (a·g)·c = a·(g·c) with g
-      over a generating set of the product, and commutativity to every
-      pair.
+    * distributivity, decided before the projection and printed after
+      it, on (a, b, c) with b over the generators of a's slice, a and c
+      over every element.  Fix c: the b with (a+b)c = ac+bc for every a
+      are closed under +, since (a+(b+b'))c = ((a+b)+b')c = (ac+bc)+b'c =
+      ac+(b+b')c, so they are the whole slice; c(a+b) likewise.
+      c(a+b) = ca+cb is checked for c in K alone: where the left law
+      holds everywhere, the c that pass are closed under +, since
+      (c+c')(a+b) = c(a+b)+c'(a+b) = (ca+cb)+(c'a+c'b) =
+      (ca+c'a)+(cb+c'b) = (c+c')a+(c+c')b.  These steps need slice
+      addition to be an abelian group, which the chain has decided first;
+    * the projection, once distributivity holds, on the first listed
+      element of each slice, |D|² cases: distributivity's check that ac
+      and bc lie in one slice, and ca and cb, makes dim(xy) depend on
+      the slices of x and y alone.  Each slice's first element keeps the
+      first witness of every pair;
+    * absorbency of the zero family, once the projection and
+      distributivity hold, on no case: 0·a = (0+0)·a = 0·a+0·a, so 0·a is
+      the zero of its slice, a group, and the projection names that
+      slice; a·0 likewise;
+    * associativity and commutativity, once distributivity holds, which
+      makes the associator and the commutator additive in each argument.
+      Associativity runs on K × G × K, G a `generating_set` of the ring
+      under products and same-slice sums drawn from K: the b with
+      (ab)c = a(bc) for every a and c of K hold it for every a and c, and
+      they are closed under sums, by additivity, and under products, by
+      Light's argument, so they are the whole ring.  Commutativity, once
+      associativity holds too, runs on K × G: the b that commute with
+      every element are closed under sums and, as a(bb') = (ab)b' =
+      (ba)b' = b(ab') = b(b'a) = (bb')a, under products.  Without
+      distributivity the sums do not split, and this proves nothing:
+      where distributivity FAILs, associativity falls back to Light's
+      test, (a·g)·c = a·(g·c) with g over a generating set of the product,
+      and commutativity to every pair; where associativity FAILs,
+      commutativity runs on K².
 
     A ring with `slots()` runs every other law on its `slot_cases`.  Any
     other ring is probed on E = `ring.probe_elements(rng, budget)` and
@@ -626,16 +666,30 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
             lambda d: (comb(ident, d) != d or comb(d, ident) != d)
             and f"monoid identity fails at {d!r}")
 
-    law("projection is a monoid morphism", itertools.product(elems, repeat=2),
+    # K, each slice's additive generators; on a listed ring c(a+b) = ca+cb
+    # runs for c in K alone
+    spanning = [g for d in slices for g in adds(d)] if listed else elems
+    in_k = set(spanning) if listed else ()
+    rights = [(c, not listed or c in in_k) for c in elems]
+
+    def distributivity_cases():
+        """(a, b, c, right, a+b), each sum formed once."""
+        for a in elems:
+            for b in adds(a.dim):
+                ab = ring.add(a, b)
+                for c, right in rights:
+                    yield a, b, c, right, ab
+
+    law("distributivity where defined", distributivity_cases(), distributivity(ring))
+    distributive = rep.results.pop()  # printed after the projection, whose cases it cuts
+    multilinear = listed and distributive.passed
+
+    law("projection is a monoid morphism",
+        itertools.product([xs[0] for xs in slices.values()] if multilinear else elems, repeat=2),
         lambda a, b: ring.mul(a, b).dim != comb(a.dim, b.dim)
         and f"dim({show(a)}·{show(b)}) != combined dims")
-
-    law("distributivity where defined",
-        ((a, b, c) for a in elems for b in adds(a.dim) for c in elems), distributivity(ring))
-    # once distributivity holds, the associator and commutator are additive in
-    # each argument, so K, every slice's additive generators, stands for elems
-    multilinear = listed and rep.results[-1].passed
-    spanning = [g for d in slices for g in adds(d)] if multilinear else elems
+    graded = multilinear and rep.results[-1].passed
+    rep.results.append(distributive)
 
     def absorbent(d, a):
         z = ring.zero(d)
@@ -644,15 +698,21 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
         if not ring.eq(ring.mul(a, z), ring.zero(comb(a.dim, d))):
             return f"{show(a)}·0_{d!r} != 0"
 
-    law("zero family is absorbent", itertools.product(dims, elems), absorbent)
+    law("zero family is absorbent", () if graded else itertools.product(dims, elems), absorbent)
 
     one = ring.one
     law("unitality", zip(elems),
         lambda a: not (ring.eq(ring.mul(one, a), a) and ring.eq(ring.mul(a, one), a))
         and f"unit law fails at {show(a)}")
 
-    # otherwise a listed ring's middle factor runs over Light's generators
-    mid = spanning if multilinear else generating_set(elems, ring.mul) if listed else elems
+    def add_in_slice(a, b):
+        return ring.add(a, b) if a.dim == b.dim else None
+
+    # the outer factors run over K once distributivity holds, the middle one
+    # over G; a listed ring's middle factor otherwise over Light's generators
+    outer = spanning if multilinear else elems
+    mid = (generating_set(spanning, ring.mul, add_in_slice) if multilinear
+           else generating_set(elems, ring.mul) if listed else elems)
 
     def associative(a, b, c, ab=None, bc=None):
         ab = ring.mul(a, b) if ab is None else ab
@@ -663,10 +723,10 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     def triples():
         """(a, b, c, ab, bc) with a outermost, each product formed once."""
         bcs = {}  # (index of b, index of c) -> bc
-        for a in spanning:
+        for a in outer:
             for j, b in enumerate(mid):
                 ab = ring.mul(a, b)
-                for k, c in enumerate(spanning):
+                for k, c in enumerate(outer):
                     if (j, k) not in bcs:
                         bcs[j, k] = ring.mul(b, c)
                     yield a, b, c, ab, bcs[j, k]
@@ -674,7 +734,9 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     law("multiplicative associativity", triples(), associative)
 
     if ring.commutative:
-        law("commutativity", itertools.product(spanning, repeat=2),
+        pairs = (((a, g) for a in spanning for g in mid) if multilinear and rep.results[-1].passed
+                 else itertools.product(outer, repeat=2))
+        law("commutativity", pairs,
             lambda a, b: not ring.eq(ring.mul(a, b), ring.mul(b, a))
             and f"ab != ba at {at(a, b)}")
 

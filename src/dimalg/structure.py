@@ -34,17 +34,25 @@ from .report import CheckReport
 from .ring import DimRing, ring_axiom_report, slice_group_report
 
 
-def _require_total(table, keys, names, what):
-    """Refuse a table (row -> column -> cell) that lacks a row or a cell on
-    `keys`, or whose cell is not one of `names`."""
+def _resolved(table, order, by_name, what):
+    """`table` (row -> column -> cell name) with each cell resolved to its
+    element in `by_name`, each row's columns in `order`, in one walk.
+    Refuse a table that lacks a row or a cell on `order`, or whose cell is
+    not a declared element, naming the first such row, and in it the
+    first such cell."""
+    keys = set(order)
     if table is None or set(table) != keys:
         raise InputFormatError(f"{what} is not total")
+    out = {}
     for a, row in table.items():
         if set(row) != keys:
             raise InputFormatError(f"{what}: row {a!r} is not total")
-        for c in row.values():
-            if c not in names:
-                raise InputFormatError(f"{what} references undeclared element {c!r}")
+        try:
+            out[a] = {b: by_name[row[b]] for b in order}
+        except KeyError:
+            c = next(c for c in row.values() if c not in by_name)
+            raise InputFormatError(f"{what} references undeclared element {c!r}") from None
+    return out
 
 
 class TableDimRing(DimRing):
@@ -93,11 +101,15 @@ class TableDimRing(DimRing):
                     where = f"twice in slice {d!r}" if self.by_name[x].dim == d else "in two slices"
                     raise InputFormatError(f"element name {x!r} appears {where}")
                 self.by_name[x] = DimElement(x, d)
-        all_names = set(self.by_name)
+        # every cell resolved to its element once; a resolved addition row
+        # lists its slice in slice order
+        add_table = {}
         for d, xs in self.slices.items():
-            _require_total(self.add_table.get(d), set(xs), all_names,
-                           f"addition table for slice {d!r}")
-        _require_total(self.mul_table, all_names, all_names, "multiplication table")
+            add_table.update(_resolved(self.add_table.get(d), xs, self.by_name,
+                                       f"addition table for slice {d!r}"))
+        self.add_table = add_table
+        self.mul_table = _resolved(self.mul_table, self.by_name, self.by_name,
+                                   "multiplication table")
         if self.one_name not in self.by_name:
             raise InputFormatError(f"declared unit {self.one_name!r} is not an element")
         if cand is not None:
@@ -112,13 +124,6 @@ class TableDimRing(DimRing):
                     raise InputFormatError(f"unit candidate names unknown element {x!r}")
             self.unit_candidate = {d: self.el(x) for d, x in cand.items()}
 
-        # every cell resolved to its element once; a resolved addition row
-        # lists its slice in slice order
-        el = self.by_name.__getitem__
-        self.add_table = {a: {b: el(self.add_table[d][a][b]) for b in xs}
-                          for d, xs in self.slices.items() for a in xs}
-        self.mul_table = {a: {b: el(c) for b, c in row.items()}
-                          for a, row in self.mul_table.items()}
         self._zeros = self._find_zeros()
 
     def _find_zeros(self) -> dict:

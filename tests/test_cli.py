@@ -61,6 +61,31 @@ class TestEval:
         assert r.exit_code == 1
         assert "length" in r.output and "time" in r.output
 
+    @pytest.mark.parametrize("args, message", [
+        (["eval", "1 m + 1 s"], "cannot add: undefined across dimensions 'length' and 'time'"),
+        (["eval", "36.7 cm^3/s + 300 cm^3"],
+         "cannot add: undefined across dimensions 'length^3·time^-1' and 'length^3'"),
+        (["eval", "1 m - 1 s"], "cannot subtract: undefined across dimensions 'length' and 'time'"),
+        (["eval", "1 m", "--to", "s"],
+         "cannot convert: undefined across dimensions 'length' and 'time'"),
+        (["convert", "3 m", "s"], "cannot convert: undefined across dimensions 'length' and 'time'"),
+    ], ids=["add", "add-compound", "subtract", "eval-to", "convert"])
+    def test_dimension_mismatch_messages(self, args, message):
+        r = run_cli(args + ["--registry", REGISTRY])
+        assert r.exit_code == 1
+        assert r.stderr.splitlines() == [f"error: {message}"]
+
+    def test_a_dimension_mismatch_keeps_its_fields(self):
+        import pickle
+
+        from dimalg.errors import DimensionMismatch
+
+        exc = DimensionMismatch("length", "time", "cannot add")
+        assert (exc.left, exc.right, exc.args) == ("length", "time", ("length", "time", "cannot add"))
+        bare = pickle.loads(pickle.dumps(DimensionMismatch((1, 0), (0, 1))))
+        assert str(bare) == "undefined across dimensions (1, 0) and (0, 1)"
+        assert str(pickle.loads(pickle.dumps(exc))) == str(exc)
+
     def test_syntax_error_exits_2(self):
         r = run_cli(["eval", "1 +", "--registry", REGISTRY])
         assert r.exit_code == 2

@@ -73,7 +73,7 @@ class TestNegativeControls:
         code, lines = check_structure(doc)
         assert code == 1
         assert "FAIL  projection is a monoid morphism: dim(2@0·3@0) != combined dims" in lines
-        # b runs over the additive generators 0@0, 1@0: (1+1)·3 lies over '1'
+        # b runs over 1@0, the additive generator of slice '0': (1+1)·3 lies over '1'
         assert "FAIL  distributivity where defined: (a+b)c != ac+bc at 1@0,1@0,3@0" in lines
 
     def test_defect_beyond_the_first_cases_of_a_law_is_found(self, defect_beyond_caps):
@@ -133,10 +133,12 @@ class TestOneChain:
 class TestLightsTest:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_generating_set_is_greedy(self, n):
-        """Each generator lies outside the closure of those before it, and
-        together they generate every element, the idempotents taking their
-        turns after the rest. The magmas x·y = ax + by mod n are mostly
-        neither commutative nor associative."""
+        """Each generator lies outside the step closure of those before it
+        (the least set holding them and, with each y, y·g and g·y for each
+        of them), and together they generate every element, the
+        idempotents taking their turns after the rest. The magmas
+        x·y = ax + by mod n are mostly neither commutative nor associative,
+        so a step closure may be smaller than the closure."""
 
         def closure(gens, mul):
             out = set(gens)
@@ -144,12 +146,22 @@ class TestLightsTest:
                 out = more
             return out
 
+        def step_closure(gens, mul):
+            out, todo = set(gens), list(gens)
+            while todo:
+                y = todo.pop()
+                for p in (p for g in gens for p in (mul(y, g), mul(g, y))):
+                    if p not in out:
+                        out.add(p)
+                        todo.append(p)
+            return out
+
         for a, b in product(range(n), repeat=2):
             def mul(x, y):
                 return (a * x + b * y) % n
 
             gens = generating_set(range(n), mul)
-            assert all(x not in closure(gens[:i], mul) for i, x in enumerate(gens)), (a, b)
+            assert all(x not in step_closure(gens[:i], mul) for i, x in enumerate(gens)), (a, b)
             assert closure(gens, mul) == set(range(n)), (a, b)
 
     def test_associativity_defect_late_in_lights_order(self):
@@ -191,37 +203,45 @@ class TestGeneratorDecidedLaws:
     def test_golden_structure_counts(self, law_case_counts):
         """Z/5 x Z/2 lists each slice's zero first; its slices and its
         dimension monoid are cyclic, so each has one generator: k = 1 per
-        slice, K = 2 and 1 of the 2 dimensions."""
+        slice, K = 2 and 1 of the 2 dimensions. 1@1 generates the ring
+        under products and same-slice sums, so G = 1."""
         assert check_structure(GOLDEN)[0] == 0
         assert {law: law_case_counts[law] for law in (
             "distributivity where defined", "multiplicative associativity", "commutativity",
-            "addition associative", "dimension monoid: associativity")} == {
+            "addition associative", "addition commutative", "dimension monoid: associativity",
+            "projection is a monoid morphism", "zero family is absorbent")} == {
             "distributivity where defined": 100,   # k·n², n = 10
-            "multiplicative associativity": 8,     # K³
-            "commutativity": 4,                    # K²
+            "multiplicative associativity": 4,     # K·G·K
+            "commutativity": 2,                    # K·G
             "addition associative": 50,            # k·Σ|slice|²
+            "addition commutative": 10,            # k·Σ|slice|
             "dimension monoid: associativity": 4,  # |D|²·1
+            "projection is a monoid morphism": 4,  # |D|²
+            "zero family is absorbent": 0,         # no case
         }
 
     @pytest.mark.parametrize("n,m", [(2, 14), (14, 2)])
     def test_zero_first_slices_count_one_generator_each(self, n, m, law_case_counts):
         """product_table lists every slice's zero first: Z/n x Z/m has m
-        cyclic slices, so K holds m elements, one per slice."""
+        cyclic slices, so K holds m elements, one per slice, and 1@d1
+        alone generates the ring under products and same-slice sums."""
         assert check_structure(product_table(n, m))[0] == 0
-        assert law_case_counts["multiplicative associativity"] == m ** 3
-        assert law_case_counts["commutativity"] == m ** 2
+        assert law_case_counts["multiplicative associativity"] == m ** 2
+        assert law_case_counts["commutativity"] == m
+        assert law_case_counts["projection is a monoid morphism"] == m ** 2
         assert law_case_counts["distributivity where defined"] == (n * m) ** 2
 
     def test_case_counts_grow_as_n_squared(self, law_case_counts):
         """Distributivity and slice-addition associativity are decided in
         k·n² cases, so doubling a slice multiplies their counts by 4, not
         by the 8 of every triple. Associativity and commutativity are
-        decided on the additive generators and the dimension monoid's
-        associativity on its own generators: the slices of Z/n x Z/2 are
-        cyclic, so their counts do not grow with n."""
+        decided on K and G, the projection on one element per slice, and
+        the dimension monoid's associativity on its own generators: the
+        slices of Z/n x Z/2 are cyclic, so their counts do not grow with
+        n."""
         squared = ("distributivity where defined", "addition associative")
         fixed = ("multiplicative associativity", "commutativity",
-                 "dimension monoid: associativity")
+                 "projection is a monoid morphism", "dimension monoid: associativity")
         counts = law_case_counts
 
         def cases(n):
@@ -256,6 +276,35 @@ class TestGeneratorDecidedLaws:
         assert [l for l in lines if l.startswith("FAIL")] == [
             "FAIL  dimension monoid: associativity: monoid associativity fails at 'a','b','b'",
             "FAIL  multiplicative associativity: (ab)c != a(bc) at 0@a,0@b,0@b",
+        ]
+
+    def test_right_distributivity_is_decided_on_the_additive_generators(self):
+        """F2² on 0, u, v, u+v with x·y = x for y != 0 and x·0 = 0: the
+        product is additive in x, so (a+b)c = ac+bc everywhere, but not in
+        y, as u(u+v) = u while uu+uv = 0. c(a+b) = ca+cb is checked for c
+        in K = {u, v} alone, and fails there."""
+        xs = ("0", "u", "v", "u+v")
+
+        def vec(x):
+            return ("u" in x, "v" in x)
+
+        def name(p):
+            return "+".join(n for n, c in zip("uv", p) if c) or "0"
+
+        doc = {
+            "commutative": False,
+            "monoid": {"elements": ["d"], "identity": "d", "op": {"d": {"d": "d"}}},
+            "slices": {"d": list(xs)},
+            "add": {"d": {x: {y: name(map(bool.__xor__, vec(x), vec(y))) for y in xs}
+                          for x in xs}},
+            "mul": {x: {y: "0" if y == "0" else x for y in xs} for x in xs},
+            "one": "u",
+        }
+        code, lines = check_structure(doc)
+        assert code == 1
+        assert [l for l in lines if l.startswith("FAIL")] == [
+            "FAIL  distributivity where defined: c(a+b) != ca+cb at u,v,u",
+            "FAIL  unitality: unit law fails at v",
         ]
 
     def test_neg_is_the_first_inverse_in_slice_order(self):

@@ -10,7 +10,9 @@ and with one-cell defects, shuffled or with each slice's zero listed
 first, on a table whose defect is at the ring's 1, on tables that break
 associativity or commutativity alone, and on tables that break
 distributivity or slice-addition associativity alone, where the first
-additive generator of the slice passes.
+additive generator of the slice passes, and on twisted products of
+Z/3 x Z/3, each distributive, graded and zero-absorbing, that hold or
+break associativity, commutativity and unitality.
 """
 
 import copy
@@ -348,3 +350,45 @@ def test_oracle_finds_a_defect_at_the_rings_one():
     ring = load_structure(doc)
     assert ring.one not in generating_set(ring.elements(), ring.mul)
     assert assert_oracle_agrees(doc) == 1
+
+
+def twisted_table(n: int, m: int, omega: dict, rng=None) -> dict:
+    """Z/n x Z/m with its product twisted by omega, which maps each pair
+    of dimensions to a unit of Z/n: (r, d)(s, e) = (r·s·omega(d, e), d+e),
+    sums within a slice as in Z/n. The product is bilinear and graded, so
+    the table is distributive with an absorbent zero family; it is
+    associative exactly when omega is a 2-cocycle, omega(d, e)·omega(d+e, f)
+    = omega(e, f)·omega(d, e+f), commutative exactly when omega is
+    symmetric, and 1@d0 is its unit exactly when omega(0, e) = omega(e, 0)
+    = 1. Listed as `product_table` lists Z/n x Z/m."""
+    doc = product_table(n, m, rng)
+    doc["name"] = f"Z{n}xZ{m} twisted"
+    elems = [tuple(map(int, x.split("@d"))) for xs in doc["slices"].values() for x in xs]
+    doc["mul"] = {f"{r}@d{d}": {f"{s}@d{e}": f"{r * s * omega[d, e] % n}@d{(d + e) % m}"
+                                for s, e in elems} for r, d in elems}
+    return doc
+
+
+def test_oracle_agrees_on_twisted_products():
+    """Every normalized twist of Z/3 x Z/3, omega(0, e) = omega(d, 0) = 1
+    and either unit of Z/3 at each of the four pairs of nonzero
+    dimensions, in listed order; then 64 seeded twists with a unit drawn
+    at every pair, shuffled. Among them are tables whose ring laws all
+    hold, and tables that break associativity alone, associativity and
+    commutativity, or unitality alone. None breaks commutativity alone:
+    every 2-cocycle of Z/3 in the units {1, 2} is a coboundary
+    f(d)·f(e)/f(d+e), which is symmetric."""
+    pairs = list(product(range(3), repeat=2))
+    normalized = [{p: 1 for p in pairs} | dict(zip(product((1, 2), repeat=2), units))
+                  for units in product((1, 2), repeat=4)]
+    rng = random.Random(20240901)
+    seeded = [({p: rng.choice((1, 2)) for p in pairs}, rng) for _ in range(64)]
+    unit_laws = {"splits the projection", "nowhere zero", "multiplicative on probed pairs"}
+    broken = set()
+    for omega, order in [(omega, None) for omega in normalized] + seeded:
+        doc = twisted_table(3, 3, omega, order)
+        assert_oracle_agrees(doc)
+        broken.add(frozenset(n for n, holds in table_laws(doc).items() if not holds) - unit_laws)
+    associative, commutative = "multiplicative associativity", "commutativity"
+    assert {frozenset(), frozenset({associative}), frozenset({associative, commutative}),
+            frozenset({"unitality"})} <= broken
