@@ -13,7 +13,7 @@ which identity reduces which law.  Nothing here uses a random value.
 
 import itertools
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from operator import add as _add, sub as _sub
 
@@ -37,7 +37,7 @@ class DimPoisson:
 
     def bracket_slice(self, d: tuple, e: tuple) -> tuple:
         """The grading rule: {f, g} sits at b + d + e for f at d and g at e."""
-        return tuple(b + x + y for b, x, y in zip(self.bracket_dim, d, e))
+        return tuple(map(_add, map(_add, self.bracket_dim, d), e))
 
     # -- the two multiplications ---------------------------------------
     def product(self, f: DimElement, g: DimElement) -> DimElement:
@@ -51,13 +51,12 @@ class DimPoisson:
         derivatives taken by the ring's `partial` only along the
         generators a table entry pairs them on, and `_terms` sums every
         d_i f * d_j g * {x_i, x_j} in integers; each output coefficient is
-        one Fraction over the three denominators.  A pair whose term
-        lands in another slice (a misplaced structure constant) raises
-        DimensionMismatch."""
+        one Fraction over the three denominators, an integer one with no
+        gcd when their product is 1.  A pair whose term lands in another
+        slice (a misplaced structure constant) raises DimensionMismatch."""
         ring = self.ring
         names = ring.gen_names
-        (df_den, f), (dg_den, g) = _numerators(f), _numerators(g)
-        used_f, used_g = _variables(f), _variables(g)
+        (df_den, f, used_f), (dg_den, g, used_g) = _numerators(f), _numerators(g)
         dfs, dgs = {}, {}
         for i, j, _, _ in self._entries:
             if i in used_f and j in used_g:
@@ -67,8 +66,9 @@ class DimPoisson:
                     dgs[j] = ring.partial(g, names[j]).value
         acc = self._terms(dfs, dgs, f.dim, g.dim)
         den = self._denominator * df_den * dg_den
+        coeff = Fraction if den == 1 else lambda n: Fraction(n, den)
         dim = self.bracket_slice(f.dim, g.dim)
-        return DimElement(tuple(sorted((a, Fraction(n, den)) for a, n in acc.items() if n)), dim)
+        return DimElement(tuple(sorted((a, coeff(n)) for a, n in acc.items() if n)), dim)
 
     @cached_property
     def _unit_scale(self) -> bool:
@@ -123,15 +123,16 @@ class DimPoisson:
 
 
 def _numerators(f: DimElement):
-    """The lcm of f's denominators, and f scaled by it to integer coefficients."""
+    """The lcm of f's denominators, f scaled by it to integer coefficients,
+    and the indices of the generators f depends on."""
     den = math.lcm(*[c.denominator for _, c in f.value])
-    return den, DimElement(
-        tuple([(a, c.numerator * (den // c.denominator)) for a, c in f.value]), f.dim)
-
-
-def _variables(f: DimElement) -> set:
-    """The indices of the generators f depends on."""
-    return {i for a, _ in f.value for i, e in enumerate(a) if e}
+    terms, used = [], set()
+    for a, c in f.value:
+        terms.append((a, c.numerator * (den // c.denominator)))
+        for i, e in enumerate(a):
+            if e:
+                used.add(i)
+    return den, DimElement(tuple(terms), f.dim), used
 
 
 def make_poisson(
@@ -214,6 +215,9 @@ def poisson_axiom_report(p: DimPoisson, rng=None) -> CheckReport:
     - both products are graded, commutative and associative because the
       polynomial product is; laws 6-8 confirm it on generator pairs and
       triples.
+    The bracket and the product of two generators are formed once per
+    ordered pair and shared by laws 3 and 6-8; commutativity compares
+    x_i * x_j with x_j * x_i, formed on its own.
     The report stops after a failing law 1 (brackets would add terms
     from distinct slices) or law 2 (the Jacobiator of a table that is
     not antisymmetric is no triderivation, so generators decide nothing).
@@ -234,20 +238,23 @@ def poisson_axiom_report(p: DimPoisson, rng=None) -> CheckReport:
     if not _antisymmetric(p, rep):  # generator triples would not decide Jacobi
         return rep
     gens = [ring.generator(n) for n in names]
+    gen_bracket = cache(lambda i, j: p.bracket(gens[i], gens[j]))
+    gen_product = cache(lambda i, j: p.product(gens[i], gens[j]))
 
     def extends(i, j):
-        br, t = p.bracket(gens[i], gens[j]), p.table[(names[i], names[j])]
+        br, t = gen_bracket(i, j), p.table[(names[i], names[j])]
         if not ring.eq(br, t):
             return f"{{{names[i]},{names[j]}}} = {show(br)}, the table says {show(t)}"
 
-    def graded(f, g):
-        if p.bracket(f, g).dim != p.bracket_slice(f.dim, g.dim):
+    def graded(i, j):
+        f, g = gens[i], gens[j]
+        if gen_bracket(i, j).dim != p.bracket_slice(f.dim, g.dim):
             return f"dim({{f,g}}) != b+dim(f)+dim(g) at {show(f)}, {show(g)}"
         expect = tuple(q + x + y for q, x, y in zip(p.product_dim, f.dim, g.dim))
-        if p.product(f, g).dim != expect:
+        if gen_product(i, j).dim != expect:
             return f"dim(f*g) != p+dim(f)+dim(g) at {show(f)}, {show(g)}"
 
-    pairs = list(itertools.combinations_with_replacement(gens, 2))
+    pairs = list(itertools.combinations_with_replacement(range(len(names)), 2))
     rep.law("bracket extends the table on generator pairs",
             itertools.permutations(range(len(names)), 2), extends)
 
@@ -263,13 +270,13 @@ def poisson_axiom_report(p: DimPoisson, rng=None) -> CheckReport:
             and f"{{{n},{show(p.scale)}}} = {show(br)}, so Leibniz fails for the scaled product")
     rep.law("dimension projections of both products", pairs, graded)
     rep.law("product commutative on generator pairs", pairs,
-            lambda f, g: not ring.eq(p.product(f, g), p.product(g, f))
-            and f"product not commutative at {show(f)}, {show(g)}")
+            lambda i, j: not ring.eq(gen_product(i, j), gen_product(j, i))
+            and f"product not commutative at {show(gens[i])}, {show(gens[j])}")
     rep.law("product associative on generator triples",
-            itertools.combinations_with_replacement(gens, 3),
-            lambda f, g, h: not ring.eq(p.product(p.product(f, g), h),
-                                        p.product(f, p.product(g, h)))
-            and f"product not associative at {show(f)}, {show(g)}, {show(h)}")
+            itertools.combinations_with_replacement(range(len(names)), 3),
+            lambda i, j, k: not ring.eq(p.product(gen_product(i, j), gens[k]),
+                                        p.product(gens[i], gen_product(j, k)))
+            and f"product not associative at {show(gens[i])}, {show(gens[j])}, {show(gens[k])}")
     return rep
 
 
@@ -353,23 +360,30 @@ class ReducedPoisson:
         over m's coefficient, so the rows have the same reduced echelon
         form and the same nullspace.  Rows stay sparse, {column: integer},
         as they are collected: `nullspace` eliminates on their nonzero
-        entries alone.  Index exponent tuples and nullspace terms are
-        valid by construction, so basis vectors are built trusted."""
+        entries alone.  Two kinds of block need no elimination: one with
+        no condition keeps each of its monomials, in column order, as
+        `nullspace` would return them, and one column with a condition
+        (whose entries are nonzero) has rank 1 and keeps nothing.  One
+        `divisible_by` test, built from the ideal's exponents, decides
+        which monomials and residual terms lie in I.  Index exponent
+        tuples and nullspace terms are valid by construction, so basis
+        vectors are built trusted."""
         ring, parent = self.ring, self.parent
-        basis = []
-        ideal_alphas = [g.value[0][0] for g in self.ideal.generators]
+        basis, one = [], Fraction(1)
+        gens = self.ideal.generators
+        divisible = ring.divisible_by(g.value[0][0] for g in gens)
 
         def derivatives(alpha):
             return {i: ((alpha[:i] + (e - 1,) + alpha[i + 1:], e),)
                     for i, e in enumerate(alpha) if e}
 
-        ideal = [(derivatives(ga), g.dim) for ga, g in zip(ideal_alphas, self.ideal.generators)]
+        ideal = [(derivatives(g.value[0][0]), g.dim) for g in gens]
         # exact-degree, non-ideal monomials per (degree, dimension), each
         # group in lexicographic order
         by_degree: dict = {}
         for dim, alphas in ring.monomial_index(self.cutoff).items():
             for alpha in alphas:
-                if not any(ring.monomial_divides(ga, alpha) for ga in ideal_alphas):
+                if not divisible(alpha):
                     by_degree.setdefault(sum(alpha), {}).setdefault(dim, []).append(alpha)
         for deg in range(0, self.cutoff + 1):
             for dim, monos in sorted(by_degree.get(deg, {}).items()):
@@ -379,11 +393,13 @@ class ReducedPoisson:
                     dfs = derivatives(alpha)
                     for k, (dgs, gdim) in enumerate(ideal):
                         for beta, n in parent._terms(dfs, dgs, dim, gdim).items():
-                            if n and not any(ring.monomial_divides(ga, beta)
-                                             for ga in ideal_alphas):
+                            if n and not divisible(beta):
                                 conditions.setdefault((k, beta), {})[col] = n
-                for vec in nullspace(list(conditions.values()), len(monos)):
-                    basis.append(ring._of(dict(zip(monos, vec)), dim))
+                if not conditions:  # every monomial is free, in column order
+                    basis += [DimElement(((alpha, one),), dim) for alpha in monos]
+                elif len(monos) > 1:  # one column with a nonzero condition has none
+                    basis += [ring._of(dict(zip(monos, vec)), dim)
+                              for vec in nullspace(list(conditions.values()), len(monos))]
         return tuple(basis)
 
     # -- the reduced structure ------------------------------------------------

@@ -16,13 +16,14 @@ trusted: `add`, `mul` and `pow` build theirs through `_of`, which only
 drops zero coefficients and sorts; `partial`, whose terms come out
 distinct, nonzero and in order, builds its own directly, and so does the
 Poisson bracket, whose integer kernel makes one Fraction per nonzero
-output term.
+output term, built from the integer alone (no gcd) when every
+denominator involved is 1.
 """
 
 import itertools
 import random
 from fractions import Fraction
-from operator import add as _add
+from operator import add as _add, sub as _sub
 
 from .core import DimElement
 from .errors import CarrierError, DimensionMismatch
@@ -84,7 +85,8 @@ class GradedPolyRing(DimRing):
                 for alpha, dim, left in walk:
                     for e in range(left + 1):
                         longer.append((alpha + (e,), dim, left - e))
-                        dim = _vec_add(dim, g)
+                        if e < left:  # the prefix's next extension, if any
+                            dim = _vec_add(dim, g)
                 walk = longer
             groups: dict = {}
             for alpha, dim, _ in walk:
@@ -218,9 +220,9 @@ class GradedPolyRing(DimRing):
         i = self.index[name]
         # Lowering alpha[i] by one keeps distinct terms distinct and in
         # order, and c * alpha[i] != 0: the terms are already canonical.
-        terms = tuple((alpha[:i] + (e - 1,) + alpha[i + 1:], c if e == 1 else c * e)
-                      for alpha, c in a.value if (e := alpha[i]))
-        return DimElement(terms, tuple(x - y for x, y in zip(a.dim, self.gen_dims[i])))
+        terms = tuple([(alpha[:i] + (e - 1,) + alpha[i + 1:], c if e == 1 else c * e)
+                       for alpha, c in a.value if (e := alpha[i])])
+        return DimElement(terms, tuple(map(_sub, a.dim, self.gen_dims[i])))
 
     # -- probing --------------------------------------------------------------------
     def sample_dim(self, rng: random.Random):
@@ -249,31 +251,39 @@ class GradedPolyRing(DimRing):
         return tuple(out)
 
     # -- monomial ideals ---------------------------------------------------------------
-    def monomial_divides(self, alpha, beta) -> bool:
-        return all(x <= y for x, y in zip(alpha, beta))
+    @staticmethod
+    def divisible_by(alphas):
+        """A test, built once, of whether an exponent tuple is divisible by
+        one of the exponent tuples `alphas`: it reads each one's support."""
+        supports = [tuple((i, e) for i, e in enumerate(a) if e) for a in alphas]
+
+        def divisible(beta) -> bool:
+            for support in supports:
+                for i, e in support:
+                    if beta[i] < e:
+                        break
+                else:
+                    return True
+            return False
+
+        return divisible
 
     def monomial_ideal(self, gens) -> Ideal:
         """The ideal of everything divisible by one of the generator
-        monomials, with the normal form that drops exactly those terms.
+        monomials, with the normal form that drops exactly those terms,
+        each tested by one `divisible_by` test built with the ideal.
 
         `gens` may be generator names or monomial elements.
         """
         elems = tuple(
             self.generator(g) if isinstance(g, str) else g for g in gens
         )
-        alphas = []
-        for g in elems:
-            if len(g.value) != 1:
-                raise CarrierError("monomial ideal generators must be monomials")
-            alphas.append(g.value[0][0])
+        if any(len(g.value) != 1 for g in elems):
+            raise CarrierError("monomial ideal generators must be monomials")
+        divisible = self.divisible_by(g.value[0][0] for g in elems)
 
         def nf(a: DimElement) -> DimElement:
-            kept = tuple(
-                (al, c)
-                for al, c in a.value
-                if not any(self.monomial_divides(ga, al) for ga in alphas)
-            )
-            return DimElement(kept, a.dim)
+            return DimElement(tuple(t for t in a.value if not divisible(t[0])), a.dim)
 
         return Ideal(self, elems, nf)
 

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dimalg import (
     ConstructionError,
@@ -292,9 +292,10 @@ class TestReduction:
             == vanishing_cases == n_ideal * n_low
 
     def test_a_reduction_reaches_rref_through_nullspace(self, monkeypatch):
-        """Every block of a reduction is solved by `nullspace` as the
-        poisson module names it, and `nullspace` eliminates by `rref` as
-        the linalg module names it, so wrapping those two names, as a
+        """Every block of a reduction that needs an elimination (one with
+        a condition and more than one column) is solved by `nullspace` as
+        the poisson module names it, and `nullspace` eliminates by `rref`
+        as the linalg module names it, so wrapping those two names, as a
         per-layer tracer does, counts every solve and every elimination."""
         import dimalg.linalg as linalg
         import dimalg.poisson as poisson
@@ -554,6 +555,51 @@ def test_a_product_reduces_factor_by_factor(product, a, ideal_a, b, ideal_b):
         assert convolved == [1, 4, 10, 20, 35, 56, 84]
 
 
+@st.composite
+def _drawn_factors(draw, prefix):
+    """A factor on 2-3 generators over Z, Poisson by construction, with
+    scale 1 and bracket dimension 0, and the exponents of a monomial
+    coisotrope of it.  Either the table is log-canonical,
+    {x_i, x_j} = c_ij·x_i·x_j, under which every monomial ideal is a
+    Poisson ideal, and the ideal has one or two monomial generators; or
+    it is constant, c_ij wherever g_i + g_j = 0, and the ideal is
+    principal, a coisotrope because {m, m} = 0."""
+    n = draw(st.integers(2, 3))
+    names = [f"{prefix}{i}" for i in range(1, n + 1)]
+    dims = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    ring = GradedPolyRing(names, [(d,) for d in dims])
+    log_canonical = draw(st.booleans())
+    table = {}
+    for i, j in itertools.combinations(range(n), 2):
+        c = draw(st.sampled_from([F(0), F(1), F(-2), F(3, 2)]))
+        if c and (log_canonical or dims[i] + dims[j] == 0):
+            alpha = tuple(int(log_canonical and k in (i, j)) for k in range(n))
+            table[(names[i], names[j])] = ring.monomial(alpha, c)
+    exponents = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    ideal = draw(st.lists(exponents, min_size=1, max_size=2 if log_canonical else 1))
+    return make_poisson(ring, table, bracket_dim=(0,)), ideal
+
+
+@settings(max_examples=30, deadline=None)
+@given(_drawn_factors("a"), _drawn_factors("b"))
+def test_a_drawn_product_reduces_factor_by_factor(a, b):
+    """The law of `test_a_product_reduces_factor_by_factor` on drawn
+    factors and monomial coisotropes, at cutoff 4: both products'
+    reduced counts per degree are the convolution of the factors'
+    counts.  Blocks with no condition, one-column blocks and blocks that
+    need an elimination all occur among the draws."""
+    (pa, exps_a), (pb, exps_b) = a, b
+    cutoff, na, nb = 4, pa.ring.nvars, pb.ring.nvars
+    ca = _reduced_counts(pa, [pa.ring.monomial(e) for e in exps_a], cutoff)
+    cb = _reduced_counts(pb, [pb.ring.monomial(e) for e in exps_b], cutoff)
+    convolved = [sum(ca[i] * cb[n - i] for i in range(n + 1)) for n in range(cutoff + 1)]
+    exps = [e + (0,) * nb for e in exps_a] + [(0,) * na + e for e in exps_b]
+    for product in (poisson_product_hetero, poisson_product_homo):
+        prod = product(pa, pb)
+        ideal = [prod.ring.monomial(e) for e in exps]
+        assert _reduced_counts(prod, ideal, cutoff) == convolved
+
+
 # ---------------------------------------------------------------------------
 # Laws decided on generators, against the random probes they replaced
 # ---------------------------------------------------------------------------
@@ -783,6 +829,23 @@ def test_every_zero_entry_sits_at_its_slice():
     for (x, y), t in p.table.items():
         assert t.dim == p.bracket_slice(dims[x], dims[y])
     assert p.product_dim == p.scale.dim == (0,)
+
+
+def test_a_report_forms_each_generator_bracket_and_product_once(monkeypatch):
+    """On n generators one passing report makes n(n-1) brackets for
+    law 3, 3·C(n,3) for Jacobi, n for Leibniz and the n diagonal ones
+    for law 6, whose other pairs law 3 formed; and the n(n+1)/2 products
+    of law 6, their n(n-1)/2 mirrors for commutativity and two outer
+    products per triple of law 8, whose inner ones are law 6's."""
+    p, calls = canonical_4gen(), Counter()
+    for op in ("bracket", "product"):
+        true_op = getattr(DimPoisson, op)
+        monkeypatch.setattr(DimPoisson, op, lambda self, f, g, op=op, true_op=true_op:
+                            calls.update([op]) or true_op(self, f, g))
+    assert poisson_axiom_report(p).ok
+    n = p.ring.nvars
+    assert calls["bracket"] == n * (n - 1) + 3 * math.comb(n, 3) + n + n == 32
+    assert calls["product"] == n * (n + 1) // 2 + n * (n - 1) // 2 + 2 * math.comb(n + 2, 3) == 56
 
 
 def _shifted(el):

@@ -186,6 +186,13 @@ CASIMIR_SCALED = make_poisson(
                              (0, 0, 0, 0, 0, 5): Fraction(2, 9)})},
     scale=_SP.monomial((0, 0, 1, 0, 0, 3)),
 )
+# The widest shape the benchmark reduces: three canonical pairs {q_i, p_i} = 1
+# with 2-D dimensions.  By (q1) at cutoff 3, 22 of its 40 blocks have no
+# condition, 8 are one column with a condition, and 10 need an elimination.
+_R6 = GradedPolyRing(["q1", "p1", "q2", "p2", "q3", "p3"],
+                     [(1, 0), (-1, 0), (1, 1), (-1, -1), (1, 2), (-1, -2)])
+CANONICAL_6GEN = make_poisson(
+    _R6, {("q1", "p1"): _R6.one, ("q2", "p2"): _R6.one, ("q3", "p3"): _R6.one})
 
 
 def sympy_reduced_blocks(p, ideal, cutoff):
@@ -223,7 +230,8 @@ def sympy_reduced_blocks(p, ideal, cutoff):
     (ROTATION, [(2, 0, 0)], 4),
     (ROTATION, [(1, 1, 0)], 5),
     (CASIMIR_SCALED, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)], 3),
-], ids=["rotation-x", "rotation-x2", "rotation-xy", "casimir_scaled-a1-b1"])
+    (CANONICAL_6GEN, [(1, 0, 0, 0, 0, 0)], 3),
+], ids=["rotation-x", "rotation-x2", "rotation-xy", "casimir_scaled-a1-b1", "canonical_6gen-q1"])
 def test_reduced_basis_matches_sympy_nullspace(p, ideal, cutoff):
     """Per (degree, dimension) block the reduced basis has sympy's size,
     and both bases have the same reduced row echelon form."""
