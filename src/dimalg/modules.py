@@ -25,7 +25,7 @@ from .linalg import rref
 from .monoid import DimMonoid
 from .poly import GradedPolyRing
 from .report import Checked, CheckReport
-from .ring import DimRing, Ideal, RingMorphism, _probe_triples, quotient_ring, slot_cases
+from .ring import DimRing, Ideal, RingMorphism, _probe_triples, law_cases, quotient_ring
 
 
 @dataclass(frozen=True)
@@ -203,19 +203,17 @@ def module_axiom_report(m: FreeDimModule, rng=None) -> CheckReport:
     `FreeDimModule`'s own `add` and `coeff_act` work term by term and its
     G-set action is free, so a law holds everywhere iff it holds on every
     c·e: r(a+b) and (r+p)a restate distributivity, (rq)a associativity and
-    1·a unitality.  The cases are that law's `slot_cases` over a ring with
-    `slots()`, decided on the ring's own slot premise (`ring` docstring),
+    1·a unitality.  `law_cases` takes that law's `slot_cases` over a ring
+    with `slots()`, decided on the ring's own slot premise (`ring` docstring),
     else the 40 probe triples (seed 11) of `RingMorphism.check`.  A
     pullback's report ends with `along.check`: its dimension square is the
     action's dimension law, which `coeff_act` holds by construction."""
     rng = rng or random.Random(11)
     rep = CheckReport(f"module axioms for {m.label}")
-    ring, show, slots = m.coeff_ring, m.show, m.coeff_ring.slots()
+    ring, show = m.coeff_ring, m.show
     name, bd = m.basis[0] if m.basis else (None, None)
+    slots = ring.slots() if m.basis else None  # an empty basis has no case
     probes = () if slots or not m.basis else _probe_triples(ring, rng, 40)
-
-    def cases(law):  # an empty basis has none
-        return slot_cases(slots, law) if slots and m.basis else probes
 
     def on_e(c):
         return m.element(m.gset.act(c.dim, bd), {name: c})
@@ -235,10 +233,11 @@ def module_axiom_report(m: FreeDimModule, rng=None) -> CheckReport:
         if not m.eq(m.coeff_act(ring.mul(a, b), x), m.coeff_act(a, m.coeff_act(b, x))):
             return f"(rq)a != r(qa) at {a}, {b}, {show(x)}"
 
-    rep.law("r(a+b) = ra + rb", cases("distributivity where defined"), distributive)
-    rep.law("(r+p)a = ra + pa", cases("distributivity where defined"), additive)
-    rep.law("(rq)a = r(qa)", cases("multiplicative associativity"), associative)
-    rep.law("1·a = a", ((on_e(a),) for a, *_ in cases("unitality")),
+    dist, assoc = "distributivity where defined", "multiplicative associativity"
+    rep.law("r(a+b) = ra + rb", law_cases(rep, dist, probes, slots=slots), distributive)
+    rep.law("(r+p)a = ra + pa", law_cases(rep, dist, probes, slots=slots), additive)
+    rep.law("(rq)a = r(qa)", law_cases(rep, assoc, probes, slots=slots), associative)
+    rep.law("1·a = a", ((on_e(a),) for a, *_ in law_cases(rep, "unitality", probes, slots=slots)),
             lambda x: not m.eq(m.coeff_act(ring.one, x), x) and f"1·a != a at {show(x)}")
     return rep.merged(m.along.check(rng)) if m.along else rep
 

@@ -36,6 +36,11 @@ class CheckReport:
         witness = next(filter(None, itertools.starmap(check, cases)), "")
         self.check(name, not witness, witness)
 
+    def passed(self, *laws: str) -> bool:
+        """Whether each law named has a PASS in this report: one that only
+        FAILed, or has not run, has not passed."""
+        return {r.law for r in self.results if r.passed}.issuperset(laws)
+
     @property
     def ok(self) -> bool:
         return all(r.passed for r in self.results)

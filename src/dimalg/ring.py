@@ -73,6 +73,16 @@ def slot_cases(slots: Slots, law: str):
             yield from (case(ds, vs) for vs in itertools.product(family, repeat=arity))
 
 
+def law_cases(rep: CheckReport, law: str, every, *rows, slots: Slots | None = None):
+    """The ring suite's one rule for `law`'s cases: its `slot_cases` on a
+    ring with `slots()`; else those of the first row (premises, cases) whose
+    premises, law names, have all PASSed in `rep`, `cases()` being called
+    only then; else `every` case.  Only a listed ring gives rows."""
+    if slots and law in SLOT_LAWS:
+        return slot_cases(slots, law)
+    return next((cases() for premises, cases in rows if rep.passed(*premises)), every)
+
+
 # the rationals carrier is also the scalar ring Q.  The older name's last user
 # is perfbench/workloads.py:312; it goes with ROADMAP item 1's benchmark change.
 RationalScalars = Rationals
@@ -548,76 +558,64 @@ def slice_group_report(ring: DimRing, slices: dict, adds: Callable) -> CheckRepo
              for g in adds(d) for c in slices[d]),
             lambda a, g, c: not eq(add(add(a, g), c), add(a, add(g, c)))
             and f"addition not associative at {show(a)},{show(g)},{show(c)}")
-    associative = rep.results[-1].passed
-    rep.law("addition commutative",
-            ((a, b) for d in unital for a in slices[d]
-             for b in (adds(d) if associative and not leaks[d] else slices[d])),
+
+    def pairs(by):  # (a, b): a in a slice that has an identity, b in `by` of its dimension
+        return ((a, b) for d in unital for a in slices[d] for b in by(d))
+
+    rep.law("addition commutative", law_cases(
+        rep, "addition commutative", pairs(slices.get),
+        (("addition associative",), lambda: pairs(lambda d: slices[d] if leaks[d] else adds(d)))),
             lambda a, b: not eq(add(a, b), add(b, a))
             and f"addition not commutative at {show(a)},{show(b)}")
     return rep
 
 
 def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
-    """Run every dimensioned-ring law and report pass/fail with witnesses.
-
-    Laws: the dimension monoid's own axioms, the projection being a monoid
+    """Run every dimensioned-ring law and report pass/fail with witnesses:
+    the dimension monoid's own axioms, the projection being a monoid
     morphism, distributivity wherever addition is defined, absorbency of
-    the zero family, unitality, associativity, slice abelian-group
-    axioms (plus commutativity when declared), and addition raising
-    across slices.
+    the zero family, unitality, associativity, slice abelian-group axioms
+    (plus commutativity when declared), and addition raising across slices.
 
-    A ring that lists its `elements()` is decided on every case, in one
-    chain: its slice groups (`slice_group_report`) first, and, only if
-    every slice-group law passes, the ring laws and then the laws of its
-    `unit_candidate`, if it declares one.  Each ring law below runs on the
-    cases its theorem needs where the laws that theorem rests on have
-    passed, and on every case where one of them FAILs.  The sets are
-    `generating_set`s, which take their idempotents last, so a cyclic
-    slice, or a cyclic group of dimensions, gives one generator whatever
-    its listed order; K is the union of every slice's additive generators
-    (found once per report), and every element is a sum of generators of
-    its slice:
+    A ring that lists its `elements()` is decided in one chain: its slice
+    groups (`slice_group_report`) first, and, only if they all pass, the
+    ring laws, then the laws of its `unit_candidate` if it declares one.
+    `law_cases` runs a ring law on the first of its rows whose premises,
+    the laws its theorem rests on, have passed, else on every case.  The
+    sets are `generating_set`s, which take their idempotents last, so a
+    cyclic slice or group of dimensions gives one generator whatever its
+    listed order; K is the union of every slice's additive generators, and
+    every element is a sum of generators of its slice:
 
-    * associativity of the dimension monoid by Light's test: (d·g)·f =
-      d·(g·f) for every d, f and every g of a generating set, since the g
-      that pass are closed under the product (Clifford & Preston, *The
-      Algebraic Theory of Semigroups*, vol. 1, 1961): |D|²·k cases.  This
-      one runs on every ring, listed or not, whose `probe_dims` D are its
-      whole finite monoid;
-    * distributivity, decided before the projection and printed after
-      it, on (a, b, c) with b over the generators of a's slice, a and c
-      over every element.  Fix c: the b with (a+b)c = ac+bc for every a
-      are closed under +, since (a+(b+b'))c = ((a+b)+b')c = (ac+bc)+b'c =
-      ac+(b+b')c, so they are the whole slice; c(a+b) likewise.
-      c(a+b) = ca+cb is checked for c in K alone: where the left law
-      holds everywhere, the c that pass are closed under +, since
-      (c+c')(a+b) = c(a+b)+c'(a+b) = (ca+cb)+(c'a+c'b) =
-      (ca+c'a)+(cb+c'b) = (c+c')a+(c+c')b.  These steps need slice
-      addition to be an abelian group, which the chain has decided first;
-    * the projection, once distributivity holds, on the first listed
-      element of each slice, |D|² cases: distributivity's check that ac
-      and bc lie in one slice, and ca and cb, makes dim(xy) depend on
-      the slices of x and y alone.  Each slice's first element keeps the
-      first witness of every pair;
-    * absorbency of the zero family, once the projection and
-      distributivity hold, on no case: 0·a = (0+0)·a = 0·a+0·a, so 0·a is
-      the zero of its slice, a group, and the projection names that
-      slice; a·0 likewise;
-    * associativity and commutativity, once distributivity holds, which
-      makes the associator and the commutator additive in each argument.
-      Associativity runs on K × G × K, G a `generating_set` of the ring
-      under products and same-slice sums drawn from K: the b with
-      (ab)c = a(bc) for every a and c of K hold it for every a and c, and
-      they are closed under sums, by additivity, and under products, by
-      Light's argument, so they are the whole ring.  Commutativity, once
-      associativity holds too, runs on K × G: the b that commute with
-      every element are closed under sums and, as a(bb') = (ab)b' =
-      (ba)b' = b(ab') = b(b'a) = (bb')a, under products.  Without
-      distributivity the sums do not split, and this proves nothing:
-      where distributivity FAILs, associativity falls back to Light's
-      test, (a·g)·c = a·(g·c) with g over a generating set of the product,
-      and commutativity to every pair; where associativity FAILs,
-      commutativity runs on K².
+    * the dimension monoid's associativity by Light's test: (d·g)·f =
+      d·(g·f) for every d, f and every g of a generating set, as the g that
+      pass are closed under the product (Clifford & Preston, *The Algebraic
+      Theory of Semigroups*, vol. 1, 1961).  It runs on every ring whose
+      `probe_dims` D are its whole finite monoid;
+    * distributivity, decided before the projection and printed after it,
+      on (a, b, c) with b over the generators of a's slice.  Fix c: the b
+      with (a+b)c = ac+bc for every a are closed under +, since (a+(b+b'))c
+      = ((a+b)+b')c = (ac+bc)+b'c = ac+(b+b')c; c(a+b) likewise.  c(a+b) =
+      ca+cb runs for c in K alone: where the left law holds, the c that
+      pass are closed under +, as (c+c')(a+b) = c(a+b)+c'(a+b) =
+      (ca+cb)+(c'a+c'b) = (ca+c'a)+(cb+c'b) = (c+c')a+(c+c')b.  These steps
+      need the slice groups that the chain decides first;
+    * the projection on each slice's first listed element: distributivity's
+      check that ac and bc, and ca and cb, lie in one slice makes dim(xy)
+      depend on the slices of x and y alone;
+    * absorbency on no case: 0·a = (0+0)·a = 0·a+0·a, so 0·a is the zero of
+      its slice, a group, and the projection names that slice; a·0 likewise;
+    * associativity on K × G × K, G a `generating_set` of the ring under
+      products and same-slice sums drawn from K: distributivity makes the
+      associator additive in each argument, so the b with (ab)c = a(bc) for
+      every a and c of K hold it for every a and c, and they are closed
+      under sums and, by Light's argument, under products.  Without it, the
+      sums do not split, and Light's test runs with g over a generating set
+      of the product;
+    * commutativity on K × G, the commutator being additive too: the b that
+      commute with every element are closed under sums and, given
+      associativity, under products, as a(bb') = (ab)b' = (ba)b' = b(ab') =
+      b(b'a) = (bb')a.
 
     A ring with `slots()` runs every other law on its `slot_cases`.  Any
     other ring is probed on E = `ring.probe_elements(rng, budget)` and
@@ -647,8 +645,8 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     dims = list(ring.probe_dims())
     comb, show = ring.dims.combine, ring.show
 
-    def law(name, cases, check):
-        rep.law(name, slot_cases(slots, name) if slots and name in SLOT_LAWS else cases, check)
+    def law(name, every, check, *rows):
+        rep.law(name, law_cases(rep, name, every, *(rows if listed else ()), slots=slots), check)
 
     def at(*xs):
         return ",".join(map(show, xs))
@@ -656,8 +654,8 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     # Light's test wherever the probed dimensions are the whole finite
     # monoid, which is closed; an infinite monoid is probed
     closed = ring.dims.elements() == tuple(dims)
-    triples = itertools.product(dims, generating_set(dims, comb) if closed else dims, dims)
-    law("dimension monoid: associativity", triples,
+    law("dimension monoid: associativity",
+        itertools.product(dims, generating_set(dims, comb) if closed else dims, dims),
         lambda d, e, f: comb(comb(d, e), f) != comb(d, comb(e, f))
         and f"monoid associativity fails at {d!r},{e!r},{f!r}")
 
@@ -668,7 +666,7 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
 
     # K, each slice's additive generators; on a listed ring c(a+b) = ca+cb
     # runs for c in K alone
-    spanning = [g for d in slices for g in adds(d)] if listed else elems
+    spanning = [g for d in slices for g in adds(d)]
     in_k = set(spanning) if listed else ()
     rights = [(c, not listed or c in in_k) for c in elems]
 
@@ -681,15 +679,12 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
                     yield a, b, c, right, ab
 
     law("distributivity where defined", distributivity_cases(), distributivity(ring))
-    distributive = rep.results.pop()  # printed after the projection, whose cases it cuts
-    multilinear = listed and distributive.passed
-
-    law("projection is a monoid morphism",
-        itertools.product([xs[0] for xs in slices.values()] if multilinear else elems, repeat=2),
+    distributive = ("distributivity where defined",)
+    law("projection is a monoid morphism", itertools.product(elems, repeat=2),
         lambda a, b: ring.mul(a, b).dim != comb(a.dim, b.dim)
-        and f"dim({show(a)}·{show(b)}) != combined dims")
-    graded = multilinear and rep.results[-1].passed
-    rep.results.append(distributive)
+        and f"dim({show(a)}·{show(b)}) != combined dims",
+        (distributive, lambda: itertools.product([xs[0] for xs in slices.values()], repeat=2)))
+    rep.results.insert(-1, rep.results.pop())  # the projection prints before distributivity
 
     def absorbent(d, a):
         z = ring.zero(d)
@@ -698,21 +693,17 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
         if not ring.eq(ring.mul(a, z), ring.zero(comb(a.dim, d))):
             return f"{show(a)}·0_{d!r} != 0"
 
-    law("zero family is absorbent", () if graded else itertools.product(dims, elems), absorbent)
+    law("zero family is absorbent", itertools.product(dims, elems), absorbent,
+        (("projection is a monoid morphism", *distributive), lambda: ()))
 
     one = ring.one
     law("unitality", zip(elems),
         lambda a: not (ring.eq(ring.mul(one, a), a) and ring.eq(ring.mul(a, one), a))
         and f"unit law fails at {show(a)}")
 
-    def add_in_slice(a, b):
-        return ring.add(a, b) if a.dim == b.dim else None
-
-    # the outer factors run over K once distributivity holds, the middle one
-    # over G; a listed ring's middle factor otherwise over Light's generators
-    outer = spanning if multilinear else elems
-    mid = (generating_set(spanning, ring.mul, add_in_slice) if multilinear
-           else generating_set(elems, ring.mul) if listed else elems)
+    # G, the ring's generators under products and same-slice sums, drawn from K
+    ring_gens = functools.cache(lambda: generating_set(
+        spanning, ring.mul, lambda a, b: ring.add(a, b) if a.dim == b.dim else None))
 
     def associative(a, b, c, ab=None, bc=None):
         ab = ring.mul(a, b) if ab is None else ab
@@ -720,8 +711,8 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
         if not ring.eq(ring.mul(ab, c), ring.mul(a, bc)):
             return f"(ab)c != a(bc) at {at(a, b, c)}"
 
-    def triples():
-        """(a, b, c, ab, bc) with a outermost, each product formed once."""
+    def triples(outer, mid):
+        """(a, b, c, ab, bc), b over `mid`, each product formed once."""
         bcs = {}  # (index of b, index of c) -> bc
         for a in outer:
             for j, b in enumerate(mid):
@@ -731,14 +722,17 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
                         bcs[j, k] = ring.mul(b, c)
                     yield a, b, c, ab, bcs[j, k]
 
-    law("multiplicative associativity", triples(), associative)
+    law("multiplicative associativity", triples(elems, elems), associative,
+        (distributive, lambda: triples(spanning, ring_gens())),
+        ((), lambda: triples(elems, generating_set(elems, ring.mul))))
 
     if ring.commutative:
-        pairs = (((a, g) for a in spanning for g in mid) if multilinear and rep.results[-1].passed
-                 else itertools.product(outer, repeat=2))
-        law("commutativity", pairs,
+        law("commutativity", itertools.product(elems, repeat=2),
             lambda a, b: not ring.eq(ring.mul(a, b), ring.mul(b, a))
-            and f"ab != ba at {at(a, b)}")
+            and f"ab != ba at {at(a, b)}",
+            ((*distributive, "multiplicative associativity"),
+             lambda: itertools.product(spanning, ring_gens())),
+            (distributive, lambda: itertools.product(spanning, repeat=2)))
 
     def abelian(a, b):
         z = ring.zero(a.dim)

@@ -133,11 +133,9 @@ def defect_beyond_caps() -> dict:
     return doc
 
 
-@pytest.fixture
-def law_case_counts(monkeypatch) -> Counter:
-    """The number of cases each `CheckReport.law` consumes during the
-    test, by law name, summed over reports."""
-    counts = Counter()
+def counting_law(counts: Counter):
+    """`CheckReport.law` as it is now, wrapped to add to `counts[name]`
+    each case that law `name` consumes."""
     law = CheckReport.law
 
     def counting(rep, name, cases, check):
@@ -148,7 +146,15 @@ def law_case_counts(monkeypatch) -> Counter:
 
         law(rep, name, counted(), check)
 
-    monkeypatch.setattr(CheckReport, "law", counting)
+    return counting
+
+
+@pytest.fixture
+def law_case_counts(monkeypatch) -> Counter:
+    """The number of cases each `CheckReport.law` consumes during the
+    test, by law name, summed over reports."""
+    counts = Counter()
+    monkeypatch.setattr(CheckReport, "law", counting_law(counts))
     return counts
 
 

@@ -158,6 +158,21 @@ class TestFunctoriality:
         assert [r.law for r in rep.failures] == ["preserves the tensor multiplication"]
         assert rep.failures[0].witness.startswith("B^power not multiplicative at ")
 
+    def test_report_fails_a_composite_with_the_wrong_scalar(self):
+        """A factor whose `compose` adds 1 to the product of the scalars
+        makes (C∘B)^power scale by 7^n, not 6^n. The identity law and the
+        tensor multiplication never call `compose`, so they still pass."""
+
+        class OffByOne(Factor):
+            def compose(self, other):
+                return Factor(other.src, self.dst, self.scalar * other.scalar + 1)
+
+        rep = functoriality_check(Factor(Line("A"), Line("B"), F(2)),
+                                  OffByOne(Line("B"), Line("C"), F(3)))
+        assert [r.law for r in rep.failures] == ["composition law"]
+        # the first probe, coordinate 1 at exponent -3: 7^-3 != 6^-3
+        assert rep.failures[0].witness == "(C∘B)^power != C^power∘B^power at 1·[-3]"
+
     def test_identity_factor(self, rng):
         line = Line("A")
         ident = power_functor(Factor.identity(line))

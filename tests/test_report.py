@@ -1,6 +1,10 @@
 import itertools
+from pathlib import Path
 
+from dimalg import load_structure, ring
 from dimalg.report import CheckReport, LawResult
+
+GOLDEN = Path(__file__).parent.parent / "data" / "structures" / "product_ring_mod5_z2.json"
 
 
 def test_empty_cases_pass():
@@ -57,3 +61,31 @@ def test_one_result_per_law():
     assert [(r.law, r.passed, r.witness) for r in rep.results] == [
         ("a", False, "bad 51"), ("b", True, "")
     ]
+
+
+def test_passed_needs_every_law_named_to_have_run_and_passed():
+    rep = CheckReport("s")
+    rep.law("holds", zip(range(3)), lambda n: "")
+    rep.law("fails", zip(range(3)), lambda n: n == 1 and "one")
+    assert rep.passed() and rep.passed("holds")
+    assert not rep.passed("fails") and not rep.passed("holds", "fails")
+    assert not rep.passed("never run") and not rep.passed("holds", "never run")
+
+
+def test_every_premise_of_the_ring_suite_is_decided_before_the_law_it_cuts(monkeypatch):
+    """On the golden structure each row that `law_cases` is given names as
+    premises only laws that this report has already decided: a misspelt
+    premise would never pass, and its law would silently run on every case."""
+    undecided, rule = {}, ring.law_cases
+
+    def audited(rep, law, every, *rows, **kwargs):
+        if rows:
+            decided = {r.law for r in rep.results}
+            undecided[law] = [p for premises, _ in rows for p in premises if p not in decided]
+        return rule(rep, law, every, *rows, **kwargs)
+
+    monkeypatch.setattr(ring, "law_cases", audited)
+    assert ring.ring_axiom_report(load_structure(GOLDEN)).ok
+    assert undecided == {law: [] for law in (
+        "addition commutative", "projection is a monoid morphism", "zero family is absorbent",
+        "multiplicative associativity", "commutativity")}

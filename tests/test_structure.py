@@ -13,7 +13,7 @@ from dimalg import (
     load_structure,
     ring_axiom_report,
 )
-from dimalg.ring import generating_set
+from dimalg.ring import distributivity, generating_set
 from dimalg.errors import typed_field
 from dimalg.structure import load_poisson, parse_poly, structure_axiom_report
 
@@ -306,6 +306,32 @@ class TestGeneratorDecidedLaws:
             "FAIL  distributivity where defined: c(a+b) != ca+cb at u,v,u",
             "FAIL  unitality: unit law fails at v",
         ]
+
+    def test_right_distributivity_names_the_slices_of_ca_and_cb(self):
+        """Z/2 slices over cyclic {d0, d1}, x·y = xy mod 2 placed over d0
+        when y is 0@d0 and over d1 otherwise: a product's slice reads its
+        right factor alone, so (a+b)c = ac+bc everywhere, but c·0@d0 and
+        c·1@d0 lie in different slices, and c(a+b) = ca+cb is undefined."""
+        slices = {d: [f"0@{d}", f"1@{d}"] for d in ("d0", "d1")}
+        elems = slices["d0"] + slices["d1"]
+        doc = {
+            "monoid": {"elements": ["d0", "d1"], "identity": "d0",
+                       "op": {"d0": {"d0": "d0", "d1": "d1"}, "d1": {"d0": "d1", "d1": "d0"}}},
+            "slices": slices,
+            "add": {d: {x: {y: f"{(int(x[0]) + int(y[0])) % 2}@{d}" for y in xs} for x in xs}
+                    for d, xs in slices.items()},
+            "mul": {x: {y: f"{int(x[0]) * int(y[0])}@{'d0' if y == '0@d0' else 'd1'}"
+                        for y in elems} for x in elems},
+            "one": "1@d0",
+        }
+        ring = load_structure(doc)
+        left = distributivity(ring, "left")
+        assert not any(left(a, b, c) for a in ring.elements() for c in ring.elements()
+                       for b in ring.elements() if b.dim == a.dim)
+        code, lines = check_structure(doc)
+        assert code == 1
+        assert ("FAIL  distributivity where defined: ca, cb lie over 'd0' != 'd1' "
+                "at 0@d0,1@d0,1@d0") in lines
 
     def test_neg_is_the_first_inverse_in_slice_order(self):
         doc = json.loads(GOLDEN.read_text())
