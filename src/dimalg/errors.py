@@ -94,8 +94,8 @@ def require_terms(count: int) -> None:
 
 # The most monomials a reduction may span: C(cutoff + n, n) of degree at
 # most the cutoff in n generators.  At this bound `poisson reduce` on four
-# generators (cutoff 19) takes about a second on a 2-vCPU machine; its time
-# grows faster than the count, to 30 s at cutoff 40.
+# generators (cutoff 19) takes about 0.2 s on a 2-vCPU machine, and cutoff
+# 40 (135 751 monomials) about 0.15 s of CPU to reduce in the library.
 MAX_REDUCE_MONOMIALS = 10_000
 
 

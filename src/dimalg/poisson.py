@@ -420,26 +420,22 @@ class ReducedPoisson:
         and N(I)/I is Poisson (Śniatycki & Weinstein, *Lett. Math. Phys.*
         7, 1983).  What is left is that the code computes that quotient:
         - every basis vector b lies in N(I): {b, m} is in I for every
-          ideal generator m;
-        - on pairs of basis vectors of degree <= cutoff // 3, the reduced
-          product and bracket are normal forms of degree <= cutoff;
-        - both vanish on I: op(x, g) = 0 = op(g, x) for every monomial x
-          of I and basis vector g, both of degree <= cutoff // 3.
-        Normal form and truncation are linear, so within that degree
-        guard these finite sets decide the last two laws.  Each of them
-        checks one order of each pair: the polynomial product is exact
-        and sorts its terms, so f*g and g*f are the same element, and the
-        bracket of the antisymmetric table is exactly antisymmetric, so
-        the reduced op(g, f) is op(f, g) or its negation, a normal form of
-        the same degree, zero with it.  So the normal-form law runs on
-        unordered pairs of basis vectors, and the vanishing law on (x, g)
-        alone.  `rng` is unused: no law is probed.
+          ideal generator m, decided on the computed basis;
+        - the reduced product and bracket are normal forms of degree
+          <= cutoff: each is truncate ∘ normal_form ∘ the parent's;
+        - both vanish on I: x*g*scale lies in I for x in I, and by
+          Leibniz {x^γ m, g} = x^γ{m, g} + m{x^γ, g}, where {m, g} =
+          -{g, m} lies in I by the first law.
+        The last two hold by construction, so they run as guards against
+        an override of either operation, on cases sized by the generators,
+        not the cutoff: unordered pairs of basis vectors of degree <= 1,
+        and (m*y, g) for m an ideal generator, y in 1 and the generators,
+        and g such a basis vector.  `rng` is unused: no law is probed.
         """
         ring, ideal, show, cutoff = self.ring, self.ideal, self.ring.show, self.cutoff
         rep = CheckReport(f"reduced Poisson (cutoff {cutoff})")
-        lowdeg = [b for b in self.basis if ring.degree(b) <= cutoff // 3]
-        monomials = [ring._of({alpha: 1}, dim) for dim, alphas in ring.monomial_index(cutoff).items()
-                     for alpha in alphas if sum(alpha) <= cutoff // 3]
+        lowdeg = [b for b in self.basis if ring.degree(b) <= 1]
+        units = [ring.one] + [ring.generator(n) for n in ring.gen_names]
         ops = (("product", self.product), ("bracket", self.bracket))
 
         def normal_forms(f, g):
@@ -459,7 +455,7 @@ class ReducedPoisson:
         rep.law("product and bracket of low-degree basis pairs are normal forms",
                 itertools.combinations_with_replacement(lowdeg, 2), normal_forms)
         rep.law("product and bracket vanish on I at low degree", itertools.product(
-            [x for x in monomials if ideal.contains(x)], lowdeg), vanishes)
+            [ring.mul(m, y) for m in ideal.generators for y in units], lowdeg), vanishes)
         return rep
 
 

@@ -25,7 +25,7 @@ from .errors import (
     require_terms,
     typed_field,
 )
-from .exprparse import eval_tree, parse_poly_expr
+from .exprparse import SYMBOL, eval_tree, parse_poly_expr
 from .monoid import DimMonoid
 from .report import CheckReport
 
@@ -267,6 +267,9 @@ def load_poisson(source, validate: bool = True):
         gens = []
         for g in typed_field(doc["generators"], [dict], "generators"):
             name = typed_field(g["name"], str, "generator name")
+            if not SYMBOL.fullmatch(name):
+                raise InputFormatError(f"generator name {reprlib.repr(name)} is not a name "
+                                       f"expressions can use ({SYMBOL.pattern})")
             gens.append((name, typed_field(g["dim"], [int], f"dim of generator {name!r}")))
     except KeyError as exc:
         raise InputFormatError(f"bad generators field: missing {exc}") from exc

@@ -33,6 +33,16 @@ def test_formal_sums_canonical_form():
     assert c.add(c.int_mul(3, c.embed("x")), c.int_mul(-3, c.embed("x"))) == ()
 
 
+def test_formal_sums_contain_only_canonical_sums():
+    """A member is a sorted tuple of (generator, nonzero integer) pairs: a
+    bare integer, an unsorted sum and a zero coefficient are not."""
+    c = FormalSums(("x", "y"))
+    assert c.contains((("x", 2), ("y", -1))) and c.contains(())
+    assert not c.contains(5)
+    assert not c.contains((("y", 1), ("x", 1)))
+    assert not c.contains((("x", 0),))
+
+
 def test_pairs_componentwise():
     c = Pairs(Rationals(), Cyclic(3))
     a = (F(1), 2)
@@ -156,6 +166,12 @@ class TestQuotientSlices:
         assert q.project.apply(0) == q.project.apply(2)
         assert q.project.apply(1) == q.project.apply(3)
         assert q.project.apply(0) != q.project.apply(1)
+
+    def test_elements_lists_a_finite_subgroup_and_no_infinite_one(self):
+        """{0, 2} in Z/4 is listed; 2Z in the formal sums on x has members
+        of infinite order, so it lists none."""
+        assert finite_subgroup(Cyclic(4), (0, 2)).elements() == (0, 2)
+        assert SliceSubgroup(FormalSums(("x",)), lattice=((2,),)).elements() is None
 
     def test_subspace_quotient_kills_exactly_the_subspace(self):
         v2 = Vectors(2)

@@ -428,7 +428,13 @@ class TestPoisson:
         ({"product_dim": []}, "product_dim has 0 exponents, expected 1"),
         ({"product_dim": [2]}, "a nonzero product_dim needs a scale"),
         ({"product_dim": [2], "scale": "q"}, "scale sits at (1,), not at product_dim (2,)"),
-    ], ids=["bracket_dim-length", "product_dim-length", "scale-missing", "scale-misplaced"])
+        # "2x" would parse as 2·x and "q p" as q·p, naming another polynomial
+        ({"generators": QP["generators"] + [{"name": "2x", "dim": [1]}]},
+         "generator name '2x' is not a name expressions can use ([A-Za-z_][A-Za-z_0-9]*)"),
+        ({"generators": QP["generators"] + [{"name": "q p", "dim": [0]}]},
+         "generator name 'q p' is not a name expressions can use ([A-Za-z_][A-Za-z_0-9]*)"),
+    ], ids=["bracket_dim-length", "product_dim-length", "scale-missing", "scale-misplaced",
+            "generator-2x", "generator-q-p"])
     def test_shape_errors_exit_2_with_one_line(self, tmp_path, fields, message):
         r = self._check(tmp_path, **fields)
         assert r.exit_code == 2

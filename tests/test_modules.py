@@ -73,6 +73,9 @@ class TestModuleBasics:
     def test_axioms(self, rank2, rng):
         assert module_axiom_report(rank2, rng).ok
 
+    def test_show_names_the_slice_of_zero(self, rank2):
+        assert rank2.show(rank2.zero(((1,), "i"))) == "0 @ ((1,), 'i')"
+
     def test_one_acts_trivially(self, ring, rank2, rng):
         for _ in range(10):
             a = rank2.sample(rng)
@@ -619,6 +622,15 @@ class TestSpan:
             a = rank2.sample(rng)
             assert span_contains(rank2, gens, a)
 
+    def test_a_generator_in_another_orbit_spans_nothing_here(self, ring):
+        """e and f sit at the same dimension in the orbits i and j: no
+        multiple of e reaches f's orbit, so e alone does not span f."""
+        m = FreeDimModule(ring, GSet(ring.dims, orbits=("i", "j")),
+                          [("e", ((0,), "i")), ("f", ((0,), "j"))], "M")
+        e, f = m.basis_element("e"), m.basis_element("f")
+        assert not span_contains(m, [e], f)
+        assert span_contains(m, [e, f], f)
+
     def test_a_repeated_generator_adds_no_direction(self, rank2):
         e, f = rank2.basis_element("e"), rank2.basis_element("f")
         assert span_contains(rank2, [e, e], e)
@@ -684,6 +696,25 @@ class TestNegativeControls:
         w = rig_distributivity_witness(m, m, m)
         assert [r.law for r in w.report.failures] == ["both round trips fix every basis vector"]
         assert w.report.failures[0].witness.startswith("round trip moved ")
+
+    def test_forward_slices_over_a_sum_that_misplaces_its_second_summand(
+            self, rank2, monkeypatch):
+        """A direct sum that gives its second summand's basis vectors their
+        dimensions in reverse order puts B's vectors of (A⊕B)⊗C and of
+        A⊗C ⊕ B⊗C in different slices, so the forward map leaves one."""
+        import dimalg.modules as modules
+
+        true_sum = modules.direct_sum_mod
+
+        def reversed_sum(a, b):
+            basis = list(zip([n for n, _ in b.basis], [d for _, d in b.basis][::-1]))
+            return true_sum(a, FreeDimModule(b.coeff_ring, b.gset, basis, b.label, b.along))
+
+        monkeypatch.setattr(modules, "direct_sum_mod", reversed_sum)
+        w = rig_distributivity_witness(rank2, rank2, rank2)
+        assert [r.law for r in w.report.failures] == ["forward images stay in their slices"]
+        assert w.report.failures[0].witness == \
+            "((1, 'e'), 'e') leaves slice ((1,), ('i', 'i')) for ((2,), ('i', 'i'))"
 
     def test_bilinear_balance(self, rng):
         """Over the non-commutative Endo ring, (r·a)·b != a·(r·b)."""

@@ -223,9 +223,9 @@ class TestReduction:
     def test_report_probes_representatives_beyond_normal_forms(self, seed):
         """Operations that skip the normal form agree with the true ones
         on the basis, whose vectors are normal forms already, but not on
-        the ideal: the reduced report decides that both operations vanish
-        on the low-degree monomials of I.  The `rng` it is passed is
-        unused, so every seed gives the same verdict."""
+        the ideal: the reduced report checks that both operations vanish
+        on 1 and each generator times each ideal generator.  The `rng` it
+        is passed is unused, so every seed gives the same verdict."""
         p4 = canonical_4gen()
 
         class Unreduced(ReducedPoisson):
@@ -271,25 +271,42 @@ class TestReduction:
         rep = poisson_reduce(p4, ["q1"], cutoff).axiom_report()
         assert rep.ok and len(rep.results) == 3
 
-    @pytest.mark.parametrize("cutoff, normal_form_cases, vanishing_cases",
-                             [(6, 21, 30), (10, 55, 150)])
-    def test_report_checks_each_symmetric_case_once(
-            self, law_case_counts, cutoff, normal_form_cases, vanishing_cases):
-        """By (q1) the low-degree basis L is the monomials in q2, p2 of
-        degree at most cutoff // 3, and I_low the monomials of I up to
-        that degree: the normal-form law runs on the |L|(|L|+1)/2
-        unordered pairs of L and the vanishing law on the |I_low|·|L|
-        pairs (x, g), one order each."""
-        counts = law_case_counts
-        red = poisson_reduce(canonical_4gen(), ["q1"], cutoff)
-        counts.clear()
-        assert red.axiom_report().ok
-        low = cutoff // 3
-        n_low, n_ideal = math.comb(low + 2, 2), math.comb(low - 1 + 4, 4)
-        assert counts["product and bracket of low-degree basis pairs are normal forms"] \
-            == normal_form_cases == n_low * (n_low + 1) // 2
-        assert counts["product and bracket vanish on I at low degree"] \
-            == vanishing_cases == n_ideal * n_low
+    def test_mutants_fail_and_case_counts_hold_across_cutoffs(self, law_case_counts):
+        """The three reduced-operation mutants (both operations without
+        the normal form, one of them without it, and the bracket times
+        q1) FAIL at cutoffs 2, 6 and 19; the guard laws' cases do not grow
+        with the cutoff.  By (q1) the basis vectors of degree <= 1 are
+        L = {1, q2, p2}: the normal-form law runs on the |L|(|L|+1)/2
+        unordered pairs of L, and the vanishing law on the k(n+1)|L|
+        pairs (m*y, g) for k = 1 ideal generator and n = 4 generators."""
+        normal_forms = "product and bracket of low-degree basis pairs are normal forms"
+        vanishes = "product and bracket vanish on I at low degree"
+        _, op, mutant, _, law, witness = POISSON_MUTANTS[-1]
+        true_op = getattr(ReducedPoisson, op)
+
+        def unreduced(*ops):
+            return type("Unreduced", (ReducedPoisson,), {name: lambda self, f, g, name=name:
+                        self.ring.truncate(getattr(self.parent, name)(f, g), self.cutoff)
+                        for name in ops})
+
+        mutants = [(unreduced("product", "bracket"), vanishes, "product of "),
+                   (unreduced("product"), vanishes, "product of "),
+                   (unreduced("bracket"), vanishes, "bracket of "),
+                   (type("Mutant", (ReducedPoisson,), {op: lambda self, f, g: mutant(
+                       self.ring, true_op(self, f, g), f, g)}), law, witness)]
+        p4 = canonical_4gen()
+        for cutoff in (2, 6, 19):
+            for cls, failing, start in mutants:
+                failures = cls(p4, ["q1"], cutoff).axiom_report().failures
+                assert [r.law for r in failures] == [failing], (cls, cutoff)
+                assert failures[0].witness.startswith(start)
+        seen = set()
+        for cutoff in (6, 10, 19):
+            red = poisson_reduce(p4, ["q1"], cutoff)
+            law_case_counts.clear()
+            assert red.axiom_report().ok
+            seen.add((law_case_counts[normal_forms], law_case_counts[vanishes]))
+        assert seen == {(3 * 4 // 2, 1 * 5 * 3)}
 
     def test_a_reduction_reaches_rref_through_nullspace(self, monkeypatch):
         """Every block of a reduction that needs an elimination (one with

@@ -65,6 +65,13 @@ class TestProductRing:
         assert q_x_z.reciprocal(q_x_z.one) == q_x_z.one
         assert q_x_z.reciprocal(q_x_z.reciprocal(a)) == a
 
+    def test_zero_is_no_unit(self, q_x_z):
+        """Zero has no reciprocal in any slice, so it is not a unit; a
+        nonzero value is, at any dimension."""
+        assert not q_x_z.is_unit(q_x_z.zero((3,)))
+        assert not q_x_z.is_unit(q_x_z.zero((0,)))
+        assert q_x_z.is_unit(q_x_z.element(F(4), (2,)))
+
     def test_probe_elements_are_samples_then_one_then_zero(self, q_x_z):
         probes = q_x_z.probe_elements(random.Random(5), budget=4)
         rng = random.Random(5)

@@ -14,7 +14,7 @@ from dimalg import (
     ring_axiom_report,
 )
 from dimalg.ring import distributivity, generating_set
-from dimalg.errors import typed_field
+from dimalg.errors import load_json, typed_field
 from dimalg.structure import load_poisson, parse_poly, structure_axiom_report
 
 DATA = Path(__file__).parent / "data"
@@ -357,6 +357,11 @@ class TestShapeErrors:
         p.write_text(json.dumps({"monoid": {}}))
         with pytest.raises(InputFormatError):
             check_structure(p)
+
+    def test_a_missing_file(self, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(InputFormatError, match=r"^cannot read file: .*missing\.json"):
+            load_json(path)
 
     def test_not_json(self, tmp_path):
         p = tmp_path / "bad.json"
