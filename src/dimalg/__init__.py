@@ -41,7 +41,6 @@ _EXPORTS = {
         "Ideal",
         "ProductDimRing",
         "RingMorphism",
-        "dimensionless_ring",
         "multiplicative_section",
         "quotient_ring",
         "ring_axiom_report",

@@ -1,8 +1,9 @@
 """The calculator's core: a quantity in Q x Z^k and the classes it is made of.
 
 `DimElement`, the `Carrier` base and `Rationals`, the `DimRing` base with
-its `Slots`, `ProductDimRing`, and `Line`, `Factor` and `PowerRing` are
-defined here and re-exported by `group`, `carriers`, `ring` and `lines`.
+its `Slots`, `ProductDimRing` (Q x D, computed on Fractions), and `Line`,
+`Factor` and `PowerRing` are defined here and re-exported by `group`,
+`carriers`, `ring` and `lines`.
 `registry` needs only this module, so `eval` and `convert` load no law
 suite, carrier presentation or linear algebra.
 
@@ -126,10 +127,7 @@ class Carrier(ABC):
 
 
 class Rationals(Carrier):
-    """The group Q, and with `mul`, `one`, `reciprocal` the scalar field Q.
-    Every instance is equal to every other, and hashes alike."""
-
-    is_field = True
+    """The group Q.  Every instance is equal to every other, and hashes alike."""
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ or NotImplemented
@@ -149,32 +147,8 @@ class Rationals(Carrier):
     def from_coords(self, c):
         return Fraction(c[0])
 
-    # the scalar ring's operations, written out: they are on every hot path
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def reciprocal(self, a):
-        if a == 0:
-            raise ZeroDivisionError("reciprocal of zero")
-        return Fraction(1) / a
-
     def contains(self, v):
         return isinstance(v, (Fraction, int))
-
-    def sample(self, rng):
-        return rand_fraction(rng)
 
     def __str__(self):
         return "Q"
@@ -280,20 +254,22 @@ class DimRing(ABC):
 
 
 class ProductDimRing(DimRing):
-    """The product of an ordinary ring with a dimension monoid.
+    """Q x D: the rationals times a dimension monoid, a dimensioned field
+    when D is a group.
 
     Elements are (value, dimension) pairs: addition is slice-wise in the
-    value, multiplication multiplies values and combines dimensions.
-    `scalars` is the ordinary ring of values, `Rationals` or a
-    `DimlessRingView`: it has `add`, `neg`, `mul`, `zero()`, `one()`,
-    `sample(rng)`, `reciprocal` and `is_field`.
+    value, multiplication multiplies values and combines dimensions.  The
+    values are rationals, as a field's dimensionless slice is Q in every
+    field dimalg builds (`ring.units_trivialization`); `scalars` accepts
+    `Rationals()` alone.
     """
 
     def __init__(self, scalars, monoid: DimMonoid, label: str = ""):
-        self.scalars = scalars
+        if not isinstance(scalars, Rationals):
+            raise CarrierError(f"a product ring is over Q, not over {scalars}")
         self.dims = monoid
-        self.is_field = scalars.is_field and monoid.is_group
-        self.label = label or f"{scalars}x{monoid.kind}"
+        self.is_field = monoid.is_group
+        self.label = label or f"Qx{monoid.kind}"
 
     def element(self, value, dim) -> DimElement:
         if not self.dims.contains(dim):
@@ -303,40 +279,36 @@ class ProductDimRing(DimRing):
     def add(self, a, b):
         if a.dim != b.dim:
             raise DimensionMismatch(a.dim, b.dim, self.label)
-        return DimElement(self.scalars.add(a.value, b.value), a.dim)
+        return DimElement(a.value + b.value, a.dim)
 
     def neg(self, a):
-        return DimElement(self.scalars.neg(a.value), a.dim)
+        return DimElement(-a.value, a.dim)
 
     def zero(self, d):
-        return DimElement(self.scalars.zero(), d)
+        return DimElement(Fraction(0), d)
 
     def mul(self, a, b):
-        return DimElement(
-            self.scalars.mul(a.value, b.value), self.dims.combine(a.dim, b.dim)
-        )
+        return DimElement(a.value * b.value, self.dims.combine(a.dim, b.dim))
 
     @property
     def one(self):
-        return DimElement(self.scalars.one(), self.dims.identity)
+        return DimElement(Fraction(1), self.dims.identity)
 
     def reciprocal(self, a):
         if not self.is_field:
             raise CarrierError(f"{self.label} is not a dimensioned field")
-        return DimElement(
-            self.scalars.reciprocal(a.value), self.dims.inverse(a.dim)
-        )
+        if a.value == 0:
+            raise ZeroDivisionError("reciprocal of zero")
+        return DimElement(Fraction(1) / a.value, self.dims.inverse(a.dim))
 
     def sample(self, rng, dim=None):
         d = self.sample_dim(rng) if dim is None else dim
-        return DimElement(self.scalars.sample(rng), d)
+        return DimElement(rand_fraction(rng), d)
 
     def slots(self):
-        """Over Q: DISTINCT, then COEFF_PROBES at the identity or in every slice."""
+        """DISTINCT, then COEFF_PROBES at the identity or in every slice."""
         from .ring import COEFF_PROBES, DISTINCT  # the slot rule's table: loaded on use
 
-        if not isinstance(self.scalars, Rationals):
-            return None
         dims = self.probe_dims()
         return Slots(dims, DISTINCT, ((COEFF_PROBES, (self.dims.identity,), dims),))
 

@@ -2,9 +2,8 @@
 
 Over a finite dimension set D every additive slice endomorphism of a
 rational product ring is a scaling, so a dimensioned endomorphism is a
-dimension map phi: D -> D plus one scaling coefficient per slice.  Over
-any other scalars that encoding misses endomorphisms, so `EndoRing`
-refuses a base that is not over Q and computes on Fractions.  Those
+dimension map phi: D -> D plus one scaling coefficient per slice.  A
+`ProductDimRing` is over Q, so `EndoRing` computes on Fractions.  Those
 pairs form a non-commutative dimensioned ring: addition is the partial
 pointwise one (defined exactly when the dimension maps agree) and
 multiplication is composition, whose dimension monoid is Map(D).
@@ -48,7 +47,7 @@ import random
 from fractions import Fraction
 from operator import add as _add
 
-from .core import DimElement, Rationals
+from .core import DimElement
 from .errors import CarrierError, DimensionMapMismatch
 from .monoid import DimMonoid
 from .report import CheckReport
@@ -92,8 +91,6 @@ class EndoRing(DimRing):
     def __init__(self, base: ProductDimRing):
         if base.dims.elements() is None:
             raise CarrierError("endomorphism ring needs a finite dimension set")
-        if base.scalars != Rationals():
-            raise CarrierError(f"endomorphism ring needs a base over Q, not over {base.scalars}")
         self.base = base
         self.points = base.dims.elements()
         self.index = {d: i for i, d in enumerate(self.points)}

@@ -92,21 +92,34 @@ def require_terms(count: int) -> None:
         raise InputFormatError(f"a polynomial may have more than {MAX_POLY_TERMS} terms")
 
 
-# The most monomials a reduction may span: C(cutoff + n, n) of degree at
-# most the cutoff in n generators.  At this bound `poisson reduce` on four
-# generators (cutoff 19) takes about 0.2 s on a 2-vCPU machine, and cutoff
-# 40 (135 751 monomials) about 0.15 s of CPU to reduce in the library.
-MAX_REDUCE_MONOMIALS = 10_000
+# The most monomials a reduction may span, C(cutoff + n, n) of degree at
+# most the cutoff in n generators, on up to four generators.  The cost per
+# monomial grows about as n^4, so beyond four generators the bound is
+# (4/n)^4 of this one, never below 10 000 (the earlier bound for every n).
+# Reducing by one generator at the largest admitted cutoff, in the library
+# (Python 3.11, 2 vCPU; CPU seconds, peak RSS): four generators, cutoff 47
+# (249 900 monomials), canonical 0.45 s, gl(2)* up to 0.95 s, so(3) with a
+# Casimir 1.08 s, each near 70 MB; five, cutoff 23, gl(2)* with a Casimir
+# 0.95 s; six, cutoff 14, so(3) x so(3) 1.06 s; seven, cutoff 10,
+# gl(2)* x so(3) 0.84 s; eight, cutoff 8, gl(2)* x gl(2)* up to 1.46 s and
+# 79 MB; one to three generators under 0.7 s and 80 MB.  A flat 250 000
+# would admit gl(2)* x gl(2)* at cutoff 13, but cutoff 10 already takes
+# 7.1 s and 248 MB.
+MAX_REDUCE_MONOMIALS = 250_000
+
+
+def reduce_monomial_limit(nvars: int) -> int:
+    """The most monomials a reduction in `nvars` generators may span."""
+    return max(10_000, MAX_REDUCE_MONOMIALS * 4**4 // max(nvars, 4) ** 4)
 
 
 def require_monomials(cutoff: int, nvars: int) -> None:
     """Refuse a reduction up to degree `cutoff` in `nvars` generators when
-    it spans more than MAX_REDUCE_MONOMIALS monomials."""
-    count = math.comb(cutoff + nvars, nvars)
-    if count > MAX_REDUCE_MONOMIALS:
+    it spans more than `reduce_monomial_limit(nvars)` monomials."""
+    count, limit = math.comb(cutoff + nvars, nvars), reduce_monomial_limit(nvars)
+    if count > limit:
         raise InputFormatError(
-            f"cutoff {cutoff} spans {count} monomials in {nvars} generators, "
-            f"more than {MAX_REDUCE_MONOMIALS}"
+            f"cutoff {cutoff} spans {count} monomials in {nvars} generators, more than {limit}"
         )
 
 

@@ -73,14 +73,15 @@ class UnitRegistry:
                     f"(factor 1), found {len(coherent)}"
                 )
         self.ring = PowerRing(tuple(Line(n) for n in self.base))
+        # each symbol's element, built once: expressions read it at every leaf
+        self._elements = {s: self.ring.element(u.factor, u.dims) for s, u in self.units.items()}
 
     @property
     def rank(self) -> int:
         return len(self.base)
 
     def element_of(self, symbol: str) -> DimElement:
-        u = self.units[symbol]
-        return self.ring.element(u.factor, u.dims)
+        return self._elements[symbol]
 
     def dim_name(self, dims) -> str:
         """Pretty-print an exponent vector in base-dimension names."""

@@ -83,59 +83,10 @@ def law_cases(rep: CheckReport, law: str, every, *rows, slots: Slots | None = No
     return next((cases() for premises, cases in rows if rep.passed(*premises)), every)
 
 
-# the rationals carrier is also the scalar ring Q.  The older name's last user
-# is perfbench/workloads.py:312; it goes with ROADMAP item 1's benchmark change.
+# the older name of `Rationals`.  It and `ProductDimRing`'s `scalars` parameter
+# stay because perfbench/workloads.py:312 passes both; they go with ROADMAP
+# item 1's benchmark change.
 RationalScalars = Rationals
-
-
-# ---------------------------------------------------------------------------
-# The dimensionless slice as an ordinary ring
-# ---------------------------------------------------------------------------
-
-
-class DimlessRingView:
-    """The slice over the monoid identity, exposed with ordinary ring ops.
-
-    Values are the raw slice values of the parent ring at the identity
-    dimension, so the view serves as the scalars of a ProductDimRing.
-    """
-
-    def __init__(self, ring: DimRing):
-        self.ring = ring
-        self._id = ring.dims.identity
-        self.is_field = ring.is_field
-
-    def _wrap(self, v):
-        return DimElement(v, self._id)
-
-    def add(self, a, b):
-        return self.ring.add(self._wrap(a), self._wrap(b)).value
-
-    def neg(self, a):
-        return self.ring.neg(self._wrap(a)).value
-
-    def mul(self, a, b):
-        out = self.ring.mul(self._wrap(a), self._wrap(b))
-        return out.value
-
-    def zero(self):
-        return self.ring.zero(self._id).value
-
-    def one(self):
-        return self.ring.one.value
-
-    def sample(self, rng):
-        return self.ring.sample(rng, dim=self._id).value
-
-    def reciprocal(self, a):
-        return self.ring.reciprocal(self._wrap(a)).value
-
-    def __str__(self):
-        return f"{self.ring.label}@1"
-
-
-def dimensionless_ring(ring: DimRing) -> DimlessRingView:
-    return DimlessRingView(ring)
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +287,14 @@ class Trivialization(NamedTuple):
 
 
 def units_trivialization(field: DimRing, u: Callable[[Any], DimElement]) -> Trivialization:
+    """F ≅ F_1 × D for a dimensioned field F with unit section u: its
+    dimensionless field times its dimension group.  Every field dimalg
+    builds is a `ProductDimRing`, whose identity slice is Q on Fractions, so
+    F_1 × D is `ProductDimRing(Rationals(), D)`, a ring the slot rule decides."""
     if not field.is_field:
         raise CarrierError("trivialization needs a dimensioned field")
-    monoid = field.dims
-    view = dimensionless_ring(field)
-    product = ProductDimRing(view, monoid, label=f"{view}x{monoid.kind}")
-    ident = monoid.identity
+    product = ProductDimRing(Rationals(), field.dims, label=f"{field.label}@1x{field.dims.kind}")
+    ident = field.dims.identity
 
     def fwd(a: DimElement) -> DimElement:
         return field.mul(u(a.dim), DimElement(a.value, ident))

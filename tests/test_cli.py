@@ -20,6 +20,7 @@ from dimalg.errors import (
     MAX_REDUCE_MONOMIALS,
     MAX_VALUE_BITS,
     InputFormatError,
+    reduce_monomial_limit,
     require_monomials,
 )
 
@@ -379,20 +380,25 @@ class TestPoisson:
         start = time.perf_counter()
         r = run_cli([
             "poisson", "reduce", str(REPO / "poisson" / "canonical_4gen.json"),
-            "--cutoff", "40",
+            "--cutoff", "48",
         ])
         assert time.perf_counter() - start < 1.0
         assert r.exit_code == 2, r.output
         assert r.stdout == ""
         assert r.stderr.splitlines() == [
-            f"error: cutoff 40 spans {math.comb(44, 4)} monomials in 4 generators, "
+            f"error: cutoff 48 spans {math.comb(52, 4)} monomials in 4 generators, "
             f"more than {MAX_REDUCE_MONOMIALS}"
         ]
 
-    def test_reduce_monomial_bound_admits_cutoff_19_on_four_generators(self):
-        require_monomials(19, 4)  # C(23, 4) = 8855
-        with pytest.raises(InputFormatError):
-            require_monomials(20, 4)  # C(24, 4) = 10626
+    def test_reduce_monomial_bound_by_generator_count(self):
+        """MAX_REDUCE_MONOMIALS on four generators, (4/n)^4 of it beyond,
+        and never below 10 000."""
+        for cutoff, nvars in ((47, 4), (23, 5), (14, 6), (10, 7), (8, 8), (6, 9), (5, 12)):
+            require_monomials(cutoff, nvars)
+            with pytest.raises(InputFormatError):
+                require_monomials(cutoff + 1, nvars)
+        assert reduce_monomial_limit(4) == MAX_REDUCE_MONOMIALS == 250_000
+        assert reduce_monomial_limit(8) == 15_625 and reduce_monomial_limit(12) == 10_000
 
     def test_reduce_needs_positive_cutoff(self):
         r = run_cli([
