@@ -27,6 +27,13 @@ class TestRegistryLoading:
         cm = si_registry.element_of("cm")
         assert cm.value == F(1, 100) and cm.dim == (1, 0)
 
+    def test_every_symbol_reads_its_own_factor_and_dims(self, si_registry):
+        """The elements built at load are the units' factors and dimensions,
+        symbol by symbol."""
+        assert set(si_registry.units) == set(si_registry._elements)
+        for symbol, u in si_registry.units.items():
+            assert si_registry.element_of(symbol) == si_registry.ring.element(u.factor, u.dims)
+
     def test_empty_units_is_an_error(self):
         with pytest.raises(InputFormatError) as exc:
             registry_load({"base": ["length"], "units": []})

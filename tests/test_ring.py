@@ -64,6 +64,18 @@ class TestProductRing:
         assert q_x_z.reciprocal(q_x_z.one) == q_x_z.one
         assert q_x_z.reciprocal(q_x_z.reciprocal(a)) == a
 
+    def test_is_a_field_exactly_when_the_dimensions_form_a_group(self):
+        """Q is a field, so Q x D is a dimensioned field iff D is a group:
+        then every nonzero value has a reciprocal in the inverse slice."""
+        for monoid, field in ((DimMonoid.free_abelian(2), True), (DimMonoid.cyclic(3), True),
+                              (DimMonoid.trivial(), True), (DimMonoid.map_monoid((0, 1)), False)):
+            ring = ProductDimRing(Rationals(), monoid)
+            assert ring.is_field is field, monoid
+            if field:
+                for d in ring.probe_dims():
+                    a = ring.element(F(-3, 2), d)
+                    assert ring.mul(a, ring.reciprocal(a)) == ring.one
+
     def test_zero_is_no_unit(self, q_x_z):
         """Zero has no reciprocal in any slice, so it is not a unit; a
         nonzero value is, at any dimension."""
