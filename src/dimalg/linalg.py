@@ -1,5 +1,6 @@
 """Tiny exact linear algebra over the rationals and the integers (row
-vectors as tuples, or as {column: entry} dicts where `rref` takes them)."""
+vectors as tuples, or as {column: entry} dicts where `rref` and
+`nullspace` take them)."""
 
 from fractions import Fraction
 
@@ -53,19 +54,22 @@ def rref(rows):
 
 
 def nullspace(rows, ncols):
-    """Basis of the right nullspace of the matrix (rows x ncols), dense or
-    sparse rows as `rref` takes them: one vector per free column f, 1 at
-    f and minus each pivot row's entry at f at that row's pivot."""
+    """Basis of the right nullspace of the matrix (rows x ncols): one
+    vector per free column f, 1 at f and minus each pivot row's entry at
+    f at that row's pivot.  Rows are dense or {column: entry} as `rref`
+    takes them, and the vectors come back in the same form: tuples ncols
+    wide, or dicts of their nonzero entries (f first, then the pivots)."""
     red, pivots = rref(rows)
-    bound, zero = set(pivots), Fraction(0)
-    basis = {f: [zero] * ncols for f in range(ncols) if f not in bound}
-    for f, v in basis.items():
-        v[f] = Fraction(1)
+    bound = set(pivots)
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in bound}
     for row, p in zip(red, pivots):
         for c, x in _entries(row):
             if x and c != p:
                 basis[c][p] = -x
-    return [tuple(v) for v in basis.values()]
+    if rows and isinstance(rows[0], dict):
+        return list(basis.values())
+    zero = Fraction(0)
+    return [tuple(v.get(c, zero) for c in range(ncols)) for v in basis.values()]
 
 
 def smith(rows, n):

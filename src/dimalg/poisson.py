@@ -186,14 +186,41 @@ def make_poisson(
     return p
 
 
-def _antisymmetric(p: DimPoisson, rep: CheckReport) -> bool:
-    """Decide law 2, table antisymmetry, on generator pairs, the diagonal
+def _table_laws(p: DimPoisson, rep: CheckReport) -> bool:
+    """Decide law 1, each nonzero off-diagonal entry at b + g_i + g_j, and
+    then law 2, table antisymmetry on generator pairs, the diagonal
     included, into `rep`; whether `rep` passes."""
-    ring = p.ring
-    rep.law("table antisymmetry", itertools.combinations_with_replacement(ring.gen_names, 2),
-            lambda ni, nj: not ring.eq(p.table[(ni, nj)], ring.neg(p.table[(nj, ni)]))
-            and f"table not antisymmetric at ({ni},{nj})")
+    ring, names, dims = p.ring, p.ring.gen_names, p.ring.gen_dims
+
+    def misplaced(i, j, shift, _):
+        if shift is not None:
+            return (f"dim({{{names[i]},{names[j]}}}) = {p.table[(names[i], names[j])].dim}, "
+                    f"expected {p.bracket_slice(dims[i], dims[j])}")
+
+    rep.law("structure constants sit at b+g_i+g_j", p._entries, misplaced)
+    if rep.ok:  # else brackets would add terms from distinct slices
+        rep.law("table antisymmetry", itertools.combinations_with_replacement(names, 2),
+                lambda ni, nj: not ring.eq(p.table[(ni, nj)], ring.neg(p.table[(nj, ni)]))
+                and f"table not antisymmetric at ({ni},{nj})")
     return rep.ok
+
+
+def _jacobi_and_casimir(p: DimPoisson, rep: CheckReport, gens: list) -> None:
+    """Decide laws 4 and 5 into `rep` for a table that passes laws 1 and
+    2: Jacobi on triples of distinct generators, each triple's Jacobiator
+    read from the table, and the scale's bracket with each generator."""
+    ring, names, show = p.ring, p.ring.gen_names, p.ring.show
+
+    def term(u, v, w):  # {x_u, {x_v, x_w}}, read from the table by law 3
+        return p.bracket(gens[u], p.table[(names[v], names[w])])
+
+    rep.law("Jacobi on generator triples", itertools.combinations(range(len(names)), 3),
+            lambda i, j, k: not ring.is_zero(
+                ring.add(term(i, j, k), ring.add(term(j, k, i), term(k, i, j)))
+            ) and f"Jacobi fails on generators ({names[i]},{names[j]},{names[k]})")
+    rep.law("Leibniz: the scale brackets to zero with every generator", zip(names, gens),
+            lambda n, x: not ring.is_zero(br := p.bracket(x, p.scale))
+            and f"{{{n},{show(p.scale)}}} = {show(br)}, so Leibniz fails for the scaled product")
 
 
 def poisson_axiom_report(p: DimPoisson, rng=None) -> CheckReport:
@@ -225,17 +252,8 @@ def poisson_axiom_report(p: DimPoisson, rng=None) -> CheckReport:
     """
     ring = p.ring
     rep = CheckReport(f"Poisson algebra on {ring.label}")
-    show, names, dims = ring.show, ring.gen_names, ring.gen_dims
-
-    def misplaced(i, j, shift, _):
-        if shift is not None:
-            return (f"dim({{{names[i]},{names[j]}}}) = {p.table[(names[i], names[j])].dim}, "
-                    f"expected {p.bracket_slice(dims[i], dims[j])}")
-
-    rep.law("structure constants sit at b+g_i+g_j", p._entries, misplaced)
-    if not rep.ok:  # brackets would add terms from distinct slices
-        return rep
-    if not _antisymmetric(p, rep):  # generator triples would not decide Jacobi
+    show, names = ring.show, ring.gen_names
+    if not _table_laws(p, rep):  # generator triples would not decide Jacobi
         return rep
     gens = [ring.generator(n) for n in names]
     gen_bracket = cache(lambda i, j: p.bracket(gens[i], gens[j]))
@@ -257,17 +275,7 @@ def poisson_axiom_report(p: DimPoisson, rng=None) -> CheckReport:
     pairs = list(itertools.combinations_with_replacement(range(len(names)), 2))
     rep.law("bracket extends the table on generator pairs",
             itertools.permutations(range(len(names)), 2), extends)
-
-    def term(u, v, w):  # {x_u, {x_v, x_w}}, read from the table by law 3
-        return p.bracket(gens[u], p.table[(names[v], names[w])])
-
-    rep.law("Jacobi on generator triples", itertools.combinations(range(len(names)), 3),
-            lambda i, j, k: not ring.is_zero(
-                ring.add(term(i, j, k), ring.add(term(j, k, i), term(k, i, j)))
-            ) and f"Jacobi fails on generators ({names[i]},{names[j]},{names[k]})")
-    rep.law("Leibniz: the scale brackets to zero with every generator", zip(names, gens),
-            lambda n, x: not ring.is_zero(br := p.bracket(x, p.scale))
-            and f"{{{n},{show(p.scale)}}} = {show(br)}, so Leibniz fails for the scaled product")
+    _jacobi_and_casimir(p, rep, gens)
     rep.law("dimension projections of both products", pairs, graded)
     rep.law("product commutative on generator pairs", pairs,
             lambda i, j: not ring.eq(gen_product(i, j), gen_product(j, i))
@@ -329,14 +337,23 @@ class ReducedPoisson:
     the ideal; membership is decided by bracketing with the ideal
     generators.  Representatives are ideal normal forms; operations
     compute upstairs, reduce, and truncate at the cutoff.
+
+    A parent that is not Poisson is refused with ConstructionError: its
+    table laws (1, 2), Jacobi (4) and Casimir scale (5) are decided as
+    `poisson_axiom_report` decides them.  Law 3 holds by the bracket's
+    definition and laws 6-8 by the polynomial product, so these are all
+    the premise of the reduction needs.
     """
 
     def __init__(self, parent: DimPoisson, ideal_gens, cutoff: int):
         if cutoff < 1:
             raise CarrierError("cutoff must be >= 1")
-        law2 = CheckReport("parent")
-        if not _antisymmetric(parent, law2):
-            raise ConstructionError(f"parent is not Poisson: {law2.failures[0].line()}")
+        premise = CheckReport("parent")
+        if _table_laws(parent, premise):
+            ring = parent.ring
+            _jacobi_and_casimir(parent, premise, [ring.generator(n) for n in ring.gen_names])
+        if not premise.ok:
+            raise ConstructionError(f"parent is not Poisson: {premise.failures[0].line()}")
         co = coisotrope_check(parent, ideal_gens)
         if not co.ok:
             raise ConstructionError(f"not a coisotrope: {co.failures[0].witness}")
@@ -360,14 +377,15 @@ class ReducedPoisson:
         over m's coefficient, so the rows have the same reduced echelon
         form and the same nullspace.  Rows stay sparse, {column: integer},
         as they are collected: `nullspace` eliminates on their nonzero
-        entries alone.  Two kinds of block need no elimination: one with
-        no condition keeps each of its monomials, in column order, as
-        `nullspace` would return them, and one column with a condition
-        (whose entries are nonzero) has rank 1 and keeps nothing.  One
-        `divisible_by` test, built from the ideal's exponents, decides
-        which monomials and residual terms lie in I.  Index exponent
-        tuples and nullspace terms are valid by construction, so basis
-        vectors are built trusted."""
+        entries alone and returns each vector as its nonzero entries, which
+        in column order are the basis vector's terms in lexicographic order.
+        Two kinds of block need no elimination: one with no condition keeps
+        each of its monomials, in column order, as `nullspace` would return
+        them, and one column with a condition (whose entries are nonzero)
+        has rank 1 and keeps nothing.  One `divisible_by` test, built from
+        the ideal's exponents, decides which monomials and residual terms
+        lie in I.  Index exponent tuples and nullspace terms are valid by
+        construction, so basis vectors are built trusted."""
         ring, parent = self.ring, self.parent
         basis, one = [], Fraction(1)
         gens = self.ideal.generators
@@ -398,7 +416,7 @@ class ReducedPoisson:
                 if not conditions:  # every monomial is free, in column order
                     basis += [DimElement(((alpha, one),), dim) for alpha in monos]
                 elif len(monos) > 1:  # one column with a nonzero condition has none
-                    basis += [ring._of(dict(zip(monos, vec)), dim)
+                    basis += [DimElement(tuple((monos[c], x) for c, x in sorted(vec.items())), dim)
                               for vec in nullspace(list(conditions.values()), len(monos))]
         return tuple(basis)
 
@@ -412,13 +430,11 @@ class ReducedPoisson:
     def axiom_report(self, rng=None) -> CheckReport:
         """The reduced structure, decided on finitely many cases.
 
-        A reduction is built only when I is a coisotrope and the parent's
-        table is antisymmetric, both decided on generators; the parent's
-        Jacobi and Casimir laws are decided by `poisson_axiom_report`,
-        which `make_poisson` runs unless `validate=False`.  When the parent
-        is Poisson, N(I) is a Poisson subalgebra, I a Poisson ideal in it,
-        and N(I)/I is Poisson (Śniatycki & Weinstein, *Lett. Math. Phys.*
-        7, 1983).  What is left is that the code computes that quotient:
+        A reduction is built only when the parent is Poisson and I is a
+        coisotrope, both decided on generators.  Then N(I) is a Poisson
+        subalgebra, I a Poisson ideal in it, and N(I)/I is Poisson
+        (Śniatycki & Weinstein, *Lett. Math. Phys.* 7, 1983).  What is
+        left is that the code computes that quotient:
         - every basis vector b lies in N(I): {b, m} is in I for every
           ideal generator m, decided on the computed basis;
         - the reduced product and bracket are normal forms of degree

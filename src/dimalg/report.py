@@ -1,11 +1,10 @@
 """Pass/fail reports produced by the axiom and property suites.
 
 Failures are data, not exceptions: every law yields a LawResult with an
-optional witness so callers (tests, the CLI `check` command) can render
-one line per law and pick an exit code.
+optional witness and the number of cases it ran, so callers (tests, the
+CLI `check` command) can render one line per law and pick an exit code.
 """
 
-import itertools
 from typing import NamedTuple
 
 
@@ -13,6 +12,7 @@ class LawResult(NamedTuple):
     law: str
     passed: bool
     witness: str = ""
+    cases: int = 0  # cases `CheckReport.law` ran, up to the first witness
 
     def line(self) -> str:
         if self.passed:
@@ -25,16 +25,22 @@ class CheckReport:
         self.subject = subject
         self.results = [] if results is None else results
 
-    def check(self, law: str, condition: bool, witness: str = "") -> None:
-        self.results.append(LawResult(law, bool(condition), "" if condition else witness))
+    def check(self, law: str, condition: bool, witness: str = "", cases: int = 0) -> None:
+        """Record a verdict decided elsewhere: `cases` is what `law` ran,
+        and a direct call runs none."""
+        self.results.append(LawResult(law, bool(condition), "" if condition else witness, cases))
 
     def law(self, name: str, cases, check) -> None:
         """Decide law `name`: `check(*case)` returns a falsy value where the
         law holds and the witness text where it fails.  Each case is a tuple
         of arguments (`zip(values)` for single values); `cases` is walked
-        lazily up to the first witness, and an empty `cases` passes."""
-        witness = next(filter(None, itertools.starmap(check, cases)), "")
-        self.check(name, not witness, witness)
+        lazily up to the first witness, and an empty `cases` passes; the
+        result counts the cases walked, the witness's included."""
+        n, witness = 0, ""
+        for n, case in enumerate(cases, 1):
+            if witness := check(*case):
+                break
+        self.check(name, not witness, witness, n)
 
     def passed(self, *laws: str) -> bool:
         """Whether each law named has a PASS in this report: one that only

@@ -4,7 +4,6 @@ import random
 import statistics
 import sys
 import time
-from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,7 +20,6 @@ from dimalg import (
 from dimalg.carriers import Rationals
 from dimalg.cli import main
 from dimalg.monoid import DimMonoid
-from dimalg.report import CheckReport
 
 # Every property test draws the same examples on every run.
 settings.register_profile("dimalg", derandomize=True)
@@ -131,31 +129,6 @@ def defect_beyond_caps() -> dict:
     doc = product_table(32, 2)
     doc["mul"]["3@d1"]["5@d1"] = doc["mul"]["5@d1"]["3@d1"] = "16@d0"
     return doc
-
-
-def counting_law(counts: Counter):
-    """`CheckReport.law` as it is now, wrapped to add to `counts[name]`
-    each case that law `name` consumes."""
-    law = CheckReport.law
-
-    def counting(rep, name, cases, check):
-        def counted():
-            for case in cases:
-                counts[name] += 1
-                yield case
-
-        law(rep, name, counted(), check)
-
-    return counting
-
-
-@pytest.fixture
-def law_case_counts(monkeypatch) -> Counter:
-    """The number of cases each `CheckReport.law` consumes during the
-    test, by law name, summed over reports."""
-    counts = Counter()
-    monkeypatch.setattr(CheckReport, "law", counting_law(counts))
-    return counts
 
 
 @pytest.fixture

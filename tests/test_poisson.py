@@ -271,7 +271,7 @@ class TestReduction:
         rep = poisson_reduce(p4, ["q1"], cutoff).axiom_report()
         assert rep.ok and len(rep.results) == 3
 
-    def test_mutants_fail_and_case_counts_hold_across_cutoffs(self, law_case_counts):
+    def test_mutants_fail_and_case_counts_hold_across_cutoffs(self):
         """The three reduced-operation mutants (both operations without
         the normal form, one of them without it, and the bracket times
         q1) FAIL at cutoffs 2, 6 and 19; the guard laws' cases do not grow
@@ -302,10 +302,10 @@ class TestReduction:
                 assert failures[0].witness.startswith(start)
         seen = set()
         for cutoff in (6, 10, 19):
-            red = poisson_reduce(p4, ["q1"], cutoff)
-            law_case_counts.clear()
-            assert red.axiom_report().ok
-            seen.add((law_case_counts[normal_forms], law_case_counts[vanishes]))
+            rep = poisson_reduce(p4, ["q1"], cutoff).axiom_report()
+            assert rep.ok
+            cases = {r.law: r.cases for r in rep.results}
+            seen.add((cases[normal_forms], cases[vanishes]))
         assert seen == {(3 * 4 // 2, 1 * 5 * 3)}
 
     def test_a_reduction_reaches_rref_through_nullspace(self, monkeypatch):
@@ -359,6 +359,31 @@ class TestReduction:
             poisson_reduce(p, ["q"], 6)
         assert str(exc.value) == (
             "parent is not Poisson: FAIL  table antisymmetry: table not antisymmetric at (q,q)")
+
+    @pytest.mark.parametrize("ideal", [["x"], ["y"], ["z"]])
+    def test_a_parent_that_fails_jacobi_is_refused(self, ideal):
+        """{x,y} = yz, {y,z} = x, {x,z} = xy is antisymmetric, and each
+        generator spans a coisotrope, but the Jacobiator of (x,y,z) is not
+        0: unless the reduction decides Jacobi, it builds 7, 7 and 1 basis
+        vectors at cutoff 6 and its report PASSes."""
+        p, _ = load_poisson({"generators": _gens("xyz"),
+                             "bracket": {"x,y": "y*z", "y,z": "x", "x,z": "x*y"}}, validate=False)
+        with pytest.raises(ConstructionError) as exc:
+            poisson_reduce(p, ideal, 6)
+        assert str(exc.value) == ("parent is not Poisson: FAIL  Jacobi on generator triples: "
+                                  "Jacobi fails on generators (x,y,z)")
+
+    def test_a_parent_whose_scale_is_not_a_casimir_is_refused(self):
+        """so(3)* scaled by x fails Leibniz, as {y, x} = -z; unless the
+        reduction decides the scale, its reduction by (x) at cutoff 4
+        PASSes."""
+        p, _ = load_poisson({"generators": _gens("xyz"), "scale": "x",
+                             "bracket": {"x,y": "z", "y,z": "x", "z,x": "y"}}, validate=False)
+        with pytest.raises(ConstructionError) as exc:
+            poisson_reduce(p, ["x"], 4)
+        assert str(exc.value) == (
+            "parent is not Poisson: FAIL  Leibniz: the scale brackets to zero with every "
+            "generator: {y,x} = -z, so Leibniz fails for the scaled product")
 
 
 class TestHeterogeneousProduct:
@@ -579,19 +604,31 @@ def _drawn_factors(draw, prefix):
     coisotrope of it.  Either the table is log-canonical,
     {x_i, x_j} = c_ij·x_i·x_j, under which every monomial ideal is a
     Poisson ideal, and the ideal has one or two monomial generators; or
-    it is constant, c_ij wherever g_i + g_j = 0, and the ideal is
-    principal, a coisotrope because {m, m} = 0."""
-    n = draw(st.integers(2, 3))
+    the ideal is principal, a coisotrope because {m, m} = 0, and the
+    table is constant, c_ij wherever g_i + g_j = 0, or c times that of
+    so(3)* on dimensionless generators, or c times that of the
+    Heisenberg algebra, {x_1, x_2} = c·x_3 at g_3 = g_1 + g_2."""
+    family = draw(st.sampled_from(["log-canonical", "constant", "so(3)*", "Heisenberg"]))
+    n = draw(st.integers(2, 3)) if family in ("log-canonical", "constant") else 3
     names = [f"{prefix}{i}" for i in range(1, n + 1)]
     dims = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    if family == "so(3)*":
+        dims = [0] * n
+    elif family == "Heisenberg":
+        dims[2] = dims[0] + dims[1]
     ring = GradedPolyRing(names, [(d,) for d in dims])
-    log_canonical = draw(st.booleans())
+    log_canonical = family == "log-canonical"
     table = {}
-    for i, j in itertools.combinations(range(n), 2):
-        c = draw(st.sampled_from([F(0), F(1), F(-2), F(3, 2)]))
-        if c and (log_canonical or dims[i] + dims[j] == 0):
-            alpha = tuple(int(log_canonical and k in (i, j)) for k in range(n))
-            table[(names[i], names[j])] = ring.monomial(alpha, c)
+    if family in ("so(3)*", "Heisenberg"):
+        c = draw(st.sampled_from([F(1), F(-2), F(3, 2)]))
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))[:3 if family == "so(3)*" else 1]:
+            table[(names[i], names[j])] = ring.monomial(tuple(int(m == k) for m in range(n)), c)
+    else:
+        for i, j in itertools.combinations(range(n), 2):
+            c = draw(st.sampled_from([F(0), F(1), F(-2), F(3, 2)]))
+            if c and (log_canonical or dims[i] + dims[j] == 0):
+                alpha = tuple(int(log_canonical and k in (i, j)) for k in range(n))
+                table[(names[i], names[j])] = ring.monomial(alpha, c)
     exponents = st.tuples(*[st.integers(0, 2)] * n).filter(any)
     ideal = draw(st.lists(exponents, min_size=1, max_size=2 if log_canonical else 1))
     return make_poisson(ring, table, bracket_dim=(0,)), ideal

@@ -10,21 +10,21 @@ GOLDEN = Path(__file__).parent.parent / "data" / "structures" / "product_ring_mo
 def test_empty_cases_pass():
     rep = CheckReport("s")
     rep.law("vacuous", [], lambda n: "never called")
-    assert rep.results == [LawResult("vacuous", True, "")]
+    assert rep.results == [LawResult("vacuous", True, "", 0)]
     assert rep.lines() == ["== s", "PASS  vacuous"]
 
 
 def test_first_witness_wins():
     rep = CheckReport("s")
     rep.law("odd", zip([2, 3, 4, 5]), lambda n: n % 2 == 0 and f"{n} is even")
-    assert rep.results == [LawResult("odd", False, "2 is even")]
+    assert rep.results == [LawResult("odd", False, "2 is even", 1)]
     assert rep.lines() == ["== s", "FAIL  odd: 2 is even"]
 
 
 def test_each_case_is_unpacked_into_the_check():
     rep = CheckReport("s")
     rep.law("a < b", [(1, 2), (3, 4), (6, 5), (8, 7)], lambda a, b: a >= b and f"{a} >= {b}")
-    assert rep.results == [LawResult("a < b", False, "6 >= 5")]
+    assert rep.results == [LawResult("a < b", False, "6 >= 5", 3)]
 
 
 def test_walk_stops_at_the_first_witness():
@@ -43,14 +43,14 @@ def test_walk_stops_at_the_first_witness():
     rep.law("below three", cases(), check)
     assert called == [0, 1, 2, 3]
     assert consumed == [0, 1, 2, 3]
-    assert rep.failures == [LawResult("below three", False, "three")]
+    assert rep.failures == [LawResult("below three", False, "three", 4)]
 
 
 def test_passing_law_records_an_empty_witness():
     rep = CheckReport("s")
     rep.law("small", zip(range(5)), lambda n: None if n < 10 else "big")
     rep.law("sums", itertools.product(range(3), repeat=2), lambda a, b: a + b > 4 and "big")
-    assert rep.results == [LawResult("small", True, ""), LawResult("sums", True, "")]
+    assert rep.results == [LawResult("small", True, "", 5), LawResult("sums", True, "", 9)]
     assert rep.ok and rep.lines() == ["== s", "PASS  small", "PASS  sums"]
 
 

@@ -199,14 +199,21 @@ class TestLightsTest:
         assert perms[0] not in gens and len(gens) == 2
 
 
+def case_counts(source) -> dict:
+    """Each law's case count in the passing report of a declared table."""
+    rep = structure_axiom_report(load_structure(source))
+    assert rep.ok
+    return {r.law: r.cases for r in rep.results}
+
+
 class TestGeneratorDecidedLaws:
-    def test_golden_structure_counts(self, law_case_counts):
+    def test_golden_structure_counts(self):
         """Z/5 x Z/2 lists each slice's zero first; its slices and its
         dimension monoid are cyclic, so each has one generator: k = 1 per
         slice, K = 2 and 1 of the 2 dimensions. 1@1 generates the ring
         under products and same-slice sums, so G = 1."""
-        assert check_structure(GOLDEN)[0] == 0
-        assert {law: law_case_counts[law] for law in (
+        counts = case_counts(GOLDEN)
+        assert {law: counts[law] for law in (
             "distributivity where defined", "multiplicative associativity", "commutativity",
             "addition associative", "addition commutative", "dimension monoid: associativity",
             "projection is a monoid morphism", "zero family is absorbent")} == {
@@ -221,17 +228,17 @@ class TestGeneratorDecidedLaws:
         }
 
     @pytest.mark.parametrize("n,m", [(2, 14), (14, 2)])
-    def test_zero_first_slices_count_one_generator_each(self, n, m, law_case_counts):
+    def test_zero_first_slices_count_one_generator_each(self, n, m):
         """product_table lists every slice's zero first: Z/n x Z/m has m
         cyclic slices, so K holds m elements, one per slice, and 1@d1
         alone generates the ring under products and same-slice sums."""
-        assert check_structure(product_table(n, m))[0] == 0
-        assert law_case_counts["multiplicative associativity"] == m ** 2
-        assert law_case_counts["commutativity"] == m
-        assert law_case_counts["projection is a monoid morphism"] == m ** 2
-        assert law_case_counts["distributivity where defined"] == (n * m) ** 2
+        counts = case_counts(product_table(n, m))
+        assert counts["multiplicative associativity"] == m ** 2
+        assert counts["commutativity"] == m
+        assert counts["projection is a monoid morphism"] == m ** 2
+        assert counts["distributivity where defined"] == (n * m) ** 2
 
-    def test_case_counts_grow_as_n_squared(self, law_case_counts):
+    def test_case_counts_grow_as_n_squared(self):
         """Distributivity and slice-addition associativity are decided in
         k·n² cases, so doubling a slice multiplies their counts by 4, not
         by the 8 of every triple. Associativity and commutativity are
@@ -242,14 +249,7 @@ class TestGeneratorDecidedLaws:
         squared = ("distributivity where defined", "addition associative")
         fixed = ("multiplicative associativity", "commutativity",
                  "projection is a monoid morphism", "dimension monoid: associativity")
-        counts = law_case_counts
-
-        def cases(n):
-            counts.clear()
-            assert check_structure(product_table(n, 2))[0] == 0
-            return dict(counts)
-
-        small, large = cases(32), cases(64)
+        small, large = case_counts(product_table(32, 2)), case_counts(product_table(64, 2))
         for name in squared:
             assert 0 < large[name] <= 4.5 * small[name], (name, small, large)
         for name in fixed:

@@ -258,7 +258,8 @@ def test_elimination_matches_sympy(nrows, ncols):
     """On seeded integer matrices, mostly zeros, each with a zero row and
     a duplicate row inserted, `rref` and `nullspace` give sympy's reduced
     rows, pivots and nullspace vectors, for dense rows and for
-    {column: entry} rows of the nonzero entries alike."""
+    {column: entry} rows of the nonzero entries alike; the latter come
+    back as {column: entry} dicts, compared densely."""
     rng = random.Random(nrows * 100 + ncols)
     for _ in range(10):
         rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(ncols)]
@@ -274,4 +275,6 @@ def test_elimination_matches_sympy(nrows, ncols):
             dense = [tuple(r.get(c, 0) for c in range(ncols)) if isinstance(r, dict) else r
                      for r in got]
             assert (dense, got_pivots) == (want_rows, list(pivots)), rows
-            assert nullspace(form, ncols) == want_null, rows
+            got_null = [tuple(v.get(c, 0) for c in range(ncols)) if isinstance(v, dict) else v
+                        for v in nullspace(form, ncols)]
+            assert got_null == want_null, rows
