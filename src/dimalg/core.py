@@ -375,6 +375,14 @@ class PowerRing(ProductDimRing):
     # pairing normalization
     odot = ProductDimRing.mul
 
+    def pow(self, a, n):
+        """a^n in one step: the coordinate raised to n, the exponents times n."""
+        if n < 0:
+            return self.pow(self.reciprocal(a), -n)
+        if not self.dims.contains(a.dim):
+            raise CarrierError(f"bad exponent vector {a.dim!r}")
+        return DimElement(a.value**n, tuple([n * e for e in a.dim]))
+
     def sample_nonzero(self, rng: random.Random, dim=None):
         d = self.sample_dim(rng) if dim is None else tuple(dim)
         return DimElement(rand_nonzero_fraction(rng), d)

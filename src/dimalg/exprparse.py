@@ -9,11 +9,12 @@ Grammar:
 
 Juxtaposition of a number and a symbol term denotes multiplication and
 binds tighter than '*': "36.7 cm^3/s" is (36.7 x cm^3) / s.  Numbers are
-decimal literals read as exact rationals.  Polynomial mode additionally
-allows a leading unary minus, which coefficient tables need: "-x" is
-(-1)·x.  An exponent's magnitude is at most MAX_EXPONENT, a number has
-at most MAX_LITERAL_DIGITS digits, and parentheses nest at most
-MAX_NESTING deep.
+decimal literals read as exact rationals.  Whitespace between tokens is
+skipped; a token's position is the offset of its own first character.
+Polynomial mode additionally allows a leading unary minus, which
+coefficient tables need: "-x" is (-1)·x.  An exponent's magnitude is at
+most MAX_EXPONENT, a number has at most MAX_LITERAL_DIGITS digits, and
+parentheses nest at most MAX_NESTING deep.
 """
 
 import re
@@ -34,11 +35,14 @@ MAX_NESTING = 100
 # A unit or generator name; registries refuse symbols that do not match it.
 SYMBOL = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
+# One token after any whitespace; "end" matches only at the end of the input,
+# and "bad" takes the first character no other kind accepts.
 _TOKEN = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<number>\d+(?:\.\d+)?)"
+    r"\s*(?:(?P<number>\d+(?:\.\d+)?)"
     rf"|(?P<symbol>{SYMBOL.pattern})"
     r"|(?P<op>[-+*/^()])"
+    r"|(?P<end>\Z)"
+    r"|(?P<bad>.))"
 )
 
 
@@ -49,16 +53,17 @@ class Token(NamedTuple):
 
 
 def tokenize(src: str):
+    """The tokens of src, ending with an "end" token; one match per token."""
     out = []
     i = 0
-    while i < len(src):
+    kind = None
+    while kind != "end":
         m = _TOKEN.match(src, i)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {src[i]!r}", i)
-        if m.lastgroup != "ws":
-            out.append(Token(m.lastgroup, m.group(), i))
-        i = m.end()
-    out.append(Token("end", "", len(src)))
+        kind = m.lastgroup
+        start, i = m.start(kind), m.end()
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {src[start]!r}", start)
+        out.append(Token(kind, src[start:i], start))
     return out
 
 
@@ -172,7 +177,8 @@ class Parser:
             if len(t.text) - ("." in t.text) > MAX_LITERAL_DIGITS:
                 raise ExprSyntaxError(
                     f"number has more than {MAX_LITERAL_DIGITS} digits", t.pos)
-            return Num(Fraction(t.text))
+            whole, _, frac = t.text.partition(".")
+            return Num(Fraction(int(whole + frac), 10 ** len(frac)))
         if t.kind == "symbol":
             if self.known_symbol is not None and not self.known_symbol(t.text):
                 raise UnknownSymbolError(t.text, t.pos)

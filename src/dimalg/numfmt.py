@@ -43,10 +43,12 @@ def _floor_log10(x: Fraction) -> int:
     """floor(log10(x)) for x > 0, computed exactly: the difference of the
     bit lengths times log10(2) is within one of it, and comparisons with
     powers of ten settle it."""
-    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 30103 // 100000
-    while x < Fraction(10) ** e:
+    n, d = x.numerator, x.denominator
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000
+    # x < 10^k exactly when n·10^max(-k, 0) < d·10^max(k, 0)
+    while n * 10 ** max(-e, 0) < d * 10 ** max(e, 0):
         e -= 1
-    while x >= Fraction(10) ** (e + 1):
+    while n * 10 ** max(-e - 1, 0) >= d * 10 ** max(e + 1, 0):
         e += 1
     return e
 

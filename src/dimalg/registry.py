@@ -142,18 +142,18 @@ def _unit_pow(a: tuple, n: int) -> tuple:
     return tuple((s, e * n) for s, e in a if e * n != 0)
 
 
-def unit_factor(reg: UnitRegistry, unit: tuple) -> Fraction:
-    out = Fraction(1)
+def unit_factor_dims(reg: UnitRegistry, unit: tuple) -> tuple:
+    """A unit expression's exact factor and exponent vector, in one walk
+    that raises and multiplies integers."""
+    num, den, dims = 1, 1, (0,) * reg.rank
     for s, e in unit:
-        out *= reg.units[s].factor ** e
-    return out
-
-
-def unit_dims(reg: UnitRegistry, unit: tuple) -> tuple:
-    out = (0,) * reg.rank
-    for s, e in unit:
-        out = tuple(x + e * y for x, y in zip(out, reg.units[s].dims))
-    return out
+        u = reg.units[s]
+        p, q = u.factor.numerator, u.factor.denominator
+        if e < 0:
+            p, q = q, p
+        num, den = num * p ** abs(e), den * q ** abs(e)
+        dims = tuple([x + e * y for x, y in zip(dims, u.dims)])
+    return Fraction(num, den), dims
 
 
 def render_unit(unit: tuple) -> str:
@@ -248,13 +248,10 @@ def convert(q: Quantity, target: str, reg: UnitRegistry) -> Quantity:
 
 def display_value(q: Quantity, reg: UnitRegistry) -> Fraction:
     """The exact numeric part of the quantity in its display unit."""
-    f = unit_factor(reg, q.unit)
-    if unit_dims(reg, q.unit) != q.element.dim:
+    f, dims = unit_factor_dims(reg, q.unit)
+    if dims != q.element.dim:
         raise DimensionMismatch(
-            reg.dim_name(q.element.dim),
-            reg.dim_name(unit_dims(reg, q.unit)),
-            "display unit drifted",
-        )
+            reg.dim_name(q.element.dim), reg.dim_name(dims), "display unit drifted")
     return q.element.value / f
 
 

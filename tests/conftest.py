@@ -4,6 +4,7 @@ import random
 import statistics
 import sys
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,10 +17,12 @@ from dimalg import (
     ProductDimRing,
     make_poisson,
     registry_load,
+    ring_axiom_report,
 )
 from dimalg.carriers import Rationals
 from dimalg.cli import main
 from dimalg.monoid import DimMonoid
+from dimalg.report import CheckReport
 
 # Every property test draws the same examples on every run.
 settings.register_profile("dimalg", derandomize=True)
@@ -151,6 +154,35 @@ def q_x_z2():
 def canonical_ring():
     """Q[q, p] with dimensions +1 and -1 in Z."""
     return GradedPolyRing(["q", "p"], [(1,), (-1,)])
+
+
+# The seed `ring_axiom_report` draws its probes from when it is given none.
+DEFAULT_SEED = 20240229
+
+
+@pytest.fixture(scope="session")
+def qp_report():
+    """`ring_axiom_report` on Q[q, p] at the default seed and budget, with the
+    `mul` calls each law made: 34³ associativity triples, about a second, so
+    one run serves every test that reads it."""
+    ring = GradedPolyRing(["q", "p"], [(1,), (-1,)])
+    muls, running = Counter(), []
+    mul, law = GradedPolyRing.mul, CheckReport.law
+
+    def counted_mul(ring, a, b):
+        muls[running[-1] if running else None] += 1
+        return mul(ring, a, b)
+
+    def tracked_law(rep, name, cases, check):
+        running.append(name)
+        law(rep, name, cases, check)
+        running.pop()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GradedPolyRing, "mul", counted_mul)
+        mp.setattr(CheckReport, "law", tracked_law)
+        report = ring_axiom_report(ring)
+    return SimpleNamespace(ring=ring, report=report, muls=muls)
 
 
 @pytest.fixture

@@ -57,6 +57,12 @@ class TestEval:
         ])
         assert r.output.strip() == "0.070 min"
 
+    @pytest.mark.parametrize("expr, out", [("0^0", "1.000"), ("2^-3 m", "0.1250 m")])
+    def test_powers(self, expr, out):
+        r = run_cli(["eval", expr, "--registry", REGISTRY])
+        assert r.exit_code == 0, r.output
+        assert r.output.strip() == out
+
     def test_dimension_mismatch_exits_1(self):
         r = run_cli(["eval", "1 m + 1 s", "--registry", REGISTRY])
         assert r.exit_code == 1
@@ -145,6 +151,7 @@ class TestBoundedInputs:
         ["eval", "1 m / 0"],
         ["eval", "1 m / (2 s - 2 s)"],
         ["eval", "0^-1 m"],
+        ["eval", "(0 m)^-1"],
         ["eval", "1 m", "--to", "m / 0"],
         ["convert", "1 m / 0", "m"],
         ["convert", "1 m", "m / (1 - 1)"],

@@ -4,6 +4,7 @@ import pytest
 
 from dimalg import (
     DimensionMismatch,
+    DimRing,
     Factor,
     Line,
     PowerRing,
@@ -88,6 +89,30 @@ class TestTensorMultiplication:
         assert two_lines.reciprocal(x) == two_lines.element(F(-1, 3), (-1, 1))
         with pytest.raises(ZeroDivisionError):
             one_line.reciprocal(one_line.zero((1,)))
+
+    @pytest.mark.parametrize("names", [("length", "time"), ("length", "mass", "time")],
+                             ids=["rank-2", "rank-3"])
+    def test_power_in_one_step_is_square_and_multiply(self, names):
+        """`PowerRing.pow` raises the coordinate and scales the exponents at
+        once; it equals the square-and-multiply `DimRing.pow` it replaces."""
+        ring = PowerRing(Line(n) for n in names)
+        vectors = [(0,) * ring.rank, (1, -2, 3)[:ring.rank]]
+        for coord in (F(0), F(1), F(-2), F(3, 7), F(-10**6, 7)):
+            for exps in vectors:
+                a = ring.element(coord, exps)
+                for n in [*range(-7, 8), 1000]:
+                    if n < 0 and coord == 0:
+                        continue
+                    got = ring.pow(a, n)
+                    assert got == DimRing.pow(ring, a, n), (coord, exps, n)
+                    assert type(got.value) is F
+
+    def test_power_refusals(self, two_lines):
+        with pytest.raises(ZeroDivisionError):
+            two_lines.pow(two_lines.zero((1, -1)), -1)
+        for bad in [(1,), (1, 0.5), None]:
+            with pytest.raises(CarrierError):
+                two_lines.pow(DimElement(F(2), bad), 3)
 
 
 class TestPowerFunctor:

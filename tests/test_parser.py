@@ -1,7 +1,9 @@
+import re
+import string
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dimalg import ExprSyntaxError, UnknownSymbolError
 from dimalg.exprparse import (
@@ -12,6 +14,7 @@ from dimalg.exprparse import (
     Num,
     Pow,
     Sym,
+    Token,
     parse_poly_expr,
     eval_tree,
     parse_quantity_expr,
@@ -19,7 +22,57 @@ from dimalg.exprparse import (
 )
 
 
+# The tokenizer that matched whitespace as a token of its own, one match per
+# token and one per gap: the reference the one-pass tokenizer must agree with.
+_REFERENCE_TOKEN = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<number>\d+(?:\.\d+)?)"
+    r"|(?P<symbol>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^()])"
+)
+
+
+def reference_tokenize(src: str):
+    out = []
+    i = 0
+    while i < len(src):
+        m = _REFERENCE_TOKEN.match(src, i)
+        if m is None:
+            raise ExprSyntaxError(f"unexpected character {src[i]!r}", i)
+        if m.lastgroup != "ws":
+            out.append(Token(m.lastgroup, m.group(), i))
+        i = m.end()
+    out.append(Token("end", "", len(src)))
+    return out
+
+
+def tokens_or_refusal(tokenizer, src: str):
+    try:
+        return tokenizer(src)
+    except ExprSyntaxError as exc:
+        return str(exc), exc.pos
+
+
 class TestTokenizer:
+    @given(st.text(string.digits + string.ascii_letters + ".-+*/^() \t\n", max_size=40),
+           st.none() | st.integers(0, 40))
+    @example("  2.5 m ^-2\t", None)
+    @example("1 m\n", 3)
+    def test_one_pass_agrees_with_the_reference(self, text, stray):
+        """The same tokens (kind, text, position) or the same refusal, with
+        its offset, as the reference; `stray` puts a `$` at that offset."""
+        if stray is not None:
+            text = text[:stray] + "$" + text[stray:]
+        assert tokens_or_refusal(tokenize, text) == tokens_or_refusal(reference_tokenize, text)
+
+    @given(st.text(string.digits, min_size=1, max_size=30),
+           st.none() | st.text(string.digits, min_size=1, max_size=30))
+    @example("007", "50")
+    @example("00", "10")
+    def test_a_decimal_literal_reads_as_its_fraction(self, whole, frac):
+        text = whole if frac is None else f"{whole}.{frac}"
+        assert parse_quantity_expr(text) == Num(F(text))
+
     def test_positions_are_byte_offsets(self):
         toks = tokenize("2.5 + cm")
         assert [(t.kind, t.pos) for t in toks] == [
