@@ -368,7 +368,7 @@ class PowerRing(ProductDimRing):
 
     def scalar(self, coord) -> DimElement:
         """An element of the scalar slice (all exponents zero)."""
-        return self.element(coord, (0,) * self.rank)
+        return DimElement(Fraction(coord), self.dims.identity)
 
     # tensor multiplication in coordinates: the six even/odd/mixed power
     # cases all reduce to coordinate product + exponent sum under the

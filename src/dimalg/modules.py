@@ -25,7 +25,7 @@ from .linalg import rref
 from .monoid import DimMonoid
 from .poly import GradedPolyRing
 from .report import Checked, CheckReport
-from .ring import DimRing, Ideal, RingMorphism, _probe_triples, law_cases, quotient_ring
+from .ring import DimRing, Ideal, RingMorphism, _probe_triples, quotient_ring, slot_cases
 
 
 @dataclass(frozen=True)
@@ -203,9 +203,9 @@ def module_axiom_report(m: FreeDimModule, rng=None) -> CheckReport:
     `FreeDimModule`'s own `add` and `coeff_act` work term by term and its
     G-set action is free, so a law holds everywhere iff it holds on every
     c·e: r(a+b) and (r+p)a restate distributivity, (rq)a associativity and
-    1·a unitality.  `law_cases` takes that law's `slot_cases` over a ring
-    with `slots()`, decided on the ring's own slot premise (`ring` docstring),
-    else the 40 probe triples (seed 11) of `RingMorphism.check`.  A
+    1·a unitality.  Each runs on that law's `slot_cases` over a ring with
+    `slots()`, decided on the ring's own slot premise (`ring` docstring),
+    else on the 40 probe triples (seed 11) of `RingMorphism.check`.  A
     pullback's report ends with `along.check`: its dimension square is the
     action's dimension law, which `coeff_act` holds by construction."""
     rng = rng or random.Random(11)
@@ -234,10 +234,14 @@ def module_axiom_report(m: FreeDimModule, rng=None) -> CheckReport:
             return f"(rq)a != r(qa) at {a}, {b}, {show(x)}"
 
     dist, assoc = "distributivity where defined", "multiplicative associativity"
-    rep.law("r(a+b) = ra + rb", law_cases(rep, dist, probes, slots=slots), distributive)
-    rep.law("(r+p)a = ra + pa", law_cases(rep, dist, probes, slots=slots), additive)
-    rep.law("(rq)a = r(qa)", law_cases(rep, assoc, probes, slots=slots), associative)
-    rep.law("1·a = a", ((on_e(a),) for a, *_ in law_cases(rep, "unitality", probes, slots=slots)),
+
+    def cases(law):
+        return slot_cases(slots, law) if slots else probes
+
+    rep.law("r(a+b) = ra + rb", cases(dist), distributive)
+    rep.law("(r+p)a = ra + pa", cases(dist), additive)
+    rep.law("(rq)a = r(qa)", cases(assoc), associative)
+    rep.law("1·a = a", ((on_e(a),) for a, *_ in cases("unitality")),
             lambda x: not m.eq(m.coeff_act(ring.one, x), x) and f"1·a != a at {show(x)}")
     return rep.merged(m.along.check(rng)) if m.along else rep
 

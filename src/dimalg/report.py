@@ -30,12 +30,17 @@ class CheckReport:
         and a direct call runs none."""
         self.results.append(LawResult(law, bool(condition), "" if condition else witness, cases))
 
-    def law(self, name: str, cases, check) -> None:
+    def law(self, name: str, cases, check, *rows) -> None:
         """Decide law `name`: `check(*case)` returns a falsy value where the
         law holds and the witness text where it fails.  Each case is a tuple
-        of arguments (`zip(values)` for single values); `cases` is walked
-        lazily up to the first witness, and an empty `cases` passes; the
-        result counts the cases walked, the witness's included."""
+        of arguments (`zip(values)` for single values).  Each row (premises,
+        build) is a theorem's cut: the first row whose premises, law names,
+        have all passed in this report supplies the cases `build()`, called
+        only then; with no such row `cases` runs.  The cases are walked
+        lazily up to the first witness, and an empty set passes; the result
+        counts the cases walked, the witness's included."""
+        if rows:  # a law without rows, most of them, pays for no scan
+            cases = next((build() for premises, build in rows if self.passed(*premises)), cases)
         n, witness = 0, ""
         for n, case in enumerate(cases, 1):
             if witness := check(*case):

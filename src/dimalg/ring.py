@@ -73,16 +73,6 @@ def slot_cases(slots: Slots, law: str):
             yield from (case(ds, vs) for vs in itertools.product(family, repeat=arity))
 
 
-def law_cases(rep: CheckReport, law: str, every, *rows, slots: Slots | None = None):
-    """The ring suite's one rule for `law`'s cases: its `slot_cases` on a
-    ring with `slots()`; else those of the first row (premises, cases) whose
-    premises, law names, have all PASSed in `rep`, `cases()` being called
-    only then; else `every` case.  Only a listed ring gives rows."""
-    if slots and law in SLOT_LAWS:
-        return slot_cases(slots, law)
-    return next((cases() for premises, cases in rows if rep.passed(*premises)), every)
-
-
 # the older name of `Rationals`.  It and `ProductDimRing`'s `scalars` parameter
 # stay because perfbench/workloads.py:312 passes both; they go with ROADMAP
 # item 1's benchmark change.
@@ -515,11 +505,10 @@ def slice_group_report(ring: DimRing, slices: dict, adds: Callable) -> CheckRepo
     def pairs(by):  # (a, b): a in a slice that has an identity, b in `by` of its dimension
         return ((a, b) for d in unital for a in slices[d] for b in by(d))
 
-    rep.law("addition commutative", law_cases(
-        rep, "addition commutative", pairs(slices.get),
-        (("addition associative",), lambda: pairs(lambda d: slices[d] if leaks[d] else adds(d)))),
+    rep.law("addition commutative", pairs(slices.get),
             lambda a, b: not eq(add(a, b), add(b, a))
-            and f"addition not commutative at {show(a)},{show(b)}")
+            and f"addition not commutative at {show(a)},{show(b)}",
+            (("addition associative",), lambda: pairs(lambda d: slices[d] if leaks[d] else adds(d))))
     return rep
 
 
@@ -533,12 +522,12 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     A ring that lists its `elements()` is decided in one chain: its slice
     groups (`slice_group_report`) first, and, only if they all pass, the
     ring laws, then the laws of its `unit_candidate` if it declares one.
-    `law_cases` runs a ring law on the first of its rows whose premises,
-    the laws its theorem rests on, have passed, else on every case.  The
-    sets are `generating_set`s, which take their idempotents last, so a
-    cyclic slice or group of dimensions gives one generator whatever its
-    listed order; K is the union of every slice's additive generators, and
-    every element is a sum of generators of its slice:
+    `CheckReport.law` runs a ring law on the first of its rows whose
+    premises, the laws its theorem rests on, have passed, else on every
+    case.  The sets are `generating_set`s, which take their idempotents
+    last, so a cyclic slice or group of dimensions gives one generator
+    whatever its listed order; K is the union of every slice's additive
+    generators, and every element is a sum of generators of its slice:
 
     * the dimension monoid's associativity by Light's test: (d·g)·f =
       d·(g·f) for every d, f and every g of a generating set, as the g that
@@ -577,8 +566,7 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     monoid), |E|² for the projection and commutativity, |E|·Σ|E_d|² for
     distributivity, |D|·|E| for the zero family, |E| for unitality, |E|³
     for associativity, Σ|E_d|² for the slice groups, and each probe with
-    each other dimension of D for addition across slices.  Associativity
-    forms each product ab and bc once, not once per triple.
+    each other dimension of D for addition across slices.
     """
     rep = CheckReport(f"dimensioned ring {ring.label}")
     elems = ring.elements()
@@ -599,7 +587,10 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     comb, show = ring.dims.combine, ring.show
 
     def law(name, every, check, *rows):
-        rep.law(name, law_cases(rep, name, every, *(rows if listed else ()), slots=slots), check)
+        if slots and name in SLOT_LAWS:
+            rep.law(name, slot_cases(slots, name), check)
+        else:  # only a listed ring's laws rest on theorems
+            rep.law(name, every, check, *(rows if listed else ()))
 
     def at(*xs):
         return ",".join(map(show, xs))
@@ -658,26 +649,13 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     ring_gens = functools.cache(lambda: generating_set(
         spanning, ring.mul, lambda a, b: ring.add(a, b) if a.dim == b.dim else None))
 
-    def associative(a, b, c, ab=None, bc=None):
-        ab = ring.mul(a, b) if ab is None else ab
-        bc = ring.mul(b, c) if bc is None else bc
-        if not ring.eq(ring.mul(ab, c), ring.mul(a, bc)):
+    def associative(a, b, c):
+        if not ring.eq(ring.mul(ring.mul(a, b), c), ring.mul(a, ring.mul(b, c))):
             return f"(ab)c != a(bc) at {at(a, b, c)}"
 
-    def triples(outer, mid):
-        """(a, b, c, ab, bc), b over `mid`, each product formed once."""
-        bcs = {}  # (index of b, index of c) -> bc
-        for a in outer:
-            for j, b in enumerate(mid):
-                ab = ring.mul(a, b)
-                for k, c in enumerate(outer):
-                    if (j, k) not in bcs:
-                        bcs[j, k] = ring.mul(b, c)
-                    yield a, b, c, ab, bcs[j, k]
-
-    law("multiplicative associativity", triples(elems, elems), associative,
-        (distributive, lambda: triples(spanning, ring_gens())),
-        ((), lambda: triples(elems, generating_set(elems, ring.mul))))
+    law("multiplicative associativity", itertools.product(elems, repeat=3), associative,
+        (distributive, lambda: itertools.product(spanning, ring_gens(), spanning)),
+        ((), lambda: itertools.product(elems, generating_set(elems, ring.mul), elems)))
 
     if ring.commutative:
         law("commutativity", itertools.product(elems, repeat=2),

@@ -383,6 +383,15 @@ class TestPoisson:
         assert r.exit_code == 0
         assert "q2" in r.output and "q1" not in r.output.replace("q1)", "")
 
+    def test_reduce_by_a_non_coisotrope_exits_1_with_one_error_line(self, tmp_path):
+        doc = json.loads((REPO / "poisson" / "canonical_4gen.json").read_text())
+        doc["ideal"] = ["q1", "p1"]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        r = run_cli(["poisson", "reduce", str(path)])
+        assert r.exit_code == 1 and r.stdout == ""
+        assert r.stderr.splitlines() == ["error: not a coisotrope: {q1,p1} = 1 is outside the ideal"]
+
     def test_reduce_beyond_the_monomial_bound_exits_2_at_once(self):
         start = time.perf_counter()
         r = run_cli([

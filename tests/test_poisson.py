@@ -98,7 +98,7 @@ class TestCanonicalBracket:
             )
 
     @pytest.mark.parametrize("bracket_dim", [(0,), None])
-    @pytest.mark.parametrize("key", [("q", "z"), ("q",), "qp"])
+    @pytest.mark.parametrize("key", [("q", "z"), ("z", "q"), ("q",), "qp"])
     def test_a_key_that_is_not_a_pair_of_generator_names_is_refused(
             self, canonical_ring, key, bracket_dim):
         """A key is refused before anything reads it, whether the bracket
@@ -331,8 +331,13 @@ class TestReduction:
         assert calls and calls == ["nullspace", "rref"] * (len(calls) // 2)
 
     def test_rejects_non_coisotrope(self, canonical_poisson):
+        """{q, p} = 1 leaves the ideal (q, p), and {q1, p1} = 1 leaves
+        (q1, p1): the refusal names the bracket."""
         with pytest.raises(ConstructionError):
             poisson_reduce(canonical_poisson, ["q", "p"], 4)
+        with pytest.raises(ConstructionError) as err:
+            poisson_reduce(canonical_4gen(), ["q1", "p1"], 4)
+        assert str(err.value) == "not a coisotrope: {q1,p1} = 1 is outside the ideal"
 
     def test_rejects_bad_cutoff(self, canonical_poisson):
         from dimalg.errors import CarrierError

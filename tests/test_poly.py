@@ -69,9 +69,7 @@ class TestArithmetic:
     def test_ring_axioms(self, qp_report):
         """Every law runs every case over the probes E (one, the zero, q, p,
         then 30 samples) and the probe dimensions D, E_d being the probes
-        over d: associativity all |E|³ = 34³ triples. It forms each ab and
-        each bc once, then (ab)c and a(bc) per triple: 2·34² + 2·34³ calls
-        of `mul`, not the 4·34³ of forming all four per triple."""
+        over d: associativity all |E|³ = 34³ triples."""
         ring = qp_report.ring
         probes = ring.probe_elements(Random(DEFAULT_SEED))
         dims = ring.probe_dims()
@@ -80,7 +78,6 @@ class TestArithmetic:
         within = sum(n * n for n in by_dim.values())
         rep = qp_report.report
         assert rep.ok
-        assert qp_report.muls["multiplicative associativity"] <= 2 * e ** 3 + 2 * e ** 2
         cases = {r.law: r.cases for r in rep.results}
         assert cases == {
             "dimension monoid: associativity": d ** 3,

@@ -72,19 +72,66 @@ def test_passed_needs_every_law_named_to_have_run_and_passed():
     assert not rep.passed("never run") and not rep.passed("holds", "never run")
 
 
-def test_every_premise_of_the_ring_suite_is_decided_before_the_law_it_cuts(monkeypatch):
-    """On the golden structure each row that `law_cases` is given names as
-    premises only laws that this report has already decided: a misspelt
-    premise would never pass, and its law would silently run on every case."""
-    undecided, rule = {}, ring.law_cases
+def _premised():
+    """A report in which "holds" has passed and "fails" has failed."""
+    rep = CheckReport("s")
+    rep.law("holds", zip(range(3)), lambda n: "")
+    rep.law("fails", zip(range(3)), lambda n: n == 1 and "one")
+    return rep
 
-    def audited(rep, law, every, *rows, **kwargs):
+
+def test_with_no_rows_the_cases_run():
+    rep = _premised()
+    rep.law("every", zip(range(7)), lambda n: "")
+    assert rep.results[-1] == LawResult("every", True, "", 7)
+
+
+def test_the_first_row_whose_premises_all_passed_supplies_the_cases():
+    rep, built = _premised(), []
+
+    def build(label, n):
+        return lambda: built.append(label) or zip(range(n))
+
+    rep.law("cut", zip(range(9)), lambda n: "",
+            (("holds",), build("first", 2)), ((), build("second", 4)))
+    assert built == ["first"]
+    assert rep.results[-1] == LawResult("cut", True, "", 2)
+
+
+def test_a_row_on_a_failed_or_unrun_premise_is_skipped_unbuilt():
+    rep = _premised()
+
+    def unbuilt():
+        raise AssertionError("a skipped row's cases were built")
+
+    rep.law("cut", zip(range(9)), lambda n: "",
+            (("fails",), unbuilt), (("holds", "never run"), unbuilt))
+    assert rep.results[-1] == LawResult("cut", True, "", 9)
+    rep.law("later", zip(range(9)), lambda n: n == 2 and "two",
+            (("never run",), unbuilt), (("holds",), lambda: zip(range(5))))
+    assert rep.results[-1] == LawResult("later", False, "two", 3)
+
+
+def test_an_empty_premise_always_applies():
+    rep = CheckReport("s")
+    rep.law("cut", zip(range(9)), lambda n: "", ((), lambda: zip(range(1))))
+    assert rep.results == [LawResult("cut", True, "", 1)]
+
+
+def test_every_premise_of_the_ring_suite_is_decided_before_the_law_it_cuts(monkeypatch):
+    """On the golden structure each row that `CheckReport.law` is given
+    names as premises only laws that this report has already decided: a
+    misspelt premise would never pass, and its law would silently run on
+    every case."""
+    undecided, run = {}, CheckReport.law
+
+    def audited(rep, name, cases, check, *rows):
         if rows:
             decided = {r.law for r in rep.results}
-            undecided[law] = [p for premises, _ in rows for p in premises if p not in decided]
-        return rule(rep, law, every, *rows, **kwargs)
+            undecided[name] = [p for premises, _ in rows for p in premises if p not in decided]
+        run(rep, name, cases, check, *rows)
 
-    monkeypatch.setattr(ring, "law_cases", audited)
+    monkeypatch.setattr(CheckReport, "law", audited)
     assert ring.ring_axiom_report(load_structure(GOLDEN)).ok
     assert undecided == {law: [] for law in (
         "addition commutative", "projection is a monoid morphism", "zero family is absorbent",

@@ -15,7 +15,7 @@ from dimalg import (
 )
 from dimalg.ring import distributivity, generating_set
 from dimalg.errors import load_json, typed_field
-from dimalg.structure import load_poisson, parse_poly, structure_axiom_report
+from dimalg.structure import TableDimRing, load_poisson, parse_poly, structure_axiom_report
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent.parent / "data" / "structures" / "product_ring_mod5_z2.json"
@@ -119,6 +119,27 @@ class TestOneChain:
         doc["add"][slice_][a][b] = "2@1"
         rep = ring_axiom_report(load_structure(doc))
         assert rep.lines() == ["== dimensioned ring mod5-product-ring-over-Z2"] + [
+            f"FAIL  {fail}" if fail.startswith(law) else f"PASS  {law}"
+            for law in self.SLICE_GROUP_LAWS
+        ]
+
+    def test_a_zero_neutral_on_one_side_only_is_no_identity(self):
+        """In the slice {a, b} with x + y = y every element is a left
+        identity and none a right one; a ring whose `zero` returns a
+        anyway FAILs the identity law, which needs a + x = x = x + a."""
+
+        class LeftZero(TableDimRing):
+            def zero(self, d):
+                return self.el("a")
+
+        doc = {"name": "left-zero", "kind": "ring",
+               "monoid": {"elements": ["0"], "identity": "0", "op": {"0": {"0": "0"}}},
+               "slices": {"0": ["a", "b"]},
+               "add": {"0": {x: {y: y for y in "ab"} for x in "ab"}},
+               "mul": {x: {y: "a" for y in "ab"} for x in "ab"},
+               "one": "a"}
+        fail = "additive identities exist: slice '0' has no additive identity"
+        assert ring_axiom_report(LeftZero(doc)).lines()[1:] == [
             f"FAIL  {fail}" if fail.startswith(law) else f"PASS  {law}"
             for law in self.SLICE_GROUP_LAWS
         ]
