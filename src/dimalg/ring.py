@@ -649,11 +649,20 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     ring_gens = functools.cache(lambda: generating_set(
         spanning, ring.mul, lambda a, b: ring.add(a, b) if a.dim == b.dim else None))
 
-    def associative(a, b, c):
-        if not ring.eq(ring.mul(ring.mul(a, b), c), ring.mul(a, ring.mul(b, c))):
+    def associative(a, b, c, ab=None):  # ab, when given, is a·b, formed once by the caller
+        ab = ring.mul(a, b) if ab is None else ab
+        if not ring.eq(ring.mul(ab, c), ring.mul(a, ring.mul(b, c))):
             return f"(ab)c != a(bc) at {at(a, b, c)}"
 
-    law("multiplicative associativity", itertools.product(elems, repeat=3), associative,
+    def associativity_cases():
+        """(a, b, c, ab) over every triple of elements, each ab formed once."""
+        for a in elems:
+            for b in elems:
+                ab = ring.mul(a, b)
+                for c in elems:
+                    yield a, b, c, ab
+
+    law("multiplicative associativity", associativity_cases(), associative,
         (distributive, lambda: itertools.product(spanning, ring_gens(), spanning)),
         ((), lambda: itertools.product(elems, generating_set(elems, ring.mul), elems)))
 

@@ -22,6 +22,7 @@ from .errors import (
     InputFormatError,
     load_json,
     require_bits,
+    require_generators,
     require_terms,
     typed_field,
 )
@@ -265,7 +266,9 @@ def load_poisson(source, validate: bool = True):
     doc = typed_field(load_json(source), dict, "a Poisson description")
     try:
         gens = []
-        for g in typed_field(doc["generators"], [dict], "generators"):
+        declared = typed_field(doc["generators"], [dict], "generators")
+        require_generators(len(declared))
+        for g in declared:
             name = typed_field(g["name"], str, "generator name")
             if not SYMBOL.fullmatch(name):
                 raise InputFormatError(f"generator name {reprlib.repr(name)} is not a name "

@@ -16,13 +16,16 @@ import pytest
 from conftest import run_cli
 from dimalg.cli import main
 from dimalg.errors import (
+    MAX_POISSON_GENERATORS,
     MAX_POLY_TERMS,
     MAX_REDUCE_MONOMIALS,
     MAX_VALUE_BITS,
     InputFormatError,
     reduce_monomial_limit,
+    require_generators,
     require_monomials,
 )
+from dimalg.structure import load_poisson
 
 DATA = Path(__file__).parent / "data"
 REPO = Path(__file__).parent.parent / "data"
@@ -237,6 +240,29 @@ class TestBoundedInputs:
         r = run_cli(["poisson", "bracket", str(path), "q", "p"])
         assert r.exit_code == 0, r.output
         assert r.output.strip() == "1000"
+
+    @pytest.mark.parametrize("command", [["check"], ["bracket", "x0", "x1"], ["reduce"]])
+    def test_a_description_beyond_the_generator_bound_exits_2_at_once(self, tmp_path, command):
+        doc = {"generators": [{"name": f"x{i}", "dim": [0]} for i in range(65)],
+               "bracket": {"x0,x1": "1"}, "ideal": ["x0"]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        r = run_cli(["poisson", command[0], str(path), *command[1:]])
+        assert time.perf_counter() - start < 1.0
+        assert r.exit_code == 2, r.output
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == [
+            "error: a Poisson description has 65 generators, more than 64"]
+
+    def test_the_generator_bound_admits_64(self):
+        """64 generators, as many as gl(8)* has, load; 65 do not."""
+        assert MAX_POISSON_GENERATORS == 64
+        require_generators(64)
+        with pytest.raises(InputFormatError):
+            require_generators(65)
+        doc = {"generators": [{"name": f"x{i}", "dim": [0]} for i in range(64)]}
+        assert load_poisson(doc, validate=False)[0].ring.nvars == 64
 
     @pytest.mark.parametrize("expr", ["(q1+q2)^1000*(p1+p2)^300", "(q1+q2)^40*(p1+p2)^40"],
                              ids=["power", "product"])

@@ -23,7 +23,7 @@ from dimalg import (
 )
 from dimalg.algebra import jacobiator
 from dimalg.group import DimElement
-from dimalg.poisson import DimPoisson, ReducedPoisson
+from dimalg.poisson import DimPoisson, ReducedPoisson, _jacobi_and_casimir
 from dimalg.report import CheckReport
 from dimalg.structure import load_poisson
 
@@ -807,29 +807,53 @@ class TestGeneratorDecisions:
         assert [r.line() for r in rep.failures] == [
             f"FAIL  {JACOBI}: Jacobi fails on generators (x,y,z)"]
 
+    @staticmethod
+    def _calls_inside(monkeypatch, counted, laws):
+        """Count calls to each (owner, name) of `counted` made inside the
+        laws named in `laws`: the returned list gets, per such law run,
+        the number of calls it made."""
+        calls, inside, law = [], [], CheckReport.law
+        for owner, name in counted:
+            true_op = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, true_op=true_op:
+                                calls.append(true_op) or true_op(*args))
+
+        def watched(rep, name, cases, check):
+            before = len(calls)
+            law(rep, name, cases, check)
+            if name in laws:
+                inside.append(len(calls) - before)
+
+        monkeypatch.setattr(CheckReport, "law", watched)
+        return inside
+
     def test_jacobi_reads_the_table_of_gl3_and_builds_no_generator(self, monkeypatch):
         """The Lie-Poisson table of gl(3)* PASSes; with one entry perturbed
-        it FAILs Jacobi alone.  The law brackets the report's generators with
-        table entries, so it builds no generator of its own."""
+        it FAILs Jacobi alone.  Laws 4 and 5 read the table's nonzero
+        entries, so they build no generator and form no bracket."""
         doc = _gl_doc(3)
         assert doc["bracket"]["e12,e21"] == "e11 -e22"
-        built, inside, law = [], [], CheckReport.law
-        generator = GradedPolyRing.generator
-        monkeypatch.setattr(GradedPolyRing, "generator",
-                            lambda ring, name: built.append(name) or generator(ring, name))
-
-        def counted(rep, name, cases, check):
-            before = len(built)
-            law(rep, name, cases, check)
-            if name == JACOBI:
-                inside.append(len(built) - before)
-
-        monkeypatch.setattr(CheckReport, "law", counted)
+        inside = self._calls_inside(monkeypatch, [(GradedPolyRing, "generator"),
+                                                  (DimPoisson, "bracket")], (JACOBI, LEIBNIZ))
         assert poisson_axiom_report(load_poisson(doc, validate=False)[0]).ok
         rep = poisson_axiom_report(load_poisson(
             {**doc, "bracket": {**doc["bracket"], "e12,e21": "e11"}}, validate=False)[0])
         assert [r.line() for r in rep.failures] == [
             f"FAIL  {JACOBI}: Jacobi fails on generators (e12,e21,e23)"]
+        assert inside == [0, 0, 0, 0]
+
+    def test_jacobi_and_leibniz_on_an_empty_table_do_no_polynomial_work(self, monkeypatch):
+        """On 60 generators with no entry, laws 4 and 5 walk their
+        C(60, 3) and 60 cases with no derivative and no product: no term
+        exists where no entry meets a variable."""
+        inside = self._calls_inside(
+            monkeypatch, [(GradedPolyRing, "partial"), (GradedPolyRing, "mul")], (JACOBI, LEIBNIZ))
+        p = make_poisson(GradedPolyRing([f"x{i}" for i in range(60)], [(0,)] * 60), {},
+                         validate=False)
+        rep = CheckReport("empty table")
+        _jacobi_and_casimir(p, rep)
+        assert [(r.law, r.passed, r.cases) for r in rep.results] == [
+            (JACOBI, True, math.comb(60, 3)), (LEIBNIZ, True, 60)]
         assert inside == [0, 0]
 
     def test_a_misplaced_constant_stops_after_the_first_law(self):
@@ -892,10 +916,11 @@ def test_every_zero_entry_sits_at_its_slice():
 
 def test_a_report_forms_each_generator_bracket_and_product_once(monkeypatch):
     """On n generators one passing report makes n(n-1) brackets for
-    law 3, 3·C(n,3) for Jacobi, n for Leibniz and the n diagonal ones
-    for law 6, whose other pairs law 3 formed; and the n(n+1)/2 products
-    of law 6, their n(n-1)/2 mirrors for commutativity and two outer
-    products per triple of law 8, whose inner ones are law 6's."""
+    law 3 and the n diagonal ones for law 6, whose other pairs law 3
+    formed; Jacobi and Leibniz read the table and make none.  It makes
+    the n(n+1)/2 products of law 6, their n(n-1)/2 mirrors for
+    commutativity and two outer products per triple of law 8, whose
+    inner ones are law 6's."""
     p, calls = canonical_4gen(), Counter()
     for op in ("bracket", "product"):
         true_op = getattr(DimPoisson, op)
@@ -903,7 +928,7 @@ def test_a_report_forms_each_generator_bracket_and_product_once(monkeypatch):
                             calls.update([op]) or true_op(self, f, g))
     assert poisson_axiom_report(p).ok
     n = p.ring.nvars
-    assert calls["bracket"] == n * (n - 1) + 3 * math.comb(n, 3) + n + n == 32
+    assert calls["bracket"] == n * (n - 1) + n == 16
     assert calls["product"] == n * (n + 1) // 2 + n * (n - 1) // 2 + 2 * math.comb(n + 2, 3) == 56
 
 
