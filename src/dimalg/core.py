@@ -297,9 +297,10 @@ class ProductDimRing(DimRing):
     def reciprocal(self, a):
         if not self.is_field:
             raise CarrierError(f"{self.label} is not a dimensioned field")
-        if a.value == 0:
+        v = a.value
+        if v == 0:
             raise ZeroDivisionError("reciprocal of zero")
-        return DimElement(Fraction(1) / a.value, self.dims.inverse(a.dim))
+        return DimElement(Fraction(v.denominator, v.numerator), self.dims.inverse(a.dim))
 
     def sample(self, rng, dim=None):
         d = self.sample_dim(rng) if dim is None else dim
@@ -367,8 +368,11 @@ class PowerRing(ProductDimRing):
         return DimElement(Fraction(coord), exps)
 
     def scalar(self, coord) -> DimElement:
-        """An element of the scalar slice (all exponents zero)."""
-        return DimElement(Fraction(coord), self.dims.identity)
+        """An element of the scalar slice (all exponents zero); a Fraction
+        coordinate is kept as it is."""
+        if type(coord) is not Fraction:
+            coord = Fraction(coord)
+        return DimElement(coord, self.dims.identity)
 
     # tensor multiplication in coordinates: the six even/odd/mixed power
     # cases all reduce to coordinate product + exponent sum under the

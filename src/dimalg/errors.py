@@ -16,16 +16,18 @@ class DimensionMismatch(DimAlgError):
 
     Addition (and anything built on it) is only defined within a single
     dimension slice; the two offending dimensions are kept for reporting,
-    and `args` is (left, right, context).  The message is formatted when it
-    is read: the ring suite's law of addition across slices raises one per
+    and `args` is (left, right, context).  Construction only sets `args`,
+    which the three fields read, and the message is formatted when it is
+    read: the ring suite's law of addition across slices raises one per
     case and reads none.
     """
 
     def __init__(self, left, right, context: str = ""):
-        super().__init__(left, right, context)
-        self.left = left
-        self.right = right
-        self.context = context
+        self.args = (left, right, context)
+
+    left = property(lambda self: self.args[0])
+    right = property(lambda self: self.args[1])
+    context = property(lambda self: self.args[2])
 
     def __str__(self):
         msg = f"undefined across dimensions {self.left!r} and {self.right!r}"

@@ -53,18 +53,18 @@ class Token(NamedTuple):
 
 
 def tokenize(src: str):
-    """The tokens of src, ending with an "end" token; one match per token."""
+    """The tokens of src, ending with an "end" token; one match per token.
+    _TOKEN matches at every offset, so successive matches abut and the
+    scan stops at the "end" match."""
     out = []
-    i = 0
-    kind = None
-    while kind != "end":
-        m = _TOKEN.match(src, i)
+    for m in _TOKEN.finditer(src):
         kind = m.lastgroup
-        start, i = m.start(kind), m.end()
+        start = m.start(kind)
         if kind == "bad":
             raise ExprSyntaxError(f"unexpected character {src[start]!r}", start)
-        out.append(Token(kind, src[start:i], start))
-    return out
+        out.append(Token(kind, m[kind], start))
+        if kind == "end":
+            return out
 
 
 # -- syntax tree -------------------------------------------------------------
@@ -209,25 +209,28 @@ def eval_tree(tree, leaf_number, leaf_symbol, add, sub, mul, div, power):
     """Fold a syntax tree with caller-supplied semantics.
 
     Operands are evaluated left to right, on an explicit stack rather
-    than by recursion, so a sum of any length folds."""
+    than by recursion, so a sum of any length folds.  Nodes are told apart
+    by their exact type.  An operator node pushes its operation (the
+    operator's function, or a power's integer exponent) beneath its
+    operands; when the operation is popped, its operands' values are the
+    top of the value stack, and it replaces them with its result."""
     ops = {"+": add, "-": sub, "*": mul, "/": div}
     values = []
-    todo = [(tree, False)]  # (node, operands already evaluated)
+    todo = [tree]
     while todo:
-        node, ready = todo.pop()
-        if isinstance(node, Num):
+        node = todo.pop()
+        kind = type(node)
+        if kind is BinOp:
+            todo += (ops[node.op], node.right, node.left)
+        elif kind is Num:
             values.append(leaf_number(node.value))
-        elif isinstance(node, Sym):
+        elif kind is Sym:
             values.append(leaf_symbol(node.name, node.pos))
-        elif ready and isinstance(node, Pow):
-            values.append(power(values.pop(), node.exponent))
-        elif ready:
+        elif kind is Pow:
+            todo += (node.exponent, node.base)
+        elif kind is int:
+            values.append(power(values.pop(), node))
+        else:  # a binary operation
             right = values.pop()
-            values.append(ops[node.op](values.pop(), right))
-        else:
-            todo.append((node, True))
-            if isinstance(node, Pow):
-                todo.append((node.base, False))
-            else:
-                todo += [(node.right, False), (node.left, False)]
+            values.append(node(values.pop(), right))
     return values.pop()

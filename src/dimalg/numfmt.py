@@ -1,7 +1,8 @@
 """Exact decimal rendering of rationals.
 
-All arithmetic is integer-based; floats never appear, so goldens are
-reproducible bit for bit.
+Every step works on a rational's numerator and denominator as integers:
+the decade search, the scaling to the wanted digits and the half-even
+rounding.  Floats never appear, so goldens are reproducible bit for bit.
 """
 
 from fractions import Fraction
@@ -30,11 +31,10 @@ def fraction_str(x: Fraction) -> str:
     return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
 
 
-def round_half_even(x: Fraction) -> int:
-    """Nearest integer to x, ties going to the even neighbour."""
-    q, r = divmod(x.numerator, x.denominator)
-    twice = 2 * r
-    if twice > x.denominator or (twice == x.denominator and q % 2 == 1):
+def round_half_even(n: int, d: int) -> int:
+    """Nearest integer to n/d for d > 0, ties going to the even neighbour."""
+    q, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and q % 2):
         q += 1
     return q
 
@@ -57,17 +57,24 @@ def format_rational(x: Fraction, digits: int = 4) -> str:
     """Render x with exactly `digits` significant digits (half-even ties).
 
     Trailing zeros are kept so the digit count is visible in the output:
-    Fraction(43, 10) at 4 digits renders as "4.300".
+    Fraction(43, 10) at 4 digits renders as "4.300".  The magnitude n/d is
+    scaled by 10^(digits - 1 - e), e its decade, on the numerator or the
+    denominator, and the quotient of the two integers rounded.
     """
     if not 1 <= digits <= MAX_DIGITS:
         raise ValueError(f"digits must be between 1 and {MAX_DIGITS}")
-    if x == 0:
+    n, d = x.numerator, x.denominator
+    if n == 0:
         return "0"
-    sign = "-" if x < 0 else ""
-    mag = -x if x < 0 else x
-    e = _floor_log10(mag)
-    scaled = mag * Fraction(10) ** (digits - 1 - e)
-    n = round_half_even(scaled)
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    e = _floor_log10(abs(x))
+    k = digits - 1 - e
+    if k >= 0:
+        n *= 10**k
+    else:
+        d *= 10**-k
+    n = round_half_even(n, d)
     if n == 10**digits:  # rounding bumped into the next decade
         n //= 10
         e += 1

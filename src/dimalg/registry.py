@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import DimElement, Line, PowerRing
-from .errors import DimensionMismatch, InputFormatError, load_json, require_bits, typed_field
+from .errors import (
+    MAX_VALUE_BITS, DimensionMismatch, InputFormatError, load_json, require_bits, typed_field)
 from .exprparse import MAX_LITERAL_DIGITS, SYMBOL, eval_tree, parse_quantity_expr
 from .numfmt import format_rational, fraction_str
 
@@ -128,6 +129,8 @@ class Quantity(NamedTuple):
 
 
 def _unit_mul(a: tuple, b: tuple, sign: int = 1) -> tuple:
+    if not a and sign == 1:  # a number times a unit
+        return b
     acc = dict(a)
     order = [s for s, _ in a]
     for s, e in b:
@@ -184,7 +187,10 @@ def eval_expr(tree, reg: UnitRegistry) -> Quantity:
     def bounded(op):
         def run(a, b):
             q = op(a, b)
-            require_bits(q.element.value)
+            v = q.element.value
+            if (v.numerator.bit_length() > MAX_VALUE_BITS
+                    or v.denominator.bit_length() > MAX_VALUE_BITS):
+                require_bits(v)  # raises, with the bound's message
             return q
 
         return run

@@ -79,7 +79,11 @@ class TestEval:
         (["eval", "1 m", "--to", "s"],
          "cannot convert: undefined across dimensions 'length' and 'time'"),
         (["convert", "3 m", "s"], "cannot convert: undefined across dimensions 'length' and 'time'"),
-    ], ids=["add", "add-compound", "subtract", "eval-to", "convert"])
+        (["eval", "(1 m + 1 s) * (2 s + 2 m)"],
+         "cannot add: undefined across dimensions 'length' and 'time'"),
+        (["eval", "(2 s + 2 m) * (1 m + 1 s)"],
+         "cannot add: undefined across dimensions 'time' and 'length'"),
+    ], ids=["add", "add-compound", "subtract", "eval-to", "convert", "left-first", "left-first-mirrored"])
     def test_dimension_mismatch_messages(self, args, message):
         r = run_cli(args + ["--registry", REGISTRY])
         assert r.exit_code == 1
@@ -92,8 +96,13 @@ class TestEval:
 
         exc = DimensionMismatch("length", "time", "cannot add")
         assert (exc.left, exc.right, exc.args) == ("length", "time", ("length", "time", "cannot add"))
-        bare = pickle.loads(pickle.dumps(DimensionMismatch((1, 0), (0, 1))))
-        assert str(bare) == "undefined across dimensions (1, 0) and (0, 1)"
+        assert DimensionMismatch("length", "time", context="cannot add").args == exc.args
+        assert str(exc) == "cannot add: undefined across dimensions 'length' and 'time'"
+        two = DimensionMismatch((1, 0), (0, 1))
+        assert (two.left, two.right, two.context, two.args) == ((1, 0), (0, 1), "", ((1, 0), (0, 1), ""))
+        assert str(two) == "undefined across dimensions (1, 0) and (0, 1)"
+        bare = pickle.loads(pickle.dumps(two))
+        assert (bare.args, str(bare)) == (two.args, str(two))
         assert str(pickle.loads(pickle.dumps(exc))) == str(exc)
 
     def test_syntax_error_exits_2(self):

@@ -1,4 +1,4 @@
-from decimal import ROUND_FLOOR, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -21,11 +21,11 @@ class TestRoundHalfEven:
         ],
     )
     def test_ties_to_even(self, x, expect):
-        assert round_half_even(x) == expect
+        assert round_half_even(x.numerator, x.denominator) == expect
 
     @given(st.fractions(min_value=-1000, max_value=1000))
     def test_within_half(self, x):
-        n = round_half_even(x)
+        n = round_half_even(x.numerator, x.denominator)
         assert abs(F(n) - x) <= F(1, 2)
 
 
@@ -65,6 +65,43 @@ class TestFormatRational:
     def test_formatting_already_rounded_is_idempotent(self, x, digits):
         once = format_rational(x, digits)
         assert format_rational(F(once), digits) == once
+
+
+def _decimal_format(x: F, digits: int) -> str:
+    """x at `digits` significant digits by decimal: a quotient of two exact
+    decimals is rounded once, correctly, to the context's precision, and is
+    then written out in fixed point with its trailing zeros."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding, ctx.Emax, ctx.Emin = digits, ROUND_HALF_EVEN, MAX_EMAX, MIN_EMIN
+        q = Decimal(x.numerator) / Decimal(x.denominator)
+        return f"{q.quantize(Decimal(1).scaleb(q.adjusted() - digits + 1)):f}"
+
+
+_NONZERO = st.integers(-(2**300), 2**300).filter(bool)
+# values at or next to a power of ten, whose decade and rounding turn on
+# their last digits
+_NEAR_POWERS_OF_TEN = st.builds(
+    lambda k, j, step, sign: sign * F(10**k + step, 10**j),
+    st.integers(0, 60), st.integers(0, 60), st.integers(-2, 2), st.sampled_from((1, -1)),
+).filter(bool)
+
+
+class TestFormatRationalAgainstDecimal:
+    @given(st.one_of(st.builds(F, _NONZERO, st.integers(1, 2**300)), _NEAR_POWERS_OF_TEN),
+           st.integers(1, 30))
+    def test_matches_a_decimal_oracle(self, x, digits):
+        assert format_rational(x, digits) == _decimal_format(x, digits)
+
+    @given(st.integers(0, 10**30), st.integers(-40, 40), st.sampled_from((1, -1)))
+    def test_exact_ties_at_every_digit_count(self, r, shift, sign):
+        """m + 1/2, m of `digits` digits, scaled by a power of ten: the
+        half-even rule picks the even one of m and m + 1.  The largest m
+        rounds up into the next decade."""
+        for digits in range(1, 31):
+            low = 10 ** (digits - 1)
+            for m in (low + r % (9 * low), 10 * low - 1):
+                x = sign * F(2 * m + 1, 2) * F(10) ** shift
+                assert format_rational(x, digits) == _decimal_format(x, digits)
 
 
 def _decimal_floor_log10(x: F) -> int:

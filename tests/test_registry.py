@@ -137,6 +137,16 @@ class TestEvaluation:
         assert exc.value.left == "length^3·time^-1"
         assert exc.value.right == "length^3"
 
+    @pytest.mark.parametrize("expr, dims", [
+        ("(1 m + 1 s) * (2 s + 2 m)", ("length", "time")),
+        ("(2 s + 2 m) * (1 m + 1 s)", ("time", "length")),
+    ])
+    def test_operands_are_evaluated_left_to_right(self, si_registry, expr, dims):
+        """Both factors are mismatched sums: the left one raises first."""
+        with pytest.raises(DimensionMismatch) as exc:
+            evaluate(expr, si_registry)
+        assert (exc.value.left, exc.value.right, exc.value.context) == (*dims, "cannot add")
+
     def test_multiplication_never_errors_across_dimensions(self, si_registry, rng):
 
         symbols = list(si_registry.units)

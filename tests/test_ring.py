@@ -277,8 +277,10 @@ class TestUnitSections:
 
         ring = load_structure(Path(__file__).parent / "data" / "zero_slice_no_unit.json")
         result = search_unit_section(ring)
-        assert not result.ok
-        assert "'1'" in result.report.failures[0].witness
+        assert not result.ok and result.value is None
+        assert result.report.failures[0].line() == (
+            "FAIL  nowhere zero: slice '1' contains only its zero; no section can exist"
+        )
 
     def test_slice_without_additive_identity_has_no_section(self):
         import json
