@@ -7,65 +7,52 @@ report lines with witnesses, never as exceptions, so hand-broken
 candidates can be exercised.
 """
 
-import random
+import itertools
 from typing import Callable, NamedTuple
 
 from .core import DimElement
 from .errors import CarrierError, ConstructionError, DimensionMismatch
 from .poly import GradedPolyRing
 from .report import CheckReport
+from .ring import probe_cases, probe_triples
 
 
 class ProbeSpace(NamedTuple):
-    """Sampling and arithmetic hooks the checkers draw probes from."""
+    """The probes and arithmetic hooks of a checker's black box."""
 
-    sample: Callable                 # rng -> element
-    sample_like: Callable            # rng, element -> same-slice element
+    elements: tuple                  # the probes, in one fixed order
     add: Callable
     eq: Callable
-    dim_of: Callable                 # element -> dimension
     act: Callable                    # (ring elem, element) -> element
-    sample_ring: Callable            # rng -> ring element
+    ring_elements: tuple             # the acting ring's probes
     ring_dim_act: Callable           # (ring dim, dim) -> dim
-    sample_dim: Callable             # rng -> dimension
+    dims: tuple                      # the probe dimensions
     neg: Callable = None
     is_zero: Callable = None
 
 
 def ring_probe_space(ring) -> ProbeSpace:
-    """A dimensioned ring as a module over itself."""
+    """A dimensioned ring as a module over itself, on its probe set."""
+    probes = ring.probe_elements()
     return ProbeSpace(
-        sample=ring.sample,
-        sample_like=lambda rng, a: ring.sample(rng, dim=a.dim),
+        elements=probes,
         add=ring.add,
         eq=ring.eq,
-        dim_of=lambda a: a.dim,
         act=ring.mul,
-        sample_ring=ring.sample,
+        ring_elements=probes,
         ring_dim_act=ring.dims.combine,
-        sample_dim=ring.sample_dim,
+        dims=ring.probe_dims(),
         neg=ring.neg,
         is_zero=ring.is_zero,
     )
 
 
-def bilinear_check(
-    space: ProbeSpace,
-    mul: Callable,
-    dim_map: Callable,
-    rng=None,
-    probes: int = 30,
-) -> CheckReport:
+def bilinear_check(space: ProbeSpace, mul: Callable, dim_map: Callable) -> CheckReport:
     """The three bilinearity laws of a candidate multiplication plus the
-    equivariance of its dimension map under the monoid action."""
-    rng = rng or random.Random(41)
+    equivariance of its dimension map under the monoid action, on the
+    `probe_cases` of the elements' triples (a, b, c) and the ring's (_, r, s)."""
     rep = CheckReport("bilinear multiplication")
-    add, eq, act, dim_of = space.add, space.eq, space.act, space.dim_of
-
-    def draw():
-        a = space.sample(rng)
-        b = space.sample_like(rng, a)
-        return a, b, space.sample(rng), space.sample_ring(rng), space.sample_ring(rng)
+    add, eq, act = space.add, space.eq, space.act
 
     def left(a, b, c, r, s):
         if not eq(mul(add(a, b), c), add(mul(a, c), mul(b, c))):
@@ -80,17 +67,18 @@ def bilinear_check(
             return f"M(r·a, s·c) != r·s·M(a,c) at {r}, {s}, {a}, {c}"
 
     def equivariant(a, b, c, r, s):
-        d, e, g, h = dim_of(a), dim_of(c), r.dim, s.dim
+        d, e, g, h = a.dim, c.dim, r.dim, s.dim
         dact = space.ring_dim_act
         if dim_map(dact(g, d), dact(h, e)) != dact(g, dact(h, dim_map(d, e))):
             return f"mu(gd, he) != gh·mu(d, e) at {g!r}, {h!r}, {d!r}, {e!r}"
 
-    cases = [draw() for _ in range(probes)]
+    cases = [(*t, r, s) for t, (_, r, s) in
+             probe_cases(probe_triples(space.elements), probe_triples(space.ring_elements))]
     rep.law("additive in the left slot", cases, left)
     rep.law("additive in the right slot", cases, right)
     rep.law("module action moves outside", cases, outside)
     rep.law("dimension map covers the product", cases,
-            lambda a, b, c, *_: dim_of(mul(a, c)) != dim_map(dim_of(a), dim_of(c))
+            lambda a, b, c, *_: mul(a, c).dim != dim_map(a.dim, c.dim)
             and f"dim of M({a}, {c}) is not mu(d, e)")
     rep.law("dimension map is equivariant", cases, equivariant)
     return rep
@@ -104,26 +92,19 @@ def jacobiator(mul, add, a, b, c):
     return add(mul(a, mul(b, c)), add(mul(b, mul(c, a)), mul(c, mul(a, b))))
 
 
-def property_check(
-    space: ProbeSpace,
-    mul: Callable,
-    dim_map: Callable,
-    prop: str,
-    rng=None,
-) -> CheckReport:
-    """Check a 2-/3-element identity of a multiplication on probe tuples.
+def property_check(space: ProbeSpace, mul: Callable, dim_map: Callable, prop: str) -> CheckReport:
+    """Check a 2-/3-element identity of a multiplication on the elements'
+    `probe_triples` (a, b, c); a 2-element one at (a, b), within a slice,
+    and at (a, c).
 
-    The dimension binar is checked first: (anti)symmetry forces it to be
-    commutative and associativity/Jacobi force it to be associative, so a
-    failure there is reported before any element-level check runs.
+    The dimension binar is checked first, on every triple of probe
+    dimensions: (anti)symmetry forces it to be commutative and
+    associativity/Jacobi force it to be associative, so a failure there is
+    reported before any element-level check runs.
     """
     if prop not in PROPERTIES:
         raise CarrierError(f"unknown property {prop!r}")
-    rng = rng or random.Random(43)
     rep = CheckReport(f"property: {prop}")
-
-    def draws(sample):
-        return [tuple(sample(rng) for _ in range(3)) for _ in range(30)]
 
     def binar(d, e, f):
         if prop in ("symmetric", "antisymmetric"):
@@ -132,24 +113,23 @@ def property_check(
         elif dim_map(dim_map(d, e), f) != dim_map(d, dim_map(e, f)):
             return f"dimension binar not associative at {d!r}, {e!r}, {f!r}"
 
-    rep.law("dimension binar prerequisite", draws(space.sample_dim), binar)
+    rep.law("dimension binar prerequisite", itertools.product(space.dims, repeat=3), binar)
     if not rep.ok:
         return rep
 
     def identity(a, b, c):
-        if prop == "symmetric":
-            if not space.eq(mul(a, b), mul(b, a)):
-                return f"M(a,b) != M(b,a) at {a}, {b}"
-        elif prop == "antisymmetric":
-            if not space.eq(mul(a, b), space.neg(mul(b, a))):
-                return f"M(a,b) != -M(b,a) at {a}, {b}"
+        if prop in ("symmetric", "antisymmetric"):
+            sign = "-" * (prop == "antisymmetric")
+            for x, y in ((a, b), (a, c)):
+                if not space.eq(mul(x, y), space.neg(mul(y, x)) if sign else mul(y, x)):
+                    return f"M(a,b) != {sign}M(b,a) at {x}, {y}"
         elif prop == "associative":
             if not space.eq(mul(mul(a, b), c), mul(a, mul(b, c))):
                 return f"associator nonzero at {a}, {b}, {c}"
         elif not space.is_zero(jacobiator(mul, space.add, a, b, c)):
             return f"jacobiator nonzero at {a}, {b}, {c}"
 
-    rep.law(f"{prop} identity on probes", draws(space.sample), identity)
+    rep.law(f"{prop} identity on probes", probe_triples(space.elements), identity)
     return rep
 
 

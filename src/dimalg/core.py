@@ -14,7 +14,6 @@ every command would pay for it.
 
 import itertools
 import operator
-import random
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from typing import NamedTuple
@@ -114,7 +113,7 @@ class Carrier(ABC):
             return None
         return tuple(map(self.from_coords, itertools.product(*map(range, orders))))
 
-    def sample(self, rng: random.Random):
+    def sample(self, rng):
         """One draw per generator, in generator order."""
         return self.from_coords(tuple(
             rand_fraction(rng) if n is None else rng.randrange(n) if n else rng.randint(-3, 3)
@@ -193,9 +192,9 @@ class DimRing(ABC):
 
     # -- probing ---------------------------------------------------------
     @abstractmethod
-    def sample(self, rng: random.Random, dim=None) -> DimElement: ...
+    def sample(self, rng, dim=None) -> DimElement: ...
 
-    def sample_dim(self, rng: random.Random):
+    def sample_dim(self, rng):
         return self.dims.sample(rng)
 
     def probe_dims(self) -> tuple:
@@ -209,12 +208,17 @@ class DimRing(ABC):
         """The slot rule's data (`ring` module docstring), or None: the default."""
         return None
 
-    def probe_elements(self, rng: random.Random, budget: int = 30) -> tuple:
-        """The elements the axiom suite quantifies over: `budget` samples,
-        then `one`, then the zero of the first element's slice."""
-        elems = [self.sample(rng) for _ in range(budget)]
-        elems.append(self.one)
-        elems.append(self.zero(elems[0].dim))
+    def probe_elements(self) -> tuple:
+        """The elements every probed suite quantifies over, in one fixed order,
+        from tuples and rationals: the ring's `elements()`, else its `slots()`
+        data (each distinct value at each slot dimension, then each family's
+        values where it runs within one slice); any other ring builds its own."""
+        elems = self.elements()
+        if elems is None:
+            slots = self.slots()
+            elems = [DimElement(v, d) for d in slots.dims for v in slots.distinct]
+            for values, _, within in slots.families:
+                elems += [DimElement(v, d) for d in within for v in values]
         return tuple(elems)
 
     # -- derived ----------------------------------------------------------
@@ -313,6 +317,12 @@ class ProductDimRing(DimRing):
         dims = self.probe_dims()
         return Slots(dims, DISTINCT, ((COEFF_PROBES, (self.dims.identity,), dims),))
 
+    def probe_elements(self):
+        """Each of `PROBE_VALUES` (`ring`) over each probe dimension."""
+        from .ring import PROBE_VALUES
+
+        return tuple(DimElement(v, d) for d in self.probe_dims() for v in PROBE_VALUES)
+
 
 class Line(NamedTuple):
     """A 1-dimensional rational vector space, identified by name only."""
@@ -387,7 +397,7 @@ class PowerRing(ProductDimRing):
             raise CarrierError(f"bad exponent vector {a.dim!r}")
         return DimElement(a.value**n, tuple([n * e for e in a.dim]))
 
-    def sample_nonzero(self, rng: random.Random, dim=None):
+    def sample_nonzero(self, rng, dim=None):
         d = self.sample_dim(rng) if dim is None else tuple(dim)
         return DimElement(rand_nonzero_fraction(rng), d)
 

@@ -43,7 +43,6 @@ Fractions, which costs about as much as multiplying it.  `zero` and
 A subclass that overrides `add` or `mul` bypasses it.
 """
 
-import random
 from fractions import Fraction
 from operator import add as _add
 
@@ -154,7 +153,7 @@ class EndoRing(DimRing):
     def one(self):
         return DimElement(self._ones, self.dims.identity)
 
-    def sample(self, rng: random.Random, dim=None):
+    def sample(self, rng, dim=None):
         phi = self.dims.sample(rng) if dim is None else tuple(dim)
         return DimElement(tuple(rand_fraction(rng) for _ in self.points), phi)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -36,7 +35,7 @@ class FiniteDims(tuple):
     def elements(self) -> tuple:
         return self
 
-    def sample(self, rng: random.Random):
+    def sample(self, rng):
         return rng.choice(self)
 
     def probe_words(self, length: int = 3) -> tuple:
@@ -98,7 +97,7 @@ class DimAbGroup:
         return a.dim == b.dim and a.value == b.value
 
     # -- probing -------------------------------------------------------
-    def sample(self, rng: random.Random, dim=None) -> DimElement:
+    def sample(self, rng, dim=None) -> DimElement:
         d = self.dims.sample(rng) if dim is None else dim
         return DimElement(self.slice(d).sample(rng), d)
 

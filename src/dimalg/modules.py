@@ -14,7 +14,6 @@ pullbacks (same carrier, new ring acting through the morphism).
 """
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -25,7 +24,7 @@ from .linalg import rref
 from .monoid import DimMonoid
 from .poly import GradedPolyRing
 from .report import Checked, CheckReport
-from .ring import DimRing, Ideal, RingMorphism, _probe_triples, quotient_ring, slot_cases
+from .ring import DimRing, Ideal, RingMorphism, probe_cases, probe_triples, quotient_ring, slot_cases
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ class GSet:
     def act(self, g, d):
         return (self.monoid.combine(g, d[0]), d[1])
 
-    def sample(self, rng: random.Random):
+    def sample(self, rng):
         return (self.monoid.sample(rng), rng.choice(self.orbits))
 
 
@@ -174,19 +173,15 @@ class FreeDimModule:
         return self.element(self.gset.act(c.dim, a.dim), out)
 
     # -- probing ----------------------------------------------------------------------
-    def sample(self, rng: random.Random) -> DimElement:
+    def sample(self, rng) -> DimElement:
         name = rng.choice(self.basis)[0]
         c = self._coefficient(self.ring.sample(rng))
         return self.element(self.gset.act(c.dim, self.basis_dim[name]), {name: c})
 
-    def sample_like(self, rng: random.Random, a: DimElement) -> DimElement:
-        """A random element of the same slice as `a`, built by refreshing
-        its coefficients (robust even when slices cannot be solved for)."""
-        terms = {
-            name: self.coeff_ring.sample(rng, dim=coeff.dim)
-            for name, coeff in a.value
-        }
-        return self.element(a.dim, terms) if terms else self.zero(a.dim)
+    def probe_elements(self) -> tuple:
+        """r·e for each basis vector e and each probe r of the acting ring."""
+        probes = self.ring.probe_elements()
+        return tuple(self.act(r, self.basis_element(n)) for n, _ in self.basis for r in probes)
 
     def show(self, a: DimElement) -> str:
         if not a.value:
@@ -197,7 +192,7 @@ class FreeDimModule:
         return f"{body} @ {a.dim}"
 
 
-def module_axiom_report(m: FreeDimModule, rng=None) -> CheckReport:
+def module_axiom_report(m: FreeDimModule) -> CheckReport:
     """Four module laws, each a coefficient-ring law on the first basis vector e.
 
     `FreeDimModule`'s own `add` and `coeff_act` work term by term and its
@@ -205,15 +200,14 @@ def module_axiom_report(m: FreeDimModule, rng=None) -> CheckReport:
     c·e: r(a+b) and (r+p)a restate distributivity, (rq)a associativity and
     1·a unitality.  Each runs on that law's `slot_cases` over a ring with
     `slots()`, decided on the ring's own slot premise (`ring` docstring),
-    else on the 40 probe triples (seed 11) of `RingMorphism.check`.  A
+    else on the `probe_triples` of its probes, as `RingMorphism.check`.  A
     pullback's report ends with `along.check`: its dimension square is the
     action's dimension law, which `coeff_act` holds by construction."""
-    rng = rng or random.Random(11)
     rep = CheckReport(f"module axioms for {m.label}")
     ring, show = m.coeff_ring, m.show
     name, bd = m.basis[0] if m.basis else (None, None)
     slots = ring.slots() if m.basis else None  # an empty basis has no case
-    probes = () if slots or not m.basis else _probe_triples(ring, rng, 40)
+    probes = () if slots or not m.basis else probe_triples(ring.probe_elements())
 
     def on_e(c):
         return m.element(m.gset.act(c.dim, bd), {name: c})
@@ -243,7 +237,7 @@ def module_axiom_report(m: FreeDimModule, rng=None) -> CheckReport:
     rep.law("(rq)a = r(qa)", cases(assoc), associative)
     rep.law("1·a = a", ((on_e(a),) for a, *_ in cases("unitality")),
             lambda x: not m.eq(m.coeff_act(ring.one, x), x) and f"1·a != a at {show(x)}")
-    return rep.merged(m.along.check(rng)) if m.along else rep
+    return rep.merged(m.along.check()) if m.along else rep
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +273,16 @@ class TwistedLinearMap:
             )
 
     def dim_map(self, d):
-        """The twisted-equivariant dimension map the basis images determine."""
+        """The twisted-equivariant dimension map the basis images determine:
+        d = g·bd, g = d·bd⁻¹ in a group, else a finite monoid's first such g."""
         monoid = self.src.gset.monoid
         for name, bd in self.src.basis:
-            if bd[1] != d[1] or not monoid.is_group:
+            if bd[1] != d[1]:
                 continue
-            shift = monoid.combine(d[0], monoid.inverse(bd[0]))
-            img = self.images[name]
-            return self.dst.gset.act(self.coeff_mor.dim_map(shift), img.dim)
+            shifts = ([monoid.combine(d[0], monoid.inverse(bd[0]))] if monoid.is_group else
+                      [g for g in monoid.elements() if monoid.combine(g, bd[0]) == d[0]])
+            if shifts:
+                return self.dst.gset.act(self.coeff_mor.dim_map(shifts[0]), self.images[name].dim)
         raise CarrierError(f"cannot transport dimension {d!r}")
 
     def apply(self, a: DimElement) -> DimElement:
@@ -336,7 +332,6 @@ def linear_map_check(
     dst: FreeDimModule,
     images: dict,
     coeff_mor: "RingMorphism | None" = None,
-    rng=None,
 ) -> Checked:
     """Validate a candidate (twisted-)linear map given on the basis, its
     coefficients carried by `coeff_mor` (the identity by default).
@@ -363,7 +358,7 @@ def linear_map_check(
         return Checked(None, rep)
 
     candidate = TwistedLinearMap(src, dst, coeff_mor, images)
-    first = {}  # each orbit's first basis vector, the one `dim_map` transports
+    first = {}  # each orbit's first basis vector, whose image orbit the others share
     for name, bd in src.basis:
         first.setdefault(bd[1], name)
 
@@ -371,7 +366,7 @@ def linear_map_check(
         img, ref = images[name].dim, images[first[bd[1]]].dim
         if img[1] != ref[1]:
             return f"orbit {bd[1]!r} scattered across image orbits {ref[1]!r} and {img[1]!r}"
-        if src.gset.monoid.is_group and img != candidate.dim_map(bd):
+        if img != candidate.dim_map(bd):
             return (f"image of {name!r} sits in slice {img!r}, "
                     f"not the equivariant slice {candidate.dim_map(bd)!r}")
 
@@ -379,7 +374,7 @@ def linear_map_check(
     if not rep.ok:
         return Checked(None, rep)
 
-    rep = rep.merged(coeff_mor.check(rng or random.Random(5)))
+    rep = rep.merged(coeff_mor.check())
     return Checked(candidate if rep.ok else None, rep)
 
 
@@ -446,17 +441,17 @@ def bilinear_factorization(
     b: FreeDimModule,
     c: FreeDimModule,
     phi: Callable,
-    rng=None,
 ) -> Checked:
     """Try to factor a two-argument map through the tensor product.
 
     The factoring map is defined on the tensor basis by the values of
     `phi` on basis pairs; it exists exactly when `phi` is bilinear and
-    balanced over the ring, which is validated on probes with witnesses.
+    balanced over the ring, which is validated with witnesses on the
+    `probe_cases` of a's triples (x, x2, _), b's (_, _, y) and the ring's
+    (_, r, _): places in which equal sets hold different probes.
     """
     if not (a.basis and b.basis):  # a map out of the zero module has no dimension map
         raise ConstructionError(f"cannot factor through {a.label} ⊗ {b.label}: a factor has an empty basis")
-    rng = rng or random.Random(17)
     tens = tensor_mod(a, b)
     rep = CheckReport("bilinear factorization")
     law = "phi is bilinear and balanced"
@@ -474,12 +469,7 @@ def bilinear_factorization(
     )
     ring = a.ring
 
-    def draws():
-        # lazy: the additivity probe x2 is drawn between two of these draws
-        for _ in range(25):
-            yield a.sample(rng), b.sample(rng), ring.sample(rng)
-
-    def factors(x, y, r):
+    def factors(x, x2, y, r):
         try:
             if not c.eq(phi(x, y), factored(tens.pure(x, y))):
                 return f"phi does not factor at {a.show(x)}, {b.show(y)}"
@@ -489,13 +479,13 @@ def bilinear_factorization(
                         f"at {r}, {a.show(x)}, {b.show(y)}")
             if not c.eq(lhs, c.act(r, phi(x, y))):
                 return f"phi(r·a, b) != r·phi(a, b) at {r}, {a.show(x)}"
-            x2 = a.sample_like(rng, x)
             if not c.eq(phi(a.add(x, x2), y), c.add(phi(x, y), phi(x2, y))):
                 return f"left additivity fails at {a.show(x)}, {a.show(x2)}"
         except DimensionMismatch as exc:
             return f"dimension clash: {exc}"
 
-    rep.law(law, draws(), factors)
+    cases = probe_cases(*(probe_triples(s.probe_elements()) for s in (a, b, ring)))
+    rep.law(law, ((x, x2, y, r) for (x, x2, _), (*_, y), (_, r, _) in cases), factors)
     return Checked(factored if rep.ok else None, rep)
 
 
@@ -589,7 +579,6 @@ def quotient_module(
     a: FreeDimModule,
     sub_generators,
     ideal: Ideal,
-    rng=None,
 ) -> QuotientModule:
     """Quotient by a submodule containing I·A, over the quotient ring.
 
@@ -599,7 +588,6 @@ def quotient_module(
     and generate it on every kept vector, otherwise I·A ⊆ S fails with a
     witness.
     """
-    rng = rng or random.Random(31)
     ring = a.coeff_ring
     multipliers: dict = {name: [] for name, _ in a.basis}
     dropped = set()
@@ -633,7 +621,7 @@ def quotient_module(
                     f"misses the submodule at basis vector {name!r}"
                 )
 
-    qring = quotient_ring(ring, ideal, rng=rng)
+    qring = quotient_ring(ring, ideal)
     quot = FreeDimModule(
         qring, a.gset, [(n, d) for n, d in a.basis if n in kept], f"{a.label}/S"
     )

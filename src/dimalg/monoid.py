@@ -21,7 +21,6 @@ is not).  ``kind`` is only a display name, as in the label ``Qxcyclic``.
 
 import itertools
 import operator
-import random
 
 from .errors import CarrierError
 from .sampling import rand_int_vector
@@ -172,7 +171,7 @@ class DimMonoid:
         """All elements in enumeration order; None for free abelian of rank > 0."""
         return self._elements
 
-    def sample(self, rng: random.Random):
+    def sample(self, rng):
         if self._table is None:
             return rand_int_vector(rng, self.rank)
         return rng.choice(self._elements)

@@ -21,7 +21,6 @@ denominator involved is 1.
 """
 
 import itertools
-import random
 from fractions import Fraction
 from operator import add as _add, sub as _sub
 
@@ -29,7 +28,7 @@ from .core import DimElement
 from .errors import CarrierError, DimensionMismatch
 from .monoid import DimMonoid
 from .numfmt import fraction_str
-from .ring import DimRing, Ideal
+from .ring import DISTINCT, LARGE, DimRing, Ideal
 from .sampling import rand_fraction
 
 
@@ -225,11 +224,11 @@ class GradedPolyRing(DimRing):
         return DimElement(terms, tuple(map(_sub, a.dim, self.gen_dims[i])))
 
     # -- probing --------------------------------------------------------------------
-    def sample_dim(self, rng: random.Random):
+    def sample_dim(self, rng):
         alpha = tuple(rng.randint(0, 2) for _ in range(self.nvars))
         return self.monomial_dim(alpha)
 
-    def sample(self, rng: random.Random, dim=None, max_degree: int = 3) -> DimElement:
+    def sample(self, rng, dim=None, max_degree: int = 3) -> DimElement:
         if dim is None:
             dim = self.sample_dim(rng)
         monos = self.monomials_of_dim(dim, max_degree)
@@ -244,10 +243,17 @@ class GradedPolyRing(DimRing):
                 itertools.product(range(2), repeat=self.nvars)}
         return tuple(sorted(dims))
 
-    def probe_elements(self, rng: random.Random, budget: int = 30):
-        out = [self.one, self.zero((0,) * self.rank)]
-        out += [self.generator(n) for n in self.gen_names]
-        out += [self.sample(rng) for _ in range(budget)]
+    def probe_elements(self):
+        """`one`, the zero and each generator; then on each probe dimension's
+        first three monomials of degree at most 3 the DISTINCT values in
+        each rotation, so each monomial meets each value, and the LARGE ones."""
+        out = [self.one, self.zero((0,) * self.rank), *map(self.generator, self.gen_names)]
+        k = len(DISTINCT)
+        for d in self.probe_dims():
+            monos = self.monomials_of_dim(d, 3)[:k]
+            out += [self.poly({al: DISTINCT[(j + s) % k] for j, al in enumerate(monos)}, d)
+                    for s in range(k)]
+            out.append(self.poly(dict(zip(monos, LARGE)), d))
         return tuple(out)
 
     # -- monomial ideals ---------------------------------------------------------------

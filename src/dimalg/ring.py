@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
@@ -55,6 +54,9 @@ SLOT_LAWS = {
 }
 COEFF_PROBES = (-1, 0, 1, 2, Fraction(-1, 2))
 DISTINCT = (Fraction(-3, 2), Fraction(5, 3), Fraction(-7, 4))
+LARGE = (Fraction(10**6, 7), Fraction(-10**6, 7))
+# a product ring's probe values: non-integers of both signs, and large ones
+PROBE_VALUES = (*COEFF_PROBES, *DISTINCT, *LARGE)
 
 
 def slot_cases(slots: Slots, law: str):
@@ -88,13 +90,27 @@ def _same(x):
     return x
 
 
-def _probe_triples(ring: DimRing, rng: random.Random, n: int) -> list:
-    """n probes (a, b, c): b is drawn from a's slice, c from anywhere."""
-    out = []
-    for _ in range(n):
-        a = ring.sample(rng)
-        out.append((a, ring.sample(rng, dim=a.dim), ring.sample(rng)))
-    return out
+def probe_triples(elements) -> list:
+    """The probed suites' cases (a, b, c), one per probe a in turn: b is the
+    probe after a in a's slice, cyclically, and c the probe in a's place as
+    the slices take turns (each one's first probe, then each one's second,
+    ...), so every probe fills every place and a meets c across slices."""
+    probes, slices = tuple(elements), {}
+    for i, a in enumerate(probes):
+        slices.setdefault(a.dim, []).append(i)
+    after, turn = {}, {}
+    for s, at in enumerate(slices.values()):
+        after.update(zip(at, at[1:] + at[:1]))
+        turn.update((i, (k, s)) for k, i in enumerate(at))
+    turns = sorted(turn, key=turn.get)
+    return [(a, probes[after[i]], probes[turns[i]]) for i, a in enumerate(probes)]
+
+
+def probe_cases(*sets) -> list:
+    """Case i takes entry i of each set, cycling through the shorter sets,
+    up to the longest one's length: every entry fills its place."""
+    n = max(map(len, sets)) if all(sets) else 0
+    return [tuple(s[i % len(s)] for s in sets) for i in range(n)]
 
 
 class RingMorphism:
@@ -130,11 +146,11 @@ class RingMorphism:
             f"{self.label}∘{other.label}",
         )
 
-    def check(self, rng: random.Random) -> CheckReport:
-        """Morphism laws on random probes: the dimension square commutes,
-        addition within slices, multiplication, and the unit.  The identity
-        (`identity`) holds them by construction: each law passes on no
-        case, and nothing is drawn from `rng`."""
+    def check(self) -> CheckReport:
+        """Morphism laws on the domain's `probe_triples`: the dimension
+        square commutes, addition within slices, multiplication, and the
+        unit.  The identity (`identity`) holds them by construction: each
+        law passes on no case."""
         rep = CheckReport(f"morphism {self.label}")
         dom, cod = self.domain, self.codomain
         trivial = dom is cod and self.fn is _same and self.dim_map is _same
@@ -147,7 +163,7 @@ class RingMorphism:
             if not cod.eq(self(dom.mul(a, c)), cod.mul(self(a), self(c))):
                 return f"multiplicativity fails at {a}, {c}"
 
-        cases = () if trivial else _probe_triples(dom, rng, 40)
+        cases = () if trivial else probe_triples(dom.probe_elements())
         rep.law("dimension square commutes", cases,
                 lambda a, *_: self(a).dim != self.dim_map(a.dim)
                 and f"dim({self.label}({a})) != phi({a.dim})")
@@ -330,18 +346,17 @@ def whole_ideal(ring: DimRing) -> Ideal:
 class QuotientDimRing(DimRing):
     """Elements are normal forms of the base ring; ops compute then reduce.
 
-    Construction runs the projection's `RingMorphism.check` and probes the
-    ideal law; the first witness rejects the quotient."""
+    Construction runs the projection's `RingMorphism.check` and the ideal
+    law on each base probe times each generator; a witness rejects it."""
 
-    def __init__(self, base: DimRing, ideal: Ideal, rng=None):
+    def __init__(self, base: DimRing, ideal: Ideal):
         self.base = base
         self.ideal = ideal
         self.dims = base.dims
         self.commutative = base.commutative
         self.label = f"{base.label}/I"
-        rng = rng or random.Random(20240501)
-        rep = self.projection.check(rng)
-        products = [(base.sample(rng), i) for _ in range(30) for i in ideal.generators]
+        rep = self.projection.check()
+        products = itertools.product(base.probe_elements(), ideal.generators)
         rep.law("ideal absorbs products", products, lambda c, i:
                 not ideal.contains(base.mul(c, i))
                 and f"ideal law fails: {c} * {i} leaves the ideal")
@@ -374,12 +389,15 @@ class QuotientDimRing(DimRing):
     def sample(self, rng, dim=None):
         return self.project(self.base.sample(rng, dim=dim))
 
+    def probe_elements(self):
+        """The base's probes, projected, each class once."""
+        return tuple(dict.fromkeys(map(self.project, self.base.probe_elements())))
+
     def show(self, a):
         return f"[{self.base.show(a)}]"
 
 
-def quotient_ring(base: DimRing, ideal: Ideal, rng=None) -> QuotientDimRing:
-    return QuotientDimRing(base, ideal, rng=rng)
+quotient_ring = QuotientDimRing
 
 
 # ---------------------------------------------------------------------------
@@ -560,20 +578,21 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
       b(b'a) = (bb')a.
 
     A ring with `slots()` runs every other law on its `slot_cases`.  Any
-    other ring is probed on E = `ring.probe_elements(rng, budget)` and
+    other ring is probed on E = `ring.probe_elements()` and
     D = `probe_dims`, every law on every case of those sets, E_d being
     the probes over d: |D|³ monoid triples (unless D is the whole
     monoid), |E|² for the projection and commutativity, |E|·Σ|E_d|² for
     distributivity, |D|·|E| for the zero family, |E| for unitality, |E|³
     for associativity, Σ|E_d|² for the slice groups, and each probe with
-    each other dimension of D for addition across slices.
+    each other dimension of D for addition across slices.  `rng` and
+    `budget` are unread; they go when the benchmark stops passing them.
     """
     rep = CheckReport(f"dimensioned ring {ring.label}")
     elems = ring.elements()
     listed = elems is not None
     slots = ring.slots()
     if not listed:  # a slot ring's laws run on its decided cases alone
-        elems = () if slots else ring.probe_elements(rng or random.Random(20240229), budget)
+        elems = () if slots else ring.probe_elements()
     slices = {}
     for a in elems:
         slices.setdefault(a.dim, []).append(a)

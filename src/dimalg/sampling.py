@@ -1,4 +1,4 @@
-"""Random probe helpers used by the property suites.
+"""Random draws for the `sample` methods, the tests' input API; no suite draws.
 
 Everything draws from small exact rationals / integers so equality checks
 stay bit-exact and witnesses stay readable.

@@ -10,7 +10,6 @@ strings, and an optional monomial ideal.
 """
 
 import math
-import random
 import reprlib
 from fractions import Fraction
 
@@ -168,7 +167,7 @@ class TableDimRing(DimRing):
     def one(self):
         return self.el(self.one_name)
 
-    def sample(self, rng: random.Random, dim=None):
+    def sample(self, rng, dim=None):
         d = dim if dim is not None else self.dims.sample(rng)
         return self.el(rng.choice(self.slices[d]))
 

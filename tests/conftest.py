@@ -155,14 +155,10 @@ def canonical_ring():
 
 
 # The seed `ring_axiom_report` draws its probes from when it is given none.
-DEFAULT_SEED = 20240229
-
-
 @pytest.fixture(scope="session")
 def qp_report():
-    """`ring_axiom_report` on Q[q, p] at the default seed and budget: 34³
-    associativity triples, about a second, so one run serves every test
-    that reads it."""
+    """`ring_axiom_report` on Q[q, p], on its probe set: 16³
+    associativity triples, one run for every test that reads it."""
     ring = GradedPolyRing(["q", "p"], [(1,), (-1,)])
     return SimpleNamespace(ring=ring, report=ring_axiom_report(ring))
 

@@ -1,15 +1,17 @@
 """Operator mutants: rings each built to break a law that a suite claims.
 
-Every class keeps its parent's `slots()`, so a suite that decides on the
-slot rule meets the mutant on its decided cases.  The kinds so far:
-product rings Q x M, then endomorphism rings Endo(Q x Z/n).
+Every class but `ProbedLargeProductPlusOne` keeps its parent's `slots()`,
+so a suite that decides on the slot rule meets the mutant on its decided
+cases; that one gives no slots, so its suite probes.  The kinds so far:
+product rings Q x M, then endomorphism rings Endo(Q x Z/n), then ring
+morphisms, built by a function rather than a class.
 `tests/test_mutants.py` pins the laws each one FAILs.
 """
 
 import math
 from fractions import Fraction
 
-from dimalg import EndoRing, ProductDimRing
+from dimalg import EndoRing, ProductDimRing, RingMorphism
 from dimalg.core import DimElement
 
 # ---------------------------------------------------------------------------
@@ -78,6 +80,22 @@ class OddEvenDoubledProduct(ProductDimRing):
     def mul(self, a, b):
         out = super().mul(a, b)
         return DimElement(2 * out.value, out.dim) if (a.dim, b.dim) == (1, 0) else out
+
+
+class LargeProductPlusOne(ProductDimRing):
+    """Adds 1 to a product above 100 in magnitude: no product of two slot
+    values gets there, so the slot rule misses it."""
+
+    def mul(self, a, b):
+        out = super().mul(a, b)
+        return DimElement(out.value + 1, out.dim) if abs(out.value) > 100 else out
+
+
+class ProbedLargeProductPlusOne(LargeProductPlusOne):
+    """The same ring without the slot rule's data: its suite probes."""
+
+    def slots(self):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -174,3 +192,19 @@ class LeftHeavyEndo(EndoRing):
     def add(self, a, b):
         c = super().add(a, b).value
         return DimElement((c[0] + a.value[0],) + c[1:], a.dim)
+
+
+# ---------------------------------------------------------------------------
+# Ring morphisms
+# ---------------------------------------------------------------------------
+
+
+def large_value_plus_one(ring):
+    """A map of a product ring onto itself that adds 1 to each value above
+    100 in magnitude: the identity on every value a draw n/d with |n|, d
+    at most 9 gives."""
+
+    def fn(a):
+        return DimElement(a.value + 1, a.dim) if abs(a.value) > 100 else a
+
+    return RingMorphism(ring, ring, lambda d: d, fn, "plus-one-past-100")

@@ -218,9 +218,10 @@ class TestModuleStructure:
                 r, endo2.apply_to_base(f, x)
             )
 
-    def test_composition_is_bilinear_over_multiplication_operators(self, endo2, rng):
+    def test_composition_is_bilinear_over_multiplication_operators(self, endo2):
         """Composition restricted to multiplication operators (the ring
-        acting on itself) is a dimensioned bilinear multiplication."""
+        acting on itself) is a dimensioned bilinear multiplication, on the
+        operators of the base's probes, acted on by the base's probes."""
         base = endo2.base
 
         def as_operator(r):
@@ -234,27 +235,25 @@ class TestModuleStructure:
             # dimension maps of multiplication operators are translations
             return tuple(base.dims.combine(g, d) for d in endo2.points)
 
+        probes = base.probe_elements()
         space = ProbeSpace(
-            sample=lambda rng_: as_operator(base.sample(rng_)),
-            sample_like=lambda rng_, a: endo2.sample(rng_, dim=a.dim),
+            elements=tuple(map(as_operator, probes)),
             add=endo2.add,
             eq=endo2.eq,
-            dim_of=lambda a: a.dim,
             act=endo2.act,
-            sample_ring=base.sample,
+            ring_elements=probes,
             ring_dim_act=lambda g, phi: tuple(
                 base.dims.combine(g, img) for img in phi
             ),
-            sample_dim=lambda rng_: translation(base.dims.sample(rng_)),
+            dims=tuple(map(translation, base.probe_dims())),
         )
         rep = bilinear_check(
             space,
             endo2.mul,
             lambda phi, psi: endo2.dims.combine(phi, psi),
-            rng,
-            probes=25,
         )
         assert rep.ok, rep.failures
+        assert [r.cases for r in rep.results] == [len(probes)] * 5
 
 
 class TestRationalProbes:

@@ -1,8 +1,8 @@
 """The mutant catalogue's verdicts: for each mutant of `tests/mutants.py`,
 the laws of `ring_axiom_report` it FAILs, and for an endomorphism-ring
-mutant those of `endo_distributivity_report` too.  Each set is pinned
-whole, so a suite that starts to miss a mutant, or to fail it on another
-law, shows here."""
+mutant those of `endo_distributivity_report` too; for a morphism mutant,
+those of `RingMorphism.check`.  Each set is pinned whole, so a suite that
+starts to miss a mutant, or to fail it on another law, shows here."""
 
 import pytest
 
@@ -27,6 +27,10 @@ CATALOGUE = {
     "FloorSumProduct": ("Z/2", [DIST, SLICES], None),
     "FloorSliceOneSum": ("Z/2", [DIST, SLICES], None),
     "OddEvenDoubledProduct": ("Z/2", [UNIT, ASSOC, "commutativity"], None),
+    # a survivor (ROADMAP item 10): no slot value's product exceeds 100
+    "LargeProductPlusOne": ("Z", [], None),
+    # the same ring probed: ±10⁶/7 reaches past 100
+    "ProbedLargeProductPlusOne": ("Z", [DIST, UNIT, ASSOC], None),
     "OwnMapMul": ("Z/2", [UNIT, ASSOC], []),
     "SwappedOrderMul": ("Z/2", ["projection is a monoid morphism", ZERO, ASSOC], []),
     "SquareAcrossMaps": ("Z/2", [DIST, UNIT, ASSOC], [LEFT]),
@@ -58,3 +62,15 @@ def test_each_mutant_fails_its_pinned_laws(name):
         ring = cls(ProductDimRing(Rationals(), monoid))
         assert [r.law for r in endo_distributivity_report(ring).failures] == endo_fails
     assert [r.law for r in ring_axiom_report(ring).failures] == ring_fails
+
+
+def test_the_probe_set_reaches_a_morphism_that_errs_past_100():
+    """Drawn probes n/d with |n|, d at most 9 never exceed 100 in magnitude;
+    the built set's ±10⁶/7 does, on each additive and multiplicative case
+    that holds it."""
+    ring = ProductDimRing(Rationals(), DimMonoid.free_abelian(1), label="QxZ")
+    rep = mutants.large_value_plus_one(ring).check()
+    assert [(r.law, r.witness) for r in rep.failures] == [
+        ("additive within slices", "additivity fails at 1000000/7 @ (-2,), -1000000/7 @ (-2,)"),
+        ("multiplicative", "multiplicativity fails at 1000000/7 @ (-1,), 2 @ (1,)"),
+    ]

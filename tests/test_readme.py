@@ -95,5 +95,6 @@ def test_stated_case_counts_match_a_run(qp_report):
     stated(f"= {num(sum(sides.values()))} cases for D of 3 points")
 
     c = cases(qp_report.report)
-    stated(f"that is {num(c['multiplicative associativity'])} associativity triples and, "
-           f"at the default seed, {num(c['distributivity where defined'])} distributivity cases")
+    stated(f"(|E| = {len(qp_report.ring.probe_elements())}, |D| = {len(qp_report.ring.probe_dims())}) "
+           f"that is {num(c['multiplicative associativity'])} associativity triples and "
+           f"{num(c['distributivity where defined'])} distributivity cases")

@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -25,7 +24,9 @@ from dimalg import (
 )
 from dimalg.carriers import Rationals
 from dimalg.monoid import DimMonoid
-from dimalg.ring import COEFF_PROBES, QuotientDimRing, _probe_triples, generating_set
+from dimalg.core import DimElement
+from dimalg.ring import (COEFF_PROBES, PROBE_VALUES, QuotientDimRing, generating_set,
+                         probe_triples)
 
 # the three product rings of acceptance criterion 2
 CRITERION_2_PRODUCTS = (
@@ -83,18 +84,30 @@ class TestProductRing:
         assert not q_x_z.is_unit(q_x_z.zero((0,)))
         assert q_x_z.is_unit(q_x_z.element(F(4), (2,)))
 
-    def test_probe_elements_are_samples_then_one_then_zero(self, q_x_z):
-        probes = q_x_z.probe_elements(random.Random(5), budget=4)
-        rng = random.Random(5)
-        samples = tuple(q_x_z.sample(rng) for _ in range(4))
-        assert probes == samples + (q_x_z.one, q_x_z.zero(samples[0].dim))
+    def test_probe_elements_are_the_probe_values_over_each_probe_dimension(self, q_x_z):
+        """Non-integers of both signs and large magnitudes, at each of the
+        D = 5 probe dimensions: 50 probes."""
+        assert PROBE_VALUES == (-1, 0, 1, 2, F(-1, 2), F(-3, 2), F(5, 3), F(-7, 4),
+                                F(10**6, 7), F(-10**6, 7))
+        assert q_x_z.probe_dims() == ((-2,), (-1,), (0,), (1,), (2,))
+        probes = q_x_z.probe_elements()
+        assert probes == tuple(q_x_z.element(v, d) for d in q_x_z.probe_dims() for v in PROBE_VALUES)
+        assert len(probes) == 50
 
-    def test_probe_triples_draw_a_then_from_its_slice_then_anywhere(self, q_x_z):
-        rng, want = random.Random(5), []
-        for _ in range(4):
-            a = q_x_z.sample(rng)
-            want.append((a, q_x_z.sample(rng, dim=a.dim), q_x_z.sample(rng)))
-        assert _probe_triples(q_x_z, random.Random(5), 4) == want
+    def test_probe_triples_take_b_from_a_s_slice_and_c_as_the_slices_take_turns(self):
+        x0, x1, x2, y0 = (DimElement(v, d) for v, d in ((0, "x"), (1, "x"), (2, "x"), (0, "y")))
+        assert probe_triples([x0, x1, y0, x2]) == [
+            (x0, x1, x0), (x1, x2, y0), (y0, y0, x1), (x2, x0, x2)]
+
+    def test_every_probe_fills_every_place_and_a_meets_c_at_every_pair_of_slices(self, q_x_z):
+        probes = q_x_z.probe_elements()
+        triples = probe_triples(probes)
+        assert len(triples) == 50
+        for place in range(3):
+            assert Counter(t[place] for t in triples) == Counter(probes)
+        assert all(b.dim == a.dim and b != a for a, b, _ in triples)
+        dims = q_x_z.probe_dims()
+        assert {(a.dim, c.dim) for a, _, c in triples} == {(d, e) for d in dims for e in dims}
 
     def test_axiom_suite_passes(self, q_x_z, q_x_z2, rng):
         assert ring_axiom_report(q_x_z, rng).ok
@@ -150,24 +163,24 @@ class TestDimensionlessRing:
 
 class TestQuotientRing:
     def test_zero_ideal_gives_back_the_ring(self, q_x_z, rng):
-        q = quotient_ring(q_x_z, zero_ideal(q_x_z), rng)
+        q = quotient_ring(q_x_z, zero_ideal(q_x_z))
         for _ in range(10):
             a = q_x_z.sample(rng)
             assert q.project(a) == a
 
     def test_an_element_shows_as_its_class(self, q_x_z, rng):
-        q = quotient_ring(q_x_z, zero_ideal(q_x_z), rng)
+        q = quotient_ring(q_x_z, zero_ideal(q_x_z))
         a = q_x_z.element(F(3, 2), (1,))
         assert q.show(a) == f"[{q_x_z.show(a)}]"
 
     def test_whole_ideal_collapses_slices(self, q_x_z, rng):
-        q = quotient_ring(q_x_z, whole_ideal(q_x_z), rng)
+        q = quotient_ring(q_x_z, whole_ideal(q_x_z))
         a = q_x_z.sample(rng)
         assert q.project(a) == q_x_z.zero(a.dim)
 
     def test_monomial_ideal_projection_is_multiplicative(self, canonical_ring, rng):
         ring = canonical_ring
-        q = quotient_ring(ring, ring.monomial_ideal(["q"]), rng)
+        q = quotient_ring(ring, ring.monomial_ideal(["q"]))
         for _ in range(30):
             a = ring.sample(rng)
             b = ring.sample(rng)
@@ -176,11 +189,17 @@ class TestQuotientRing:
         d = ring.sample(rng, dim=c.dim)
         assert ring.eq(q.project(ring.add(c, d)), q.add(q.project(c), q.project(d)))
 
-    def test_axiom_report_probes_a_quotient(self, canonical_ring, rng):
-        """No slot rule covers a quotient ring: its laws run on samples."""
-        q = quotient_ring(canonical_ring, canonical_ring.monomial_ideal(["q"]), rng)
+    def test_axiom_report_probes_a_quotient(self, canonical_ring):
+        """No slot rule covers a quotient ring: its laws run on its probe
+        set, the base's probes projected, each class once."""
+        q = quotient_ring(canonical_ring, canonical_ring.monomial_ideal(["q"]))
         assert q.slots() is None
-        assert ring_axiom_report(q, rng, budget=8).ok
+        probes = q.probe_elements()
+        assert probes == tuple(dict.fromkeys(map(q.project, canonical_ring.probe_elements())))
+        assert len(probes) == 12
+        rep = ring_axiom_report(q)
+        assert rep.ok
+        assert {r.law: r.cases for r in rep.results}["multiplicative associativity"] == 12 ** 3
 
     def test_normal_form_drops_divisible_monomials(self, canonical_ring):
         ring = canonical_ring
@@ -195,7 +214,7 @@ class TestQuotientRing:
         equals view-then-project through the identity slice."""
         ring = canonical_ring
         ideal = ring.monomial_ideal(["q"])
-        q = quotient_ring(ring, ideal, rng)
+        q = quotient_ring(ring, ideal)
         zero_dim = (0,)
         for _ in range(20):
             a = ring.sample(rng, dim=zero_dim)
@@ -443,28 +462,21 @@ def _refusal(build):
     return str(exc.value)
 
 
-# (the witness a broken input draws from QxZ, its start)
+# (the witness a broken input meets on QxZ's probes, its start)
 PROBED_LAW_CONTROLS = [
-    (lambda r, rng: _failure(RingMorphism(r, r, lambda d: tuple(2 * x for x in d), lambda a: a,
-                                          "bad").check(rng), "dimension square commutes"),
+    (lambda r: _failure(RingMorphism(r, r, lambda d: tuple(2 * x for x in d), lambda a: a,
+                                     "bad").check(), "dimension square commutes"),
      "dim(bad("),
     # identity normal forms keep the nonzero generator 1 out of its own ideal
-    (lambda r, rng: _refusal(lambda: QuotientDimRing(r, Ideal(r, (r.one,), lambda a: a), rng)),
+    (lambda r: _refusal(lambda: QuotientDimRing(r, Ideal(r, (r.one,), lambda a: a))),
      "ideal law fails: "),
 ]
 
 
 @pytest.mark.parametrize("call, witness", PROBED_LAW_CONTROLS,
                          ids=["morphism-dimension-square", "ideal-absorbs-products"])
-def test_each_probed_ring_law_fails_on_an_input_that_breaks_it(q_x_z, rng, call, witness):
-    assert call(q_x_z, rng).startswith(witness)
-
-
-class NoDraws:
-    """An rng whose every method raises."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"rng.{name} was called")
+def test_each_probed_ring_law_fails_on_an_input_that_breaks_it(q_x_z, call, witness):
+    assert call(q_x_z).startswith(witness)
 
 
 MORPHISM_LAWS = ("dimension square commutes", "additive within slices", "multiplicative",
@@ -472,16 +484,17 @@ MORPHISM_LAWS = ("dimension square commutes", "additive within slices", "multipl
 
 
 def test_the_identity_morphism_holds_its_laws_without_probing(q_x_z):
-    rep = RingMorphism.identity(q_x_z).check(NoDraws())
+    rep = RingMorphism.identity(q_x_z).check()
     assert rep.lines() == ["== morphism id"] + [f"PASS  {law}" for law in MORPHISM_LAWS]
     assert [r.cases for r in rep.results] == [0] * len(MORPHISM_LAWS)  # each ran on no case
 
 
 def test_a_map_equal_to_the_identity_is_still_probed(q_x_z):
     same = RingMorphism(q_x_z, q_x_z, lambda d: d, lambda a: a, "same")
-    with pytest.raises(AssertionError, match="was called"):
-        same.check(NoDraws())
-    assert same.check(random.Random(5)).ok
+    rep = same.check()
+    assert rep.ok
+    # each probed law on one triple per probe; the unit is a single check
+    assert [r.cases for r in rep.results] == [len(q_x_z.probe_elements())] * 3 + [0]
 
 
 _NOT_A_FIELD = ProductDimRing(Rationals(), DimMonoid.map_monoid((0, 1)), label="QxMap")
