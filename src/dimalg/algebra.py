@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 
 from .core import DimElement
 from .errors import CarrierError, ConstructionError, DimensionMismatch
-from .poly import GradedPolyRing
+from .poly import GradedPolyRing, leibniz
 from .report import CheckReport
 from .ring import probe_cases, probe_triples
 
@@ -140,18 +140,23 @@ def property_check(space: ProbeSpace, mul: Callable, dim_map: Callable, prop: st
 
 class DimDerivation:
     """A derivation with a dimension shift: it moves every slice by one
-    fixed monoid element.  `apply` is the Leibniz extension Σᵢ ∂ᵢf·D(xᵢ)
-    of the generator images, so D(fg) = D(f)g + fD(g) follows from the
-    product rule for `partial`, and no law is left to probe."""
+    fixed monoid element.  `apply` is `poly.leibniz`, Σᵢ ∂ᵢf·D(xᵢ) over
+    the generator images, so D(fg) = D(f)g + fD(g) follows from the
+    product rule, and no law is left to probe.  A shift of the wrong rank
+    or an image of a name that is no generator is a ConstructionError."""
 
     def __init__(self, ring: GradedPolyRing, shift, images: dict, label: str = "D"):
         self.ring = ring
         self.shift = tuple(shift)
+        if len(self.shift) != ring.rank:
+            raise ConstructionError(
+                f"shift has {len(self.shift)} exponents, expected {ring.rank}")
+        for name in images:
+            if name not in ring.index:
+                raise ConstructionError(f"image of {name!r}, which is not a generator")
         self.images = {}
-        for name in ring.gen_names:
-            expect = tuple(
-                s + g for s, g in zip(self.shift, ring.gen_dims[ring.index[name]])
-            )
+        for name, dim in zip(ring.gen_names, ring.gen_dims):
+            expect = tuple(s + g for s, g in zip(self.shift, dim))
             img = images.get(name, ring.zero(expect))
             if img.dim != expect:
                 raise ConstructionError(
@@ -163,14 +168,9 @@ class DimDerivation:
     def apply(self, f: DimElement) -> DimElement:
         """Leibniz extension from the generator images; the result lives
         in the slice shifted by the derivation's shift."""
-        ring = self.ring
-        out = ring.zero(tuple(s + d for s, d in zip(self.shift, f.dim)))
-        for name in ring.gen_names:
-            df = ring.partial(f, name)
-            if not df.value:
-                continue
-            out = ring.add(out, ring.mul(df, self.images[name]))
-        return out
+        rows = dict(enumerate(img.value for img in self.images.values()))
+        dim = tuple(s + d for s, d in zip(self.shift, f.dim))
+        return self.ring._of(leibniz(f.value, rows), dim)
 
     __call__ = apply
 

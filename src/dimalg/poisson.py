@@ -9,10 +9,11 @@ that extension, every law the axiom suite and the coisotrope check state
 is decided exactly by finitely many generator cases (Laurent-Gengoux,
 Pichereau & Vanhaecke, *Poisson Structures*, 2013); each function says
 which identity reduces which law.  On a generator the extension reads
-{x_i, f} = sum over l of pi^{il} * d_l f, the component form of
-[pi, pi] = 0 (Lichnerowicz, *J. Diff. Geom.* 12, 1977), so a term exists
-only where an entry meets a variable, and the work follows the table's
-nonzero entries.  Nothing here uses a random value.
+{x_u, f} = sum over l of pi^{ul} * d_l f, the component form of
+[pi, pi] = 0 (Lichnerowicz, *J. Diff. Geom.* 12, 1977), read off one
+column index of the table (`_at_generators`), so the work follows the
+table's nonzero entries; the bracket is `poly.leibniz` over it, {f, g} =
+sum over u of d_u f * {x_u, g}.  Nothing here uses a random value.
 """
 
 import itertools
@@ -24,7 +25,7 @@ from operator import add as _add, sub as _sub
 from .core import DimElement
 from .errors import CarrierError, ConstructionError, DimensionMismatch, InputFormatError
 from .linalg import nullspace
-from .poly import GradedPolyRing
+from .poly import GradedPolyRing, leibniz
 from .report import CheckReport
 
 
@@ -49,35 +50,29 @@ class DimPoisson:
         return fg if self._unit_scale else self.ring.mul(self.scale, fg)
 
     def bracket(self, f: DimElement, g: DimElement) -> DimElement:
-        """The biderivation extension of the structure-constant table: the
-        result sits in the slice b + dim(f) + dim(g).  Where no entry
-        (i, j) pairs a generator f uses with one g uses, every term is zero
-        and the bracket is the slice's zero, formed at once.  Otherwise f
-        and g are scaled to integer coefficients by the lcm of their
-        denominators, their derivatives taken by the ring's `partial` only
-        along the generators a table entry pairs them on, and `_terms` sums
-        every d_i f * d_j g * {x_i, x_j} in integers; each output
-        coefficient is one Fraction over the three denominators, an
-        integer one with no gcd when their product is 1.  A pair whose term
-        lands in another slice (a misplaced structure constant) raises
-        DimensionMismatch."""
-        ring = self.ring
-        names = ring.gen_names
-        used_f, used_g = _variables(f), _variables(g)
-        pairs = [(i, j) for i, j, _, _ in self._entries if i in used_f and j in used_g]
+        """{f, g} = `leibniz`(f, {x_u, g}) in the slice b + dim(f) + dim(g).
+        The first misplaced entry (i, j) in (i, j) order with i a variable
+        of f and j one of g raises DimensionMismatch.  {x_u, g} is read for
+        the variables u of f alone, g scaled to integers by the lcm of its
+        denominators; where no entry meets one, the bracket is the slice's
+        zero at once.  Else f is scaled too, the sum taken in integers, and
+        each output coefficient is one Fraction over the three
+        denominators, with no gcd when their product is 1."""
         dim = self.bracket_slice(f.dim, g.dim)
-        if not pairs:
+        used = {u for a, _ in f.value for u, e in enumerate(a) if e}
+        if self._misplaced:
+            used_g = {j for a, _ in g.value for j, e in enumerate(a) if e}
+            for i, j, shift in self._misplaced:
+                if i in used and j in used_g:
+                    raise DimensionMismatch(dim, tuple(map(_add, dim, shift)), self.ring.label)
+        dg_den, g_terms = _numerators(g)
+        rows = self._at_generators(g_terms, used)
+        if not rows:
             return DimElement((), dim)
-        (df_den, f), (dg_den, g) = _numerators(f), _numerators(g)
-        dfs, dgs = {}, {}
-        for i, j in pairs:
-            if i not in dfs:
-                dfs[i] = ring.partial(f, names[i]).value
-            if j not in dgs:
-                dgs[j] = ring.partial(g, names[j]).value
-        acc = self._terms(dfs, dgs, f.dim, g.dim)
+        df_den, f_terms = _numerators(f)
         den = self._denominator * df_den * dg_den
         coeff = Fraction if den == 1 else lambda n: Fraction(n, den)
+        acc = leibniz(f_terms, rows)
         return DimElement(tuple(sorted((a, coeff(n)) for a, n in acc.items() if n)), dim)
 
     @cached_property
@@ -109,40 +104,45 @@ class DimPoisson:
                 entries.append((i, j, shift, terms))
         return tuple(entries)
 
-    def _terms(self, dfs: dict, dgs: dict, dim_f: tuple, dim_g: tuple) -> dict:
-        """The integer kernel: sum over the entries (i, j) with i in `dfs`
-        and j in `dgs` of d_i f * d_j g * {x_i, x_j}, keyed by exponent
-        tuple.  `dfs` and `dgs` map a generator index to the nonzero
-        derivative's terms, with integer coefficients; f and g sit at
-        `dim_f` and `dim_g`.  A misplaced entry raises DimensionMismatch."""
+    @cached_property
+    def _misplaced(self) -> tuple:
+        """The (i, j, shift) of the entries off their slice, in (i, j) order."""
+        return tuple((i, j, shift) for i, j, shift, _ in self._entries if shift is not None)
+
+    @cached_property
+    def _columns(self) -> dict:
+        """The placed entries by column: l -> the (u, terms) of each pi^{ul}."""
+        columns: dict = {}
+        for u, l, shift, terms in self._entries:
+            if shift is None:
+                columns.setdefault(l, []).append((u, terms))
+        return columns
+
+    def _at_generators(self, terms, rows=None) -> dict:
+        """u -> the terms of {x_u, f} = sum over l of pi^{ul} * d_l f, over
+        `_denominator` times f's, f given by its integer `terms`: for each u
+        (in `rows`, if given) that a placed entry in a column of one of f's
+        variables meets; no other entry is read."""
         acc: dict = {}
-        for i, j, shift, terms in self._entries:
-            if i not in dfs or j not in dgs:
-                continue
-            if shift is not None:
-                dim = self.bracket_slice(dim_f, dim_g)
-                raise DimensionMismatch(dim, tuple(map(_add, dim, shift)), self.ring.label)
-            for al, ca in dfs[i]:
-                for bl, cb in dgs[j]:
-                    ab, cab = tuple(map(_add, al, bl)), ca * cb
-                    for tl, ct in terms:
-                        key = tuple(map(_add, ab, tl))
-                        c = cab * ct
-                        acc[key] = acc[key] + c if key in acc else c
-        return acc
-
-
-def _variables(f: DimElement) -> set:
-    """The indices of the generators f depends on."""
-    return {i for a, _ in f.value for i, e in enumerate(a) if e}
+        columns = self._columns
+        for alpha, c in terms:
+            for l, e in enumerate(alpha):
+                if e and l in columns:
+                    lowered, ce = alpha[:l] + (e - 1,) + alpha[l + 1:], c * e
+                    for u, entry in columns[l]:
+                        if rows is None or u in rows:
+                            row = acc.setdefault(u, {})
+                            for tl, ct in entry:
+                                key = tuple(map(_add, lowered, tl))
+                                row[key] = row[key] + ce * ct if key in row else ce * ct
+        return {u: row.items() for u, row in acc.items()}
 
 
 def _numerators(f: DimElement):
-    """The lcm of f's denominators, and f scaled by it to integer
+    """The lcm of f's denominators, and f's terms scaled by it to integer
     coefficients."""
     den = math.lcm(*[c.denominator for _, c in f.value])
-    terms = tuple([(a, c.numerator * (den // c.denominator)) for a, c in f.value])
-    return den, DimElement(terms, f.dim)
+    return den, tuple([(a, c.numerator * (den // c.denominator)) for a, c in f.value])
 
 
 def make_poisson(
@@ -215,52 +215,32 @@ def _table_laws(p: DimPoisson, rep: CheckReport) -> bool:
     return rep.ok
 
 
-def _generator_brackets(columns: dict, terms) -> dict:
-    """{x_u, f} = sum over l of pi^{ul} * d_l f for every generator u at
-    once, f given by its integer `terms`: keyed by (u, exponent tuple),
-    integer coefficients over `_denominator` times f's.  `columns` maps
-    l to the (u, terms of pi^{ul}) of the table's nonzero entries, so the
-    walk meets only the entries that meet a variable of f."""
-    acc: dict = {}
-    for alpha, c in terms:
-        for l, e in enumerate(alpha):
-            if e and l in columns:
-                lowered = alpha[:l] + (e - 1,) + alpha[l + 1:]
-                for u, entry in columns[l]:
-                    for tl, ct in entry:
-                        key = (u, tuple(map(_add, lowered, tl)))
-                        acc[key] = acc.get(key, 0) + c * e * ct
-    return acc
-
-
 def _jacobi_and_casimir(p: DimPoisson, rep: CheckReport) -> None:
     """Decide laws 4 and 5 into `rep` for a table that passes laws 1 and
     2, from the table's nonzero entries alone.  Law 4 adds each
-    {x_u, pi^{vw}}, v < w and u apart from both, into the Jacobiator of
-    the sorted triple, negated where (u, v, w) is not a cyclic order of it
-    (where v < u < w), and walks the triples in order; law 5 reads
-    {x_i, s}, s the scale, off the same walk."""
+    {x_u, pi^{vw}} (`_at_generators`), v < w and u apart from both, into
+    the Jacobiator of the sorted triple, negated where (u, v, w) is not a
+    cyclic order of it (where v < u < w), and walks the triples in order;
+    law 5 reads {x_i, s}, s the scale, off the column index as well."""
     ring, names = p.ring, p.ring.gen_names
-    columns: dict = {}
-    for u, l, _, terms in p._entries:
-        columns.setdefault(l, []).append((u, terms))
     jacobiators: dict = {}
     for v, w, _, terms in p._entries:
         if v < w:
-            for (u, key), n in _generator_brackets(columns, terms).items():
+            for u, row in p._at_generators(terms).items():
                 if u != v and u != w:
-                    at = (tuple(sorted((u, v, w))), key)
-                    jacobiators[at] = jacobiators.get(at, 0) + (-n if v < u < w else n)
+                    triple = tuple(sorted((u, v, w)))
+                    for key, n in row:
+                        at = (triple, key)
+                        jacobiators[at] = jacobiators.get(at, 0) + (-n if v < u < w else n)
     broken = {triple for (triple, _), n in jacobiators.items() if n}
     rep.law("Jacobi on generator triples", itertools.combinations(range(len(names)), 3),
             lambda i, j, k: (i, j, k) in broken
             and f"Jacobi fails on generators ({names[i]},{names[j]},{names[k]})")
     den, scale = _numerators(p.scale)
-    at_scale = _generator_brackets(columns, scale.value)
+    at_scale = p._at_generators(scale)
 
     def casimir(i):
-        terms = sorted((a, Fraction(n, den * p._denominator))
-                       for (u, a), n in at_scale.items() if u == i and n)
+        terms = sorted((a, Fraction(n, den * p._denominator)) for a, n in at_scale.get(i, ()) if n)
         if terms:  # {x_i, s} as the bracket forms it
             br = DimElement(tuple(terms), p.bracket_slice(ring.gen_dims[i], p.scale.dim))
             return (f"{{{names[i]},{ring.show(p.scale)}}} = {ring.show(br)}, "
@@ -417,16 +397,16 @@ class ReducedPoisson:
         """Per degree, solve the linear conditions cutting N(I) out of the
         span of non-ideal monomials; representatives modulo I.
 
-        Each condition row is read off the parent's integer kernel: the
-        derivative of a monomial x^a along x_i is a_i x^(a - e_i), so the
-        bracket of a column monomial with an ideal generator m is
-        sum a_i c_j pi_ij x^(a + c - e_i - e_j) (c the exponent of m),
-        and the terms no ideal generator divides give one row per
-        (m, residual monomial).  Each row is that of the normal forms of
-        the brackets times one nonzero factor, the table's denominator
-        over m's coefficient, so the rows have the same reduced echelon
-        form and the same nullspace.  Rows stay sparse, {column: integer},
-        as they are collected: `nullspace` eliminates on their nonzero
+        Each condition row is read off the parent's column index: for an
+        ideal generator m, {x_u, m} is read once for every u
+        (`_at_generators`), and the bracket of a column monomial x^a with
+        it is `leibniz`(x^a, {x_u, m}), the sum over u of
+        a_u x^(a - e_u) {x_u, m}; the terms no ideal generator divides
+        give one row per (m, residual monomial).  Each row is that of the
+        normal forms of the brackets times one nonzero factor, the table's
+        denominator over m's coefficient, so the rows have the same
+        reduced echelon form and the same nullspace.  Rows stay sparse,
+        {column: integer}, as they are collected: `nullspace` eliminates on their nonzero
         entries alone and returns each vector as its nonzero entries, which
         in column order are the basis vector's terms in lexicographic order.
         Two kinds of block need no elimination: one with no condition keeps
@@ -440,12 +420,7 @@ class ReducedPoisson:
         basis, one = [], Fraction(1)
         gens = self.ideal.generators
         divisible = ring.divisible_by(g.value[0][0] for g in gens)
-
-        def derivatives(alpha):
-            return {i: ((alpha[:i] + (e - 1,) + alpha[i + 1:], e),)
-                    for i, e in enumerate(alpha) if e}
-
-        ideal = [(derivatives(g.value[0][0]), g.dim) for g in gens]
+        at_ideal = [parent._at_generators(((g.value[0][0], 1),)) for g in gens]
         # exact-degree, non-ideal monomials per (degree, dimension), each
         # group in lexicographic order
         by_degree: dict = {}
@@ -458,9 +433,8 @@ class ReducedPoisson:
                 # rows: one linear condition per (ideal generator, residual monomial)
                 conditions: dict = {}
                 for col, alpha in enumerate(monos):
-                    dfs = derivatives(alpha)
-                    for k, (dgs, gdim) in enumerate(ideal):
-                        for beta, n in parent._terms(dfs, dgs, dim, gdim).items():
+                    for k, rows in enumerate(at_ideal):
+                        for beta, n in leibniz(((alpha, 1),), rows).items():
                             if n and not divisible(beta):
                                 conditions.setdefault((k, beta), {})[col] = n
                 if not conditions:  # every monomial is free, in column order

@@ -14,10 +14,10 @@ tuple and the dimension of every monomial.  A sum, product or derivative
 of checked elements is homogeneous by construction, so results inside are
 trusted: `add`, `mul` and `pow` build theirs through `_of`, which only
 drops zero coefficients and sorts; `partial`, whose terms come out
-distinct, nonzero and in order, builds its own directly, and so does the
-Poisson bracket, whose integer kernel makes one Fraction per nonzero
-output term, built from the integer alone (no gcd) when every
-denominator involved is 1.
+distinct, nonzero and in order, builds its own directly.  `leibniz`,
+the one contraction that derivations and the Poisson bracket are built
+on, returns terms for its caller to build: the bracket's are integers,
+one Fraction per nonzero term, with no gcd when every denominator is 1.
 """
 
 import itertools
@@ -34,6 +34,22 @@ from .sampling import rand_fraction
 
 def _vec_add(a, b):
     return tuple(map(_add, a, b))
+
+
+def leibniz(terms, rows) -> dict:
+    """The sum over u of d_u f * rows[u] as {exponent tuple: coefficient},
+    f given by its terms and `rows` mapping a generator index to terms (a
+    generator with no row adds nothing).  Integer terms give integer
+    sums; sums that cancel stay, as zeros for the caller to drop."""
+    acc: dict = {}
+    for alpha, c in terms:
+        for u, e in enumerate(alpha):
+            if e and u in rows:
+                lowered, ce = alpha[:u] + (e - 1,) + alpha[u + 1:], c * e
+                for beta, r in rows[u]:
+                    key = tuple(map(_add, lowered, beta))
+                    acc[key] = acc[key] + ce * r if key in acc else ce * r
+    return acc
 
 
 class GradedPolyRing(DimRing):

@@ -148,6 +148,17 @@ class TestDerivations:
         with pytest.raises(ConstructionError):
             DimDerivation(canonical_ring, (-1,), {"q": canonical_ring.generator("q")})
 
+    def test_an_image_of_a_name_that_is_no_generator_is_refused(self, canonical_ring):
+        """The unknown key is named, not dropped, as `make_poisson` names one."""
+        one = canonical_ring.one
+        with pytest.raises(ConstructionError, match="image of 'Q', which is not a generator"):
+            DimDerivation(canonical_ring, (-1,), {"Q": one, "q": one})
+
+    def test_a_shift_of_another_rank_is_refused(self, canonical_ring):
+        """Both lengths are named; `zip` would have cut the shift to (-1,)."""
+        with pytest.raises(ConstructionError, match="shift has 2 exponents, expected 1"):
+            DimDerivation(canonical_ring, (-1, 7), {"q": canonical_ring.one})
+
 
 class TestCommutators:
     def test_partials_commute(self, ddq, ddp):

@@ -90,6 +90,39 @@ class TestCanonicalBracket:
             assert (exc.value.left, exc.value.right) == (expect, (expect[0] + 1,))
             assert str(exc.value).startswith(f"{ring.label}: ")
 
+    def test_a_misplaced_constant_whose_row_f_does_not_use_is_not_reached(self):
+        """On the same table, {q1, p1*p2} = p2: the misplaced entries
+        (q2, p2) and (p2, q2) pair no variable of q1 with one of p1*p2."""
+        ring = GradedPolyRing(["q1", "p1", "q2", "p2"], [(1,), (-1,), (1,), (-1,)])
+        p = make_poisson(
+            ring,
+            {("q1", "p1"): ring.one, ("q2", "p2"): ring.generator("q2")},
+            bracket_dim=(0,),
+            validate=False,
+        )
+        gen = ring.generator
+        assert p.bracket(gen("q1"), ring.mul(gen("p1"), gen("p2"))) == gen("p2")
+
+    def test_of_two_misplaced_constants_the_first_in_pair_order_is_named(self):
+        """{q1, p2} = q1 sits one above its slice and {q2, p1} = q2^2 two
+        above.  For f = q1*q2 and g = p1*p2 both meet f and g; the
+        mismatch names (q1, p2), first in (i, j) order though its column
+        p2 comes after p1.  Swapped, (p1, q2) comes before (p2, q1)."""
+        ring = GradedPolyRing(["q1", "p1", "q2", "p2"], [(1,), (-1,), (1,), (-1,)])
+        q1, p1, q2, p2 = map(ring.generator, ring.gen_names)
+        p = make_poisson(
+            ring,
+            {("q1", "p1"): ring.one, ("q2", "p2"): ring.one,
+             ("q1", "p2"): q1, ("q2", "p1"): ring.mul(q2, q2)},
+            bracket_dim=(0,),
+            validate=False,
+        )
+        f, g = ring.mul(q1, q2), ring.mul(p1, p2)
+        for a, b, shift in ((f, g, 1), (g, f, 2)):
+            with pytest.raises(DimensionMismatch) as exc:
+                p.bracket(a, b)
+            assert (exc.value.left, exc.value.right) == ((0,), (shift,))
+
     def test_broken_table_is_rejected_loudly(self, canonical_ring):
         with pytest.raises(ConstructionError):
             make_poisson(

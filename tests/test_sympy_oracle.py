@@ -1,7 +1,9 @@
 """sympy as an independent oracle for the polynomial and Poisson kernels.
 
 `GradedPolyRing.mul`, `partial` and the monomial-ideal normal form are
-checked against `sympy.Poly`, and `DimPoisson.bracket` against the sum
+checked against `sympy.Poly`, `DimDerivation.apply` (the `poly.leibniz`
+extension of its generator images) against sympy's sum over i of
+dF/dx_i * D(x_i), and `DimPoisson.bracket` against the sum
 over ordered generator pairs of d_i f * d_j g * {x_i, x_j}, computed by
 sympy from the structure constants alone.  The reduced basis that
 `poisson_reduce` computes is checked against sympy's nullspace of the
@@ -10,6 +12,7 @@ elimination under it, `rref` and `nullspace`, against
 sympy's `rref` and `nullspace` on seeded integer matrices.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -21,7 +24,8 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st
 
-from dimalg import GradedPolyRing, make_poisson, poisson_product_homo, poisson_reduce
+from dimalg import (DimDerivation, GradedPolyRing, make_poisson, poisson_product_homo,
+                    poisson_reduce)
 from dimalg.linalg import nullspace, rref
 from dimalg.structure import load_poisson
 
@@ -74,6 +78,38 @@ def test_partial_matches_sympy(f, name):
     got = RING.partial(f, name)
     assert dict(got.value) == terms_of(to_sympy(RING, f).diff(sympy.Symbol(name)))
     assert got.dim == tuple(d - e for d, e in zip(f.dim, RING.gen_dims[RING.index[name]]))
+
+
+def derivations(ring, max_degree=3):
+    """Derivations whose shift is some monomial's dimension less some
+    generator's, so that generator's image can be nonzero; each image is
+    drawn at its slice shift + g_i where the ring's monomial index has
+    that slice, and is zero where it has not."""
+    index = ring.monomial_index(max_degree)
+
+    @functools.cache  # one strategy per shift, built and validated once
+    def with_images(shift):
+        slots = {n: vec_sum(shift, d) for n, d in zip(ring.gen_names, ring.gen_dims)}
+        images = {n: st.dictionaries(st.sampled_from(index[d]), coeffs, min_size=1, max_size=3)
+                  .map(lambda terms, d=d: ring.poly(terms, dim=d))
+                  for n, d in slots.items() if d in index}
+        return st.fixed_dictionaries(images).map(
+            lambda imgs: DimDerivation(ring, shift, imgs))
+
+    shifts = st.tuples(st.sampled_from(sorted(index)), st.sampled_from(ring.gen_dims))
+    return shifts.map(lambda t: tuple(a - b for a, b in zip(*t))).flatmap(with_images)
+
+
+@oracle
+@given(derivations(RING), polys(RING).filter(lambda f: f.value))
+def test_derivation_matches_sympy(D, f):
+    """D(F) against the sum over i of dF/dx_i * D(x_i), formed by sympy."""
+    xs, F = symbols(RING), to_sympy(RING, f)
+    want = sum((F.diff(x) * to_sympy(RING, D.images[n]) for x, n in zip(xs, RING.gen_names)),
+               sympy.Poly(0, *xs, domain=sympy.QQ))
+    got = D(f)
+    assert dict(got.value) == terms_of(want)
+    assert got.dim == vec_sum(D.shift, f.dim)
 
 
 # ideal generators: the monomials of degree 1 and 2
