@@ -50,7 +50,8 @@ from .core import DimElement
 from .errors import CarrierError, DimensionMapMismatch
 from .monoid import DimMonoid
 from .report import CheckReport
-from .ring import COEFF_PROBES, DISTINCT, DimRing, ProductDimRing, Slots, distributivity, slot_cases
+from .ring import (COEFF_PROBES, DISTINCT, DimRing, ProductDimRing, Slots, distributivity,
+                   probe_triples, slot_rows)
 from .sampling import rand_fraction
 
 # entries each table of an EndoRing holds before it is cleared: over twice
@@ -174,16 +175,17 @@ class EndoRing(DimRing):
 def endo_distributivity_report(endo: EndoRing) -> CheckReport:
     """Both distributivity laws of the endomorphism ring, side by side:
     the `distributivity` check of `ring_axiom_report`, once per side, on
-    the slot rule's cases for its `distributivity where defined` (module
-    docstring): the left law is (F+T)∘P = F∘P+T∘P at (F, T, P).
+    the slot row of its `distributivity where defined`, the slot rule as a
+    row with no premise (module docstring), else on the `probe_triples` of
+    its probes: the left law is (F+T)∘P = F∘P+T∘P at (F, T, P).
 
     The slot-by-slot form is checked on its own, through `apply_to_base`
     and the base ring alone, by
     `tests/test_endo.py::TestComposition::test_slot_by_slot_form_matches_the_action_on_base`.
     """
     rep = CheckReport(f"distributivity in {endo.label}")
-    slots = endo.slots()
+    rows = slot_rows(endo.slots(), "distributivity where defined")
+    probes = probe_triples(endo.probe_elements())
     for side in ("left", "right"):
-        rep.law(f"{side} distributivity", slot_cases(slots, "distributivity where defined"),
-                distributivity(endo, side))
+        rep.law(f"{side} distributivity", probes, distributivity(endo, side), *rows)
     return rep

@@ -24,7 +24,7 @@ from .linalg import rref
 from .monoid import DimMonoid
 from .poly import GradedPolyRing
 from .report import Checked, CheckReport
-from .ring import DimRing, Ideal, RingMorphism, probe_cases, probe_triples, quotient_ring, slot_cases
+from .ring import DimRing, Ideal, RingMorphism, probe_cases, probe_triples, quotient_ring, slot_rows
 
 
 @dataclass(frozen=True)
@@ -198,16 +198,16 @@ def module_axiom_report(m: FreeDimModule) -> CheckReport:
     `FreeDimModule`'s own `add` and `coeff_act` work term by term and its
     G-set action is free, so a law holds everywhere iff it holds on every
     c·e: r(a+b) and (r+p)a restate distributivity, (rq)a associativity and
-    1·a unitality.  Each runs on that law's `slot_cases` over a ring with
-    `slots()`, decided on the ring's own slot premise (`ring` docstring),
-    else on the `probe_triples` of its probes, as `RingMorphism.check`.  A
+    1·a unitality.  Each is given its ring law's `slot_rows`, the slot rule
+    as a row with no premise (`ring` docstring), and without one runs the
+    `probe_triples` of the ring's probes, as `RingMorphism.check`.  A
     pullback's report ends with `along.check`: its dimension square is the
     action's dimension law, which `coeff_act` holds by construction."""
     rep = CheckReport(f"module axioms for {m.label}")
     ring, show = m.coeff_ring, m.show
     name, bd = m.basis[0] if m.basis else (None, None)
     slots = ring.slots() if m.basis else None  # an empty basis has no case
-    probes = () if slots or not m.basis else probe_triples(ring.probe_elements())
+    probes = probe_triples(ring.probe_elements()) if m.basis else ()
 
     def on_e(c):
         return m.element(m.gset.act(c.dim, bd), {name: c})
@@ -227,16 +227,15 @@ def module_axiom_report(m: FreeDimModule) -> CheckReport:
         if not m.eq(m.coeff_act(ring.mul(a, b), x), m.coeff_act(a, m.coeff_act(b, x))):
             return f"(rq)a != r(qa) at {a}, {b}, {show(x)}"
 
-    dist, assoc = "distributivity where defined", "multiplicative associativity"
+    def unital(a, *_):
+        x = on_e(a)
+        return not m.eq(m.coeff_act(ring.one, x), x) and f"1·a != a at {show(x)}"
 
-    def cases(law):
-        return slot_cases(slots, law) if slots else probes
-
-    rep.law("r(a+b) = ra + rb", cases(dist), distributive)
-    rep.law("(r+p)a = ra + pa", cases(dist), additive)
-    rep.law("(rq)a = r(qa)", cases(assoc), associative)
-    rep.law("1·a = a", ((on_e(a),) for a, *_ in cases("unitality")),
-            lambda x: not m.eq(m.coeff_act(ring.one, x), x) and f"1·a != a at {show(x)}")
+    dist = slot_rows(slots, "distributivity where defined")
+    rep.law("r(a+b) = ra + rb", probes, distributive, *dist)
+    rep.law("(r+p)a = ra + pa", probes, additive, *dist)
+    rep.law("(rq)a = r(qa)", probes, associative, *slot_rows(slots, "multiplicative associativity"))
+    rep.law("1·a = a", probes, unital, *slot_rows(slots, "unitality"))
     return rep.merged(m.along.check()) if m.along else rep
 
 

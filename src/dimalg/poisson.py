@@ -52,12 +52,13 @@ class DimPoisson:
     def bracket(self, f: DimElement, g: DimElement) -> DimElement:
         """{f, g} = `leibniz`(f, {x_u, g}) in the slice b + dim(f) + dim(g).
         The first misplaced entry (i, j) in (i, j) order with i a variable
-        of f and j one of g raises DimensionMismatch.  {x_u, g} is read for
-        the variables u of f alone, g scaled to integers by the lcm of its
-        denominators; where no entry meets one, the bracket is the slice's
-        zero at once.  Else f is scaled too, the sum taken in integers, and
-        each output coefficient is one Fraction over the three
-        denominators, with no gcd when their product is 1."""
+        of f and j one of g raises DimensionMismatch.  The bracket is the
+        slice's zero at once where no placed entry pi^{ul} has u a variable
+        of f, or none of those has l one of g; else {x_u, g} is read for
+        those u alone, f and g scaled to integers by the lcm of their
+        denominators, the sum taken in integers, and each output coefficient
+        is one Fraction over the three denominators, with no gcd when their
+        product is 1."""
         dim = self.bracket_slice(f.dim, g.dim)
         used = {u for a, _ in f.value for u, e in enumerate(a) if e}
         if self._misplaced:
@@ -65,6 +66,8 @@ class DimPoisson:
             for i, j, shift in self._misplaced:
                 if i in used and j in used_g:
                     raise DimensionMismatch(dim, tuple(map(_add, dim, shift)), self.ring.label)
+        if used.isdisjoint(self._rows):
+            return DimElement((), dim)
         dg_den, g_terms = _numerators(g)
         rows = self._at_generators(g_terms, used)
         if not rows:
@@ -117,6 +120,11 @@ class DimPoisson:
             if shift is None:
                 columns.setdefault(l, []).append((u, terms))
         return columns
+
+    @cached_property
+    def _rows(self) -> frozenset:
+        """The u of every placed entry pi^{ul}: no other {x_u, g} is nonzero."""
+        return frozenset(u for column in self._columns.values() for u, _ in column)
 
     def _at_generators(self, terms, rows=None) -> dict:
         """u -> the terms of {x_u, f} = sum over l of pi^{ul} * d_l f, over

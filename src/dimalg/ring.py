@@ -20,7 +20,9 @@ by whether it lies within one slice.  Over Q a side has degree at most 2
 in each value, so that grid of COEFF_PROBES decides it; its -1/2 catches
 an operation exact on integers.  The rule takes the ring's own
 slot-by-slot add and mul for granted: a subclass whose add or mul reads
-the dimension is probed by these cases, not decided.
+the dimension is probed by these cases, not decided.  The rule enters
+`CheckReport.law` as a theorem row with no premise, `slot_rows`, ahead
+of a law's theorem rows; a law `SLOT_LAWS` does not name gets no row.
 
 The `DimRing` base, `Slots` and `ProductDimRing` are defined in `core`
 and re-exported here.
@@ -59,8 +61,13 @@ LARGE = (Fraction(10**6, 7), Fraction(-10**6, 7))
 PROBE_VALUES = (*COEFF_PROBES, *DISTINCT, *LARGE)
 
 
+def slot_rows(slots: Slots | None, law: str) -> tuple:
+    """The slot rule's row for `law`, if any (module docstring)."""
+    return (((), lambda: slot_cases(slots, law)),) if slots and law in SLOT_LAWS else ()
+
+
 def slot_cases(slots: Slots, law: str):
-    """`ring_axiom_report`'s cases for `law` by the slot rule (module docstring)."""
+    """The cases of `law` by the slot rule (module docstring)."""
     tuples, bare, one_slice = SLOT_LAWS[law]
 
     def case(ds, values):
@@ -116,14 +123,8 @@ def probe_cases(*sets) -> list:
 class RingMorphism:
     """A dimensioned map that preserves multiplication and the unit."""
 
-    def __init__(
-        self,
-        domain: DimRing,
-        codomain: DimRing,
-        dim_map: Callable,
-        fn: Callable[[DimElement], DimElement],
-        label: str = "morphism",
-    ):
+    def __init__(self, domain: DimRing, codomain: DimRing, dim_map: Callable,
+                 fn: Callable[[DimElement], DimElement], label: str = "morphism"):
         self.domain = domain
         self.codomain = codomain
         self.dim_map = dim_map
@@ -138,13 +139,8 @@ class RingMorphism:
         return RingMorphism(ring, ring, _same, _same, "id")
 
     def compose(self, other: "RingMorphism") -> "RingMorphism":
-        return RingMorphism(
-            other.domain,
-            self.codomain,
-            lambda d: self.dim_map(other.dim_map(d)),
-            lambda a: self(other(a)),
-            f"{self.label}∘{other.label}",
-        )
+        return RingMorphism(other.domain, self.codomain, lambda d: self.dim_map(other.dim_map(d)),
+                            lambda a: self(other(a)), f"{self.label}∘{other.label}")
 
     def check(self) -> CheckReport:
         """Morphism laws on the domain's `probe_triples`: the dimension
@@ -169,11 +165,7 @@ class RingMorphism:
                 and f"dim({self.label}({a})) != phi({a.dim})")
         rep.law("additive within slices", cases, additive)
         rep.law("multiplicative", cases, multiplicative)
-        rep.check(
-            "preserves unit",
-            trivial or cod.eq(self(dom.one), cod.one),
-            f"{self.label}(1) != 1",
-        )
+        rep.check("preserves unit", trivial or cod.eq(self(dom.one), cod.one), f"{self.label}(1) != 1")
         return rep
 
 
@@ -577,22 +569,21 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
       associativity, under products, as a(bb') = (ab)b' = (ba)b' = b(ab') =
       b(b'a) = (bb')a.
 
-    A ring with `slots()` runs every other law on its `slot_cases`.  Any
-    other ring is probed on E = `ring.probe_elements()` and
-    D = `probe_dims`, every law on every case of those sets, E_d being
-    the probes over d: |D|³ monoid triples (unless D is the whole
-    monoid), |E|² for the projection and commutativity, |E|·Σ|E_d|² for
-    distributivity, |D|·|E| for the zero family, |E| for unitality, |E|³
-    for associativity, Σ|E_d|² for the slice groups, and each probe with
-    each other dimension of D for addition across slices.  `rng` and
-    `budget` are unread; they go when the benchmark stops passing them.
+    A ring with `slots()` gives each law `SLOT_LAWS` names its slot row,
+    the slot rule as a row with no premise (`slot_rows`).  Any other law
+    of a ring that does not list its elements is probed on
+    E = `ring.probe_elements()` and D = `probe_dims`, on every case of
+    those sets, E_d being the probes over d: |D|³ monoid triples (unless
+    D is the whole monoid), |E|² for the projection and commutativity,
+    |E|·Σ|E_d|² for distributivity, |D|·|E| for the zero family, |E| for
+    unitality, |E|³ for associativity, Σ|E_d|² for the slice groups, and
+    each probe with each other dimension of D for addition across slices.
+    `rng` and `budget` are unread; they go when the benchmark stops
+    passing them.
     """
     rep = CheckReport(f"dimensioned ring {ring.label}")
-    elems = ring.elements()
-    listed = elems is not None
-    slots = ring.slots()
-    if not listed:  # a slot ring's laws run on its decided cases alone
-        elems = () if slots else ring.probe_elements()
+    listed, slots = ring.elements() is not None, ring.slots()
+    elems = ring.probe_elements()  # a listed ring's probes are its elements
     slices = {}
     for a in elems:
         slices.setdefault(a.dim, []).append(a)
@@ -605,11 +596,8 @@ def ring_axiom_report(ring: DimRing, rng=None, budget: int = 30) -> CheckReport:
     dims = list(ring.probe_dims())
     comb, show = ring.dims.combine, ring.show
 
-    def law(name, every, check, *rows):
-        if slots and name in SLOT_LAWS:
-            rep.law(name, slot_cases(slots, name), check)
-        else:  # only a listed ring's laws rest on theorems
-            rep.law(name, every, check, *(rows if listed else ()))
+    def law(name, every, check, *rows):  # only a listed ring's laws rest on theorems
+        rep.law(name, every, check, *slot_rows(slots, name), *(rows if listed else ()))
 
     def at(*xs):
         return ",".join(map(show, xs))

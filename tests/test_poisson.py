@@ -19,6 +19,7 @@ from dimalg import (
     poisson_axiom_report,
     poisson_product_hetero,
     poisson_product_homo,
+    linalg,
     poisson_reduce,
 )
 from dimalg.algebra import jacobiator
@@ -613,13 +614,18 @@ def _reduced_counts(p, ideal, cutoff):
     return [degrees[n] for n in range(cutoff + 1)]
 
 
-@pytest.mark.parametrize("product", [poisson_product_hetero, poisson_product_homo])
-@pytest.mark.parametrize("a, ideal_a, b, ideal_b", [
+# both products of four pairs of FACTORS, each by a monomial coisotrope per factor
+FACTOR_PAIRS = pytest.mark.parametrize("a, ideal_a, b, ideal_b", [
     ("A", ["a1"], "B", ["d2"]),
     ("A", ["a1", "b2"], "QP", ["Q"]),
     ("QP", ["P"], "so(3)", ["u"]),
     ("so(3)", ["u"], "A", ["a1"]),
 ], ids=["A/(a1) x B/(d2)", "A/(a1,b2) x QP/(Q)", "QP/(P) x so(3)/(u)", "so(3)/(u) x A/(a1)"])
+PRODUCTS = pytest.mark.parametrize("product", [poisson_product_hetero, poisson_product_homo])
+
+
+@PRODUCTS
+@FACTOR_PAIRS
 def test_a_product_reduces_factor_by_factor(product, a, ideal_a, b, ideal_b):
     """With scale 1 on both factors and I = I_A(x)B + A(x)I_B,
     N(I)/I = N(I_A)/I_A (x) N(I_B)/I_B as graded spaces (Śniatycki &
@@ -633,6 +639,42 @@ def test_a_product_reduces_factor_by_factor(product, a, ideal_a, b, ideal_b):
         assert _reduced_counts(product(pa, pb), ideal_a + ideal_b, cutoff) == convolved
     if (a, b) == ("A", "B"):  # polynomials in four variables, by hand
         assert convolved == [1, 4, 10, 20, 35, 56, 84]
+
+
+@PRODUCTS
+@FACTOR_PAIRS
+def test_the_factors_reduced_products_span_each_block_of_the_product(
+        product, a, ideal_a, b, ideal_b):
+    """A rank oracle for the reduction at cutoff 4: in each (degree,
+    dimension) block the product's reduced basis, the embedded products
+    b_A·b_B of the factors' reduced bases of total degree at most 4, and
+    their union have one rank, the block's basis size.  So the products
+    span the block and the basis lost no vector.  Each b_A·b_B is in
+    N(I) and in normal form, since a monomial x^α·y^β lies in
+    I_A(x)B + A(x)I_B exactly when x^α lies in I_A or y^β in I_B."""
+    cutoff = 4
+    pa, pb = load_poisson(FACTORS[a])[0], load_poisson(FACTORS[b])[0]
+    prod = product(pa, pb)
+    ring = prod.ring
+    basis = poisson_reduce(prod, ideal_a + ideal_b, cutoff).basis
+    embedded = [ring.poly({al + be: c * d for al, c in x.value for be, d in y.value})
+                for x in poisson_reduce(pa, ideal_a, cutoff).basis
+                for y in poisson_reduce(pb, ideal_b, cutoff).basis
+                if pa.ring.degree(x) + pb.ring.degree(y) <= cutoff]
+
+    def blocks(elements):
+        out = {}
+        for x in elements:
+            out.setdefault((ring.degree(x), x.dim), []).append(dict(x.value))
+        return out
+
+    def rank(rows):
+        return len(linalg.rref(rows)[1])
+
+    ours, theirs = blocks(basis), blocks(embedded)
+    assert ours.keys() == theirs.keys()
+    for block, rows in ours.items():
+        assert rank(rows) == rank(theirs[block]) == rank(rows + theirs[block]) == len(rows), block
 
 
 @st.composite
@@ -888,6 +930,28 @@ class TestGeneratorDecisions:
         assert [(r.law, r.passed, r.cases) for r in rep.results] == [
             (JACOBI, True, math.comb(60, 3)), (LEIBNIZ, True, 60)]
         assert inside == [0, 0]
+
+    def test_a_bracket_on_the_widest_empty_table_scales_neither_side(self, monkeypatch):
+        """On an empty table with as many generators as
+        MAX_POISSON_GENERATORS admits no placed entry's row is a variable
+        of f, so each generator bracket is its slice's zero before either
+        side is scaled to integers; with one entry {x0, x1} = 1 the
+        bracket {x0, x1} scales both."""
+        import dimalg.poisson as poisson
+        from dimalg.errors import MAX_POISSON_GENERATORS
+
+        calls, numerators = [], poisson._numerators
+        monkeypatch.setattr(poisson, "_numerators", lambda f: calls.append(f) or numerators(f))
+        n = MAX_POISSON_GENERATORS
+        ring = GradedPolyRing([f"x{i}" for i in range(n)], [(0,)] * n)
+        gens = [ring.generator(name) for name in ring.gen_names]
+        p = make_poisson(ring, {}, validate=False)
+        for f, g in itertools.product(gens, repeat=2):
+            assert p.bracket(f, g) == DimElement((), (0,))
+        assert calls == []
+        one = make_poisson(ring, {("x0", "x1"): ring.one}, validate=False)
+        assert one.bracket(gens[0], gens[1]) == ring.one
+        assert len(calls) == 2
 
     def test_a_misplaced_constant_stops_after_the_first_law(self):
         doc = {**SUBJECTS["canonical_qp"], "bracket_dim": [5]}

@@ -25,8 +25,9 @@ from dimalg import (
 from dimalg.carriers import Rationals
 from dimalg.monoid import DimMonoid
 from dimalg.core import DimElement
-from dimalg.ring import (COEFF_PROBES, PROBE_VALUES, QuotientDimRing, generating_set,
-                         probe_triples)
+from dimalg.report import CheckReport
+from dimalg.ring import (COEFF_PROBES, PROBE_VALUES, SLOT_LAWS, QuotientDimRing, distributivity,
+                         generating_set, probe_triples, slot_cases, slot_rows)
 
 # the three product rings of acceptance criterion 2
 CRITERION_2_PRODUCTS = (
@@ -137,6 +138,35 @@ class TestProductRing:
             "slices are abelian groups": d + d * k ** 2,
             "addition is undefined across slices": d ** 2 - d,
         }
+
+
+class TestSlotRows:
+    """The slot rule is a premise-free row of `CheckReport.law`: a ring
+    without `slots()`, or a law `SLOT_LAWS` does not name, gets no row and
+    falls back to the cases the suite passes."""
+
+    def test_a_ring_without_slots_gets_no_row(self, q_x_z):
+        quotient = quotient_ring(q_x_z, zero_ideal(q_x_z))
+        assert quotient.slots() is None
+        assert all(slot_rows(quotient.slots(), law) == () for law in SLOT_LAWS)
+
+    def test_a_law_the_slot_table_does_not_name_gets_no_row(self, q_x_z):
+        assert "left distributivity" not in SLOT_LAWS
+        assert slot_rows(q_x_z.slots(), "left distributivity") == ()
+        ((premises, build),) = slot_rows(q_x_z.slots(), "unitality")
+        assert premises == ()
+        assert list(build()) == list(slot_cases(q_x_z.slots(), "unitality"))
+
+    def test_a_law_without_a_row_runs_its_probe_triples(self, q_x_z):
+        """On QxZ the slot row replaces the probe triples, and without one
+        the law runs all 50 of them, not zero cases."""
+        triples, slots = probe_triples(q_x_z.probe_elements()), q_x_z.slots()
+        rep = CheckReport("fallback")
+        for law in ("left distributivity", "distributivity where defined"):
+            rep.law(law, triples, distributivity(q_x_z, "left"), *slot_rows(slots, law))
+        assert rep.ok
+        assert [r.cases for r in rep.results] == [
+            50, len(list(slot_cases(slots, "distributivity where defined")))]
 
 
 class TestDimensionlessRing:
