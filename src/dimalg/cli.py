@@ -4,10 +4,10 @@ Exit codes: 0 success, 1 axiom or dimension failure, 2 input error.
 Each command imports the layers it runs: start-up loads only `errors`.
 The calculator commands (`eval`, `convert`, `registry validate`) add
 `registry`, `numfmt`, `core` and what they build on, and no law suite.
-`check` adds `structure`, `ring`, `report` and `core`, but neither
-`registry` nor `numfmt`; `poisson ...` adds `poly`, `numfmt`, `poisson`
-and `linalg` to those. No command loads `algebra`, the group or carrier
-layers, or `dataclasses` (`core` says why).
+`check` adds `structure`, `ring`, `report` and `core`, but not `registry`,
+`numfmt` or `exprparse`; `poisson ...` adds `exprparse`, `poly`, `numfmt`,
+`poisson` and `linalg` to those. No command loads `algebra`, the group or
+carrier layers, or `dataclasses` (`core` says why).
 """
 
 import sys

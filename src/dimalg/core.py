@@ -27,6 +27,8 @@ class DimElement:
     """A value tagged with its dimension; the atom of every dimensioned structure.
 
     Frozen, equal only to another DimElement, and hashed as (value, dim).
+    A structure's elements are canonical, so every law compares them with
+    `==`: equal exactly when their dimensions and values are.
     Not a tuple: monoids and carriers tell a dimension by `isinstance(x, tuple)`."""
 
     __slots__ = ("value", "dim")
@@ -42,7 +44,12 @@ class DimElement:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.value, self.dim) == (other.value, other.dim)
+            return self.dim == other.dim and self.value == other.value
+        return NotImplemented
+
+    def __ne__(self, other):  # the laws' usual test: spares `!=` a second dispatch to __eq__
+        if other.__class__ is self.__class__:
+            return self.dim != other.dim or self.value != other.value
         return NotImplemented
 
     def __hash__(self):
@@ -163,6 +170,8 @@ class DimRing(ABC):
     """Protocol every concrete dimensioned ring implements.
 
     Elements are DimElement values; `value` encodings are ring-specific.
+    Each element has one encoding, its canonical form, so two elements are
+    equal, `==`, exactly when their values and dimensions are.
     `dims` is the dimension monoid.
     """
 
@@ -225,11 +234,8 @@ class DimRing(ABC):
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def eq(self, a: DimElement, b: DimElement) -> bool:
-        return a.dim == b.dim and a.value == b.value
-
     def is_zero(self, a: DimElement) -> bool:
-        return self.eq(a, self.zero(a.dim))
+        return a == self.zero(a.dim)
 
     def reciprocal(self, a: DimElement) -> DimElement:
         raise CarrierError(f"{self.label} has no reciprocals")

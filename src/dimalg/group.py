@@ -93,9 +93,6 @@ class DimAbGroup:
     def zero(self, d) -> DimElement:
         return DimElement(self.slice(d).zero(), d)
 
-    def eq(self, a: DimElement, b: DimElement) -> bool:
-        return a.dim == b.dim and a.value == b.value
-
     # -- probing -------------------------------------------------------
     def sample(self, rng, dim=None) -> DimElement:
         d = self.dims.sample(rng) if dim is None else dim

@@ -155,9 +155,6 @@ class FreeDimModule:
     def is_zero(self, a):
         return not a.value
 
-    def eq(self, a, b):
-        return a.dim == b.dim and a.value == b.value
-
     # -- the module action --------------------------------------------------------
     def _coefficient(self, r: DimElement) -> DimElement:
         """The coefficient-ring element that r acts as."""
@@ -214,22 +211,22 @@ def module_axiom_report(m: FreeDimModule) -> CheckReport:
 
     def distributive(a, b, c):
         x, y = on_e(a), on_e(b)
-        if not m.eq(m.coeff_act(c, m.add(x, y)), m.add(m.coeff_act(c, x), m.coeff_act(c, y))):
+        if m.coeff_act(c, m.add(x, y)) != m.add(m.coeff_act(c, x), m.coeff_act(c, y)):
             return f"r(a+b) != ra+rb at {c}, {show(x)}, {show(y)}"
 
     def additive(a, b, c):
         x = on_e(c)
-        if not m.eq(m.coeff_act(ring.add(a, b), x), m.add(m.coeff_act(a, x), m.coeff_act(b, x))):
+        if m.coeff_act(ring.add(a, b), x) != m.add(m.coeff_act(a, x), m.coeff_act(b, x)):
             return f"(r+p)a != ra+pa at {a}, {b}, {show(x)}"
 
     def associative(a, b, c):
         x = on_e(c)
-        if not m.eq(m.coeff_act(ring.mul(a, b), x), m.coeff_act(a, m.coeff_act(b, x))):
+        if m.coeff_act(ring.mul(a, b), x) != m.coeff_act(a, m.coeff_act(b, x)):
             return f"(rq)a != r(qa) at {a}, {b}, {show(x)}"
 
     def unital(a, *_):
         x = on_e(a)
-        return not m.eq(m.coeff_act(ring.one, x), x) and f"1·a != a at {show(x)}"
+        return m.coeff_act(ring.one, x) != x and f"1·a != a at {show(x)}"
 
     dist = slot_rows(slots, "distributivity where defined")
     rep.law("r(a+b) = ra + rb", probes, distributive, *dist)
@@ -470,15 +467,15 @@ def bilinear_factorization(
 
     def factors(x, x2, y, r):
         try:
-            if not c.eq(phi(x, y), factored(tens.pure(x, y))):
+            if phi(x, y) != factored(tens.pure(x, y)):
                 return f"phi does not factor at {a.show(x)}, {b.show(y)}"
             lhs = phi(a.act(r, x), y)
-            if not c.eq(lhs, phi(x, b.act(r, y))):
+            if lhs != phi(x, b.act(r, y)):
                 return (f"balance fails: phi(r·a, b) != phi(a, r·b) "
                         f"at {r}, {a.show(x)}, {b.show(y)}")
-            if not c.eq(lhs, c.act(r, phi(x, y))):
+            if lhs != c.act(r, phi(x, y)):
                 return f"phi(r·a, b) != r·phi(a, b) at {r}, {a.show(x)}"
-            if not c.eq(phi(a.add(x, x2), y), c.add(phi(x, y), phi(x2, y))):
+            if phi(a.add(x, x2), y) != c.add(phi(x, y), phi(x2, y)):
                 return f"left additivity fails at {a.show(x)}, {a.show(x2)}"
         except DimensionMismatch as exc:
             return f"dimension clash: {exc}"
@@ -524,7 +521,7 @@ def rig_distributivity_witness(
 
     def fixed(m, there, back, name):
         e = m.basis_element(name)
-        if not m.eq(back(there(e)), e):
+        if back(there(e)) != e:
             return f"round trip moved {m.show(e)}"
 
     rep.law("forward images stay in their slices", lm.basis,

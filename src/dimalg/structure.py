@@ -25,7 +25,6 @@ from .errors import (
     require_terms,
     typed_field,
 )
-from .exprparse import SYMBOL, eval_tree, parse_poly_expr
 from .monoid import DimMonoid
 from .report import CheckReport
 
@@ -210,6 +209,8 @@ def parse_poly(ring: "GradedPolyRing", src: str) -> DimElement:
     A coefficient beyond errors.MAX_VALUE_BITS, or a product or power
     that may have more than errors.MAX_POLY_TERMS terms, is an
     InputFormatError, refused before it is computed."""
+    from .exprparse import eval_tree, parse_poly_expr  # `dimalg check` parses no expression
+
     tree = parse_poly_expr(src, known_symbol=lambda s: s in ring.index)
 
     def bounded(op):
@@ -258,7 +259,8 @@ def parse_poly(ring: "GradedPolyRing", src: str) -> DimElement:
 
 def load_poisson(source, validate: bool = True):
     """Build a DimPoisson (plus its declared ideal) from a JSON document."""
-    # `dimalg check` loads neither the Poisson nor the polynomial layer
+    # `dimalg check` loads neither the Poisson nor the polynomial layer, nor the parser
+    from .exprparse import SYMBOL
     from .poisson import make_poisson
     from .poly import GradedPolyRing
 

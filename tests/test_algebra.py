@@ -137,7 +137,7 @@ class TestDerivations:
             rhs = canonical_ring.add(
                 canonical_ring.mul(ddq(f), g), canonical_ring.mul(f, ddq(g))
             )
-            assert canonical_ring.eq(lhs, rhs)
+            assert lhs == rhs
 
     def test_shift_moves_every_slice(self, canonical_ring, ddq, rng):
         for _ in range(20):
@@ -261,4 +261,4 @@ class TestDimensionlessRestriction:
             f = canonical_ring.sample(rng, dim=(0,))
             lhs = rc(f)
             rhs = canonical_ring.sub(r1(d2(f)), r2(d1(f)))
-            assert canonical_ring.eq(lhs, rhs)
+            assert lhs == rhs

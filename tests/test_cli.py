@@ -825,9 +825,9 @@ CALCULATOR_ONLY = {"dimalg.poisson", "dimalg.structure", "dimalg.poly", "dimalg.
 # the law commands take DimElement from core: no carrier presentation loads
 NO_CARRIERS = {"dimalg.group", "dimalg.carriers", "dimalg.modules"}
 # a declared table needs no polynomial and no calculator: `check` loads neither
-# poly nor poisson, registry nor numfmt
+# poly nor poisson, registry nor numfmt, nor the expression parser
 NO_POISSON = NO_CARRIERS | {"dimalg.poisson", "dimalg.poly", "dimalg.algebra", "dimalg.linalg",
-                            "dimalg.registry", "dimalg.numfmt"}
+                            "dimalg.registry", "dimalg.numfmt", "dimalg.exprparse"}
 # the Poisson suite decides its laws on its own table: no bilinear-algebra layer loads
 NO_ALGEBRA = NO_CARRIERS | {"dimalg.algebra", "dimalg.registry"}
 # a frozen dataclass execs its methods at import, and dataclasses loads inspect

@@ -76,8 +76,8 @@ class TestComposition:
     def test_identity_is_neutral(self, endo2, rng):
         for _ in range(20):
             f = endo2.sample(rng)
-            assert endo2.eq(endo2.mul(f, endo2.one), f)
-            assert endo2.eq(endo2.mul(endo2.one, f), f)
+            assert endo2.mul(f, endo2.one) == f
+            assert endo2.mul(endo2.one, f) == f
 
     def test_composition_matches_action_on_base(self, endo2, rng):
         """(F∘G)(x) = F(G(x)) for the action on base-ring elements."""
@@ -111,10 +111,10 @@ class TestComposition:
             theta = endo2.sample(rng, dim=phi.dim)
             lhs = endo2.mul(endo2.add(phi, theta), psi)
             rhs = endo2.add(endo2.mul(phi, psi), endo2.mul(theta, psi))
-            assert endo2.eq(lhs, rhs)
+            assert lhs == rhs
             lhs = endo2.mul(psi, endo2.add(phi, theta))
             rhs = endo2.add(endo2.mul(psi, phi), endo2.mul(psi, theta))
-            assert endo2.eq(lhs, rhs)
+            assert lhs == rhs
 
 
 class TestSuites:
@@ -239,7 +239,6 @@ class TestModuleStructure:
         space = ProbeSpace(
             elements=tuple(map(as_operator, probes)),
             add=endo2.add,
-            eq=endo2.eq,
             act=endo2.act,
             ring_elements=probes,
             ring_dim_act=lambda g, phi: tuple(

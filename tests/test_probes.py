@@ -58,6 +58,16 @@ def test_no_suite_takes_an_rng_a_budget_or_a_probe_count():
     assert all(any(getattr(dimalg, name) is obj for obj in walked) for name in dimalg.__all__)
 
 
+def test_elements_have_one_equality():
+    """Elements are canonical and compared with `==`: no public class has an
+    `eq` hook beside it, only `DimDerivation.eq`, which compares derivations."""
+    from dimalg.algebra import ProbeSpace
+
+    hooks = [name for name, obj in _public_callables() if inspect.isclass(obj) and hasattr(obj, "eq")]
+    assert hooks == ["algebra.DimDerivation"]
+    assert "eq" not in ProbeSpace._fields
+
+
 SUITES = '''
 from dimalg import (FreeDimModule, GradedPolyRing, GSet, bilinear_check, bilinear_factorization,
                     module_axiom_report, property_check, quotient_ring, ring_axiom_report,

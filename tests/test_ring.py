@@ -214,10 +214,10 @@ class TestQuotientRing:
         for _ in range(30):
             a = ring.sample(rng)
             b = ring.sample(rng)
-            assert ring.eq(q.project(ring.mul(a, b)), q.mul(q.project(a), q.project(b)))
+            assert q.project(ring.mul(a, b)) == q.mul(q.project(a), q.project(b))
         c = ring.sample(rng)
         d = ring.sample(rng, dim=c.dim)
-        assert ring.eq(q.project(ring.add(c, d)), q.add(q.project(c), q.project(d)))
+        assert q.project(ring.add(c, d)) == q.add(q.project(c), q.project(d))
 
     def test_axiom_report_probes_a_quotient(self, canonical_ring):
         """No slot rule covers a quotient ring: its laws run on its probe
@@ -251,7 +251,7 @@ class TestQuotientRing:
             b = ring.sample(rng, dim=zero_dim)
             lhs = q.mul(q.project(a), q.project(b))
             rhs = q.project(ring.mul(a, b))
-            assert ring.eq(lhs, rhs)
+            assert lhs == rhs
             assert q.project(a).dim == zero_dim
 
     def test_inconsistent_normal_form_rejected(self, q_x_z):
