@@ -9,7 +9,10 @@ suite, carrier presentation or linear algebra.
 
 Records: a module a command loads defines records as `NamedTuple`s or
 slotted classes; a frozen dataclass `exec`s each method at import, and
-every command would pay for it.
+every command would pay for it.  Records made on the calculator's hot
+path (the parser's tokens and tree nodes, `registry.Quantity`) are built
+with `tuple.__new__(Cls, (...))`, which skips the NamedTuple's generated
+Python `__new__`.
 """
 
 import itertools

@@ -46,6 +46,12 @@ _TOKEN = re.compile(
 )
 
 
+# Tokens and tree nodes are made with tuple.__new__, which skips each
+# NamedTuple's generated Python __new__: an expression makes about one
+# record per token.
+_new = tuple.__new__
+
+
 class Token(NamedTuple):
     kind: str  # "number" | "symbol" | "op" | "end"
     text: str
@@ -56,13 +62,13 @@ def tokenize(src: str):
     """The tokens of src, ending with an "end" token; one match per token.
     _TOKEN matches at every offset, so successive matches abut and the
     scan stops at the "end" match."""
-    out = []
+    out, new = [], _new
     for m in _TOKEN.finditer(src):
         kind = m.lastgroup
         start = m.start(kind)
         if kind == "bad":
             raise ExprSyntaxError(f"unexpected character {src[start]!r}", start)
-        out.append(Token(kind, m[kind], start))
+        out.append(new(Token, (kind, m[kind], start)))
         if kind == "end":
             return out
 
@@ -127,33 +133,33 @@ class Parser:
             and self.peek().text == "-"
         ):
             self.next()
-            node = BinOp("*", Num(Fraction(-1)), self.term())
+            node = _new(BinOp, ("*", _new(Num, (Fraction(-1),)), self.term()))
         else:
             node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.next().text
-            node = BinOp(op, node, self.term())
+            node = _new(BinOp, (op, node, self.term()))
         return node
 
     def term(self):
         node = self.juxta_factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.next().text
-            node = BinOp(op, node, self.juxta_factor())
+            node = _new(BinOp, (op, node, self.juxta_factor()))
         return node
 
     def juxta_factor(self):
         """A factor absorbing juxtaposed symbol factors: `2 m s^-1`."""
         node = self.factor()
         while self.peek().kind == "symbol":
-            node = BinOp("*", node, self.factor())
+            node = _new(BinOp, ("*", node, self.factor()))
         return node
 
     def factor(self):
         node = self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             self.next()
-            node = Pow(node, self.signed_integer())
+            node = _new(Pow, (node, self.signed_integer()))
         return node
 
     def signed_integer(self) -> int:
@@ -178,11 +184,11 @@ class Parser:
                 raise ExprSyntaxError(
                     f"number has more than {MAX_LITERAL_DIGITS} digits", t.pos)
             whole, _, frac = t.text.partition(".")
-            return Num(Fraction(int(whole + frac), 10 ** len(frac)))
+            return _new(Num, (Fraction(int(whole + frac), 10 ** len(frac)),))
         if t.kind == "symbol":
             if self.known_symbol is not None and not self.known_symbol(t.text):
                 raise UnknownSymbolError(t.text, t.pos)
-            return Sym(t.text, t.pos)
+            return _new(Sym, (t.text, t.pos))
         if t.kind == "op" and t.text == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:

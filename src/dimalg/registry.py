@@ -41,6 +41,15 @@ def _parse_factor(text) -> Fraction:
 
 
 class UnitRegistry:
+    """Ordered base dimensions, unit symbols and the power ring of the lines.
+
+    Built once per registry, at load: each symbol's element and its factor
+    as an integer pair, and the leaf and operation functions `eval_expr`
+    folds every tree with.  Those functions look up the ring's methods at
+    each call rather than keeping bound methods from load, so a wrapper set
+    on `PowerRing` after the registry was loaded (a per-layer tracer, a
+    test's counter) still sees every call."""
+
     def __init__(self, base, units):
         self.base = tuple(base)
         if not self.base:
@@ -74,8 +83,12 @@ class UnitRegistry:
                     f"(factor 1), found {len(coherent)}"
                 )
         self.ring = PowerRing(tuple(Line(n) for n in self.base))
-        # each symbol's element, built once: expressions read it at every leaf
+        # each symbol's element and (numerator, denominator), built once:
+        # expressions read the element at every leaf, displays the factor
         self._elements = {s: self.ring.element(u.factor, u.dims) for s, u in self.units.items()}
+        self._factors = {
+            s: (u.factor.numerator, u.factor.denominator) for s, u in self.units.items()}
+        self._folds = _folds(self)
 
     @property
     def rank(self) -> int:
@@ -149,13 +162,13 @@ def unit_factor_dims(reg: UnitRegistry, unit: tuple) -> tuple:
     """A unit expression's exact factor and exponent vector, in one walk
     that raises and multiplies integers."""
     num, den, dims = 1, 1, (0,) * reg.rank
+    factors, units = reg._factors, reg.units
     for s, e in unit:
-        u = reg.units[s]
-        p, q = u.factor.numerator, u.factor.denominator
+        p, q = factors[s]
         if e < 0:
             p, q = q, p
         num, den = num * p ** abs(e), den * q ** abs(e)
-        dims = tuple([x + e * y for x, y in zip(dims, u.dims)])
+        dims = tuple([x + e * y for x, y in zip(dims, units[s].dims)])
     return Fraction(num, den), dims
 
 
@@ -173,6 +186,67 @@ def parse_expr(src: str, reg: UnitRegistry):
     return parse_quantity_expr(src, known_symbol=lambda s: s in reg.units)
 
 
+def _folds(reg: UnitRegistry) -> tuple:
+    """The leaf and operation functions `eval_tree` folds a tree with, for
+    one registry.  Each operation checks errors.MAX_VALUE_BITS on the
+    element it made; records are made with `tuple.__new__`, which skips
+    `Quantity`'s generated `__new__`."""
+    ring, elements, new = reg.ring, reg._elements, tuple.__new__
+
+    def num(v):
+        return new(Quantity, (ring.scalar(v), ()))
+
+    def sym(name, pos):
+        return new(Quantity, (elements[name], ((name, 1),)))
+
+    def mismatch(exc, verb):
+        return DimensionMismatch(reg.dim_name(exc.left), reg.dim_name(exc.right), f"cannot {verb}")
+
+    def add(a, b):
+        try:
+            e = ring.add(a.element, b.element)
+        except DimensionMismatch as exc:
+            raise mismatch(exc, "add") from None
+        v = e.value
+        if v.numerator.bit_length() > MAX_VALUE_BITS or v.denominator.bit_length() > MAX_VALUE_BITS:
+            require_bits(v)  # raises, with the bound's message
+        return new(Quantity, (e, a.unit))
+
+    def sub(a, b):
+        try:
+            e = ring.sub(a.element, b.element)
+        except DimensionMismatch as exc:
+            raise mismatch(exc, "subtract") from None
+        v = e.value
+        if v.numerator.bit_length() > MAX_VALUE_BITS or v.denominator.bit_length() > MAX_VALUE_BITS:
+            require_bits(v)
+        return new(Quantity, (e, a.unit))
+
+    def mul(a, b):
+        e = ring.mul(a.element, b.element)
+        v = e.value
+        if v.numerator.bit_length() > MAX_VALUE_BITS or v.denominator.bit_length() > MAX_VALUE_BITS:
+            require_bits(v)
+        return new(Quantity, (e, _unit_mul(a.unit, b.unit)))
+
+    def div(a, b):
+        e = ring.mul(a.element, ring.reciprocal(b.element))
+        v = e.value
+        if v.numerator.bit_length() > MAX_VALUE_BITS or v.denominator.bit_length() > MAX_VALUE_BITS:
+            require_bits(v)
+        return new(Quantity, (e, _unit_mul(a.unit, b.unit, sign=-1)))
+
+    def power(a, n):
+        require_bits(a.element.value, n)
+        e = ring.pow(a.element, n)
+        v = e.value
+        if v.numerator.bit_length() > MAX_VALUE_BITS or v.denominator.bit_length() > MAX_VALUE_BITS:
+            require_bits(v)
+        return new(Quantity, (e, _unit_pow(a.unit, n)))
+
+    return num, sym, add, sub, mul, div, power
+
+
 def eval_expr(tree, reg: UnitRegistry) -> Quantity:
     """Evaluate a parsed tree to an exact Quantity.
 
@@ -180,54 +254,15 @@ def eval_expr(tree, reg: UnitRegistry) -> Quantity:
     ring's partial addition (the display unit of a sum is the left
     operand's); multiplication and division are total.  A result beyond
     errors.MAX_VALUE_BITS is an InputFormatError, and a power that must exceed
-    it is refused before it is computed.
+    it is refused before it is computed.  Operands are evaluated left to
+    right, so the leftmost failing operation raises.
+
+    The fold functions are built once per registry, at load (`_folds`),
+    not on every call.  They look up `ring.add`, `mul`, `pow` and the rest
+    at each call instead of keeping bound methods from load, so a wrapper
+    set on `PowerRing` after the registry was loaded still sees the call.
     """
-    ring = reg.ring
-
-    def bounded(op):
-        def run(a, b):
-            q = op(a, b)
-            v = q.element.value
-            if (v.numerator.bit_length() > MAX_VALUE_BITS
-                    or v.denominator.bit_length() > MAX_VALUE_BITS):
-                require_bits(v)  # raises, with the bound's message
-            return q
-
-        return run
-
-    def num(v):
-        return Quantity(ring.scalar(v), ())
-
-    def sym(name, pos):
-        return Quantity(reg.element_of(name), ((name, 1),))
-
-    def additive(op, verb):
-        def run(a, b):
-            try:
-                return Quantity(op(a.element, b.element), a.unit)
-            except DimensionMismatch as exc:
-                raise DimensionMismatch(
-                    reg.dim_name(exc.left), reg.dim_name(exc.right), f"cannot {verb}"
-                ) from None
-
-        return run
-
-    add, sub = additive(ring.add, "add"), additive(ring.sub, "subtract")
-
-    def mul(a, b):
-        return Quantity(ring.mul(a.element, b.element), _unit_mul(a.unit, b.unit))
-
-    def div(a, b):
-        return Quantity(
-            ring.mul(a.element, ring.reciprocal(b.element)),
-            _unit_mul(a.unit, b.unit, sign=-1),
-        )
-
-    def power(a, n):
-        require_bits(a.element.value, n)
-        return Quantity(ring.pow(a.element, n), _unit_pow(a.unit, n))
-
-    return eval_tree(tree, num, sym, *map(bounded, (add, sub, mul, div, power)))
+    return eval_tree(tree, *reg._folds)
 
 
 def evaluate(src: str, reg: UnitRegistry) -> Quantity:
@@ -249,7 +284,7 @@ def convert(q: Quantity, target: str, reg: UnitRegistry) -> Quantity:
         raise InputFormatError(
             f"conversion target {reprlib.repr(target)} is not a unit: its number is not 1"
         )
-    return Quantity(q.element, unit_q.unit)
+    return tuple.__new__(Quantity, (q.element, unit_q.unit))
 
 
 def display_value(q: Quantity, reg: UnitRegistry) -> Fraction:

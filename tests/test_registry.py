@@ -1,17 +1,21 @@
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from conftest import REPO_DATA, run_cli
 from hypothesis import Phase, given, settings, strategies as st
 
 from dimalg import (
     DimensionMismatch,
     InputFormatError,
+    PowerRing,
     convert,
     evaluate,
     format_quantity,
     registry_load,
 )
+from dimalg.errors import MAX_VALUE_BITS
 from dimalg.registry import Quantity, display_value, render_unit, unit_factor_dims
 
 
@@ -146,6 +150,21 @@ class TestEvaluation:
         with pytest.raises(DimensionMismatch) as exc:
             evaluate(expr, si_registry)
         assert (exc.value.left, exc.value.right, exc.value.context) == (*dims, "cannot add")
+
+    def test_ring_methods_wrapped_after_load_see_every_call(self, si_registry, monkeypatch):
+        """A counter set on `PowerRing`'s class after the registry was loaded,
+        as a per-layer tracer sets one, sees the calls evaluation makes: the
+        folds built at load look the ring's methods up at each call."""
+        calls = Counter()
+        for name in ("mul", "reciprocal", "pow", "add"):
+            def counted(*args, _method=getattr(PowerRing, name), _name=name):
+                calls[_name] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(PowerRing, name, counted)
+        q = evaluate("(2 m)^2 / (4 s) + 3 m^2/s", si_registry)
+        assert format_quantity(q, si_registry) == "4.000 m^2/s"
+        assert set(calls) == {"mul", "reciprocal", "pow", "add"}
 
     def test_multiplication_never_errors_across_dimensions(self, si_registry, rng):
 
@@ -310,6 +329,26 @@ class TestRendering:
         q = evaluate("1 m / 2 m", si_registry)
         assert format_quantity(q, si_registry) == "0.5000"
         assert unit_factor_dims(si_registry, q.unit) == (1, (0, 0))
+
+
+MISMATCH = "cannot add: undefined across dimensions 'length' and 'time'"
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["1 m + 1 s *"], 2, "expected a value, found 'end of input' (at offset 11)"),
+    (["1 m + 1 s + 1 furlong"], 2, "unknown symbol 'furlong' (at offset 14)"),
+    (["(2^1000)^1000 m + 1 s"], 2, f"a value has more than {MAX_VALUE_BITS} bits"),
+    (["1 m + 1 s + (2^1000)^1000"], 1, MISMATCH),
+    (["1 m + 1 s", "--to", "furlong"], 1, MISMATCH),
+], ids=["syntax-after-mismatch", "unknown-symbol-after-mismatch", "overflow-then-mismatch",
+        "mismatch-then-overflow", "expression-before-target"])
+def test_error_precedence(args, code, message):
+    """The whole expression is parsed before any of it is evaluated, so a
+    syntax error or an unknown symbol anywhere wins over a mismatch; the
+    operations run left to right, so the leftmost failing one raises; and
+    the expression is evaluated before the conversion target is parsed."""
+    r = run_cli(["eval", *args, "--registry", str(REPO_DATA / "registries" / "si_demo.json")])
+    assert (r.exit_code, r.stdout, r.stderr) == (code, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("doc, message", [
