@@ -1,6 +1,7 @@
 """Tiny exact linear algebra over the rationals and the integers (row
 vectors as tuples, or as {column: entry} dicts where `rref` and
-`nullspace` take them)."""
+`nullspace` take them).  Integer rows are eliminated in integers: a
+Fraction is formed only where a pivot does not divide an entry."""
 
 from fractions import Fraction
 
@@ -22,31 +23,35 @@ def _subtract(r, f, s):
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot_columns).
 
-    Rows are dense sequences or {column: entry} dicts, and come back in
-    the form given: dense rows as tuples as wide as the first row, dict
-    rows as dicts of their nonzero entries.  The elimination touches
-    nonzero entries only: each row is reduced by the pivot rows kept so
-    far (each 1 at its own pivot and 0 at every other), and what is left
-    of it, if anything, becomes a pivot row at its first column, which it
-    clears from the others.  A kept row is 0 left of its pivot, so the
-    kept rows in pivot order are the reduced row echelon form, which is
-    unique."""
+    Rows are dense sequences or {column: entry} dicts of int or Fraction
+    entries, and come back in the form given, with Fraction entries:
+    dense rows as tuples as wide as the first row, dict rows as dicts of
+    their nonzero entries.  The elimination touches nonzero entries only:
+    each row is reduced by the pivot rows kept so far (each 1 at its own
+    pivot and 0 at every other), and what is left of it, if anything,
+    becomes a pivot row at its first column, which it clears from the
+    others.  A pivot row is divided by its pivot exactly: an integer
+    entry the pivot divides stays an integer, and only one it does not
+    divide becomes a Fraction, so integer rows are eliminated in
+    integers as far as their pivots allow.  A kept row is 0 left of its
+    pivot, so the kept rows in pivot order are the reduced row echelon
+    form, which is unique."""
     kept = {}  # pivot column -> row
     for row in rows:
-        r = {c: Fraction(x) for c, x in _entries(row) if x}
+        r = {c: x for c, x in _entries(row) if x}
         for p in [c for c in r if c in kept]:
             _subtract(r, r[p], kept[p])
         if not r:
             continue
         p = min(r)
         if (pv := r[p]) != 1:
-            r = {c: x / pv for c, x in r.items()}
+            r = {c: Fraction(x, pv) if x % pv else x // pv for c, x in r.items()}
         for q in kept.values():
             if f := q.get(p):
                 _subtract(q, f, r)
         kept[p] = r
-    pivots = sorted(kept)
-    reduced = [kept[p] for p in pivots]
+    pivots, one = sorted(kept), Fraction(1)  # one Fraction serves every unit entry
+    reduced = [{c: one if x == 1 else Fraction(x) for c, x in kept[p].items()} for p in pivots]
     if rows and not isinstance(rows[0], dict):
         zero, width = Fraction(0), len(rows[0])
         reduced = [tuple(r.get(c, zero) for c in range(width)) for r in reduced]
@@ -61,7 +66,8 @@ def nullspace(rows, ncols):
     wide, or dicts of their nonzero entries (f first, then the pivots)."""
     red, pivots = rref(rows)
     bound = set(pivots)
-    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in bound}
+    one = Fraction(1)
+    basis = {f: {f: one} for f in range(ncols) if f not in bound}
     for row, p in zip(red, pivots):
         for c, x in _entries(row):
             if x and c != p:

@@ -405,6 +405,9 @@ class ReducedPoisson:
         """Per degree, solve the linear conditions cutting N(I) out of the
         span of non-ideal monomials; representatives modulo I.
 
+        One pass over the ring's monomial index gathers the monomials no
+        ideal generator divides into (degree, dimension) blocks, each in
+        lexicographic order, and the blocks are solved in that order.
         Each condition row is read off the parent's column index: for an
         ideal generator m, {x_u, m} is read once for every u
         (`_at_generators`), and the bracket of a column monomial x^a with
@@ -414,8 +417,9 @@ class ReducedPoisson:
         normal forms of the brackets times one nonzero factor, the table's
         denominator over m's coefficient, so the rows have the same
         reduced echelon form and the same nullspace.  Rows stay sparse,
-        {column: integer}, as they are collected: `nullspace` eliminates on their nonzero
-        entries alone and returns each vector as its nonzero entries, which
+        {column: integer}, as they are collected: `nullspace` eliminates on
+        their nonzero entries alone, in integers wherever its pivots divide
+        them, and returns each vector as its nonzero Fraction entries, which
         in column order are the basis vector's terms in lexicographic order.
         Two kinds of block need no elimination: one with no condition keeps
         each of its monomials, in column order, as `nullspace` would return
@@ -429,27 +433,23 @@ class ReducedPoisson:
         gens = self.ideal.generators
         divisible = ring.divisible_by(g.value[0][0] for g in gens)
         at_ideal = [parent._at_generators(((g.value[0][0], 1),)) for g in gens]
-        # exact-degree, non-ideal monomials per (degree, dimension), each
-        # group in lexicographic order
-        by_degree: dict = {}
+        blocks: dict = {}
         for dim, alphas in ring.monomial_index(self.cutoff).items():
-            for alpha in alphas:
-                if not divisible(alpha):
-                    by_degree.setdefault(sum(alpha), {}).setdefault(dim, []).append(alpha)
-        for deg in range(0, self.cutoff + 1):
-            for dim, monos in sorted(by_degree.get(deg, {}).items()):
-                # rows: one linear condition per (ideal generator, residual monomial)
-                conditions: dict = {}
-                for col, alpha in enumerate(monos):
-                    for k, rows in enumerate(at_ideal):
-                        for beta, n in leibniz(((alpha, 1),), rows).items():
-                            if n and not divisible(beta):
-                                conditions.setdefault((k, beta), {})[col] = n
-                if not conditions:  # every monomial is free, in column order
-                    basis += [DimElement(((alpha, one),), dim) for alpha in monos]
-                elif len(monos) > 1:  # one column with a nonzero condition has none
-                    basis += [DimElement(tuple((monos[c], x) for c, x in sorted(vec.items())), dim)
-                              for vec in nullspace(list(conditions.values()), len(monos))]
+            for alpha in itertools.filterfalse(divisible, alphas):
+                blocks.setdefault((sum(alpha), dim), []).append(alpha)
+        for (_, dim), monos in sorted(blocks.items()):
+            # rows: one linear condition per (ideal generator, residual monomial)
+            conditions: dict = {}
+            for col, alpha in enumerate(monos):
+                for k, rows in enumerate(at_ideal):
+                    for beta, n in leibniz(((alpha, 1),), rows).items():
+                        if n and not divisible(beta):
+                            conditions.setdefault((k, beta), {})[col] = n
+            if not conditions:  # every monomial is free, in column order
+                basis += [DimElement(((alpha, one),), dim) for alpha in monos]
+            elif len(monos) > 1:  # one column with a nonzero condition has none
+                basis += [DimElement(tuple((monos[c], x) for c, x in sorted(vec.items())), dim)
+                          for vec in nullspace(list(conditions.values()), len(monos))]
         return tuple(basis)
 
     # -- the reduced structure ------------------------------------------------

@@ -22,7 +22,7 @@ one Fraction per nonzero term, with no gcd when every denominator is 1.
 
 import itertools
 from fractions import Fraction
-from operator import add as _add, sub as _sub
+from operator import add as _add, mul as _mul, sub as _sub
 
 from .core import DimElement
 from .errors import CarrierError, DimensionMismatch
@@ -32,21 +32,20 @@ from .ring import DISTINCT, LARGE, DimRing, Ideal
 from .sampling import rand_fraction
 
 
-def _vec_add(a, b):
-    return tuple(map(_add, a, b))
-
-
 def leibniz(terms, rows) -> dict:
     """The sum over u of d_u f * rows[u] as {exponent tuple: coefficient},
     f given by its terms and `rows` mapping a generator index to terms (a
-    generator with no row adds nothing).  Integer terms give integer
-    sums; sums that cancel stay, as zeros for the caller to drop."""
+    generator with no row adds nothing).  Each term of f walks the
+    generators that have a row and reads its exponent there, so the keys
+    come in that order, not sorted: callers sort them or eliminate on
+    them.  Integer terms give integer sums; sums that cancel stay, as
+    zeros for the caller to drop."""
     acc: dict = {}
     for alpha, c in terms:
-        for u, e in enumerate(alpha):
-            if e and u in rows:
+        for u, row in rows.items():
+            if e := alpha[u]:
                 lowered, ce = alpha[:u] + (e - 1,) + alpha[u + 1:], c * e
-                for beta, r in rows[u]:
+                for beta, r in row:
                     key = tuple(map(_add, lowered, beta))
                     acc[key] = acc[key] + ce * r if key in acc else ce * r
     return acc
@@ -90,23 +89,28 @@ class GradedPolyRing(DimRing):
         dimension, each group in lexicographic order.  Built on first use
         and kept on the ring, one index per max_degree, in one
         lexicographic walk: each generator extends every prefix by each
-        exponent its degree budget allows, adding the generator's
-        dimension to the prefix's at each step."""
+        exponent its degree budget allows.  The walk carries a prefix's
+        dimension d as one integer, the sum of (d_k + R) * B^k, with R the
+        largest |coordinate| a monomial of this degree reaches and
+        B = 2R + 1: every digit lies in [0, B), so the code is additive and
+        one-to-one, each step adds integers, and a group's dimension is
+        read back off its code's digits."""
         index = self._monomial_index.get(max_degree)
         if index is None:
-            walk = [((), (0,) * self.rank, max_degree)]  # (prefix, its dimension, degree left)
+            reach = max_degree * max(map(abs, itertools.chain(*self.gen_dims)), default=0)
+            powers = [(2 * reach + 1) ** k for k in range(self.rank)]
+            walk = [((), reach * sum(powers), max_degree)]  # (prefix, its dimension's code, degree left)
             for g in self.gen_dims:
-                longer = []
-                for alpha, dim, left in walk:
+                w, longer = sum(map(_mul, g, powers)), []
+                for alpha, code, left in walk:
                     for e in range(left + 1):
-                        longer.append((alpha + (e,), dim, left - e))
-                        if e < left:  # the prefix's next extension, if any
-                            dim = _vec_add(dim, g)
+                        longer.append((alpha + (e,), code + e * w, left - e))
                 walk = longer
             groups: dict = {}
-            for alpha, dim, _ in walk:
-                groups.setdefault(dim, []).append(alpha)
-            index = {d: tuple(alphas) for d, alphas in groups.items()}
+            for alpha, code, _ in walk:
+                groups.setdefault(code, []).append(alpha)
+            index = {tuple([code // p % (2 * reach + 1) - reach for p in powers]): tuple(alphas)
+                     for code, alphas in groups.items()}
             self._monomial_index[max_degree] = index
         return index
 
@@ -175,9 +179,9 @@ class GradedPolyRing(DimRing):
         acc: dict = {}
         for al, ca in a.value:
             for bl, cb in b.value:
-                key = _vec_add(al, bl)
+                key = tuple(map(_add, al, bl))
                 acc[key] = acc[key] + ca * cb if key in acc else ca * cb
-        return self._of(acc, _vec_add(a.dim, b.dim))
+        return self._of(acc, tuple(map(_add, a.dim, b.dim)))
 
     def pow(self, a, n):
         """a to the n >= 0 by the multinomial theorem: one product of

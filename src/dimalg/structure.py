@@ -85,12 +85,16 @@ class TableDimRing(DimRing):
         for a in dim_elems:
             if set(dim_op.get(a, ())) != set(dim_elems):
                 raise InputFormatError(f"monoid row {a!r} is not total")
+        if extra := sorted(set(dim_op) - set(dim_elems)):
+            raise InputFormatError(f"monoid op has a row for undeclared element {extra[0]!r}")
         try:
             self.dims = DimMonoid.finite(dim_elems, identity, lambda d, e: dim_op[d][e])
         except ValueError as exc:
             raise InputFormatError(f"bad monoid table: {exc}") from exc
         if set(self.slices) != set(dim_elems):
             raise InputFormatError("slices must cover exactly the declared dimensions")
+        if extra := sorted(set(self.add_table) - set(dim_elems)):
+            raise InputFormatError(f"addition table for undeclared dimension {extra[0]!r}")
         self.by_name = {}  # element name -> its one DimElement
         for d, xs in self.slices.items():
             if not xs:

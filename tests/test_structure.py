@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import product_table
+from conftest import product_table, run_cli
 from dimalg import (
     CarrierError,
     InputFormatError,
@@ -396,6 +396,24 @@ class TestShapeErrors:
         with pytest.raises(InputFormatError) as exc:
             check_structure(doc)
         assert "total" in str(exc.value)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda doc: doc["add"].__setitem__("7", {"x": {"y": "z"}}),
+         "addition table for undeclared dimension '7'"),
+        (lambda doc: doc["monoid"]["op"].__setitem__("9", {"0": "0"}),
+         "monoid op has a row for undeclared element '9'"),
+    ], ids=["add-entry", "monoid-row"])
+    def test_a_table_entry_for_an_undeclared_key_exits_2(self, tmp_path, mutate, message):
+        """An extra addition table or monoid row, well formed but keyed by
+        no declared dimension, is refused at load, not ignored."""
+        doc = json.loads(GOLDEN.read_text())
+        mutate(doc)
+        with pytest.raises(InputFormatError, match=f"^{message}$"):
+            check_structure(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        r = run_cli(["check", str(bad)])
+        assert (r.exit_code, r.stdout, r.stderr.splitlines()) == (2, "", [f"error: {message}"])
 
     def test_duplicate_element_across_slices(self):
         doc = json.loads(GOLDEN.read_text())

@@ -9,7 +9,8 @@ sympy from the structure constants alone.  The reduced basis that
 `poisson_reduce` computes is checked against sympy's nullspace of the
 same conditions, built from that sum and `sympy.reduced`, and the exact
 elimination under it, `rref` and `nullspace`, against
-sympy's `rref` and `nullspace` on seeded integer matrices.
+sympy's `rref` and `nullspace` on seeded integer, rational and mixed
+matrices.
 """
 
 import functools
@@ -27,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 from dimalg import (DimDerivation, GradedPolyRing, make_poisson, poisson_product_homo,
                     poisson_reduce)
 from dimalg.linalg import nullspace, rref
+from dimalg.poly import leibniz
 from dimalg.structure import load_poisson
 
 REPO_DATA = Path(__file__).parent.parent / "data"
@@ -114,6 +116,49 @@ def test_derivation_matches_sympy(D, f):
 
 # ideal generators: the monomials of degree 1 and 2
 DIVISORS = [a for a in itertools.product(range(3), repeat=RING.nvars) if 1 <= sum(a) <= 2]
+
+
+def used(f):
+    return {u for a, _ in f.value for u, e in enumerate(a) if e}
+
+
+def leibniz_cases(ring):
+    """(f, rows): f uses some but not all generators; `rows` is keyed by a
+    subset of them that holds a generator f does not use and lacks one
+    it does, each row up to three terms of degree <= 2 with integer or
+    Fraction coefficients."""
+    monos = [a for a in itertools.product(range(3), repeat=ring.nvars) if sum(a) <= 2]
+    row = st.lists(st.tuples(st.sampled_from(monos), st.integers(-9, 9) | coeffs),
+                   min_size=1, max_size=3).map(tuple)
+
+    def rows_for(f):
+        inside, outside = sorted(used(f)), sorted(set(range(ring.nvars)) - used(f))
+        return st.tuples(st.sampled_from(outside), st.sampled_from(inside)).flatmap(
+            lambda pick: st.dictionaries(
+                st.sampled_from([u for u in range(ring.nvars) if u != pick[1]]), row)
+            .flatmap(lambda rows: row.map(lambda r: {**rows, pick[0]: r})))
+
+    fs = polys(ring).filter(lambda f: 0 < len(used(f)) < ring.nvars)
+    return fs.flatmap(lambda f: rows_for(f).map(lambda rows: (f, rows)))
+
+
+@oracle
+@given(leibniz_cases(RING))
+def test_leibniz_matches_sympy(case):
+    """`leibniz` against sympy's sum over u of dF/dx_u * rows[u], over the
+    generators with a row: one absent from f adds nothing, and a
+    variable of f with no row adds nothing either.  Cancelled sums may
+    stay as zeros."""
+    f, rows = case
+    xs, F = symbols(RING), to_sympy(RING, f)
+    want = sympy.Poly(0, *xs, domain=sympy.QQ)
+    for u, row in rows.items():
+        terms = {}
+        for beta, r in row:
+            terms[beta] = terms.get(beta, 0) + sympy.Rational(r.numerator, r.denominator)
+        want += F.diff(xs[u]) * sympy.Poly.from_dict(terms, *xs, domain=sympy.QQ)
+    got = leibniz(f.value, rows)
+    assert {a: c for a, c in got.items() if c} == terms_of(want)
 
 
 @oracle
@@ -295,22 +340,32 @@ def test_elimination_matches_sympy(nrows, ncols):
     a duplicate row inserted, `rref` and `nullspace` give sympy's reduced
     rows, pivots and nullspace vectors, for dense rows and for
     {column: entry} rows of the nonzero entries alike; the latter come
-    back as {column: entry} dicts, compared densely."""
-    rng = random.Random(nrows * 100 + ncols)
+    back as {column: entry} dicts, compared densely.  Each matrix is also
+    given with rational entries, and mixed: every other row an integer
+    row, the rest rational multiples of theirs, so the duplicate stays
+    dependent.  Whatever the entries, every entry returned is a Fraction."""
+    rng, scales = random.Random(nrows * 100 + ncols), random.Random(-nrows * 100 - ncols)
     for _ in range(10):
-        rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(ncols)]
+        ints = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(ncols)]
                 for _ in range(nrows)]
-        rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
-        rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
-        red, pivots = sympy.Matrix(rows).rref()
-        want_rows = [tuple(map(_fraction, red.row(i))) for i in range(len(pivots))]
-        want_null = [tuple(map(_fraction, v)) for v in sympy.Matrix(rows).nullspace()]
-        sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
-        for form in (rows, sparse):
-            got, got_pivots = rref(form)
-            dense = [tuple(r.get(c, 0) for c in range(ncols)) if isinstance(r, dict) else r
-                     for r in got]
-            assert (dense, got_pivots) == (want_rows, list(pivots)), rows
-            got_null = [tuple(v.get(c, 0) for c in range(ncols)) if isinstance(v, dict) else v
-                        for v in nullspace(form, ncols)]
-            assert got_null == want_null, rows
+        ints.insert(rng.randrange(len(ints) + 1), [0] * ncols)
+        ints.insert(rng.randrange(len(ints) + 1), list(rng.choice(ints)))
+        rational = [[Fraction(x, scales.randint(1, 6)) for x in row] for row in ints]
+        mixed = [row if i % 2 else [x * Fraction(scales.randint(1, 5), scales.randint(2, 5))
+                                    for x in row] for i, row in enumerate(ints)]
+        for rows in (ints, rational, mixed):
+            red, pivots = sympy.Matrix(rows).rref()
+            want_rows = [tuple(map(_fraction, red.row(i))) for i in range(len(pivots))]
+            want_null = [tuple(map(_fraction, v)) for v in sympy.Matrix(rows).nullspace()]
+            sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+            for form in (rows, sparse):
+                got, got_pivots = rref(form)
+                dense = [tuple(r.get(c, 0) for c in range(ncols)) if isinstance(r, dict) else r
+                         for r in got]
+                assert (dense, got_pivots) == (want_rows, list(pivots)), rows
+                null = nullspace(form, ncols)
+                got_null = [tuple(v.get(c, 0) for c in range(ncols)) if isinstance(v, dict) else v
+                            for v in null]
+                assert got_null == want_null, rows
+                assert all(type(x) is Fraction for v in [*got, *null]
+                           for x in (v.values() if isinstance(v, dict) else v)), rows
