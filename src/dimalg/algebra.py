@@ -186,7 +186,9 @@ class DimDerivation:
             images[name] = ring.sub(self.apply(other.apply(x)), other.apply(self.apply(x)))
         return DimDerivation(ring, shift, images, f"[{self.label},{other.label}]")
 
-    def eq(self, other: "DimDerivation") -> bool:
+    def __eq__(self, other):
+        if other.__class__ is not DimDerivation:
+            return NotImplemented
         return self.shift == other.shift and self.images == other.images
 
     def is_zero(self) -> bool:

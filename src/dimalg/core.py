@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 from .errors import CarrierError, DimensionMismatch
 from .monoid import DimMonoid
-from .sampling import rand_fraction, rand_nonzero_fraction
 
 
 class DimElement:
@@ -123,13 +122,6 @@ class Carrier(ABC):
             return None
         return tuple(map(self.from_coords, itertools.product(*map(range, orders))))
 
-    def sample(self, rng):
-        """One draw per generator, in generator order."""
-        return self.from_coords(tuple(
-            rand_fraction(rng) if n is None else rng.randrange(n) if n else rng.randint(-3, 3)
-            for n in self.orders()
-        ))
-
     def require(self, v):
         if not self.contains(v):
             raise CarrierError(f"{v!r} is not an element of {self}")
@@ -203,12 +195,6 @@ class DimRing(ABC):
     def one(self) -> DimElement: ...
 
     # -- probing ---------------------------------------------------------
-    @abstractmethod
-    def sample(self, rng, dim=None) -> DimElement: ...
-
-    def sample_dim(self, rng):
-        return self.dims.sample(rng)
-
     def probe_dims(self) -> tuple:
         return self.dims.probe_words(2)
 
@@ -315,10 +301,6 @@ class ProductDimRing(DimRing):
             raise ZeroDivisionError("reciprocal of zero")
         return DimElement(Fraction(v.denominator, v.numerator), self.dims.inverse(a.dim))
 
-    def sample(self, rng, dim=None):
-        d = self.sample_dim(rng) if dim is None else dim
-        return DimElement(rand_fraction(rng), d)
-
     def slots(self):
         """DISTINCT, then COEFF_PROBES at the identity or in every slice."""
         from .ring import COEFF_PROBES, DISTINCT  # the slot rule's table: loaded on use
@@ -405,10 +387,6 @@ class PowerRing(ProductDimRing):
         if not self.dims.contains(a.dim):
             raise CarrierError(f"bad exponent vector {a.dim!r}")
         return DimElement(a.value**n, tuple([n * e for e in a.dim]))
-
-    def sample_nonzero(self, rng, dim=None):
-        d = self.sample_dim(rng) if dim is None else tuple(dim)
-        return DimElement(rand_nonzero_fraction(rng), d)
 
     def show(self, a):
         return f"{a.value}·[{','.join(map(str, a.dim))}]"

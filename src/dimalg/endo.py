@@ -52,7 +52,6 @@ from .monoid import DimMonoid
 from .report import CheckReport
 from .ring import (COEFF_PROBES, DISTINCT, DimRing, ProductDimRing, Slots, distributivity,
                    probe_triples, slot_rows)
-from .sampling import rand_fraction
 
 # entries each table of an EndoRing holds before it is cleared: over twice
 # the 3 863 products Endo(Q×Z/3)'s ring report forms, and on Endo(Q×Z/4)
@@ -153,10 +152,6 @@ class EndoRing(DimRing):
     @property
     def one(self):
         return DimElement(self._ones, self.dims.identity)
-
-    def sample(self, rng, dim=None):
-        phi = self.dims.sample(rng) if dim is None else tuple(dim)
-        return DimElement(tuple(rand_fraction(rng) for _ in self.points), phi)
 
     def slots(self):
         """The slot data of the module docstring."""

@@ -27,16 +27,13 @@ from .monoid import DimMonoid
 
 class FiniteDims(tuple):
     """A plain finite dimension set.  It answers the calls a dimension
-    monoid answers: `contains`, `elements`, `sample` and `probe_words`."""
+    monoid answers: `contains`, `elements` and `probe_words`."""
 
     def contains(self, d) -> bool:
         return d in self
 
     def elements(self) -> tuple:
         return self
-
-    def sample(self, rng):
-        return rng.choice(self)
 
     def probe_words(self, length: int = 3) -> tuple:
         """Every element, whatever the length."""
@@ -92,11 +89,6 @@ class DimAbGroup:
 
     def zero(self, d) -> DimElement:
         return DimElement(self.slice(d).zero(), d)
-
-    # -- probing -------------------------------------------------------
-    def sample(self, rng, dim=None) -> DimElement:
-        d = self.dims.sample(rng) if dim is None else dim
-        return DimElement(self.slice(d).sample(rng), d)
 
     def probe_dims(self) -> tuple:
         return self.dims.probe_words(2)

@@ -49,9 +49,6 @@ class GSet:
     def act(self, g, d):
         return (self.monoid.combine(g, d[0]), d[1])
 
-    def sample(self, rng):
-        return (self.monoid.sample(rng), rng.choice(self.orbits))
-
 
 @dataclass(frozen=True)
 class GSetTensor:
@@ -170,11 +167,6 @@ class FreeDimModule:
         return self.element(self.gset.act(c.dim, a.dim), out)
 
     # -- probing ----------------------------------------------------------------------
-    def sample(self, rng) -> DimElement:
-        name = rng.choice(self.basis)[0]
-        c = self._coefficient(self.ring.sample(rng))
-        return self.element(self.gset.act(c.dim, self.basis_dim[name]), {name: c})
-
     def probe_elements(self) -> tuple:
         """r·e for each basis vector e and each probe r of the acting ring."""
         probes = self.ring.probe_elements()

@@ -23,7 +23,6 @@ import itertools
 import operator
 
 from .errors import CarrierError
-from .sampling import rand_int_vector
 
 FREE_ABELIAN = "free_abelian"
 CYCLIC = "cyclic"
@@ -170,11 +169,6 @@ class DimMonoid:
     def elements(self):
         """All elements in enumeration order; None for free abelian of rank > 0."""
         return self._elements
-
-    def sample(self, rng):
-        if self._table is None:
-            return rand_int_vector(rng, self.rank)
-        return rng.choice(self._elements)
 
     def probe_words(self, length: int = 3) -> tuple:
         """Every element of a finite monoid; otherwise all products of at

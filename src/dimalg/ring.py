@@ -378,9 +378,6 @@ class QuotientDimRing(DimRing):
     def one(self):
         return self.project(self.base.one)
 
-    def sample(self, rng, dim=None):
-        return self.project(self.base.sample(rng, dim=dim))
-
     def probe_elements(self):
         """The base's probes, projected, each class once."""
         return tuple(dict.fromkeys(map(self.project, self.base.probe_elements())))

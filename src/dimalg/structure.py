@@ -170,10 +170,6 @@ class TableDimRing(DimRing):
     def one(self):
         return self.el(self.one_name)
 
-    def sample(self, rng, dim=None):
-        d = dim if dim is not None else self.dims.sample(rng)
-        return self.el(rng.choice(self.slices[d]))
-
     def elements(self):
         return tuple(self.by_name.values())
 

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import draw
 from dimalg import CarrierError, FreeAbelian
 from dimalg.carriers import (
     Cyclic,
@@ -23,7 +24,6 @@ from dimalg.carriers import (
     zero_subgroup,
 )
 from dimalg.linalg import smith
-from dimalg.sampling import rand_fraction
 
 
 def test_formal_sums_canonical_form():
@@ -232,7 +232,7 @@ def fit(dst, x, n):
 
 
 def random_map(src, dst, rng):
-    return SliceMap(src, dst, [fit(dst, dst.sample(rng), n) for n in generator_orders(src)])
+    return SliceMap(src, dst, [fit(dst, draw.coords(dst, rng), n) for n in generator_orders(src)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -249,7 +249,7 @@ def test_map_algebra_against_function_arithmetic(a, b, c, seed):
     g, h, f = random_map(a, b, rng), random_map(a, b, rng), random_map(b, c, rng)
     probes = a.elements()
     if probes is None:
-        probes = (*a.generators(), a.zero(), *(a.sample(rng) for _ in range(4)))
+        probes = (*a.generators(), a.zero(), *(draw.coords(a, rng) for _ in range(4)))
     for v in probes:
         gv = g.apply(v)
         assert f.compose(g).apply(v) == f.apply(gv)
@@ -287,8 +287,7 @@ CARRIERS = st.recursive(
 def test_presentation_laws(c, seed):
     """Coefficients round-trip, generators are the unit vectors, a finite
     carrier has prod(orders) elements, and the group operations written
-    on coefficients obey the abelian-group laws; a sample is one draw per
-    generator, in generator order."""
+    on coefficients obey the abelian-group laws."""
     orders = c.orders()
     for i, g in enumerate(c.generators()):
         assert c.coords(g) == tuple(int(i == j) % n if n else int(i == j) for j, n in enumerate(orders))
@@ -297,14 +296,8 @@ def test_presentation_laws(c, seed):
         assert len(set(elems)) == len(elems) == math.prod(orders)
     else:
         assert elems is None
-    draws = random.Random(seed)
-    expected = c.from_coords(tuple(
-        rand_fraction(draws) if n is None else draws.randrange(n) if n else draws.randint(-3, 3)
-        for n in orders
-    ))
     rng = random.Random(seed)
-    a, b, v = c.sample(rng), c.sample(rng), c.sample(rng)
-    assert a == expected
+    a, b, v = draw.coords(c, rng), draw.coords(c, rng), draw.coords(c, rng)
     zero = c.zero()
     for x in (a, b, v, zero):
         assert c.contains(x) and c.from_coords(c.coords(x)) == x
@@ -321,7 +314,7 @@ def test_presentation_laws(c, seed):
 def test_pure_tensors_are_bilinear(a, b, seed):
     rng = random.Random(seed)
     t = tensor_carrier(a, b)
-    x, x2, y, y2 = a.sample(rng), a.sample(rng), b.sample(rng), b.sample(rng)
+    x, x2, y, y2 = draw.coords(a, rng), draw.coords(a, rng), draw.coords(b, rng), draw.coords(b, rng)
     assert t.pure(a.add(x, x2), y) == t.carrier.add(t.pure(x, y), t.pure(x2, y))
     assert t.pure(x, b.add(y, y2)) == t.carrier.add(t.pure(x, y), t.pure(x, y2))
 
@@ -416,7 +409,7 @@ def test_kernel_and_quotient_of_random_maps(a, b, seed):
     q = quotient_slice(a, k)
     probes = a.elements()
     if probes is None:
-        probes = (*a.generators(), *(a.sample(rng) for _ in range(4)))
+        probes = (*a.generators(), *(draw.coords(a, rng) for _ in range(4)))
         probes += tuple(a.add(a.from_coords(r), u) for r in k.lattice + k.subspace for u in probes)
     for u in probes:
         v = rng.choice(probes)

@@ -30,6 +30,8 @@ from dimalg.structure import load_poisson
 DATA = Path(__file__).parent / "data"
 REPO = Path(__file__).parent.parent / "data"
 REGISTRY = str(REPO / "registries" / "si_demo.json")
+# 2^262143: exactly MAX_VALUE_BITS bits, so doubling it is past the bound
+X_AT_BOUND = "(2^1000)^262*2^143"
 
 
 class TestEval:
@@ -173,8 +175,12 @@ class TestBoundedInputs:
         assert r.exit_code == 2, r.output
         assert r.stderr.splitlines() == ["error: division by zero"]
 
-    @pytest.mark.parametrize("expr", ["(2^1000)^1000 m", "*".join(["2^1000"] * 300) + " m"],
-                             ids=["nested-power", "300-factor-product"])
+    @pytest.mark.parametrize("expr", [
+        "(2^1000)^1000 m", "*".join(["2^1000"] * 300) + " m",
+        f"{X_AT_BOUND} + {X_AT_BOUND}", f"0 - {X_AT_BOUND} - {X_AT_BOUND}",
+        f"{X_AT_BOUND} / (1/2)", "(2^263-1)^1000",
+    ], ids=["nested-power", "300-factor-product", "sum", "difference", "quotient",
+            "power-past-its-estimate"])
     def test_values_beyond_the_bit_bound_exit_2_at_once(self, expr):
         start = time.perf_counter()
         r = run_cli(["eval", expr, "--registry", REGISTRY])

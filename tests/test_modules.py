@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import draw
 from dimalg import (
     CarrierError,
     ConstructionError,
@@ -79,14 +80,14 @@ class TestModuleBasics:
 
     def test_one_acts_trivially(self, ring, rank2, rng):
         for _ in range(10):
-            a = rank2.sample(rng)
+            a = draw.element(rank2, rng)
             assert rank2.act(ring.one, a) == a
 
     def test_additivity_of_action(self, ring, rank2, rng):
         for _ in range(20):
-            r = ring.sample(rng)
-            p = ring.sample(rng, dim=r.dim)
-            a = rank2.sample(rng)
+            r = draw.element(ring, rng)
+            p = draw.element(ring, rng, dim=r.dim)
+            a = draw.element(rank2, rng)
             assert rank2.act(ring.add(r, p), a) == rank2.add(rank2.act(r, a), rank2.act(p, a))
 
     def test_homogeneity_enforced(self, ring, rank2):
@@ -197,7 +198,7 @@ class TestLinearMaps:
         r = ring.element(F(3), (2,))
         scaled = ident.scaled(r)
         for _ in range(10):
-            a = rank2.sample(rng)
+            a = draw.element(rank2, rng)
             assert scaled(a) == rank2.act(r, ident(a))
 
 
@@ -269,9 +270,9 @@ class TestSumsAndTensors:
     def test_action_distributes_over_sum(self, ring, rank2, rng):
         s = direct_sum_mod(rank2, rank2)
         for _ in range(20):
-            r = ring.sample(rng)
-            x = s.module.sample(rng)
-            y = s.module.element(x.dim, {n: ring.sample(rng, dim=c.dim) for n, c in x.value})
+            r = draw.element(ring, rng)
+            x = draw.element(s.module, rng)
+            y = s.module.element(x.dim, {n: draw.element(ring, rng, dim=c.dim) for n, c in x.value})
             assert (
                 s.module.act(r, s.module.add(x, y))
                 == s.module.add(s.module.act(r, x), s.module.act(r, y))
@@ -301,8 +302,8 @@ class TestSumsAndTensors:
         d = GSet(g, orbits=("a", "b"))
         t = gset_tensor(d, d)
         for _ in range(30):
-            x, y = d.sample(rng), d.sample(rng)
-            h = g.sample(rng)
+            x, y = draw.dimension(d, rng), draw.dimension(d, rng)
+            h = draw.dimension(g, rng)
             assert t.eta(d.act(h, x), y) == t.eta(x, d.act(h, y))
 
     def test_gset_tensor_symmetric_and_associative_up_to_bijection(self, ring, rng):
@@ -317,7 +318,7 @@ class TestSumsAndTensors:
             ed = gset_tensor(e, d)
             assert sorted((j, i) for i, j in de.gset.orbits) == sorted(ed.gset.orbits)
             for _ in range(5):
-                x, y = d.sample(rng), e.sample(rng)
+                x, y = draw.dimension(d, rng), draw.dimension(e, rng)
                 gx, (i, j) = de.eta(x, y)
                 gy, (j2, i2) = ed.eta(y, x)
                 assert gx == gy and (i, j) == (i2, j2)
@@ -327,7 +328,7 @@ class TestSumsAndTensors:
             flat_right = sorted((i, j, k) for i, (j, k) in right.gset.orbits)
             assert flat_left == flat_right
             for _ in range(5):
-                x, y, z = d.sample(rng), e.sample(rng), f.sample(rng)
+                x, y, z = draw.dimension(d, rng), draw.dimension(e, rng), draw.dimension(f, rng)
                 gl, ((i, j), k) = left.eta(de.eta(x, y), z)
                 ef = gset_tensor(e, f)
                 gr, (i2, (j2, k2)) = right.eta(x, ef.eta(y, z))
@@ -336,9 +337,9 @@ class TestSumsAndTensors:
     def test_tensor_defining_relation_on_elements(self, ring, rank2, rng):
         t = tensor_mod(rank2, rank2)
         for _ in range(30):
-            r = ring.sample(rng)
-            a = rank2.sample(rng)
-            b = rank2.sample(rng)
+            r = draw.element(ring, rng)
+            a = draw.element(rank2, rng)
+            b = draw.element(rank2, rng)
             lhs = t.pure(rank2.act(r, a), b)
             rhs = t.pure(a, rank2.act(r, b))
             assert lhs == rhs
@@ -355,7 +356,7 @@ class TestSumsAndTensors:
         zero_mod = FreeDimModule(ring, gset, [])
         t = tensor_mod(rank2, zero_mod)
         assert t.module.basis == ()
-        a = rank2.sample(rng)
+        a = draw.element(rank2, rng)
         z = zero_mod.zero(((0,), "i"))
         assert t.module.is_zero(t.pure(a, z))
 
@@ -446,7 +447,7 @@ class TestRigDistributivity:
         w = rig_distributivity_witness(rank2, zero_mod, rank2)
         assert w.report.ok
         # with B = 0 the bijection is a pure relabeling of A (x) C
-        x = tensor_mod(direct_sum_mod(rank2, zero_mod).module, rank2).module.sample(rng)
+        x = draw.element(tensor_mod(direct_sum_mod(rank2, zero_mod).module, rank2).module, rng)
         assert w.forward(x).dim == x.dim
 
 
@@ -454,8 +455,8 @@ class TestPullback:
     def test_identity_pullback_acts_identically(self, ring, rank2, rng):
         pm = pullback_module(RingMorphism.identity(ring), rank2)
         for _ in range(10):
-            r = ring.sample(rng)
-            a = pm.sample(rng)
+            r = draw.element(ring, rng)
+            a = draw.element(pm, rng)
             assert pm.act(r, a).value == rank2.act(r, a).value
 
     def test_dimensionless_inclusion_gives_ordinary_module(self, ring, rank2, rng):
@@ -496,7 +497,7 @@ class TestPullback:
         pm = pullback_module(incl, rank2)
         ident_pull = pullback_map(incl, TwistedLinearMap.identity(rank2))
         for _ in range(25):
-            x = pm.sample(rng)
+            x = draw.element(pm, rng)
             assert lhs(x) == rhs(x)
             assert ident_pull(x) == x
 
@@ -541,7 +542,7 @@ class TestPullback:
         assert check.ok, check.report.failures
         pulled = pullback_map(sgn, TwistedLinearMap.identity(a))
         for _ in range(30):
-            r, x = s.sample(rng), pulled.src.sample(rng)
+            r, x = draw.element(s, rng), draw.element(pulled.src, rng)
             assert check.value(x) == pulled(x)
             assert pulled(pulled.src.act(r, x)) == a.act(sgn(r), pulled(x))
 
@@ -561,7 +562,7 @@ class TestQuotientModule:
         gens = [rank2.basis_element("e"), rank2.basis_element("f")]
         qm = quotient_module(rank2, gens, zero_ideal(ring))
         assert qm.module.basis == ()
-        a = rank2.sample(rng)
+        a = draw.element(rank2, rng)
         assert qm.module.is_zero(qm.projection(a))
 
     def test_dropping_one_generator(self, ring, rank2, rng):
@@ -585,8 +586,8 @@ class TestQuotientModule:
         ]
         qm = quotient_module(mod, gens, ideal)
         for _ in range(30):
-            r = ring.sample(rng)
-            a = mod.sample(rng)
+            r = draw.element(ring, rng)
+            a = draw.element(mod, rng)
             assert (
                 qm.projection(mod.act(r, a))
                 == qm.module.act(qm.ring_projection(r), qm.projection(a))
@@ -607,7 +608,7 @@ class TestQuotientModule:
         gens = [pulled.element(gs.act(qgen.dim, mod.basis_dim[n]), {n: qgen}) for n in ("e", "f")]
         qm = quotient_module(pulled, gens, ideal)
         for _ in range(30):
-            r, a = ring.sample(rng), pulled.sample(rng)
+            r, a = draw.element(ring, rng), draw.element(pulled, rng)
             assert (
                 qm.projection(pulled.act(r, a))
                 == qm.module.act(qm.ring_projection(r), qm.projection(a))
@@ -623,12 +624,12 @@ class TestQuotientModule:
         gens = [mod.element(gs.act(qgen.dim, mod.basis_dim["e"]), {"e": qgen})]
         qm = quotient_module(mod, gens, ideal)
         for _ in range(20):
-            r = ring.sample(rng)
-            i = ring.mul(ring.sample(rng, dim=tuple(x - 1 for x in r.dim)), qgen)
-            a = mod.sample(rng)
+            r = draw.element(ring, rng)
+            i = ring.mul(draw.element(ring, rng, dim=tuple(x - 1 for x in r.dim)), qgen)
+            a = draw.element(mod, rng)
             s = mod.element(a.dim, {
                 "e": ring.mul(
-                    ring.sample(rng, dim=tuple(x - 1 for x in dict(a.value)["e"].dim)),
+                    draw.element(ring, rng, dim=tuple(x - 1 for x in dict(a.value)["e"].dim)),
                     qgen,
                 )
             }) if a.value else mod.zero(a.dim)
@@ -657,7 +658,7 @@ class TestSpan:
         basis direction is not."""
         gens = [rank2.basis_element("e")]
         for _ in range(20):
-            r = ring.sample(rng)
+            r = draw.element(ring, rng)
             el = rank2.act(r, rank2.basis_element("e"))
             assert span_contains(rank2, gens, el)
         assert not span_contains(rank2, gens, rank2.basis_element("f"))
@@ -665,7 +666,7 @@ class TestSpan:
     def test_two_generators_span_sums(self, ring, rank2, rng):
         gens = [rank2.basis_element("e"), rank2.basis_element("f")]
         for _ in range(20):
-            a = rank2.sample(rng)
+            a = draw.element(rank2, rng)
             assert span_contains(rank2, gens, a)
 
     def test_a_generator_in_another_orbit_spans_nothing_here(self, ring):

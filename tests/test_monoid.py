@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,14 +167,9 @@ class TestFiniteTablesAgainstClosedForms:
                 m.inverse(x)
 
     @settings(max_examples=50)
-    @given(st.sampled_from(REFERENCES), st.integers(0, 2**32))
-    def test_enumeration_order_and_seeded_sample(self, ref, seed):
-        m = ref["monoid"]
-        assert m.elements() == ref["elements"]
-        mine, theirs = random.Random(seed), random.Random(seed)
-        assert [m.sample(mine) for _ in range(12)] == [
-            theirs.choice(ref["elements"]) for _ in range(12)
-        ]
+    @given(st.sampled_from(REFERENCES))
+    def test_enumeration_order(self, ref):
+        assert ref["monoid"].elements() == ref["elements"]
 
     @settings(max_examples=300)
     @given(st.sampled_from(REFERENCES), candidates)

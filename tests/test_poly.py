@@ -1,4 +1,5 @@
 import itertools
+import time
 from collections import Counter
 from fractions import Fraction as F
 from random import Random
@@ -6,8 +7,9 @@ from random import Random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dimalg import DimensionMismatch, GradedPolyRing, make_poisson, ring_axiom_report
-from dimalg.errors import CarrierError
+import draw
+from dimalg import DimensionMismatch, GradedPolyRing, make_poisson, quotient_ring, ring_axiom_report
+from dimalg.errors import MAX_POISSON_GENERATORS, CarrierError
 from dimalg.ring import DISTINCT, LARGE
 
 
@@ -61,8 +63,8 @@ class TestConstruction:
 class TestArithmetic:
     def test_multiplication_adds_dimensions(self, canonical_ring, rng):
         for _ in range(30):
-            f = canonical_ring.sample(rng)
-            g = canonical_ring.sample(rng)
+            f = draw.element(canonical_ring, rng)
+            g = draw.element(canonical_ring, rng)
             fg = canonical_ring.mul(f, g)
             assert fg.dim == tuple(a + b for a, b in zip(f.dim, g.dim))
 
@@ -124,7 +126,7 @@ class TestArithmetic:
 
     def test_power_matches_repeated_multiplication(self, canonical_ring, rng):
         ring = canonical_ring
-        for f in [ring.zero((2,))] + [ring.sample(rng) for _ in range(30)]:
+        for f in [ring.zero((2,))] + [draw.element(ring, rng) for _ in range(30)]:
             expect = ring.one
             for n in range(6):
                 assert ring.pow(f, n) == expect
@@ -159,7 +161,7 @@ class TestMonomialIdeal:
     def test_normal_form_is_idempotent(self, canonical_ring, rng):
         nf = canonical_ring.monomial_ideal(["q"]).normal_form
         for _ in range(20):
-            f = canonical_ring.sample(rng)
+            f = draw.element(canonical_ring, rng)
             assert nf(nf(f)) == nf(f)
 
     def test_monomials_of_dim_enumeration(self, canonical_ring):
@@ -235,6 +237,29 @@ class TestMonomialIndex:
                 gen_dims, rank, dim, max_degree
             )
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 2).flatmap(
+        lambda rank: st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=1, max_size=9)))
+    def test_probe_dims_match_brute_force(self, gen_dims):
+        """The probe dimensions are those of the exponent tuples of 0s and 1s, sorted."""
+        ring = GradedPolyRing([f"x{i}" for i in range(len(gen_dims))], gen_dims)
+        box = itertools.product(range(2), repeat=len(gen_dims))
+        assert ring.probe_dims() == tuple(sorted(
+            {_weighted_dim(gen_dims, len(gen_dims[0]), a) for a in box}))
+
+    def test_probe_sets_at_the_generator_bound_are_built_at_once(self):
+        """At the Poisson generator bound the probe dimensions come from
+        subset sums, not from 2^64 exponent tuples: the probe elements and
+        a quotient ring each take under 5 s."""
+        n = MAX_POISSON_GENERATORS
+        ring = GradedPolyRing([f"x{i}" for i in range(n)], [((-1) ** i,) for i in range(n)])
+        start = time.perf_counter()
+        ring.probe_elements()
+        built = time.perf_counter()
+        quotient_ring(ring, ring.monomial_ideal(["x0"]))
+        assert built - start < 5 and time.perf_counter() - built < 5
+        assert ring.probe_dims() == tuple((d,) for d in range(-n // 2, n // 2 + 1))
+
     @settings(max_examples=30, deadline=None)
     @given(graded_rings(), st.integers(0, 5))
     def test_returned_lists_are_fresh(self, ring_spec, max_degree):
@@ -252,13 +277,14 @@ class TestMonomialIndex:
     @given(graded_rings(), st.integers(0, 2**32 - 1), st.integers(0, 5))
     def test_seeded_sample_matches_reference(self, ring_spec, seed, max_degree):
         ring, gen_dims, rank = ring_spec
-        rng, ref_rng = Random(seed), Random(seed)
+        rng, ref_rng, draw_rng = Random(seed), Random(seed), Random(seed)
         for _ in range(10):
             got = ring.sample(rng, max_degree=max_degree)
             assert (got.value, got.dim) == _reference_sample(
                 gen_dims, rank, ref_rng, max_degree
             )
-        assert rng.random() == ref_rng.random()
+            assert draw.element(ring, draw_rng, max_degree=max_degree) == got
+        assert rng.random() == ref_rng.random() == draw_rng.random()
 
     @settings(max_examples=40, deadline=None)
     @given(graded_rings(), st.data())
@@ -314,14 +340,14 @@ class TestTrustedResults:
     def test_results_are_canonical(self, ring_spec, seed, c):
         ring, gen_dims, rank = ring_spec
         rng = Random(seed)
-        f, g = ring.sample(rng), ring.sample(rng)
-        h = ring.sample(rng, dim=f.dim)
+        f, g = draw.element(ring, rng), draw.element(ring, rng)
+        h = draw.element(ring, rng, dim=f.dim)
         # structure constants sampled in their slices b + g_i + g_j, so the
         # bracket meets polynomial constants and cancellation
         b = tuple(rng.randint(-1, 1) for _ in range(rank))
         table = {
-            (ring.gen_names[i], ring.gen_names[j]): ring.sample(
-                rng, dim=tuple(map(sum, zip(b, gen_dims[i], gen_dims[j]))))
+            (ring.gen_names[i], ring.gen_names[j]): draw.element(
+                ring, rng, dim=tuple(map(sum, zip(b, gen_dims[i], gen_dims[j]))))
             for i, j in itertools.combinations(range(ring.nvars), 2)
         }
         p = make_poisson(ring, table, bracket_dim=b, validate=False)

@@ -1,6 +1,8 @@
 """The probed suites decide on built probe sets: no suite takes an `rng`,
-and each one's report is the same whatever `PYTHONHASHSEED` is."""
+no module imports `random`, and each one's report is the same whatever
+`PYTHONHASHSEED` is."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -11,10 +13,12 @@ from pathlib import Path
 
 import dimalg
 
-# the only `rng`, `budget` or `probes` parameters left outside the tests'
-# `sample*` input API: unread, and kept while the benchmark's workloads
-# pass them (ROADMAP items 1 and 4)
+# the only `rng`, `budget` or `probes` parameters left: unread, and kept
+# while the benchmark's workloads pass them (ROADMAP items 1 and 4), and
+# the polynomial sampler's, kept while `perfbench/tracer.py` wraps it by name
 UNREAD = {
+    ("poly.GradedPolyRing.sample", "rng"),
+    ("poly.GradedPolyRing.sample_dim", "rng"),
     ("ring.ring_axiom_report", "rng"),
     ("ring.ring_axiom_report", "budget"),
     ("poisson.poisson_axiom_report", "rng"),
@@ -27,11 +31,8 @@ UNREAD = {
 def _public_callables():
     """(module.qualified name, callable) for every public function and class
     a dimalg module defines, and every function of such a class, inherited
-    ones too, but no `sample*` method; `dimalg.sampling`, the tests' input
-    API, is left out."""
+    ones too."""
     for info in pkgutil.iter_modules(dimalg.__path__):
-        if info.name == "sampling":
-            continue
         module = importlib.import_module(f"dimalg.{info.name}")
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
@@ -41,7 +42,7 @@ def _public_callables():
             elif inspect.isclass(obj):
                 yield f"{info.name}.{name}", obj
                 for attr, fn in inspect.getmembers(obj, inspect.isfunction):
-                    if not attr.startswith("sample") and fn.__module__.startswith("dimalg."):
+                    if fn.__module__.startswith("dimalg."):
                         yield f"{info.name}.{name}.{attr}", fn
 
 
@@ -60,12 +61,24 @@ def test_no_suite_takes_an_rng_a_budget_or_a_probe_count():
 
 def test_elements_have_one_equality():
     """Elements are canonical and compared with `==`: no public class has an
-    `eq` hook beside it, only `DimDerivation.eq`, which compares derivations."""
+    `eq` hook beside it."""
     from dimalg.algebra import ProbeSpace
 
     hooks = [name for name, obj in _public_callables() if inspect.isclass(obj) and hasattr(obj, "eq")]
-    assert hooks == ["algebra.DimDerivation"]
+    assert hooks == []
     assert "eq" not in ProbeSpace._fields
+
+
+def test_no_module_imports_random():
+    imported = set()
+    for path in Path(dimalg.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, a.name.split(".")[0]) for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                imported.add((path.name, node.module.split(".")[0]))
+    assert [name for name, module in imported if module == "random"] == []
+    assert ("core.py", "fractions") in imported  # the walk sees the package's imports
 
 
 SUITES = '''
