@@ -9,7 +9,7 @@ integers, so equalities stay bit-exact and witnesses stay readable.
 from fractions import Fraction
 
 from dimalg import DimAbGroup, EndoRing, FreeDimModule, GradedPolyRing, GSet
-from dimalg.core import DimElement
+from dimalg.core import DimElement, ProductDimRing
 from dimalg.structure import TableDimRing
 
 
@@ -45,23 +45,16 @@ def coords(carrier, rng):
 
 def element(s, rng, dim=None, max_degree: int = 3) -> DimElement:
     """An element of a ring, group or free module, in slice `dim` or in a
-    drawn one.  A polynomial is up to three shuffled monomials of degree
-    at most `max_degree`; a module element, a drawn ring element on a
-    drawn basis vector."""
+    drawn one.  A polynomial is `GradedPolyRing.sample`'s, of degree at
+    most `max_degree`; a module element, a drawn ring element on a drawn
+    basis vector.  Any other structure is a TypeError."""
     if isinstance(s, FreeDimModule):
         name = rng.choice(s.basis)[0]
         r = element(s.ring, rng)
-        c = s.along(r) if s.along else r
+        c = s._coefficient(r)
         return s.element(s.gset.act(c.dim, s.basis_dim[name]), {name: c})
     if isinstance(s, GradedPolyRing):
-        if dim is None:
-            dim = s.monomial_dim(tuple(rng.randint(0, 2) for _ in range(s.nvars)))
-        monos = s.monomials_of_dim(dim, max_degree)
-        if not monos:
-            return s.zero(dim)
-        rng.shuffle(monos)
-        picked = monos[: rng.randint(1, min(3, len(monos)))]
-        return s.poly({al: fraction(rng) for al in picked}, dim=tuple(dim))
+        return s.sample(rng, dim, max_degree)
     d = dimension(s.dims, rng) if dim is None else dim
     if isinstance(s, EndoRing):
         return DimElement(tuple(fraction(rng) for _ in s.points), d)
@@ -69,4 +62,6 @@ def element(s, rng, dim=None, max_degree: int = 3) -> DimElement:
         return s.el(rng.choice(s.slices[d]))
     if isinstance(s, DimAbGroup):
         return DimElement(coords(s.slice(d), rng), d)
-    return DimElement(fraction(rng), d)  # Q x D and the power rings
+    if isinstance(s, ProductDimRing):  # Q x D and the power rings
+        return DimElement(fraction(rng), d)
+    raise TypeError(f"no draw for {type(s).__name__}")

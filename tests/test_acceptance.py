@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-import draw
+import draw as drawn
 from conftest import run_cli
 from dimalg import (
     ConstructionError,
@@ -116,15 +116,15 @@ def test_criterion_3_trivialization_bit_exact():
         rng = random.Random(303)
         ring = PowerRing((Line("a"), Line("b")))
         for _ in range(3):
-            coords = [draw.nonzero_fraction(rng), draw.nonzero_fraction(rng)]
+            coords = [drawn.nonzero_fraction(rng), drawn.nonzero_fraction(rng)]
             section = line_unit_to_section(ring, coords)
             assert section.ok
             triv = units_trivialization(ring, section.value)
             product = triv.product
-            elements = [draw.element(product, rng) for _ in range(1000)]
+            elements = [drawn.element(product, rng) for _ in range(1000)]
             for x in elements:
                 assert triv.from_field(triv.to_field(x)) == x
-            field_elements = [draw.element(ring, rng) for _ in range(200)]
+            field_elements = [drawn.element(ring, rng) for _ in range(200)]
             for y in field_elements:
                 assert triv.to_field(triv.from_field(y)) == y
             for x, y in zip(elements[:500], elements[500:]):
@@ -139,13 +139,13 @@ def test_criterion_4_power_functoriality():
         a, b, c = Line("A"), Line("B"), Line("C")
         src = PowerRing((a,))
         for _ in range(100):
-            fb = Factor(a, b, draw.nonzero_fraction(rng))
-            fc = Factor(b, c, draw.nonzero_fraction(rng))
+            fb = Factor(a, b, drawn.nonzero_fraction(rng))
+            fc = Factor(b, c, drawn.nonzero_fraction(rng))
             composed = power_functor(fc.compose(fb))
             chained = power_functor(fc).compose(power_functor(fb))
             ident = power_functor(Factor.identity(a))
             for n in range(-3, 4):
-                x = src.element(draw.nonzero_fraction(rng), (n,))
+                x = src.element(drawn.nonzero_fraction(rng), (n,))
                 assert composed(x) == chained(x)
                 assert ident(x) == x
 
@@ -157,9 +157,9 @@ def test_criterion_5_quotient_projections_are_morphisms():
         ideal = ring.monomial_ideal(["q"])
         quot = quotient_ring(ring, ideal)
         for _ in range(500):
-            x = draw.element(ring, rng)
-            y = draw.element(ring, rng, dim=x.dim)
-            z = draw.element(ring, rng)
+            x = drawn.element(ring, rng)
+            y = drawn.element(ring, rng, dim=x.dim)
+            z = drawn.element(ring, rng)
             assert quot.project(ring.add(x, y)) == quot.add(quot.project(x), quot.project(y))
             assert quot.project(ring.mul(x, z)) == quot.mul(quot.project(x), quot.project(z))
 
@@ -174,9 +174,9 @@ def test_criterion_5_quotient_projections_are_morphisms():
         ]
         qm = quotient_module(module, gens, ideal)
         for _ in range(500):
-            r = draw.element(ring, rng)
-            x = draw.element(module, rng)
-            y = module.element(x.dim, {n: draw.element(ring, rng, dim=c.dim) for n, c in x.value})
+            r = drawn.element(ring, rng)
+            x = drawn.element(module, rng)
+            y = module.element(x.dim, {n: drawn.element(ring, rng, dim=c.dim) for n, c in x.value})
             assert (
                 qm.projection(module.act(r, x))
                 == qm.module.act(qm.ring_projection(r), qm.projection(x))
@@ -198,9 +198,9 @@ def test_criterion_6_tensor_machinery():
         )
         tens = tensor_mod(module, module)
         for _ in range(500):
-            r = draw.element(ring, rng)
-            x = draw.element(module, rng)
-            y = draw.element(module, rng)
+            r = drawn.element(ring, rng)
+            x = drawn.element(module, rng)
+            y = drawn.element(module, rng)
             lhs = tens.pure(module.act(r, x), y)
             rhs = tens.pure(x, module.act(r, y))
             assert lhs == rhs
@@ -245,7 +245,7 @@ def test_criterion_6_tensor_machinery():
         ident_pull = pullback_map(incl, TwistedLinearMap.identity(module))
         pulled = pullback_module(incl, module)
         for _ in range(100):
-            x = draw.element(pulled, rng)
+            x = drawn.element(pulled, rng)
             assert lhs(x) == rhs(x)
             assert ident_pull(x) == x
 
@@ -258,9 +258,9 @@ def test_criterion_7_poisson_suite():
 
         # identically-zero laws on 300 random homogeneous triples, degree <= 3
         for _ in range(300):
-            f = draw.element(ring, rng, max_degree=3)
-            g_ = draw.element(ring, rng, max_degree=3)
-            h = draw.element(ring, rng, max_degree=3)
+            f = drawn.element(ring, rng, max_degree=3)
+            g_ = drawn.element(ring, rng, max_degree=3)
+            h = drawn.element(ring, rng, max_degree=3)
             anti = ring.add(poisson.bracket(f, g_), poisson.bracket(g_, f))
             assert ring.is_zero(anti)
             jac = ring.add(

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-import draw
+import draw as drawn
 from dimalg import (
     CarrierError,
     ConstructionError,
@@ -132,8 +132,8 @@ class TestDerivations:
 
     def test_leibniz_identically(self, canonical_ring, ddq, rng):
         for _ in range(25):
-            f = draw.element(canonical_ring, rng)
-            g = draw.element(canonical_ring, rng)
+            f = drawn.element(canonical_ring, rng)
+            g = drawn.element(canonical_ring, rng)
             lhs = ddq(canonical_ring.mul(f, g))
             rhs = canonical_ring.add(
                 canonical_ring.mul(ddq(f), g), canonical_ring.mul(f, ddq(g))
@@ -142,7 +142,7 @@ class TestDerivations:
 
     def test_shift_moves_every_slice(self, canonical_ring, ddq, rng):
         for _ in range(20):
-            f = draw.element(canonical_ring, rng)
+            f = drawn.element(canonical_ring, rng)
             assert ddq(f).dim == (f.dim[0] - 1,)
 
     def test_misplaced_image_rejected(self, canonical_ring):
@@ -242,7 +242,7 @@ class TestDimensionlessRestriction:
     def test_zero_derivation_restricts_to_zero(self, canonical_ring, rng):
         zero = DimDerivation(canonical_ring, (0,), {})
         r = dimensionless_restriction(zero)
-        f = draw.element(canonical_ring, rng, dim=(0,))
+        f = drawn.element(canonical_ring, rng, dim=(0,))
         assert canonical_ring.is_zero(r(f))
 
     def test_commutators_map_to_commutators(self, canonical_ring, rng):
@@ -259,7 +259,7 @@ class TestDimensionlessRestriction:
         comm = d1.commutator(d2)
         r1, r2, rc = map(dimensionless_restriction, (d1, d2, comm))
         for _ in range(15):
-            f = draw.element(canonical_ring, rng, dim=(0,))
+            f = drawn.element(canonical_ring, rng, dim=(0,))
             lhs = rc(f)
             rhs = canonical_ring.sub(r1(d2(f)), r2(d1(f)))
             assert lhs == rhs

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import draw
+import draw as drawn
 from dimalg import CarrierError, FreeAbelian
 from dimalg.carriers import (
     Cyclic,
@@ -232,7 +232,7 @@ def fit(dst, x, n):
 
 
 def random_map(src, dst, rng):
-    return SliceMap(src, dst, [fit(dst, draw.coords(dst, rng), n) for n in generator_orders(src)])
+    return SliceMap(src, dst, [fit(dst, drawn.coords(dst, rng), n) for n in generator_orders(src)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -249,7 +249,7 @@ def test_map_algebra_against_function_arithmetic(a, b, c, seed):
     g, h, f = random_map(a, b, rng), random_map(a, b, rng), random_map(b, c, rng)
     probes = a.elements()
     if probes is None:
-        probes = (*a.generators(), a.zero(), *(draw.coords(a, rng) for _ in range(4)))
+        probes = (*a.generators(), a.zero(), *(drawn.coords(a, rng) for _ in range(4)))
     for v in probes:
         gv = g.apply(v)
         assert f.compose(g).apply(v) == f.apply(gv)
@@ -297,7 +297,7 @@ def test_presentation_laws(c, seed):
     else:
         assert elems is None
     rng = random.Random(seed)
-    a, b, v = draw.coords(c, rng), draw.coords(c, rng), draw.coords(c, rng)
+    a, b, v = drawn.coords(c, rng), drawn.coords(c, rng), drawn.coords(c, rng)
     zero = c.zero()
     for x in (a, b, v, zero):
         assert c.contains(x) and c.from_coords(c.coords(x)) == x
@@ -314,7 +314,7 @@ def test_presentation_laws(c, seed):
 def test_pure_tensors_are_bilinear(a, b, seed):
     rng = random.Random(seed)
     t = tensor_carrier(a, b)
-    x, x2, y, y2 = draw.coords(a, rng), draw.coords(a, rng), draw.coords(b, rng), draw.coords(b, rng)
+    x, x2, y, y2 = drawn.coords(a, rng), drawn.coords(a, rng), drawn.coords(b, rng), drawn.coords(b, rng)
     assert t.pure(a.add(x, x2), y) == t.carrier.add(t.pure(x, y), t.pure(x2, y))
     assert t.pure(x, b.add(y, y2)) == t.carrier.add(t.pure(x, y), t.pure(x, y2))
 
@@ -409,7 +409,7 @@ def test_kernel_and_quotient_of_random_maps(a, b, seed):
     q = quotient_slice(a, k)
     probes = a.elements()
     if probes is None:
-        probes = (*a.generators(), *(draw.coords(a, rng) for _ in range(4)))
+        probes = (*a.generators(), *(drawn.coords(a, rng) for _ in range(4)))
         probes += tuple(a.add(a.from_coords(r), u) for r in k.lattice + k.subspace for u in probes)
     for u in probes:
         v = rng.choice(probes)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-import draw
+import draw as drawn
 from dimalg import endo as endo_module
 from dimalg import ring as ring_module
 from dimalg import (
@@ -76,15 +76,15 @@ class TestComposition:
 
     def test_identity_is_neutral(self, endo2, rng):
         for _ in range(20):
-            f = draw.element(endo2, rng)
+            f = drawn.element(endo2, rng)
             assert endo2.mul(f, endo2.one) == f
             assert endo2.mul(endo2.one, f) == f
 
     def test_composition_matches_action_on_base(self, endo2, rng):
         """(F∘G)(x) = F(G(x)) for the action on base-ring elements."""
         for _ in range(30):
-            f, g = draw.element(endo2, rng), draw.element(endo2, rng)
-            x = draw.element(endo2.base, rng)
+            f, g = drawn.element(endo2, rng), drawn.element(endo2, rng)
+            x = drawn.element(endo2.base, rng)
             assert endo2.apply_to_base(endo2.mul(f, g), x) == endo2.apply_to_base(
                 f, endo2.apply_to_base(g, x)
             )
@@ -107,9 +107,9 @@ class TestComposition:
 
     def test_distributivity_both_sides(self, endo2, rng):
         for _ in range(30):
-            psi = draw.element(endo2, rng)
-            phi = draw.element(endo2, rng)
-            theta = draw.element(endo2, rng, dim=phi.dim)
+            psi = drawn.element(endo2, rng)
+            phi = drawn.element(endo2, rng)
+            theta = drawn.element(endo2, rng, dim=phi.dim)
             lhs = endo2.mul(endo2.add(phi, theta), psi)
             rhs = endo2.add(endo2.mul(phi, psi), endo2.mul(theta, psi))
             assert lhs == rhs
@@ -212,9 +212,9 @@ class TestModuleStructure:
         """(r·F)(x) = r·F(x) with the dimension map shifted by r's dim."""
         base = endo2.base
         for _ in range(30):
-            r = draw.element(base, rng)
-            f = draw.element(endo2, rng)
-            x = draw.element(base, rng)
+            r = drawn.element(base, rng)
+            f = drawn.element(endo2, rng)
+            x = drawn.element(base, rng)
             assert endo2.apply_to_base(endo2.act(r, f), x) == base.mul(
                 r, endo2.apply_to_base(f, x)
             )
@@ -313,7 +313,7 @@ class TestOperandTable:
         another operand's tuple over a new map."""
         rng = random.Random(20240817)
         maps = endo.dims.elements()
-        pool = [draw.element(endo, rng) for _ in range(8)] + [endo.one, endo.zero(maps[5])]
+        pool = [drawn.element(endo, rng) for _ in range(8)] + [endo.one, endo.zero(maps[5])]
         sizes, clears = (0, 0), 0
         for step in range(steps):
             a, b = rng.choice(pool), rng.choice(pool)

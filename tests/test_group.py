@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-import draw
+import draw as drawn
 from dimalg import (
     DimAbGroup,
     DimElement,
@@ -253,8 +253,8 @@ class TestSumsProductsFreeTensor:
         trivial = DimAbGroup.from_dict({0: Cyclic(1), 1: Cyclic(1)})
         ds = direct_sum(two_slices, trivial)
         for _ in range(10):
-            a = draw.element(two_slices, rng)
-            b = draw.element(two_slices, rng, dim=a.dim)
+            a = drawn.element(two_slices, rng)
+            b = drawn.element(two_slices, rng, dim=a.dim)
             assert ds.inject_left.apply(two_slices.add(a, b)) == ds.group.add(
                 ds.inject_left.apply(a), ds.inject_left.apply(b)
             )

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-import draw
+import draw as drawn
 from dimalg import (
     DimensionMismatch,
     DimRing,
@@ -57,7 +57,7 @@ class TestTensorMultiplication:
 
     def test_commutative(self, two_lines, rng):
         for _ in range(40):
-            x, y = draw.element(two_lines, rng), draw.element(two_lines, rng)
+            x, y = drawn.element(two_lines, rng), drawn.element(two_lines, rng)
             assert two_lines.mul(x, y) == two_lines.mul(y, x)
 
     def test_scalar_slice_is_the_field(self, one_line, rng):
@@ -73,8 +73,8 @@ class TestTensorMultiplication:
     def test_field_axioms(self, two_lines, rng):
         assert ring_axiom_report(two_lines, rng).ok
         for _ in range(30):
-            d = draw.dimension(two_lines.dims, rng)
-            x = two_lines.element(draw.nonzero_fraction(rng), d)
+            d = drawn.dimension(two_lines.dims, rng)
+            x = two_lines.element(drawn.nonzero_fraction(rng), d)
             assert two_lines.mul(x, two_lines.reciprocal(x)) == two_lines.one
 
     def test_is_the_product_ring_of_q_and_z_k(self, two_lines, rng):
@@ -82,7 +82,7 @@ class TestTensorMultiplication:
         assert isinstance(two_lines, ProductDimRing) and two_lines.is_field
         assert two_lines.dims == q_x_z2.dims
         for _ in range(20):
-            x, y = draw.element(two_lines, rng), draw.element(two_lines, rng)
+            x, y = drawn.element(two_lines, rng), drawn.element(two_lines, rng)
             assert two_lines.mul(x, y) == q_x_z2.mul(x, y)
             assert two_lines.add(x, two_lines.neg(x)) == q_x_z2.zero(x.dim)
 
@@ -136,7 +136,7 @@ class TestPowerFunctor:
         b = Factor(Line("A"), Line("B"), F(rng.randint(1, 50)))
         bp = power_functor(b)
         for _ in range(10):
-            x = draw.element(bp.domain, rng, dim=(0,))
+            x = drawn.element(bp.domain, rng, dim=(0,))
             assert bp(x) == bp.codomain.element(x.value, (0,))
 
     def test_is_a_ring_morphism(self):
@@ -209,7 +209,7 @@ class TestFunctoriality:
         ident = power_functor(Factor.identity(line))
         ring = PowerRing((line,))
         for n in range(-3, 4):
-            x = draw.element(ring, rng, dim=(n,))
+            x = drawn.element(ring, rng, dim=(n,))
             assert ident(x) == x
 
 
@@ -219,7 +219,7 @@ class TestLineUnits:
         assert check.ok
         triv = units_trivialization(one_line, check.value)
         for _ in range(20):
-            x = draw.element(one_line, rng)
+            x = drawn.element(one_line, rng)
             assert triv.to_field(x) == x
 
     def test_centi_unit_rescales(self, one_line):
@@ -234,8 +234,8 @@ class TestLineUnits:
         assert check.ok
         u = check.value
         for _ in range(30):
-            n = draw.dimension(two_lines.dims, rng)
-            m = draw.dimension(two_lines.dims, rng)
+            n = drawn.dimension(two_lines.dims, rng)
+            m = drawn.dimension(two_lines.dims, rng)
             nm = two_lines.dims.combine(n, m)
             assert two_lines.mul(u(n), u(m)) == u(nm)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-import draw
+import draw as drawn
 from dimalg import (
     CarrierError,
     ConstructionError,
@@ -80,14 +80,14 @@ class TestModuleBasics:
 
     def test_one_acts_trivially(self, ring, rank2, rng):
         for _ in range(10):
-            a = draw.element(rank2, rng)
+            a = drawn.element(rank2, rng)
             assert rank2.act(ring.one, a) == a
 
     def test_additivity_of_action(self, ring, rank2, rng):
         for _ in range(20):
-            r = draw.element(ring, rng)
-            p = draw.element(ring, rng, dim=r.dim)
-            a = draw.element(rank2, rng)
+            r = drawn.element(ring, rng)
+            p = drawn.element(ring, rng, dim=r.dim)
+            a = drawn.element(rank2, rng)
             assert rank2.act(ring.add(r, p), a) == rank2.add(rank2.act(r, a), rank2.act(p, a))
 
     def test_homogeneity_enforced(self, ring, rank2):
@@ -198,7 +198,7 @@ class TestLinearMaps:
         r = ring.element(F(3), (2,))
         scaled = ident.scaled(r)
         for _ in range(10):
-            a = draw.element(rank2, rng)
+            a = drawn.element(rank2, rng)
             assert scaled(a) == rank2.act(r, ident(a))
 
 
@@ -270,9 +270,9 @@ class TestSumsAndTensors:
     def test_action_distributes_over_sum(self, ring, rank2, rng):
         s = direct_sum_mod(rank2, rank2)
         for _ in range(20):
-            r = draw.element(ring, rng)
-            x = draw.element(s.module, rng)
-            y = s.module.element(x.dim, {n: draw.element(ring, rng, dim=c.dim) for n, c in x.value})
+            r = drawn.element(ring, rng)
+            x = drawn.element(s.module, rng)
+            y = s.module.element(x.dim, {n: drawn.element(ring, rng, dim=c.dim) for n, c in x.value})
             assert (
                 s.module.act(r, s.module.add(x, y))
                 == s.module.add(s.module.act(r, x), s.module.act(r, y))
@@ -302,8 +302,8 @@ class TestSumsAndTensors:
         d = GSet(g, orbits=("a", "b"))
         t = gset_tensor(d, d)
         for _ in range(30):
-            x, y = draw.dimension(d, rng), draw.dimension(d, rng)
-            h = draw.dimension(g, rng)
+            x, y = drawn.dimension(d, rng), drawn.dimension(d, rng)
+            h = drawn.dimension(g, rng)
             assert t.eta(d.act(h, x), y) == t.eta(x, d.act(h, y))
 
     def test_gset_tensor_symmetric_and_associative_up_to_bijection(self, ring, rng):
@@ -318,7 +318,7 @@ class TestSumsAndTensors:
             ed = gset_tensor(e, d)
             assert sorted((j, i) for i, j in de.gset.orbits) == sorted(ed.gset.orbits)
             for _ in range(5):
-                x, y = draw.dimension(d, rng), draw.dimension(e, rng)
+                x, y = drawn.dimension(d, rng), drawn.dimension(e, rng)
                 gx, (i, j) = de.eta(x, y)
                 gy, (j2, i2) = ed.eta(y, x)
                 assert gx == gy and (i, j) == (i2, j2)
@@ -328,7 +328,7 @@ class TestSumsAndTensors:
             flat_right = sorted((i, j, k) for i, (j, k) in right.gset.orbits)
             assert flat_left == flat_right
             for _ in range(5):
-                x, y, z = draw.dimension(d, rng), draw.dimension(e, rng), draw.dimension(f, rng)
+                x, y, z = drawn.dimension(d, rng), drawn.dimension(e, rng), drawn.dimension(f, rng)
                 gl, ((i, j), k) = left.eta(de.eta(x, y), z)
                 ef = gset_tensor(e, f)
                 gr, (i2, (j2, k2)) = right.eta(x, ef.eta(y, z))
@@ -337,9 +337,9 @@ class TestSumsAndTensors:
     def test_tensor_defining_relation_on_elements(self, ring, rank2, rng):
         t = tensor_mod(rank2, rank2)
         for _ in range(30):
-            r = draw.element(ring, rng)
-            a = draw.element(rank2, rng)
-            b = draw.element(rank2, rng)
+            r = drawn.element(ring, rng)
+            a = drawn.element(rank2, rng)
+            b = drawn.element(rank2, rng)
             lhs = t.pure(rank2.act(r, a), b)
             rhs = t.pure(a, rank2.act(r, b))
             assert lhs == rhs
@@ -356,7 +356,7 @@ class TestSumsAndTensors:
         zero_mod = FreeDimModule(ring, gset, [])
         t = tensor_mod(rank2, zero_mod)
         assert t.module.basis == ()
-        a = draw.element(rank2, rng)
+        a = drawn.element(rank2, rng)
         z = zero_mod.zero(((0,), "i"))
         assert t.module.is_zero(t.pure(a, z))
 
@@ -447,7 +447,7 @@ class TestRigDistributivity:
         w = rig_distributivity_witness(rank2, zero_mod, rank2)
         assert w.report.ok
         # with B = 0 the bijection is a pure relabeling of A (x) C
-        x = draw.element(tensor_mod(direct_sum_mod(rank2, zero_mod).module, rank2).module, rng)
+        x = drawn.element(tensor_mod(direct_sum_mod(rank2, zero_mod).module, rank2).module, rng)
         assert w.forward(x).dim == x.dim
 
 
@@ -455,8 +455,8 @@ class TestPullback:
     def test_identity_pullback_acts_identically(self, ring, rank2, rng):
         pm = pullback_module(RingMorphism.identity(ring), rank2)
         for _ in range(10):
-            r = draw.element(ring, rng)
-            a = draw.element(pm, rng)
+            r = drawn.element(ring, rng)
+            a = drawn.element(pm, rng)
             assert pm.act(r, a).value == rank2.act(r, a).value
 
     def test_dimensionless_inclusion_gives_ordinary_module(self, ring, rank2, rng):
@@ -497,7 +497,7 @@ class TestPullback:
         pm = pullback_module(incl, rank2)
         ident_pull = pullback_map(incl, TwistedLinearMap.identity(rank2))
         for _ in range(25):
-            x = draw.element(pm, rng)
+            x = drawn.element(pm, rng)
             assert lhs(x) == rhs(x)
             assert ident_pull(x) == x
 
@@ -542,7 +542,7 @@ class TestPullback:
         assert check.ok, check.report.failures
         pulled = pullback_map(sgn, TwistedLinearMap.identity(a))
         for _ in range(30):
-            r, x = draw.element(s, rng), draw.element(pulled.src, rng)
+            r, x = drawn.element(s, rng), drawn.element(pulled.src, rng)
             assert check.value(x) == pulled(x)
             assert pulled(pulled.src.act(r, x)) == a.act(sgn(r), pulled(x))
 
@@ -562,7 +562,7 @@ class TestQuotientModule:
         gens = [rank2.basis_element("e"), rank2.basis_element("f")]
         qm = quotient_module(rank2, gens, zero_ideal(ring))
         assert qm.module.basis == ()
-        a = draw.element(rank2, rng)
+        a = drawn.element(rank2, rng)
         assert qm.module.is_zero(qm.projection(a))
 
     def test_dropping_one_generator(self, ring, rank2, rng):
@@ -586,8 +586,8 @@ class TestQuotientModule:
         ]
         qm = quotient_module(mod, gens, ideal)
         for _ in range(30):
-            r = draw.element(ring, rng)
-            a = draw.element(mod, rng)
+            r = drawn.element(ring, rng)
+            a = drawn.element(mod, rng)
             assert (
                 qm.projection(mod.act(r, a))
                 == qm.module.act(qm.ring_projection(r), qm.projection(a))
@@ -608,7 +608,7 @@ class TestQuotientModule:
         gens = [pulled.element(gs.act(qgen.dim, mod.basis_dim[n]), {n: qgen}) for n in ("e", "f")]
         qm = quotient_module(pulled, gens, ideal)
         for _ in range(30):
-            r, a = draw.element(ring, rng), draw.element(pulled, rng)
+            r, a = drawn.element(ring, rng), drawn.element(pulled, rng)
             assert (
                 qm.projection(pulled.act(r, a))
                 == qm.module.act(qm.ring_projection(r), qm.projection(a))
@@ -624,12 +624,12 @@ class TestQuotientModule:
         gens = [mod.element(gs.act(qgen.dim, mod.basis_dim["e"]), {"e": qgen})]
         qm = quotient_module(mod, gens, ideal)
         for _ in range(20):
-            r = draw.element(ring, rng)
-            i = ring.mul(draw.element(ring, rng, dim=tuple(x - 1 for x in r.dim)), qgen)
-            a = draw.element(mod, rng)
+            r = drawn.element(ring, rng)
+            i = ring.mul(drawn.element(ring, rng, dim=tuple(x - 1 for x in r.dim)), qgen)
+            a = drawn.element(mod, rng)
             s = mod.element(a.dim, {
                 "e": ring.mul(
-                    draw.element(ring, rng, dim=tuple(x - 1 for x in dict(a.value)["e"].dim)),
+                    drawn.element(ring, rng, dim=tuple(x - 1 for x in dict(a.value)["e"].dim)),
                     qgen,
                 )
             }) if a.value else mod.zero(a.dim)
@@ -658,7 +658,7 @@ class TestSpan:
         basis direction is not."""
         gens = [rank2.basis_element("e")]
         for _ in range(20):
-            r = draw.element(ring, rng)
+            r = drawn.element(ring, rng)
             el = rank2.act(r, rank2.basis_element("e"))
             assert span_contains(rank2, gens, el)
         assert not span_contains(rank2, gens, rank2.basis_element("f"))
@@ -666,7 +666,7 @@ class TestSpan:
     def test_two_generators_span_sums(self, ring, rank2, rng):
         gens = [rank2.basis_element("e"), rank2.basis_element("f")]
         for _ in range(20):
-            a = draw.element(rank2, rng)
+            a = drawn.element(rank2, rng)
             assert span_contains(rank2, gens, a)
 
     def test_a_generator_in_another_orbit_spans_nothing_here(self, ring):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import draw
+import draw as drawn
 from dimalg import (
     ConstructionError,
     DimensionMismatch,
@@ -61,7 +61,7 @@ class TestCanonicalBracket:
     def test_self_bracket_vanishes(self, canonical_poisson, rng):
         ring = canonical_poisson.ring
         for _ in range(20):
-            f = draw.element(ring, rng)
+            f = drawn.element(ring, rng)
             assert ring.is_zero(canonical_poisson.bracket(f, f))
 
     def test_axiom_suite(self, canonical_poisson, rng):
@@ -70,7 +70,7 @@ class TestCanonicalBracket:
     def test_bracket_dimension_projection(self, canonical_poisson, rng):
         ring = canonical_poisson.ring
         for _ in range(20):
-            f, g = draw.element(ring, rng), draw.element(ring, rng)
+            f, g = drawn.element(ring, rng), drawn.element(ring, rng)
             assert canonical_poisson.bracket(f, g).dim == (f.dim[0] + g.dim[0],)
 
     def test_misplaced_structure_constant_raises_in_the_bracket(self):
@@ -245,7 +245,7 @@ class TestReduction:
             m = ring.scale(F(rng.randint(-3, 3)), rng.choice(red.basis))
             # an ideal element in the same slice as n
             i = ring.mul(
-                draw.element(ring, rng, dim=(n.dim[0] - 1,)), ring.generator("q")
+                drawn.element(ring, rng, dim=(n.dim[0] - 1,)), ring.generator("q")
             )
             lifted = ring.add(n, i)
             lhs = red.bracket(lifted, m)
@@ -462,7 +462,7 @@ class TestHeterogeneousProduct:
         prod = poisson_product_hetero(pa, pb)
         ring = prod.ring
         for _ in range(15):
-            f = draw.element(ring, rng)
+            f = drawn.element(ring, rng)
             assert ring.is_zero(prod.bracket(f, f))
 
     def test_displayed_formula_on_decomposables(self, rng):
@@ -481,8 +481,8 @@ class TestHeterogeneousProduct:
         ea = lambda el: _embed(ring, 0, pad_a, el)
         eb = lambda el: _embed(ring, 2, pad_b, el)
         for _ in range(15):
-            a1, a2 = draw.element(a_ring, rng), draw.element(a_ring, rng)
-            b1, b2 = draw.element(b_ring, rng), draw.element(b_ring, rng)
+            a1, a2 = drawn.element(a_ring, rng), drawn.element(a_ring, rng)
+            b1, b2 = drawn.element(b_ring, rng), drawn.element(b_ring, rng)
             lhs = prod.bracket(
                 ring.mul(ea(a1), eb(b1)), ring.mul(ea(a2), eb(b2))
             )
@@ -848,7 +848,7 @@ def probed_verdicts(p, ideal, seed=67, probes=25):
     ring, br = p.ring, p.bracket
 
     def draws(k):
-        return [tuple(draw.element(ring, rng) for _ in range(k)) for _ in range(probes)]
+        return [tuple(drawn.element(ring, rng) for _ in range(k)) for _ in range(probes)]
 
     verdicts = {
         "antisymmetry": all(br(f, g) == ring.neg(br(g, f)) for f, g in draws(2)),
@@ -859,7 +859,7 @@ def probed_verdicts(p, ideal, seed=67, probes=25):
     }
     if ideal:
         mono = ring.monomial_ideal(ideal)
-        fs = [draw.element(ring, rng) for _ in range(20)]
+        fs = [drawn.element(ring, rng) for _ in range(20)]
         verdicts["closure"] = all(
             mono.contains(br(ring.mul(f, g1), g2))
             for f, g1, g2 in itertools.product(fs, mono.generators, mono.generators))
@@ -1028,7 +1028,7 @@ def test_product_is_the_scale_times_the_ring_product(name, unit):
     ring, rng = p.ring, random.Random(71)
     assert (p.scale == ring.one) == unit
     for _ in range(30):
-        f, g = draw.element(ring, rng), draw.element(ring, rng)
+        f, g = drawn.element(ring, rng), drawn.element(ring, rng)
         assert p.product(f, g) == ring.mul(p.scale, ring.mul(f, g))
 
 

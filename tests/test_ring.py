@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-import draw
+import draw as drawn
 from dimalg import (
     CarrierError,
     ConstructionError,
@@ -50,13 +50,13 @@ class TestProductRing:
 
     def test_zero_is_absorbent(self, q_x_z, rng):
         for _ in range(20):
-            a = draw.element(q_x_z, rng)
-            d = draw.dimension(q_x_z.dims, rng)
+            a = drawn.element(q_x_z, rng)
+            d = drawn.dimension(q_x_z.dims, rng)
             prod = q_x_z.mul(q_x_z.zero(d), a)
             assert prod == q_x_z.zero(q_x_z.dims.combine(d, a.dim))
 
     def test_one_is_neutral(self, q_x_z, rng):
-        a = draw.element(q_x_z, rng)
+        a = drawn.element(q_x_z, rng)
         assert q_x_z.mul(q_x_z.one, a) == a
 
     def test_reciprocal(self, q_x_z):
@@ -186,8 +186,8 @@ class TestDimensionlessRing:
         phi = triv.to_field
         ident = (0,)
         for _ in range(20):
-            a = draw.element(triv.product, rng, dim=ident)
-            b = draw.element(triv.product, rng, dim=ident)
+            a = drawn.element(triv.product, rng, dim=ident)
+            b = drawn.element(triv.product, rng, dim=ident)
             assert phi(triv.product.add(a, b)) == q_x_z.add(phi(a), phi(b))
             assert phi(triv.product.mul(a, b)) == q_x_z.mul(phi(a), phi(b))
 
@@ -196,7 +196,7 @@ class TestQuotientRing:
     def test_zero_ideal_gives_back_the_ring(self, q_x_z, rng):
         q = quotient_ring(q_x_z, zero_ideal(q_x_z))
         for _ in range(10):
-            a = draw.element(q_x_z, rng)
+            a = drawn.element(q_x_z, rng)
             assert q.project(a) == a
 
     def test_an_element_shows_as_its_class(self, q_x_z, rng):
@@ -206,18 +206,18 @@ class TestQuotientRing:
 
     def test_whole_ideal_collapses_slices(self, q_x_z, rng):
         q = quotient_ring(q_x_z, whole_ideal(q_x_z))
-        a = draw.element(q_x_z, rng)
+        a = drawn.element(q_x_z, rng)
         assert q.project(a) == q_x_z.zero(a.dim)
 
     def test_monomial_ideal_projection_is_multiplicative(self, canonical_ring, rng):
         ring = canonical_ring
         q = quotient_ring(ring, ring.monomial_ideal(["q"]))
         for _ in range(30):
-            a = draw.element(ring, rng)
-            b = draw.element(ring, rng)
+            a = drawn.element(ring, rng)
+            b = drawn.element(ring, rng)
             assert q.project(ring.mul(a, b)) == q.mul(q.project(a), q.project(b))
-        c = draw.element(ring, rng)
-        d = draw.element(ring, rng, dim=c.dim)
+        c = drawn.element(ring, rng)
+        d = drawn.element(ring, rng, dim=c.dim)
         assert q.project(ring.add(c, d)) == q.add(q.project(c), q.project(d))
 
     def test_axiom_report_probes_a_quotient(self, canonical_ring):
@@ -248,8 +248,8 @@ class TestQuotientRing:
         q = quotient_ring(ring, ideal)
         zero_dim = (0,)
         for _ in range(20):
-            a = draw.element(ring, rng, dim=zero_dim)
-            b = draw.element(ring, rng, dim=zero_dim)
+            a = drawn.element(ring, rng, dim=zero_dim)
+            b = drawn.element(ring, rng, dim=zero_dim)
             lhs = q.mul(q.project(a), q.project(b))
             rhs = q.project(ring.mul(a, b))
             assert lhs == rhs
@@ -378,7 +378,7 @@ class TestSliceMulAndTrivialization:
         assert m.apply(q_x_z.element(F(1), (0,))) == q_x_z.element(F(3), (-1,))
         inv = m.inverse()
         for _ in range(10):
-            b = draw.element(q_x_z, rng, dim=(0,))
+            b = drawn.element(q_x_z, rng, dim=(0,))
             assert inv.apply(m.apply(b)) == b
 
     def test_slice_mul_by_zero_rejected(self, q_x_z):
@@ -391,7 +391,7 @@ class TestSliceMulAndTrivialization:
         u = unit_section_check(q_x_z, lambda d: q_x_z.element(F(1), d)).value
         triv = units_trivialization(q_x_z, u)
         for _ in range(20):
-            a = draw.element(q_x_z, rng)
+            a = drawn.element(q_x_z, rng)
             assert triv.to_field(a) == a
             assert triv.from_field(a) == a
 
@@ -411,8 +411,8 @@ class TestSliceMulAndTrivialization:
         ).value
         triv = units_trivialization(q_x_z, u)
         for _ in range(50):
-            a = draw.element(triv.product, rng)
-            b = draw.element(triv.product, rng)
+            a = drawn.element(triv.product, rng)
+            b = drawn.element(triv.product, rng)
             assert triv.to_field(triv.product.mul(a, b)) == q_x_z.mul(
                 triv.to_field(a), triv.to_field(b)
             )
